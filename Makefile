@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION  ?= v1.1.4
 STATICCHECK          := $(TOOLS_BIN)/staticcheck
 GOVULNCHECK          := $(TOOLS_BIN)/govulncheck
 
-.PHONY: build test vet race check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos perf perf-baseline docs-check
+.PHONY: build test vet race check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos perf perf-baseline docs-check loc benchmark-test
 
 build:
 	$(GO) build ./...
@@ -108,6 +108,24 @@ docs-check:
 	$(TOOLS_BIN)/docscheck -ops OPERATIONS.md -readme README.md \
 		-scanlint $(TOOLS_BIN)/scanlint \
 		$(TOOLS_BIN)/scanserver $(TOOLS_BIN)/scanshard $(TOOLS_BIN)/ppscan $(TOOLS_BIN)/perfbench
+
+# The repository benchmark (BENCHMARK.json) is a Go module of its own under
+# benchmark/ that imports ppscan/internal/server, so `go test ./...` never
+# compiles it: vet and test it here after any change to an API it uses.
+benchmark-test:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Non-test and test Go lines per package, with the internal/ + cmd/ total
+# ROADMAP's code-budget items are stated in. Informational, never a gate.
+loc:
+	@find . -name '*.go' -not -path './.*' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
+	       if ($$2 ~ /_test\.go$$/) t[d] += $$1; else s[d] += $$1 } \
+	     END { for (d in seen) printf "%s %d %d\n", d, s[d], t[d] }' | sort | \
+	awk 'BEGIN { printf "%-36s %9s %9s\n", "package", "non-test", "test" } \
+	     { printf "%-36s %9d %9d\n", $$1, $$2, $$3 } \
+	     $$1 ~ /^\.\/(internal|cmd)\// { s += $$2; t += $$3 } \
+	     END { printf "%-36s %9d %9d\n", "internal/ + cmd/", s, t }'
 
 # The pre-merge gate: static checks, the full suite under the race
 # detector (the parallel phases, scheduler telemetry and HTTP middleware

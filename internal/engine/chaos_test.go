@@ -11,17 +11,24 @@ import (
 	"ppscan/internal/fault"
 	"ppscan/internal/gen"
 	"ppscan/internal/result"
+	"ppscan/internal/shard"
 	"ppscan/internal/simdef"
 )
 
 // typedFaultError reports whether err is one of the clean, typed failures
 // a faulted run is allowed to return: a contained worker panic, a watchdog
-// stall, an injected transient that exhausted its retries, or a context
-// abort — always wrapped in a *result.PartialError by the engines that can
-// fail mid-run.
+// stall, an injected transient that exhausted its retries, a dist-scan
+// partition that exhausted its attempts (a panic contained inside a shard
+// worker crosses the wire as a rejection, so only the shard taxonomy
+// survives), or a context abort — always wrapped in a *result.PartialError
+// by the engines that can fail mid-run.
 func typedFaultError(err error) bool {
 	var wpe *result.WorkerPanicError
 	if errors.As(err, &wpe) {
+		return true
+	}
+	var ua *shard.ShardUnavailableError
+	if errors.As(err, &ua) {
 		return true
 	}
 	if errors.Is(err, result.ErrStalled) {
@@ -222,8 +229,8 @@ func TestWatchdogStall(t *testing.T) {
 }
 
 // TestDistscanSuperstepRetry pins the BSP retry path: transient injected
-// errors at superstep boundaries are retried with backoff and the run
-// still completes with the correct result, counting its retries.
+// errors on a round's RPCs are retried with backoff and the run still
+// completes with the correct result, counting its retries.
 func TestDistscanSuperstepRetry(t *testing.T) {
 	t.Cleanup(fault.Disable)
 	g := gen.Roll(300, 8, 3)
@@ -239,10 +246,10 @@ func TestDistscanSuperstepRetry(t *testing.T) {
 	}
 
 	before := fault.Snapshot().Retries
-	// Two transient errors at distinct superstep attempts: each is within
-	// the per-superstep attempt budget (3), so the whole run must succeed.
+	// Two transient errors at distinct RPC attempts: each is within the
+	// per-round attempt budget (3), so the whole run must succeed.
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
-		{Point: fault.SuperstepStart, Action: fault.ActError, Start: 2, Every: 3, Count: 2},
+		{Point: fault.ShardRPC, Action: fault.ActError, Start: 2, Every: 3, Count: 2},
 	}})
 	res, err := eng.RunContext(context.Background(), g, th, engine.Options{Workers: 3}, nil)
 	fault.Disable()
@@ -257,8 +264,8 @@ func TestDistscanSuperstepRetry(t *testing.T) {
 	}
 }
 
-// TestDistscanRetryExhaustion: a superstep that keeps failing transiently
-// exhausts MaxAttempts and surfaces the injected error, typed.
+// TestDistscanRetryExhaustion: a round that keeps failing transiently
+// exhausts its attempts and surfaces the injected error, typed.
 func TestDistscanRetryExhaustion(t *testing.T) {
 	t.Cleanup(fault.Disable)
 	g := gen.Roll(200, 6, 3)
@@ -268,7 +275,7 @@ func TestDistscanRetryExhaustion(t *testing.T) {
 	}
 	eng, _ := engine.Get("dist-scan")
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
-		{Point: fault.SuperstepStart, Action: fault.ActError, Start: 1, Every: 1},
+		{Point: fault.ShardRPC, Action: fault.ActError, Start: 1, Every: 1},
 	}})
 	_, err = eng.RunContext(context.Background(), g, th, engine.Options{Workers: 3}, nil)
 	fault.Disable()
@@ -277,6 +284,6 @@ func TestDistscanRetryExhaustion(t *testing.T) {
 	}
 	var pe *result.PartialError
 	if !errors.As(err, &pe) || pe.Phase == "" {
-		t.Errorf("exhaustion error should be a PartialError naming the superstep, got %v", err)
+		t.Errorf("exhaustion error should be a PartialError naming the round, got %v", err)
 	}
 }

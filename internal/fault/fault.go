@@ -1,7 +1,7 @@
 // Package fault is a deterministic, seed-driven fault-injection registry
 // for the serving stack. Injection points are named constants threaded
-// through the hot path (scheduler task execution, distscan supersteps,
-// graph loading); a Plan — either hand-built or derived from a seed —
+// through the hot path (scheduler task execution, shard RPCs, graph
+// loading); a Plan — either hand-built or derived from a seed —
 // decides, purely from per-point hit counters, when a point fires and
 // what it does (panic, straggler delay, or transient error).
 //
@@ -29,14 +29,10 @@ type Point uint8
 
 const (
 	// WorkerTask fires once per scheduler task execution (sched.Crew and
-	// sched.Pool workers, static blocks, distscan partitions). Panic and
+	// sched.Pool workers, static blocks, shard sim blocks). Panic and
 	// error actions both surface as a contained worker panic — workers
 	// have no error channel — and delay actions model stragglers.
 	WorkerTask Point = iota
-	// SuperstepStart fires at the start of each distscan superstep
-	// attempt. Error actions are transient and retried with backoff;
-	// panic actions test the containment path.
-	SuperstepStart
 	// GraphLoad fires once per binary-graph load, modelling corrupt or
 	// partially-written input files.
 	GraphLoad
@@ -68,7 +64,6 @@ const (
 
 var pointNames = [NumPoints]string{
 	WorkerTask:     "worker_task",
-	SuperstepStart: "superstep_start",
 	GraphLoad:      "graph_load",
 	EdgeBatchApply: "edge_batch_apply",
 	ShardRPC:       "shard_rpc",
@@ -149,7 +144,7 @@ type Plan struct {
 // NewPlan derives a randomized fault schedule from seed. The same seed
 // always yields the same plan, so `-chaos-seed N` reproduces a failure
 // exactly. Plans bias toward the serving-path points (worker tasks and
-// supersteps) and keep delays short enough for test suites.
+// shard RPCs) and keep delays short enough for test suites.
 func NewPlan(seed int64) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	p := &Plan{Seed: seed}
@@ -160,7 +155,7 @@ func NewPlan(seed int64) *Plan {
 		case 0:
 			pt = GraphLoad
 		case 1, 2, 3:
-			pt = SuperstepStart
+			pt = ShardRPC
 		default:
 			pt = WorkerTask
 		}
@@ -316,8 +311,8 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// NoteRetry counts one retry of a transient fault (recorded by the
-// distscan superstep retry loop; surfaces as the fault.retries metric).
+// NoteRetry counts one retry of a transient fault (recorded by the shard
+// coordinator's retry loop; surfaces as the fault.retries metric).
 func NoteRetry() { retries.Add(1) }
 
 // Stats is a snapshot of the process-lifetime injection counters.

@@ -22,10 +22,10 @@ func TestDisarmedFastPath(t *testing.T) {
 // the returned error is transient and wraps ErrInjected.
 func TestErrorRule(t *testing.T) {
 	t.Cleanup(Disable)
-	Enable(&Plan{Rules: []Rule{{Point: SuperstepStart, Action: ActError, Start: 2, Every: 3, Count: 2}}})
+	Enable(&Plan{Rules: []Rule{{Point: ShardRPC, Action: ActError, Start: 2, Every: 3, Count: 2}}})
 	var fired []int
 	for hit := 1; hit <= 12; hit++ {
-		if err := Inject(SuperstepStart); err != nil {
+		if err := Inject(ShardRPC); err != nil {
 			fired = append(fired, hit)
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("hit %d: error does not wrap ErrInjected: %v", hit, err)
@@ -34,7 +34,7 @@ func TestErrorRule(t *testing.T) {
 				t.Fatalf("hit %d: injected error not transient: %v", hit, err)
 			}
 			var fe *Error
-			if !errors.As(err, &fe) || fe.Point != SuperstepStart || fe.Hit != uint64(hit) {
+			if !errors.As(err, &fe) || fe.Point != ShardRPC || fe.Hit != uint64(hit) {
 				t.Fatalf("hit %d: wrong provenance: %+v", hit, fe)
 			}
 		}
@@ -114,7 +114,7 @@ func TestNewPlanDeterministic(t *testing.T) {
 func TestConcurrentInject(t *testing.T) {
 	t.Cleanup(Disable)
 	before := Snapshot()
-	Enable(&Plan{Rules: []Rule{{Point: SuperstepStart, Action: ActError, Start: 1, Every: 1, Count: 64}}})
+	Enable(&Plan{Rules: []Rule{{Point: ShardRPC, Action: ActError, Start: 1, Every: 1, Count: 64}}})
 	var (
 		wg      sync.WaitGroup
 		errored atomic64
@@ -124,7 +124,7 @@ func TestConcurrentInject(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				if Inject(SuperstepStart) != nil {
+				if Inject(ShardRPC) != nil {
 					errored.add(1)
 				}
 			}

@@ -36,12 +36,11 @@ import (
 // servingPackages mirrors panicsafe: waits on a request-serving goroutine
 // must be cancellable, or a slow peer turns into a stuck handler pool.
 var servingPackages = map[string]bool{
-	"ppscan/internal/sched":    true,
-	"ppscan/internal/server":   true,
-	"ppscan/internal/engine":   true,
-	"ppscan/internal/distscan": true,
-	"ppscan/internal/shard":    true,
-	"chanfix":                  true, // test fixture
+	"ppscan/internal/sched":  true,
+	"ppscan/internal/server": true,
+	"ppscan/internal/engine": true,
+	"ppscan/internal/shard":  true,
+	"chanfix":                true, // test fixture
 }
 
 // Analyzer is the chanwait analyzer.

@@ -7,7 +7,7 @@
 // hole.
 //
 // The analyzer checks every go statement in the serving packages (sched,
-// server, engine, distscan). The spawned function must reach a recover()
+// server, engine, shard). The spawned function must reach a recover()
 // call — directly, in a deferred closure, or through functions declared in
 // the same package (so `defer c.recoverTask(w)` counts) — or carry a
 // //lint:panicsafe <reason> annotation arguing the body cannot panic.
@@ -28,19 +28,18 @@ import (
 // package is listed so the analyzer's own tests exercise the real
 // code path.
 var servingPackages = map[string]bool{
-	"ppscan/internal/sched":    true,
-	"ppscan/internal/server":   true,
-	"ppscan/internal/engine":   true,
-	"ppscan/internal/distscan": true,
-	"ppscan/internal/shard":    true,
-	"panicfix":                 true, // test fixture
+	"ppscan/internal/sched":  true,
+	"ppscan/internal/server": true,
+	"ppscan/internal/engine": true,
+	"ppscan/internal/shard":  true,
+	"panicfix":               true, // test fixture
 }
 
 // Analyzer is the panicsafe analyzer.
 var Analyzer = &framework.Analyzer{
 	Name:      "panicsafe",
 	Directive: "panicsafe",
-	Doc: "flags go statements in serving packages (sched/server/engine/distscan) whose " +
+	Doc: "flags go statements in serving packages (sched/server/engine/shard) whose " +
 		"goroutine has no reachable recover() — a panic there kills the process; contain it " +
 		"or annotate //lint:panicsafe <reason> for bodies that provably cannot panic",
 	Run: run,

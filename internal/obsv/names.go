@@ -178,11 +178,6 @@ const (
 	MetricServerExemplars        = "server.exemplars.retained"
 	MetricServerExemplarCaptures = "server.exemplars.captured"
 
-	// Distributed-engine superstep histograms: MetricDistSuperstepPrefix +
-	// a superstep key ("s1_adjacency_exchange", ...) distributes wall time
-	// per BSP superstep, retries included.
-	MetricDistSuperstepPrefix = "distscan.superstep_ns."
-
 	// Request-coalescing metrics (server-local; see Server.WithCoalescing).
 	//
 	// MetricServerCoalesceFlights counts shared similarity passes started —
@@ -287,8 +282,7 @@ const (
 	MetricShardUnavailable = "shard.unavailable"
 	// MetricShardCommBytes accumulates real wire bytes moved between the
 	// coordinator and the workers (request plus response bodies) — the
-	// multi-process measurement of the paper's §3.3 communication-overhead
-	// claim, replacing distscan's modeled byte counts.
+	// measurement of the paper's §3.3 communication-overhead claim.
 	MetricShardCommBytes = "shard.comm_bytes"
 	// MetricShardRoundNsPrefix + round name ("sim", "roles", "cluster",
 	// "members") distributes per-round wall time across the fleet barrier,

@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ppscan/internal/obsv"
 )
@@ -112,14 +114,19 @@ func TestCrewMetrics(t *testing.T) {
 	}
 }
 
-// TestCrewConcurrentWorkersUsed: with enough work, more than one worker
-// participates.
+// TestCrewConcurrentWorkersUsed: more than one worker participates. The
+// first worker to enter the task body holds there until a second distinct
+// worker id has entered too (bounded, so a crew that really starves its
+// other workers fails instead of hanging) — on a 2-core host one worker
+// can otherwise drain the whole queue before a second one wakes.
 func TestCrewConcurrentWorkersUsed(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs >= 2 procs")
 	}
 	c := NewCrew(4)
 	defer c.Close()
+	wait, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var mu sync.Mutex
 	workers := map[int]bool{}
 	c.ForEachVertex(Options{DegreeThreshold: 16}, 50_000,
@@ -128,7 +135,11 @@ func TestCrewConcurrentWorkersUsed(t *testing.T) {
 		func(u int32, w int) {
 			mu.Lock()
 			workers[w] = true
+			if len(workers) >= 2 {
+				cancel() // releases the holder, and every later wait
+			}
 			mu.Unlock()
+			<-wait.Done()
 		}, nil)
 	if len(workers) < 2 {
 		t.Errorf("only %d workers participated, want >= 2", len(workers))

@@ -848,25 +848,50 @@ func (s *Server) retryAfterSecs() int {
 	return secs
 }
 
-// writeResolveError maps a resolve failure to an HTTP response: saturation
-// becomes 429 + Retry-After, a deadline expiry 503 + Retry-After (the body
-// names the aborted phase from the PartialError), a client disconnect 503,
-// a contained worker panic or watchdog stall 500 with a structured body,
-// anything else 400.
+// writeResolveError maps a resolve failure to an HTTP response, first match
+// wins: a shard with no live replica 503 + Retry-After naming the shard
+// (graceful degradation — the query is answerable again once a worker
+// rejoins); a bare shard leaf fault (a path that did not exhaust the
+// budget) a structured 500 naming shard and round; a contained worker
+// panic or watchdog stall 500 with a structured body; saturation 429 +
+// Retry-After; a deadline expiry 503 + Retry-After (the body names the
+// aborted phase from the PartialError); a client disconnect 503; anything
+// else 400.
 func (s *Server) writeResolveError(w http.ResponseWriter, err error) {
-	if s.writeShardError(w, err) {
-		// Shard-tier faults (unavailable shard → 503 + Retry-After,
-		// timeout/crash/rejection → structured 500) are mapped in
-		// shard.go.
-		return
-	}
 	var pe *ppscan.PartialError
 	phase := ""
 	if errors.As(err, &pe) {
 		phase = pe.Phase
 	}
-	var wpe *ppscan.WorkerPanicError
+	shardFault := func(kind, msg string, id int, round string) {
+		writeJSON(w, http.StatusInternalServerError, map[string]any{
+			"error": msg, "kind": kind, "shard": id, "round": round,
+		})
+	}
+	var (
+		ua  *shard.ShardUnavailableError
+		to  *shard.ShardTimeoutError
+		cr  *shard.ShardCrashError
+		rej *shard.ShardRejectedError
+		wpe *ppscan.WorkerPanicError
+	)
 	switch {
+	case errors.As(err, &ua):
+		w.Header().Set("Retry-After", strconv.Itoa(shardRetryAfterSecs))
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"error":             ua.Error(),
+			"kind":              "shard_unavailable",
+			"shard":             ua.Shard,
+			"round":             ua.Round,
+			"attempts":          ua.Attempts,
+			"retryAfterSeconds": shardRetryAfterSecs,
+		})
+	case errors.As(err, &to):
+		shardFault("shard_timeout", to.Error(), to.Shard, to.Round)
+	case errors.As(err, &cr):
+		shardFault("shard_crash", cr.Error(), cr.Shard, cr.Round)
+	case errors.As(err, &rej):
+		shardFault("shard_rejected", rej.Error(), rej.Shard, rej.Round)
 	case errors.As(err, &wpe):
 		// A contained worker panic: internal fault, not a client problem.
 		// The body carries the phase and worker for triage; the stack goes

@@ -2,17 +2,14 @@
 // engines to a multi-process worker fleet driven by a shard.Coordinator.
 // The serving ladder above it — response cache, admission control,
 // draining — is unchanged; only the "compute" rung differs. Shard-tier
-// faults arrive as the typed taxonomy from internal/shard and are mapped
-// to structured HTTP errors here: a shard with no live replica degrades
-// the query to 503 + Retry-After naming the shard, never a hang and never
-// a silent partial result.
+// faults arrive as the typed taxonomy from internal/shard and
+// writeResolveError maps them to structured HTTP errors: a shard with no
+// live replica degrades the query to 503 + Retry-After naming the shard,
+// never a hang and never a silent partial result.
 package server
 
 import (
 	"context"
-	"errors"
-	"net/http"
-	"strconv"
 
 	"ppscan"
 	"ppscan/internal/shard"
@@ -48,52 +45,6 @@ func (s *Server) runSharded(ctx context.Context, key cacheKey, eps string, mu in
 	s.cache.add(key, res)
 	s.mu.Unlock()
 	return res, nil
-}
-
-// writeShardError maps the shard fault taxonomy to HTTP. It reports
-// whether err was a shard-tier fault (and was written); writeResolveError
-// falls through to its generic rules otherwise.
-func (s *Server) writeShardError(w http.ResponseWriter, err error) bool {
-	var ua *shard.ShardUnavailableError
-	if errors.As(err, &ua) {
-		// Graceful degradation: the shard exhausted every replica and
-		// retry. The query is answerable again once a worker rejoins, so
-		// 503 + Retry-After, with the blast radius named for operators.
-		w.Header().Set("Retry-After", strconv.Itoa(shardRetryAfterSecs))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":             ua.Error(),
-			"kind":              "shard_unavailable",
-			"shard":             ua.Shard,
-			"round":             ua.Round,
-			"attempts":          ua.Attempts,
-			"retryAfterSeconds": shardRetryAfterSecs,
-		})
-		return true
-	}
-	// Leaf faults normally arrive wrapped in ShardUnavailableError; a bare
-	// one (a path that did not exhaust the budget) is still mapped to a
-	// structured 500 naming the shard and round.
-	var to *shard.ShardTimeoutError
-	var cr *shard.ShardCrashError
-	var rej *shard.ShardRejectedError
-	switch {
-	case errors.As(err, &to):
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
-			"error": to.Error(), "kind": "shard_timeout", "shard": to.Shard, "round": to.Round,
-		})
-		return true
-	case errors.As(err, &cr):
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
-			"error": cr.Error(), "kind": "shard_crash", "shard": cr.Shard, "round": cr.Round,
-		})
-		return true
-	case errors.As(err, &rej):
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
-			"error": rej.Error(), "kind": "shard_rejected", "shard": rej.Shard, "round": rej.Round,
-		})
-		return true
-	}
-	return false
 }
 
 // shardRetryAfterSecs is the Retry-After hint for shard unavailability:

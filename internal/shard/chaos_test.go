@@ -58,7 +58,7 @@ func TestShardChaosSeeds(t *testing.T) {
 	}
 	want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
 
-	f := newFleet(t, g, 2, 2)
+	f := newFleet(t, overHTTP, g, 2, 2)
 	c, err := NewCoordinator(g, Options{
 		Shards:          f.addrs,
 		StepTimeout:     150 * time.Millisecond,

@@ -10,12 +10,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ppscan/graph"
-	"ppscan/internal/distscan"
 	"ppscan/internal/fault"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
@@ -265,7 +265,7 @@ func (c *Coordinator) Publish(g *graph.Graph) {
 	c.snap.Store(&coordSnap{
 		g:      g,
 		epoch:  g.Epoch(),
-		bounds: distscan.Partition(g, len(c.fleet)),
+		bounds: Partition(g, len(c.fleet)),
 	})
 }
 
@@ -585,8 +585,9 @@ func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, re
 				if ri > 0 {
 					c.failovers.Inc()
 				}
-				// Backoff honors cancellation, like distscan's superstep
-				// retry loop.
+				// Backoff honors cancellation: a client that goes away
+				// mid-backoff aborts the query instead of waiting out the
+				// timer just to fail at the next check.
 				timer := time.NewTimer(backoff)
 				select {
 				case <-ctx.Done():
@@ -693,7 +694,7 @@ func (c *Coordinator) attempt(ctx context.Context, shard int, r *replica, round 
 }
 
 // countingReader counts wire bytes actually read (Stats.CommBytes is
-// measured on the shard tier, unlike distscan's modeled byte counts).
+// measured, not modeled).
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -707,7 +708,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // Run executes one clustering query across the fleet: four fan-out
 // rounds (sim → roles → cluster → members) with a central union-find
-// reduce, producing a Result bit-identical to engine and distscan output
+// reduce, producing a Result bit-identical to every in-process engine's
 // for the same snapshot and parameters. Any shard that cannot serve a
 // round after retries and failover fails the query with a typed
 // ShardUnavailableError — never a hang, never a partial result.
@@ -716,6 +717,18 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 	if err != nil {
 		return nil, err
 	}
+	res, pe := c.run(ctx, th)
+	if pe != nil {
+		return nil, pe.Err
+	}
+	return res, nil
+}
+
+// run is Run past parameter parsing. A failure comes back as a
+// *result.PartialError naming the round in flight and carrying the stats
+// accumulated so far (the dist-scan engine returns it whole; Run unwraps
+// it, so the serving tier sees the bare taxonomy error).
+func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Result, *result.PartialError) {
 	c.queries.Inc()
 	sn := c.snap.Load()
 	g, bounds := sn.g, sn.bounds
@@ -727,6 +740,17 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 	// Wire bytes are measured per query (request bodies out, response
 	// bodies in), not modeled — concurrent queries each count their own.
 	var qBytes atomic.Int64
+	stats := func() result.Stats {
+		return result.Stats{
+			Algorithm: fmt.Sprintf("shard-scan(s=%d)", p),
+			Workers:   p,
+			Total:     time.Since(start),
+			CommBytes: qBytes.Load(),
+		}
+	}
+	abort := func(round string, err error) (*result.Result, *result.PartialError) {
+		return nil, &result.PartialError{Stats: stats(), Phase: round, Err: err}
+	}
 
 	// fanOut runs one round on every shard concurrently; the per-shard
 	// request is built by mk (which must not share mutable state).
@@ -742,7 +766,9 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 				defer wg.Done()
 				defer func() {
 					if v := recover(); v != nil {
-						errs[s] = fmt.Errorf("shard: %s fan-out panic for shard %d: %v", round, s, v)
+						errs[s] = &result.WorkerPanicError{
+							Phase: "shard " + round, Worker: s, Value: v, Stack: debug.Stack(),
+						}
 					}
 				}()
 				resps[s], errs[s] = c.callStep(ctx, sn, s, mk(s), &qBytes)
@@ -779,7 +805,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		return &r
 	})
 	if err != nil {
-		return nil, err
+		return abort(RoundSim, err)
 	}
 	inboxes := make([][]SimMsg, p)
 	//lint:ctxok bounded regroup of round-1 outboxes between superstep barriers
@@ -799,7 +825,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		return &r
 	})
 	if err != nil {
-		return nil, err
+		return abort(RoundRoles, err)
 	}
 	roles := make([]result.Role, n)
 	//lint:ctxok bounded p-iteration fold between superstep barriers
@@ -808,7 +834,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 	}
 
 	// Round 3: similar core-core edges, reduced through a central
-	// union-find with min-core-id labeling (same as distscan S5).
+	// union-find with min-core-id labeling.
 	clusterResps, err := fanOut(RoundCluster, func(s int) *StepRequest {
 		r := base
 		r.Round = RoundCluster
@@ -816,14 +842,14 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		r.Roles = roles
 		return &r
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if err != nil {
+		return abort(RoundCluster, err)
 	}
 	uf := unionfind.NewSequential(n)
-	//lint:ctxok bounded central union-find fold between superstep barriers (same as distscan S5)
+	//lint:ctxok bounded central union-find fold between superstep barriers
 	for _, resp := range clusterResps {
 		//lint:ctxok bounded by the round's core-core edge count
 		for _, e := range resp.UnionEdges {
@@ -863,7 +889,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		return &r
 	})
 	if err != nil {
-		return nil, err
+		return abort(RoundMembers, err)
 	}
 
 	res := &result.Result{
@@ -877,12 +903,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		res.NonCore = append(res.NonCore, resp.Members...)
 	}
 	res.Normalize()
-	res.Stats = result.Stats{
-		Algorithm:    fmt.Sprintf("shard-scan(s=%d)", p),
-		Workers:      p,
-		CompSimCalls: g.NumEdges(),
-		Total:        time.Since(start),
-		CommBytes:    qBytes.Load(),
-	}
+	res.Stats = stats()
+	res.Stats.CompSimCalls = g.NumEdges()
 	return res, nil
 }

@@ -1,7 +1,13 @@
-// Package shard lifts internal/distscan's bulk-synchronous supersteps
-// across process boundaries: a coordinator drives S1–S5-shaped rounds over
-// a fleet of worker processes (cmd/scanshard), each owning one contiguous
-// vertex range of the CSR, speaking gob over stdlib HTTP.
+// Package shard is the repository's one implementation of partitioned,
+// bulk-synchronous structural clustering — the SparkSCAN / PSCAN family
+// (Zhou & Wang 2015; Zhao et al. 2013) the ppSCAN paper's related work
+// dismisses with "incurring communication overheads" (§3.3). A coordinator
+// drives four rounds over a fleet of workers, each owning one contiguous
+// vertex range of the CSR (Partition), speaking gob over stdlib HTTP; every
+// byte that crosses is counted into Stats.CommBytes. The fleet is worker
+// processes (cmd/scanshard) behind scanserver -shards, or p in-process
+// workers behind a loopback transport as the "dist-scan" engine
+// (engine.go).
 //
 // The headline property is shard-level fault containment. Every round
 // request is self-contained — it carries the query parameters, the target
@@ -45,12 +51,12 @@ const (
 	PathDrain = "/shard/drain"
 )
 
-// Round names, in execution order. Each maps onto the distscan superstep
-// it distributes: RoundSim covers S1+S2 (the adjacency exchange is implied
-// by each worker's local snapshot; mirror values cross shards as SimMsg
-// outboxes), RoundRoles covers S3+S4 (the reply ships the boundary roles),
-// RoundCluster and RoundMembers split S5 around the coordinator's global
-// union-find reduce.
+// Round names, in execution order. RoundSim computes each undirected edge
+// once, at the owner of its smaller endpoint (every worker holds the whole
+// snapshot, so no adjacency is exchanged; mirror values cross shards as
+// SimMsg outboxes), RoundRoles replies with the owned range's roles, and
+// RoundCluster and RoundMembers sit either side of the coordinator's
+// global union-find reduce.
 const (
 	RoundSim     = "sim"
 	RoundRoles   = "roles"

@@ -21,36 +21,77 @@ import (
 	"ppscan/internal/simdef"
 )
 
-// fleet is an in-process worker fleet for tests: httptest servers wrapping
-// real Workers, one or more replicas per shard.
-type fleet struct {
-	workers [][]*Worker
-	servers [][]*httptest.Server
-	addrs   [][]string
+// The two ways a test coordinator reaches its workers: real sockets through
+// httptest servers (what scanserver/scanshard run on), and the dist-scan
+// engine's in-process loopback. The fault ladder must classify failures
+// identically over both.
+const (
+	overHTTP     = "http"
+	overLoopback = "loopback"
+)
+
+// overBoth runs fn once per transport.
+func overBoth(t *testing.T, fn func(t *testing.T, transport string)) {
+	for _, tr := range []string{overHTTP, overLoopback} {
+		t.Run(tr, func(t *testing.T) { fn(t, tr) })
+	}
 }
 
-func newFleet(t *testing.T, g *graph.Graph, shards, replicas int) *fleet {
+// mount exposes handlers[shard][replica] over the transport and returns
+// their addresses, the client that reaches them (nil: the coordinator's
+// default) and, over HTTP, the servers so a test can kill one.
+func mount(t *testing.T, transport string, handlers [][]http.Handler) ([][]string, *http.Client, [][]*httptest.Server) {
+	t.Helper()
+	addrs := make([][]string, len(handlers))
+	if transport == overLoopback {
+		lb := loopback{}
+		for s, hs := range handlers {
+			for r, h := range hs {
+				host := fmt.Sprintf("shard-%d-%d", s, r)
+				lb[host] = h
+				addrs[s] = append(addrs[s], "http://"+host)
+			}
+		}
+		return addrs, &http.Client{Transport: lb}, nil
+	}
+	servers := make([][]*httptest.Server, len(handlers))
+	for s, hs := range handlers {
+		for _, h := range hs {
+			srv := httptest.NewServer(h)
+			t.Cleanup(srv.Close)
+			servers[s] = append(servers[s], srv)
+			addrs[s] = append(addrs[s], srv.URL)
+		}
+	}
+	return addrs, nil, servers
+}
+
+// fleet is an in-process worker fleet for tests: real Workers, one or more
+// replicas per shard, mounted over one of the transports.
+type fleet struct {
+	workers [][]*Worker
+	servers [][]*httptest.Server // overHTTP only
+	addrs   [][]string
+	client  *http.Client
+}
+
+func newFleet(t *testing.T, transport string, g *graph.Graph, shards, replicas int) *fleet {
 	t.Helper()
 	f := &fleet{}
+	handlers := make([][]http.Handler, shards)
 	for s := 0; s < shards; s++ {
 		var ws []*Worker
-		var srvs []*httptest.Server
-		var addrs []string
 		for r := 0; r < replicas; r++ {
 			w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: shards, Workers: 2})
 			if err != nil {
 				t.Fatalf("NewWorker(%d/%d): %v", s, shards, err)
 			}
-			srv := httptest.NewServer(w.Handler())
-			t.Cleanup(srv.Close)
 			ws = append(ws, w)
-			srvs = append(srvs, srv)
-			addrs = append(addrs, srv.URL)
+			handlers[s] = append(handlers[s], w.Handler())
 		}
 		f.workers = append(f.workers, ws)
-		f.servers = append(f.servers, srvs)
-		f.addrs = append(f.addrs, addrs)
 	}
+	f.addrs, f.client, f.servers = mount(t, transport, handlers)
 	return f
 }
 
@@ -60,11 +101,14 @@ func (f *fleet) coord(t *testing.T, g *graph.Graph) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(g, Options{
 		Shards:           f.addrs,
+		Client:           f.client,
 		StepTimeout:      5 * time.Second,
 		HeartbeatTimeout: time.Second,
 		HeartbeatEvery:   -1,
 		RetryBackoff:     time.Millisecond,
 		MaxRetryBackoff:  10 * time.Millisecond,
+		// Counter assertions must not see other tests' coordinators.
+		Registry: obsv.New(),
 	})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
@@ -86,7 +130,7 @@ func TestRunMatchesReferenceCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, shards := range []int{1, 3} {
-				f := newFleet(t, tc.G, shards, 1)
+				f := newFleet(t, overHTTP, tc.G, shards, 1)
 				c := f.coord(t, tc.G)
 				for _, th := range algotest.Params() {
 					want := reference(tc.G, th)
@@ -108,7 +152,7 @@ func TestShardCountIndependence(t *testing.T) {
 	th, _ := simdef.NewThreshold("0.4", 3)
 	want := reference(g, th)
 	for _, shards := range []int{1, 2, 4, 7} {
-		f := newFleet(t, g, shards, 1)
+		f := newFleet(t, overHTTP, g, shards, 1)
 		c := f.coord(t, g)
 		got, err := c.Run(context.Background(), "0.4", 3)
 		if err != nil {
@@ -122,7 +166,7 @@ func TestShardCountIndependence(t *testing.T) {
 
 func TestCommBytesMeasured(t *testing.T) {
 	g := algotest.RandomGraph(7)
-	f := newFleet(t, g, 3, 1)
+	f := newFleet(t, overHTTP, g, 3, 1)
 	c := f.coord(t, g)
 	r, err := c.Run(context.Background(), "0.4", 3)
 	if err != nil {
@@ -136,8 +180,8 @@ func TestCommBytesMeasured(t *testing.T) {
 	}
 }
 
-// flakyProxy fails the first n requests per path-class with a severed
-// connection, then forwards.
+// flakyProxy fails the first n requests with a severed connection, then
+// forwards.
 type flakyProxy struct {
 	backend http.Handler
 	mu      sync.Mutex
@@ -152,33 +196,30 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	p.mu.Unlock()
 	if fail {
-		hj, ok := w.(http.Hijacker)
-		if !ok {
-			panic("test server not hijackable")
-		}
-		conn, _, err := hj.Hijack()
-		if err == nil {
-			conn.Close()
-		}
-		return
+		panic(http.ErrAbortHandler) // net/http severs the connection
 	}
 	p.backend.ServeHTTP(w, r)
 }
 
 func TestRetryAfterTransportFailure(t *testing.T) {
+	overBoth(t, testRetryAfterTransportFailure)
+}
+
+func testRetryAfterTransportFailure(t *testing.T, transport string) {
 	g := algotest.RandomGraph(3)
 	w, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := &flakyProxy{backend: w.Handler(), fails: 2}
-	srv := httptest.NewServer(proxy)
-	defer srv.Close()
+	addrs, client, _ := mount(t, transport, [][]http.Handler{{proxy}})
 	c, err := NewCoordinator(g, Options{
-		Shards:         [][]string{{srv.URL}},
+		Shards:         addrs,
+		Client:         client,
 		HeartbeatEvery: -1,
 		RetryBackoff:   time.Millisecond,
 		MaxAttempts:    4,
+		Registry:       obsv.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,11 +236,14 @@ func TestRetryAfterTransportFailure(t *testing.T) {
 	if c.retriesC.Value() == 0 {
 		t.Error("no retries counted despite injected transport failures")
 	}
+	if c.crashes.Value() == 0 {
+		t.Error("severed connections not classified as crashes")
+	}
 }
 
 func TestFailoverToReplica(t *testing.T) {
 	g := algotest.RandomGraph(5)
-	f := newFleet(t, g, 2, 2)
+	f := newFleet(t, overHTTP, g, 2, 2)
 	// Kill shard 1's first replica entirely: every round must fail over.
 	f.servers[1][0].Close()
 	c := f.coord(t, g)
@@ -227,7 +271,7 @@ func TestFailoverToReplica(t *testing.T) {
 
 func TestUnavailableWhenNoReplicaLeft(t *testing.T) {
 	g := algotest.RandomGraph(9)
-	f := newFleet(t, g, 2, 1)
+	f := newFleet(t, overHTTP, g, 2, 1)
 	f.servers[1][0].Close()
 	c, err := NewCoordinator(g, Options{
 		Shards:         f.addrs,
@@ -258,7 +302,9 @@ func TestUnavailableWhenNoReplicaLeft(t *testing.T) {
 	}
 }
 
-func TestStragglerTimesOut(t *testing.T) {
+func TestStragglerTimesOut(t *testing.T) { overBoth(t, testStragglerTimesOut) }
+
+func testStragglerTimesOut(t *testing.T, transport string) {
 	g := algotest.RandomGraph(11)
 	w, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 1})
 	if err != nil {
@@ -268,14 +314,15 @@ func TestStragglerTimesOut(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 		w.Handler().ServeHTTP(rw, r)
 	})
-	srv := httptest.NewServer(slow)
-	defer srv.Close()
+	addrs, client, _ := mount(t, transport, [][]http.Handler{{slow}})
 	c, err := NewCoordinator(g, Options{
-		Shards:         [][]string{{srv.URL}},
+		Shards:         addrs,
+		Client:         client,
 		StepTimeout:    30 * time.Millisecond,
 		HeartbeatEvery: -1,
 		RetryBackoff:   time.Millisecond,
 		MaxAttempts:    2,
+		Registry:       obsv.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +339,7 @@ func TestStragglerTimesOut(t *testing.T) {
 
 func TestEpochCatchUpOnMutation(t *testing.T) {
 	g := algotest.RandomGraph(13)
-	f := newFleet(t, g, 2, 1)
+	f := newFleet(t, overHTTP, g, 2, 1)
 	c := f.coord(t, g)
 	if _, err := c.Run(context.Background(), "0.4", 3); err != nil {
 		t.Fatal(err)
@@ -340,7 +387,7 @@ func TestEpochCatchUpOnMutation(t *testing.T) {
 
 func TestHeartbeatSyncsLaggingWorker(t *testing.T) {
 	g := algotest.RandomGraph(17)
-	f := newFleet(t, g, 1, 1)
+	f := newFleet(t, overHTTP, g, 1, 1)
 	c := f.coord(t, g)
 	st := graph.NewStore(g)
 	delta, err := st.Commit([]graph.EdgeOp{{U: 0, V: g.NumVertices() - 1}})
@@ -447,7 +494,7 @@ func TestWorkerRejectsWrongPartitionArguments(t *testing.T) {
 
 func TestDrainingWorkerRefusesRounds(t *testing.T) {
 	g := algotest.RandomGraph(29)
-	f := newFleet(t, g, 1, 1)
+	f := newFleet(t, overHTTP, g, 1, 1)
 	f.workers[0][0].SetDraining(true)
 	c, err := NewCoordinator(g, Options{
 		Shards:         f.addrs,
@@ -470,7 +517,7 @@ func TestDrainingWorkerRefusesRounds(t *testing.T) {
 
 func TestShutdownNotifiesWorkers(t *testing.T) {
 	g := algotest.RandomGraph(31)
-	f := newFleet(t, g, 2, 1)
+	f := newFleet(t, overHTTP, g, 2, 1)
 	c := f.coord(t, g)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -482,7 +529,9 @@ func TestShutdownNotifiesWorkers(t *testing.T) {
 	}
 }
 
-func TestQueryCancellation(t *testing.T) {
+func TestQueryCancellation(t *testing.T) { overBoth(t, testQueryCancellation) }
+
+func testQueryCancellation(t *testing.T, transport string) {
 	g := algotest.RandomGraph(37)
 	w, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 1})
 	if err != nil {
@@ -495,10 +544,10 @@ func TestQueryCancellation(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		w.Handler().ServeHTTP(rw, r)
 	})
-	srv := httptest.NewServer(slow)
-	defer srv.Close()
+	addrs, client, _ := mount(t, transport, [][]http.Handler{{slow}})
 	c, err := NewCoordinator(g, Options{
-		Shards:         [][]string{{srv.URL}},
+		Shards:         addrs,
+		Client:         client,
 		HeartbeatEvery: -1,
 	})
 	if err != nil {
@@ -520,7 +569,7 @@ func TestQueryCancellation(t *testing.T) {
 
 func TestWorkerStateCacheSharedAcrossQueries(t *testing.T) {
 	g := algotest.RandomGraph(41)
-	f := newFleet(t, g, 1, 1)
+	f := newFleet(t, overHTTP, g, 1, 1)
 	c := f.coord(t, g)
 	ctx := context.Background()
 	if _, err := c.Run(ctx, "0.4", 3); err != nil {
@@ -540,7 +589,7 @@ func TestWorkerStateCacheSharedAcrossQueries(t *testing.T) {
 
 func TestInjectedShardRPCFaultIsRetried(t *testing.T) {
 	g := algotest.RandomGraph(43)
-	f := newFleet(t, g, 2, 1)
+	f := newFleet(t, overHTTP, g, 2, 1)
 	c := f.coord(t, g)
 	plan := &fault.Plan{Rules: []fault.Rule{
 		{Point: fault.ShardRPC, Action: fault.ActError, Start: 1, Count: 2},
@@ -559,8 +608,12 @@ func TestInjectedShardRPCFaultIsRetried(t *testing.T) {
 }
 
 func TestInjectedWorkerPanicSeversConnection(t *testing.T) {
+	overBoth(t, testInjectedWorkerPanicSeversConnection)
+}
+
+func testInjectedWorkerPanicSeversConnection(t *testing.T, transport string) {
 	g := algotest.RandomGraph(47)
-	f := newFleet(t, g, 1, 1)
+	f := newFleet(t, transport, g, 1, 1)
 	c := f.coord(t, g)
 	plan := &fault.Plan{Rules: []fault.Rule{
 		{Point: fault.ShardCrash, Action: fault.ActPanic, Start: 1, Count: 1},

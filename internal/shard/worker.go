@@ -4,15 +4,16 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"ppscan/graph"
-	"ppscan/internal/distscan"
 	"ppscan/internal/fault"
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
@@ -36,7 +37,7 @@ type WorkerOptions struct {
 	// Shard is this worker's partition id in [0, Shards).
 	Shard int
 	// Shards is the fleet's partition count; the vertex-range bounds are
-	// distscan.Partition(g, Shards), identical on coordinator and workers.
+	// Partition(g, Shards), identical on coordinator and workers.
 	Shards int
 	// Workers bounds intra-process parallelism for the similarity pass;
 	// < 1 defaults to GOMAXPROCS.
@@ -68,6 +69,31 @@ type snapState struct {
 	epoch  uint64
 	bounds []int32
 	lo, hi int32
+}
+
+// Partition returns p+1 boundaries splitting [0, n) into contiguous ranges
+// with roughly equal degree sums. Coordinator and workers both derive
+// their bounds from it, so they always agree on range ownership for a
+// given (graph, p).
+func Partition(g *graph.Graph, p int) []int32 {
+	n := g.NumVertices()
+	bounds := make([]int32, p+1)
+	total := g.NumDirectedEdges() + int64(n) // +1 per vertex so empty graphs split too
+	target := total / int64(p)
+	w := 1
+	var acc int64
+	for u := int32(0); u < n && w < p; u++ {
+		acc += int64(g.Degree(u)) + 1
+		if acc >= target*int64(w) {
+			bounds[w] = u + 1
+			w++
+		}
+	}
+	for ; w < p; w++ {
+		bounds[w] = n
+	}
+	bounds[p] = n
+	return bounds
 }
 
 // stateKey identifies one deterministic similarity state. QueryID is
@@ -152,7 +178,7 @@ func NewWorker(g *graph.Graph, opt WorkerOptions) (*Worker, error) {
 // other epochs (they can never be requested again — the coordinator only
 // asks for its current epoch).
 func (w *Worker) install(g *graph.Graph, epoch uint64) {
-	bounds := distscan.Partition(g, w.opt.Shards)
+	bounds := Partition(g, w.opt.Shards)
 	w.snap.Store(&snapState{
 		g: g, epoch: epoch, bounds: bounds,
 		lo: bounds[w.opt.Shard], hi: bounds[w.opt.Shard+1],
@@ -302,7 +328,12 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := w.step(sn, &req)
 	if err != nil {
-		reject(rw, http.StatusBadRequest, rejectBadRequest, err, 0)
+		status, kind := http.StatusBadRequest, rejectBadRequest
+		var wpe *result.WorkerPanicError
+		if errors.As(err, &wpe) { // a contained sim-block panic: the worker's fault, not the request's
+			status, kind = http.StatusInternalServerError, rejectInternalErr
+		}
+		reject(rw, status, kind, err, 0)
 		return
 	}
 	w.stepsN.Add(1)
@@ -403,10 +434,6 @@ func (w *Worker) computeLocal(sn *snapState, st *queryState, th simdef.Threshold
 	if int32(nw) > span {
 		nw = int(span)
 	}
-	if nw <= 1 {
-		st.outbox = simBlock(sn, st, th, sn.lo, sn.hi, w.opt.Kernel, st.outbox)
-		return nil
-	}
 	// Static block split; each goroutine owns a disjoint vertex range, so
 	// all sim writes are disjoint and each builds a private outbox.
 	outs := make([][]SimMsg, nw)
@@ -419,6 +446,11 @@ func (w *Worker) computeLocal(sn *snapState, st *queryState, th simdef.Threshold
 		go func(i int, a, b int32) {
 			defer wg.Done()
 			defer recoverSim(&panicErr, i)
+			if err := fault.Inject(fault.WorkerTask); err != nil {
+				// Block goroutines have no error channel; injected
+				// error-action faults surface as contained panics.
+				panic(err)
+			}
 			outs[i] = simBlock(sn, st, th, a, b, w.opt.Kernel, nil)
 		}(i, a, b)
 	}
@@ -437,7 +469,7 @@ func (w *Worker) computeLocal(sn *snapState, st *queryState, th simdef.Threshold
 func recoverSim(panicErr *atomic.Pointer[result.WorkerPanicError], worker int) {
 	if v := recover(); v != nil {
 		panicErr.CompareAndSwap(nil, &result.WorkerPanicError{
-			Phase: "shard " + RoundSim, Worker: worker, Value: v,
+			Phase: "shard " + RoundSim, Worker: worker, Value: v, Stack: debug.Stack(),
 		})
 	}
 }

@@ -51,11 +51,11 @@ import (
 	// init; the facade resolves them by name through the registry.
 	_ "ppscan/internal/anyscan"
 	_ "ppscan/internal/core"
-	_ "ppscan/internal/distscan"
 	_ "ppscan/internal/pscan"
 	_ "ppscan/internal/scan"
 	_ "ppscan/internal/scanpp"
 	_ "ppscan/internal/scanxp"
+	_ "ppscan/internal/shard"
 )
 
 // Algorithm selects which clustering algorithm to run. All algorithms
