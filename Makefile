@@ -130,9 +130,10 @@ loc:
 # The pre-merge gate: static checks, the full suite under the race
 # detector (the parallel phases, scheduler telemetry and HTTP middleware
 # are all exercised concurrently), the chaos/fault-containment suite, the
-# non-race allocation gate, then the performance gate against the local
-# trajectory.
-check: vet scanlint staticcheck govulncheck docs-check
+# non-race allocation gate, the benchmark module (outside `./...`, and an
+# importer of internal/server), then the performance gate against the
+# local trajectory.
+check: vet scanlint staticcheck govulncheck docs-check benchmark-test
 	$(GO) test -race ./...
 	$(MAKE) chaos
 	$(MAKE) alloc-gate

@@ -22,6 +22,12 @@
 // into a single shared similarity pass whose result fans out to every
 // waiter — the throughput lever for parameter-exploration traffic.
 //
+// -index, -coalesce-window and -shards arm stages of one resolve pipeline
+// in a fixed order: response cache, similarity artifact (the index, else
+// a coalesced flight), compute backend (the fleet, else the in-process
+// engine). Every combination is valid — an earlier armed stage answers, a
+// later one is reached only where it is absent — and logged at startup.
+//
 // -algo selects the default algorithm backend for requests that omit the
 // algo query parameter; -list-algos prints the registered backends. Direct
 // (non-index) computations draw their scratch memory from a per-server
@@ -76,7 +82,7 @@ func main() {
 		logReqs   = flag.Bool("log-requests", false, "log one structured line per HTTP request")
 
 		mutations   = flag.Bool("mutations", false, "enable POST /edges: batched NDJSON edge mutations commit new graph epochs; with -index the GS*-Index is maintained incrementally across commits")
-		coalesceWin = flag.Duration("coalesce-window", 0, "merge concurrent clustering requests into single-flight similarity passes, holding the first request up to this long so others pile on (0 = coalescing off; ignored with -index)")
+		coalesceWin = flag.Duration("coalesce-window", 0, "merge concurrent clustering requests into single-flight similarity passes, holding the first request up to this long so others pile on (0 = coalescing off; with -index the index answers first and no flight opens)")
 		sweepSteps  = flag.Int("sweep-max-steps", server.DefaultSweepMaxSteps, "max eps steps one /cluster/sweep request may stream")
 
 		maxInflight = flag.Int("max-inflight", 0, "max concurrent clustering computations (0 = unlimited); excess requests degrade to cache/index or get 429")
@@ -86,19 +92,13 @@ func main() {
 		exemplars   = flag.Int("exemplars", 8, "retain the N slowest computations of the last 15 minutes with full execution traces at /debug/slowest (0 = parameters and phase breakdown only for the default 4, traces off)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off) — a chaos drill: injected worker panics, delays and transient faults exercise the containment paths while /metrics reports fault.* counters")
 
-		shardSpec = flag.String("shards", "", "serve queries on a multi-process scanshard worker fleet instead of in-process engines: semicolon-separated shards, each a comma-separated list of replica base URLs, e.g. \"http://h1:9100,http://h2:9100;http://h1:9101,http://h2:9101\"; mutually exclusive with -index and -coalesce-window")
+		shardSpec = flag.String("shards", "", "serve queries on a multi-process scanshard worker fleet instead of in-process engines: semicolon-separated shards, each a comma-separated list of replica base URLs, e.g. \"http://h1:9100,http://h2:9100;http://h1:9101,http://h2:9101\"; with -index or -coalesce-window those answer first and the fleet computes only what they do not")
 	)
 	flag.Parse()
 	var shardFleet [][]string
 	if *shardSpec != "" {
 		var perr error
 		shardFleet, perr = parseShardSpec(*shardSpec)
-		if perr == nil && *useIndex {
-			perr = fmt.Errorf("-shards is mutually exclusive with -index")
-		}
-		if perr == nil && *coalesceWin > 0 {
-			perr = fmt.Errorf("-shards is mutually exclusive with -coalesce-window")
-		}
 		if perr != nil {
 			fmt.Fprintf(flag.CommandLine.Output(), "scanserver: bad -shards: %v\n", perr)
 			flag.Usage()
@@ -144,13 +144,13 @@ func main() {
 		WithWatchdog(*watchdog).
 		WithSweepMaxSteps(*sweepSteps).
 		WithAlgorithm(ppscan.Algorithm(*algoName))
+	stages := []string{fmt.Sprintf("cache(%d)", *cacheSize)}
+	if *useIndex {
+		stages = append(stages, "index")
+	}
 	if *coalesceWin > 0 {
-		if *useIndex {
-			log.Printf("-coalesce-window ignored: the GS*-Index already shares similarities across requests")
-		} else {
-			srv = srv.WithCoalescing(*coalesceWin)
-			log.Printf("request coalescing: concurrent (eps, mu) requests share one similarity pass (window %v)", *coalesceWin)
-		}
+		srv = srv.WithCoalescing(*coalesceWin)
+		stages = append(stages, fmt.Sprintf("coalesce(%v)", *coalesceWin))
 	}
 	if *exemplars > 0 {
 		// Arm trace capture: every retained slow request carries its Chrome
@@ -185,12 +185,11 @@ func main() {
 			log.Fatal("scanserver: ", err)
 		}
 		srv = srv.WithShards(coord)
-		replicas := 0
-		for _, reps := range shardFleet {
-			replicas += len(reps)
-		}
-		log.Printf("sharded serving: %d shards, %d replicas; queries run on the scanshard fleet", len(shardFleet), replicas)
+		stages = append(stages, fmt.Sprintf("fleet(%d shards)", len(shardFleet)))
+	} else {
+		stages = append(stages, "engine")
 	}
+	log.Printf("resolve pipeline: %s", strings.Join(stages, " → "))
 	handler := srv.Handler()
 	if *pprofOn {
 		mux := http.NewServeMux()

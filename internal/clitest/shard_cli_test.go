@@ -120,16 +120,18 @@ func TestScanserverShardSpecValidation(t *testing.T) {
 		t.Errorf("empty shard not diagnosed:\n%s", out)
 	}
 
-	// The fleet and the in-process index/coalescer are mutually exclusive.
-	out = expectExit2(t, bin, "-dataset", "ROLL-d40", "-scale", "0.02",
-		"-shards", "http://h1:9100", "-index")
-	if !strings.Contains(out, "mutually exclusive with -index") {
-		t.Errorf("-index exclusivity not diagnosed:\n%s", out)
+	// The fleet, the index and the coalescer are stages of one pipeline, not
+	// exclusive modes: every combination starts, the stage order is logged,
+	// and the index answers without the (here unreachable) fleet being asked.
+	base, cmd, output := startServer(t, bin, "-shards", "http://127.0.0.1:1",
+		"-index", "-coalesce-window", "10ms")
+	got := httpGetJSON(t, base+"/cluster?eps=0.3&mu=3", http.StatusOK)
+	if got["algorithm"] != "GS*-Index" {
+		t.Errorf("algorithm = %v, want GS*-Index (the index stage comes before the fleet)", got["algorithm"])
 	}
-	out = expectExit2(t, bin, "-dataset", "ROLL-d40", "-scale", "0.02",
-		"-shards", "http://h1:9100", "-coalesce-window", "10ms")
-	if !strings.Contains(out, "mutually exclusive with -coalesce-window") {
-		t.Errorf("-coalesce-window exclusivity not diagnosed:\n%s", out)
+	_ = cmd.Process.Kill()
+	if log := <-output; !strings.Contains(log, "resolve pipeline: cache(64) → index → coalesce(10ms) → fleet(1 shards)") {
+		t.Errorf("stage order not logged:\n%s", log)
 	}
 }
 

@@ -586,6 +586,15 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	for len(sc.w) < maxWorkers {
 		sc.w = append(sc.w, new(applyWorker))
 	}
+	// The workers' comparator state borrows runs of the snapshots' cn and
+	// adjacency arrays; drop it on every exit path, or an idle pooled
+	// workspace pins a whole superseded epoch until its next apply.
+	defer func() {
+		//lint:ctxok bounded by Workers
+		for _, w := range sc.w {
+			w.cnr, w.nbrs = nil, nil
+		}
+	}()
 	sc.deg1 = grow(sc.deg1, int(n))
 	deg1 := sc.deg1
 	//lint:ctxok plain O(n) degree-key fill before the pass-0 checkpoint; no similarity work

@@ -23,17 +23,17 @@
 // queries return bit-identical results to every direct algorithm in this
 // module.
 //
-// Query allocates its own result buffers; QueryWorkspace (queryws.go) is
-// the serving-path variant, drawing every extraction buffer from a pooled
-// engine.Workspace and honoring context cancellation — the primitive
-// behind the server's request coalescing and GET /cluster/sweep, where
-// one Build amortizes across many (ε, µ) extractions.
+// QueryWorkspace (queryws.go) is the one extraction routine: it draws
+// every buffer from a pooled engine.Workspace and honors context
+// cancellation — the primitive behind every index-derived answer the
+// server gives (attached index, coalesced flight, GET /cluster/sweep),
+// where one Build amortizes across many (ε, µ) extractions. Query is the
+// same routine on a throwaway workspace.
 package gsindex
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"ppscan/graph"
@@ -41,7 +41,6 @@ import (
 	"ppscan/internal/result"
 	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
-	"ppscan/internal/unionfind"
 )
 
 // Index is an immutable structural clustering index over one graph.
@@ -169,202 +168,10 @@ func (ix *Index) IsCore(eps simdef.Epsilon, mu int32, u int32) bool {
 
 // Query computes the exact clustering for (eps, mu) from the index,
 // without any set intersections. The result is identical to running any of
-// the direct algorithms.
+// the direct algorithms. It is QueryWorkspace on a throwaway workspace:
+// the result owns its buffers.
 func (ix *Index) Query(eps string, mu int32) (*result.Result, error) {
-	th, err := simdef.NewThreshold(eps, mu)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	g := ix.g
-	n := g.NumVertices()
-	roles := make([]result.Role, n)
-	// Roles from the core-order property.
-	for u := int32(0); u < n; u++ {
-		if ix.IsCore(th.Eps, mu, u) {
-			roles[u] = result.RoleCore
-		} else {
-			roles[u] = result.RoleNonCore
-		}
-	}
-	// Core clustering: scan each core's neighbor order while σ ≥ ε.
-	uf := unionfind.NewSequential(n)
-	for u := int32(0); u < n; u++ {
-		if roles[u] != result.RoleCore {
-			continue
-		}
-		uOff := g.Off[u]
-		deg := int64(g.Degree(u))
-		for k := int64(0); k < deg; k++ {
-			i := int64(ix.order[uOff+k])
-			v := g.Dst[uOff+i]
-			if !ix.edgeSimGE(th.Eps, u, uOff+i, v) {
-				break // neighbor order: everything after is < eps
-			}
-			if u < v && roles[v] == result.RoleCore {
-				uf.Union(u, v)
-			}
-		}
-	}
-	// Cluster ids (minimum core id per set) and non-core memberships.
-	clusterID := make([]int32, n)
-	coreClusterID := make([]int32, n)
-	for i := range clusterID {
-		clusterID[i] = -1
-		coreClusterID[i] = -1
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			r := uf.Find(u)
-			if clusterID[r] < 0 || u < clusterID[r] {
-				clusterID[r] = u
-			}
-		}
-	}
-	res := &result.Result{
-		Eps:           th.Eps.String(),
-		Mu:            mu,
-		Roles:         roles,
-		CoreClusterID: coreClusterID,
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] != result.RoleCore {
-			continue
-		}
-		id := clusterID[uf.Find(u)]
-		coreClusterID[u] = id
-		uOff := g.Off[u]
-		deg := int64(g.Degree(u))
-		for k := int64(0); k < deg; k++ {
-			i := int64(ix.order[uOff+k])
-			v := g.Dst[uOff+i]
-			if !ix.edgeSimGE(th.Eps, u, uOff+i, v) {
-				break
-			}
-			if roles[v] == result.RoleNonCore {
-				res.NonCore = append(res.NonCore, result.Membership{V: v, ClusterID: id})
-			}
-		}
-	}
-	res.Normalize()
-	res.Stats = result.Stats{
-		Algorithm: "GS*-Index",
-		Workers:   1,
-		Total:     time.Since(start),
-	}
-	return res, nil
-}
-
-// QueryParallel is Query with the role scan, core clustering and non-core
-// membership emission fanned out over workers goroutines (the GS*-Index
-// paper also parallelizes query evaluation). Results are identical to
-// Query; workers < 1 means GOMAXPROCS.
-func (ix *Index) QueryParallel(eps string, mu int32, workers int) (*result.Result, error) {
-	th, err := simdef.NewThreshold(eps, mu)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	g := ix.g
-	n := g.NumVertices()
-	schedOpt := sched.Options{Workers: workers}
-
-	// Roles: O(1) per vertex via the neighbor order.
-	roles := make([]result.Role, n)
-	err = sched.ForEachVertexStatic(schedOpt.Workers, n, func(u int32, w int) {
-		if ix.IsCore(th.Eps, mu, u) {
-			roles[u] = result.RoleCore
-		} else {
-			roles[u] = result.RoleNonCore
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Core clustering over the wait-free union-find.
-	uf := unionfind.NewConcurrent(n)
-	err = sched.ForEachVertex(schedOpt, n,
-		func(u int32) bool { return roles[u] == result.RoleCore },
-		g.Degree,
-		func(u int32, w int) {
-			uOff := g.Off[u]
-			deg := int64(g.Degree(u))
-			for k := int64(0); k < deg; k++ {
-				i := int64(ix.order[uOff+k])
-				v := g.Dst[uOff+i]
-				if !ix.edgeSimGE(th.Eps, u, uOff+i, v) {
-					break
-				}
-				if u < v && roles[v] == result.RoleCore {
-					uf.Union(u, v)
-				}
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	// Cluster ids.
-	clusterID := make([]int32, n)
-	coreClusterID := make([]int32, n)
-	for i := range clusterID {
-		clusterID[i] = -1
-		coreClusterID[i] = -1
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			r := uf.Find(u)
-			if clusterID[r] < 0 || u < clusterID[r] {
-				clusterID[r] = u
-			}
-		}
-	}
-
-	// Memberships, gathered per worker and merged.
-	maxWorkers := schedOpt.Workers
-	if maxWorkers < 1 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	local := make([][]result.Membership, maxWorkers)
-	err = sched.ForEachVertex(schedOpt, n,
-		func(u int32) bool { return roles[u] == result.RoleCore },
-		g.Degree,
-		func(u int32, w int) {
-			id := clusterID[uf.Find(u)]
-			coreClusterID[u] = id
-			uOff := g.Off[u]
-			deg := int64(g.Degree(u))
-			for k := int64(0); k < deg; k++ {
-				i := int64(ix.order[uOff+k])
-				v := g.Dst[uOff+i]
-				if !ix.edgeSimGE(th.Eps, u, uOff+i, v) {
-					break
-				}
-				if roles[v] == result.RoleNonCore {
-					local[w] = append(local[w], result.Membership{V: v, ClusterID: id})
-				}
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-	res := &result.Result{
-		Eps:           th.Eps.String(),
-		Mu:            mu,
-		Roles:         roles,
-		CoreClusterID: coreClusterID,
-	}
-	for _, l := range local {
-		res.NonCore = append(res.NonCore, l...)
-	}
-	res.Normalize()
-	res.Stats = result.Stats{
-		Algorithm: "GS*-Index",
-		Workers:   maxWorkers,
-		Total:     time.Since(start),
-	}
-	return res, nil
+	return ix.QueryWorkspace(context.Background(), eps, mu, nil)
 }
 
 // Validate cross-checks the index invariants: stored counts match

@@ -102,35 +102,6 @@ func TestIsCoreAgainstDefinition(t *testing.T) {
 	}
 }
 
-func TestQueryParallelMatchesSequential(t *testing.T) {
-	for _, seed := range []int64{91, 92, 93} {
-		g := algotest.RandomGraph(seed)
-		ix := Build(g, BuildOptions{Workers: 2})
-		for _, eps := range []string{"0.2", "0.5", "0.8"} {
-			for _, mu := range []int32{1, 3, 6} {
-				want, err := ix.Query(eps, mu)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range []int{1, 3, 8} {
-					got, err := ix.QueryParallel(eps, mu, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := result.Equal(want, got); err != nil {
-						t.Fatalf("seed=%d eps=%s mu=%d workers=%d: %v", seed, eps, mu, w, err)
-					}
-				}
-			}
-		}
-	}
-	g := algotest.RandomGraph(94)
-	ix := Build(g, BuildOptions{})
-	if _, err := ix.QueryParallel("7", 2, 2); err == nil {
-		t.Errorf("bad eps accepted")
-	}
-}
-
 func TestQueryRejectsBadParams(t *testing.T) {
 	g := algotest.RandomGraph(83)
 	ix := Build(g, BuildOptions{})

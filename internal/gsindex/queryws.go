@@ -24,11 +24,11 @@ type sweepScratch struct {
 // sweepScratchKey identifies the extraction scratch in Workspace.Scratch.
 const sweepScratchKey = "gsindex.sweep"
 
-// QueryWorkspace is Query drawing every scratch buffer — roles, the
-// union-find, cluster-id arrays and the membership list — from a pooled
-// workspace, so repeated extractions (a parameter sweep, coalesced
-// fan-out) perform zero steady-state heap allocations beyond the Result
-// header itself.
+// QueryWorkspace computes the exact clustering for (eps, mu) from the
+// index, drawing every scratch buffer — roles, the union-find, cluster-id
+// arrays and the membership list — from a pooled workspace, so repeated
+// extractions (a parameter sweep, coalesced fan-out) perform zero
+// steady-state heap allocations beyond the Result header itself.
 //
 // Aliasing rule: the returned Result aliases workspace memory (Roles,
 // CoreClusterID and NonCore are workspace buffers) and is valid only

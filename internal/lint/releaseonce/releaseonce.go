@@ -25,7 +25,7 @@
 // dropped from tracking; passing a workspace as an ordinary call argument
 // is a use, not an escape (the deferred-release pattern keeps ownership
 // with the caller). Function-valued releases (the `release func()` returned
-// by acquire/sweepIndex) are out of scope: the closure is the owner there.
+// by acquire/similarity) are out of scope: the closure is the owner there.
 // Paths where the facts disagree (a lock held on one arm of a branch only)
 // join to "unknown" and are not reported — annotate only what the analyzer
 // actually flags, with //lint:releaseonce <reason>.

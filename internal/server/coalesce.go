@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"ppscan"
-	"ppscan/graph"
 	"ppscan/internal/obsv"
 )
 
@@ -132,12 +131,10 @@ func (c *coalescer) run(f *flight, fctx context.Context) {
 		}
 	}
 	// One admission slot covers the shared pass, however many waiters fan
-	// out from it — that is the throughput lever. Unlike per-request
-	// admission this acquire blocks: queueing one flight queues the whole
-	// batch. Each waiter's own deadline bounds its wait, and the server's
-	// sharedAcquireMax bounds the queue itself (errSaturated fans out as
-	// 429 to every waiter) when no deadlines are configured.
-	release, err := c.s.acquireShared(fctx)
+	// out from it — that is the throughput lever — and the flight queues
+	// for it on their behalf (see acquire); past sharedAcquireMax,
+	// errSaturated fans out as 429 to every waiter.
+	release, err := c.s.acquire(fctx, c.s.sharedAcquireMax)
 	if err != nil {
 		if fctx.Err() != nil {
 			// Every waiter left while the flight queued for its slot.
@@ -157,14 +154,7 @@ func (c *coalescer) run(f *flight, fctx context.Context) {
 	if err != nil && fctx.Err() != nil {
 		c.cancels.Inc()
 	}
-	now := time.Now()
-	if c.s.exemplars.qualifies(d, now) {
-		e := exemplar{At: now, Epoch: f.st.epoch(), Eps: "*", Algo: "coalesce-build", Duration: d}
-		if err != nil {
-			e.Err = err.Error()
-		}
-		c.s.exemplars.add(e)
-	}
+	c.s.exemplars.offer(exemplar{Epoch: f.st.epoch(), Eps: "*", Algo: "coalesce-build", Duration: d}, err, nil)
 	c.finish(f, ix, err)
 }
 
@@ -180,37 +170,4 @@ func (c *coalescer) finish(f *flight, ix *ppscan.Index, err error) {
 	c.fanout.Observe(int64(f.peak))
 	c.mu.Unlock()
 	close(f.done)
-}
-
-// do answers one request through the single-flight group: join (or open)
-// the flight for st's epoch, wait for the shared pass, then extract this
-// request's (eps, mu) from the shared index.
-func (c *coalescer) do(ctx context.Context, st *epochState, eps string, mu int) (*ppscan.Result, error) {
-	f := c.join(st)
-	defer c.leave(f)
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	return c.s.extract(ctx, f.st.g, f.ix, eps, mu)
-}
-
-// extract answers (eps, mu) from a shared index on a pooled workspace and
-// returns a detached clone. Extraction is O(answer) with no similarity
-// work, so — like degraded index serving — it runs without an admission
-// slot. g is the snapshot the index was built over (sizes the workspace).
-func (s *Server) extract(ctx context.Context, g *graph.Graph, ix *ppscan.Index, eps string, mu int) (*ppscan.Result, error) {
-	ws := s.pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
-	defer s.pool.Release(ws)
-	res, err := ppscan.QueryIndexWorkspace(ctx, ix, eps, mu, ws)
-	if err != nil {
-		return nil, err
-	}
-	// The result aliases ws buffers the next request will reuse: detach it
-	// before the deferred Release hands the workspace back.
-	return res.Clone(), nil
 }

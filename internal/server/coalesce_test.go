@@ -207,8 +207,8 @@ func TestCoalesceAcquireBounded(t *testing.T) {
 	srv.sharedAcquireMax = 50 * time.Millisecond
 
 	// Occupy the only slot for the whole test.
-	release, ok := srv.acquire()
-	if !ok {
+	release, err := srv.acquire(context.Background(), 0)
+	if err != nil {
 		t.Fatal("could not take the only admission slot")
 	}
 	defer release()

@@ -89,6 +89,25 @@ func (r *exemplarRing) qualifies(d time.Duration, now time.Time) bool {
 	return d.Nanoseconds() > r.minDur.Load()
 }
 
+// offer retains e (Duration set by the caller) when it is slow enough to
+// enter the ring, stamping it now and attaching the error text and — when
+// the run was traced — the trace. The gate comes first, so a request that
+// does not qualify pays for none of the copying.
+func (r *exemplarRing) offer(e exemplar, err error, tr *obsv.Tracer) {
+	e.At = time.Now()
+	if !r.qualifies(e.Duration, e.At) {
+		return
+	}
+	if err != nil {
+		e.Err = err.Error()
+	}
+	if tr != nil {
+		//lint:allowalloc cold path: only runs for requests entering the slowest-K ring
+		e.Trace = tr.Events()
+	}
+	r.add(e)
+}
+
 // add inserts e, evicting expired entries and, when the ring is full,
 // replacing the fastest retained entry if e is slower. Cold path.
 func (r *exemplarRing) add(e exemplar) {

@@ -167,7 +167,8 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	// Publish: one pointer swap moves every subsequent request to the new
 	// epoch, then purge response-cache entries keyed to older epochs —
 	// they can never be requested again (resolve keys on the live epoch),
-	// so holding them would only displace live entries.
+	// so holding them would only displace live entries. The purge also
+	// shuts the cache to requests still in flight on the old epoch.
 	next := &epochState{g: d.New, ix: newIx}
 	s.state.Store(next)
 	if s.coord != nil {
@@ -176,10 +177,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		// ever serves the superseded view.
 		s.coord.Publish(d.New)
 	}
-	s.mu.Lock()
-	purged := s.cache.purgeBefore(next.epoch())
-	s.mu.Unlock()
-	s.invalidations.Add(int64(purged))
+	s.invalidations.Add(int64(s.cache.purgeBefore(next.epoch())))
 
 	resp.Epoch = next.epoch()
 	resp.Added = len(d.Added)

@@ -88,11 +88,9 @@ func TestCacheLRUEviction(t *testing.T) {
 	// Third distinct key evicts 0.5.
 	get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK)
 
-	srv.mu.Lock()
 	size, evictions := srv.cache.len(), srv.cache.evictions
 	_, has04 := srv.cache.items[cacheKey{eps: "0.4", mu: 2, algo: "ppscan"}]
 	_, has05 := srv.cache.items[cacheKey{eps: "0.5", mu: 2, algo: "ppscan"}]
-	srv.mu.Unlock()
 	if size != 2 {
 		t.Errorf("cache size = %d, want 2", size)
 	}

@@ -24,12 +24,15 @@
 //	GET /debug/slowest              — tail-latency exemplars with phase
 //	                                  breakdowns and Chrome traces
 //
-// When the server is constructed with an index (WithIndex), /cluster and
-// /vertex are answered from the GS*-Index in O(answer) time; otherwise
-// each request runs the configured algorithm. WithCoalescing merges
-// concurrent index-less requests — even at different (ε, µ) — into one
-// single-flight similarity pass fanned out to every waiter (coalesce.go).
-// Responses for identical parameters are kept in an LRU cache bounded by
+// Every clustering route resolves through one pipeline with a fixed stage
+// order (see resolve): parse and validate → response cache → similarity
+// artifact (the index attached with WithIndex, else the flight
+// WithCoalescing merges concurrent requests into) → extraction from it in
+// O(answer) time, or, with no artifact, an admission slot and the compute
+// backend (the fleet attached with WithShards, else the configured
+// algorithm in process) → one cache insert. An earlier armed stage
+// answers; a later one is reached only when it is absent. Responses for
+// identical parameters are kept in an LRU cache bounded by
 // DefaultCacheSize (see WithCacheSize). WithLogging enables structured
 // per-request log lines.
 package server
@@ -54,6 +57,7 @@ import (
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/shard"
+	"ppscan/internal/simdef"
 	"ppscan/quality"
 )
 
@@ -88,18 +92,18 @@ type Server struct {
 	// unless mutations are enabled; mutMu serializes the whole
 	// commit→index-update→publish sequence so epochs advance in a total
 	// order. Instruments are cached at WithMutations.
-	store          *graph.Store
-	mutMu          sync.Mutex
-	invalidations  *obsv.Counter
-	mutBatches     *obsv.Counter
-	mutEdges       *obsv.Counter
-	mutRebuilds    *obsv.Counter
-	mutCommitNs    *obsv.Histogram
-	mutUpdateNs    *obsv.Histogram
-	algo    ppscan.Algorithm // default when the request omits algo=
-	reg     *obsv.Registry   // server-local: HTTP and cache metrics
-	logger  *log.Logger      // nil disables request logging
-	start   time.Time
+	store         *graph.Store
+	mutMu         sync.Mutex
+	invalidations *obsv.Counter
+	mutBatches    *obsv.Counter
+	mutEdges      *obsv.Counter
+	mutRebuilds   *obsv.Counter
+	mutCommitNs   *obsv.Histogram
+	mutUpdateNs   *obsv.Histogram
+	algo          ppscan.Algorithm // default when the request omits algo=
+	reg           *obsv.Registry   // server-local: HTTP and cache metrics
+	logger        *log.Logger      // nil disables request logging
+	start         time.Time
 
 	// pool caches one workspace per in-flight computation so steady-state
 	// serving reuses the O(n+m) scratch buffers instead of reallocating
@@ -121,13 +125,13 @@ type Server struct {
 	// computations (see WithWatchdog); zero disables.
 	watchdog time.Duration
 
-	// coalesce, when non-nil, merges concurrent direct computations into
+	// coalesce, when non-nil, merges concurrent requests into
 	// single-flight similarity passes (see WithCoalescing and coalesce.go).
 	coalesce *coalescer
 
-	// coord, when non-nil, executes clustering queries on the
-	// multi-process shard fleet instead of in-process engines (see
-	// WithShards and shard.go).
+	// coord, when non-nil, is the compute backend: queries no similarity
+	// artifact answers run on the multi-process shard fleet instead of
+	// in-process engines (see WithShards).
 	coord *shard.Coordinator
 
 	// Sweep serving (see WithSweepMaxSteps and sweep.go): the per-request
@@ -160,10 +164,11 @@ type Server struct {
 	// workspace is released.
 	runFn func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error)
 
-	mu    sync.Mutex
 	cache *lruCache
 }
 
+// cacheKey identifies one cached answer. algo is the answer's source, set
+// by keyFor alone.
 type cacheKey struct {
 	eps   string
 	mu    int
@@ -178,13 +183,11 @@ func New(g *graph.Graph, workers int) *Server {
 		reg:              obsv.New(),
 		start:            time.Now(),
 		pool:             ppscan.NewWorkspacePool(0),
-		cache:            newLRU(DefaultCacheSize),
 		sharedAcquireMax: defaultSharedAcquireMax,
 	}
+	s.WithCacheSize(DefaultCacheSize)
 	s.state.Store(&epochState{g: g})
-	s.runFn = func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error) {
-		return ppscan.RunWorkspace(ctx, g, opt, ws)
-	}
+	s.runFn = ppscan.RunWorkspace
 	// Pre-register the admission counters so /metrics shows zeros before
 	// the first rejection instead of omitting the keys.
 	for _, name := range []string{
@@ -231,9 +234,8 @@ func (s *Server) WithIndex(ix *ppscan.Index) *Server {
 
 // WithCacheSize bounds the response cache to n entries (minimum 1).
 func (s *Server) WithCacheSize(n int) *Server {
-	s.mu.Lock()
 	s.cache = newLRU(n)
-	s.mu.Unlock()
+	s.cache.reg = s.reg
 	return s
 }
 
@@ -285,28 +287,17 @@ func (s *Server) WithWatchdog(d time.Duration) *Server {
 	return s
 }
 
-// WithCoalescing merges concurrent direct computations into single-flight
-// similarity passes: the first request opens a flight and waits up to
-// holdoff for companions; one shared GS*-Index build — one SCAN-XP-cost
-// similarity pass, under a single admission slot — then answers every
-// waiter's (ε, µ) via O(answer) extraction on pooled workspaces. A waiter
-// leaving (disconnect, deadline) never cancels the shared pass unless it
-// is the last one.
-//
-// Coalescing replaces the per-request direct path, so enable it for
+// WithCoalescing arms the coalescer stage (coalesce.go): requests that
+// miss the cache on an index-less epoch share single-flight similarity
+// passes — the first opens a flight and waits up to holdoff for
+// companions, then every waiter's (ε, µ) is extracted from the one shared
+// index. It replaces the per-request compute path, so enable it for
 // parameter-exploration traffic (bursts of concurrent (ε, µ) requests on
-// one graph): a lone request pays the holdoff latency plus an exhaustive
-// similarity pass where pruning might have done less work. It is ignored
-// when an index is attached (WithIndex already shares similarities).
-// holdoff < 0 is clamped to 0 — no pile-on window, but requests still
-// join a flight already in progress.
-//
-// Admission interaction: unlike per-request admission, which fails fast,
-// a flight QUEUES for its slot on behalf of the whole batch. The wait is
-// bounded by each waiter's own deadline (WithAdmission requestTimeout)
-// and, independently, by a fixed cap (defaultSharedAcquireMax) — so with
-// no deadlines configured, sustained saturation still sheds coalesced
-// load as 429s instead of accumulating queued flights without bound.
+// one graph): a lone request pays the holdoff plus an exhaustive
+// similarity pass where pruning might have done less work. A flight
+// queues for its admission slot (see acquire) where single requests fail
+// fast. holdoff < 0 is clamped to 0 — no pile-on window, but requests
+// still join a flight already in progress.
 func (s *Server) WithCoalescing(holdoff time.Duration) *Server {
 	if holdoff < 0 {
 		holdoff = 0
@@ -322,6 +313,24 @@ func (s *Server) WithCoalescing(holdoff time.Duration) *Server {
 	}
 	return s
 }
+
+// WithShards attaches a shard coordinator, over the server's own graph, as
+// the compute backend: a query that neither the cache nor a similarity
+// artifact answers runs its supersteps on the worker fleet instead of an
+// in-process engine. With WithMutations each committed epoch is published
+// to the coordinator, which pushes snapshot syncs so no worker serves a
+// stale view. Shard faults arrive typed and writeResolveError maps them: a
+// shard with no live replica is a 503 + Retry-After naming it, never a
+// hang and never a silent partial result.
+func (s *Server) WithShards(c *shard.Coordinator) *Server {
+	s.coord = c
+	return s
+}
+
+// shardRetryAfterSecs is the Retry-After hint for shard unavailability:
+// long enough for a worker restart plus a heartbeat period, short enough
+// that clients re-probe a recovered fleet promptly.
+const shardRetryAfterSecs = 5
 
 // WithSweepMaxSteps bounds the ε grid one GET /cluster/sweep request may
 // stream (default DefaultSweepMaxSteps); n < 1 restores the default.
@@ -496,10 +505,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for k, v := range obsv.Default().Snapshot() {
 		out[k] = v
 	}
-	s.mu.Lock()
 	out[obsv.MetricCacheSize] = s.cache.len()
-	out[obsv.MetricCacheEvictions] = s.cache.evictions
-	s.mu.Unlock()
+	out[obsv.MetricCacheEvictions] = s.cache.evicted()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	out[obsv.MetricRuntimeGoroutines] = runtime.NumGoroutine()
@@ -565,20 +572,33 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// params parses the shared eps/mu/algo query parameters.
-func (s *Server) params(r *http.Request) (eps string, mu int, algo ppscan.Algorithm, err error) {
+// params is the parse stage every clustering route shares: the ε list (one
+// value, or the /cluster/sweep grid when sweep is set), µ and the
+// algorithm. Each ε is validated against µ here, so an unanswerable
+// request gets its 400 before any cache lookup, flight or admission slot.
+func (s *Server) params(r *http.Request, sweep bool) (eps []string, mu int, algo ppscan.Algorithm, err error) {
 	q := r.URL.Query()
-	eps = q.Get("eps")
-	if eps == "" {
-		return "", 0, "", fmt.Errorf("missing eps parameter")
+	if sweep {
+		eps, err = parseSweepEps(q.Get("eps"), s.sweepMaxSteps)
+	} else if e := q.Get("eps"); e != "" {
+		eps = []string{e}
+	} else {
+		err = fmt.Errorf("missing eps parameter")
 	}
-	muStr := q.Get("mu")
-	if muStr == "" {
-		return "", 0, "", fmt.Errorf("missing mu parameter")
-	}
-	mu, err = strconv.Atoi(muStr)
 	if err != nil {
-		return "", 0, "", fmt.Errorf("bad mu %q", muStr)
+		return nil, 0, "", err
+	}
+	// The upper bound keeps µ inside the int32 the index and the fleet
+	// take: a larger value must not wrap into a different, valid µ.
+	muStr := q.Get("mu")
+	mu, err = strconv.Atoi(muStr)
+	if err != nil || mu < 1 || mu > 1<<30 {
+		return nil, 0, "", fmt.Errorf("bad or missing mu %q, want an integer in [1, 2^30]", muStr)
+	}
+	for _, e := range eps {
+		if _, err := simdef.NewThreshold(e, int32(mu)); err != nil {
+			return nil, 0, "", err
+		}
 	}
 	algo = ppscan.Algorithm(q.Get("algo"))
 	if algo == "" {
@@ -594,135 +614,170 @@ func (s *Server) params(r *http.Request) (eps string, mu int, algo ppscan.Algori
 // degradation path (cache entry, attached index) could answer the request.
 var errSaturated = errors.New("server saturated: all admission slots busy")
 
-// acquire attempts to take an admission slot without blocking. The
-// returned release function must be called exactly once when ok.
-func (s *Server) acquire() (release func(), ok bool) {
-	if s.sem == nil {
-		return func() {}, true
-	}
-	select {
-	case s.sem <- struct{}{}:
-		g := s.reg.Gauge(obsv.MetricAdmissionInFlight)
-		g.Add(1)
-		//lint:chanwait release receive never blocks: the holder's own token is in the buffered semaphore
-		return func() { g.Add(-1); <-s.sem }, true
-	default:
-		return nil, false
-	}
-}
-
 // defaultSharedAcquireMax bounds how long a coalesced flight may queue
-// for an admission slot. Per-request admission never blocks (fail-fast
-// 429/degrade), but a flight queues on behalf of its whole batch; without
-// a cap, a saturated server with no -request-timeout configured would
-// accumulate queued flights — and their waiters — without bound instead
-// of shedding load.
+// for an admission slot: without a cap, a saturated server with no
+// -request-timeout would accumulate queued flights — and their waiters —
+// without bound instead of shedding load.
 const defaultSharedAcquireMax = 30 * time.Second
 
-// acquireShared takes an admission slot for a shared (coalesced)
-// computation, blocking until one frees up, ctx — the flight's group
-// context — is cancelled, or sharedAcquireMax elapses (errSaturated,
-// which writeResolveError fans out as 429 + Retry-After to every
-// waiter). Per-request admission never queues; a flight may, because it
-// holds the slot on behalf of its whole batch — every waiter's own
-// deadline still bounds its wait, and the cap bounds the queue even when
-// no deadlines are configured.
-func (s *Server) acquireShared(ctx context.Context) (release func(), err error) {
+// acquire takes an admission slot, queueing for at most wait: until one
+// frees up, ctx is cancelled (ctx.Err()) or wait elapses (errSaturated).
+// Per-request admission passes 0 — it fails fast and never queues; a
+// coalesced flight passes sharedAcquireMax, because it holds the slot on
+// behalf of its whole batch and each waiter's own deadline still bounds
+// its wait. release must be called exactly once when err is nil.
+func (s *Server) acquire(ctx context.Context, wait time.Duration) (release func(), err error) {
 	if s.sem == nil {
 		return func() {}, nil
 	}
-	t := time.NewTimer(s.sharedAcquireMax)
-	defer t.Stop()
 	select {
 	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-t.C:
-		return nil, errSaturated
+	default:
+		if wait <= 0 {
+			return nil, errSaturated
+		}
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-t.C:
+			return nil, errSaturated
+		}
 	}
 	g := s.reg.Gauge(obsv.MetricAdmissionInFlight)
 	g.Add(1)
-	//lint:chanwait release receive never blocks: the flight's own token is in the buffered semaphore
+	//lint:chanwait release receive never blocks: the holder's own token is in the buffered semaphore
 	return func() { g.Add(-1); <-s.sem }, nil
 }
 
-// saturated reports whether every admission slot is currently held. The
-// read is a racy snapshot; it is used only to attribute cache hits to the
-// degraded-serving counter, never for admission decisions.
-func (s *Server) saturated() bool {
-	return s.sem != nil && len(s.sem) == cap(s.sem)
+// keyFor is the one cache-key rule: key.algo names where the pipeline
+// gets the answer. "index" — extracted from a similarity artifact: every
+// sweep step, and every route once an index or the coalescer is armed;
+// such answers do not depend on algo=, so they share one entry per (ε, µ).
+// "shard" — computed by the fleet, which ignores algo= the same way. The
+// engine name otherwise. (So on a server with neither index nor coalescer
+// a sweep shares entries with other sweeps, not with /cluster runs.)
+func (s *Server) keyFor(st *epochState, eps string, mu int, algo ppscan.Algorithm, sweep bool) cacheKey {
+	switch {
+	case sweep || st.ix != nil || s.coalesce != nil:
+		algo = "index"
+	case s.coord != nil:
+		algo = "shard"
+	}
+	return cacheKey{eps: eps, mu: mu, algo: algo, epoch: st.epoch()}
 }
 
-// resolve answers the clustering for the given parameters against one
-// epoch's consistent state: from the LRU cache when possible, else from
-// the GS*-Index or a direct algorithm run under admission control. ctx
-// bounds the computation (client disconnect and the configured
-// per-request deadline). st is the generation the caller loaded once for
-// the whole request; every answer — cached, coalesced, indexed or direct
-// — is derived from and cache-keyed to exactly that epoch, so a
-// concurrent mutation can never mix snapshots inside one response.
+// resolve answers validated parameters through the pipeline's fixed stage
+// order: response cache → similarity artifact → extraction from it, or,
+// with no artifact, the compute backend → cache insert. ctx bounds the
+// work (client disconnect, per-request deadline). st is the generation
+// the caller loaded once for the whole request; every answer is derived
+// from and cache-keyed to exactly that epoch, so a concurrent mutation
+// can never mix snapshots inside one response.
 func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int, algo ppscan.Algorithm) (*ppscan.Result, error) {
-	key := cacheKey{eps: eps, mu: mu, algo: algo, epoch: st.epoch()}
-	if st.ix != nil || s.coalesce != nil {
-		// Index-derived answers are algorithm-independent: share one cache
-		// entry per (eps, mu) regardless of the requested algo.
-		key.algo = "index"
-	}
-	if s.coord != nil {
-		// Shard-fleet answers ignore algo= the same way.
-		key.algo = "shard"
-	}
-	s.mu.Lock()
-	cached, ok := s.cache.get(key)
-	s.mu.Unlock()
-	if ok {
-		s.reg.Counter(obsv.MetricCacheHits).Inc()
-		if s.saturated() {
+	key := s.keyFor(st, eps, mu, algo, false)
+	if res, ok := s.cache.get(key); ok {
+		// A racy snapshot of slot occupancy: it only attributes the hit to
+		// degraded serving, never decides admission.
+		if s.sem != nil && len(s.sem) == cap(s.sem) {
 			s.reg.Counter(obsv.MetricAdmissionDegradedCache).Inc()
 		}
-		return cached, nil
-	}
-	s.reg.Counter(obsv.MetricCacheMisses).Inc()
-	if s.coalesce != nil && st.ix == nil && s.coord == nil {
-		// Single-flight path: the flight holds the admission slot for the
-		// shared pass; this request only waits and extracts. Flights are
-		// epoch-keyed — do only joins flights over st's snapshot.
-		res, err := s.coalesce.do(ctx, st, eps, mu)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.cache.add(key, res)
-		s.mu.Unlock()
 		return res, nil
 	}
-	release, ok := s.acquire()
-	if !ok {
-		if st.ix != nil {
-			// Saturated but index-backed: answer from the index without an
-			// admission slot — bounded O(answer) work — rather than queue
-			// or reject.
-			s.reg.Counter(obsv.MetricAdmissionDegradedIndex).Inc()
-			return s.queryIndex(st, key, eps, mu)
-		}
-		s.reg.Counter(obsv.MetricAdmissionRejected).Inc()
-		return nil, errSaturated
-	}
-	defer release()
-	if s.coord != nil {
-		return s.runSharded(ctx, key, eps, mu)
-	}
-	if st.ix != nil {
-		return s.queryIndex(st, key, eps, mu)
-	}
-	res, err := s.runDirect(ctx, st, eps, mu, algo)
+	ix, release, err := s.similarity(ctx, st, false)
 	if err != nil {
 		return nil, err // classified by writeResolveError
 	}
-	s.mu.Lock()
+	defer release()
+	var ws *ppscan.Workspace
+	if ix != nil {
+		ws = s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
+		defer s.pool.Release(ws)
+	}
+	return s.answer(ctx, st, key, ix, ws)
+}
+
+// similarity obtains the (ε, µ)-independent artifact any number of
+// parameter pairs over st can be extracted from, plus the admission state
+// covering the caller's next step. Rungs in order: the epoch's attached
+// index (under a slot if one is free; saturated, the bounded O(answer)
+// extraction goes slotless rather than queue or reject); the coalescer's
+// flight (it holds the slot for the shared pass; this request only
+// waits); neither — the next step is the expensive one, so it takes a
+// fail-fast slot, and ix stays nil unless build asks for a sweep's own
+// index under that slot. release must be called exactly once when err is
+// nil; it is nil otherwise.
+func (s *Server) similarity(ctx context.Context, st *epochState, build bool) (ix *ppscan.Index, release func(), err error) {
+	if st.ix != nil {
+		if release, err = s.acquire(ctx, 0); err != nil {
+			s.reg.Counter(obsv.MetricAdmissionDegradedIndex).Inc()
+			release = func() {}
+		}
+		return st.ix, release, nil
+	}
+	if s.coalesce != nil {
+		// join is epoch-gated. Staying joined until the caller has
+		// extracted is free: a built flight is closed to joiners, and
+		// leave after completion only decrements the counter.
+		f := s.coalesce.join(st)
+		select {
+		case <-f.done:
+			err = f.err
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		if err != nil {
+			s.coalesce.leave(f)
+			return nil, nil, err
+		}
+		return f.ix, func() { s.coalesce.leave(f) }, nil
+	}
+	if release, err = s.acquire(ctx, 0); err != nil {
+		s.reg.Counter(obsv.MetricAdmissionRejected).Inc()
+		return nil, nil, err
+	}
+	if build {
+		s.sweepBuilds.Inc()
+		if ix, err = ppscan.BuildIndexContext(ctx, st.g, s.workers); err != nil {
+			release()
+			return nil, nil, err
+		}
+	}
+	return ix, release, nil
+}
+
+// answer produces one cache miss's clustering — extracted from ix on ws
+// when there is an artifact, else computed by the backend under the slot
+// similarity took — and makes the pipeline's one cache insert.
+func (s *Server) answer(ctx context.Context, st *epochState, key cacheKey, ix *ppscan.Index, ws *ppscan.Workspace) (res *ppscan.Result, err error) {
+	switch {
+	case ix != nil:
+		res, err = extract(ctx, ix, key.eps, key.mu, ws)
+	case s.coord != nil:
+		// Freshly allocated by the coordinator: nothing to detach.
+		res, err = s.coord.Run(ctx, key.eps, int32(key.mu))
+	default:
+		res, err = s.runDirect(ctx, st, key.eps, key.mu, key.algo)
+	}
+	if err != nil {
+		return nil, err
+	}
 	s.cache.add(key, res)
-	s.mu.Unlock()
 	return res, nil
+}
+
+// extract answers (eps, mu) from a similarity artifact in O(answer), with
+// no similarity work. The extraction aliases ws buffers the next step or
+// request will reuse, so a detached clone is what callers and the cache
+// get.
+func extract(ctx context.Context, ix *ppscan.Index, eps string, mu int, ws *ppscan.Workspace) (*ppscan.Result, error) {
+	res, err := ppscan.QueryIndexWorkspace(ctx, ix, eps, mu, ws)
+	if err != nil {
+		return nil, err
+	}
+	return res.Clone(), nil
 }
 
 // runDirect performs one algorithm run on a pooled workspace. The single
@@ -774,58 +829,21 @@ func (s *Server) runDirect(ctx context.Context, st *epochState, eps string, mu i
 // attached): the tail is where the failures live.
 func (s *Server) observeCompute(epoch uint64, eps string, mu int, algo ppscan.Algorithm, d time.Duration, r *ppscan.Result, err error, tr *obsv.Tracer) {
 	s.computeNs.Observe(d.Nanoseconds())
-	phases, havePhases := phaseTimesOf(r, err)
-	if havePhases {
-		for ph := result.PhaseID(0); ph < result.NumPhases; ph++ {
-			if v := phases[ph]; v > 0 {
-				s.phaseNs[ph].Observe(v.Nanoseconds())
-			}
+	var phases [result.NumPhases]time.Duration
+	var pe *ppscan.PartialError
+	if err == nil && r != nil {
+		phases = r.Stats.PhaseTimes
+	} else if errors.As(err, &pe) {
+		phases = pe.Stats.PhaseTimes
+	}
+	for ph, v := range phases {
+		if v > 0 {
+			s.phaseNs[ph].Observe(v.Nanoseconds())
 		}
 	}
-	now := time.Now()
-	if !s.exemplars.qualifies(d, now) {
-		return
-	}
-	e := exemplar{At: now, Epoch: epoch, Eps: eps, Mu: mu, Algo: string(algo), Duration: d}
-	if err != nil {
-		e.Err = err.Error()
-	}
-	if havePhases {
-		e.Phases = phases
-	}
-	if tr != nil {
-		//lint:allowalloc cold path: only runs for requests entering the slowest-K ring
-		e.Trace = tr.Events()
-	}
-	s.exemplars.add(e)
-}
-
-// phaseTimesOf extracts the per-stage durations from a completed result
-// or, for aborted runs, from the PartialError's carried statistics.
-func phaseTimesOf(r *ppscan.Result, err error) ([result.NumPhases]time.Duration, bool) {
-	if err == nil && r != nil {
-		return r.Stats.PhaseTimes, true
-	}
-	var pe *ppscan.PartialError
-	if errors.As(err, &pe) {
-		return pe.Stats.PhaseTimes, true
-	}
-	return [result.NumPhases]time.Duration{}, false
-}
-
-// queryIndex answers from the epoch's GS*-Index and caches the result.
-func (s *Server) queryIndex(st *epochState, key cacheKey, eps string, mu int) (*ppscan.Result, error) {
-	if mu <= 0 || mu > 1<<30 {
-		return nil, fmt.Errorf("mu out of range")
-	}
-	res, err := st.ix.Query(eps, int32(mu))
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.cache.add(key, res)
-	s.mu.Unlock()
-	return res, nil
+	s.exemplars.offer(exemplar{
+		Epoch: epoch, Eps: eps, Mu: mu, Algo: string(algo), Duration: d, Phases: phases,
+	}, err, tr)
 }
 
 // computeCtx derives the computation context for one request: the client's
@@ -943,19 +961,10 @@ type clusterSummary struct {
 	Members      map[int32][]int32 `json:"members,omitempty"`
 }
 
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	eps, mu, algo, err := s.params(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.computeCtx(r)
-	defer cancel()
-	res, err := s.resolve(ctx, s.state.Load(), eps, mu, algo)
-	if err != nil {
-		s.writeResolveError(w, err)
-		return
-	}
+// summarize builds the body /cluster answers with and /cluster/sweep
+// streams per step. eps echoes the request's own string, not the
+// normalized rational the engine reports.
+func summarize(eps string, mu int, res *ppscan.Result, members bool) clusterSummary {
 	out := clusterSummary{
 		Eps:          eps,
 		Mu:           mu,
@@ -967,10 +976,26 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		RuntimeMs:    float64(res.Stats.Total) / float64(time.Millisecond),
 		CompSimCalls: res.Stats.CompSimCalls,
 	}
-	if r.URL.Query().Get("members") == "true" {
+	if members {
 		out.Members = res.Clusters()
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
+}
+
+func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
+	eps, mu, algo, err := s.params(r, false)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel := s.computeCtx(r)
+	defer cancel()
+	res, err := s.resolve(ctx, s.state.Load(), eps[0], mu, algo)
+	if err != nil {
+		s.writeResolveError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, summarize(eps[0], mu, res, r.URL.Query().Get("members") == "true"))
 }
 
 // vertexInfo is the /vertex response body.
@@ -983,7 +1008,7 @@ type vertexInfo struct {
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
-	eps, mu, algo, err := s.params(r)
+	eps, mu, algo, err := s.params(r, false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1000,7 +1025,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	v := int32(v64)
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	res, err := s.resolve(ctx, st, eps, mu, algo)
+	res, err := s.resolve(ctx, st, eps[0], mu, algo)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return
@@ -1032,7 +1057,7 @@ type qualityInfo struct {
 }
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	eps, mu, algo, err := s.params(r)
+	eps, mu, algo, err := s.params(r, false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1040,7 +1065,7 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	st := s.state.Load()
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	res, err := s.resolve(ctx, st, eps, mu, algo)
+	res, err := s.resolve(ctx, st, eps[0], mu, algo)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return

@@ -204,26 +204,20 @@ func TestResponseCaching(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	get(t, ts, "/cluster?eps=0.5&mu=3", http.StatusOK)
-	srv.mu.Lock()
 	n := srv.cache.len()
-	srv.mu.Unlock()
 	if n != 1 {
 		t.Fatalf("cache entries = %d", n)
 	}
 	// Repeat: still one entry, same pointer reused.
 	get(t, ts, "/cluster?eps=0.5&mu=3", http.StatusOK)
 	get(t, ts, "/vertex?v=0&eps=0.5&mu=3", http.StatusOK)
-	srv.mu.Lock()
 	n = srv.cache.len()
-	srv.mu.Unlock()
 	if n != 1 {
 		t.Fatalf("cache entries after repeats = %d", n)
 	}
 	// Different params -> new entry.
 	get(t, ts, "/cluster?eps=0.6&mu=3", http.StatusOK)
-	srv.mu.Lock()
 	n = srv.cache.len()
-	srv.mu.Unlock()
 	if n != 2 {
 		t.Fatalf("cache entries after new params = %d", n)
 	}

@@ -3,11 +3,10 @@
 //
 // The paper's own motivation for structural clustering is interactive
 // (ε, µ) exploration, and the expensive similarity computation does not
-// depend on either parameter. A sweep request therefore obtains ONE
-// similarity artifact — the attached GS*-Index, the coalescer's current
-// flight, or a per-request build under this request's admission slot —
-// and then extracts every requested ε from it on a single pooled
-// workspace, emitting one NDJSON line per step as soon as it is ready.
+// depend on either parameter. A sweep therefore obtains ONE similarity
+// artifact (Server.similarity) and extracts every requested ε from it on
+// a single pooled workspace, emitting one NDJSON line per step as soon as
+// it is ready.
 //
 // The ε grid is parsed with exact integer decimal arithmetic: "0.2:0.8:
 // 0.05" generates the exact decimal strings "0.2", "0.25", ..., "0.8",
@@ -16,18 +15,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
-
-	"ppscan"
-	"ppscan/internal/obsv"
-	"ppscan/internal/simdef"
-	"ppscan/quality"
 )
 
 // DefaultSweepMaxSteps bounds the ε grid a single sweep request may
@@ -153,82 +146,24 @@ func formatDec(v int64, scale int) string {
 	return whole + "." + frac
 }
 
-// sweepIndex obtains the shared similarity artifact for one sweep and
-// whatever admission state protecting it: the attached index (slot when
-// available, degraded like /cluster when saturated), the coalescer's
-// current flight (the flight holds the slot), or a per-request build
-// under this request's own slot. Everything is derived from the one
-// epochState st the caller loaded, so the whole sweep answers against a
-// single snapshot even while mutations land. release must be called
-// exactly once when err is nil; it is nil otherwise.
-func (s *Server) sweepIndex(ctx context.Context, st *epochState) (ix *ppscan.Index, release func(), err error) {
-	if st.ix != nil {
-		rel, ok := s.acquire()
-		if !ok {
-			s.reg.Counter(obsv.MetricAdmissionDegradedIndex).Inc()
-			rel = func() {}
-		}
-		return st.ix, rel, nil
-	}
-	if s.coalesce != nil {
-		f := s.coalesce.join(st)
-		leave := func() { s.coalesce.leave(f) }
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			leave()
-			return nil, nil, ctx.Err()
-		}
-		if f.err != nil {
-			leave()
-			return nil, nil, f.err
-		}
-		// Holding the flight open (leave deferred by the caller) is free:
-		// the group is closed to joiners once built, and leave after
-		// completion only decrements the counter.
-		return f.ix, leave, nil
-	}
-	rel, ok := s.acquire()
-	if !ok {
-		s.reg.Counter(obsv.MetricAdmissionRejected).Inc()
-		return nil, nil, errSaturated
-	}
-	s.sweepBuilds.Inc()
-	ix, err = ppscan.BuildIndexContext(ctx, st.g, s.workers)
-	if err != nil {
-		rel()
-		return nil, nil, err
-	}
-	return ix, rel, nil
-}
-
-// handleSweep streams one clusterSummary NDJSON line per ε step. The
+// handleSweep streams one clusterSummary NDJSON line per ε step. It is
+// the resolve pipeline with the similarity artifact hoisted out of the
+// loop: parse, one similarity (asking for a build as the last rung), then
+// per gridpoint the response cache, extraction and the cache insert. The
 // response is chunked and flushed per step, so a client reads the first
 // clustering while later ones are still being extracted; client
 // disconnect or deadline expiry aborts between (and inside) steps, and
 // the single deferred workspace Release is the only return path — an
 // abandoned stream can neither leak the workspace nor release it twice.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	muStr := q.Get("mu")
-	mu, err := strconv.Atoi(muStr)
-	if muStr == "" || err != nil || mu < 1 || mu > 1<<30 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad or missing mu %q", muStr))
-		return
-	}
-	epsList, err := parseSweepEps(q.Get("eps"), s.sweepMaxSteps)
+	// Every gridpoint is validated up front: a bad ε must be a 400, not a
+	// mid-stream error line.
+	epsList, mu, _, err := s.params(r, true)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Validate every gridpoint up front: a bad ε must be a 400, not a
-	// mid-stream error line.
-	for _, eps := range epsList {
-		if _, err := simdef.NewThreshold(eps, int32(mu)); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
+	q := r.URL.Query()
 	withMembers := q.Get("members") == "true"
 
 	// One state load pins the whole sweep to a single snapshot: every
@@ -238,7 +173,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
 	t0 := time.Now()
-	ix, release, err := s.sweepIndex(ctx, st)
+	ix, release, err := s.similarity(ctx, st, true)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return
@@ -254,22 +189,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	wrote := false
 	for _, eps := range epsList {
-		// Each gridpoint is served through the shared response cache under
-		// the index-keyed entry /cluster uses for index-derived answers
-		// (resolve sets algo="index" whenever an index or coalescer is
-		// configured): a sweep hits entries earlier requests left behind
-		// and warms the cache for the drill-down /cluster queries that
-		// typically follow a sweep.
-		key := cacheKey{eps: eps, mu: mu, algo: "index", epoch: st.epoch()}
-		s.mu.Lock()
+		// Each gridpoint goes through the shared response cache under the
+		// key every extracted answer uses (see keyFor): a sweep hits entries
+		// earlier requests left behind and, on a server with an index or
+		// the coalescer, warms the cache for the drill-down /cluster
+		// queries that typically follow a sweep.
+		key := s.keyFor(st, eps, mu, "", true)
 		res, hit := s.cache.get(key)
-		s.mu.Unlock()
-		if hit {
-			s.reg.Counter(obsv.MetricCacheHits).Inc()
-		} else {
-			s.reg.Counter(obsv.MetricCacheMisses).Inc()
+		if !hit {
 			ts := time.Now()
-			r, err := ppscan.QueryIndexWorkspace(ctx, ix, eps, mu, ws)
+			res, err = s.answer(ctx, st, key, ix, ws)
 			if err != nil {
 				if ctx.Err() != nil {
 					s.sweepDisconnects.Inc()
@@ -284,31 +213,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			s.sweepStepNs.Observe(time.Since(ts).Nanoseconds())
-			// The extraction aliases ws buffers the next step (and the next
-			// request) will reuse: detach it before the cache retains it.
-			res = r.Clone()
-			s.mu.Lock()
-			s.cache.add(key, res)
-			s.mu.Unlock()
 		}
 		s.sweepSteps.Inc()
-		// Echo the requested gridpoint string (like /cluster echoes its eps
-		// parameter), not the normalized rational the engine reports.
-		out := clusterSummary{
-			Eps:          eps,
-			Mu:           mu,
-			Algorithm:    res.Stats.Algorithm,
-			Clusters:     res.NumClusters(),
-			Cores:        res.NumCores(),
-			Memberships:  len(res.NonCore),
-			Coverage:     quality.Coverage(res),
-			RuntimeMs:    float64(res.Stats.Total) / float64(time.Millisecond),
-			CompSimCalls: res.Stats.CompSimCalls,
-		}
-		if withMembers {
-			out.Members = res.Clusters()
-		}
-		_ = enc.Encode(out)
+		_ = enc.Encode(summarize(eps, mu, res, withMembers))
 		wrote = true
 		if flusher != nil {
 			flusher.Flush()
@@ -316,11 +223,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// A slow sweep is a tail-latency event like any other: retain it with
 	// the grid spec as the parameter signature.
-	d := time.Since(t0)
-	now := time.Now()
-	if s.exemplars.qualifies(d, now) {
-		s.exemplars.add(exemplar{
-			At: now, Epoch: st.epoch(), Eps: q.Get("eps"), Mu: mu, Algo: "sweep", Duration: d,
-		})
-	}
+	s.exemplars.offer(exemplar{
+		Epoch: st.epoch(), Eps: q.Get("eps"), Mu: mu, Algo: "sweep", Duration: time.Since(t0),
+	}, nil, nil)
 }
