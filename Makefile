@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION  ?= v1.1.4
 STATICCHECK          := $(TOOLS_BIN)/staticcheck
 GOVULNCHECK          := $(TOOLS_BIN)/govulncheck
 
-.PHONY: build test vet race check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos perf perf-baseline docs-check loc benchmark-test
+.PHONY: build test vet race cores check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos perf perf-baseline docs-check loc benchmark-test
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The scheduler and the packages that run their parallel phases on it, at
+# one, two and four cores: how tasks interleave, which worker wakes first
+# and whether a cancel lands mid-task all change with the core count, and
+# tier-1 has to be green on any of them (ROADMAP).
+cores:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/gsindex/ ./internal/shard/
 
 staticcheck:
 	@command -v $(STATICCHECK) >/dev/null 2>&1 || \
@@ -129,12 +136,14 @@ loc:
 
 # The pre-merge gate: static checks, the full suite under the race
 # detector (the parallel phases, scheduler telemetry and HTTP middleware
-# are all exercised concurrently), the chaos/fault-containment suite, the
-# non-race allocation gate, the benchmark module (outside `./...`, and an
-# importer of internal/server), then the performance gate against the
-# local trajectory.
+# are all exercised concurrently), the scheduler's dependants at one, two
+# and four cores, the chaos/fault-containment suite, the non-race
+# allocation gate, the benchmark module (outside `./...`, and an importer
+# of internal/server), then the performance gate against the local
+# trajectory.
 check: vet scanlint staticcheck govulncheck docs-check benchmark-test
 	$(GO) test -race ./...
+	$(MAKE) cores
 	$(MAKE) chaos
 	$(MAKE) alloc-gate
 	$(MAKE) perf

@@ -42,16 +42,3 @@ func ExampleGraph_ConnectedComponents() {
 	// components: 3
 	// same component: true false
 }
-
-func ExampleGraph_KCoreDecomposition() {
-	// K4 with a tail: the clique is the 3-core, the tail is 1-core.
-	g, _ := graph.FromEdges(6, []graph.Edge{
-		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3},
-		{U: 3, V: 4}, {U: 4, V: 5},
-	})
-	fmt.Println(g.KCoreDecomposition())
-	fmt.Println("degeneracy:", g.Degeneracy())
-	// Output:
-	// [3 3 3 3 1 1]
-	// degeneracy: 3
-}

@@ -27,11 +27,13 @@ package anyscan
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ppscan/graph"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
+	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
 	"ppscan/internal/unionfind"
 )
@@ -49,8 +51,9 @@ type Options struct {
 	BlockSize int32
 }
 
-// Run executes the anySCAN surrogate on g.
-func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
+// Run executes the anySCAN surrogate on g. A contained worker panic is
+// returned as a *result.WorkerPanicError.
+func Run(g *graph.Graph, th simdef.Threshold, opt Options) (*result.Result, error) {
 	if opt.Workers < 1 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -60,9 +63,7 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
 	start := time.Now()
 	n := g.NumVertices()
 	roles := make([]result.Role, n)
-	simCount := make([]int32, n) // exact similar-neighbor count per vertex
-	var calls int64
-	var callsMu sync.Mutex
+	var calls atomic.Int64
 
 	uf := unionfind.NewSequential(n)
 	var ufMu sync.Mutex // anySCAN merges clusters under a lock
@@ -76,49 +77,30 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
 		}
 		// Per-block allocations (anySCAN's transition overhead).
 		blockSim := make([][]bool, blockEnd-blockStart)
-		var wg sync.WaitGroup
-		chunk := (blockEnd - blockStart + int32(opt.Workers) - 1) / int32(opt.Workers)
-		for w := 0; w < opt.Workers; w++ {
-			beg := blockStart + int32(w)*chunk
-			if beg >= blockEnd {
-				break
-			}
-			end := beg + chunk
-			if end > blockEnd {
-				end = blockEnd
-			}
-			wg.Add(1)
-			go func(beg, end int32) {
-				defer wg.Done()
-				var localCalls int64
-				for u := beg; u < end; u++ {
-					nbrs := g.Neighbors(u)
-					flags := make([]bool, len(nbrs)) // per-vertex allocation
-					du := g.Degree(u)
-					var similar int32
-					for i, v := range nbrs {
-						c := th.Eps.MinCN(du, g.Degree(v))
-						val := intersect.CompSim(opt.Kernel, nbrs, g.Neighbors(v), c)
-						localCalls++
-						if val == simdef.Sim {
-							flags[i] = true
-							similar++
-						}
-					}
-					simCount[u] = similar
-					if similar >= th.Mu {
-						roles[u] = result.RoleCore
-					} else {
-						roles[u] = result.RoleNonCore
-					}
-					blockSim[u-blockStart] = flags
+		err := sched.ForEachVertexStatic(opt.Workers, blockEnd-blockStart, func(i int32, _ int) {
+			u := blockStart + i
+			nbrs := g.Neighbors(u)
+			flags := make([]bool, len(nbrs)) // per-vertex allocation
+			du := g.Degree(u)
+			var similar int32
+			for j, v := range nbrs {
+				c := th.Eps.MinCN(du, g.Degree(v))
+				if intersect.CompSim(opt.Kernel, nbrs, g.Neighbors(v), c) == simdef.Sim {
+					flags[j] = true
+					similar++
 				}
-				callsMu.Lock()
-				calls += localCalls
-				callsMu.Unlock()
-			}(beg, end)
+			}
+			calls.Add(int64(len(nbrs)))
+			if similar >= th.Mu {
+				roles[u] = result.RoleCore
+			} else {
+				roles[u] = result.RoleNonCore
+			}
+			blockSim[i] = flags
+		})
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
 		// Cluster-merge step: union this block's cores with already
 		// processed neighboring cores over similar edges (lock-guarded).
 		for u := blockStart; u < blockEnd; u++ {
@@ -165,48 +147,35 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
 	}
 	var nonCore []result.Membership
 	var ncMu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (n + int32(opt.Workers) - 1) / int32(opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		beg := int32(w) * chunk
-		if beg >= n {
-			break
+	err := sched.ForEachVertexStatic(opt.Workers, n, func(u int32, _ int) {
+		if roles[u] != result.RoleCore {
+			return
 		}
-		end := beg + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(beg, end int32) {
-			defer wg.Done()
-			var local []result.Membership
-			var localCalls int64
-			for u := beg; u < end; u++ {
-				if roles[u] != result.RoleCore {
-					continue
-				}
-				id := coreClusterID[u]
-				nbrs := g.Neighbors(u)
-				du := g.Degree(u)
-				for _, v := range nbrs {
-					if roles[v] != result.RoleNonCore {
-						continue
-					}
-					c := th.Eps.MinCN(du, g.Degree(v))
-					val := intersect.CompSim(opt.Kernel, nbrs, g.Neighbors(v), c)
-					localCalls++
-					if val == simdef.Sim {
-						local = append(local, result.Membership{V: v, ClusterID: id})
-					}
-				}
+		id := coreClusterID[u]
+		nbrs := g.Neighbors(u)
+		du := g.Degree(u)
+		var local []result.Membership
+		var localCalls int64
+		for _, v := range nbrs {
+			if roles[v] != result.RoleNonCore {
+				continue
 			}
+			c := th.Eps.MinCN(du, g.Degree(v))
+			localCalls++
+			if intersect.CompSim(opt.Kernel, nbrs, g.Neighbors(v), c) == simdef.Sim {
+				local = append(local, result.Membership{V: v, ClusterID: id})
+			}
+		}
+		calls.Add(localCalls)
+		if len(local) > 0 {
 			ncMu.Lock()
 			nonCore = append(nonCore, local...)
-			calls += localCalls
 			ncMu.Unlock()
-		}(beg, end)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	res := &result.Result{
 		Eps:           th.Eps.String(),
@@ -219,8 +188,8 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
 	res.Stats = result.Stats{
 		Algorithm:    "anySCAN",
 		Workers:      opt.Workers,
-		CompSimCalls: calls,
+		CompSimCalls: calls.Load(),
 		Total:        time.Since(start),
 	}
-	return res
+	return res, nil
 }

@@ -1,22 +1,37 @@
 package anyscan
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"ppscan/graph"
 	"ppscan/internal/algotest"
+	"ppscan/internal/engine"
+	"ppscan/internal/fault"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
 	"ppscan/internal/simdef"
 )
 
+// run is Run for inputs that must not fail.
+func run(t *testing.T, g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
+	t.Helper()
+	r, err := Run(g, th, opt)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return r
+}
+
 func TestGroundTruthCorpus(t *testing.T) {
 	for _, tc := range algotest.Corpus() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				r := Run(tc.G, th, Options{Workers: 4, BlockSize: 32})
+				r := run(t, tc.G, th, Options{Workers: 4, BlockSize: 32})
 				if err := algotest.CheckGroundTruth(tc.G, r, th); err != nil {
 					t.Fatalf("%s: %v", tc.Name, err)
 				}
@@ -30,11 +45,11 @@ func TestMatchesSCAN(t *testing.T) {
 		g := algotest.RandomGraph(seed)
 		th := algotest.RandomThreshold(seed)
 		want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
-		got := Run(g, th, Options{
+		got, err := Run(g, th, Options{
 			Workers:   int(wRaw%6) + 1,
 			BlockSize: int32(bRaw%100) + 1,
 		})
-		return result.Equal(want, got) == nil
+		return err == nil && result.Equal(want, got) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -44,9 +59,9 @@ func TestMatchesSCAN(t *testing.T) {
 func TestBlockSizeIndependence(t *testing.T) {
 	g := algotest.RandomGraph(61)
 	th, _ := simdef.NewThreshold("0.5", 3)
-	base := Run(g, th, Options{Workers: 3, BlockSize: 1})
+	base := run(t, g, th, Options{Workers: 3, BlockSize: 1})
 	for _, bs := range []int32{2, 17, 1 << 20} {
-		r := Run(g, th, Options{Workers: 3, BlockSize: bs})
+		r := run(t, g, th, Options{Workers: 3, BlockSize: bs})
 		if err := result.Equal(base, r); err != nil {
 			t.Errorf("block size %d changes output: %v", bs, err)
 		}
@@ -59,7 +74,7 @@ func TestRedundantWorkload(t *testing.T) {
 	// finalization, so calls >= 2|E|, strictly more than ppSCAN's <= |E|.
 	g := algotest.RandomGraph(63)
 	th, _ := simdef.NewThreshold("0.5", 5)
-	r := Run(g, th, Options{Workers: 2})
+	r := run(t, g, th, Options{Workers: 2})
 	if r.Stats.CompSimCalls < g.NumDirectedEdges() {
 		t.Errorf("CompSimCalls = %d, want >= %d", r.Stats.CompSimCalls, g.NumDirectedEdges())
 	}
@@ -68,8 +83,53 @@ func TestRedundantWorkload(t *testing.T) {
 func TestStats(t *testing.T) {
 	g := algotest.RandomGraph(65)
 	th, _ := simdef.NewThreshold("0.4", 2)
-	r := Run(g, th, Options{Workers: 2})
+	r := run(t, g, th, Options{Workers: 2})
 	if r.Stats.Algorithm != "anySCAN" || r.Stats.Workers != 2 || r.Stats.Total <= 0 {
 		t.Errorf("stats = %+v", r.Stats)
+	}
+}
+
+// TestWorkerPanicContained: a panic in a block task — anySCAN is reachable
+// from GET /cluster?algo=anyscan, so it must not kill the process — comes
+// back as a typed error naming the worker, from the core-checking blocks
+// and from the finalization pass alike, and the next run on the same
+// workspace pool is exact.
+func TestWorkerPanicContained(t *testing.T) {
+	t.Cleanup(fault.Disable)
+	g := algotest.RandomGraph(67)
+	th, _ := simdef.NewThreshold("0.5", 3)
+	eng, ok := engine.Get("anyscan")
+	if !ok {
+		t.Fatal("anyscan engine not registered")
+	}
+	pool := engine.NewPool(1)
+	runPooled := func() (*result.Result, error) {
+		ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
+		defer pool.Release(ws)
+		return eng.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, ws)
+	}
+	// One block of 4096 covers the graph and two workers cut it into two
+	// tasks (hits 1 and 2), so hit 3 is the finalization pass's first.
+	for _, rule := range []fault.Rule{
+		{Point: fault.WorkerTask, Action: fault.ActPanic, Start: 1, Count: 1},
+		{Point: fault.WorkerTask, Action: fault.ActPanic, Start: 3, Count: 1},
+	} {
+		fault.Enable(&fault.Plan{Rules: []fault.Rule{rule}})
+		res, err := runPooled()
+		fault.Disable()
+		var wpe *result.WorkerPanicError
+		if res != nil || !errors.As(err, &wpe) {
+			t.Fatalf("rule %+v: got (%v, %v), want a *result.WorkerPanicError", rule, res, err)
+		}
+		if wpe.Worker < 0 || wpe.Worker >= 2 || len(wpe.Stack) == 0 {
+			t.Errorf("rule %+v: panic error %+v lacks worker or stack", rule, wpe)
+		}
+		got, err := runPooled()
+		if err != nil {
+			t.Fatalf("run after contained panic: %v", err)
+		}
+		if err := result.Equal(scan.Run(g, th, scan.Options{Kernel: intersect.Merge}), got); err != nil {
+			t.Errorf("run after contained panic differs from SCAN: %v", err)
+		}
 	}
 }

@@ -28,7 +28,11 @@ func (anyscanEngine) RunContext(ctx context.Context, g *graph.Graph, th simdef.T
 		}
 		kern = k
 	}
-	return engine.FinishUninterruptible(ctx, Run(g, th, Options{Kernel: kern, Workers: opt.Workers}))
+	res, err := Run(g, th, Options{Kernel: kern, Workers: opt.Workers})
+	if err != nil {
+		return nil, err
+	}
+	return engine.FinishUninterruptible(ctx, res)
 }
 
 func init() { engine.Register(anyscanEngine{}) }

@@ -623,9 +623,9 @@ func (s *state) storeSim(e int64, v simdef.EdgeSim) {
 	atomic.StoreInt32(&s.sim[e], int32(v))
 }
 
-// forEach runs one parallel phase over all vertices satisfying need, using
-// Algorithm 5's degree-based dynamic scheduling on the workspace's
-// persistent crew (or static blocks for the ablation). name labels the
+// forEach runs one parallel phase over all vertices satisfying need on the
+// workspace's persistent crew, cut by Algorithm 5's degree-based dynamic
+// scheduling (or into static blocks for the ablation). name labels the
 // phase in the trace: the whole barrier-to-barrier interval becomes a span
 // on the coordinator track, and each scheduler task a span named after the
 // phase on its worker's track.
@@ -633,18 +633,6 @@ func (s *state) forEach(name string, need func(int32) bool, process func(u int32
 	n := s.g.NumVertices()
 	sp := s.tr.Begin(name, 0)
 	defer sp.End()
-	if s.opt.StaticScheduling {
-		// Static blocks have no task boundaries to checkpoint at; poll the
-		// cancellation flag per vertex instead so the phase still drains
-		// promptly (the flag is an uncontended atomic load). The static
-		// path has no watchdog (ablation mode only).
-		//lint:allowalloc one closure per phase launch, static-scheduling mode only; the serving default is dynamic scheduling
-		return sched.ForEachVertexStatic(s.opt.Workers, n, func(u int32, w int) {
-			if !s.stop.Load() && need(u) {
-				process(u, w)
-			}
-		})
-	}
 	var m *sched.Metrics
 	if s.sm != nil {
 		s.schedM = sched.Metrics{
@@ -660,13 +648,17 @@ func (s *state) forEach(name string, need func(int32) bool, process func(u int32
 		}
 		m = &s.schedM
 	}
-	return s.ws.Crew(s.opt.Workers).ForEachVertex(sched.Options{
-		Workers:         s.opt.Workers,
+	crew := s.ws.Crew(s.opt.Workers)
+	opt := sched.Options{
 		DegreeThreshold: s.opt.DegreeThreshold,
 		Metrics:         m,
 		Phase:           name,
 		StallTimeout:    s.opt.StallTimeout,
-	}, n, need, s.fnDegree, process, s.fnStop)
+	}
+	if s.opt.StaticScheduling {
+		return crew.ForEachVertexStatic(opt, n, need, process, s.fnStop)
+	}
+	return crew.ForEachVertex(opt, n, need, s.fnDegree, process, s.fnStop)
 }
 
 func (s *state) roleUnknown(u int32) bool { return s.roles[u] == result.RoleUnknown }

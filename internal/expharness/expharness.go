@@ -627,15 +627,9 @@ func runAlgoProfile(algo Algo, g *graph.Graph, th simdef.Threshold, workers int,
 	case AlgoPSCAN:
 		return pscan.Run(g, th, pscan.Options{Kernel: intersect.MergeEarly})
 	case AlgoAnySCAN:
-		return anyscan.Run(g, th, anyscan.Options{Kernel: intersect.MergeEarly, Workers: workers})
+		return mustRun(anyscan.Run(g, th, anyscan.Options{Kernel: intersect.MergeEarly, Workers: workers}))
 	case AlgoSCANXP:
-		r, err := scanxp.Run(g, th, scanxp.Options{Kernel: intersect.Merge, Workers: workers})
-		if err != nil {
-			// The harness runs without fault injection; a contained worker
-			// panic here is a bug worth the loud exit.
-			panic(fmt.Sprintf("expharness: scan-xp failed: %v", err))
-		}
-		return r
+		return mustRun(scanxp.Run(g, th, scanxp.Options{Kernel: intersect.Merge, Workers: workers}))
 	case AlgoPPSCAN:
 		return core.Run(g, th, core.Options{Kernel: profile.blockKernel(), Workers: workers})
 	case AlgoPPSCANNO:
@@ -645,6 +639,15 @@ func runAlgoProfile(algo Algo, g *graph.Graph, th simdef.Threshold, workers int,
 	default:
 		panic(fmt.Sprintf("expharness: unknown algorithm %q", algo))
 	}
+}
+
+// mustRun unwraps a baseline's run. The harness runs without fault
+// injection, so a contained worker panic here is a bug worth the loud exit.
+func mustRun(r *result.Result, err error) *result.Result {
+	if err != nil {
+		panic(fmt.Sprintf("expharness: baseline run failed: %v", err))
+	}
+	return r
 }
 
 // Experiment is a registry entry binding an id to a run-and-print driver.

@@ -28,10 +28,10 @@ import (
 type Point uint8
 
 const (
-	// WorkerTask fires once per scheduler task execution (sched.Crew and
-	// sched.Pool workers, static blocks, shard sim blocks). Panic and
-	// error actions both surface as a contained worker panic — workers
-	// have no error channel — and delay actions model stragglers.
+	// WorkerTask fires once per scheduler task execution — one site,
+	// sched.Crew's runTask, which every vertex-parallel phase goes through.
+	// Panic and error actions both surface as a contained worker panic —
+	// workers have no error channel — and delay actions model stragglers.
 	WorkerTask Point = iota
 	// GraphLoad fires once per binary-graph load, modelling corrupt or
 	// partially-written input files.

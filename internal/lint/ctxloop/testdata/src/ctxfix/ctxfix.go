@@ -28,7 +28,7 @@ func polite(ctx context.Context, items []int, tick chan struct{}) error {
 		workCtx(ctx, it) // forwarding ctx delegates the checkpoint
 	}
 	for _, it := range items {
-		if stopped() { // lock-free cancellation flag, sched.Pool style
+		if stopped() { // lock-free cancellation flag, sched.Crew style
 			break
 		}
 		work(it)

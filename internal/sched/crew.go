@@ -10,16 +10,18 @@ import (
 	"ppscan/internal/result"
 )
 
-// Crew is a persistent worker pool running Algorithm 5's degree-based
-// dynamic scheduling. Unlike Pool — which is created and joined once per
-// phase — a Crew's goroutines live across phases and across runs, so a
-// pooled workspace can execute an arbitrary number of clustering requests
-// without spawning (or heap-allocating) anything per phase. It is the
-// scheduler half of the zero-allocation serving path.
+// Crew is the worker pool every vertex-parallel phase in the repository
+// runs on. Its goroutines live across phases and across runs, so a pooled
+// workspace can execute an arbitrary number of clustering requests without
+// spawning (or heap-allocating) anything per phase. It is the scheduler
+// half of the zero-allocation serving path.
 //
-// Usage: create once with NewCrew, call ForEachVertex once per phase
-// (phases run one at a time; the call is the barrier), Close when the
-// owning workspace is discarded.
+// Usage: create once with NewCrew, call ForEachVertex (Algorithm 5's
+// degree-based cut) or ForEachVertexStatic (one equal block per worker)
+// once per phase (phases run one at a time; the call is the barrier), Close
+// when the owning workspace is discarded. The two differ only in how
+// ranges are cut: tasks, containment, cancellation, telemetry and the
+// watchdog are the same code.
 //
 // Synchronization: the coordinator writes the per-phase fields (need,
 // process, stop, m, phase) before submitting any task; workers read them
@@ -34,19 +36,18 @@ import (
 // records a *result.WorkerPanicError (first panic wins), trips the failed
 // flag so remaining tasks drain without running — the same quiesce
 // mechanics as cancellation — and the worker goroutine survives to serve
-// the next phase. ForEachVertex returns the recorded error after the
-// barrier.
+// the next phase. The phase returns the recorded error after the barrier.
 //
 // Watchdog: with Options.StallTimeout > 0 the barrier additionally
 // monitors the crew's progress counter; when no task completes for a full
-// timeout window, ForEachVertex abandons the barrier and returns
+// timeout window, the phase abandons the barrier and returns
 // result.ErrStalled. An abandoned crew is permanently out of service (a
 // hung task may still hold a worker; Go cannot kill it) — the owning
 // workspace must be discarded, which the engine pool does for fatally
 // poisoned workspaces.
 type Crew struct {
 	workers int
-	tasks   chan crewTask
+	tasks   chan task
 	// pending counts queued-or-running tasks plus one coordinator token
 	// held while submission is in progress; done receives one signal when
 	// a task's completion drops pending to zero.
@@ -71,16 +72,17 @@ type Crew struct {
 	abandoned atomic.Bool
 }
 
-// crewTask mirrors task; a distinct type keeps the two pools' channels
-// independent.
-type crewTask struct {
+// task is one queued unit of work: the vertex range, its degree-sum
+// workload estimate (zero for a static block), and (when the phase is
+// timed) the submit time used to measure queue wait.
+type task struct {
 	r        Range
 	deg      int64
 	submitAt time.Time
 }
 
 // NewCrew starts workers goroutines (< 1 means GOMAXPROCS) that serve
-// ForEachVertex calls until Close.
+// phases until Close.
 //
 //lint:allowalloc crew construction; built once per workspace, its workers persist across phases and runs
 func NewCrew(workers int) *Crew {
@@ -89,7 +91,7 @@ func NewCrew(workers int) *Crew {
 	}
 	c := &Crew{
 		workers: workers,
-		tasks:   make(chan crewTask, 4*workers),
+		tasks:   make(chan task, 4*workers), // a few cut-ahead tasks per worker, so none idles while the coordinator walks skipped vertices
 		done:    make(chan struct{}, 1),
 	}
 	for w := 0; w < workers; w++ {
@@ -107,44 +109,103 @@ func (c *Crew) Workers() int { return c.workers }
 func (c *Crew) Progress() uint64 { return c.progress.Load() }
 
 // Abandoned reports whether a stalled barrier was given up on. An
-// abandoned crew refuses further ForEachVertex calls; its owning
-// workspace must be discarded.
+// abandoned crew refuses further phases; its owning workspace must be
+// discarded.
 func (c *Crew) Abandoned() bool { return c.abandoned.Load() }
 
-// Close stops the workers. The crew must be idle (no ForEachVertex in
-// progress); calling ForEachVertex after Close panics. Closing an
-// abandoned crew is safe: surviving workers exit when the channel drains,
-// and a hung worker (the reason for abandonment) exits whenever — if ever
-// — its task returns.
+// Close stops the workers. The crew must be idle (no phase in progress);
+// starting a phase after Close panics. Closing an abandoned crew is safe:
+// surviving workers exit when the channel drains, and a hung worker (the
+// reason for abandonment) exits whenever — if ever — its task returns.
 func (c *Crew) Close() { close(c.tasks) }
 
 // ForEachVertex runs one phase: process(u, worker) for every u in [0, n)
-// with need(u) true at processing time, scheduled per Algorithm 5 with
-// opt.DegreeThreshold granularity (opt.Workers is ignored — the crew's own
-// worker count applies). stop, when non-nil, is polled by the coordinator
-// once per submission and every 8192 vertices, and by workers once per
-// task: when it reports true, remaining tasks drain without running, giving
-// the same cancellation granularity as ForEachVertexCtx. The call blocks
-// until every submitted task completed (the paper's JoinThreadPool
-// barrier). Only one ForEachVertex may run at a time per crew.
+// with need(u) true at processing time (nil need: every u), scheduled per
+// Algorithm 5 with opt.DegreeThreshold granularity (opt.Workers is ignored
+// — the crew's own worker count applies).
+//
+//   - need is evaluated twice per vertex, once by the coordinator when
+//     sizing tasks and once by the worker right before processing,
+//     mirroring the paper's role[u] == Unknown double check. It must be
+//     safe to call concurrently with process on *other* vertices.
+//   - deg(u) supplies the workload estimate (the vertex degree).
+//   - process receives the worker index in [0, Workers()) so callers can
+//     keep per-worker scratch state without synchronization.
+//   - stop, when non-nil, is polled by the coordinator once per submission
+//     and every 8192 vertices, and by workers once per task: when it
+//     reports true, remaining tasks drain without running, so cancellation
+//     granularity is one task.
+//
+// The call blocks until every submitted task completed (the paper's
+// JoinThreadPool barrier). Only one phase may run at a time per crew.
 //
 // A panic inside process is contained: the phase quiesces (remaining
-// tasks drain) and ForEachVertex returns a *result.WorkerPanicError
-// carrying opt.Phase, the worker index and the captured stack; the crew
-// remains usable for the next phase. With opt.StallTimeout > 0, a phase
-// making no progress for a full timeout window returns result.ErrStalled
-// and the crew is permanently abandoned (see Abandoned). A nil return
-// means the phase ran (or was stopped) cleanly.
+// tasks drain) and the call returns a *result.WorkerPanicError carrying
+// opt.Phase, the worker index and the captured stack; the crew remains
+// usable for the next phase. With opt.StallTimeout > 0, a phase making no
+// progress for a full timeout window returns result.ErrStalled and the
+// crew is permanently abandoned (see Abandoned). A nil return means the
+// phase ran (or was stopped) cleanly.
 func (c *Crew) ForEachVertex(opt Options, n int32, need func(int32) bool, deg func(int32) int32, process func(u int32, worker int), stop func() bool) error {
 	if n <= 0 {
 		return nil
 	}
-	if c.abandoned.Load() {
-		return result.ErrStalled
+	if err := c.begin(opt, need, process, stop); err != nil {
+		return err
 	}
 	threshold := opt.DegreeThreshold
 	if threshold < 1 {
 		threshold = DefaultDegreeThreshold
+	}
+	var degSum int64
+	beg := int32(0)
+	for u := int32(0); u < n; u++ {
+		// Besides once per submission, the coordinator polls every 8192
+		// vertices: the loop is otherwise a tight accumulation over
+		// skipped vertices.
+		if u&8191 == 0 && c.quiesced() {
+			return c.barrier(opt.StallTimeout) // cut no more; join what was submitted
+		}
+		if need != nil && !need(u) {
+			continue
+		}
+		degSum += int64(deg(u))
+		if degSum > threshold {
+			c.submit(Range{Beg: beg, End: u + 1}, degSum)
+			degSum = 0
+			beg = u + 1
+			if c.quiesced() {
+				return c.barrier(opt.StallTimeout)
+			}
+		}
+	}
+	c.submit(Range{Beg: beg, End: n}, degSum)
+	return c.barrier(opt.StallTimeout)
+}
+
+// ForEachVertexStatic is ForEachVertex with the static cut: [0, n) is
+// split into one equal-width block per worker regardless of degrees, so a
+// stop is honoured only between blocks. It is the baseline the scheduler
+// ablation compares Algorithm 5 against.
+func (c *Crew) ForEachVertexStatic(opt Options, n int32, need func(int32) bool, process func(u int32, worker int), stop func() bool) error {
+	if n <= 0 {
+		return nil
+	}
+	if err := c.begin(opt, need, process, stop); err != nil {
+		return err
+	}
+	chunk := (n + int32(c.workers) - 1) / int32(c.workers)
+	for beg := int32(0); beg < n; beg += chunk {
+		c.submit(Range{Beg: beg, End: min(beg+chunk, n)}, 0)
+	}
+	return c.barrier(opt.StallTimeout)
+}
+
+// begin opens a phase: it publishes the per-phase state and takes the
+// coordinator's pending token, which barrier releases.
+func (c *Crew) begin(opt Options, need func(int32) bool, process func(u int32, worker int), stop func() bool) error {
+	if c.abandoned.Load() {
+		return result.ErrStalled
 	}
 	// Workers are parked between phases, so these plain writes are ordered
 	// before their reads by the task-channel send/receive.
@@ -154,34 +215,27 @@ func (c *Crew) ForEachVertex(opt Options, n int32, need func(int32) bool, deg fu
 	// The coordinator holds one pending token while submitting, so the
 	// count cannot transiently hit zero before the last submission.
 	c.pending.Add(1)
+	return nil
+}
 
-	var degSum int64
-	beg := int32(0)
-	canceled := false
-	for u := int32(0); u < n; u++ {
-		if u&8191 == 0 && (c.failed.Load() || stop != nil && stop()) {
-			canceled = true
-			break
+// quiesced reports whether the phase is draining — a task panicked, the
+// barrier was abandoned, or stop reports true — so cutting or running
+// further tasks is pointless.
+func (c *Crew) quiesced() bool {
+	return c.failed.Load() || c.stop != nil && c.stop()
+}
+
+// barrier closes a phase: it releases the coordinator token, waits for
+// pending to reach zero and returns the phase's contained panic, if any.
+// With stall > 0 it samples the progress counter each time a full window
+// elapses: a window with zero completed tasks abandons the crew and
+// returns result.ErrStalled (detection latency is between one and two
+// windows). With stall <= 0 it waits indefinitely.
+func (c *Crew) barrier(stall time.Duration) error {
+	if c.pending.Add(-1) != 0 {
+		if err := c.wait(stall); err != nil {
+			return err
 		}
-		if !need(u) {
-			continue
-		}
-		degSum += int64(deg(u))
-		if degSum > threshold {
-			c.submit(Range{Beg: beg, End: u + 1}, degSum)
-			degSum = 0
-			beg = u + 1
-			if c.failed.Load() || stop != nil && stop() {
-				canceled = true
-				break
-			}
-		}
-	}
-	if !canceled {
-		c.submit(Range{Beg: beg, End: n}, degSum)
-	}
-	if err := c.barrier(opt.StallTimeout); err != nil {
-		return err
 	}
 	if wpe := c.panicErr.Load(); wpe != nil {
 		return wpe
@@ -189,18 +243,10 @@ func (c *Crew) ForEachVertex(opt Options, n int32, need func(int32) bool, deg fu
 	return nil
 }
 
-// barrier releases the coordinator token and waits for pending to reach
-// zero. With stall > 0 it samples the progress counter each time a full
-// window elapses: a window with zero completed tasks abandons the crew
-// and returns result.ErrStalled (detection latency is between one and two
-// windows). With stall <= 0 it waits indefinitely, like the WaitGroup it
-// replaces.
-func (c *Crew) barrier(stall time.Duration) error {
-	if c.pending.Add(-1) == 0 {
-		return nil
-	}
+// wait blocks until the last task signals done, or the watchdog gives up.
+func (c *Crew) wait(stall time.Duration) error {
 	if stall <= 0 {
-		//lint:chanwait stall<=0 keeps the WaitGroup contract this replaces; the last worker always sends on done and panics are contained
+		//lint:chanwait stall<=0 is the unbounded join the caller asked for; the last worker always sends on done and panics are contained
 		<-c.done
 		return nil
 	}
@@ -235,7 +281,7 @@ func (c *Crew) submit(r Range, deg int64) {
 	if r.Beg >= r.End {
 		return
 	}
-	t := crewTask{r: r, deg: deg}
+	t := task{r: r, deg: deg}
 	if m := c.m; m != nil {
 		m.TasksSubmitted.Inc()
 		m.TaskDegreeSum.Observe(deg)
@@ -272,14 +318,11 @@ func (c *Crew) work(worker int) {
 // runTask executes one queued range under a per-task recovery scope. The
 // deferred calls are open-coded (no heap allocation on the non-panic
 // path), keeping the serving alloc budget intact.
-func (c *Crew) runTask(t crewTask, worker int) {
+func (c *Crew) runTask(t task, worker int) {
 	defer c.taskDone()
 	defer c.recoverTask(worker)
-	if c.failed.Load() {
-		return // drain without running after a panic or stall
-	}
-	if stop := c.stop; stop != nil && stop() {
-		return // drain without running after a cancel
+	if c.quiesced() {
+		return // drain without running after a panic, stall or stop
 	}
 	if err := fault.Inject(fault.WorkerTask); err != nil {
 		// Workers have no error channel; injected error-action faults at
@@ -322,7 +365,7 @@ func (c *Crew) recoverTask(worker int) {
 func (c *Crew) runRange(r Range, worker int) {
 	need, process := c.need, c.process
 	for u := r.Beg; u < r.End; u++ {
-		if need(u) {
+		if need == nil || need(u) {
 			process(u, worker)
 		}
 	}

@@ -2,29 +2,37 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ppscan/internal/obsv"
+	"ppscan/internal/result"
 )
 
 // TestCrewProcessesAllVertices: every needed vertex is processed exactly
-// once per phase, across several phases reusing the same crew.
+// once per phase, across several phases — of both cuts — reusing the same
+// crew.
 func TestCrewProcessesAllVertices(t *testing.T) {
 	c := NewCrew(4)
 	defer c.Close()
 	const n = int32(10_000)
 	deg := func(u int32) int32 { return u % 97 }
-	for phase := 0; phase < 5; phase++ {
+	need := func(u int32) bool { return u%3 != 0 }
+	for phase := 0; phase < 6; phase++ {
 		var hits [n]int32
-		need := func(u int32) bool { return u%3 != 0 }
-		c.ForEachVertex(Options{DegreeThreshold: 512}, n, need,
-			deg,
-			func(u int32, worker int) { atomic.AddInt32(&hits[u], 1) },
-			nil)
+		process := func(u int32, worker int) { atomic.AddInt32(&hits[u], 1) }
+		var err error
+		if phase%2 == 0 {
+			err = c.ForEachVertex(Options{DegreeThreshold: 512}, n, need, deg, process, nil)
+		} else {
+			err = c.ForEachVertexStatic(Options{}, n, need, process, nil)
+		}
+		if err != nil {
+			t.Fatalf("phase %d: %v", phase, err)
+		}
 		for u := int32(0); u < n; u++ {
 			want := int32(1)
 			if u%3 == 0 {
@@ -37,80 +45,78 @@ func TestCrewProcessesAllVertices(t *testing.T) {
 	}
 }
 
-// TestCrewStop: once stop reports true, the coordinator stops submitting
-// and workers drain queued tasks without running them, so the phase ends
-// early with only a prefix processed.
-func TestCrewStop(t *testing.T) {
-	c := NewCrew(2)
-	defer c.Close()
-	const n = int32(100_000)
-	var processed atomic.Int64
-	var stopped atomic.Bool
-	c.ForEachVertex(Options{DegreeThreshold: 64}, n,
-		func(int32) bool { return true },
-		func(int32) int32 { return 1 },
-		func(u int32, worker int) {
-			if processed.Add(1) > 500 {
-				stopped.Store(true)
-			}
-		},
-		stopped.Load)
-	if got := processed.Load(); got >= int64(n) {
-		t.Fatalf("processed %d vertices, want early stop well below %d", got, n)
-	}
-}
-
 // TestCrewEmptyAndTinyPhases: n <= 0 and all-filtered phases complete
 // without submitting, and a single-vertex phase works.
 func TestCrewEmptyAndTinyPhases(t *testing.T) {
 	c := NewCrew(3)
 	defer c.Close()
-	c.ForEachVertex(Options{}, 0, func(int32) bool { return true },
-		func(int32) int32 { return 1 }, func(int32, int) { t.Error("processed vertex of empty phase") }, nil)
+	c.ForEachVertex(Options{}, 0, always, unit, func(int32, int) { t.Error("processed vertex of empty phase") }, nil)
 	c.ForEachVertex(Options{}, 100, func(int32) bool { return false },
-		func(int32) int32 { return 1 }, func(int32, int) { t.Error("processed filtered vertex") }, nil)
+		unit, func(int32, int) { t.Error("processed filtered vertex") }, nil)
 	ran := false
-	c.ForEachVertex(Options{}, 1, func(int32) bool { return true },
-		func(int32) int32 { return 1 }, func(u int32, w int) { ran = u == 0 }, nil)
+	c.ForEachVertex(Options{}, 1, always, unit, func(u int32, w int) { ran = u == 0 }, nil)
 	if !ran {
 		t.Fatal("single-vertex phase did not run")
 	}
 }
 
-// TestCrewMetrics: instruments fire like Pool's — every needed vertex's
-// degree lands in exactly one task, ranges tile [0, n), and the timed path
-// (queue wait + worker busy) engages.
-func TestCrewMetrics(t *testing.T) {
-	reg := obsv.New()
-	m := &Metrics{
-		TasksSubmitted: reg.Counter("sched.tasks_submitted"),
-		TaskDegreeSum:  reg.Histogram("sched.task_degree_sum"),
-		TaskVertices:   reg.Histogram("sched.task_vertices"),
-		QueueWaitNs:    reg.Histogram("sched.queue_wait_ns"),
-		WorkerBusyNs:   reg.Sharded("sched.worker_busy_ns", 2),
-	}
-	c := NewCrew(2)
+// TestCrewSurvivesPanic: a contained panic costs the phase, not the crew —
+// its workers serve the next phase, whose result is exact.
+func TestCrewSurvivesPanic(t *testing.T) {
+	c := NewCrew(3)
 	defer c.Close()
-	const n = int32(4096)
-	c.ForEachVertex(Options{DegreeThreshold: 100, Metrics: m}, n,
-		func(int32) bool { return true },
-		func(int32) int32 { return 3 },
-		func(int32, int) {}, nil)
-	tasks := m.TasksSubmitted.Value()
-	if tasks == 0 {
-		t.Fatal("no tasks counted")
+	const n = int32(5000)
+	for _, static := range []bool{false, true} {
+		phase := func(process func(int32, int)) error {
+			if static {
+				return c.ForEachVertexStatic(Options{Phase: "p"}, n, nil, process, nil)
+			}
+			return c.ForEachVertex(Options{Phase: "p", DegreeThreshold: 32}, n, always, unit, process, nil)
+		}
+		var wpe *result.WorkerPanicError
+		if err := phase(func(u int32, w int) { panic(u) }); !errors.As(err, &wpe) {
+			t.Fatalf("static=%v: err = %v, want *result.WorkerPanicError", static, err)
+		}
+		var processed atomic.Int64
+		if err := phase(func(int32, int) { processed.Add(1) }); err != nil {
+			t.Fatalf("static=%v: phase after a contained panic: %v", static, err)
+		}
+		if got := processed.Load(); got != int64(n) {
+			t.Errorf("static=%v: phase after a contained panic processed %d of %d", static, got, n)
+		}
 	}
-	if got := m.TaskVertices.Sum(); got != int64(n) {
-		t.Fatalf("task vertices sum %d, want %d", got, n)
-	}
-	if got := m.TaskDegreeSum.Sum(); got != 3*int64(n) {
-		t.Fatalf("task degree sum %d, want %d", got, 3*int64(n))
-	}
-	if got := m.QueueWaitNs.Count(); got != tasks {
-		t.Fatalf("queue-wait observations %d, want %d", got, tasks)
-	}
-	if m.WorkerBusyNs.Value() <= 0 {
-		t.Fatal("worker busy time not recorded")
+}
+
+// TestCrewWatchdog: with a StallTimeout, a phase — of either cut — whose
+// tasks stop completing is abandoned with result.ErrStalled within a few
+// windows, and the crew refuses further phases.
+func TestCrewWatchdog(t *testing.T) {
+	for _, static := range []bool{false, true} {
+		c := NewCrew(2)
+		hang := make(chan struct{})
+		opt := Options{StallTimeout: 20 * time.Millisecond}
+		process := func(int32, int) { <-hang }
+		start := time.Now()
+		var err error
+		if static {
+			err = c.ForEachVertexStatic(opt, 100, nil, process, nil)
+		} else {
+			err = c.ForEachVertex(opt, 100, always, unit, process, nil)
+		}
+		if !errors.Is(err, result.ErrStalled) {
+			t.Fatalf("static=%v: err = %v, want result.ErrStalled", static, err)
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Errorf("static=%v: stall detected after %v", static, el)
+		}
+		if !c.Abandoned() {
+			t.Errorf("static=%v: crew not abandoned after a stall", static)
+		}
+		if err := c.ForEachVertex(Options{}, 10, always, unit, func(int32, int) {}, nil); !errors.Is(err, result.ErrStalled) {
+			t.Errorf("static=%v: abandoned crew ran a phase: %v", static, err)
+		}
+		close(hang) // the zombie tasks return; Close lets the workers exit
+		c.Close()
 	}
 }
 
@@ -129,9 +135,7 @@ func TestCrewConcurrentWorkersUsed(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	workers := map[int]bool{}
-	c.ForEachVertex(Options{DegreeThreshold: 16}, 50_000,
-		func(int32) bool { return true },
-		func(int32) int32 { return 1 },
+	c.ForEachVertex(Options{DegreeThreshold: 16}, 50_000, always, unit,
 		func(u int32, w int) {
 			mu.Lock()
 			workers[w] = true

@@ -4,7 +4,7 @@
 // A task is a vertex range [beg, end). The master goroutine walks the vertex
 // set, accumulating the degrees of vertices that still require computation
 // (per a caller-supplied predicate); when the accumulated degree sum exceeds
-// a threshold, the range so far is submitted to a worker pool. Workers
+// a threshold, the range so far is submitted to the workers. Workers
 // re-check the predicate per vertex (it may have been satisfied by pruning
 // in an earlier phase) and invoke the vertex computation.
 //
@@ -13,19 +13,19 @@
 // neighbors; it achieves load balance at negligible scheduling cost, and the
 // contiguous ranges preserve the adjacent memory access patterns of the CSR
 // arrays (§4.4).
+//
+// Crew is the one executor: its workers, task queue, barrier, fault
+// containment and watchdog serve both the degree-based cut and the static
+// one-block-per-worker cut (the scheduler ablation's baseline).
+// ForEachVertexCtx and ForEachVertexStatic run one phase on a short-lived
+// crew for callers without a workspace to keep one in.
 package sched
 
 import (
 	"context"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ppscan/internal/fault"
 	"ppscan/internal/obsv"
-	"ppscan/internal/result"
 )
 
 // DefaultDegreeThreshold is the task-granularity constant tuned in the
@@ -40,11 +40,11 @@ type Range struct {
 
 // Metrics is the scheduler's telemetry sink. Every field is optional: a
 // nil instrument (or a nil *Metrics) disables that measurement, and the
-// pool then skips the associated clock reads entirely. The instruments
+// crew then skips the associated clock reads entirely. The instruments
 // come from an obsv.Registry so the same numbers surface in /metrics and
 // the end-of-run registry snapshot.
 type Metrics struct {
-	// TasksSubmitted counts non-empty range tasks handed to the pool.
+	// TasksSubmitted counts non-empty range tasks handed to the workers.
 	TasksSubmitted *obsv.Counter
 	// TaskDegreeSum observes each task's accumulated degree sum — the
 	// workload estimate Algorithm 5 balances on (its distribution shows
@@ -68,7 +68,7 @@ type Metrics struct {
 	// "task".
 	SpanName string
 	// TIDOffset shifts worker track ids in the trace (so multiple phases
-	// or pools can share one tracer with the coordinator on track 0).
+	// or crews can share one tracer with the coordinator on track 0).
 	TIDOffset int
 }
 
@@ -87,8 +87,9 @@ func (m *Metrics) spanName() string {
 
 // Options configures a scheduling run.
 type Options struct {
-	// Workers is the number of worker goroutines; values < 1 default to
-	// runtime.GOMAXPROCS(0).
+	// Workers is the number of worker goroutines ForEachVertexCtx starts;
+	// values < 1 default to runtime.GOMAXPROCS(0). A Crew's own worker
+	// count, fixed by NewCrew, applies to its phases instead.
 	Workers int
 	// DegreeThreshold is the degree-sum task granularity; values < 1
 	// default to DefaultDegreeThreshold.
@@ -98,329 +99,49 @@ type Options struct {
 	// Phase labels the phase for fault reporting: a contained worker
 	// panic carries it in result.WorkerPanicError.Phase. Optional.
 	Phase string
-	// StallTimeout arms the Crew barrier's watchdog: a phase in which no
-	// task completes for this long is abandoned with result.ErrStalled.
-	// Zero (the default) waits indefinitely. Crew only — the per-phase
-	// Pool path ignores it.
+	// StallTimeout arms the barrier's watchdog: a phase in which no task
+	// completes for this long is abandoned with result.ErrStalled. Zero
+	// (the default) waits indefinitely.
 	StallTimeout time.Duration
 }
 
-func (o Options) normalized() Options {
-	if o.Workers < 1 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.DegreeThreshold < 1 {
-		o.DegreeThreshold = DefaultDegreeThreshold
-	}
-	return o
-}
-
-// ForEachVertex runs process(u, worker) for every u in [0, n) with
-// need(u) == true at processing time, parallelized per Algorithm 5.
-//
-//   - need is evaluated twice per vertex, once by the master when sizing
-//     tasks and once by the worker right before processing, mirroring the
-//     paper's role[u] == Unknown double check. It must be safe to call
-//     concurrently with process on *other* vertices.
-//   - deg(u) supplies the workload estimate (the vertex degree).
-//   - process receives the worker index in [0, Workers) so callers can keep
-//     per-worker scratch state without synchronization.
-//
-// ForEachVertex blocks until every submitted task completes (the paper's
-// JoinThreadPool barrier). A panic inside process is contained and
-// returned as a *result.WorkerPanicError; nil means a clean run.
-func ForEachVertex(opt Options, n int32, need func(int32) bool, deg func(int32) int32, process func(u int32, worker int)) error {
-	return ForEachVertexCtx(context.Background(), opt, n, need, deg, process)
-}
-
-// ForEachVertexCtx is ForEachVertex with cooperative cancellation: when ctx
-// is cancelled, the master stops submitting tasks, queued tasks drain
-// without running, and in-flight tasks finish their current range before
-// the pool joins. Cancellation granularity is therefore one task batch
-// (~DegreeThreshold accumulated degree), the unit Algorithm 5 schedules.
-// Returns a *result.WorkerPanicError when a worker panicked (the panic is
-// contained; see Pool), ctx.Err() when the run was cut short, nil
-// otherwise.
+// ForEachVertexCtx runs one Crew.ForEachVertex phase on a crew of
+// opt.Workers that lives for the call: process(u, worker) for every u in
+// [0, n) with need(u) true, scheduled per Algorithm 5, worker in
+// [0, opt.Workers). When ctx is cancelled the coordinator stops cutting
+// tasks, queued tasks drain without running and in-flight tasks finish
+// their range, so cancellation granularity is one task (~DegreeThreshold
+// accumulated degree). Returns a *result.WorkerPanicError when process
+// panicked (contained; see Crew), result.ErrStalled when opt.StallTimeout
+// expired, ctx.Err() when the run was cut short, nil otherwise.
 func ForEachVertexCtx(ctx context.Context, opt Options, n int32, need func(int32) bool, deg func(int32) int32, process func(u int32, worker int)) error {
-	opt = opt.normalized()
 	if n <= 0 {
 		return nil
 	}
-	//lint:allowalloc one closure per phase launch on the per-phase-pool path; serving runs on the persistent Crew
-	pool := NewPoolObserved(opt.Workers, opt.Metrics, func(r Range, worker int) {
-		for u := r.Beg; u < r.End; u++ {
-			if need(u) {
-				process(u, worker)
-			}
-		}
-	})
-	pool.phase = opt.Phase
-	if ctx != nil && ctx.Done() != nil {
-		release := context.AfterFunc(ctx, pool.Cancel)
-		defer release()
+	c := NewCrew(opt.Workers)
+	defer c.Close()
+	var stop func() bool
+	if ctx.Done() != nil {
+		//lint:allowalloc one closure per short-lived crew; serving runs on a workspace's persistent crew
+		stop = func() bool { return ctx.Err() != nil }
 	}
-	var degSum int64
-	beg := int32(0)
-	for u := int32(0); u < n; u++ {
-		// The cancellation flag is polled once per submission and every
-		// 8192 vertices (the master loop is otherwise a tight accumulation
-		// over skipped vertices).
-		if u&8191 == 0 && pool.quiesced() {
-			break
-		}
-		if !need(u) {
-			continue
-		}
-		degSum += int64(deg(u))
-		if degSum > opt.DegreeThreshold {
-			pool.submit(Range{Beg: beg, End: u + 1}, degSum)
-			degSum = 0
-			beg = u + 1
-			if pool.quiesced() {
-				break
-			}
-		}
-	}
-	if !pool.quiesced() {
-		pool.submit(Range{Beg: beg, End: n}, degSum)
-	}
-	if err := pool.Join(); err != nil {
+	if err := c.ForEachVertex(opt, n, need, deg, process, stop); err != nil {
 		return err
 	}
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
+	return ctx.Err()
 }
 
-// ForEachVertexStatic runs process for every vertex in [0, n) using fixed
-// equal-size blocks instead of degree-based sizing. It exists as the
-// ablation baseline for the scheduler experiment ("static" scheduling) and
-// for phases whose per-vertex cost is uniform. A panic inside process is
-// contained and returned as a *result.WorkerPanicError (phase "static");
-// unlike the dynamic schedulers there is no drain — each block runs to
-// its panic or completion independently.
+// ForEachVertexStatic runs one Crew.ForEachVertexStatic phase — every
+// vertex in [0, n), one equal block per worker — on a crew of workers
+// (< 1 means GOMAXPROCS) that lives for the call. It is the scheduler
+// ablation's baseline and serves phases whose per-vertex cost is uniform.
+// A panic inside process is contained and returned as a
+// *result.WorkerPanicError (phase "static").
 func ForEachVertexStatic(workers int, n int32, process func(u int32, worker int)) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if n <= 0 {
 		return nil
 	}
-	if int32(workers) > n {
-		workers = int(n)
-	}
-	var wg sync.WaitGroup
-	var panicErr atomic.Pointer[result.WorkerPanicError]
-	chunk := (n + int32(workers) - 1) / int32(workers)
-	for w := 0; w < workers; w++ {
-		beg := int32(w) * chunk
-		if beg >= n {
-			break
-		}
-		end := beg + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		//lint:allowalloc one goroutine+closure per static block per phase; static mode trades this for zero queue traffic
-		go func(beg, end int32, worker int) {
-			defer wg.Done()
-			defer recoverStatic(&panicErr, worker)
-			if err := fault.Inject(fault.WorkerTask); err != nil {
-				panic(err)
-			}
-			for u := beg; u < end; u++ {
-				process(u, worker)
-			}
-		}(beg, end, w)
-	}
-	//lint:chanwait static blocks run a bounded vertex range each with deferred recovery; every Done is reached
-	wg.Wait()
-	if wpe := panicErr.Load(); wpe != nil {
-		return wpe
-	}
-	return nil
-}
-
-// recoverStatic is the deferred recovery for static blocks: first panic
-// wins, the goroutine dies quietly, the other blocks run to completion.
-func recoverStatic(panicErr *atomic.Pointer[result.WorkerPanicError], worker int) {
-	if r := recover(); r != nil {
-		//lint:allowalloc panic containment path only; never taken on a healthy run
-		panicErr.CompareAndSwap(nil, &result.WorkerPanicError{
-			Phase:  "static",
-			Worker: worker,
-			Value:  r,
-			Stack:  debug.Stack(),
-		})
-	}
-}
-
-// task is one queued unit of work: the vertex range, its degree-sum
-// workload estimate, and (when the pool is observed) the submit time used
-// to measure queue wait.
-type task struct {
-	r        Range
-	deg      int64
-	submitAt time.Time
-}
-
-// Pool is a fixed worker pool consuming Range tasks. It is created per
-// phase; Submit enqueues, Join closes the queue and waits for drain.
-//
-// Fault containment mirrors Crew's: each task runs under a recover, a
-// panicking task records a *result.WorkerPanicError (first wins) and
-// trips the failed flag so remaining tasks drain, and Join returns the
-// recorded error.
-type Pool struct {
-	tasks chan task
-	wg    sync.WaitGroup
-	m     *Metrics
-	run   func(r Range, worker int)
-	phase string
-	// canceled makes workers drain queued tasks without running them; the
-	// flag is checked once per task, so a cancelled pool quiesces after at
-	// most one in-flight range per worker.
-	canceled atomic.Bool
-	// failed is canceled's panic-path twin; panicErr holds the first
-	// recovered panic; progress counts completed tasks.
-	failed   atomic.Bool
-	panicErr atomic.Pointer[result.WorkerPanicError]
-	progress atomic.Uint64
-	// Submitted counts tasks submitted, for scheduler introspection tests.
-	submitted int
-}
-
-// NewPool starts workers goroutines running run on submitted ranges.
-func NewPool(workers int, run func(r Range, worker int)) *Pool {
-	return NewPoolObserved(workers, nil, run)
-}
-
-// NewPoolObserved is NewPool with telemetry: queue wait, per-worker busy
-// time and one trace span per task. With m == nil (or all-nil fields) the
-// workers take no clock reads and behave exactly like NewPool's.
-//
-//lint:allowalloc pool construction: one channel plus one goroutine per worker per phase; the serving path uses the persistent Crew instead
-func NewPoolObserved(workers int, m *Metrics, run func(r Range, worker int)) *Pool {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{tasks: make(chan task, 4*workers), m: m, run: run}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.work(w)
-	}
-	return p
-}
-
-func (p *Pool) work(worker int) {
-	defer p.wg.Done()
-	// recover() lives in runTask's deferred recoverTask — one recovery
-	// scope per task, so a panic never kills the worker goroutine.
-	//lint:panicsafe per-task recovery in runTask via recoverTask; the loop itself cannot panic
-	for t := range p.tasks {
-		p.runTask(t, worker)
-	}
-}
-
-// runTask executes one queued range under a per-task recovery scope.
-func (p *Pool) runTask(t task, worker int) {
-	defer p.recoverTask(worker)
-	if p.canceled.Load() || p.failed.Load() {
-		return // drain without running
-	}
-	if err := fault.Inject(fault.WorkerTask); err != nil {
-		// Workers have no error channel; injected error-action faults at
-		// this point surface through the same containment path as panics.
-		panic(err)
-	}
-	if m := p.m; m.timed() {
-		start := time.Now()
-		m.QueueWaitNs.Observe(start.Sub(t.submitAt).Nanoseconds())
-		sp := m.Tracer.Begin(m.spanName(), m.TIDOffset+worker)
-		p.run(t.r, worker)
-		// EndTask defers the args-map build to trace export, so recording
-		// the span stays allocation-free on the serving path.
-		sp.EndTask(t.r.Beg, t.r.End, t.deg)
-		busy := time.Since(start).Nanoseconds()
-		m.TaskDurNs.Observe(busy)
-		m.WorkerBusyNs.Add(worker, busy)
-	} else {
-		p.run(t.r, worker)
-	}
-	p.progress.Add(1)
-}
-
-// recoverTask converts a task panic into a recorded error and trips the
-// failed flag so the phase quiesces like a cancelled one.
-func (p *Pool) recoverTask(worker int) {
-	if r := recover(); r != nil {
-		//lint:allowalloc panic containment path only; never taken on a healthy run
-		p.panicErr.CompareAndSwap(nil, &result.WorkerPanicError{
-			Phase:  p.phase,
-			Worker: worker,
-			Value:  r,
-			Stack:  debug.Stack(),
-		})
-		p.failed.Store(true)
-	}
-}
-
-// Submit enqueues a task; empty ranges are dropped.
-func (p *Pool) Submit(r Range) {
-	p.submit(r, 0)
-}
-
-// submit enqueues a task with its degree-sum workload estimate.
-func (p *Pool) submit(r Range, deg int64) {
-	if r.Beg >= r.End {
-		return
-	}
-	p.submitted++
-	t := task{r: r, deg: deg}
-	if m := p.m; m != nil {
-		m.TasksSubmitted.Inc()
-		m.TaskDegreeSum.Observe(deg)
-		m.TaskVertices.Observe(int64(r.End - r.Beg))
-		if m.timed() {
-			t.submitAt = time.Now()
-		}
-	}
-	p.tasks <- t
-}
-
-// Submitted returns the number of non-empty tasks submitted so far. Only
-// the submitting goroutine may call it.
-func (p *Pool) Submitted() int {
-	return p.submitted
-}
-
-// Cancel makes the pool drain remaining queued tasks without running them.
-// In-flight tasks finish their current range. Safe to call from any
-// goroutine, including a context.AfterFunc.
-func (p *Pool) Cancel() { p.canceled.Store(true) }
-
-// Canceled reports whether Cancel has been called.
-func (p *Pool) Canceled() bool { return p.canceled.Load() }
-
-// quiesced reports whether the pool is draining (cancelled or failed),
-// i.e. submitting further tasks is pointless.
-func (p *Pool) quiesced() bool { return p.canceled.Load() || p.failed.Load() }
-
-// Progress returns the number of tasks completed so far (monotone; the
-// phase watchdog samples it to detect stalls).
-func (p *Pool) Progress() uint64 { return p.progress.Load() }
-
-// Join closes the queue and blocks until all workers finish. It returns
-// the first contained worker panic as a *result.WorkerPanicError, or nil
-// for a clean (or merely cancelled) run.
-func (p *Pool) Join() error {
-	close(p.tasks)
-	//lint:chanwait workers exit when the just-closed tasks channel drains; panics are contained by recoverWorker
-	p.wg.Wait()
-	if wpe := p.panicErr.Load(); wpe != nil {
-		return wpe
-	}
-	return nil
+	c := NewCrew(workers)
+	defer c.Close()
+	return c.ForEachVertexStatic(Options{Phase: "static"}, n, nil, process, nil)
 }

@@ -272,9 +272,6 @@ func (c *Coordinator) Publish(g *graph.Graph) {
 // Epoch returns the coordinator's current epoch.
 func (c *Coordinator) Epoch() uint64 { return c.snap.Load().epoch }
 
-// NumShards returns the fleet's partition count.
-func (c *Coordinator) NumShards() int { return len(c.fleet) }
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.opt.Logf != nil {
 		c.opt.Logf(format, args...)

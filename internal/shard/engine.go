@@ -42,7 +42,7 @@ func (distEngine) RunContext(ctx context.Context, g *graph.Graph, th simdef.Thre
 	shards := make([][]string, p)
 	//lint:ctxok p-iteration fleet setup before the first round
 	for s := range shards {
-		// One sim-block goroutine per partition: the partitions are the
+		// One similarity-pass worker per partition: the partitions are the
 		// parallelism, as in the BSP systems this stands in for.
 		w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: p, Workers: 1, Kernel: kern, Registry: opt.Registry})
 		if err != nil {
@@ -82,9 +82,10 @@ func init() { engine.Register(distEngine{}) }
 // loopback is an http.RoundTripper that serves each request in-process on
 // the handler registered for its URL host. It behaves like a network as
 // far as the coordinator's fault ladder can tell: the request context
-// bounds the wait (the handler is left to finish on its own, like a
-// server that lost its client), and a handler that panics — net/http's
-// severed connection — comes back as a transport error.
+// bounds the wait (the handler sees it end, like a server that lost its
+// client, and whatever it answers after that is dropped), and a handler
+// that panics — net/http's severed connection — comes back as a transport
+// error.
 type loopback map[string]http.Handler
 
 func (lb loopback) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -106,6 +107,9 @@ func (lb loopback) RoundTrip(req *http.Request) (*http.Response, error) {
 	}()
 	select {
 	case err := <-done:
+		if cerr := req.Context().Err(); cerr != nil {
+			return nil, cerr // both cases were ready: the client had already hung up
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -139,7 +139,7 @@ func TestEngineDeadline(t *testing.T) {
 	checkAborted(t, res, err, context.DeadlineExceeded)
 }
 
-// TestWorkerPanicAnswers500 pins the status of a contained sim-block panic:
+// TestWorkerPanicAnswers500 pins the status of a contained sim-task panic:
 // it is the worker's fault, so 500 internal_error, not 400 bad_request.
 func TestWorkerPanicAnswers500(t *testing.T) {
 	overBoth(t, func(t *testing.T, transport string) {

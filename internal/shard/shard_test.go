@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,10 +17,12 @@ import (
 	"ppscan/graph"
 	"ppscan/internal/algotest"
 	"ppscan/internal/fault"
+	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
+	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
 )
 
@@ -564,6 +569,72 @@ func testQueryCancellation(t *testing.T, transport string) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
+	}
+}
+
+// TestStepContextStopsSimPass: a worker's similarity pass runs under the
+// step request's context. When the coordinator's StepTimeout fires or the
+// client hangs up mid-pass, the pass stops within one task per core — it
+// used to keep every core busy to the end — and leaves no half-computed
+// state behind: the next query for that key recomputes and is exact.
+func TestStepContextStopsSimPass(t *testing.T) {
+	t.Cleanup(fault.Disable)
+	const workers = 2
+	g := gen.Roll(60_000, 32, 13)
+	w, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 1, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&StepRequest{Round: RoundSim, Epoch: g.Epoch(), Eps: "0.5", Mu: 4}); err != nil {
+		t.Fatal(err)
+	}
+	// Every executed task is one worker_task hit; the zero-length delay
+	// rule makes them countable.
+	tasks := func() uint64 { return fault.Snapshot().Delays }
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 1, Every: 1}}})
+	start := tasks()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	atCancel := make(chan uint64, 1)
+	go func() {
+		for tasks() == start {
+			runtime.Gosched() // until the pass's first task runs
+		}
+		cancel()
+		atCancel <- tasks()
+	}()
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathStep, &body).WithContext(ctx))
+	end, stopped := tasks(), <-atCancel
+	fault.Disable()
+	if rec.Code == http.StatusOK {
+		t.Fatalf("cancelled sim round answered 200 after %d tasks", end-start)
+	}
+	// A task that passed its stop check before the cancel still runs; there
+	// is at most one of those per core.
+	if end-stopped > workers {
+		t.Errorf("%d tasks started after the cancel, want at most %d", end-stopped, workers)
+	}
+	total := uint64(g.NumDirectedEdges() / sched.DefaultDegreeThreshold)
+	if end-start >= total {
+		t.Errorf("cancelled pass ran %d tasks of about %d: it did not stop", end-start, total)
+	}
+
+	addrs, client, _ := mount(t, overLoopback, [][]http.Handler{{w.Handler()}})
+	c, err := NewCoordinator(g, Options{Shards: addrs, Client: client, HeartbeatEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Run(context.Background(), "0.5", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := result.Equal(reference(g, mustTh(t, "0.5", 4)), got); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.misses.Value(); got != 2 {
+		t.Errorf("state misses = %d, want 2: the aborted pass must not count as ready", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
@@ -9,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -18,6 +18,7 @@ import (
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
+	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
 )
 
@@ -109,8 +110,9 @@ type stateKey struct {
 // queryState caches the shard-local similarity pass for one stateKey. sim
 // holds the owned directed-edge range [Off[lo], Off[hi)) rebased to 0;
 // outbox holds the mirror messages for other shards. ready flips once the
-// local pass completed; a panic during compute leaves ready false so the
-// next request recomputes instead of serving torn state.
+// local pass completed; a pass cut short — a contained panic, or the step
+// request's context ending — leaves ready false so the next request
+// recomputes instead of serving torn state.
 type queryState struct {
 	mu      sync.Mutex
 	ready   bool
@@ -326,11 +328,11 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		reject(rw, http.StatusInternalServerError, rejectInjectedHalt, err, 0)
 		return
 	}
-	resp, err := w.step(sn, &req)
+	resp, err := w.step(r.Context(), sn, &req)
 	if err != nil {
 		status, kind := http.StatusBadRequest, rejectBadRequest
 		var wpe *result.WorkerPanicError
-		if errors.As(err, &wpe) { // a contained sim-block panic: the worker's fault, not the request's
+		if errors.As(err, &wpe) { // a contained sim-task panic: the worker's fault, not the request's
 			status, kind = http.StatusInternalServerError, rejectInternalErr
 		}
 		reject(rw, status, kind, err, 0)
@@ -343,13 +345,14 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	_ = gob.NewEncoder(rw).Encode(resp)
 }
 
-// step executes one self-contained round against the generation sn.
-func (w *Worker) step(sn *snapState, req *StepRequest) (*StepResponse, error) {
+// step executes one self-contained round against the generation sn; ctx
+// (the step request's) bounds the similarity pass a state miss runs.
+func (w *Worker) step(ctx context.Context, sn *snapState, req *StepRequest) (*StepResponse, error) {
 	th, err := simdef.NewThreshold(req.Eps, req.Mu)
 	if err != nil {
 		return nil, fmt.Errorf("bad parameters: %w", err)
 	}
-	st, err := w.ensure(sn, req, th)
+	st, err := w.ensure(ctx, sn, req, th)
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +394,7 @@ func (w *Worker) step(sn *snapState, req *StepRequest) (*StepResponse, error) {
 // computing the shard-local pass if the cache misses — which is exactly
 // how a restarted worker catches up mid-query: the pass is deterministic,
 // so recomputing it yields bit-identical state.
-func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*queryState, error) {
+func (w *Worker) ensure(ctx context.Context, sn *snapState, req *StepRequest, th simdef.Threshold) (*queryState, error) {
 	key := stateKey{epoch: req.Epoch, eps: th.Eps.String(), mu: req.Mu}
 	w.mu.Lock()
 	st, ok := w.states[key]
@@ -399,6 +402,7 @@ func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*
 		st = &queryState{}
 		w.states[key] = st
 		w.order = append(w.order, key)
+		//lint:ctxok evicts the one entry just pushed past StateCache
 		for len(w.order) > w.opt.StateCache {
 			delete(w.states, w.order[0])
 			w.order = w.order[1:]
@@ -412,7 +416,7 @@ func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*
 		return st, nil
 	}
 	w.misses.Inc()
-	if err := w.computeLocal(sn, st, th); err != nil {
+	if err := w.computeLocal(ctx, sn, st, th); err != nil {
 		return nil, err
 	}
 	st.ready = true
@@ -422,79 +426,51 @@ func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*
 // computeLocal runs the shard-local similarity pass: every undirected edge
 // whose smaller endpoint u is owned gets its value computed once; the
 // mirror slot is written locally when the larger endpoint is owned too,
-// and emitted as an outbox message otherwise. Parallel over vertex blocks.
-func (w *Worker) computeLocal(sn *snapState, st *queryState, th simdef.Threshold) error {
+// and emitted as an outbox message otherwise. One Algorithm 5 phase over
+// the owned range: tasks own disjoint vertices, so all sim writes are
+// disjoint, and each worker appends to a private outbox. When ctx ends the
+// pass stops within one task and returns ctx.Err().
+func (w *Worker) computeLocal(ctx context.Context, sn *snapState, st *queryState, th simdef.Threshold) error {
 	g := sn.g
 	st.simBase = g.Off[sn.lo]
 	st.sim = make([]simdef.EdgeSim, g.Off[sn.hi]-st.simBase)
+	outs := make([][]SimMsg, w.opt.Workers)
+	err := sched.ForEachVertexCtx(ctx,
+		sched.Options{Workers: w.opt.Workers, Phase: "shard " + RoundSim},
+		sn.hi-sn.lo, nil,
+		func(i int32) int32 { return g.Degree(sn.lo + i) },
+		func(i int32, worker int) { simVertex(sn, st, th, sn.lo+i, w.opt.Kernel, &outs[worker]) })
+	if err != nil {
+		return err
+	}
+	// Outbox order is not protocol: applyInbox addresses slots by (V, U).
 	st.outbox = st.outbox[:0]
-
-	nw := w.opt.Workers
-	span := sn.hi - sn.lo
-	if int32(nw) > span {
-		nw = int(span)
-	}
-	// Static block split; each goroutine owns a disjoint vertex range, so
-	// all sim writes are disjoint and each builds a private outbox.
-	outs := make([][]SimMsg, nw)
-	var wg sync.WaitGroup
-	var panicErr atomic.Pointer[result.WorkerPanicError]
-	for i := 0; i < nw; i++ {
-		a := sn.lo + int32(i)*span/int32(nw)
-		b := sn.lo + int32(i+1)*span/int32(nw)
-		wg.Add(1)
-		go func(i int, a, b int32) {
-			defer wg.Done()
-			defer recoverSim(&panicErr, i)
-			if err := fault.Inject(fault.WorkerTask); err != nil {
-				// Block goroutines have no error channel; injected
-				// error-action faults surface as contained panics.
-				panic(err)
-			}
-			outs[i] = simBlock(sn, st, th, a, b, w.opt.Kernel, nil)
-		}(i, a, b)
-	}
-	//lint:chanwait bounded: the block goroutines run finite vertex loops under panic containment
-	wg.Wait()
-	if wpe := panicErr.Load(); wpe != nil {
-		return wpe
-	}
+	//lint:ctxok bounded by Workers; the pass itself has finished
 	for _, o := range outs {
 		st.outbox = append(st.outbox, o...)
 	}
 	return nil
 }
 
-// recoverSim is the similarity-block goroutine's containment barrier.
-func recoverSim(panicErr *atomic.Pointer[result.WorkerPanicError], worker int) {
-	if v := recover(); v != nil {
-		panicErr.CompareAndSwap(nil, &result.WorkerPanicError{
-			Phase: "shard " + RoundSim, Worker: worker, Value: v, Stack: debug.Stack(),
-		})
-	}
-}
-
-// simBlock computes similarities for owned tails in [a, b).
-func simBlock(sn *snapState, st *queryState, th simdef.Threshold, a, b int32, kernel intersect.Kind, out []SimMsg) []SimMsg {
+// simVertex computes the similarities of owned tail u's edges to larger
+// heads, appending the mirror messages other shards need to *out.
+func simVertex(sn *snapState, st *queryState, th simdef.Threshold, u int32, kernel intersect.Kind, out *[]SimMsg) {
 	g := sn.g
-	for u := a; u < b; u++ {
-		uOff := g.Off[u]
-		nbrs := g.Neighbors(u)
-		for i, v := range nbrs {
-			if v <= u {
-				continue
-			}
-			c := th.Eps.MinCN(g.Degree(u), g.Degree(v))
-			val := intersect.CompSim(kernel, nbrs, g.Neighbors(v), c)
-			st.sim[uOff+int64(i)-st.simBase] = val
-			if v < sn.hi {
-				st.sim[g.EdgeOffset(v, u)-st.simBase] = val
-			} else {
-				out = append(out, SimMsg{V: v, U: u, Val: val})
-			}
+	uOff := g.Off[u]
+	nbrs := g.Neighbors(u)
+	for i, v := range nbrs {
+		if v <= u {
+			continue
+		}
+		c := th.Eps.MinCN(g.Degree(u), g.Degree(v))
+		val := intersect.CompSim(kernel, nbrs, g.Neighbors(v), c)
+		st.sim[uOff+int64(i)-st.simBase] = val
+		if v < sn.hi {
+			st.sim[g.EdgeOffset(v, u)-st.simBase] = val
+		} else {
+			*out = append(*out, SimMsg{V: v, U: u, Val: val})
 		}
 	}
-	return out
 }
 
 // applyInbox writes mirror similarities addressed to this shard. Messages

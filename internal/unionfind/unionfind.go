@@ -196,100 +196,3 @@ func (u *Concurrent) Snapshot() []int32 {
 	}
 	return out
 }
-
-// RankedConcurrent is the rank-linked wait-free union–find closer to
-// Anderson & Woll's original construction: each slot holds either a parent
-// index (value ≥ 0) or, for roots, the encoded rank (value = -(rank+1)).
-// Union links the lower-rank root under the higher-rank one via CAS on the
-// losing root's slot, so tree heights stay O(log n) regardless of union
-// order — the theoretical improvement over Concurrent's index-ordered
-// linking, at the cost of losing the minimum-member-is-root property.
-type RankedConcurrent struct {
-	a []int64
-}
-
-// NewRankedConcurrent creates a ranked union–find over n singletons.
-//
-//lint:allowalloc constructor
-func NewRankedConcurrent(n int32) *RankedConcurrent {
-	u := &RankedConcurrent{a: make([]int64, n)}
-	for i := range u.a {
-		//lint:atomicok quiescent: the structure is not yet published to other goroutines
-		u.a[i] = -1 // root, rank 0
-	}
-	return u
-}
-
-// Find returns the representative of x's set with CAS path halving.
-func (u *RankedConcurrent) Find(x int32) int32 {
-	for {
-		v := atomic.LoadInt64(&u.a[x])
-		if v < 0 {
-			return x
-		}
-		p := int32(v)
-		pv := atomic.LoadInt64(&u.a[p])
-		if pv < 0 {
-			return p
-		}
-		// Point x at its grandparent; failure means someone else already
-		// improved the path.
-		atomic.CompareAndSwapInt64(&u.a[x], v, pv)
-		x = int32(pv)
-	}
-}
-
-// Union merges the sets containing x and y (lock-free, union by rank).
-func (u *RankedConcurrent) Union(x, y int32) {
-	for {
-		rx := u.Find(x)
-		ry := u.Find(y)
-		if rx == ry {
-			return
-		}
-		vx := atomic.LoadInt64(&u.a[rx])
-		vy := atomic.LoadInt64(&u.a[ry])
-		if vx >= 0 || vy >= 0 {
-			continue // a root moved under us; retry with fresh roots
-		}
-		rankX := -(vx + 1)
-		rankY := -(vy + 1)
-		// Order so that (rank, index) of rx is the smaller; rx links under
-		// ry. The index tiebreak prevents two equal-rank roots from
-		// simultaneously linking under each other.
-		if rankX > rankY || (rankX == rankY && rx > ry) {
-			rx, ry = ry, rx
-			vx, vy = vy, vx
-			rankX, rankY = rankY, rankX
-		}
-		if !atomic.CompareAndSwapInt64(&u.a[rx], vx, int64(ry)) {
-			continue
-		}
-		if rankX == rankY {
-			// Bump the winner's rank; benign if it fails (another union
-			// already changed ry).
-			atomic.CompareAndSwapInt64(&u.a[ry], vy, vy-1)
-		}
-		return
-	}
-}
-
-// Same reports whether x and y are currently in the same set, with the
-// same snapshot semantics as Concurrent.Same.
-func (u *RankedConcurrent) Same(x, y int32) bool {
-	for {
-		rx := u.Find(x)
-		ry := u.Find(y)
-		if rx == ry {
-			return true
-		}
-		if atomic.LoadInt64(&u.a[rx]) < 0 {
-			return false
-		}
-	}
-}
-
-// Len returns the number of elements.
-func (u *RankedConcurrent) Len() int32 {
-	return int32(len(u.a))
-}

@@ -208,103 +208,6 @@ func TestUnionOrderIndependenceQuick(t *testing.T) {
 	}
 }
 
-func TestRankedSequentialSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	n := int32(300)
-	s := NewSequential(n)
-	r := NewRankedConcurrent(n)
-	if r.Len() != n {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	for i := 0; i < 800; i++ {
-		x := int32(rng.Intn(int(n)))
-		y := int32(rng.Intn(int(n)))
-		s.Union(x, y)
-		r.Union(x, y)
-	}
-	for x := int32(0); x < n; x++ {
-		for y := x + 1; y < n; y += 13 {
-			if s.Same(x, y) != r.Same(x, y) {
-				t.Fatalf("ranked partition differs at (%d,%d)", x, y)
-			}
-		}
-	}
-}
-
-func TestRankedParallelStress(t *testing.T) {
-	n := int32(2000)
-	type pair struct{ x, y int32 }
-	rng := rand.New(rand.NewSource(17))
-	ops := make([]pair, 20000)
-	for i := range ops {
-		ops[i] = pair{int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))}
-	}
-	r := NewRankedConcurrent(n)
-	var wg sync.WaitGroup
-	workers := 8
-	chunk := len(ops) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if w == workers-1 {
-			hi = len(ops)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, p := range ops[lo:hi] {
-				r.Union(p.x, p.y)
-				_ = r.Same(p.x, p.y)
-				_ = r.Find(p.y)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	s := NewSequential(n)
-	for _, p := range ops {
-		s.Union(p.x, p.y)
-	}
-	for x := int32(0); x < n; x++ {
-		for y := x + 1; y < n; y += 29 {
-			if s.Same(x, y) != r.Same(x, y) {
-				t.Fatalf("ranked concurrent partition differs at (%d,%d)", x, y)
-			}
-		}
-	}
-}
-
-func TestRankedPathsStayShallow(t *testing.T) {
-	// Chain unions in the adversarial order for naive linking; with ranks
-	// the maximum path length must stay O(log n).
-	n := int32(1 << 14)
-	u := NewRankedConcurrent(n)
-	for i := int32(0); i+1 < n; i++ {
-		u.Union(i, i+1)
-	}
-	maxSteps := 0
-	for x := int32(0); x < n; x += 97 {
-		steps := 0
-		cur := x
-		for {
-			v := u.a[cur]
-			if v < 0 {
-				break
-			}
-			cur = int32(v)
-			steps++
-			if steps > 64 {
-				t.Fatalf("path from %d exceeds 64 steps", x)
-			}
-		}
-		if steps > maxSteps {
-			maxSteps = steps
-		}
-	}
-	if maxSteps > 20 { // log2(16384) = 14, plus slack for halving lag
-		t.Errorf("max path length %d too deep for rank linking", maxSteps)
-	}
-}
-
 func BenchmarkSequentialUnionFind(b *testing.B) {
 	n := int32(1 << 16)
 	rng := rand.New(rand.NewSource(1))
@@ -317,24 +220,6 @@ func BenchmarkSequentialUnionFind(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := NewSequential(n)
-		for j := range xs {
-			u.Union(xs[j], ys[j])
-		}
-	}
-}
-
-func BenchmarkRankedConcurrentSingleThread(b *testing.B) {
-	n := int32(1 << 16)
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]int32, 4096)
-	ys := make([]int32, 4096)
-	for i := range xs {
-		xs[i] = int32(rng.Intn(int(n)))
-		ys[i] = int32(rng.Intn(int(n)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := NewRankedConcurrent(n)
 		for j := range xs {
 			u.Union(xs[j], ys[j])
 		}
