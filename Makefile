@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION  ?= v1.1.4
 STATICCHECK          := $(TOOLS_BIN)/staticcheck
 GOVULNCHECK          := $(TOOLS_BIN)/govulncheck
 
-.PHONY: build test vet race cores check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos perf perf-baseline docs-check loc benchmark-test
+.PHONY: build test vet race cores check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos docs-check loc benchmark-test
 
 build:
 	$(GO) build ./...
@@ -87,23 +87,6 @@ chaos:
 	$(GO) test -race -count 1 -run 'TestChaos|TestWatchdog|TestDistscanSuperstepRetry|TestDistscanRetryExhaustion|TestAcceptance|TestServerChaos|TestServerWatchdog|TestHandlerPanic|TestShardChaos' \
 		./internal/engine/ ./internal/server/ ./internal/shard/
 
-# The performance gate (cmd/perfbench + internal/perfgate): measure the
-# canonical suite — per-engine warm/cold latency, warm allocs, P1–P7 phase
-# durations, kernel throughput, server request latency — and compare
-# medians against the newest same-host BENCH_*.json under $(PERF_DIR).
-# Regression beyond tolerance exits non-zero with a per-metric report and
-# does NOT advance the baseline. See OPERATIONS.md §11 for triage.
-PERF_DIR ?= bench
-perf:
-	@mkdir -p $(PERF_DIR)
-	$(GO) run ./cmd/perfbench -dir $(PERF_DIR)
-
-# First recording on a new machine (or an intentional baseline reset after
-# an accepted trade-off): write the report even if the gate would fail.
-perf-baseline:
-	@mkdir -p $(PERF_DIR)
-	$(GO) run ./cmd/perfbench -dir $(PERF_DIR) -force-write
-
 # Documentation drift gate (cmd/docscheck): every flag each CLI binary
 # actually registers must have a backticked `-flag` entry in
 # OPERATIONS.md, every HTTP route the server registers must appear in the
@@ -111,10 +94,10 @@ perf-baseline:
 # `scanlint -list` (both name directions plus each suppression directive).
 # Built from source like scanlint — no network.
 docs-check:
-	$(GO) build -o $(TOOLS_BIN)/ ./cmd/scanserver ./cmd/scanshard ./cmd/ppscan ./cmd/perfbench ./cmd/docscheck ./cmd/scanlint
+	$(GO) build -o $(TOOLS_BIN)/ ./cmd/scanserver ./cmd/scanshard ./cmd/ppscan ./cmd/docscheck ./cmd/scanlint
 	$(TOOLS_BIN)/docscheck -ops OPERATIONS.md -readme README.md \
 		-scanlint $(TOOLS_BIN)/scanlint \
-		$(TOOLS_BIN)/scanserver $(TOOLS_BIN)/scanshard $(TOOLS_BIN)/ppscan $(TOOLS_BIN)/perfbench
+		$(TOOLS_BIN)/scanserver $(TOOLS_BIN)/scanshard $(TOOLS_BIN)/ppscan
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own under
 # benchmark/ that imports ppscan/internal/server, so `go test ./...` never
@@ -138,23 +121,22 @@ loc:
 # detector (the parallel phases, scheduler telemetry and HTTP middleware
 # are all exercised concurrently), the scheduler's dependants at one, two
 # and four cores, the chaos/fault-containment suite, the non-race
-# allocation gate, the benchmark module (outside `./...`, and an importer
-# of internal/server), then the performance gate against the local
-# trajectory.
+# allocation gate, and the benchmark module (outside `./...`, and an
+# importer of internal/server). No step judges a timing: that is the
+# repository benchmark's job (BENCHMARK.json, OPERATIONS.md §11).
 check: vet scanlint staticcheck govulncheck docs-check benchmark-test
 	$(GO) test -race ./...
 	$(MAKE) cores
 	$(MAKE) chaos
 	$(MAKE) alloc-gate
-	$(MAKE) perf
 
 # Benchmark sweep: the facade round-trips plus the engine- and server-level
 # serving benchmarks, with -count 6 so the outputs feed benchstat:
 #   make bench > old.txt ; <edit> ; make bench > new.txt
 #   benchstat old.txt new.txt
 # (benchstat is golang.org/x/perf/cmd/benchstat; without it, eyeball the
-# per-count spread.) For the gated, trajectory-recorded numbers use
-# `make perf` instead — bench is for interactive A/B comparison.
+# per-count spread.) bench is for interactive A/B comparison; nothing
+# gates on its output.
 bench:
 	$(GO) test -bench . -benchtime 10x -count 6 .
 	$(GO) test -run xxx -bench . -benchtime 20x -count 6 ./internal/engine/

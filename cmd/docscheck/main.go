@@ -6,7 +6,7 @@
 // Usage (normally via `make docs-check`):
 //
 //	docscheck -ops OPERATIONS.md -readme README.md \
-//	    bin/scanserver bin/scanshard bin/ppscan bin/perfbench
+//	    bin/scanserver bin/scanshard bin/ppscan
 //
 // Each positional argument is a built binary; docscheck runs it with -h,
 // extracts every registered flag name from the usage listing, and

@@ -66,6 +66,14 @@ import (
 	"ppscan/internal/shard"
 )
 
+// Connection bounds, deliberately not flags. There is no WriteTimeout: a
+// sweep streams for as long as its grid takes and has no per-write
+// deadline yet.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "graph file to serve (.txt/.bin, optionally .gz)")
@@ -214,7 +222,7 @@ func main() {
 	}
 	log.Printf("listening on %s", ln.Addr())
 
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	// Drain on SIGTERM/SIGINT: flip /healthz to 503, stop accepting
 	// connections, and give in-flight requests -shutdown-grace to finish.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)

@@ -46,6 +46,12 @@ import (
 	"ppscan/internal/shard"
 )
 
+// Connection bounds, deliberately not flags (the same as scanserver's).
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "graph file to serve (.txt/.bin, optionally .gz)")
@@ -111,7 +117,7 @@ func main() {
 	}
 	log.Printf("listening on %s", ln.Addr())
 
-	httpSrv := &http.Server{Handler: w.Handler()}
+	httpSrv := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 	done := make(chan struct{})

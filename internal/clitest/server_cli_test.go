@@ -3,6 +3,9 @@ package clitest
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -200,4 +203,28 @@ func TestScanserverAdmissionFlags(t *testing.T) {
 			t.Errorf("shutdown log missing 'drained':\n%s", log)
 		}
 	})
+}
+
+// A client that stalls inside the request line must not hold a connection
+// (and its goroutine) forever: scanserver's ReadHeaderTimeout is 5s, so the
+// server closes it well inside the 8s read deadline.
+func TestScanserverClosesStalledRequestLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration tests skipped in -short")
+	}
+	t.Parallel()
+	bin := build(t, t.TempDir(), "scanserver")
+	base, _, _ := startServer(t, bin)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(8 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept a connection with half a request line open for 8s")
+	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"ppscan/graph"
 	"ppscan/internal/engine"
+	"ppscan/internal/gen"
 )
 
 // randomGraph builds a G(n, p)-ish test graph.
@@ -113,6 +114,55 @@ func TestApplyBatchEquivalence(t *testing.T) {
 			requireSameQuery(t, nix, rebuilt, "0.8", 2)
 			ix = nix
 		}
+	}
+}
+
+// effectiveChurn produces a batch in which every op changes g: it deletes
+// the pair if it is an edge and inserts it otherwise.
+func effectiveChurn(rng *rand.Rand, g *graph.Graph, k int) []graph.EdgeOp {
+	n := int(g.NumVertices())
+	batch := make([]graph.EdgeOp, 0, k)
+	for len(batch) < k {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		batch = append(batch, graph.EdgeOp{U: u, V: v, Del: g.HasEdge(u, v)})
+	}
+	return batch
+}
+
+// TestApplyBatchLargeChurnBitIdentical chains eight 1%-churn commits on
+// Roll(10000,16,5). The 60-vertex corpus above never has a run wider
+// than 64 neighbors; this graph has 179 such vertices (max degree 496),
+// so it is what reaches repairRunBig and repairTouchedRunBig.
+func TestApplyBatchLargeChurnBitIdentical(t *testing.T) {
+	g := gen.Roll(10000, 16, 5)
+	st := graph.NewStore(g)
+	nops := int(g.NumEdges() / 100)
+	ctx := context.Background()
+	ix, err := BuildContext(ctx, g, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	rng := rand.New(rand.NewSource(1000))
+	for round := 0; round < 8; round++ {
+		d, err := st.Commit(effectiveChurn(rng, ix.g, nops))
+		if err != nil {
+			t.Fatalf("round %d: Commit: %v", round, err)
+		}
+		nix, err := ix.ApplyBatch(ctx, d, BuildOptions{}, ws)
+		if err != nil {
+			t.Fatalf("round %d: ApplyBatch: %v", round, err)
+		}
+		rebuilt, err := BuildContext(ctx, d.New, BuildOptions{})
+		if err != nil {
+			t.Fatalf("round %d: BuildContext: %v", round, err)
+		}
+		requireBitIdentical(t, nix, rebuilt)
+		ix = nix
 	}
 }
 
