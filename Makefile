@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION  ?= v1.1.4
 STATICCHECK          := $(TOOLS_BIN)/staticcheck
 GOVULNCHECK          := $(TOOLS_BIN)/govulncheck
 
-.PHONY: build test vet race cores check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos docs-check loc benchmark-test
+.PHONY: build test vet race cores check staticcheck govulncheck scanlint bench bench-obsv bench-alloc alloc-gate chaos docs-check loc benchmark-test
 
 build:
 	$(GO) build ./...
@@ -51,22 +51,17 @@ govulncheck:
 		echo "warning: govulncheck $(GOVULNCHECK_VERSION) unavailable (offline?); skipping" >&2 ; \
 	fi
 
-# The project-specific analyzers (internal/lint, cmd/scanlint): hot-path
-# allocation discipline, workspace aliasing, canonical metric names, loop
-# cancellation checkpoints, atomic/plain access mixing, and the four
-# CFG/dataflow analyzers — snapshot immutability (snapfreeze), exactly-once
-# release paths (releaseonce), global lock ordering (lockorder) and bounded
-# blocking waits (chanwait). Built from source — no network needed — so it
-# always runs, unlike the optional linters above.
+# The project-specific analyzers (internal/lint, cmd/scanlint), six
+# syntactic checks of invariants no test or -race run reliably sees:
+# workspace aliasing (wsalias), canonical metric names (metricname),
+# atomic/plain access mixing (atomicmix), goroutine panic containment
+# (panicsafe), snapshot immutability (snapfreeze) and bounded blocking
+# waits (chanwait) — plus every //lint: directive that names none of them.
+# Built from source — no network needed — so it always runs, unlike the
+# optional linters above. OPERATIONS.md §9 is the triage guide.
 scanlint:
 	$(GO) build -o $(TOOLS_BIN)/scanlint ./cmd/scanlint
 	$(TOOLS_BIN)/scanlint ./...
-
-# Machine-readable findings for tooling/triage (exit status still reflects
-# whether findings exist; see OPERATIONS.md for the triage guide).
-lint-fix-list:
-	@$(GO) build -o $(TOOLS_BIN)/scanlint ./cmd/scanlint
-	-$(TOOLS_BIN)/scanlint -json ./...
 
 # The serving hot path must stay within its heap-allocation budget (see
 # TestServingAllocBudget). Run WITHOUT -race: the race runtime allocates
@@ -105,8 +100,10 @@ docs-check:
 benchmark-test:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Non-test and test Go lines per package, with the internal/ + cmd/ total
-# ROADMAP's code-budget items are stated in. Informational, never a gate.
+# Non-test and test Go lines per package, with the two totals ROADMAP's
+# code-budget items are stated in: internal/ + cmd/, and the lint tooling
+# (internal/lint + cmd/scanlint, fixtures counted as test lines).
+# Informational, never a gate.
 loc:
 	@find . -name '*.go' -not -path './.*' -print0 | xargs -0 wc -l | \
 	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
@@ -115,7 +112,10 @@ loc:
 	awk 'BEGIN { printf "%-36s %9s %9s\n", "package", "non-test", "test" } \
 	     { printf "%-36s %9d %9d\n", $$1, $$2, $$3 } \
 	     $$1 ~ /^\.\/(internal|cmd)\// { s += $$2; t += $$3 } \
-	     END { printf "%-36s %9d %9d\n", "internal/ + cmd/", s, t }'
+	     $$1 ~ /^\.\/(internal\/lint|cmd\/scanlint)(\/|$$)/ { \
+	       if ($$1 ~ /\/testdata\//) lt += $$2; else ls += $$2; lt += $$3 } \
+	     END { printf "%-36s %9d %9d\n", "internal/ + cmd/", s, t; \
+	           printf "%-36s %9d %9d\n", "internal/lint + cmd/scanlint", ls, lt }'
 
 # The pre-merge gate: static checks, the full suite under the race
 # detector (the parallel phases, scheduler telemetry and HTTP middleware

@@ -51,24 +51,24 @@ func TestCheckRoutes(t *testing.T) {
 
 const sampleTable = "| analyzer | suppression | pins |\n" +
 	"|---|---|---|\n" +
-	"| `hotalloc` | `//lint:allowalloc` | serving allocation budget |\n" +
-	"| `ctxloop` | `//lint:ctxok` | cancellation checkpoints |\n" +
+	"| `atomicmix` | `//lint:atomicok` | atomic and plain access never mix |\n" +
+	"| `wsalias` | `//lint:wsalias` | pooled results cloned before they escape |\n" +
 	"| `snapfreeze` | `//lint:snapfreeze` | frozen snapshot arrays |\n" +
 	"| `retired` | `//lint:retired` | an analyzer that no longer exists |\n" +
 	"| `chanwait` | `//lint:wrongname` | bounded blocking waits |\n"
 
 func TestCheckAnalyzerTable(t *testing.T) {
 	analyzers := map[string]string{
-		"hotalloc":   "allowalloc",
-		"ctxloop":    "ctxok",
+		"atomicmix":  "atomicok",
+		"wsalias":    "wsalias",
 		"snapfreeze": "snapfreeze",
 		"chanwait":   "chanwait",
-		"lockorder":  "lockorder",
+		"panicsafe":  "panicsafe",
 	}
 	drift := checkAnalyzerTable(sampleTable, analyzers)
 	want := []string{
 		`analyzer chanwait row documents directive "wrongname", code says "chanwait"`,
-		"analyzer lockorder has no table row",
+		"analyzer panicsafe has no table row",
 		"table row retired names no registered analyzer",
 	}
 	if !reflect.DeepEqual(drift, want) {
@@ -81,8 +81,8 @@ func TestCheckAnalyzerTable(t *testing.T) {
 		t.Fatalf("flag-table row changed the diff: %q", d)
 	}
 	// A clean table diffs clean.
-	clean := "| `hotalloc` | `//lint:allowalloc` | x |\n| `ctxloop` | `//lint:ctxok` | x |\n"
-	if d := checkAnalyzerTable(clean, map[string]string{"hotalloc": "allowalloc", "ctxloop": "ctxok"}); d != nil {
+	clean := "| `atomicmix` | `//lint:atomicok` | x |\n| `wsalias` | `//lint:wsalias` | x |\n"
+	if d := checkAnalyzerTable(clean, map[string]string{"atomicmix": "atomicok", "wsalias": "wsalias"}); d != nil {
 		t.Fatalf("clean table produced drift: %q", d)
 	}
 }

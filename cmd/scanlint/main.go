@@ -5,57 +5,44 @@
 //
 // Usage:
 //
-//	scanlint [flags] [packages]
+//	scanlint [-list] [packages]
 //
-// Packages default to ./... . Exit status is 0 when clean, 1 when findings
+// Packages default to ./... . Every analyzer always runs: they are
+// syntactic and the whole tree takes about a second, so there is nothing
+// to select. -list prints the analyzers and exits (cmd/docscheck diffs it
+// against OPERATIONS.md §9). Exit status is 0 when clean, 1 when findings
 // were reported, 2 on a load or usage error.
-//
-// Flags:
-//
-//	-json            emit findings as a JSON array (for tooling; see
-//	                 `make lint-fix-list`)
-//	-list            list analyzers and exit
-//	-enable  a,b     run only the named analyzers
-//	-disable a,b     run all but the named analyzers
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"ppscan/internal/lint"
 	"ppscan/internal/lint/framework"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string) int {
+func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("scanlint", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	analyzers, err := selectAnalyzers(lint.All(), *enable, *disable)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scanlint:", err)
-		return 2
-	}
+	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
 			suppress := "not suppressible"
 			if a.Directive != "" {
 				suppress = "suppress with //lint:" + a.Directive + " <reason>"
 			}
-			fmt.Printf("%-12s %s\n%14s[%s]\n", a.Name, a.Doc, "", suppress)
+			fmt.Fprintf(stdout, "%-12s %s\n%14s[%s]\n", a.Name, a.Doc, "", suppress)
 		}
 		return 0
 	}
@@ -75,95 +62,21 @@ func run(args []string) int {
 		return 2
 	}
 
-	var all []framework.Diagnostic
+	findings := 0
 	for _, pkg := range pkgs {
 		diags, err := framework.Run(pkg, analyzers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scanlint:", err)
 			return 2
 		}
-		all = append(all, diags...)
+		for _, d := range diags {
+			fmt.Fprintln(stdout, d)
+		}
+		findings += len(diags)
 	}
-
-	if *jsonOut {
-		if all == nil {
-			all = []framework.Diagnostic{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(os.Stderr, "scanlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range all {
-			fmt.Println(d)
-		}
-	}
-	if len(all) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "scanlint: %d finding(s)\n", len(all))
-		}
+	if findings > 0 {
+		fmt.Fprintf(os.Stderr, "scanlint: %d finding(s)\n", findings)
 		return 1
 	}
 	return 0
-}
-
-func selectAnalyzers(all []*framework.Analyzer, enable, disable string) ([]*framework.Analyzer, error) {
-	if enable != "" && disable != "" {
-		return nil, fmt.Errorf("-enable and -disable are mutually exclusive")
-	}
-	byName := map[string]*framework.Analyzer{}
-	valid := make([]string, 0, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-		valid = append(valid, a.Name)
-	}
-	split := func(s string) ([]string, error) {
-		var names []string
-		for _, n := range strings.Split(s, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q; valid analyzers: %s", n, strings.Join(valid, ", "))
-			}
-			names = append(names, n)
-		}
-		return names, nil
-	}
-	switch {
-	case enable != "":
-		names, err := split(enable)
-		if err != nil {
-			return nil, err
-		}
-		var out []*framework.Analyzer
-		for _, n := range names {
-			out = append(out, byName[n])
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("-enable selected no analyzers")
-		}
-		return out, nil
-	case disable != "":
-		names, err := split(disable)
-		if err != nil {
-			return nil, err
-		}
-		skip := map[string]bool{}
-		for _, n := range names {
-			skip[n] = true
-		}
-		var out []*framework.Analyzer
-		for _, a := range all {
-			if !skip[a.Name] {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	default:
-		return all, nil
-	}
 }

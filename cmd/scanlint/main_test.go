@@ -1,53 +1,36 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"slices"
+	"strings"
 	"testing"
 
 	"ppscan/internal/lint"
-	"ppscan/internal/lint/framework"
 )
 
-func TestSelectAnalyzers(t *testing.T) {
-	all := lint.All()
-
-	got, err := selectAnalyzers(all, "", "")
-	if err != nil || len(got) != len(all) {
-		t.Fatalf("default selection = %d analyzers, err %v; want all %d", len(got), err, len(all))
-	}
-
-	got, err = selectAnalyzers(all, "hotalloc,ctxloop", "")
-	if err != nil || len(got) != 2 || got[0].Name != "hotalloc" || got[1].Name != "ctxloop" {
-		t.Fatalf("-enable hotalloc,ctxloop = %v, err %v", names(got), err)
-	}
-
-	got, err = selectAnalyzers(all, "", "wsalias")
-	if err != nil || len(got) != len(all)-1 {
-		t.Fatalf("-disable wsalias = %v, err %v", names(got), err)
-	}
-	for _, a := range got {
-		if a.Name == "wsalias" {
-			t.Fatal("-disable wsalias still selected wsalias")
-		}
-	}
-
-	if _, err = selectAnalyzers(all, "nope", ""); err == nil {
-		t.Fatal("unknown analyzer in -enable not rejected")
-	}
-	if _, err = selectAnalyzers(all, "hotalloc", "ctxloop"); err == nil {
-		t.Fatal("-enable with -disable not rejected")
-	}
-}
-
 func TestListExitsClean(t *testing.T) {
-	if code := run([]string{"-list"}); code != 0 {
+	if code := run([]string{"-list"}, io.Discard); code != 0 {
 		t.Fatalf("scanlint -list exit = %d, want 0", code)
 	}
 }
 
-func names(as []*framework.Analyzer) []string {
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.Name
+// TestListPrintsAllAnalyzers pins what cmd/docscheck reads: the flush-left
+// lines of -list name exactly the analyzers of lint.All(), in order.
+func TestListPrintsAllAnalyzers(t *testing.T) {
+	var out bytes.Buffer
+	run([]string{"-list"}, &out)
+	var got, want []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if line != "" && !strings.HasPrefix(line, " ") {
+			got = append(got, strings.Fields(line)[0])
+		}
 	}
-	return out
+	for _, a := range lint.All() {
+		want = append(want, a.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("-list printed %v, lint.All() is %v", got, want)
+	}
 }

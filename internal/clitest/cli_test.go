@@ -4,7 +4,6 @@ package clitest
 
 import (
 	"encoding/json"
-	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -182,33 +181,17 @@ func TestCLITools(t *testing.T) {
 		runExpectError(t, experiments, "-run", "fig99")
 	})
 
-	t.Run("scanlint-unknown-analyzer", func(t *testing.T) {
+	t.Run("scanlint-list", func(t *testing.T) {
 		scanlint := build(t, dir, "scanlint")
-		cmd := exec.Command(scanlint, "-enable", "nosuch")
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("scanlint -enable nosuch: expected failure, got success\n%s", out)
-		}
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("scanlint -enable nosuch: want exit 2, got %v\n%s", err, out)
-		}
-		if !strings.Contains(string(out), `unknown analyzer "nosuch"`) {
-			t.Errorf("error does not name the bad analyzer: %q", out)
-		}
-		// The usage error must enumerate every valid name so the caller
-		// can fix the invocation without a second -list round trip.
-		for _, name := range []string{"hotalloc", "wsalias", "metricname", "ctxloop",
-			"atomicmix", "panicsafe", "snapfreeze", "releaseonce", "lockorder", "chanwait"} {
-			if !strings.Contains(string(out), name) {
-				t.Errorf("valid-name list missing %s: %q", name, out)
+		out := run(t, scanlint, "-list")
+		for _, name := range []string{"wsalias", "metricname", "atomicmix",
+			"panicsafe", "snapfreeze", "chanwait"} {
+			if !strings.Contains(out, name) {
+				t.Errorf("-list missing %s: %q", name, out)
 			}
 		}
-		// -disable goes through the same name validation.
-		cmd = exec.Command(scanlint, "-disable", "alsonosuch")
-		out, err = cmd.CombinedOutput()
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("scanlint -disable alsonosuch: want exit 2, got %v\n%s", err, out)
-		}
+		// -list is the only flag: there is nothing to select among six
+		// syntactic analyzers.
+		runExpectError(t, scanlint, "-enable", "wsalias")
 	})
 }

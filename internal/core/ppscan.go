@@ -237,7 +237,6 @@ func RunWorkspace(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt 
 	// separate allocations before pooling for the same reason; see
 	// Workspace.CoreClusterIDs).
 	coreClusterID := ws.CoreClusterIDs(int(n)) // pre-filled with -1
-	//lint:ctxok plain O(n) projection between the P6 and P7 checkpoints; no similarity work
 	for u := int32(0); u < n; u++ {
 		if s.roles[u] == result.RoleCore {
 			//lint:atomicok clusterID is read-only here: P6's CAS phase completed behind the forEach barrier
@@ -257,7 +256,7 @@ func RunWorkspace(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt 
 		return s.abort("P7 cluster-non-core")
 	}
 
-	//lint:allowalloc the one budgeted per-run result allocation (TestServingAllocBudget)
+	// The one budgeted per-run result allocation (TestServingAllocBudget).
 	res := &result.Result{
 		Eps:           th.Eps.String(),
 		Mu:            th.Mu,
@@ -303,7 +302,6 @@ func (s *state) fold() (calls int64, byPhase [result.NumPhases]int64, kern inter
 func (s *state) abort(phase string) (*result.Result, error) {
 	calls, byPhase, kern := s.fold()
 	s.reg.Counter(obsv.MetricCoreCancels).Inc()
-	//lint:allowalloc cancellation path; aborted runs are off the warm budget by definition
 	return nil, &result.PartialError{
 		Stats: result.Stats{
 			Algorithm:      "ppSCAN",
@@ -333,7 +331,6 @@ func (s *state) abortFault(phase string, err error) (*result.Result, error) {
 		s.zombie = true
 		s.ws.PoisonFatal()
 		s.reg.Counter(obsv.MetricWatchdogStalls).Inc()
-		//lint:allowalloc failure path; faulted runs are off the warm budget by definition
 		return nil, &result.PartialError{
 			Stats: result.Stats{
 				Algorithm:  "ppSCAN",
@@ -348,7 +345,6 @@ func (s *state) abortFault(phase string, err error) (*result.Result, error) {
 	s.ws.Poison()
 	s.reg.Counter(obsv.MetricCorePanics).Inc()
 	calls, byPhase, kern := s.fold()
-	//lint:allowalloc failure path; faulted runs are off the warm budget by definition
 	return nil, &result.PartialError{
 		Stats: result.Stats{
 			Algorithm:      "ppSCAN",
@@ -387,7 +383,8 @@ type runPublisher struct {
 	kernScanned  *obsv.Counter
 }
 
-//lint:allowalloc runs once per registry; caching these instruments is what keeps the steady-state publish path allocation-free
+// newRunPublisher runs once per registry; caching these instruments is
+// what keeps the steady-state publish path allocation-free.
 func newRunPublisher(reg *obsv.Registry) *runPublisher {
 	p := &runPublisher{
 		reg:         reg,
@@ -515,7 +512,8 @@ type state struct {
 
 // newCoreState builds a state with its method-value closures bound once.
 //
-//lint:allowalloc constructed once per workspace via Scratch; binding the closures here is what keeps the per-phase launches allocation-free
+// It is constructed once per workspace via Scratch; binding the closures
+// here is what keeps the per-phase launches allocation-free.
 func newCoreState() any {
 	s := &state{}
 	s.fnTrue = func(int32) bool { return true }
@@ -549,11 +547,9 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 	s.clusterID = nil
 	s.coreClusterID = nil
 	if cap(s.workers) < opt.Workers {
-		//lint:allowalloc grow-only: reallocates only when Workers increases, steady state reuses
 		s.workers = make([]workerState, opt.Workers)
 	} else {
 		s.workers = s.workers[:opt.Workers]
-		//lint:ctxok bounded by Workers; per-run counter reset
 		for i := range s.workers {
 			s.workers[i] = workerState{}
 		}
@@ -561,10 +557,8 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 	s.phase = result.PhasePruning
 	s.phaseTimes = [result.NumPhases]time.Duration{}
 	if len(s.ncLocal) < opt.Workers {
-		//lint:allowalloc grow-only: adds per-worker batch slots only when Workers increases
 		s.ncLocal = append(s.ncLocal, make([][]result.Membership, opt.Workers-len(s.ncLocal))...)
 	}
-	//lint:ctxok bounded by Workers; truncates retained batches
 	for w := range s.ncLocal {
 		s.ncLocal[w] = s.ncLocal[w][:0]
 	}
@@ -576,7 +570,6 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 	s.kernelOn = s.reg.Enabled()
 	if s.reg.Enabled() || s.tr != nil {
 		if s.sm == nil || s.smReg != s.reg {
-			//lint:allowalloc instrument cache rebuilt only when the registry changes
 			s.sm = &schedInstruments{
 				tasks:   s.reg.Counter(obsv.MetricSchedTasks),
 				degSum:  s.reg.Histogram(obsv.MetricSchedTaskDegreeSum),
@@ -882,7 +875,8 @@ func (s *state) nonCoreVertex(u int32, w int) {
 			s.storeSim(e, sim)
 		}
 		if sim == simdef.Sim {
-			//lint:allowalloc grow-only per-worker batch; capacity persists across runs in the workspace scratch
+			// Grow-only per-worker batch: capacity persists across runs in the
+			// workspace scratch.
 			s.ncLocal[w] = append(s.ncLocal[w], result.Membership{V: v, ClusterID: id})
 			if len(s.ncLocal[w]) >= s.opt.NonCoreBatch {
 				s.flushNonCore(w)
@@ -898,7 +892,8 @@ func (s *state) flushNonCore(w int) {
 		return
 	}
 	s.ncMu.Lock()
-	//lint:allowalloc grow-only shared list; capacity persists across runs in the workspace scratch
+	// Grow-only shared list: capacity persists across runs in the workspace
+	// scratch.
 	s.collected = append(s.collected, b...)
 	s.ncMu.Unlock()
 	s.ncLocal[w] = b[:0]

@@ -107,6 +107,7 @@ func (p *Pool) take(c int) *Workspace {
 	s[len(s)-1] = nil
 	p.classes[c] = s[:len(s)-1]
 	p.retained--
+	ws.released.Store(false)
 	return ws
 }
 
@@ -116,9 +117,15 @@ func (p *Pool) take(c int) *Workspace {
 // finished) and must not be used by the caller after Release. A poisoned
 // workspace (see Workspace.Poison) is Reset before it is retained, so
 // whatever a pooled workspace is next acquired for starts pristine.
+// Releasing a workspace twice without an Acquire in between panics, as
+// unlocking an unlocked sync.Mutex does: the second Release would put the
+// workspace on the free list twice and hand it to two requests.
 func (p *Pool) Release(ws *Workspace) {
 	if ws == nil {
 		return
+	}
+	if ws.released.Swap(true) {
+		panic("engine: Pool.Release of a workspace that was already released")
 	}
 	if ws.Fatal() {
 		// A fatal workspace (stalled phase, possibly a hung goroutine

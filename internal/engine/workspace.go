@@ -63,6 +63,10 @@ type Workspace struct {
 	// Reset can make the memory safe to hand to another run.
 	// Pool.Release discards fatal workspaces instead of retaining them.
 	fatal atomic.Bool
+	// released is set by Pool.Release and cleared when Pool.Acquire hands
+	// the workspace out again; a Release that finds it set is a double
+	// release, which would hand one workspace to two requests.
+	released atomic.Bool
 }
 
 // NewWorkspace returns an empty workspace. Buffers materialize on first

@@ -224,6 +224,38 @@ func TestPoolCapacityBound(t *testing.T) {
 	}
 }
 
+// TestPoolDoubleReleasePanics: a second Release without an Acquire in
+// between panics instead of putting the workspace on the free list twice —
+// on the retain path and on the discard path — and a re-acquired workspace
+// releases normally again.
+func TestPoolDoubleReleasePanics(t *testing.T) {
+	mustPanic := func(p *Pool, ws *Workspace) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("second Release did not panic; retained = %d", p.Stats().Retained)
+			}
+		}()
+		p.Release(ws)
+	}
+	p := NewPool(2)
+	ws := p.Acquire(8, 8)
+	p.Release(ws)
+	mustPanic(p, ws)
+	if st := p.Stats(); st.Retained != 1 {
+		t.Errorf("retained after a double release = %d, want 1", st.Retained)
+	}
+	if again := p.Acquire(8, 8); again != ws {
+		t.Fatal("Acquire did not return the one retained workspace")
+	}
+	p.Release(ws)
+
+	p.Close()
+	discarded := p.Acquire(8, 8)
+	p.Release(discarded) // closed pool: discarded, not retained
+	mustPanic(p, discarded)
+}
+
 // TestPoolClose: close discards retained workspaces and makes later
 // releases discard immediately, while Acquire keeps working.
 func TestPoolClose(t *testing.T) {

@@ -9,7 +9,7 @@
 //
 //   - Zero overhead when disabled: Inject is a single atomic load on the
 //     fast path and performs no allocation, so it is safe inside the
-//     hotalloc-budgeted packages.
+//     per-vertex code TestServingAllocBudget budgets.
 //   - Determinism: a given (plan, hit sequence) always fires the same
 //     faults. Hit counters are atomic, so under concurrency the *set* of
 //     firing hits is deterministic even though which goroutine observes

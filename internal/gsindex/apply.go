@@ -582,7 +582,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
 	sc := ws.Scratch(applyScratchKey, func() any { return new(applyScratch) }).(*applyScratch)
-	//lint:ctxok bounded by Workers
 	for len(sc.w) < maxWorkers {
 		sc.w = append(sc.w, new(applyWorker))
 	}
@@ -590,18 +589,15 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	// adjacency arrays; drop it on every exit path, or an idle pooled
 	// workspace pins a whole superseded epoch until its next apply.
 	defer func() {
-		//lint:ctxok bounded by Workers
 		for _, w := range sc.w {
 			w.cnr, w.nbrs = nil, nil
 		}
 	}()
 	sc.deg1 = grow(sc.deg1, int(n))
 	deg1 := sc.deg1
-	//lint:ctxok plain O(n) degree-key fill before the pass-0 checkpoint; no similarity work
 	for u := int32(0); u < n; u++ {
 		deg1[u] = uint32(newG.Off[u+1]-newG.Off[u]) + 1
 	}
-	//lint:ctxok bounded by Workers
 	for _, w := range sc.w {
 		w.deg1 = deg1
 	}
@@ -616,7 +612,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	}()
 	sc.cnDirty = grow(sc.cnDirty, int(newG.NumDirectedEdges()>>6)+1)
 	cnDirty := sc.cnDirty
-	//lint:ctxok bounded by Workers
 	for _, w := range sc.w {
 		w.cnDirty = cnDirty
 	}
@@ -638,7 +633,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	touched, affected := sc.touchedB, sc.affectedB
 	clear(touched)
 	clear(affected)
-	//lint:ctxok plain O(|touched|) bitmap marking before the pass-0 checkpoint
 	for _, u := range d.Touched {
 		touched[u>>6] |= 1 << (uint(u) & 63)
 		if oldG.Degree(u) != newG.Degree(u) {
@@ -650,7 +644,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	// orientations of inserted and removed edges, sorted — which the
 	// delta walks of pass 2 consult per vertex.
 	addList := sc.addList[:0]
-	//lint:ctxok plain O(|batch|) segment layout before the pass-0 checkpoint
 	for _, e := range d.Added {
 		addList = append(addList,
 			uint64(uint32(e.U))<<32|uint64(uint32(e.V)),
@@ -658,7 +651,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	}
 	slices.Sort(addList)
 	remList := sc.remList[:0]
-	//lint:ctxok plain O(|batch|) segment layout before the pass-0 checkpoint
 	for _, e := range d.Removed {
 		remList = append(remList,
 			uint64(uint32(e.U))<<32|uint64(uint32(e.V)),
@@ -709,12 +701,10 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		copy(nix.order[newG.Off[u]:newG.Off[stop]], ix.order[oldG.Off[u]:oldG.Off[stop]])
 		u = stop
 	}
-	//lint:ctxok O(Σ touched d(u)) survivor alignment between the pass-0 and pass-2 checkpoints
 	for _, u := range d.Touched {
 		oldNbrs, newNbrs := oldG.Neighbors(u), newG.Neighbors(u)
 		oo, no := oldG.Off[u], newG.Off[u]
 		i, j := 0, 0
-		//lint:ctxok inner merge over one touched run, bounded by its degree
 		for i < len(oldNbrs) && j < len(newNbrs) {
 			switch {
 			case oldNbrs[i] == newNbrs[j]:
@@ -751,7 +741,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		affected[a>>6] |= 1 << (uint(a) & 63)
 		affected[v>>6] |= 1 << (uint(v) & 63)
 	}
-	//lint:ctxok plain O(|batch|) slot marking between the pass-0 and pass-2 checkpoints
 	for _, e := range d.Added {
 		su, sv := newG.EdgeOffset(e.U, e.V), newG.EdgeOffset(e.V, e.U)
 		cnDirty[su>>6] |= 1 << (uint64(su) & 63)
@@ -830,14 +819,12 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 			applyDelta(a, v, base+int64(idx), -1)
 		}
 	}
-	//lint:ctxok per-mutation delta walks bounded by endpoint degrees, before the pass-2 checkpoint
 	for k, e := range d.Added {
 		c := contribAdd(e.U, e.V) + 2
 		contribAdd(e.V, e.U)
 		nix.cn[addedSlots[2*k]] = c
 		nix.cn[addedSlots[2*k+1]] = c
 	}
-	//lint:ctxok per-mutation delta walks bounded by endpoint degrees, before the pass-2 checkpoint
 	for _, e := range d.Removed {
 		contribDel(e.U, e.V)
 		contribDel(e.V, e.U)
@@ -851,13 +838,11 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	// owns a changed count (marked affected by pass 2) — entries outside
 	// those classes keep their exact relative order because the d(u)
 	// factor cancels within a run.
-	//lint:ctxok O(|touched|·d̄) affected marking between the pass-2 checkpoint and the ctx-aware repair pass
 	for _, u := range d.Touched {
 		affected[u>>6] |= 1 << (uint(u) & 63)
 		if degChanged[u>>6]>>(uint(u)&63)&1 == 0 {
 			continue
 		}
-		//lint:ctxok bounded by one vertex's degree
 		for _, v := range newG.Neighbors(u) {
 			affected[v>>6] |= 1 << (uint(v) & 63)
 		}

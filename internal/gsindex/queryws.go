@@ -79,7 +79,6 @@ func (ix *Index) QueryWorkspace(ctx context.Context, eps string, mu int32, ws *e
 		}
 		uOff := g.Off[u]
 		deg := int64(g.Degree(u))
-		//lint:ctxok bounded by one vertex's degree; the outer loop polls per stride
 		for k := int64(0); k < deg; k++ {
 			i := int64(ix.order[uOff+k])
 			v := g.Dst[uOff+i]
@@ -122,7 +121,6 @@ func (ix *Index) QueryWorkspace(ctx context.Context, eps string, mu int32, ws *e
 		coreClusterID[u] = id
 		uOff := g.Off[u]
 		deg := int64(g.Degree(u))
-		//lint:ctxok bounded by one vertex's degree; the outer loop polls per stride
 		for k := int64(0); k < deg; k++ {
 			i := int64(ix.order[uOff+k])
 			v := g.Dst[uOff+i]

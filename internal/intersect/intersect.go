@@ -72,8 +72,6 @@ var kindNames = map[Kind]string{
 }
 
 // String implements fmt.Stringer.
-//
-//lint:allowalloc diagnostic formatting; String is flag/report plumbing, never on the per-edge path
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
@@ -82,8 +80,6 @@ func (k Kind) String() string {
 }
 
 // ParseKind maps a kernel name (as printed by String) back to its Kind.
-//
-//lint:allowalloc flag parsing at startup, never on the per-edge path
 func ParseKind(s string) (Kind, error) {
 	for k, name := range kindNames {
 		if name == s {
@@ -94,8 +90,6 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Kinds returns all kernel kinds in a stable order.
-//
-//lint:allowalloc test/CLI enumeration helper, never on the per-edge path
 func Kinds() []Kind {
 	return []Kind{Merge, MergeEarly, Gallop, PivotScalar, PivotBlock8, PivotBlock16, PivotFused}
 }
@@ -176,7 +170,6 @@ func CompSimStats(kind Kind, a, b []int32, minCN int32, st *Stats) simdef.EdgeSi
 	case PivotFused:
 		r = pivotFused(a, b, c, st)
 	default:
-		//lint:allowalloc unreachable-kernel panic message; programmer error, not a run path
 		panic(fmt.Sprintf("intersect: unknown kernel %v", kind))
 	}
 	if st != nil {
@@ -255,7 +248,6 @@ func gallopCount(a, b []int32) int32 {
 		}
 		// Binary search in (lo, hi]. The closure captures only stack
 		// locals sort.Search never leaks, so it stays on the stack.
-		//lint:allowalloc non-escaping closure: sort.Search's func argument does not escape and is stack-allocated
 		idx := lo + sort.Search(hi-lo, func(k int) bool { return b[lo+k] >= x })
 		if idx < len(b) && b[idx] == x {
 			cn++

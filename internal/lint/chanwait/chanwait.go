@@ -1,6 +1,6 @@
-// Package chanwait extends ctxloop's cancellation discipline from loops to
-// blocking waits: every blocking channel receive and WaitGroup.Wait in the
-// serving packages must be paired with a cancellation arm. The PR 7 review
+// Package chanwait pins a cancellation discipline on blocking waits: every
+// blocking channel receive and WaitGroup.Wait in the serving packages must
+// be paired with a cancellation arm. The PR 7 review
 // found the bug class this pins — a request goroutine parked forever on a
 // coalescer flight whose worker died, with no ctx.Done() arm and no bound;
 // the fix (sharedAcquireMax, epoch-gated joins) is exactly the shape this
@@ -11,9 +11,9 @@
 //   - a naked receive (`<-ch` outside any select) blocks unboundedly unless
 //     the channel is a timer (<-chan time.Time, bounded by the clock), is
 //     ctx.Done() itself (blocking until cancellation IS the point), or is
-//     closed somewhere in the same package (the close-on-all-paths of that
-//     function is releaseonce's job; package-local close is the proxy for
-//     "provably reached").
+//     closed somewhere in the same package (whether every path of that
+//     function reaches the close is not checked; package-local close is
+//     the proxy for "provably reached").
 //   - a select with no default case must carry at least one cancellation
 //     arm: a ctx.Done() receive, a timer receive, or a receive from a
 //     package-closed channel.

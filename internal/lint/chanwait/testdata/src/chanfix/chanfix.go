@@ -26,7 +26,7 @@ func fieldWaitNoClose(f *flight) int {
 }
 
 // closedInPackage: finish() closes f.done, so the bare wait is exempt
-// (the close-on-every-path obligation belongs to releaseonce).
+// (whether every path reaches the close is not chanwait's question).
 func closedInPackage(f *flight) {
 	<-f.done
 }

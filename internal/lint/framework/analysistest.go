@@ -25,7 +25,9 @@ import (
 //
 //	code() // want `regexp matching the message`
 //
-// Multiple backquoted regexps on one line expect multiple diagnostics.
+// Multiple backquoted regexps on one line expect multiple diagnostics. A
+// comment that is itself the flagged line carries its expectation after
+// its own text (//lint:nosuch reason // want `...`).
 // Fixture files may import stdlib and ppscan packages; types resolve through
 // the same export-data importer the real loader uses.
 func AnalysisTest(t *testing.T, testdata string, a *Analyzer, fixturePkgs ...string) {
@@ -119,8 +121,8 @@ func checkExpectations(t *testing.T, pkg *Package, diags []Diagnostic) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				trimmed := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(trimmed, "want ") {
+				_, trimmed, ok := strings.Cut(c.Text, "// want ")
+				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())

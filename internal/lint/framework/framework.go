@@ -7,7 +7,7 @@
 // The container this repo builds in has no module proxy access and an empty
 // module cache, so x/tools cannot be vendored or fetched; the standard
 // library's go/{ast,parser,types,importer} plus `go list -export` provide
-// everything the five scanlint analyzers need.
+// everything the scanlint analyzers need.
 //
 // # Directives
 //
@@ -15,15 +15,13 @@
 //
 //	//lint:<directive> <reason>
 //
-// (e.g. //lint:allowalloc pooled grow-only buffer). A directive suppresses
+// (e.g. //lint:snapfreeze unpublished copy). A directive suppresses
 // matching diagnostics on its own line and on the line directly below it; a
 // directive inside a function's doc comment suppresses for the whole
 // function. The <reason> is mandatory: a bare directive is itself reported,
-// so every exemption in the tree documents why it is safe.
-//
-// The special file-scoped directive //lint:hotpackage marks a package as a
-// hot path for the hotalloc analyzer regardless of its import path (used by
-// test fixtures).
+// so every exemption in the tree documents why it is safe. So is a
+// directive that names no analyzer of the run: a typo, or the leftover of a
+// deleted analyzer, would otherwise sit in the tree suppressing nothing.
 package framework
 
 import (
@@ -37,15 +35,14 @@ import (
 
 // An Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in output, -json findings and the
-	// multichecker's enable/disable flags.
+	// Name identifies the analyzer in output.
 	Name string
 
 	// Doc is a one-paragraph description of the invariant the analyzer pins.
 	Doc string
 
 	// Directive is the //lint:<Directive> suppression keyword honored by
-	// this analyzer (e.g. "allowalloc" for hotalloc). Empty means the
+	// this analyzer (e.g. "atomicok" for atomicmix). Empty means the
 	// analyzer cannot be suppressed.
 	Directive string
 
@@ -71,9 +68,9 @@ type Pass struct {
 
 // A Diagnostic is one finding, attributed to the analyzer that produced it.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"position"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -94,16 +91,18 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// HotPackage reports whether any file carries a //lint:hotpackage marker.
-// Used by hotalloc fixtures, which live outside the hard-coded hot-path
-// import list.
-func (p *Pass) HotPackage() bool { return p.directives.hotPackage }
-
 // Run executes the analyzers over a loaded package and returns their
-// findings in file/line order. Malformed directives (missing reasons) are
-// reported as findings of the pseudo-analyzer "lintdirective".
+// findings in file/line order. Malformed directives — a missing reason, or
+// a name that is the Directive of none of analyzers — are reported as
+// findings of the pseudo-analyzer "lintdirective".
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	dirs := collectDirectives(pkg.Fset, pkg.Files)
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		if a.Directive != "" {
+			known[a.Directive] = true
+		}
+	}
+	dirs := collectDirectives(pkg.Fset, pkg.Files, known)
 	var diags []Diagnostic
 	diags = append(diags, dirs.malformed...)
 	for _, a := range analyzers {
@@ -156,11 +155,10 @@ type fileDirectives struct {
 	// funcScoped holds directives placed in function doc comments; they
 	// cover the function's whole line range.
 	funcScoped []funcDirective
-	hotPackage bool
 	malformed  []Diagnostic
 }
 
-func collectDirectives(fset *token.FileSet, files []*ast.File) *fileDirectives {
+func collectDirectives(fset *token.FileSet, files []*ast.File, known map[string]bool) *fileDirectives {
 	d := &fileDirectives{byLine: make(map[lineKey]map[string]bool)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -170,16 +168,15 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) *fileDirectives {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				if name == "hotpackage" {
-					d.hotPackage = true
-					continue
+				var problem string
+				switch {
+				case !known[name]:
+					problem = fmt.Sprintf("//lint:%s names no analyzer (scanlint -list prints the directives); fix the name or delete the comment", name)
+				case reason == "":
+					problem = fmt.Sprintf("//lint:%s directive is missing a reason; write //lint:%s <why this is safe>", name, name)
 				}
-				if reason == "" {
-					d.malformed = append(d.malformed, Diagnostic{
-						Analyzer: "lintdirective",
-						Pos:      pos,
-						Message:  fmt.Sprintf("//lint:%s directive is missing a reason; write //lint:%s <why this is safe>", name, name),
-					})
+				if problem != "" {
+					d.malformed = append(d.malformed, Diagnostic{Analyzer: "lintdirective", Pos: pos, Message: problem})
 					continue
 				}
 				k := lineKey{file: pos.Filename, line: pos.Line}
@@ -197,7 +194,7 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) *fileDirectives {
 			}
 			for _, c := range fn.Doc.List {
 				name, reason, ok := parseDirective(c.Text)
-				if !ok || reason == "" || name == "hotpackage" {
+				if !ok || reason == "" {
 					continue
 				}
 				start := fset.Position(fn.Pos())

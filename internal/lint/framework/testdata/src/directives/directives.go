@@ -25,7 +25,9 @@ func bareDirective() {
 	flagme() // want `call to flagme`
 }
 
+// A directive suppresses only the analyzer it names, and one that names no
+// analyzer of the run is itself a finding.
 func wrongDirective() {
-	//lint:other reason text
+	//lint:nosuch because // want `//lint:nosuch names no analyzer`
 	flagme() // want `call to flagme`
 }

@@ -83,8 +83,6 @@ type task struct {
 
 // NewCrew starts workers goroutines (< 1 means GOMAXPROCS) that serve
 // phases until Close.
-//
-//lint:allowalloc crew construction; built once per workspace, its workers persist across phases and runs
 func NewCrew(workers int) *Crew {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -250,7 +248,6 @@ func (c *Crew) wait(stall time.Duration) error {
 		<-c.done
 		return nil
 	}
-	//lint:allowalloc watchdog timer; armed only when StallTimeout > 0, off on the default serving path
 	timer := time.NewTimer(stall)
 	defer timer.Stop()
 	last := c.progress.Load()
@@ -351,7 +348,6 @@ func (c *Crew) runTask(t task, worker int) {
 // failed flag so the phase quiesces like a cancelled one.
 func (c *Crew) recoverTask(worker int) {
 	if r := recover(); r != nil {
-		//lint:allowalloc panic containment path only; never taken on a healthy run
 		c.panicErr.CompareAndSwap(nil, &result.WorkerPanicError{
 			Phase:  c.phase,
 			Worker: worker,

@@ -122,7 +122,6 @@ func ForEachVertexCtx(ctx context.Context, opt Options, n int32, need func(int32
 	defer c.Close()
 	var stop func() bool
 	if ctx.Done() != nil {
-		//lint:allowalloc one closure per short-lived crew; serving runs on a workspace's persistent crew
 		stop = func() bool { return ctx.Err() != nil }
 	}
 	if err := c.ForEachVertex(opt, n, need, deg, process, stop); err != nil {

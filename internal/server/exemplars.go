@@ -102,7 +102,7 @@ func (r *exemplarRing) offer(e exemplar, err error, tr *obsv.Tracer) {
 		e.Err = err.Error()
 	}
 	if tr != nil {
-		//lint:allowalloc cold path: only runs for requests entering the slowest-K ring
+		// Cold path: only requests entering the slowest-K ring copy their events.
 		e.Trace = tr.Events()
 	}
 	r.add(e)
@@ -235,7 +235,7 @@ func (s *Server) getTracer() *obsv.Tracer {
 		tr.Reset()
 		return tr
 	default:
-		//lint:allowalloc pool miss: only while in-flight concurrency exceeds every tracer ever pooled
+		// Pool miss: only while in-flight concurrency exceeds every tracer ever pooled.
 		return obsv.NewTracer()
 	}
 }

@@ -43,6 +43,11 @@ import (
 // let one client stall every mutation behind a giant commit.
 const DefaultMaxBatchOps = 1 << 20
 
+// defaultMaxBatchBytes bounds the same body in bytes: the operation bound
+// alone lets one endless line be buffered whole by json.Decoder. A
+// well-formed line is at most 45 bytes, so no in-bound batch comes near.
+const defaultMaxBatchBytes = DefaultMaxBatchOps * 64
+
 // WithMutations enables POST /edges: the server's graph becomes the
 // epoch-0 snapshot of a graph.Store and subsequent batches advance the
 // epoch. Call during wiring, after WithIndex when an index is attached —
@@ -52,6 +57,7 @@ const DefaultMaxBatchOps = 1 << 20
 func (s *Server) WithMutations() *Server {
 	st := s.state.Load()
 	s.store = graph.NewStore(st.g)
+	s.maxBatchBytes = defaultMaxBatchBytes
 	s.invalidations = s.reg.Counter(obsv.MetricCacheInvalidations)
 	s.mutBatches = s.reg.Counter(obsv.MetricServerMutationBatches)
 	s.mutEdges = s.reg.Counter(obsv.MetricServerMutationEdges)
@@ -95,9 +101,14 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("mutations disabled: start the server with -mutations"))
 		return
 	}
-	ops, err := decodeEdgeOps(r.Body, DefaultMaxBatchOps)
+	ops, err := decodeEdgeOps(http.MaxBytesReader(w, r.Body, s.maxBatchBytes), DefaultMaxBatchOps)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	if len(ops) == 0 {

@@ -144,6 +144,34 @@ func TestEdgesBadBatch(t *testing.T) {
 	}
 }
 
+// TestEdgesBodyCapped: the batch bound counts operations, so one endless
+// line has to be stopped by the byte cap — 413, nothing committed, the
+// server still serving — while a batch within the cap commits as before.
+func TestEdgesBodyCapped(t *testing.T) {
+	s := New(testGraph(t), 2).WithMutations()
+	s.maxBatchBytes = 64
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	out := postEdges(t, ts, `{"op":"`+strings.Repeat("a", 4096)+`"}`, http.StatusRequestEntityTooLarge)
+	if out["error"] == nil {
+		t.Errorf("413 without an error body: %v", out)
+	}
+	if got := get(t, ts, "/healthz", http.StatusOK); got["epoch"].(float64) != 0 {
+		t.Fatalf("epoch = %v after an over-long line, want 0", got["epoch"])
+	}
+	get(t, ts, "/cluster?eps=0.6&mu=3", http.StatusOK)
+
+	batch := "{\"u\":3,\"v\":4,\"op\":\"del\"}\n{\"u\":0,\"v\":4}\n"
+	if int64(len(batch)) > s.maxBatchBytes {
+		t.Fatalf("test batch is %d bytes, over the %d-byte cap", len(batch), s.maxBatchBytes)
+	}
+	out = postEdges(t, ts, batch, http.StatusOK)
+	if out["epoch"].(float64) != 1 || out["added"].(float64) != 1 || out["removed"].(float64) != 1 {
+		t.Fatalf("in-bound batch = %v, want epoch 1, added 1, removed 1", out)
+	}
+}
+
 // TestEdgesIndexedMutation: with an attached index, a commit maintains it
 // incrementally and the post-mutation index answers match a from-scratch
 // index on the mutated graph.

@@ -91,9 +91,15 @@ type Server struct {
 	// Mutation serving (see WithMutations and mutations.go). store is nil
 	// unless mutations are enabled; mutMu serializes the whole
 	// commit→index-update→publish sequence so epochs advance in a total
-	// order. Instruments are cached at WithMutations.
+	// order. maxBatchBytes caps one POST /edges body
+	// (defaultMaxBatchBytes; lowered by tests). Instruments are cached at
+	// WithMutations.
+	//
+	// Lock order: mutMu → {Store.commitMu → Store.liveMu, lruCache.mu};
+	// every other mutex is a leaf that calls nothing while held.
 	store         *graph.Store
 	mutMu         sync.Mutex
+	maxBatchBytes int64
 	invalidations *obsv.Counter
 	mutBatches    *obsv.Counter
 	mutEdges      *obsv.Counter

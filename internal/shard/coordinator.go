@@ -160,6 +160,10 @@ type Coordinator struct {
 
 	queryID atomic.Uint64
 
+	// maxRespBytes bounds one step response body, as the worker's
+	// MaxBodyBytes bounds a request (a field so a test can lower it).
+	maxRespBytes int64
+
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -215,8 +219,10 @@ func NewCoordinator(g *graph.Graph, opt Options) (*Coordinator, error) {
 		client = &http.Client{Transport: &http.Transport{}}
 	}
 	c := &Coordinator{
-		opt:    opt,
-		client: client,
+		opt:          opt,
+		client:       client,
+		maxRespBytes: DefaultMaxBodyBytes,
+
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 
@@ -416,9 +422,7 @@ func (c *Coordinator) heartbeatLoop() {
 func (c *Coordinator) HeartbeatNow(ctx context.Context) {
 	sn := c.snap.Load()
 	var wg sync.WaitGroup
-	//lint:ctxok fleet-sized spawn loop; each probe goroutine honors ctx via HeartbeatTimeout
 	for shard, reps := range c.fleet {
-		//lint:ctxok replica-sized spawn loop; ctx is forwarded into every probe
 		for _, r := range reps {
 			wg.Add(1)
 			go func(shard int, r *replica) {
@@ -524,9 +528,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) {
 	//lint:chanwait bounded: heartbeatLoop exits on the just-closed stopCh
 	<-c.doneCh
 	var wg sync.WaitGroup
-	//lint:ctxok fleet-sized spawn loop; each drain notify honors the caller's ctx
 	for shard, reps := range c.fleet {
-		//lint:ctxok replica-sized spawn loop; ctx is forwarded into every notify request
 		for _, r := range reps {
 			wg.Add(1)
 			go func(shard int, r *replica) {
@@ -662,9 +664,19 @@ func (c *Coordinator) attempt(ctx context.Context, shard int, r *replica, round 
 			Status: resp.StatusCode, Kind: rej.Kind, Msg: rej.Error,
 		}
 	}
-	counted := &countingReader{r: resp.Body}
+	// One byte past the cap tells an overrun from a body that ends on it.
+	counted := &countingReader{r: io.LimitReader(resp.Body, c.maxRespBytes+1)}
 	var sr StepResponse
-	if err := gob.NewDecoder(counted).Decode(&sr); err != nil {
+	err = gob.NewDecoder(counted).Decode(&sr)
+	if counted.n > c.maxRespBytes {
+		c.rejectedC.Inc()
+		return nil, &ShardRejectedError{
+			Shard: shard, Addr: r.addr, Round: round, Status: resp.StatusCode,
+			Kind: rejectOversize,
+			Msg:  fmt.Sprintf("response body exceeds %d bytes", c.maxRespBytes),
+		}
+	}
+	if err != nil {
 		// A connection severed mid-response body (worker died while
 		// writing) surfaces here, after the 200 header.
 		if actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
@@ -805,9 +817,7 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 		return abort(RoundSim, err)
 	}
 	inboxes := make([][]SimMsg, p)
-	//lint:ctxok bounded regroup of round-1 outboxes between superstep barriers
 	for _, resp := range simResps {
-		//lint:ctxok bounded by the round's cross-shard message count
 		for _, m := range resp.Outbox {
 			o := owner(m.V)
 			inboxes[o] = append(inboxes[o], m)
@@ -825,7 +835,6 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 		return abort(RoundRoles, err)
 	}
 	roles := make([]result.Role, n)
-	//lint:ctxok bounded p-iteration fold between superstep barriers
 	for s, resp := range roleResps {
 		copy(roles[bounds[s]:bounds[s+1]], resp.Roles)
 	}
@@ -846,21 +855,17 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 		return abort(RoundCluster, err)
 	}
 	uf := unionfind.NewSequential(n)
-	//lint:ctxok bounded central union-find fold between superstep barriers
 	for _, resp := range clusterResps {
-		//lint:ctxok bounded by the round's core-core edge count
 		for _, e := range resp.UnionEdges {
 			uf.Union(e[0], e[1])
 		}
 	}
 	clusterID := make([]int32, n)
 	coreClusterID := make([]int32, n)
-	//lint:ctxok bounded n-iteration init, ctx rechecked above before the merge
 	for i := range clusterID {
 		clusterID[i] = -1
 		coreClusterID[i] = -1
 	}
-	//lint:ctxok bounded n-iteration min-core-id labeling between superstep barriers
 	for u := int32(0); u < n; u++ {
 		if roles[u] == result.RoleCore {
 			r := uf.Find(u)
@@ -869,7 +874,6 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 			}
 		}
 	}
-	//lint:ctxok bounded n-iteration label propagation between superstep barriers
 	for u := int32(0); u < n; u++ {
 		if roles[u] == result.RoleCore {
 			coreClusterID[u] = clusterID[uf.Find(u)]
@@ -895,7 +899,6 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 		Roles:         roles,
 		CoreClusterID: coreClusterID,
 	}
-	//lint:ctxok bounded p-iteration fold after the final superstep barrier
 	for _, resp := range memberResps {
 		res.NonCore = append(res.NonCore, resp.Members...)
 	}

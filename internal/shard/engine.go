@@ -40,7 +40,6 @@ func (distEngine) RunContext(ctx context.Context, g *graph.Graph, th simdef.Thre
 	}
 	lb := make(loopback, p)
 	shards := make([][]string, p)
-	//lint:ctxok p-iteration fleet setup before the first round
 	for s := range shards {
 		// One similarity-pass worker per partition: the partitions are the
 		// parallelism, as in the BSP systems this stands in for.

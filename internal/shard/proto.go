@@ -162,4 +162,7 @@ const (
 	rejectWrongShard   = "wrong_shard"
 	rejectInternalErr  = "internal_error"
 	rejectInjectedHalt = "injected_halt"
+	// rejectOversize is the coordinator's own verdict on a 200 response
+	// whose body ran past its byte cap; no worker sends it.
+	rejectOversize = "response_too_large"
 )

@@ -185,6 +185,50 @@ func TestCommBytesMeasured(t *testing.T) {
 	}
 }
 
+// TestResponseBodyCapped: a worker whose 200 response runs past the
+// coordinator's byte cap is refused with a typed rejection — the body is not
+// buffered until memory runs out — while a cap that every real response fits
+// under changes neither the answer nor the bytes counted.
+func TestResponseBodyCapped(t *testing.T) {
+	g := algotest.RandomGraph(7)
+	oversize := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		// A well-formed sim response of at least a byte per message.
+		_ = gob.NewEncoder(rw).Encode(&StepResponse{Round: RoundSim, Outbox: make([]SimMsg, 1<<20)})
+	})
+	addrs, client, _ := mount(t, overHTTP, [][]http.Handler{{oversize}})
+	c, err := NewCoordinator(g, Options{
+		Shards: addrs, Client: client, HeartbeatEvery: -1, MaxAttempts: 1, Registry: obsv.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.maxRespBytes = 1 << 16
+	_, err = c.Run(context.Background(), "0.4", 3)
+	var rej *ShardRejectedError
+	if !errors.As(err, &rej) || rej.Kind != rejectOversize {
+		t.Fatalf("oversize response: want ShardRejectedError kind %s, got %v", rejectOversize, err)
+	}
+
+	f := newFleet(t, overHTTP, g, 3, 1)
+	fc := f.coord(t, g)
+	want, err := fc.Run(context.Background(), "0.4", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No single response is larger than the whole query's traffic.
+	fc.maxRespBytes = want.Stats.CommBytes
+	got, err := fc.Run(context.Background(), "0.4", 3)
+	if err != nil {
+		t.Fatalf("in-bound responses under a tight cap: %v", err)
+	}
+	if err := result.Equal(want, got); err != nil {
+		t.Error(err)
+	}
+	if got.Stats.CommBytes != want.Stats.CommBytes {
+		t.Errorf("comm bytes under a tight cap = %d, want %d", got.Stats.CommBytes, want.Stats.CommBytes)
+	}
+}
+
 // flakyProxy fails the first n requests with a severed connection, then
 // forwards.
 type flakyProxy struct {

@@ -402,7 +402,6 @@ func (w *Worker) ensure(ctx context.Context, sn *snapState, req *StepRequest, th
 		st = &queryState{}
 		w.states[key] = st
 		w.order = append(w.order, key)
-		//lint:ctxok evicts the one entry just pushed past StateCache
 		for len(w.order) > w.opt.StateCache {
 			delete(w.states, w.order[0])
 			w.order = w.order[1:]
@@ -445,7 +444,6 @@ func (w *Worker) computeLocal(ctx context.Context, sn *snapState, st *queryState
 	}
 	// Outbox order is not protocol: applyInbox addresses slots by (V, U).
 	st.outbox = st.outbox[:0]
-	//lint:ctxok bounded by Workers; the pass itself has finished
 	for _, o := range outs {
 		st.outbox = append(st.outbox, o...)
 	}

@@ -15,8 +15,6 @@ type Sequential struct {
 }
 
 // NewSequential creates a sequential union–find over n singleton elements.
-//
-//lint:allowalloc constructor; pooled callers reuse via Reset
 func NewSequential(n int32) *Sequential {
 	u := &Sequential{}
 	u.Reset(n)
@@ -28,9 +26,7 @@ func NewSequential(n int32) *Sequential {
 // pooling). Not safe for concurrent use, like every other method.
 func (u *Sequential) Reset(n int32) {
 	if int(n) > cap(u.parent) {
-		//lint:allowalloc grow-only: reallocates only when n exceeds retained capacity
 		u.parent = make([]int32, n)
-		//lint:allowalloc grow-only: reallocates only when n exceeds retained capacity
 		u.rank = make([]int8, n)
 	} else {
 		u.parent = u.parent[:n]
@@ -98,8 +94,6 @@ type Concurrent struct {
 }
 
 // NewConcurrent creates a concurrent union–find over n singleton elements.
-//
-//lint:allowalloc constructor; pooled callers reuse via Reset
 func NewConcurrent(n int32) *Concurrent {
 	u := &Concurrent{}
 	u.Reset(n)
@@ -112,7 +106,6 @@ func NewConcurrent(n int32) *Concurrent {
 // caller provides the quiescence barrier (e.g. a completed run).
 func (u *Concurrent) Reset(n int32) {
 	if int(n) > cap(u.parent) {
-		//lint:allowalloc grow-only: reallocates only when n exceeds retained capacity
 		u.parent = make([]int32, n)
 	} else {
 		u.parent = u.parent[:n]
@@ -187,8 +180,6 @@ func (u *Concurrent) Len() int32 {
 
 // Snapshot returns each element's current representative as a slice. Only
 // meaningful once all concurrent mutators have quiesced.
-//
-//lint:allowalloc test/debug readout, not a run path
 func (u *Concurrent) Snapshot() []int32 {
 	out := make([]int32, len(u.parent))
 	for i := range out {
