@@ -130,8 +130,11 @@ check: vet scanlint staticcheck govulncheck docs-check benchmark-test
 	$(MAKE) chaos
 	$(MAKE) alloc-gate
 
-# Benchmark sweep: the facade round-trips plus the engine- and server-level
-# serving benchmarks, with -count 6 so the outputs feed benchstat:
+# Benchmark sweep: the root package's facade benchmarks (one round-trip per
+# algorithm, index build vs query, observability overhead — no table,
+# figure or ablation: cmd/experiments is their only producer) plus the
+# engine- and server-level serving benchmarks, with -count 6 so the outputs
+# feed benchstat:
 #   make bench > old.txt ; <edit> ; make bench > new.txt
 #   benchstat old.txt new.txt
 # (benchstat is golang.org/x/perf/cmd/benchstat; without it, eyeball the

@@ -1,157 +1,22 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§6), plus ablation benches for the design choices called out in
-// DESIGN.md (scheduler, task granularity, kernels).
-//
-// Each BenchmarkTableN/BenchmarkFigN target runs the corresponding
-// expharness experiment end to end on reduced-scale surrogates; the series
-// themselves can be printed with `go run ./cmd/experiments -run <id>`.
-// Kernel-level micro benchmarks live in internal/intersect.
+// Benchmarks of the facade on a fixed workload: one per algorithm, the
+// GS*-Index build/query trade-off, and the observability overhead of the
+// core engine. No table, figure or ablation of the paper's evaluation is
+// benchmarked here — `go run ./cmd/experiments -run <id>` is the only
+// producer of those. Kernel-level micro benchmarks live in
+// internal/intersect.
 package ppscan_test
 
 import (
-	"io"
 	"testing"
 
 	"ppscan"
 	"ppscan/graph"
 	"ppscan/internal/core"
 	"ppscan/internal/dataset"
-	"ppscan/internal/expharness"
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/simdef"
 )
-
-// benchCfg returns the experiment configuration used by the figure benches:
-// reduced dataset scale so a full `go test -bench=.` pass stays in the
-// minutes range, full parameter grids unless -short.
-func benchCfg(b *testing.B) expharness.Config {
-	b.Helper()
-	return expharness.Config{
-		Scale: 0.1,
-		Out:   io.Discard,
-		Quick: testing.Short(),
-	}
-}
-
-func BenchmarkTable1Stats(b *testing.B) {
-	cfg := benchCfg(b)
-	for i := 0; i < b.N; i++ {
-		rows := expharness.Table1(cfg)
-		if len(rows) != 4 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-func BenchmarkTable2Stats(b *testing.B) {
-	cfg := benchCfg(b)
-	for i := 0; i < b.N; i++ {
-		rows := expharness.Table2(cfg)
-		if len(rows) != 4 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-func BenchmarkFig1Breakdown(b *testing.B) {
-	cfg := benchCfg(b)
-	for i := 0; i < b.N; i++ {
-		if rows := expharness.Fig1(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig2Overall(b *testing.B) {
-	cfg := benchCfg(b)
-	for i := 0; i < b.N; i++ {
-		if rows := expharness.Fig2(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig3OverallKNL(b *testing.B) {
-	cfg := benchCfg(b)
-	for i := 0; i < b.N; i++ {
-		if rows := expharness.Fig3(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig4Invocations(b *testing.B) {
-	cfg := benchCfg(b)
-	var lastPP, lastPS float64
-	for i := 0; i < b.N; i++ {
-		rows := expharness.Fig4(cfg)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		lastPP, lastPS = 0, 0
-		for _, r := range rows {
-			lastPP += r.NormalizedPPSCAN()
-			lastPS += r.NormalizedPSCAN()
-		}
-		lastPP /= float64(len(rows))
-		lastPS /= float64(len(rows))
-	}
-	b.ReportMetric(lastPP, "ppscan-calls/edge")
-	b.ReportMetric(lastPS, "pscan-calls/edge")
-}
-
-func BenchmarkFig5Vectorization(b *testing.B) {
-	cfg := benchCfg(b)
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		rows := expharness.Fig5(cfg)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		speedup = 0
-		for _, r := range rows {
-			speedup += r.Speedup()
-		}
-		speedup /= float64(len(rows))
-	}
-	b.ReportMetric(speedup, "mean-kernel-speedup")
-}
-
-func BenchmarkFig6Scalability(b *testing.B) {
-	cfg := benchCfg(b)
-	for i := 0; i < b.N; i++ {
-		if rows := expharness.Fig6(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig7Robustness(b *testing.B) {
-	cfg := benchCfg(b)
-	for i := 0; i < b.N; i++ {
-		if rows := expharness.Fig7(cfg); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig8Roll(b *testing.B) {
-	cfg := benchCfg(b)
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		rows := expharness.Fig8(cfg)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		speedup = 0
-		for _, r := range rows {
-			speedup += r.SelfSpeedup
-		}
-		speedup /= float64(len(rows))
-	}
-	b.ReportMetric(speedup, "mean-self-speedup")
-}
 
 // --- Per-algorithm benches on a fixed workload ---------------------------
 
@@ -200,7 +65,7 @@ func BenchmarkIndexBuildVsQuery(b *testing.B) {
 	})
 }
 
-// --- Ablation benches -----------------------------------------------------
+// --- Observability overhead ----------------------------------------------
 
 func mustTh(b *testing.B, eps string, mu int32) simdef.Threshold {
 	b.Helper()
@@ -209,55 +74,6 @@ func mustTh(b *testing.B, eps string, mu int32) simdef.Threshold {
 		b.Fatal(err)
 	}
 	return th
-}
-
-// Scheduler ablation: degree-based dynamic tasks (the paper's Algorithm 5)
-// vs static equal-size blocks.
-func BenchmarkAblationSchedulerDynamic(b *testing.B) {
-	g := benchGraph(b)
-	th := mustTh(b, "0.2", 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Run(g, th, core.Options{Kernel: intersect.PivotBlock16})
-	}
-}
-
-func BenchmarkAblationSchedulerStatic(b *testing.B) {
-	g := benchGraph(b)
-	th := mustTh(b, "0.2", 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Run(g, th, core.Options{Kernel: intersect.PivotBlock16, StaticScheduling: true})
-	}
-}
-
-// Task-granularity ablation: the paper's 32768 threshold vs finer/coarser.
-func BenchmarkAblationTaskThreshold(b *testing.B) {
-	g := benchGraph(b)
-	th := mustTh(b, "0.2", 5)
-	for _, thresh := range []int64{1024, 32768, 1 << 20} {
-		thresh := thresh
-		b.Run(sizeName(thresh), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.Run(g, th, core.Options{Kernel: intersect.PivotBlock16, DegreeThreshold: thresh})
-			}
-		})
-	}
-}
-
-// Kernel ablation inside full ppSCAN runs (complements the isolated kernel
-// micro benches in internal/intersect).
-func BenchmarkAblationPPSCANKernel(b *testing.B) {
-	g := benchGraph(b)
-	th := mustTh(b, "0.2", 5)
-	for _, k := range intersect.Kinds() {
-		k := k
-		b.Run(k.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.Run(g, th, core.Options{Kernel: k})
-			}
-		})
-	}
 }
 
 // Observability overhead: a fully instrumented run (live registry —
@@ -279,15 +95,4 @@ func BenchmarkObsvOverhead(b *testing.B) {
 			core.Run(g, th, core.Options{Kernel: intersect.PivotBlock16, Registry: reg})
 		}
 	})
-}
-
-func sizeName(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return "1Mi"
-	case n >= 32768:
-		return "32Ki"
-	default:
-		return "1Ki"
-	}
 }

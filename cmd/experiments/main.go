@@ -1,5 +1,7 @@
 // Command experiments regenerates the paper's evaluation tables and
-// figures (§6) as text series on the surrogate datasets.
+// figures (§6) as text series on the surrogate datasets. It is the only
+// producer of those numbers; the first line of a run states the host and
+// the effective sizing flags, so a pasted series says where it was measured.
 //
 // Usage:
 //
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"ppscan/internal/expharness"
@@ -30,7 +33,6 @@ func main() {
 		repeats = flag.Int("repeats", 1, "repetitions per measurement (best time reported, as in the paper)")
 		quick   = flag.Bool("quick", false, "reduced parameter grids (smoke test)")
 		csvDir  = flag.String("csv", "", "also write machine-readable <id>.csv files into this directory")
-		charts  = flag.Bool("charts", false, "render terminal bar charts for figure experiments")
 		metrics = flag.Bool("metrics", false, "after the runs, print the accumulated metrics-registry snapshot as JSON")
 	)
 	flag.Parse()
@@ -46,70 +48,80 @@ func main() {
 		return
 	}
 
-	cfg := expharness.Config{
-		Scale:   *scale,
-		Workers: *workers,
-		Repeats: *repeats,
-		Quick:   *quick,
-		Charts:  *charts,
-		Out:     os.Stdout,
+	// The defaults expharness applies to an unset field, applied here so
+	// that the provenance line prints the values the runs use.
+	cfg := expharness.Config{Scale: *scale, Workers: *workers, Repeats: *repeats, Quick: *quick}
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1.0
+	}
+	if cfg.Workers < 1 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Repeats < 1 {
+		cfg.Repeats = 1
 	}
 
-	if *run == "all" {
-		for _, e := range expharness.Experiments() {
-			runOne(e, cfg, *csvDir)
+	exps := expharness.Experiments()
+	if *run != "all" {
+		e, err := expharness.Lookup(*run)
+		if err != nil {
+			fatal(err)
 		}
-		dumpMetrics(*metrics)
-		return
+		exps = []expharness.Experiment{e}
 	}
-	e, err := expharness.Lookup(*run)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	fmt.Printf("# %s %s/%s NumCPU=%d GOMAXPROCS=%d workers=%d scale=%g repeats=%d quick=%t\n\n",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0),
+		cfg.Workers, cfg.Scale, cfg.Repeats, cfg.Quick)
+	for _, e := range exps {
+		runOne(e, cfg, *csvDir)
 	}
-	runOne(e, cfg, *csvDir)
-	dumpMetrics(*metrics)
+	if *metrics {
+		dumpMetrics()
+	}
 }
 
 // dumpMetrics prints the process-global registry (phase, kernel and
 // scheduler totals accumulated across every run performed) as JSON.
-func dumpMetrics(enabled bool) {
-	if !enabled {
-		return
-	}
+func dumpMetrics() {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(obsv.Default().Snapshot()); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 }
 
+// runOne runs e once, prints its series and, with -csv, writes the same
+// rows to <csvDir>/<id>.csv.
 func runOne(e expharness.Experiment, cfg expharness.Config, csvDir string) {
 	t0 := time.Now()
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		path := filepath.Join(csvDir, e.ID+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := expharness.RunCSV(e.ID, cfg, f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("-- %s CSV written to %s in %v --\n\n", e.ID, path, time.Since(t0).Round(time.Millisecond))
-		return
+	tab := e.Run(cfg)
+	if err := tab.WriteText(os.Stdout); err != nil {
+		fatal(err)
 	}
-	e.Run(cfg)
+	if csvDir != "" {
+		if err := writeCSV(tab, filepath.Join(csvDir, e.ID+".csv")); err != nil {
+			fatal(err)
+		}
+	}
 	fmt.Printf("-- %s completed in %v --\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+}
+
+func writeCSV(tab expharness.Table, path string) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tab.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(1)
 }

@@ -1,10 +1,9 @@
 // Command graphstat prints Table 1/2-style statistics (|V|, |E|, average
-// and maximum degree) for graph files or the built-in surrogate datasets.
+// and maximum degree) for one graph file or built-in surrogate dataset. The
+// paper's Tables 1 and 2 themselves are `experiments -run table1|table2`.
 //
 // Usage:
 //
-//	graphstat -table 1            # Table 1 surrogates
-//	graphstat -table 2            # Table 2 ROLL family
 //	graphstat -graph web.txt
 //	graphstat -dataset twitter-sim -scale 0.5 -hist
 package main
@@ -17,12 +16,10 @@ import (
 
 	"ppscan/graph"
 	"ppscan/internal/dataset"
-	"ppscan/internal/expharness"
 )
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "print the paper's Table 1 or 2 over the surrogate datasets")
 		graphPath = flag.String("graph", "", "graph file to summarize")
 		ds        = flag.String("dataset", "", "named surrogate dataset to summarize")
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
@@ -30,12 +27,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := expharness.Config{Scale: *scale}
 	switch {
-	case *table == 1:
-		expharness.PrintStats(cfg, "Table 1: real-world graph statistics (surrogates)", expharness.Table1(cfg))
-	case *table == 2:
-		expharness.PrintStats(cfg, "Table 2: synthetic ROLL graph statistics", expharness.Table2(cfg))
 	case *graphPath != "":
 		g, err := graph.LoadFile(*graphPath)
 		if err != nil {
@@ -49,7 +41,7 @@ func main() {
 		}
 		describe(*ds, g, *hist)
 	default:
-		fatal(fmt.Errorf("one of -table, -graph, -dataset is required"))
+		fatal(fmt.Errorf("one of -graph, -dataset is required"))
 	}
 }
 

@@ -87,9 +87,9 @@ func TestCLITools(t *testing.T) {
 		if !strings.Contains(out, "|V|=200") || !strings.Contains(out, "degree histogram") {
 			t.Errorf("graphstat output unexpected: %q", out)
 		}
-		out = run(t, graphstat, "-table", "2", "-scale", "0.02")
+		out = run(t, graphstat, "-dataset", "ROLL-d40", "-scale", "0.02")
 		if !strings.Contains(out, "ROLL-d40") {
-			t.Errorf("table 2 output unexpected: %q", out)
+			t.Errorf("dataset output unexpected: %q", out)
 		}
 
 		// Error paths.
@@ -152,13 +152,19 @@ func TestCLITools(t *testing.T) {
 	t.Run("experiments-csv", func(t *testing.T) {
 		experiments := build(t, dir, "experiments")
 		csvDir := filepath.Join(dir, "csv")
-		run(t, experiments, "-run", "table2", "-scale", "0.02", "-csv", csvDir)
+		out := run(t, experiments, "-run", "table2", "-scale", "0.02", "-csv", csvDir)
 		data, err := os.ReadFile(filepath.Join(csvDir, "table2.csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(string(data), "ROLL-d40") {
 			t.Errorf("CSV content unexpected: %s", data)
+		}
+		// -csv writes the rows in addition to printing them: one run, the
+		// same rows in both.
+		csvRows := strings.Count(string(data), "\nROLL-")
+		if textRows := strings.Count(out, "\nROLL-"); textRows != csvRows || csvRows != 4 {
+			t.Errorf("stdout has %d ROLL rows, table2.csv %d, want 4 in each:\n%s", textRows, csvRows, out)
 		}
 	})
 
@@ -174,11 +180,16 @@ func TestCLITools(t *testing.T) {
 		if !strings.Contains(out, "ROLL-d160") {
 			t.Errorf("table2 run output unexpected: %q", out)
 		}
+		// One provenance line per run, before the first table.
+		if !strings.HasPrefix(out, "# go") || !strings.Contains(strings.SplitN(out, "\n", 2)[0], "GOMAXPROCS=") {
+			t.Errorf("table2 run does not open with the provenance line: %q", out)
+		}
 		out = run(t, experiments, "-run", "fig4", "-scale", "0.02", "-quick")
-		if !strings.Contains(out, "ppSCAN/|E|") {
+		if !strings.Contains(out, "ppscan_norm") {
 			t.Errorf("fig4 run output unexpected: %q", out)
 		}
 		runExpectError(t, experiments, "-run", "fig99")
+		runExpectError(t, experiments, "-charts")
 	})
 
 	t.Run("scanlint-list", func(t *testing.T) {

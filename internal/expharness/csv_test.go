@@ -3,20 +3,15 @@ package expharness
 import (
 	"bytes"
 	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-func parseCSV(t *testing.T, data string) [][]string {
-	t.Helper()
-	rows, err := csv.NewReader(strings.NewReader(data)).ReadAll()
-	if err != nil {
-		t.Fatalf("invalid CSV: %v", err)
-	}
-	return rows
-}
-
-func TestRunCSVAllExperiments(t *testing.T) {
+// TestCSVRoundTrip writes every experiment through the one CSV writer and
+// reads it back: the header is the column list, there is one record per
+// row, and a duration column is integer nanoseconds under a "_ns" name.
+func TestCSVRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CSV export of all experiments skipped in -short")
 	}
@@ -25,48 +20,58 @@ func TestRunCSVAllExperiments(t *testing.T) {
 		"table1": 4, "table2": 4,
 		"fig1": 12, "fig2": 40, "fig3": 40, "fig4": 8,
 		"fig5": 16, "fig6": 8, "fig7": 16, "fig8": 8,
-		// 1 quick dataset x (2 scheduler + 3 thresholds + 3 orders + 6 kernels)
+		// 1 quick dataset x (2 scheduler + 3 thresholds + 3 orders + 7 kernels + 4 partitionings)
 		"ablations": 19,
 	}
 	for _, e := range Experiments() {
+		tab := e.Run(cfg)
+		if len(tab.Rows) != wantRows[e.ID] {
+			t.Errorf("%s: %d rows, want %d", e.ID, len(tab.Rows), wantRows[e.ID])
+		}
 		var buf bytes.Buffer
-		if err := RunCSV(e.ID, cfg, &buf); err != nil {
+		if err := tab.WriteCSV(&buf); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		rows := parseCSV(t, buf.String())
-		if len(rows) < 2 {
-			t.Fatalf("%s: no data rows", e.ID)
+		recs, err := csv.NewReader(&buf).ReadAll() // rejects a ragged record
+		if err != nil {
+			t.Fatalf("%s: invalid CSV: %v", e.ID, err)
 		}
-		if got := len(rows) - 1; got != wantRows[e.ID] {
-			t.Errorf("%s: %d data rows, want %d", e.ID, got, wantRows[e.ID])
+		if len(recs) != len(tab.Rows)+1 {
+			t.Fatalf("%s: %d records for %d rows", e.ID, len(recs), len(tab.Rows))
 		}
-		width := len(rows[0])
-		for i, r := range rows {
-			if len(r) != width {
-				t.Fatalf("%s: row %d has %d fields, header has %d", e.ID, i, len(r), width)
+		if len(recs[0]) != len(tab.Columns) {
+			t.Fatalf("%s: header %v for %d columns", e.ID, recs[0], len(tab.Columns))
+		}
+		for i, c := range tab.Columns {
+			name := recs[0][i]
+			if c.Kind != Duration {
+				if name != c.Name {
+					t.Errorf("%s: header[%d] = %q, want %q", e.ID, i, name, c.Name)
+				}
+				continue
+			}
+			if name != c.Name+"_ns" {
+				t.Errorf("%s: duration header[%d] = %q, want %q", e.ID, i, name, c.Name+"_ns")
+			}
+			for _, rec := range recs[1:] {
+				if _, err := strconv.ParseInt(rec[i], 10, 64); err != nil {
+					t.Errorf("%s: %s = %q, want integer nanoseconds", e.ID, name, rec[i])
+				}
 			}
 		}
 	}
 }
 
-func TestRunCSVUnknownID(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunCSV("fig99", Config{}, &buf); err == nil {
-		t.Errorf("unknown id accepted")
-	}
-}
-
 func TestCSVStatsShape(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Scale: 0.02}
-	if err := RunCSV("table2", cfg, &buf); err != nil {
+	if err := Table2(Config{Scale: 0.02}).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rows := parseCSV(t, buf.String())
-	if rows[0][0] != "name" || rows[0][4] != "max_degree" {
-		t.Errorf("header = %v", rows[0])
+	lines := strings.Split(buf.String(), "\n")
+	if lines[0] != "name,vertices,directed_edges,avg_degree,max_degree" {
+		t.Errorf("header = %q", lines[0])
 	}
-	if rows[1][0] != "ROLL-d40" {
-		t.Errorf("first data row = %v", rows[1])
+	if !strings.HasPrefix(lines[1], "ROLL-d40,") {
+		t.Errorf("first data row = %q", lines[1])
 	}
 }

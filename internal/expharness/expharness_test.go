@@ -10,25 +10,60 @@ import (
 )
 
 // quickCfg keeps harness tests fast: tiny datasets, reduced grids.
-func quickCfg(buf *bytes.Buffer) Config {
-	return Config{Scale: 0.03, Workers: 2, Quick: true, Out: buf}
+func quickCfg() Config {
+	return Config{Scale: 0.03, Workers: 2, Quick: true}
+}
+
+// column returns the cells of the named column.
+func column[T any](t *testing.T, tab Table, name string) []T {
+	t.Helper()
+	for i, c := range tab.Columns {
+		if c.Name == name {
+			out := make([]T, len(tab.Rows))
+			for j, r := range tab.Rows {
+				out[j] = r[i].(T)
+			}
+			return out
+		}
+	}
+	t.Fatalf("%s: no column %q", tab.Title, name)
+	return nil
+}
+
+// text renders tab through the text writer.
+func text(t *testing.T, tab Table) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tab.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// checkAnswerSize checks the cores / clusters columns of the figures that
+// carry the size of ppSCAN's answer.
+func checkAnswerSize(t *testing.T, tab Table) {
+	t.Helper()
+	cores, clusters := column[int64](t, tab, "cores"), column[int64](t, tab, "clusters")
+	for i := range tab.Rows {
+		if cores[i] < 0 || clusters[i] < 0 || clusters[i] > cores[i] {
+			t.Errorf("%s row %d: %d clusters from %d cores", tab.Title, i, clusters[i], cores[i])
+		}
+	}
 }
 
 func TestTables(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
+	cfg := quickCfg()
 	t1 := Table1(cfg)
-	if len(t1) != 4 {
-		t.Fatalf("Table1 rows = %d", len(t1))
+	if len(t1.Rows) != 4 {
+		t.Fatalf("Table1 rows = %d", len(t1.Rows))
 	}
 	t2 := Table2(cfg)
-	if len(t2) != 4 {
-		t.Fatalf("Table2 rows = %d", len(t2))
+	if len(t2.Rows) != 4 {
+		t.Fatalf("Table2 rows = %d", len(t2.Rows))
 	}
-	PrintStats(cfg, "Table 1", t1)
-	PrintStats(cfg, "Table 2", t2)
-	out := buf.String()
-	for _, want := range []string{"orkut-sim", "ROLL-d160", "max d"} {
+	out := text(t, t1) + text(t, t2)
+	for _, want := range []string{"orkut-sim", "ROLL-d160", "max_degree"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("printed stats missing %q", want)
 		}
@@ -36,137 +71,139 @@ func TestTables(t *testing.T) {
 }
 
 func TestFig1Breakdown(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Fig1(cfg)
+	tab := Fig1(quickCfg())
 	// 3 datasets x 2 algorithms x 2 eps (quick grid).
-	if len(rows) != 12 {
-		t.Fatalf("Fig1 rows = %d, want 12", len(rows))
+	if len(tab.Rows) != 12 {
+		t.Fatalf("Fig1 rows = %d, want 12", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.Total <= 0 {
-			t.Errorf("%s/%s eps=%s: zero total", r.Dataset, r.Algorithm, r.Eps)
+	algo := column[string](t, tab, "algorithm")
+	sim := column[time.Duration](t, tab, "similarity")
+	red := column[time.Duration](t, tab, "reduction")
+	total := column[time.Duration](t, tab, "total")
+	for i, r := range tab.Rows {
+		if total[i] <= 0 {
+			t.Errorf("%v: zero total", r)
 		}
-		if r.Similarity+r.Reduction > r.Total {
-			t.Errorf("%s/%s: breakdown exceeds total", r.Dataset, r.Algorithm)
+		if sim[i]+red[i] > total[i] {
+			t.Errorf("%v: breakdown exceeds total", r)
 		}
-		if r.Algorithm == "SCAN" && r.Reduction != 0 {
+		if algo[i] == "SCAN" && red[i] != 0 {
 			t.Errorf("SCAN should have no reduction component")
 		}
 	}
-	PrintFig1(cfg, rows)
-	if !strings.Contains(buf.String(), "similarity") {
+	if !strings.Contains(text(t, tab), "similarity") {
 		t.Errorf("Fig1 print missing header")
 	}
 }
 
 func TestOverallComparison(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Fig3(cfg)
+	tab := Fig3(quickCfg())
 	// 4 datasets x 2 eps x 5 algorithms.
-	if len(rows) != 40 {
-		t.Fatalf("Fig3 rows = %d, want 40", len(rows))
+	if len(tab.Rows) != 40 {
+		t.Fatalf("Fig3 rows = %d, want 40", len(tab.Rows))
 	}
+	algo := column[string](t, tab, "algorithm")
+	runtime := column[time.Duration](t, tab, "runtime")
+	speedup := column[float64](t, tab, "speedup_vs_pscan")
 	// pSCAN rows must have speedup exactly 1.
-	for _, r := range rows {
-		if r.Algo == AlgoPSCAN && (r.SpeedupVsPSCAN < 0.999 || r.SpeedupVsPSCAN > 1.001) {
-			t.Errorf("pSCAN self-speedup = %f", r.SpeedupVsPSCAN)
+	pscanRows := 0
+	for i, r := range tab.Rows {
+		if algo[i] == "pSCAN" {
+			pscanRows++
+			if speedup[i] < 0.999 || speedup[i] > 1.001 {
+				t.Errorf("pSCAN self-speedup = %f", speedup[i])
+			}
 		}
-		if r.Runtime <= 0 {
-			t.Errorf("%s/%s: zero runtime", r.Dataset, r.Algo)
+		if runtime[i] <= 0 {
+			t.Errorf("%v: zero runtime", r)
 		}
 	}
-	PrintOverall(cfg, ProfileKNL, rows)
-	if !strings.Contains(buf.String(), "Figure 3") {
+	if pscanRows != 8 {
+		t.Errorf("%d pSCAN rows, want 8", pscanRows)
+	}
+	if !strings.Contains(text(t, tab), "Figure 3") {
 		t.Errorf("print missing title")
 	}
 }
 
 func TestFig4Invocations(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Fig4(cfg)
-	if len(rows) != 8 { // 4 datasets x 2 eps
-		t.Fatalf("Fig4 rows = %d", len(rows))
+	tab := Fig4(quickCfg())
+	if len(tab.Rows) != 8 { // 4 datasets x 2 eps
+		t.Fatalf("Fig4 rows = %d", len(tab.Rows))
 	}
-	for _, r := range rows {
+	ps := column[float64](t, tab, "pscan_norm")
+	pp := column[float64](t, tab, "ppscan_norm")
+	for i, r := range tab.Rows {
 		// Both prune-based algorithms compute each edge at most once.
-		if r.NormalizedPSCAN() > 1.0001 || r.NormalizedPPSCAN() > 1.0001 {
-			t.Errorf("%s eps=%s: normalized invocations exceed 1 (%f / %f)",
-				r.Dataset, r.Eps, r.NormalizedPSCAN(), r.NormalizedPPSCAN())
+		if ps[i] > 1.0001 || pp[i] > 1.0001 {
+			t.Errorf("%v: normalized invocations exceed 1", r)
 		}
 		// "Similar amount of work": within a factor 2 plus slack for tiny
 		// graphs.
-		lo, hi := r.NormalizedPSCAN()*0.4-0.05, r.NormalizedPSCAN()*2.5+0.05
-		if n := r.NormalizedPPSCAN(); n < lo || n > hi {
-			t.Errorf("%s eps=%s: ppSCAN %.3f far from pSCAN %.3f",
-				r.Dataset, r.Eps, n, r.NormalizedPSCAN())
+		if lo, hi := ps[i]*0.4-0.05, ps[i]*2.5+0.05; pp[i] < lo || pp[i] > hi {
+			t.Errorf("%v: ppSCAN %.3f far from pSCAN %.3f", r, pp[i], ps[i])
 		}
 	}
-	PrintFig4(cfg, rows)
+	checkAnswerSize(t, tab)
 }
 
 func TestFig5Vectorization(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Fig5(cfg)
-	if len(rows) != 16 { // 2 profiles x 4 datasets x 2 eps
-		t.Fatalf("Fig5 rows = %d", len(rows))
+	tab := Fig5(quickCfg())
+	if len(tab.Rows) != 16 { // 2 profiles x 4 datasets x 2 eps
+		t.Fatalf("Fig5 rows = %d", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.CheckCoreNO < 0 || r.CheckCoreVec < 0 {
+	scalar := column[time.Duration](t, tab, "scalar")
+	vec := column[time.Duration](t, tab, "vectorized")
+	for i := range tab.Rows {
+		if scalar[i] < 0 || vec[i] < 0 {
 			t.Errorf("negative stage time")
 		}
 	}
-	PrintFig5(cfg, rows)
 }
 
 func TestFig6Scalability(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Fig6(cfg)
-	if len(rows) != 8 { // 4 datasets x 2 worker counts (quick grid)
-		t.Fatalf("Fig6 rows = %d", len(rows))
+	tab := Fig6(quickCfg())
+	if len(tab.Rows) != 8 { // 4 datasets x 2 worker counts (quick grid)
+		t.Fatalf("Fig6 rows = %d", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.Workers == 1 && (r.SelfSpeedup < 0.999 || r.SelfSpeedup > 1.001) {
-			t.Errorf("1-worker self-speedup = %f", r.SelfSpeedup)
-		}
-		var sum time.Duration
-		for _, p := range r.Phases {
-			sum += p
-		}
-		if sum <= 0 || sum > 2*r.Total+time.Millisecond {
-			t.Errorf("%s w=%d: phase sum %v vs total %v", r.Dataset, r.Workers, sum, r.Total)
+	workers := column[int64](t, tab, "workers")
+	speedup := column[float64](t, tab, "self_speedup")
+	total := column[time.Duration](t, tab, "total")
+	sum := make([]time.Duration, len(tab.Rows))
+	for _, phase := range []string{"pruning", "check_core", "cluster_core", "cluster_noncore"} {
+		for i, d := range column[time.Duration](t, tab, phase) {
+			sum[i] += d
 		}
 	}
-	PrintFig6(cfg, rows)
+	for i, r := range tab.Rows {
+		if workers[i] == 1 && (speedup[i] < 0.999 || speedup[i] > 1.001) {
+			t.Errorf("1-worker self-speedup = %f", speedup[i])
+		}
+		if sum[i] <= 0 || sum[i] > 2*total[i]+time.Millisecond {
+			t.Errorf("%v: phase sum %v vs total %v", r, sum[i], total[i])
+		}
+	}
 }
 
 func TestFig7Robustness(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Fig7(cfg)
-	if len(rows) != 16 { // 4 datasets x 2 mus x 2 eps
-		t.Fatalf("Fig7 rows = %d", len(rows))
+	tab := Fig7(quickCfg())
+	if len(tab.Rows) != 16 { // 4 datasets x 2 mus x 2 eps
+		t.Fatalf("Fig7 rows = %d", len(tab.Rows))
 	}
-	PrintFig7(cfg, rows)
+	checkAnswerSize(t, tab)
 }
 
 func TestFig8Roll(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Fig8(cfg)
-	if len(rows) != 8 { // 1 profile (quick) x 4 datasets x 2 eps
-		t.Fatalf("Fig8 rows = %d", len(rows))
+	tab := Fig8(quickCfg())
+	if len(tab.Rows) != 8 { // 1 profile (quick) x 4 datasets x 2 eps
+		t.Fatalf("Fig8 rows = %d", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.SelfSpeedup <= 0 {
-			t.Errorf("%s: non-positive self speedup", r.Dataset)
+	for i, sp := range column[float64](t, tab, "self_speedup") {
+		if sp <= 0 {
+			t.Errorf("%v: non-positive self speedup", tab.Rows[i])
 		}
 	}
-	PrintFig8(cfg, rows)
+	checkAnswerSize(t, tab)
 }
 
 func TestRegistryCoversEverything(t *testing.T) {
@@ -193,32 +230,35 @@ func TestRegistryCoversEverything(t *testing.T) {
 }
 
 func TestRegistryRunsSmoke(t *testing.T) {
-	// Every registered experiment must run end-to-end at tiny scale.
+	// Every registered experiment must run end-to-end at tiny scale and
+	// print a titled series with one line per row.
 	if testing.Short() {
 		t.Skip("smoke run of all experiments skipped in -short")
 	}
-	var buf bytes.Buffer
-	cfg := Config{Scale: 0.02, Workers: 2, Quick: true, Out: &buf, Repeats: 1}
+	cfg := Config{Scale: 0.02, Workers: 2, Quick: true, Repeats: 1}
 	for _, e := range Experiments() {
-		e.Run(cfg)
-	}
-	if buf.Len() == 0 {
-		t.Errorf("experiments produced no output")
+		tab := e.Run(cfg)
+		out := text(t, tab)
+		if !strings.HasPrefix(out, "== "+tab.Title+" ==\n") {
+			t.Errorf("%s: series does not open with its title: %q", e.ID, out)
+		}
+		if got := strings.Count(out, "\n"); len(tab.Rows) == 0 || got != len(tab.Rows)+2 {
+			t.Errorf("%s: %d lines for %d rows", e.ID, got, len(tab.Rows))
+		}
 	}
 }
 
 func TestAblations(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	rows := Ablations(cfg)
-	if len(rows) != 19 {
-		t.Fatalf("ablation rows = %d, want 19", len(rows))
+	tab := Ablations(quickCfg())
+	if len(tab.Rows) != 19 {
+		t.Fatalf("ablation rows = %d, want 19", len(tab.Rows))
 	}
+	runtime := column[time.Duration](t, tab, "runtime")
 	groups := map[string]int{}
-	for _, r := range rows {
-		groups[r.Group]++
-		if r.Runtime <= 0 {
-			t.Errorf("%s/%s: zero runtime", r.Group, r.Variant)
+	for i, g := range column[string](t, tab, "group") {
+		groups[g]++
+		if runtime[i] <= 0 {
+			t.Errorf("%v: zero runtime", tab.Rows[i])
 		}
 	}
 	want := map[string]int{"scheduler": 2, "task-threshold": 3, "pscan-order": 3, "ppscan-kernel": 7, "dist-partitions": 4}
@@ -227,8 +267,7 @@ func TestAblations(t *testing.T) {
 			t.Errorf("group %s has %d rows, want %d", g, groups[g], n)
 		}
 	}
-	PrintAblations(cfg, rows)
-	if !strings.Contains(buf.String(), "scheduler") {
+	if !strings.Contains(text(t, tab), "scheduler") {
 		t.Errorf("ablation print missing group")
 	}
 }
@@ -250,7 +289,7 @@ func TestBestOfPicksMinimum(t *testing.T) {
 
 func TestConfigNorm(t *testing.T) {
 	c := Config{}.norm()
-	if c.Scale != 1.0 || c.Workers < 1 || c.Repeats != 1 || c.Out == nil {
+	if c.Scale != 1.0 || c.Workers < 1 || c.Repeats != 1 {
 		t.Errorf("norm = %+v", c)
 	}
 }

@@ -75,9 +75,13 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
 
 // RunWorkspace is Run drawing the O(n+m) scratch (similarity labels, the
 // sd/ed bound arrays and the union-find) from a pooled workspace; nil ws
-// allocates per run as before. Result slices never alias ws memory — only
+// runs on a transient one. Result slices never alias ws memory — only
 // internal scratch is pooled here.
 func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) *result.Result {
+	if ws == nil {
+		ws = engine.NewWorkspace()
+		defer ws.Close()
+	}
 	start := time.Now()
 	n := g.NumVertices()
 	s := &state{
@@ -87,16 +91,9 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 		timing: opt.Breakdown,
 		roles:  make([]result.Role, n),
 	}
-	if ws != nil {
-		s.sim = ws.EdgeSims(int(g.NumDirectedEdges()))
-		s.sd, s.ed = ws.Bounds(int(n))
-		s.uf = ws.SequentialUF(n)
-	} else {
-		s.sim = make([]simdef.EdgeSim, g.NumDirectedEdges())
-		s.sd = make([]int32, n)
-		s.ed = make([]int32, n)
-		s.uf = unionfind.NewSequential(n)
-	}
+	s.sim = ws.EdgeSims(int(g.NumDirectedEdges()))
+	s.sd, s.ed = ws.Bounds(int(n))
+	s.uf = ws.SequentialUF(n)
 	for u := int32(0); u < n; u++ {
 		s.ed[u] = g.Degree(u)
 	}

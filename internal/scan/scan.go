@@ -35,9 +35,13 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
 }
 
 // RunWorkspace is Run drawing the O(m) similarity cache from a pooled
-// workspace; nil ws allocates per run as before. Result slices never
-// alias ws memory.
+// workspace; nil ws runs on a transient one. Result slices never alias
+// ws memory.
 func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) *result.Result {
+	if ws == nil {
+		ws = engine.NewWorkspace()
+		defer ws.Close()
+	}
 	start := time.Now()
 	n := g.NumVertices()
 	s := &state{
@@ -45,11 +49,7 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 		th:    th,
 		opt:   opt,
 		roles: make([]result.Role, n),
-	}
-	if ws != nil {
-		s.sim = ws.EdgeSims(int(g.NumDirectedEdges()))
-	} else {
-		s.sim = make([]simdef.EdgeSim, g.NumDirectedEdges())
+		sim:   ws.EdgeSims(int(g.NumDirectedEdges())),
 	}
 	res := &result.Result{
 		Eps:           th.Eps.String(),

@@ -30,7 +30,6 @@ import (
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
-	"ppscan/internal/unionfind"
 )
 
 // Options configures a SCAN++ run.
@@ -47,10 +46,14 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
 
 // RunWorkspace is Run drawing the linear scratch (similarity cache, sweep
 // flags, the union-find and the root-indexed cluster-id array) from a
-// pooled workspace; nil ws allocates per run as before. The per-pivot
+// pooled workspace; nil ws runs on a transient one. The per-pivot
 // DTAR maps stay dynamically allocated — that overhead is the documented
 // modeled behavior of SCAN++. Result slices never alias ws memory.
 func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) *result.Result {
+	if ws == nil {
+		ws = engine.NewWorkspace()
+		defer ws.Close()
+	}
 	start := time.Now()
 	n := g.NumVertices()
 	s := &state{
@@ -58,22 +61,11 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 		th:    th,
 		opt:   opt,
 		roles: make([]result.Role, n),
-	}
-	if ws != nil {
-		s.sim = ws.EdgeSims(int(g.NumDirectedEdges()))
-	} else {
-		s.sim = make([]simdef.EdgeSim, g.NumDirectedEdges())
+		sim:   ws.EdgeSims(int(g.NumDirectedEdges())),
 	}
 
 	// Pivot sweep: expand pivots through two-hop (DTAR) frontiers.
-	var processed, inQueue []bool
-	if ws != nil {
-		processed = ws.Flags(int(n))
-		inQueue = ws.Flags2(int(n))
-	} else {
-		processed = make([]bool, n)
-		inQueue = make([]bool, n)
-	}
+	processed, inQueue := ws.Flags(int(n)), ws.Flags2(int(n))
 	var queue []int32
 	for seed := int32(0); seed < n; seed++ {
 		if processed[seed] {
@@ -119,12 +111,7 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 	// Finalization: every vertex was processed as a pivot (the sweep's
 	// outer loop guarantees it), so all roles are known; cluster exactly
 	// as SCAN defines.
-	var uf *unionfind.Sequential
-	if ws != nil {
-		uf = ws.SequentialUF(n)
-	} else {
-		uf = unionfind.NewSequential(n)
-	}
+	uf := ws.SequentialUF(n)
 	for u := int32(0); u < n; u++ {
 		if s.roles[u] != result.RoleCore {
 			continue
@@ -136,15 +123,7 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 			}
 		}
 	}
-	var clusterID []int32
-	if ws != nil {
-		clusterID = ws.ClusterIDs(int(n)) // pre-filled with -1
-	} else {
-		clusterID = make([]int32, n)
-		for i := range clusterID {
-			clusterID[i] = -1
-		}
-	}
+	clusterID := ws.ClusterIDs(int(n)) // pre-filled with -1
 	coreClusterID := make([]int32, n)
 	for i := range coreClusterID {
 		coreClusterID[i] = -1

@@ -23,7 +23,6 @@ import (
 	"ppscan/internal/result"
 	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
-	"ppscan/internal/unionfind"
 )
 
 // Options configures a SCAN-XP run.
@@ -45,20 +44,19 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) (*result.Result, erro
 
 // RunWorkspace is Run drawing the O(n+m) scratch (similarity labels, the
 // concurrent union-find and the per-root minimum-id array) from a pooled
-// workspace; nil ws allocates per run as before. Result slices never
+// workspace; nil ws runs on a transient one. Result slices never
 // alias ws memory.
 func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) (*result.Result, error) {
+	if ws == nil {
+		ws = engine.NewWorkspace()
+		defer ws.Close()
+	}
 	if opt.Workers < 1 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	n := g.NumVertices()
-	var sim []simdef.EdgeSim
-	if ws != nil {
-		sim = ws.EdgeSims(int(g.NumDirectedEdges()))
-	} else {
-		sim = make([]simdef.EdgeSim, g.NumDirectedEdges())
-	}
+	sim := ws.EdgeSims(int(g.NumDirectedEdges()))
 	roles := make([]result.Role, n)
 	counts := make([]int64, opt.Workers)
 
@@ -90,12 +88,7 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 	}
 
 	// Phase 3: parallel core clustering over similar core-core edges.
-	var uf *unionfind.Concurrent
-	if ws != nil {
-		uf = ws.ConcurrentUF(n)
-	} else {
-		uf = unionfind.NewConcurrent(n)
-	}
+	uf := ws.ConcurrentUF(n)
 	err = sched.ForEachVertexStatic(opt.Workers, n, func(u int32, w int) {
 		if roles[u] != result.RoleCore {
 			return
@@ -116,15 +109,7 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 	for i := range coreClusterID {
 		coreClusterID[i] = -1
 	}
-	var minID []int32
-	if ws != nil {
-		minID = ws.ClusterIDs(int(n)) // pre-filled with -1
-	} else {
-		minID = make([]int32, n)
-		for i := range minID {
-			minID[i] = -1
-		}
-	}
+	minID := ws.ClusterIDs(int(n)) // pre-filled with -1
 	for u := int32(0); u < n; u++ {
 		if roles[u] == result.RoleCore {
 			r := uf.Find(u)
