@@ -7,12 +7,14 @@
 package ppscan_test
 
 import (
+	"context"
 	"testing"
 
 	"ppscan"
 	"ppscan/graph"
 	"ppscan/internal/core"
 	"ppscan/internal/dataset"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/simdef"
@@ -86,13 +88,13 @@ func BenchmarkObsvOverhead(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) {
 		reg := obsv.New()
 		for i := 0; i < b.N; i++ {
-			core.Run(g, th, core.Options{Kernel: intersect.PivotBlock16, Registry: reg})
+			core.Run(context.Background(), g, th, engine.Options{Kernel: intersect.PivotBlock16, Registry: reg}, nil)
 		}
 	})
 	b.Run("nop", func(b *testing.B) {
 		reg := obsv.NewNop()
 		for i := 0; i < b.N; i++ {
-			core.Run(g, th, core.Options{Kernel: intersect.PivotBlock16, Registry: reg})
+			core.Run(context.Background(), g, th, engine.Options{Kernel: intersect.PivotBlock16, Registry: reg}, nil)
 		}
 	})
 }

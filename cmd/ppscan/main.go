@@ -17,12 +17,14 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"ppscan"
 	"ppscan/graph"
 	"ppscan/internal/dataset"
 	"ppscan/internal/fault"
+	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 )
@@ -32,11 +34,11 @@ func main() {
 		graphPath = flag.String("graph", "", "path to an edge-list (.txt) or binary (.bin) graph file")
 		dsName    = flag.String("dataset", "", "named synthetic dataset (alternative to -graph); one of "+fmt.Sprint(dataset.Names()))
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor (with -dataset)")
-		algo      = flag.String("algo", "ppscan", "algorithm: ppscan, ppscan-no, pscan, scan, scan-xp, anyscan, scan++, dist-scan, or \"all\" to run and cross-check every one")
+		algo      = flag.String("algo", "ppscan", "algorithm: "+names(ppscan.Algorithms())+", or \"all\" to run and cross-check every one")
 		eps       = flag.String("eps", "0.6", "similarity threshold epsilon in (0,1], e.g. 0.6 or 3/5")
 		mu        = flag.Int("mu", 5, "core threshold mu >= 1")
 		workers   = flag.Int("workers", 0, "worker goroutines for parallel algorithms (0 = GOMAXPROCS)")
-		kernel    = flag.String("kernel", "", "set-intersection kernel override (merge, merge-early, gallop, pivot-scalar, pivot-block8, pivot-block16, pivot-fused)")
+		kernel    = flag.String("kernel", "", "set-intersection kernel override ("+names(intersect.Kinds())+")")
 		showStats = flag.Bool("stats", false, "print run statistics")
 		clusters  = flag.Bool("clusters", false, "print every cluster's members")
 		hubs      = flag.Bool("hubs", false, "print hub and outlier vertices")
@@ -93,7 +95,7 @@ func main() {
 		fmt.Printf("workers=%d compsim-calls=%d\n", res.Stats.Workers, res.Stats.CompSimCalls)
 		for i, d := range res.Stats.PhaseTimes {
 			if d > 0 {
-				fmt.Printf("phase %-20s %v\n", phaseName(i), d)
+				fmt.Printf("phase %-20s %v\n", result.PhaseNames[i], d)
 			}
 		}
 	}
@@ -221,12 +223,13 @@ func loadGraph(path, ds string, scale float64) (*graph.Graph, string, error) {
 	}
 }
 
-func phaseName(i int) string {
-	names := []string{"similarity-pruning", "core-checking", "core-clustering", "non-core-clustering"}
-	if i < len(names) {
-		return names[i]
+// names renders a list of algorithms or kernels for a flag's help text.
+func names[T any](xs []T) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = fmt.Sprint(x)
 	}
-	return fmt.Sprintf("phase-%d", i)
+	return strings.Join(parts, ", ")
 }
 
 func printClusters(res *ppscan.Result) {

@@ -187,22 +187,22 @@ func CheckEnginesOn(t *testing.T, cases []Case) {
 				var ref *result.Result
 				var refName string
 				for _, e := range engines {
-					res, err := e.RunContext(context.Background(), c.G, th, engine.Options{}, ws)
+					res, err := engine.Run(context.Background(), e.Name, "", c.G, th, engine.Options{}, ws)
 					if err != nil {
-						t.Errorf("%s (eps=%s mu=%d): %v", e.Name(), th.Eps, th.Mu, err)
+						t.Errorf("%s (eps=%s mu=%d): %v", e.Name, th.Eps, th.Mu, err)
 						continue
 					}
 					res = res.Clone()
 					if res.Stats.Algorithm == "" {
-						t.Errorf("%s (eps=%s mu=%d): empty Stats.Algorithm", e.Name(), th.Eps, th.Mu)
+						t.Errorf("%s (eps=%s mu=%d): empty Stats.Algorithm", e.Name, th.Eps, th.Mu)
 					}
 					if ref == nil {
 						if err := CheckGroundTruth(c.G, res, th); err != nil {
-							t.Errorf("%s: %v", e.Name(), err)
+							t.Errorf("%s: %v", e.Name, err)
 						}
-						ref, refName = res, e.Name()
+						ref, refName = res, e.Name
 					} else if err := result.Equal(ref, res); err != nil {
-						t.Errorf("%s disagrees with %s (eps=%s mu=%d): %v", e.Name(), refName, th.Eps, th.Mu, err)
+						t.Errorf("%s disagrees with %s (eps=%s mu=%d): %v", e.Name, refName, th.Eps, th.Mu, err)
 					}
 				}
 			}

@@ -25,12 +25,14 @@
 package anyscan
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ppscan/graph"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/sched"
@@ -38,27 +40,23 @@ import (
 	"ppscan/internal/unionfind"
 )
 
-// Options configures an anySCAN surrogate run.
-type Options struct {
-	// Kernel selects the set-intersection kernel (anySCAN uses merge-based
-	// intersection; default intersect.MergeEarly).
-	Kernel intersect.Kind
-	// Workers is the number of worker goroutines; < 1 defaults to
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// BlockSize is the number of vertices summarized per anytime block;
-	// < 1 defaults to 4096.
-	BlockSize int32
-}
+// blockSize is the number of vertices summarized per anytime block. A
+// package value, not an option: only this package's tests vary it.
+var blockSize int32 = 4096
 
-// Run executes the anySCAN surrogate on g. A contained worker panic is
-// returned as a *result.WorkerPanicError.
-func Run(g *graph.Graph, th simdef.Threshold, opt Options) (*result.Result, error) {
+func init() { engine.Register(engine.Engine{Name: "anyscan", Kernel: intersect.MergeEarly, Run: Run}) }
+
+// Run executes the anySCAN surrogate on g with opt.Kernel (anySCAN uses
+// merge-based intersection; default intersect.MergeEarly) on opt.Workers
+// goroutines (< 1 means GOMAXPROCS). It has no checkpoints and never reads
+// ctx, and it deliberately ignores the workspace: anySCAN's per-block
+// dynamic allocations are part of the modeled behavior this surrogate
+// reproduces (see the package comment), so pooling them away would erase
+// the very overhead the baseline exists to measure. A contained worker
+// panic is returned as a *result.WorkerPanicError.
+func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, _ *engine.Workspace) (*result.Result, error) {
 	if opt.Workers < 1 {
 		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.BlockSize < 1 {
-		opt.BlockSize = 4096
 	}
 	start := time.Now()
 	n := g.NumVertices()
@@ -70,8 +68,8 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) (*result.Result, erro
 
 	// Anytime outer loop: take the next block of unprocessed vertices,
 	// check cores in parallel within the block, then merge clusters.
-	for blockStart := int32(0); blockStart < n; blockStart += opt.BlockSize {
-		blockEnd := blockStart + opt.BlockSize
+	for blockStart := int32(0); blockStart < n; blockStart += blockSize {
+		blockEnd := blockStart + blockSize
 		if blockEnd > n {
 			blockEnd = n
 		}
@@ -126,25 +124,7 @@ func Run(g *graph.Graph, th simdef.Threshold, opt Options) (*result.Result, erro
 	// Finalization: cluster ids and non-core memberships. Similarities are
 	// recomputed for core->non-core edges (the per-block flag buffers were
 	// discarded — anySCAN's summarization does not persist edge values).
-	coreClusterID := make([]int32, n)
-	minID := make([]int32, n)
-	for i := range minID {
-		minID[i] = -1
-		coreClusterID[i] = -1
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			r := uf.Find(u)
-			if minID[r] < 0 || u < minID[r] {
-				minID[r] = u
-			}
-		}
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			coreClusterID[u] = minID[uf.Find(u)]
-		}
-	}
+	coreClusterID := result.CoreClusterIDs(roles, uf)
 	var nonCore []result.Membership
 	var ncMu sync.Mutex
 	err := sched.ForEachVertexStatic(opt.Workers, n, func(u int32, _ int) {

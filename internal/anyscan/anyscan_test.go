@@ -16,10 +16,15 @@ import (
 	"ppscan/internal/simdef"
 )
 
-// run is Run for inputs that must not fail.
-func run(t *testing.T, g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
+// run is Run with the default kernel on bs-vertex blocks (0 keeps the
+// package's block size), for inputs that must not fail.
+func run(t *testing.T, g *graph.Graph, th simdef.Threshold, workers int, bs int32) *result.Result {
 	t.Helper()
-	r, err := Run(g, th, opt)
+	if bs > 0 {
+		defer func(old int32) { blockSize = old }(blockSize)
+		blockSize = bs
+	}
+	r, err := Run(context.Background(), g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: workers}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -31,7 +36,7 @@ func TestGroundTruthCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				r := run(t, tc.G, th, Options{Workers: 4, BlockSize: 32})
+				r := run(t, tc.G, th, 4, 32)
 				if err := algotest.CheckGroundTruth(tc.G, r, th); err != nil {
 					t.Fatalf("%s: %v", tc.Name, err)
 				}
@@ -44,12 +49,9 @@ func TestMatchesSCAN(t *testing.T) {
 	f := func(seed int64, wRaw, bRaw uint8) bool {
 		g := algotest.RandomGraph(seed)
 		th := algotest.RandomThreshold(seed)
-		want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
-		got, err := Run(g, th, Options{
-			Workers:   int(wRaw%6) + 1,
-			BlockSize: int32(bRaw%100) + 1,
-		})
-		return err == nil && result.Equal(want, got) == nil
+		want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
+		got := run(t, g, th, int(wRaw%6)+1, int32(bRaw%100)+1)
+		return result.Equal(want, got) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -59,9 +61,9 @@ func TestMatchesSCAN(t *testing.T) {
 func TestBlockSizeIndependence(t *testing.T) {
 	g := algotest.RandomGraph(61)
 	th, _ := simdef.NewThreshold("0.5", 3)
-	base := run(t, g, th, Options{Workers: 3, BlockSize: 1})
+	base := run(t, g, th, 3, 1)
 	for _, bs := range []int32{2, 17, 1 << 20} {
-		r := run(t, g, th, Options{Workers: 3, BlockSize: bs})
+		r := run(t, g, th, 3, bs)
 		if err := result.Equal(base, r); err != nil {
 			t.Errorf("block size %d changes output: %v", bs, err)
 		}
@@ -74,7 +76,7 @@ func TestRedundantWorkload(t *testing.T) {
 	// finalization, so calls >= 2|E|, strictly more than ppSCAN's <= |E|.
 	g := algotest.RandomGraph(63)
 	th, _ := simdef.NewThreshold("0.5", 5)
-	r := run(t, g, th, Options{Workers: 2})
+	r := run(t, g, th, 2, 0)
 	if r.Stats.CompSimCalls < g.NumDirectedEdges() {
 		t.Errorf("CompSimCalls = %d, want >= %d", r.Stats.CompSimCalls, g.NumDirectedEdges())
 	}
@@ -83,7 +85,7 @@ func TestRedundantWorkload(t *testing.T) {
 func TestStats(t *testing.T) {
 	g := algotest.RandomGraph(65)
 	th, _ := simdef.NewThreshold("0.4", 2)
-	r := run(t, g, th, Options{Workers: 2})
+	r := run(t, g, th, 2, 0)
 	if r.Stats.Algorithm != "anySCAN" || r.Stats.Workers != 2 || r.Stats.Total <= 0 {
 		t.Errorf("stats = %+v", r.Stats)
 	}
@@ -98,15 +100,11 @@ func TestWorkerPanicContained(t *testing.T) {
 	t.Cleanup(fault.Disable)
 	g := algotest.RandomGraph(67)
 	th, _ := simdef.NewThreshold("0.5", 3)
-	eng, ok := engine.Get("anyscan")
-	if !ok {
-		t.Fatal("anyscan engine not registered")
-	}
 	pool := engine.NewPool(1)
 	runPooled := func() (*result.Result, error) {
 		ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
 		defer pool.Release(ws)
-		return eng.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, ws)
+		return engine.Run(context.Background(), "anyscan", "", g, th, engine.Options{Workers: 2}, ws)
 	}
 	// One block of 4096 covers the graph and two workers cut it into two
 	// tasks (hits 1 and 2), so hit 3 is the finalization pass's first.
@@ -128,7 +126,7 @@ func TestWorkerPanicContained(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run after contained panic: %v", err)
 		}
-		if err := result.Equal(scan.Run(g, th, scan.Options{Kernel: intersect.Merge}), got); err != nil {
+		if err := result.Equal(scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil), got); err != nil {
 			t.Errorf("run after contained panic differs from SCAN: %v", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ppscan/internal/engine"
 	"ppscan/internal/gen"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
@@ -24,7 +25,7 @@ func cancelGraph(tb testing.TB) (g interface {
 		tb.Fatal(err)
 	}
 	return gg, func(ctx context.Context) (*result.Result, error) {
-		return RunContext(ctx, gg, th, Options{Workers: 4})
+		return Run(ctx, gg, th, engine.Options{Workers: 4}, nil)
 	}
 }
 
@@ -105,20 +106,22 @@ func TestRunContextDeadline(t *testing.T) {
 	checkPartial(t, res, err, context.DeadlineExceeded)
 }
 
-// TestRunContextCompletesUncancelled guards the zero-cost path: a Background
-// context must not change results (Run delegates to RunContext).
+// TestRunContextCompletesUncancelled guards the zero-cost path: a context
+// that can be cancelled but never is must not change results.
 func TestRunContextCompletesUncancelled(t *testing.T) {
 	g := gen.Roll(2_000, 8, 3)
 	th, err := simdef.NewThreshold("0.5", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunContext(context.Background(), g, th, Options{Workers: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := Run(ctx, g, th, engine.Options{Workers: 4}, nil)
 	if err != nil {
-		t.Fatalf("RunContext(Background): %v", err)
+		t.Fatalf("Run(cancellable ctx): %v", err)
 	}
-	want := Run(g, th, Options{Workers: 4})
+	want := run(g, th, engine.Options{Workers: 4})
 	if err := result.Equal(want, res); err != nil {
-		t.Fatalf("RunContext result differs from Run: %v", err)
+		t.Fatalf("result under a cancellable ctx differs from Background: %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ppscan/graph"
+	"ppscan/internal/engine"
 	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
 	"ppscan/internal/pscan"
@@ -34,9 +35,9 @@ func TestMediumGraphDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := pscan.Run(g, th, pscan.Options{Kernel: intersect.MergeEarly})
+				want := pscan.Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, pscan.Options{}, nil)
 				for _, w := range []int{1, 4, 16} {
-					got := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: w})
+					got := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: w})
 					if err := result.Equal(want, got); err != nil {
 						t.Fatalf("eps=%s workers=%d: %v", eps, w, err)
 					}
@@ -56,7 +57,7 @@ func TestHighContentionUnionHeavy(t *testing.T) {
 	// races across the whole vertex range.
 	g := gen.Clique(300) // all cores, one cluster at permissive parameters
 	th, _ := simdef.NewThreshold("0.2", 2)
-	r := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 16, DegreeThreshold: 1})
+	r := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 16, DegreeThreshold: 1})
 	if r.NumClusters() != 1 {
 		t.Fatalf("clique should form one cluster, got %d", r.NumClusters())
 	}
@@ -80,8 +81,8 @@ func TestManyTinyClusters(t *testing.T) {
 	// bridge vertex: Γ∩Γ=3, c=ceil(0.8*sqrt(16)) = 4 for deg-3/deg-3
 	// pairs... simply assert against pSCAN instead of hand-counting.
 	th, _ := simdef.NewThreshold("0.8", 2)
-	want := pscan.Run(g, th, pscan.Options{Kernel: intersect.MergeEarly})
-	got := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 8})
+	want := pscan.Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, pscan.Options{}, nil)
+	got := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 8})
 	if err := result.Equal(want, got); err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +107,8 @@ func TestExtremeParameters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("threshold %v: %v", tc, err)
 		}
-		want := pscan.Run(g, th, pscan.Options{Kernel: intersect.MergeEarly})
-		got := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 4})
+		want := pscan.Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, pscan.Options{}, nil)
+		got := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 4})
 		if err := result.Equal(want, got); err != nil {
 			t.Fatalf("eps=%s mu=%d: %v", tc.eps, tc.mu, err)
 		}
@@ -115,13 +116,13 @@ func TestExtremeParameters(t *testing.T) {
 	// eps ~ 0: every adjacent pair similar; every vertex with degree >= 1
 	// is a core at mu=1 -> whole connected graph clusters.
 	th, _ := simdef.NewThreshold("0.000000001", 1)
-	r := Run(g, th, Options{Kernel: intersect.PivotBlock16})
+	r := run(g, th, engine.Options{Kernel: intersect.PivotBlock16})
 	if r.NumCores() != int(g.NumVertices()) {
 		t.Errorf("eps~0 mu=1: %d cores of %d", r.NumCores(), g.NumVertices())
 	}
 	// mu huge: no cores at all.
 	th2, _ := simdef.NewThreshold("0.5", 1<<20)
-	r2 := Run(g, th2, Options{Kernel: intersect.PivotBlock16})
+	r2 := run(g, th2, engine.Options{Kernel: intersect.PivotBlock16})
 	if r2.NumCores() != 0 || r2.NumClusters() != 0 {
 		t.Errorf("huge mu: %d cores, %d clusters", r2.NumCores(), r2.NumClusters())
 	}

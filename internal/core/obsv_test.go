@@ -8,6 +8,7 @@ package core
 import (
 	"testing"
 
+	"ppscan/internal/engine"
 	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
@@ -19,7 +20,7 @@ func TestRunPublishesRegistryMetrics(t *testing.T) {
 	g := gen.ErdosRenyi(500, 4000, 11)
 	th, _ := simdef.NewThreshold("0.5", 3)
 	reg := obsv.New()
-	res := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 4, Registry: reg})
+	res := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 4, Registry: reg})
 
 	if got := reg.Counter(obsv.MetricCoreRuns).Value(); got != 1 {
 		t.Errorf("core.runs = %d, want 1", got)
@@ -69,7 +70,7 @@ func TestRunPublishesRegistryMetrics(t *testing.T) {
 func TestRunWithNopRegistry(t *testing.T) {
 	g := gen.CliqueChain(3, 5)
 	th, _ := simdef.NewThreshold("0.6", 2)
-	res := Run(g, th, Options{Kernel: intersect.MergeEarly, Workers: 2, Registry: obsv.NewNop()})
+	res := run(g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: 2, Registry: obsv.NewNop()})
 	// CompSim counting stays (it is result.Stats' own field); kernel
 	// telemetry is off.
 	if res.Stats.CompSimCalls == 0 {
@@ -85,7 +86,7 @@ func TestRunTraceSpans(t *testing.T) {
 	th, _ := simdef.NewThreshold("0.5", 3)
 	tr := obsv.NewTracer()
 	const workers = 3
-	Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: workers,
+	run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: workers,
 		Registry: obsv.New(), Tracer: tr})
 
 	phases := map[string]int{}

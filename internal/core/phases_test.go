@@ -13,7 +13,9 @@ import (
 	"ppscan/internal/engine"
 	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
+	"ppscan/internal/obsv"
 	"ppscan/internal/result"
+	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
 )
 
@@ -25,7 +27,8 @@ func newState(t *testing.T, g *graph.Graph, eps string, mu int32, workers int) *
 	}
 	ws := engine.NewWorkspace()
 	t.Cleanup(ws.Close)
-	opt := Options{Kernel: intersect.PivotBlock16, Workers: workers}.normalized()
+	opt := engine.Options{Kernel: intersect.PivotBlock16, Workers: workers,
+		DegreeThreshold: sched.DefaultDegreeThreshold, Registry: obsv.Default()}
 	s := ws.Scratch(scratchKey, newCoreState).(*state)
 	s.reset(context.Background(), g, th, opt, ws)
 	return s
@@ -160,12 +163,13 @@ func TestInitClusterIDTakesMinimum(t *testing.T) {
 }
 
 func TestPipelinedNonCoreBatching(t *testing.T) {
-	// NonCoreBatch = 1 forces a flush per membership; output must be
+	// nonCoreBatch = 1 forces a flush per membership; output must be
 	// complete and identical to a large batch.
 	g := gen.CliqueChain(4, 5)
 	th, _ := simdef.NewThreshold("0.7", 3)
-	small := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 3, NonCoreBatch: 1})
-	large := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 3, NonCoreBatch: 1 << 20})
+	var small, large *result.Result
+	withNonCoreBatch(1, func() { small = run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 3}) })
+	withNonCoreBatch(1<<20, func() { large = run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 3}) })
 	if err := result.Equal(small, large); err != nil {
 		t.Fatalf("batch size changed memberships: %v", err)
 	}
@@ -174,8 +178,8 @@ func TestPipelinedNonCoreBatching(t *testing.T) {
 func TestCompSimCounterPerWorker(t *testing.T) {
 	g := gen.ErdosRenyi(300, 2000, 5)
 	th, _ := simdef.NewThreshold("0.5", 3)
-	r1 := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 1})
-	r8 := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 8})
+	r1 := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 1})
+	r8 := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 8})
 	if r1.Stats.CompSimCalls == 0 || r8.Stats.CompSimCalls == 0 {
 		t.Fatalf("counters empty: %d / %d", r1.Stats.CompSimCalls, r8.Stats.CompSimCalls)
 	}

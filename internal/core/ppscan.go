@@ -27,11 +27,12 @@
 //
 // All O(n+m) scratch (roles, similarity labels, union-find, cluster ids,
 // per-worker stat blocks, membership batches) and the scheduler's worker
-// goroutines live in an engine.Workspace. RunWorkspace acquires them from
+// goroutines live in an engine.Workspace. Run acquires them from
 // the workspace and leaves them there grown for the next run, so a warm
 // run on a previously-seen graph size performs near-zero heap allocations
-// — the property the serving stack's steady state depends on. RunContext
-// is the allocate-per-run convenience wrapper over a transient workspace.
+// — the property the serving stack's steady state depends on. A nil
+// workspace is the allocate-per-run convenience: Run then uses a transient
+// one.
 package core
 
 import (
@@ -52,95 +53,45 @@ import (
 	"ppscan/internal/unionfind"
 )
 
-// Options configures a ppSCAN run.
-type Options struct {
-	// Kernel selects the set-intersection kernel. The paper's ppSCAN uses
-	// the pivot-based vectorized kernel (intersect.PivotBlock16 on the
-	// AVX512/KNL profile, PivotBlock8 on the AVX2/CPU profile); ppSCAN-NO
-	// uses intersect.MergeEarly.
-	Kernel intersect.Kind
-	// Workers is the number of worker goroutines per phase; < 1 defaults
-	// to runtime.GOMAXPROCS(0).
-	Workers int
-	// DegreeThreshold is the task-granularity constant of Algorithm 5;
-	// < 1 defaults to sched.DefaultDegreeThreshold (32768).
-	DegreeThreshold int64
-	// StaticScheduling replaces the degree-based dynamic scheduler with
-	// fixed equal-size vertex blocks. Ablation knob for the scheduler
-	// experiment; the paper's ppSCAN always uses dynamic scheduling.
-	StaticScheduling bool
-	// NonCoreBatch is the non-core clustering batch size; < 1 defaults to
-	// 1024 pairs per flush.
-	NonCoreBatch int
-	// Registry receives the run's metrics (phase times, CompSim counts,
-	// kernel and scheduler telemetry). nil means obsv.Default(); pass
-	// obsv.NewNop() to turn collection off entirely — the hot paths then
-	// take no instrumented branches beyond per-worker call counting.
-	Registry *obsv.Registry
-	// Tracer, when non-nil, records the run as spans: phases P1–P7 on
-	// track 0 (the coordinator) and one span per scheduler task on tracks
-	// 1..Workers. Export with Tracer.WriteJSON for chrome://tracing.
-	Tracer *obsv.Tracer
-	// StallTimeout arms the phase watchdog: a phase (P1–P7) in which no
-	// scheduler task completes for this long is abandoned with a
-	// result.PartialError wrapping result.ErrStalled, and the workspace
-	// is fatally poisoned (a hung task may still reference its buffers).
-	// Zero — the default — disables the watchdog; the serving alloc
-	// budget is measured with it off. Dynamic scheduling only.
-	StallTimeout time.Duration
-}
+// nonCoreBatch is the non-core clustering batch size: pairs a worker
+// buffers before one flush into the shared list (P7). A package value, not
+// an option: only this package's tests vary it.
+var nonCoreBatch = 1024
 
-// DefaultOptions returns the paper-faithful configuration: 16-lane pivot
-// kernel, all processors, degree threshold 32768, dynamic scheduling.
-func DefaultOptions() Options {
-	return Options{Kernel: intersect.PivotBlock16}
-}
-
-func (o Options) normalized() Options {
-	if o.Workers < 1 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.DegreeThreshold < 1 {
-		o.DegreeThreshold = sched.DefaultDegreeThreshold
-	}
-	if o.NonCoreBatch < 1 {
-		o.NonCoreBatch = 1024
-	}
-	if o.Registry == nil {
-		o.Registry = obsv.Default()
-	}
-	return o
-}
-
-// Run executes ppSCAN on g with threshold th.
-func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
-	res, _ := RunContext(context.Background(), g, th, opt) // Background never cancels
-	return res
-}
-
-// RunContext executes ppSCAN on g with threshold th under ctx. The run
-// checks for cancellation at every phase barrier and — through the
-// degree-based scheduler — between task batches inside each phase, so a
-// cancelled run aborts within roughly one scheduler task of work per
-// worker. On cancellation it returns a *result.PartialError carrying the
-// statistics accumulated so far (unwrapping to ctx.Err()); the result is
-// then nil.
-func RunContext(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt Options) (*result.Result, error) {
-	return RunWorkspace(ctx, g, th, opt, nil)
+func init() {
+	engine.Register(engine.Engine{Name: "ppscan", Kernel: intersect.PivotBlock16, Checkpoints: true, Run: Run})
+	// The kernel ablation: the same phases on pSCAN's scalar merge kernel.
+	engine.Register(engine.Engine{Name: "ppscan-no", Label: "ppSCAN-NO", Kernel: intersect.MergeEarly, Checkpoints: true, Run: Run})
 }
 
 // scratchKey parks the pooled ppSCAN state in an engine.Workspace.
 const scratchKey = "core"
 
-// RunWorkspace is RunContext running on a pooled workspace: every scratch
-// buffer and the scheduler crew come from ws and stay there for the next
-// run. A nil ws falls back to a transient workspace (closed on return).
+// Run executes ppSCAN on g with threshold th under ctx, with opt.Kernel the
+// resolved intersection kernel (the paper's ppSCAN uses PivotBlock16 on the
+// AVX512/KNL profile and PivotBlock8 on AVX2; ppSCAN-NO uses MergeEarly).
+// opt.Workers < 1 means GOMAXPROCS, opt.DegreeThreshold < 1 Algorithm 5's
+// default (32768), a nil opt.Registry obsv.Default() — pass obsv.NewNop()
+// to turn collection off entirely. opt.StallTimeout arms the phase
+// watchdog (dynamic scheduling only): a phase in which no scheduler task
+// completes for that long is abandoned with a result.PartialError wrapping
+// result.ErrStalled and the workspace is fatally poisoned.
+//
+// The run checks for cancellation at every phase barrier and — through the
+// degree-based scheduler — between task batches inside each phase, so a
+// cancelled run aborts within roughly one scheduler task of work per
+// worker, returning a *result.PartialError carrying the statistics
+// accumulated so far (unwrapping to ctx.Err()) and a nil result.
+//
+// Every scratch buffer and the scheduler crew come from ws and stay there
+// for the next run. A nil ws falls back to a transient workspace (closed
+// on return).
 //
 // Aliasing rule: the returned Result's Roles, CoreClusterID and NonCore
 // slices alias workspace memory and are valid only until the next run on
 // ws; clone the result (Result.Clone) to retain it longer. The workspace
 // must not be used concurrently by another run.
-func RunWorkspace(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) (*result.Result, error) {
+func Run(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, ws *engine.Workspace) (*result.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -148,7 +99,15 @@ func RunWorkspace(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt 
 		ws = engine.NewWorkspace()
 		defer ws.Close()
 	}
-	opt = opt.normalized()
+	if opt.Workers < 1 {
+		opt.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opt.DegreeThreshold < 1 {
+		opt.DegreeThreshold = sched.DefaultDegreeThreshold
+	}
+	if opt.Registry == nil {
+		opt.Registry = obsv.Default()
+	}
 	s := ws.Scratch(scratchKey, newCoreState).(*state)
 	s.reset(ctx, g, th, opt, ws)
 	defer s.endRun()
@@ -463,7 +422,7 @@ type state struct {
 	th            simdef.Threshold
 	ctx           context.Context
 	stop          atomic.Bool // set by context.AfterFunc on cancellation
-	opt           Options
+	opt           engine.Options
 	ws            *engine.Workspace
 	roles         []result.Role
 	sim           []int32 // simdef.EdgeSim values, accessed atomically
@@ -535,7 +494,7 @@ func newCoreState() any {
 // reset points the state at a new run's inputs, re-sourcing every scratch
 // buffer from the workspace (each getter re-initializes its buffer, which
 // is the no-stale-data guarantee between runs).
-func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) {
+func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, ws *engine.Workspace) {
 	n := int(g.NumVertices())
 	s.g, s.th, s.ctx, s.opt, s.ws = g, th, ctx, opt, ws
 	s.start = time.Now()
@@ -878,7 +837,7 @@ func (s *state) nonCoreVertex(u int32, w int) {
 			// Grow-only per-worker batch: capacity persists across runs in the
 			// workspace scratch.
 			s.ncLocal[w] = append(s.ncLocal[w], result.Membership{V: v, ClusterID: id})
-			if len(s.ncLocal[w]) >= s.opt.NonCoreBatch {
+			if len(s.ncLocal[w]) >= nonCoreBatch {
 				s.flushNonCore(w)
 			}
 		}

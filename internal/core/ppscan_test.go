@@ -1,22 +1,39 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
+	"ppscan/graph"
 	"ppscan/internal/algotest"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
 	"ppscan/internal/simdef"
 )
 
+// run is Run under a Background context on a transient workspace: with no
+// deadline and no fault armed it cannot fail.
+func run(g *graph.Graph, th simdef.Threshold, opt engine.Options) *result.Result {
+	res, _ := Run(context.Background(), g, th, opt, nil)
+	return res
+}
+
+// withNonCoreBatch runs f with P7's flush threshold set to n pairs.
+func withNonCoreBatch(n int, f func()) {
+	defer func(old int) { nonCoreBatch = old }(nonCoreBatch)
+	nonCoreBatch = n
+	f()
+}
+
 func TestGroundTruthCorpus(t *testing.T) {
 	for _, tc := range algotest.Corpus() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				r := Run(tc.G, th, Options{Kernel: intersect.PivotBlock16, Workers: 4})
+				r := run(tc.G, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 4})
 				if err := algotest.CheckGroundTruth(tc.G, r, th); err != nil {
 					t.Fatalf("%s: %v", tc.Name, err)
 				}
@@ -30,8 +47,8 @@ func TestMatchesSCANCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				want := scan.Run(tc.G, th, scan.Options{Kernel: intersect.Merge})
-				got := Run(tc.G, th, Options{Kernel: intersect.PivotBlock16, Workers: 4})
+				want := scan.Run(tc.G, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
+				got := run(tc.G, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 4})
 				if err := result.Equal(want, got); err != nil {
 					t.Fatalf("%s eps=%s mu=%d: %v", tc.Name, th.Eps, th.Mu, err)
 				}
@@ -44,9 +61,9 @@ func TestMatchesSCANCorpus(t *testing.T) {
 func TestWorkerCountIndependence(t *testing.T) {
 	g := algotest.RandomGraph(21)
 	th, _ := simdef.NewThreshold("0.4", 3)
-	base := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 1})
+	base := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 1})
 	for _, w := range []int{2, 3, 8, 64} {
-		r := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: w})
+		r := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: w})
 		if err := result.Equal(base, r); err != nil {
 			t.Errorf("workers=%d changes output: %v", w, err)
 		}
@@ -58,9 +75,9 @@ func TestWorkerCountIndependence(t *testing.T) {
 func TestKernelIndependence(t *testing.T) {
 	g := algotest.RandomGraph(23)
 	th, _ := simdef.NewThreshold("0.5", 2)
-	base := Run(g, th, Options{Kernel: intersect.MergeEarly, Workers: 4})
+	base := run(g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: 4})
 	for _, k := range intersect.Kinds() {
-		r := Run(g, th, Options{Kernel: k, Workers: 4})
+		r := run(g, th, engine.Options{Kernel: k, Workers: 4})
 		if err := result.Equal(base, r); err != nil {
 			t.Errorf("kernel %v changes output: %v", k, err)
 		}
@@ -72,18 +89,23 @@ func TestKernelIndependence(t *testing.T) {
 func TestSchedulingIndependence(t *testing.T) {
 	g := algotest.RandomGraph(25)
 	th, _ := simdef.NewThreshold("0.3", 4)
-	base := Run(g, th, Options{Workers: 4, Kernel: intersect.PivotBlock16})
-	for _, opt := range []Options{
+	base := run(g, th, engine.Options{Workers: 4, Kernel: intersect.PivotBlock16})
+	for _, opt := range []engine.Options{
 		{Workers: 4, Kernel: intersect.PivotBlock16, StaticScheduling: true},
 		{Workers: 4, Kernel: intersect.PivotBlock16, DegreeThreshold: 1},
 		{Workers: 4, Kernel: intersect.PivotBlock16, DegreeThreshold: 1 << 30},
-		{Workers: 4, Kernel: intersect.PivotBlock16, NonCoreBatch: 1},
 	} {
-		r := Run(g, th, opt)
+		r := run(g, th, opt)
 		if err := result.Equal(base, r); err != nil {
 			t.Errorf("options %+v change output: %v", opt, err)
 		}
 	}
+	withNonCoreBatch(1, func() {
+		r := run(g, th, engine.Options{Workers: 4, Kernel: intersect.PivotBlock16})
+		if err := result.Equal(base, r); err != nil {
+			t.Errorf("a one-pair non-core batch changes output: %v", err)
+		}
+	})
 }
 
 // Theorem 4.1: the similarity computation is invoked at most once per
@@ -92,7 +114,7 @@ func TestTheorem41AtMostOnePerEdge(t *testing.T) {
 	for _, tc := range algotest.Corpus() {
 		for _, th := range algotest.Params() {
 			for _, w := range []int{1, 4} {
-				r := Run(tc.G, th, Options{Kernel: intersect.PivotBlock16, Workers: w})
+				r := run(tc.G, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: w})
 				if r.Stats.CompSimCalls > tc.G.NumEdges() {
 					t.Errorf("%s eps=%s mu=%d workers=%d: %d CompSim calls > |E| = %d",
 						tc.Name, th.Eps, th.Mu, w, r.Stats.CompSimCalls, tc.G.NumEdges())
@@ -108,8 +130,8 @@ func TestTheorem41AtMostOnePerEdge(t *testing.T) {
 func TestInvocationCountsComparable(t *testing.T) {
 	g := algotest.RandomGraph(31)
 	th, _ := simdef.NewThreshold("0.5", 5)
-	pp := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 1})
-	sc := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
+	pp := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 1})
+	sc := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 	if pp.Stats.CompSimCalls > sc.Stats.CompSimCalls {
 		t.Errorf("ppSCAN did more work than exhaustive SCAN: %d > %d",
 			pp.Stats.CompSimCalls, sc.Stats.CompSimCalls)
@@ -125,8 +147,8 @@ func TestEquivalenceQuick(t *testing.T) {
 		workers := int(wRaw%8) + 1
 		kernels := intersect.Kinds()
 		kernel := kernels[int(kRaw)%len(kernels)]
-		want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
-		got := Run(g, th, Options{Kernel: kernel, Workers: workers})
+		want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
+		got := run(g, th, engine.Options{Kernel: kernel, Workers: workers})
 		return result.Equal(want, got) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -137,7 +159,7 @@ func TestEquivalenceQuick(t *testing.T) {
 func TestCompSimByPhase(t *testing.T) {
 	g := algotest.RandomGraph(97)
 	th, _ := simdef.NewThreshold("0.4", 3)
-	r := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 3})
+	r := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 3})
 	var sum int64
 	for _, n := range r.Stats.CompSimByPhase {
 		if n < 0 {
@@ -165,7 +187,7 @@ func TestCompSimByPhase(t *testing.T) {
 func TestStatsAndPhaseTimes(t *testing.T) {
 	g := algotest.RandomGraph(41)
 	th, _ := simdef.NewThreshold("0.3", 2)
-	r := Run(g, th, Options{Kernel: intersect.PivotBlock16, Workers: 2})
+	r := run(g, th, engine.Options{Kernel: intersect.PivotBlock16, Workers: 2})
 	if r.Stats.Algorithm != "ppSCAN" || r.Stats.Workers != 2 {
 		t.Errorf("stats = %+v", r.Stats)
 	}
@@ -187,22 +209,11 @@ func TestStatsAndPhaseTimes(t *testing.T) {
 	}
 }
 
-func TestDefaultOptions(t *testing.T) {
-	o := DefaultOptions()
-	if o.Kernel != intersect.PivotBlock16 {
-		t.Errorf("default kernel = %v", o.Kernel)
-	}
-	n := o.normalized()
-	if n.Workers < 1 || n.DegreeThreshold != 32768 || n.NonCoreBatch != 1024 {
-		t.Errorf("normalized defaults = %+v", n)
-	}
-}
-
 func TestLargeWorkerCountSmallGraph(t *testing.T) {
 	// More workers than vertices must not deadlock or drop work.
 	g := algotest.Corpus()[3].G // triangle
 	th, _ := simdef.NewThreshold("0.5", 2)
-	r := Run(g, th, Options{Workers: 32, Kernel: intersect.PivotBlock16})
+	r := run(g, th, engine.Options{Workers: 32, Kernel: intersect.PivotBlock16})
 	if err := algotest.CheckGroundTruth(g, r, th); err != nil {
 		t.Fatal(err)
 	}

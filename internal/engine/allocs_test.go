@@ -37,10 +37,6 @@ func TestServingAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	eng, ok := engine.Get("ppscan")
-	if !ok {
-		t.Fatal("ppscan engine not registered")
-	}
 	g := benchGraph()
 	th := benchThreshold(t)
 	opt := engine.Options{Workers: 4}
@@ -49,7 +45,7 @@ func TestServingAllocBudget(t *testing.T) {
 	ctx := context.Background()
 
 	run := func() {
-		if _, err := eng.RunContext(ctx, g, th, opt, ws); err != nil {
+		if _, err := engine.Run(ctx, "ppscan", "", g, th, opt, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,10 +67,6 @@ func TestServingAllocBudgetTraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	eng, ok := engine.Get("ppscan")
-	if !ok {
-		t.Fatal("ppscan engine not registered")
-	}
 	g := benchGraph()
 	th := benchThreshold(t)
 	tr := obsv.NewTracer()
@@ -85,7 +77,7 @@ func TestServingAllocBudgetTraced(t *testing.T) {
 
 	run := func() {
 		tr.Reset()
-		if _, err := eng.RunContext(ctx, g, th, opt, ws); err != nil {
+		if _, err := engine.Run(ctx, "ppscan", "", g, th, opt, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,20 +98,19 @@ func TestServingAllocBudgetTraced(t *testing.T) {
 // workspace each run) to see the pooling win; `make bench-alloc` runs both
 // with -benchmem.
 func BenchmarkEngineSteadyState(b *testing.B) {
-	eng, _ := engine.Get("ppscan")
 	g := benchGraph()
 	th := benchThreshold(b)
 	opt := engine.Options{Workers: 4}
 	ws := engine.NewWorkspace()
 	defer ws.Close()
 	ctx := context.Background()
-	if _, err := eng.RunContext(ctx, g, th, opt, ws); err != nil {
+	if _, err := engine.Run(ctx, "ppscan", "", g, th, opt, ws); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunContext(ctx, g, th, opt, ws); err != nil {
+		if _, err := engine.Run(ctx, "ppscan", "", g, th, opt, ws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +119,6 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 // BenchmarkEngineColdRun measures the unpooled path: every run pays the
 // full O(n+m) scratch allocation and scheduler startup.
 func BenchmarkEngineColdRun(b *testing.B) {
-	eng, _ := engine.Get("ppscan")
 	g := benchGraph()
 	th := benchThreshold(b)
 	opt := engine.Options{Workers: 4}
@@ -137,7 +127,7 @@ func BenchmarkEngineColdRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws := engine.NewWorkspace()
-		if _, err := eng.RunContext(ctx, g, th, opt, ws); err != nil {
+		if _, err := engine.Run(ctx, "ppscan", "", g, th, opt, ws); err != nil {
 			b.Fatal(err)
 		}
 		ws.Close()

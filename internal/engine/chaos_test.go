@@ -60,8 +60,7 @@ func TestChaosEngines(t *testing.T) {
 
 	// Reference result, computed clean.
 	fault.Disable()
-	refEng, _ := engine.Get("ppscan")
-	ref, err := refEng.RunContext(context.Background(), g, th, engine.Options{}, nil)
+	ref, err := engine.Run(context.Background(), "ppscan", "", g, th, engine.Options{}, nil)
 	if err != nil {
 		t.Fatalf("clean reference run: %v", err)
 	}
@@ -79,19 +78,19 @@ func TestChaosEngines(t *testing.T) {
 		fault.Enable(fault.NewPlan(seed))
 		for _, e := range engines {
 			ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
-			res, err := e.RunContext(context.Background(), g, th, engine.Options{Workers: 4}, ws)
+			res, err := engine.Run(context.Background(), e.Name, "", g, th, engine.Options{Workers: 4}, ws)
 			if err != nil {
 				faulted++
 				if !typedFaultError(err) {
-					t.Errorf("seed %d %s: untyped failure %v", seed, e.Name(), err)
+					t.Errorf("seed %d %s: untyped failure %v", seed, e.Name, err)
 				}
 				var pe *result.PartialError
 				if errors.As(err, &pe) && pe.Stats.Algorithm == "" {
-					t.Errorf("seed %d %s: partial error carries no stats", seed, e.Name())
+					t.Errorf("seed %d %s: partial error carries no stats", seed, e.Name)
 				}
 			} else {
 				if cerr := result.Equal(ref, res.Clone()); cerr != nil {
-					t.Errorf("seed %d %s: survived injection but result is wrong: %v", seed, e.Name(), cerr)
+					t.Errorf("seed %d %s: survived injection but result is wrong: %v", seed, e.Name, cerr)
 				}
 			}
 			pool.Release(ws)
@@ -106,11 +105,11 @@ func TestChaosEngines(t *testing.T) {
 	// up here as a wrong result.
 	for _, e := range engines {
 		ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
-		res, err := e.RunContext(context.Background(), g, th, engine.Options{Workers: 4}, ws)
+		res, err := engine.Run(context.Background(), e.Name, "", g, th, engine.Options{Workers: 4}, ws)
 		if err != nil {
-			t.Errorf("post-chaos clean run %s: %v", e.Name(), err)
+			t.Errorf("post-chaos clean run %s: %v", e.Name, err)
 		} else if cerr := result.Equal(ref, res.Clone()); cerr != nil {
-			t.Errorf("post-chaos clean run %s: %v", e.Name(), cerr)
+			t.Errorf("post-chaos clean run %s: %v", e.Name, cerr)
 		}
 		pool.Release(ws)
 	}
@@ -129,9 +128,8 @@ func TestChaosPanicPoisonsAndPoolResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := engine.Get("ppscan")
 	fault.Disable()
-	ref, err := eng.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, nil)
+	ref, err := engine.Run(context.Background(), "ppscan", "", g, th, engine.Options{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,7 @@ func TestChaosPanicPoisonsAndPoolResets(t *testing.T) {
 		{Point: fault.WorkerTask, Action: fault.ActPanic, Start: 1, Count: 1},
 	}})
 	ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
-	_, err = eng.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, ws)
+	_, err = engine.Run(context.Background(), "ppscan", "", g, th, engine.Options{Workers: 2}, ws)
 	var wpe *result.WorkerPanicError
 	if !errors.As(err, &wpe) {
 		t.Fatalf("err = %v, want a contained *WorkerPanicError", err)
@@ -162,7 +160,7 @@ func TestChaosPanicPoisonsAndPoolResets(t *testing.T) {
 	if ws2.Poisoned() {
 		t.Error("pool handed out a still-poisoned workspace")
 	}
-	res, err := eng.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, ws2)
+	res, err := engine.Run(context.Background(), "ppscan", "", g, th, engine.Options{Workers: 2}, ws2)
 	if err != nil {
 		t.Fatalf("clean run on reset workspace: %v", err)
 	}
@@ -184,7 +182,6 @@ func TestWatchdogStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := engine.Get("ppscan")
 	pool := engine.NewPool(2)
 	ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
 
@@ -192,7 +189,7 @@ func TestWatchdogStall(t *testing.T) {
 		{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 1, Count: 1, Delay: 3 * time.Second},
 	}})
 	start := time.Now()
-	_, err = eng.RunContext(context.Background(), g, th,
+	_, err = engine.Run(context.Background(), "ppscan", "", g, th,
 		engine.Options{Workers: 2, StallTimeout: 40 * time.Millisecond}, ws)
 	took := time.Since(start)
 	fault.Disable()
@@ -219,7 +216,7 @@ func TestWatchdogStall(t *testing.T) {
 	// correctly while the zombie straggler is still sleeping.
 	ws2 := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
 	defer pool.Release(ws2)
-	res, err := eng.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, ws2)
+	res, err := engine.Run(context.Background(), "ppscan", "", g, th, engine.Options{Workers: 2}, ws2)
 	if err != nil {
 		t.Fatalf("post-stall clean run: %v", err)
 	}
@@ -238,9 +235,8 @@ func TestDistscanSuperstepRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := engine.Get("dist-scan")
 	fault.Disable()
-	ref, err := eng.RunContext(context.Background(), g, th, engine.Options{Workers: 3}, nil)
+	ref, err := engine.Run(context.Background(), "dist-scan", "", g, th, engine.Options{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +247,7 @@ func TestDistscanSuperstepRetry(t *testing.T) {
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
 		{Point: fault.ShardRPC, Action: fault.ActError, Start: 2, Every: 3, Count: 2},
 	}})
-	res, err := eng.RunContext(context.Background(), g, th, engine.Options{Workers: 3}, nil)
+	res, err := engine.Run(context.Background(), "dist-scan", "", g, th, engine.Options{Workers: 3}, nil)
 	fault.Disable()
 	if err != nil {
 		t.Fatalf("run with retryable superstep faults failed: %v", err)
@@ -273,11 +269,10 @@ func TestDistscanRetryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := engine.Get("dist-scan")
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
 		{Point: fault.ShardRPC, Action: fault.ActError, Start: 1, Every: 1},
 	}})
-	_, err = eng.RunContext(context.Background(), g, th, engine.Options{Workers: 3}, nil)
+	_, err = engine.Run(context.Background(), "dist-scan", "", g, th, engine.Options{Workers: 3}, nil)
 	fault.Disable()
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want wrapped ErrInjected after retry exhaustion", err)

@@ -2,13 +2,16 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"ppscan/graph"
 	"ppscan/internal/algotest"
 	"ppscan/internal/engine"
 	"ppscan/internal/gen"
+	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 
@@ -23,33 +26,101 @@ import (
 )
 
 // TestRegistryNames: all shipped backends register under their canonical
-// names, Names() is sorted, and Get round-trips.
+// names, and Names() and All() agree and are sorted.
 func TestRegistryNames(t *testing.T) {
 	want := []string{"anyscan", "dist-scan", "ppscan", "ppscan-no", "pscan", "scan", "scan++", "scan-xp"}
-	got := engine.Names()
-	if !slices.Equal(got, want) {
+	if got := engine.Names(); !slices.Equal(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
-	}
-	for _, name := range want {
-		e, ok := engine.Get(name)
-		if !ok {
-			t.Fatalf("Get(%q) missing", name)
-		}
-		if e.Name() != name {
-			t.Errorf("Get(%q).Name() = %q", name, e.Name())
-		}
-	}
-	if _, ok := engine.Get("no-such-engine"); ok {
-		t.Error("Get of unregistered name reported ok")
 	}
 	all := engine.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d engines, want %d", len(all), len(want))
 	}
 	for i, e := range all {
-		if e.Name() != want[i] {
-			t.Errorf("All()[%d] = %q, want %q (sorted)", i, e.Name(), want[i])
+		if e.Name != want[i] {
+			t.Errorf("All()[%d] = %q, want %q (sorted)", i, e.Name, want[i])
 		}
+	}
+}
+
+// expiringCtx reports no error the first time it is asked — the
+// dispatcher's "not started" check — and an expired deadline ever after:
+// a deadline that fires while a checkpoint-free engine, which never asks,
+// is running.
+type expiringCtx struct {
+	context.Context
+	asked int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.asked++; c.asked > 1 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestDispatcherSeam pins, for every registered engine, what the
+// dispatcher alone decides. The two refusals pass a nil graph: an engine
+// that ran at all would dereference it.
+func TestDispatcherSeam(t *testing.T) {
+	labels := map[string]string{
+		"anyscan": "anySCAN", "dist-scan": "dist-scan(p=3)", "ppscan": "ppSCAN", "ppscan-no": "ppSCAN-NO",
+		"pscan": "pSCAN", "scan": "SCAN", "scan++": "SCAN++", "scan-xp": "SCAN-XP",
+	}
+	g := graphFor("small")
+	th, err := simdef.NewThreshold("0.5", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantKernelErr := engine.Run(context.Background(), "no-such-engine", "no-such-kernel", nil, th, engine.Options{}, nil)
+	if wantKernelErr == nil || !strings.Contains(wantKernelErr.Error(), "no-such-kernel") {
+		t.Fatalf("bad kernel and bad engine: got %v, want the kernel reported first", wantKernelErr)
+	}
+	if _, err := engine.Run(context.Background(), "no-such-engine", "", nil, th, engine.Options{}, nil); err == nil ||
+		err.Error() != `ppscan: unknown algorithm "no-such-engine"` {
+		t.Fatalf("bad engine: got %v", err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range engine.All() {
+		t.Run(e.Name, func(t *testing.T) {
+			runs := obsv.Default().Histogram(obsv.MetricEngineRunPrefix + e.Name)
+			before := runs.Count()
+			res, err := engine.Run(context.Background(), e.Name, "no-such-kernel", nil, th, engine.Options{}, nil)
+			if res != nil || err == nil || err.Error() != wantKernelErr.Error() {
+				t.Errorf("unknown kernel: got (%v, %v), want the error every engine gives: %v", res, err, wantKernelErr)
+			}
+			res, err = engine.Run(cancelled, e.Name, "", nil, th, engine.Options{}, nil)
+			if res != nil || !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "not started") {
+				t.Errorf("pre-cancelled ctx: got (%v, %v), want a not-started error wrapping context.Canceled", res, err)
+			}
+			if got := runs.Count(); got != before {
+				t.Errorf("the two refusals recorded %d runs in %s%s", got-before, obsv.MetricEngineRunPrefix, e.Name)
+			}
+
+			res, err = engine.Run(context.Background(), e.Name, "", g, th, engine.Options{Workers: 3}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Algorithm != labels[e.Name] {
+				t.Errorf("Stats.Algorithm = %q, want %q", res.Stats.Algorithm, labels[e.Name])
+			}
+			if got := runs.Count(); got != before+1 {
+				t.Errorf("one run moved %s%s by %d, want 1", obsv.MetricEngineRunPrefix, e.Name, got-before)
+			}
+
+			if e.Checkpoints {
+				return
+			}
+			res, err = engine.Run(&expiringCtx{Context: context.Background()}, e.Name, "", g, th, engine.Options{Workers: 3}, nil)
+			var pe *result.PartialError
+			if res != nil || !errors.As(err, &pe) || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("deadline inside a checkpoint-free run: got (%v, %v), want a *result.PartialError", res, err)
+			}
+			if !strings.Contains(pe.Phase, "completed") || pe.Stats.Algorithm != labels[e.Name] || pe.Stats.CompSimCalls == 0 {
+				t.Errorf("late run: phase %q, stats %+v; want the completed run's stats", pe.Phase, pe.Stats)
+			}
+		})
 	}
 }
 
@@ -95,13 +166,13 @@ func TestWorkspaceReuseAcrossGraphSizes(t *testing.T) {
 	seq := []string{"big", "small", "medium", "big", "tiny", "big", "small"}
 	for _, e := range engine.All() {
 		e := e
-		t.Run(e.Name(), func(t *testing.T) {
+		t.Run(e.Name, func(t *testing.T) {
 			ws := engine.NewWorkspace()
 			defer ws.Close()
 			want := map[string]*result.Result{}
 			for round, name := range seq {
 				g := graphFor(name)
-				got, err := e.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, ws)
+				got, err := engine.Run(context.Background(), e.Name, "", g, th, engine.Options{Workers: 2}, ws)
 				if err != nil {
 					t.Fatalf("round %d (%s): %v", round, name, err)
 				}
@@ -109,7 +180,7 @@ func TestWorkspaceReuseAcrossGraphSizes(t *testing.T) {
 				ref, ok := want[name]
 				if !ok {
 					fresh := engine.NewWorkspace()
-					ref, err = e.RunContext(context.Background(), g, th, engine.Options{Workers: 2}, fresh)
+					ref, err = engine.Run(context.Background(), e.Name, "", g, th, engine.Options{Workers: 2}, fresh)
 					if err != nil {
 						fresh.Close()
 						t.Fatalf("fresh run (%s): %v", name, err)

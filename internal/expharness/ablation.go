@@ -42,33 +42,33 @@ func Ablations(cfg Config) Table {
 		add := func(group, variant string, r *result.Result) {
 			t.add(group, variant, ds, r.Stats.Total, r.Stats.CompSimCalls, r.Stats.CommBytes)
 		}
-		ppscan := func(group, variant string, opt engine.Options) {
+		ppscan := func(group, variant, kernel string, opt engine.Options) {
 			opt.Workers = cfg.Workers
-			add(group, variant, cfg.best("ppscan", g, th, opt))
+			add(group, variant, cfg.best("ppscan", kernel, g, th, opt))
 		}
 
-		ppscan("scheduler", "dynamic", engine.Options{})
-		ppscan("scheduler", "static", engine.Options{StaticScheduling: true})
+		ppscan("scheduler", "dynamic", "", engine.Options{})
+		ppscan("scheduler", "static", "", engine.Options{StaticScheduling: true})
 
 		for _, thr := range []int64{1 << 10, 1 << 15, 1 << 20} {
-			ppscan("task-threshold", fmt.Sprint(thr), engine.Options{DegreeThreshold: thr})
+			ppscan("task-threshold", fmt.Sprint(thr), "", engine.Options{DegreeThreshold: thr})
 		}
 
-		// The processing order is pscan's own knob, so these runs bypass
-		// the engine registry.
+		// The processing order is pscan's own knob, so these runs call its
+		// entry point directly.
 		for _, ord := range []pscan.Order{pscan.OrderEffectiveDegree, pscan.OrderStaticDegree, pscan.OrderNatural} {
 			add("pscan-order", ord.String(), cfg.bestOf(func() *result.Result {
-				return pscan.Run(g, th, pscan.Options{Kernel: intersect.MergeEarly, Order: ord})
+				return pscan.Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, pscan.Options{Order: ord}, nil)
 			}))
 		}
 
 		for _, k := range intersect.Kinds() {
-			ppscan("ppscan-kernel", k.String(), engine.Options{Kernel: k.String()})
+			ppscan("ppscan-kernel", k.String(), k.String(), engine.Options{})
 		}
 
 		// The dist-scan engine reads Workers as the partition count.
 		for _, parts := range []int{1, 2, 4, 8} {
-			add("dist-partitions", fmt.Sprintf("p=%d", parts), cfg.best("dist-scan", g, th, engine.Options{Workers: parts}))
+			add("dist-partitions", fmt.Sprintf("p=%d", parts), cfg.best("dist-scan", "", g, th, engine.Options{Workers: parts}))
 		}
 	}
 	return t

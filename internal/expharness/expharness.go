@@ -106,16 +106,13 @@ func (c Config) bestOf(f func() *result.Result) *result.Result {
 	return best
 }
 
-// run executes the named registry engine once on a transient workspace, the
-// way the facade and the server reach it. An empty opt.Kernel is the
-// engine's paper-faithful default. The harness arms no faults and no
-// deadline, so a failed run is a bug worth the loud exit.
-func run(name string, g *graph.Graph, th simdef.Threshold, opt engine.Options) *result.Result {
-	e, ok := engine.Get(name)
-	if !ok {
-		panic(fmt.Sprintf("expharness: engine %q is not registered", name))
-	}
-	r, err := e.RunContext(context.Background(), g, th, opt, nil)
+// run executes the named engine once on a transient workspace through the
+// dispatcher, the way the facade and the server reach it (so every run
+// lands in engine.run_ns.<name>). An empty kernel is the engine's
+// paper-faithful default. The harness arms no faults and no deadline, so a
+// failed run is a bug worth the loud exit.
+func run(name, kernel string, g *graph.Graph, th simdef.Threshold, opt engine.Options) *result.Result {
+	r, err := engine.Run(context.Background(), name, kernel, g, th, opt, nil)
 	if err != nil {
 		panic(fmt.Sprintf("expharness: %s run failed: %v", name, err))
 	}
@@ -123,8 +120,8 @@ func run(name string, g *graph.Graph, th simdef.Threshold, opt engine.Options) *
 }
 
 // best is the best of Repeats runs of the named engine.
-func (c Config) best(name string, g *graph.Graph, th simdef.Threshold, opt engine.Options) *result.Result {
-	return c.bestOf(func() *result.Result { return run(name, g, th, opt) })
+func (c Config) best(name, kernel string, g *graph.Graph, th simdef.Threshold, opt engine.Options) *result.Result {
+	return c.bestOf(func() *result.Result { return run(name, kernel, g, th, opt) })
 }
 
 // ratio is num/den, or 0 where the denominator was too fast to time.
@@ -168,7 +165,7 @@ func Table2(cfg Config) Table {
 
 // Fig1 regenerates Figure 1: the time breakdown of SCAN and pSCAN with
 // µ = 5 across ε on the breakdown datasets. The Breakdown timers are a
-// per-package knob, so these two run outside the engine registry.
+// per-package knob, so these two call the packages' entry points directly.
 func Fig1(cfg Config) Table {
 	cfg = cfg.norm()
 	t := Table{Title: "Figure 1: time breakdown of SCAN and pSCAN (mu=5)", Columns: []Column{
@@ -182,9 +179,9 @@ func Fig1(cfg Config) Table {
 				th := mustTh(eps, DefaultMu)
 				st := cfg.bestOf(func() *result.Result {
 					if algo == "SCAN" {
-						return scan.Run(g, th, scan.Options{Kernel: intersect.Merge, Breakdown: true})
+						return scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{Breakdown: true}, nil)
 					}
-					return pscan.Run(g, th, pscan.Options{Kernel: intersect.MergeEarly, Breakdown: true})
+					return pscan.Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, pscan.Options{Breakdown: true}, nil)
 				}).Stats
 				other := max(st.Total-st.SimilarityTime-st.ReductionTime, 0)
 				t.add(spec.Name, st.Algorithm, eps, st.SimilarityTime, st.ReductionTime, other, st.Total)
@@ -215,7 +212,7 @@ func (p Profile) String() string {
 	return "CPU(AVX2/8-lane)"
 }
 
-// kernel names the profile's block-vectorized kernel for engine.Options.
+// kernel names the profile's block-vectorized kernel for engine.Run.
 func (p Profile) kernel() string {
 	if p == ProfileKNL {
 		return intersect.PivotBlock16.String()
@@ -243,11 +240,11 @@ func OverallComparison(cfg Config, profile Profile) Table {
 			stats := make([]result.Stats, len(engines))
 			var pscanTotal time.Duration
 			for i, name := range engines {
-				opt := engine.Options{Workers: cfg.Workers}
+				kernel := ""
 				if name == "ppscan" {
-					opt.Kernel = profile.kernel()
+					kernel = profile.kernel()
 				}
-				stats[i] = cfg.best(name, g, th, opt).Stats
+				stats[i] = cfg.best(name, kernel, g, th, engine.Options{Workers: cfg.Workers}).Stats
 				if name == "pscan" {
 					pscanTotal = stats[i].Total
 				}
@@ -285,8 +282,8 @@ func Fig4(cfg Config) Table {
 		edges := g.NumEdges()
 		for _, eps := range cfg.epsGrid() {
 			th := mustTh(eps, DefaultMu)
-			ps := run("pscan", g, th, engine.Options{}).Stats.CompSimCalls
-			pp := run("ppscan", g, th, engine.Options{Workers: cfg.Workers})
+			ps := run("pscan", "", g, th, engine.Options{}).Stats.CompSimCalls
+			pp := run("ppscan", "", g, th, engine.Options{Workers: cfg.Workers})
 			t.add(spec.Name, eps, edges, ps, pp.Stats.CompSimCalls,
 				float64(ps)/float64(edges), float64(pp.Stats.CompSimCalls)/float64(edges),
 				int64(pp.NumCores()), int64(pp.NumClusters()))
@@ -313,8 +310,8 @@ func Fig5(cfg Config) Table {
 			g := dataset.MustLoad(spec.Name, cfg.Scale)
 			for _, eps := range cfg.epsGrid() {
 				th := mustTh(eps, DefaultMu)
-				no := cfg.best("ppscan-no", g, th, engine.Options{Workers: cfg.Workers}).Stats.PhaseTimes[result.PhaseCheckCore]
-				vec := cfg.best("ppscan", g, th, engine.Options{Workers: cfg.Workers, Kernel: profile.kernel()}).Stats.PhaseTimes[result.PhaseCheckCore]
+				no := cfg.best("ppscan-no", "", g, th, engine.Options{Workers: cfg.Workers}).Stats.PhaseTimes[result.PhaseCheckCore]
+				vec := cfg.best("ppscan", profile.kernel(), g, th, engine.Options{Workers: cfg.Workers}).Stats.PhaseTimes[result.PhaseCheckCore]
 				t.add(spec.Name, eps, profile.String(), no, vec, ratio(no, vec))
 			}
 		}
@@ -350,7 +347,7 @@ func Fig6(cfg Config) Table {
 		g := dataset.MustLoad(spec.Name, cfg.Scale)
 		var base time.Duration
 		for _, w := range cfg.WorkerGrid() {
-			st := cfg.best("ppscan", g, th, engine.Options{Workers: w}).Stats
+			st := cfg.best("ppscan", "", g, th, engine.Options{Workers: w}).Stats
 			if w == 1 {
 				base = st.Total
 			}
@@ -381,7 +378,7 @@ func Fig7(cfg Config) Table {
 		g := dataset.MustLoad(spec.Name, cfg.Scale)
 		for _, mu := range mus {
 			for _, eps := range cfg.epsGrid() {
-				r := cfg.best("ppscan", g, mustTh(eps, mu), engine.Options{Workers: cfg.Workers})
+				r := cfg.best("ppscan", "", g, mustTh(eps, mu), engine.Options{Workers: cfg.Workers})
 				t.add(spec.Name, eps, int64(mu), r.Stats.Total, int64(r.NumCores()), int64(r.NumClusters()))
 			}
 		}
@@ -411,8 +408,8 @@ func Fig8(cfg Config) Table {
 			g := dataset.MustLoad(spec.Name, cfg.Scale)
 			for _, eps := range cfg.epsGrid() {
 				th := mustTh(eps, DefaultMu)
-				one := cfg.best("ppscan", g, th, engine.Options{Workers: 1, Kernel: profile.kernel()})
-				par := cfg.best("ppscan", g, th, engine.Options{Workers: cfg.Workers, Kernel: profile.kernel()})
+				one := cfg.best("ppscan", profile.kernel(), g, th, engine.Options{Workers: 1})
+				par := cfg.best("ppscan", profile.kernel(), g, th, engine.Options{Workers: cfg.Workers})
 				t.add(spec.Name, eps, profile.String(), par.Stats.Total, ratio(one.Stats.Total, par.Stats.Total),
 					int64(par.NumCores()), int64(par.NumClusters()))
 			}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ppscan/internal/algotest"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
@@ -29,7 +30,7 @@ func TestQueryMatchesSCANCorpus(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			ix := Build(tc.G, BuildOptions{Workers: 2})
 			for _, th := range algotest.Params() {
-				want := scan.Run(tc.G, th, scan.Options{Kernel: intersect.Merge})
+				want := scan.Run(tc.G, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 				got, err := ix.Query(th.Eps.String(), th.Mu)
 				if err != nil {
 					t.Fatal(err)
@@ -47,7 +48,7 @@ func TestQueryMatchesQuick(t *testing.T) {
 		g := algotest.RandomGraph(seed)
 		th := algotest.RandomThreshold(seed)
 		ix := Build(g, BuildOptions{Workers: 2})
-		want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
+		want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 		got, err := ix.Query(th.Eps.String(), th.Mu)
 		if err != nil {
 			return false
@@ -75,7 +76,7 @@ func TestOneBuildManyQueries(t *testing.T) {
 	for _, eps := range []string{"0.1", "0.3", "0.5", "0.7", "0.9"} {
 		for _, mu := range []int32{1, 2, 4, 8} {
 			th, _ := simdef.NewThreshold(eps, mu)
-			want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
+			want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 			got, err := ix.Query(eps, mu)
 			if err != nil {
 				t.Fatal(err)
@@ -92,7 +93,7 @@ func TestIsCoreAgainstDefinition(t *testing.T) {
 	ix := Build(g, BuildOptions{})
 	for _, eps := range []string{"0.2", "0.5", "0.8"} {
 		th, _ := simdef.NewThreshold(eps, 3)
-		r := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
+		r := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 		for u := int32(0); u < g.NumVertices(); u++ {
 			want := r.Roles[u] == result.RoleCore
 			if got := ix.IsCore(th.Eps, 3, u); got != want {

@@ -12,7 +12,7 @@ var pool *engine.Pool
 
 var cache = map[string]*result.Result{}
 
-// compute stands in for core.RunWorkspace / Engine.Run: it takes a
+// compute stands in for core.Run / engine.Run: it takes a
 // workspace and yields a result aliasing its buffers.
 func compute(ws *engine.Workspace) *result.Result { return nil }
 
@@ -61,7 +61,7 @@ func goodCloneStore(key string, ws *engine.Workspace) *result.Result {
 }
 
 // goodNoRelease never gives the workspace back, so the result may alias it;
-// the caller owns both (this is core.RunWorkspace's own contract).
+// the caller owns both (this is core.Run's own contract).
 func goodNoRelease(ws *engine.Workspace) *result.Result {
 	res := compute(ws)
 	return res

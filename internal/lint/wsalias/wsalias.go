@@ -1,14 +1,14 @@
 // Package wsalias flags results that alias pooled workspace memory escaping
 // past the workspace's release.
 //
-// A *result.Result produced by a workspace-backed run (core.RunWorkspace and
-// the facade/engine wrappers) shares its Roles/CoreClusterID/NonCore backing
-// arrays with the engine.Workspace that computed it. Once the workspace goes
-// back to the pool (Pool.Release / Pool.Put), the next Acquire scribbles
-// over those arrays — so any result that is returned, cached, or stored
-// after the release must first be detached with Clone(). This analyzer is
-// the static twin of the reflection-based Clone completeness test in
-// internal/result.
+// A *result.Result produced by a workspace-backed run (core.Run, reached
+// through engine.Run and the facade's RunWorkspace) shares its
+// Roles/CoreClusterID/NonCore backing arrays with the engine.Workspace that
+// computed it. Once the workspace goes back to the pool (Pool.Release /
+// Pool.Put), the next Acquire scribbles over those arrays — so any result
+// that is returned, cached, or stored after the release must first be
+// detached with Clone(). This analyzer is the static twin of the
+// reflection-based Clone completeness test in internal/result.
 package wsalias
 
 import (
@@ -179,8 +179,8 @@ func isCloneCall(e ast.Expr) bool {
 
 // isWorkspaceRun reports whether e is a call that takes a *engine.Workspace
 // argument and produces a *result.Result — the shape of every
-// workspace-backed run entry point (core.RunWorkspace, facade RunWorkspace,
-// Engine.Run, server runFn).
+// workspace-backed run entry point (core.Run, engine.Run, facade
+// RunWorkspace, server runFn).
 func isWorkspaceRun(pass *framework.Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

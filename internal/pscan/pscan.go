@@ -9,6 +9,7 @@ package pscan
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -54,11 +55,8 @@ func (o Order) String() string {
 	}
 }
 
-// Options configures a pSCAN run.
+// Options carries the two experiment knobs engine.Options has no place for.
 type Options struct {
-	// Kernel selects the set-intersection kernel; the faithful baseline is
-	// intersect.MergeEarly (merge with min-max early termination).
-	Kernel intersect.Kind
 	// Breakdown enables the fine-grained similarity-vs-reduction timers
 	// used by the Figure 1 experiment. Per-edge timer reads cost real time
 	// on edge-heavy graphs, so they are off by default.
@@ -68,16 +66,20 @@ type Options struct {
 	Order Order
 }
 
-// Run executes pSCAN on g and returns the clustering result.
-func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
-	return RunWorkspace(g, th, opt, nil)
+func init() {
+	engine.Register(engine.Engine{Name: "pscan", Kernel: intersect.MergeEarly,
+		Run: func(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, ws *engine.Workspace) (*result.Result, error) {
+			return Run(g, th, opt, Options{}, ws), nil
+		}})
 }
 
-// RunWorkspace is Run drawing the O(n+m) scratch (similarity labels, the
-// sd/ed bound arrays and the union-find) from a pooled workspace; nil ws
-// runs on a transient one. Result slices never alias ws memory — only
-// internal scratch is pooled here.
-func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) *result.Result {
+// Run executes pSCAN on g and returns the clustering result; of opt it
+// reads Kernel alone (the faithful baseline is intersect.MergeEarly: merge
+// with min-max early termination). The O(n+m) scratch (similarity labels,
+// the sd/ed bound arrays and the union-find) is drawn from a pooled
+// workspace; nil ws runs on a transient one. Result slices never alias ws
+// memory — only internal scratch is pooled here.
+func Run(g *graph.Graph, th simdef.Threshold, opt engine.Options, x Options, ws *engine.Workspace) *result.Result {
 	if ws == nil {
 		ws = engine.NewWorkspace()
 		defer ws.Close()
@@ -87,8 +89,8 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 	s := &state{
 		g:      g,
 		th:     th,
-		opt:    opt,
-		timing: opt.Breakdown,
+		kernel: opt.Kernel,
+		timing: x.Breakdown,
 		roles:  make([]result.Role, n),
 	}
 	s.sim = ws.EdgeSims(int(g.NumDirectedEdges()))
@@ -98,7 +100,7 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 		s.ed[u] = g.Degree(u)
 	}
 
-	switch opt.Order {
+	switch x.Order {
 	case OrderEffectiveDegree:
 		s.runEffectiveDegreeOrder()
 	case OrderStaticDegree:
@@ -121,11 +123,10 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 		}
 		s.runStaticOrder(order)
 	default:
-		panic(fmt.Sprintf("pscan: unknown order %v", opt.Order))
+		panic(fmt.Sprintf("pscan: unknown order %v", x.Order))
 	}
 
-	res := s.finalize(start)
-	return res
+	return s.finalize(start)
 }
 
 // runEffectiveDegreeOrder performs core checking and clustering in
@@ -187,7 +188,7 @@ func (s *state) runStaticOrder(order []int32) {
 type state struct {
 	g             *graph.Graph
 	th            simdef.Threshold
-	opt           Options
+	kernel        intersect.Kind
 	timing        bool
 	roles         []result.Role
 	sim           []simdef.EdgeSim
@@ -214,7 +215,7 @@ func (s *state) compSim(u int32, e int64, v int32) simdef.EdgeSim {
 		val = pr
 	} else {
 		c := s.th.Eps.MinCN(g.Degree(u), g.Degree(v))
-		val = intersect.CompSim(s.opt.Kernel, g.Neighbors(u), g.Neighbors(v), c)
+		val = intersect.CompSim(s.kernel, g.Neighbors(u), g.Neighbors(v), c)
 		s.compSimCalls++
 	}
 	if s.timing {
@@ -290,27 +291,7 @@ func (s *state) finalize(start time.Time) *result.Result {
 		Eps:           s.th.Eps.String(),
 		Mu:            s.th.Mu,
 		Roles:         s.roles,
-		CoreClusterID: make([]int32, n),
-	}
-	// InitClusterId: minimum core id per union-find set.
-	clusterID := make([]int32, n)
-	for i := range clusterID {
-		clusterID[i] = -1
-	}
-	for u := int32(0); u < n; u++ {
-		if s.roles[u] == result.RoleCore {
-			root := s.uf.Find(u)
-			if clusterID[root] < 0 || u < clusterID[root] {
-				clusterID[root] = u
-			}
-		}
-	}
-	for u := int32(0); u < n; u++ {
-		if s.roles[u] == result.RoleCore {
-			res.CoreClusterID[u] = clusterID[s.uf.Find(u)]
-		} else {
-			res.CoreClusterID[u] = -1
-		}
+		CoreClusterID: result.CoreClusterIDs(s.roles, s.uf),
 	}
 	// ClusterNonCores: cores assign their cluster id to similar non-core
 	// neighbors, computing still-unknown similarities on demand.

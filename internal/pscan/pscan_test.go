@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ppscan/internal/algotest"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
@@ -16,7 +17,7 @@ func TestGroundTruthCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				r := Run(tc.G, th, Options{Kernel: intersect.MergeEarly})
+				r := Run(tc.G, th, engine.Options{Kernel: intersect.MergeEarly}, Options{}, nil)
 				if err := algotest.CheckGroundTruth(tc.G, r, th); err != nil {
 					t.Fatalf("%s: %v", tc.Name, err)
 				}
@@ -30,8 +31,8 @@ func TestMatchesSCANCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				want := scan.Run(tc.G, th, scan.Options{Kernel: intersect.Merge})
-				got := Run(tc.G, th, Options{Kernel: intersect.MergeEarly})
+				want := scan.Run(tc.G, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
+				got := Run(tc.G, th, engine.Options{Kernel: intersect.MergeEarly}, Options{}, nil)
 				if err := result.Equal(want, got); err != nil {
 					t.Fatalf("%s eps=%s mu=%d: %v", tc.Name, th.Eps, th.Mu, err)
 				}
@@ -49,12 +50,12 @@ func TestPruningReducesInvocations(t *testing.T) {
 			continue
 		}
 		th, _ := simdef.NewThreshold("0.5", 5)
-		r := Run(tc.G, th, Options{Kernel: intersect.MergeEarly})
+		r := Run(tc.G, th, engine.Options{Kernel: intersect.MergeEarly}, Options{}, nil)
 		if r.Stats.CompSimCalls > tc.G.NumEdges() {
 			t.Errorf("%s: %d CompSim calls > |E| = %d (similarity reuse broken)",
 				tc.Name, r.Stats.CompSimCalls, tc.G.NumEdges())
 		}
-		sc := scan.Run(tc.G, th, scan.Options{Kernel: intersect.Merge})
+		sc := scan.Run(tc.G, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 		if r.Stats.CompSimCalls > sc.Stats.CompSimCalls {
 			t.Errorf("%s: pSCAN did more similarity work than SCAN (%d > %d)",
 				tc.Name, r.Stats.CompSimCalls, sc.Stats.CompSimCalls)
@@ -65,9 +66,9 @@ func TestPruningReducesInvocations(t *testing.T) {
 func TestKernelIndependence(t *testing.T) {
 	g := algotest.RandomGraph(11)
 	th, _ := simdef.NewThreshold("0.4", 3)
-	base := Run(g, th, Options{Kernel: intersect.MergeEarly})
+	base := Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, Options{}, nil)
 	for _, k := range intersect.Kinds() {
-		r := Run(g, th, Options{Kernel: k})
+		r := Run(g, th, engine.Options{Kernel: k}, Options{}, nil)
 		if err := result.Equal(base, r); err != nil {
 			t.Errorf("kernel %v changes pSCAN output: %v", k, err)
 		}
@@ -79,8 +80,8 @@ func TestEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := algotest.RandomGraph(seed)
 		th := algotest.RandomThreshold(seed)
-		want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
-		got := Run(g, th, Options{Kernel: intersect.MergeEarly})
+		want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
+		got := Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, Options{}, nil)
 		return result.Equal(want, got) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -97,9 +98,9 @@ func TestOrderAblation(t *testing.T) {
 			continue
 		}
 		th, _ := simdef.NewThreshold("0.4", 5)
-		base := Run(g, th, Options{Kernel: intersect.MergeEarly, Order: OrderEffectiveDegree})
+		base := Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, Options{Order: OrderEffectiveDegree}, nil)
 		for _, order := range []Order{OrderStaticDegree, OrderNatural} {
-			r := Run(g, th, Options{Kernel: intersect.MergeEarly, Order: order})
+			r := Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, Options{Order: order}, nil)
 			if err := result.Equal(base, r); err != nil {
 				t.Fatalf("order %v changes output: %v", order, err)
 			}
@@ -123,7 +124,7 @@ func TestOrderString(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	g := algotest.RandomGraph(13)
 	th, _ := simdef.NewThreshold("0.3", 2)
-	r := Run(g, th, Options{Kernel: intersect.MergeEarly, Breakdown: true})
+	r := Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, Options{Breakdown: true}, nil)
 	if r.Stats.Algorithm != "pSCAN" || r.Stats.Workers != 1 {
 		t.Errorf("stats = %+v", r.Stats)
 	}
@@ -137,7 +138,7 @@ func TestStatsPopulated(t *testing.T) {
 		t.Errorf("reduction breakdown time missing with Breakdown: true")
 	}
 	// Without Breakdown, timers must stay zero (no instrumentation cost).
-	r2 := Run(g, th, Options{Kernel: intersect.MergeEarly})
+	r2 := Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, Options{}, nil)
 	if r2.Stats.SimilarityTime != 0 || r2.Stats.ReductionTime != 0 {
 		t.Errorf("breakdown timers populated without Breakdown option")
 	}

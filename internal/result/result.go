@@ -10,6 +10,7 @@
 package result
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -292,131 +293,67 @@ func (a Attachment) String() string {
 	}
 }
 
-// ClassifyHubsOutliers labels every vertex as clustered, hub or outlier in
-// O(|V| + |E| log) time, as described after Definition 2.10. A vertex u in
-// no cluster is a hub iff two of its neighbors belong to different clusters;
-// neighbors contribute every cluster they belong to (cores one, non-cores
-// possibly several).
-func ClassifyHubsOutliers(g *graph.Graph, r *Result) []Attachment {
-	n := g.NumVertices()
-	out := make([]Attachment, n)
-	clustered := r.Clustered()
-	// Per-vertex membership index over the sorted NonCore list.
-	memberStart := make([]int32, n+1)
-	for _, m := range r.NonCore {
-		memberStart[m.V+1]++
+// MembershipsOf returns v's run in the (V, ClusterID)-sorted NonCore list,
+// found by binary search: no allocation, no pass over the list.
+func (r *Result) MembershipsOf(v int32) []Membership {
+	lo, _ := slices.BinarySearchFunc(r.NonCore, v, func(m Membership, v int32) int { return cmp.Compare(m.V, v) })
+	hi := lo
+	for hi < len(r.NonCore) && r.NonCore[hi].V == v {
+		hi++
 	}
-	for v := int32(0); v < n; v++ {
-		memberStart[v+1] += memberStart[v]
-	}
-	for u := int32(0); u < n; u++ {
-		if clustered[u] {
-			out[u] = AttachClustered
-			continue
-		}
-		seen := int32(-1)
-		hub := false
-		consider := func(id int32) {
-			if id < 0 || hub {
-				return
-			}
-			if seen < 0 {
-				seen = id
-			} else if seen != id {
-				hub = true
-			}
-		}
-		for _, v := range g.Neighbors(u) {
-			if id := r.CoreClusterID[v]; id >= 0 {
-				consider(id)
-			}
-			for i := memberStart[v]; i < memberStart[v+1]; i++ {
-				consider(r.NonCore[i].ClusterID)
-			}
-			if hub {
-				break
-			}
-		}
-		if hub {
-			out[u] = AttachHub
-		} else {
-			out[u] = AttachOutlier
-		}
-	}
-	return out
+	return r.NonCore[lo:hi]
 }
 
-// ClassifyHubsOutliersParallel is ClassifyHubsOutliers with the per-vertex
-// classification fanned out over workers goroutines (< 1 means GOMAXPROCS).
-// The classification of each vertex is independent, so the parallel form is
-// exact.
-func ClassifyHubsOutliersParallel(g *graph.Graph, r *Result, workers int) []Attachment {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := g.NumVertices()
-	out := make([]Attachment, n)
-	clustered := r.Clustered()
-	memberStart := make([]int32, n+1)
-	for _, m := range r.NonCore {
-		memberStart[m.V+1]++
-	}
-	for v := int32(0); v < n; v++ {
-		memberStart[v+1] += memberStart[v]
-	}
-	if int32(workers) > n {
-		workers = int(n)
-	}
-	if workers < 1 {
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (n + int32(workers) - 1) / int32(workers)
-	for w := 0; w < workers; w++ {
-		beg := int32(w) * chunk
-		if beg >= n {
-			break
-		}
-		end := beg + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(beg, end int32) {
-			defer wg.Done()
-			for u := beg; u < end; u++ {
-				out[u] = classifyOne(g, r, clustered, memberStart, u)
-			}
-		}(beg, end)
-	}
-	wg.Wait()
-	return out
-}
-
-// classifyOne classifies a single vertex given the shared prepared state.
-func classifyOne(g *graph.Graph, r *Result, clustered []bool, memberStart []int32, u int32) Attachment {
-	if clustered[u] {
+// ClassifyVertex labels u as clustered, hub or outlier (after Definition
+// 2.10): a vertex in no cluster is a hub iff two of its neighbors belong to
+// different clusters; neighbors contribute every cluster they belong to
+// (cores one, non-cores possibly several). It allocates nothing, so asking
+// about one vertex costs its adjacency, not the graph.
+func ClassifyVertex(g *graph.Graph, r *Result, u int32) Attachment {
+	if r.CoreClusterID[u] >= 0 || len(r.MembershipsOf(u)) > 0 {
 		return AttachClustered
 	}
 	seen := int32(-1)
 	for _, v := range g.Neighbors(u) {
 		if id := r.CoreClusterID[v]; id >= 0 {
-			if seen < 0 {
-				seen = id
-			} else if seen != id {
+			if seen >= 0 && seen != id {
 				return AttachHub
 			}
+			seen = id
+			continue
 		}
-		for i := memberStart[v]; i < memberStart[v+1]; i++ {
-			id := r.NonCore[i].ClusterID
-			if seen < 0 {
-				seen = id
-			} else if seen != id {
+		for _, m := range r.MembershipsOf(v) {
+			if seen >= 0 && seen != m.ClusterID {
 				return AttachHub
 			}
+			seen = m.ClusterID
 		}
 	}
 	return AttachOutlier
+}
+
+// ClassifyHubsOutliers is ClassifyVertex for every vertex, fanned out over
+// workers goroutines (< 1 means GOMAXPROCS). The classification of each
+// vertex is independent, so the parallel form is exact.
+func ClassifyHubsOutliers(g *graph.Graph, r *Result, workers int) []Attachment {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	n := g.NumVertices()
+	out := make([]Attachment, n)
+	chunk := max(1, (n+int32(workers)-1)/int32(workers))
+	var wg sync.WaitGroup
+	for beg := int32(0); beg < n; beg += chunk {
+		wg.Add(1)
+		go func(beg, end int32) {
+			defer wg.Done()
+			for u := beg; u < end; u++ {
+				out[u] = ClassifyVertex(g, r, u)
+			}
+		}(beg, min(beg+chunk, n))
+	}
+	wg.Wait()
+	return out
 }
 
 // ValidateAgainst cross-checks a result against the SCAN definitions on the

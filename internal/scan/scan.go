@@ -9,6 +9,7 @@
 package scan
 
 import (
+	"context"
 	"time"
 
 	"ppscan/graph"
@@ -18,26 +19,26 @@ import (
 	"ppscan/internal/simdef"
 )
 
-// Options configures a SCAN run.
+// Options carries the one experiment knob engine.Options has no place for.
 type Options struct {
-	// Kernel selects the set-intersection kernel. The faithful baseline is
-	// intersect.Merge (full merge, no early termination).
-	Kernel intersect.Kind
 	// Breakdown enables the similarity-evaluation timer used by the
 	// Figure 1 experiment (off by default to keep runs unperturbed).
 	Breakdown bool
 }
 
-// Run executes SCAN on g with the given threshold and returns the
-// clustering result.
-func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
-	return RunWorkspace(g, th, opt, nil)
+func init() {
+	engine.Register(engine.Engine{Name: "scan", Kernel: intersect.Merge,
+		Run: func(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, ws *engine.Workspace) (*result.Result, error) {
+			return Run(g, th, opt, Options{}, ws), nil
+		}})
 }
 
-// RunWorkspace is Run drawing the O(m) similarity cache from a pooled
-// workspace; nil ws runs on a transient one. Result slices never alias
-// ws memory.
-func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) *result.Result {
+// Run executes SCAN on g with the given threshold and returns the
+// clustering result; of opt it reads Kernel alone (the faithful baseline is
+// intersect.Merge: full merge, no early termination). The O(m) similarity
+// cache is drawn from a pooled workspace; nil ws runs on a transient one.
+// Result slices never alias ws memory.
+func Run(g *graph.Graph, th simdef.Threshold, opt engine.Options, x Options, ws *engine.Workspace) *result.Result {
 	if ws == nil {
 		ws = engine.NewWorkspace()
 		defer ws.Close()
@@ -45,11 +46,12 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 	start := time.Now()
 	n := g.NumVertices()
 	s := &state{
-		g:     g,
-		th:    th,
-		opt:   opt,
-		roles: make([]result.Role, n),
-		sim:   ws.EdgeSims(int(g.NumDirectedEdges())),
+		g:         g,
+		th:        th,
+		kernel:    opt.Kernel,
+		breakdown: x.Breakdown,
+		roles:     make([]result.Role, n),
+		sim:       ws.EdgeSims(int(g.NumDirectedEdges())),
 	}
 	res := &result.Result{
 		Eps:           th.Eps.String(),
@@ -86,7 +88,8 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 type state struct {
 	g            *graph.Graph
 	th           simdef.Threshold
-	opt          Options
+	kernel       intersect.Kind
+	breakdown    bool
 	roles        []result.Role
 	sim          []simdef.EdgeSim
 	compSimCalls int64
@@ -98,7 +101,7 @@ type state struct {
 func (s *state) checkCore(u int32) result.Role {
 	g := s.g
 	var t0 time.Time
-	if s.opt.Breakdown {
+	if s.breakdown {
 		t0 = time.Now()
 	}
 	var similar int32
@@ -108,14 +111,14 @@ func (s *state) checkCore(u int32) result.Role {
 		e := g.Off[u] + int64(i)
 		if s.sim[e] == simdef.Unknown {
 			c := s.th.Eps.MinCN(du, g.Degree(v))
-			s.sim[e] = intersect.CompSim(s.opt.Kernel, nbrs, g.Neighbors(v), c)
+			s.sim[e] = intersect.CompSim(s.kernel, nbrs, g.Neighbors(v), c)
 			s.compSimCalls++
 		}
 		if s.sim[e] == simdef.Sim {
 			similar++
 		}
 	}
-	if s.opt.Breakdown {
+	if s.breakdown {
 		s.simTime += time.Since(t0)
 	}
 	role := result.RoleNonCore

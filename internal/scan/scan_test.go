@@ -5,6 +5,7 @@ import (
 
 	"ppscan/graph"
 	"ppscan/internal/algotest"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
@@ -16,7 +17,7 @@ func run(t *testing.T, g *graph.Graph, eps string, mu int32) *result.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run(g, th, Options{Kernel: intersect.Merge})
+	return Run(g, th, engine.Options{Kernel: intersect.Merge}, Options{}, nil)
 }
 
 func TestTriangleAllCores(t *testing.T) {
@@ -100,7 +101,7 @@ func TestGroundTruthCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				r := Run(tc.G, th, Options{Kernel: intersect.Merge})
+				r := Run(tc.G, th, engine.Options{Kernel: intersect.Merge}, Options{}, nil)
 				if err := algotest.CheckGroundTruth(tc.G, r, th); err != nil {
 					t.Fatalf("%s: %v", tc.Name, err)
 				}
@@ -113,9 +114,9 @@ func TestKernelIndependence(t *testing.T) {
 	// SCAN must produce identical output with any kernel.
 	g := algotest.RandomGraph(7)
 	th, _ := simdef.NewThreshold("0.5", 3)
-	base := Run(g, th, Options{Kernel: intersect.Merge})
+	base := Run(g, th, engine.Options{Kernel: intersect.Merge}, Options{}, nil)
 	for _, k := range intersect.Kinds() {
-		r := Run(g, th, Options{Kernel: k})
+		r := Run(g, th, engine.Options{Kernel: k}, Options{}, nil)
 		if err := result.Equal(base, r); err != nil {
 			t.Errorf("kernel %v changes SCAN output: %v", k, err)
 		}
@@ -125,7 +126,7 @@ func TestKernelIndependence(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	g := algotest.RandomGraph(3)
 	th, _ := simdef.NewThreshold("0.3", 2)
-	r := Run(g, th, Options{Kernel: intersect.Merge})
+	r := Run(g, th, engine.Options{Kernel: intersect.Merge}, Options{}, nil)
 	if r.Stats.Algorithm != "SCAN" || r.Stats.Workers != 1 {
 		t.Errorf("stats = %+v", r.Stats)
 	}

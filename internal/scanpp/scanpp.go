@@ -23,6 +23,7 @@
 package scanpp
 
 import (
+	"context"
 	"time"
 
 	"ppscan/graph"
@@ -32,24 +33,15 @@ import (
 	"ppscan/internal/simdef"
 )
 
-// Options configures a SCAN++ run.
-type Options struct {
-	// Kernel selects the set-intersection kernel (default
-	// intersect.MergeEarly).
-	Kernel intersect.Kind
-}
+func init() { engine.Register(engine.Engine{Name: "scan++", Kernel: intersect.MergeEarly, Run: Run}) }
 
-// Run executes the SCAN++ baseline on g.
-func Run(g *graph.Graph, th simdef.Threshold, opt Options) *result.Result {
-	return RunWorkspace(g, th, opt, nil)
-}
-
-// RunWorkspace is Run drawing the linear scratch (similarity cache, sweep
-// flags, the union-find and the root-indexed cluster-id array) from a
-// pooled workspace; nil ws runs on a transient one. The per-pivot
-// DTAR maps stay dynamically allocated — that overhead is the documented
-// modeled behavior of SCAN++. Result slices never alias ws memory.
-func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) *result.Result {
+// Run executes the SCAN++ baseline on g; of opt it reads Kernel alone
+// (default intersect.MergeEarly), and it never reads ctx. The linear scratch
+// (similarity cache, sweep flags and the union-find) is drawn from a pooled
+// workspace; nil ws runs on a transient one. The per-pivot DTAR maps stay
+// dynamically allocated — that overhead is the documented modeled behavior
+// of SCAN++. Result slices never alias ws memory.
+func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, ws *engine.Workspace) (*result.Result, error) {
 	if ws == nil {
 		ws = engine.NewWorkspace()
 		defer ws.Close()
@@ -57,11 +49,11 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 	start := time.Now()
 	n := g.NumVertices()
 	s := &state{
-		g:     g,
-		th:    th,
-		opt:   opt,
-		roles: make([]result.Role, n),
-		sim:   ws.EdgeSims(int(g.NumDirectedEdges())),
+		g:      g,
+		th:     th,
+		kernel: opt.Kernel,
+		roles:  make([]result.Role, n),
+		sim:    ws.EdgeSims(int(g.NumDirectedEdges())),
 	}
 
 	// Pivot sweep: expand pivots through two-hop (DTAR) frontiers.
@@ -123,38 +115,13 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 			}
 		}
 	}
-	clusterID := ws.ClusterIDs(int(n)) // pre-filled with -1
-	coreClusterID := make([]int32, n)
-	for i := range coreClusterID {
-		coreClusterID[i] = -1
-	}
-	for u := int32(0); u < n; u++ {
-		if s.roles[u] == result.RoleCore {
-			r := uf.Find(u)
-			if clusterID[r] < 0 || u < clusterID[r] {
-				clusterID[r] = u
-			}
-		}
-	}
 	res := &result.Result{
 		Eps:           th.Eps.String(),
 		Mu:            th.Mu,
 		Roles:         s.roles,
-		CoreClusterID: coreClusterID,
+		CoreClusterID: result.CoreClusterIDs(s.roles, uf),
 	}
-	for u := int32(0); u < n; u++ {
-		if s.roles[u] != result.RoleCore {
-			continue
-		}
-		id := clusterID[uf.Find(u)]
-		coreClusterID[u] = id
-		uOff := g.Off[u]
-		for i, v := range g.Neighbors(u) {
-			if s.roles[v] == result.RoleNonCore && s.sim[uOff+int64(i)] == simdef.Sim {
-				res.NonCore = append(res.NonCore, result.Membership{V: v, ClusterID: id})
-			}
-		}
-	}
+	res.NonCore = result.AppendNonCore(nil, g, 0, n, s.sim, s.roles, res.CoreClusterID)
 	res.Normalize()
 	res.Stats = result.Stats{
 		Algorithm:    "SCAN++",
@@ -162,13 +129,13 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 		CompSimCalls: s.compSimCalls,
 		Total:        time.Since(start),
 	}
-	return res
+	return res, nil
 }
 
 type state struct {
 	g            *graph.Graph
 	th           simdef.Threshold
-	opt          Options
+	kernel       intersect.Kind
 	sim          []simdef.EdgeSim
 	roles        []result.Role
 	compSimCalls int64
@@ -187,7 +154,7 @@ func (s *state) checkCore(u int32) {
 		e := uOff + int64(i)
 		if s.sim[e] == simdef.Unknown {
 			c := s.th.Eps.MinCN(du, g.Degree(v))
-			val := intersect.CompSim(s.opt.Kernel, nbrs, g.Neighbors(v), c)
+			val := intersect.CompSim(s.kernel, nbrs, g.Neighbors(v), c)
 			s.compSimCalls++
 			s.sim[e] = val
 			s.sim[g.EdgeOffset(v, u)] = val

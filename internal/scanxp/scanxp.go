@@ -13,6 +13,7 @@
 package scanxp
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"time"
@@ -25,28 +26,16 @@ import (
 	"ppscan/internal/simdef"
 )
 
-// Options configures a SCAN-XP run.
-type Options struct {
-	// Kernel selects the set-intersection kernel. SCAN-XP on KNL uses
-	// vectorized intersection without early termination; the faithful
-	// default is intersect.Merge.
-	Kernel intersect.Kind
-	// Workers is the number of worker goroutines; < 1 defaults to
-	// runtime.GOMAXPROCS(0).
-	Workers int
-}
+func init() { engine.Register(engine.Engine{Name: "scan-xp", Kernel: intersect.Merge, Run: Run}) }
 
-// Run executes SCAN-XP on g. A contained worker panic is returned as a
-// *result.WorkerPanicError.
-func Run(g *graph.Graph, th simdef.Threshold, opt Options) (*result.Result, error) {
-	return RunWorkspace(g, th, opt, nil)
-}
-
-// RunWorkspace is Run drawing the O(n+m) scratch (similarity labels, the
-// concurrent union-find and the per-root minimum-id array) from a pooled
-// workspace; nil ws runs on a transient one. Result slices never
-// alias ws memory.
-func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.Workspace) (*result.Result, error) {
+// Run executes SCAN-XP on g with opt.Kernel (SCAN-XP on KNL uses vectorized
+// intersection without early termination; the faithful default is
+// intersect.Merge) on opt.Workers goroutines (< 1 means GOMAXPROCS). It has
+// no checkpoints and never reads ctx. The O(n+m) scratch (similarity labels
+// and the concurrent union-find) is drawn from a pooled workspace; nil ws
+// runs on a transient one. Result slices never alias ws memory. A contained
+// worker panic is returned as a *result.WorkerPanicError.
+func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, ws *engine.Workspace) (*result.Result, error) {
 	if ws == nil {
 		ws = engine.NewWorkspace()
 		defer ws.Close()
@@ -105,38 +94,11 @@ func RunWorkspace(g *graph.Graph, th simdef.Threshold, opt Options, ws *engine.W
 	}
 
 	// Phase 4: cluster ids and non-core memberships.
-	coreClusterID := make([]int32, n)
-	for i := range coreClusterID {
-		coreClusterID[i] = -1
-	}
-	minID := ws.ClusterIDs(int(n)) // pre-filled with -1
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			r := uf.Find(u)
-			if minID[r] < 0 || u < minID[r] {
-				minID[r] = u
-			}
-		}
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			coreClusterID[u] = minID[uf.Find(u)]
-		}
-	}
+	coreClusterID := result.CoreClusterIDs(roles, uf)
 	var mu sync.Mutex
 	var nonCore []result.Membership
 	err = sched.ForEachVertexStatic(opt.Workers, n, func(u int32, w int) {
-		if roles[u] != result.RoleCore {
-			return
-		}
-		id := coreClusterID[u]
-		uOff := g.Off[u]
-		var local []result.Membership
-		for i, v := range g.Neighbors(u) {
-			if roles[v] == result.RoleNonCore && sim[uOff+int64(i)] == simdef.Sim {
-				local = append(local, result.Membership{V: v, ClusterID: id})
-			}
-		}
+		local := result.AppendNonCore(nil, g, u, u+1, sim[g.Off[u]:], roles, coreClusterID[u:])
 		if len(local) > 0 {
 			mu.Lock()
 			nonCore = append(nonCore, local...)

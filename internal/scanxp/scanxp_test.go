@@ -1,10 +1,12 @@
 package scanxp
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"ppscan/internal/algotest"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
@@ -16,7 +18,7 @@ func TestGroundTruthCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			for _, th := range algotest.Params() {
-				r, err := Run(tc.G, th, Options{Kernel: intersect.Merge, Workers: 4})
+				r, err := Run(context.Background(), tc.G, th, engine.Options{Kernel: intersect.Merge, Workers: 4}, nil)
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
@@ -32,8 +34,8 @@ func TestMatchesSCAN(t *testing.T) {
 	f := func(seed int64, wRaw uint8) bool {
 		g := algotest.RandomGraph(seed)
 		th := algotest.RandomThreshold(seed)
-		want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
-		got, err := Run(g, th, Options{Kernel: intersect.Merge, Workers: int(wRaw%6) + 1})
+		want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
+		got, err := Run(context.Background(), g, th, engine.Options{Kernel: intersect.Merge, Workers: int(wRaw%6) + 1}, nil)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -50,7 +52,7 @@ func TestExhaustiveWorkload(t *testing.T) {
 	g := algotest.RandomGraph(51)
 	for _, eps := range []string{"0.2", "0.8"} {
 		th, _ := simdef.NewThreshold(eps, 5)
-		r, err := Run(g, th, Options{Kernel: intersect.Merge, Workers: 3})
+		r, err := Run(context.Background(), g, th, engine.Options{Kernel: intersect.Merge, Workers: 3}, nil)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -63,12 +65,12 @@ func TestExhaustiveWorkload(t *testing.T) {
 func TestWorkerIndependence(t *testing.T) {
 	g := algotest.RandomGraph(53)
 	th, _ := simdef.NewThreshold("0.4", 2)
-	base, err := Run(g, th, Options{Workers: 1})
+	base, err := Run(context.Background(), g, th, engine.Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, w := range []int{2, 7, 32} {
-		r, err := Run(g, th, Options{Workers: w})
+		r, err := Run(context.Background(), g, th, engine.Options{Workers: w}, nil)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -81,7 +83,7 @@ func TestWorkerIndependence(t *testing.T) {
 func TestStats(t *testing.T) {
 	g := algotest.RandomGraph(55)
 	th, _ := simdef.NewThreshold("0.4", 2)
-	r, err := Run(g, th, Options{Workers: 2})
+	r, err := Run(context.Background(), g, th, engine.Options{Workers: 2}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

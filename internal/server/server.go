@@ -1040,18 +1040,15 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	if id := res.CoreClusterID[v]; id >= 0 {
 		clusters = append(clusters, id)
 	}
-	for _, m := range res.NonCore {
-		if m.V == v {
-			clusters = append(clusters, m.ClusterID)
-		}
+	for _, m := range res.MembershipsOf(v) {
+		clusters = append(clusters, m.ClusterID)
 	}
-	att := ppscan.ClassifyHubsOutliers(st.g, res)
 	writeJSON(w, http.StatusOK, vertexInfo{
 		Vertex:     v,
 		Degree:     st.g.Degree(v),
 		Role:       res.Roles[v].String(),
 		Clusters:   clusters,
-		Attachment: att[v].String(),
+		Attachment: result.ClassifyVertex(st.g, res, v).String(),
 	})
 }
 

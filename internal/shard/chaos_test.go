@@ -17,9 +17,7 @@ import (
 	"ppscan/graph"
 	"ppscan/internal/fault"
 	"ppscan/internal/gen"
-	"ppscan/internal/intersect"
 	"ppscan/internal/result"
-	"ppscan/internal/scan"
 	"ppscan/internal/simdef"
 )
 
@@ -56,7 +54,7 @@ func TestShardChaosSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
+	want := reference(g, th)
 
 	f := newFleet(t, overHTTP, g, 2, 2)
 	c, err := NewCoordinator(g, Options{
@@ -233,7 +231,7 @@ func TestShardChaosProcessKill(t *testing.T) {
 	w1 := startShardProc(t, bin, graphPath, 1, 2, "127.0.0.1:0")
 
 	th, _ := simdef.NewThreshold("0.5", 3)
-	want := scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
+	want := reference(g, th)
 
 	c, err := NewCoordinator(g, Options{
 		Shards:           [][]string{{"http://" + w0.addr}, {"http://" + w1.addr}},

@@ -860,25 +860,7 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 			uf.Union(e[0], e[1])
 		}
 	}
-	clusterID := make([]int32, n)
-	coreClusterID := make([]int32, n)
-	for i := range clusterID {
-		clusterID[i] = -1
-		coreClusterID[i] = -1
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			r := uf.Find(u)
-			if clusterID[r] < 0 || u < clusterID[r] {
-				clusterID[r] = u
-			}
-		}
-	}
-	for u := int32(0); u < n; u++ {
-		if roles[u] == result.RoleCore {
-			coreClusterID[u] = clusterID[uf.Find(u)]
-		}
-	}
+	coreClusterID := result.CoreClusterIDs(roles, uf)
 
 	// Round 4: membership emission by each shard's cores.
 	memberResps, err := fanOut(RoundMembers, func(s int) *StepRequest {

@@ -15,25 +15,17 @@ import (
 	"ppscan/internal/simdef"
 )
 
-// distEngine is the "dist-scan" engine: the package's Coordinator over p
+func init() {
+	engine.Register(engine.Engine{Name: "dist-scan", Kernel: intersect.MergeEarly, Checkpoints: true, Run: runLoopback})
+}
+
+// runLoopback is the "dist-scan" engine: the package's Coordinator over p
 // in-process Workers behind the loopback transport below, so
 // Stats.CommBytes is the measured gob traffic of the four rounds.
-// engine.Options.Workers selects the partition count (default 4), Kernel
-// the workers' kernel, StallTimeout the per-RPC deadline
+// opt.Workers selects the partition count (default 4), opt.Kernel the
+// workers' kernel, opt.StallTimeout the per-RPC deadline
 // (DefaultStepTimeout when zero).
-type distEngine struct{}
-
-func (distEngine) Name() string { return "dist-scan" }
-
-func (distEngine) RunContext(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, _ *engine.Workspace) (*result.Result, error) {
-	kern := intersect.MergeEarly
-	if opt.Kernel != "" {
-		k, err := intersect.ParseKind(opt.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		kern = k
-	}
+func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, _ *engine.Workspace) (*result.Result, error) {
 	p := opt.Workers
 	if p < 1 {
 		p = 4
@@ -43,7 +35,7 @@ func (distEngine) RunContext(ctx context.Context, g *graph.Graph, th simdef.Thre
 	for s := range shards {
 		// One similarity-pass worker per partition: the partitions are the
 		// parallelism, as in the BSP systems this stands in for.
-		w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: p, Workers: 1, Kernel: kern, Registry: opt.Registry})
+		w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: p, Workers: 1, Kernel: opt.Kernel, Registry: opt.Registry})
 		if err != nil {
 			return nil, err
 		}
@@ -75,8 +67,6 @@ func (distEngine) RunContext(ctx context.Context, g *graph.Graph, th simdef.Thre
 	res.Stats.Algorithm = label
 	return res, nil
 }
-
-func init() { engine.Register(distEngine{}) }
 
 // loopback is an http.RoundTripper that serves each request in-process on
 // the handler registered for its URL host. It behaves like a network as

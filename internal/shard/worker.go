@@ -383,7 +383,7 @@ func (w *Worker) step(ctx context.Context, sn *snapState, req *StepRequest) (*St
 		if int32(len(req.CoreClusterID)) != sn.hi-sn.lo {
 			return nil, fmt.Errorf("members round needs %d cluster ids, got %d", sn.hi-sn.lo, len(req.CoreClusterID))
 		}
-		resp.Members = memberships(sn, st, req.Roles, req.CoreClusterID)
+		resp.Members = result.AppendNonCore(nil, sn.g, sn.lo, sn.hi, st.sim, req.Roles, req.CoreClusterID)
 	default:
 		return nil, fmt.Errorf("unknown round %q", req.Round)
 	}
@@ -522,26 +522,6 @@ func unionEdges(sn *snapState, st *queryState, roles []result.Role) [][2]int32 {
 		for i, v := range g.Neighbors(u) {
 			if v > u && roles[v] == result.RoleCore && st.sim[uOff+int64(i)-st.simBase] == simdef.Sim {
 				out = append(out, [2]int32{u, v})
-			}
-		}
-	}
-	return out
-}
-
-// memberships emits the non-core memberships of this shard's cores.
-// coreID is indexed by u-lo.
-func memberships(sn *snapState, st *queryState, roles []result.Role, coreID []int32) []result.Membership {
-	g := sn.g
-	var out []result.Membership
-	for u := sn.lo; u < sn.hi; u++ {
-		if roles[u] != result.RoleCore {
-			continue
-		}
-		id := coreID[u-sn.lo]
-		uOff := g.Off[u]
-		for i, v := range g.Neighbors(u) {
-			if roles[v] == result.RoleNonCore && st.sim[uOff+int64(i)-st.simBase] == simdef.Sim {
-				out = append(out, result.Membership{V: v, ClusterID: id})
 			}
 		}
 	}

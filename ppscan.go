@@ -42,13 +42,12 @@ import (
 	"ppscan/graph"
 	"ppscan/internal/engine"
 	"ppscan/internal/gsindex"
-	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 
 	// Every algorithm backend registers itself with internal/engine from
-	// init; the facade resolves them by name through the registry.
+	// init; the facade reaches them by name through engine.Run.
 	_ "ppscan/internal/anyscan"
 	_ "ppscan/internal/core"
 	_ "ppscan/internal/pscan"
@@ -230,31 +229,16 @@ func RunWorkspace(ctx context.Context, g *graph.Graph, opt Options, ws *Workspac
 	if algo == "" {
 		algo = AlgoPPSCAN
 	}
-	// Validate a kernel override up front so a bad kernel name is reported
-	// even alongside a bad algorithm name (the historical error order).
-	if opt.Kernel != "" {
-		if _, err := intersect.ParseKind(opt.Kernel); err != nil {
-			return nil, err
-		}
-	}
-	eng, ok := engine.Get(string(algo))
-	if !ok {
-		return nil, fmt.Errorf("ppscan: unknown algorithm %q", algo)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("ppscan: not started: %w", err)
-	}
-	t0 := time.Now()
-	res, err := eng.RunContext(ctx, g, th, engine.Options{
+	// The dispatcher reports a bad kernel name, then an unknown algorithm,
+	// then a ctx already done ("not started") — in that order — and records
+	// the run in engine.run_ns.<algorithm>.
+	return engine.Run(ctx, string(algo), opt.Kernel, g, th, engine.Options{
 		Workers:          opt.Workers,
-		Kernel:           opt.Kernel,
 		DegreeThreshold:  opt.DegreeThreshold,
 		StaticScheduling: opt.StaticScheduling,
 		StallTimeout:     opt.StallTimeout,
 		Tracer:           opt.Tracer,
 	}, ws)
-	engine.ObserveRun(string(algo), time.Since(t0))
-	return res, err
 }
 
 // Workspace re-exports engine.Workspace: the pooled container for every
@@ -383,7 +367,7 @@ func LoadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 // ClassifyHubsOutliers labels every vertex of g as clustered, hub, or
 // outlier given a clustering result (Definition 2.10 of the paper).
 func ClassifyHubsOutliers(g *graph.Graph, r *Result) []Attachment {
-	return result.ClassifyHubsOutliers(g, r)
+	return result.ClassifyHubsOutliers(g, r, 1)
 }
 
 // Equal compares two results for semantic equality, returning a
