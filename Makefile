@@ -29,9 +29,11 @@ race:
 # The scheduler and the packages that run their parallel phases on it, at
 # one, two and four cores: how tasks interleave, which worker wakes first
 # and whether a cancel lands mid-task all change with the core count, and
-# tier-1 has to be green on any of them (ROADMAP).
+# tier-1 has to be green on any of them (ROADMAP). scan-xp and anyscan drive
+# the shared arc labeller (internal/result/tail.go) from concurrent workers.
 cores:
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/gsindex/ ./internal/shard/
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/gsindex/ ./internal/shard/ \
+		./internal/scanxp/ ./internal/anyscan/
 
 staticcheck:
 	@command -v $(STATICCHECK) >/dev/null 2>&1 || \

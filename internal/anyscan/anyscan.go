@@ -74,27 +74,13 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 			blockEnd = n
 		}
 		// Per-block allocations (anySCAN's transition overhead).
-		blockSim := make([][]bool, blockEnd-blockStart)
+		blockSim := make([][]simdef.EdgeSim, blockEnd-blockStart)
 		err := sched.ForEachVertexStatic(opt.Workers, blockEnd-blockStart, func(i int32, _ int) {
 			u := blockStart + i
-			nbrs := g.Neighbors(u)
-			flags := make([]bool, len(nbrs)) // per-vertex allocation
-			du := g.Degree(u)
-			var similar int32
-			for j, v := range nbrs {
-				c := th.Eps.MinCN(du, g.Degree(v))
-				if intersect.CompSim(opt.Kernel, nbrs, g.Neighbors(v), c) == simdef.Sim {
-					flags[j] = true
-					similar++
-				}
-			}
-			calls.Add(int64(len(nbrs)))
-			if similar >= th.Mu {
-				roles[u] = result.RoleCore
-			} else {
-				roles[u] = result.RoleNonCore
-			}
-			blockSim[i] = flags
+			row := make([]simdef.EdgeSim, g.Degree(u)) // per-vertex allocation
+			calls.Add(result.LabelArcs(g, u, u+1, row, u, false, false, opt.Kernel, th.Eps))
+			roles[u] = result.ArcRole(g, u, row, u, th.Mu)
+			blockSim[i] = row
 		})
 		if err != nil {
 			return nil, err
@@ -105,9 +91,9 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 			if roles[u] != result.RoleCore {
 				continue
 			}
-			flags := blockSim[u-blockStart]
+			row := blockSim[u-blockStart]
 			for i, v := range g.Neighbors(u) {
-				if !flags[i] {
+				if row[i] != simdef.Sim {
 					continue
 				}
 				// Only vertices already role-assigned (this or earlier
@@ -122,7 +108,7 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 	}
 
 	// Finalization: cluster ids and non-core memberships. Similarities are
-	// recomputed for core->non-core edges (the per-block flag buffers were
+	// recomputed for core->non-core edges (the per-block rows were
 	// discarded — anySCAN's summarization does not persist edge values).
 	coreClusterID := result.CoreClusterIDs(roles, uf)
 	var nonCore []result.Membership
@@ -133,16 +119,14 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 		}
 		id := coreClusterID[u]
 		nbrs := g.Neighbors(u)
-		du := g.Degree(u)
 		var local []result.Membership
 		var localCalls int64
 		for _, v := range nbrs {
 			if roles[v] != result.RoleNonCore {
 				continue
 			}
-			c := th.Eps.MinCN(du, g.Degree(v))
 			localCalls++
-			if intersect.CompSim(opt.Kernel, nbrs, g.Neighbors(v), c) == simdef.Sim {
+			if intersect.Sim(opt.Kernel, th.Eps, nbrs, g.Neighbors(v), nil) == simdef.Sim {
 				local = append(local, result.Membership{V: v, ClusterID: id})
 			}
 		}

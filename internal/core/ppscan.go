@@ -620,15 +620,13 @@ func (s *state) isCore(u int32) bool      { return s.roles[u] == result.RoleCore
 // attributing the call (and, when observability is on, the kernel-level
 // telemetry) to this worker's private block.
 func (s *state) compSim(u, v int32, worker int) simdef.EdgeSim {
-	g := s.g
-	c := s.th.Eps.MinCN(g.Degree(u), g.Degree(v))
 	w := &s.workers[worker]
 	w.compSim[s.phase]++
 	var st *intersect.Stats
 	if s.kernelOn {
 		st = &w.kern
 	}
-	return intersect.CompSimStats(s.opt.Kernel, g.Neighbors(u), g.Neighbors(v), c, st)
+	return intersect.Sim(s.opt.Kernel, s.th.Eps, s.g.Neighbors(u), s.g.Neighbors(v), st)
 }
 
 // pruneSim is Algorithm 3's PruneSim(u): label edges by the similarity

@@ -107,12 +107,11 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 		g.Degree,
 		func(u int32, worker int) {
 			uOff := g.Off[u]
-			nbrs := g.Neighbors(u)
-			for i, v := range nbrs {
+			for i, v := range g.Neighbors(u) {
 				if v <= u {
 					continue
 				}
-				c := intersect.Count(nbrs, g.Neighbors(v)) + 2
+				c := arcCount(g, u, v)
 				ix.cn[uOff+int64(i)] = c
 				ix.cn[g.EdgeOffset(v, u)] = c
 			}
@@ -184,8 +183,7 @@ func (ix *Index) Validate() error {
 		nbrs := g.Neighbors(u)
 		du1 := uint64(g.Degree(u)) + 1
 		for i, v := range nbrs {
-			want := intersect.Count(nbrs, g.Neighbors(v)) + 2
-			if got := ix.cn[uOff+int64(i)]; got != want {
+			if want, got := arcCount(g, u, v), ix.cn[uOff+int64(i)]; got != want {
 				return fmt.Errorf("gsindex: cn[e(%d,%d)] = %d, want %d", u, v, got, want)
 			}
 		}
@@ -200,4 +198,10 @@ func (ix *Index) Validate() error {
 		}
 	}
 	return nil
+}
+
+// arcCount is the exact |Γ(u) ∩ Γ(v)| of arc (u, v), the one number the
+// index stores per arc; the build and Validate both compute it here.
+func arcCount(g *graph.Graph, u, v int32) int32 {
+	return intersect.Count(g.Neighbors(u), g.Neighbors(v)) + 2
 }

@@ -120,6 +120,13 @@ func CompSim(kind Kind, a, b []int32, minCN int32) simdef.EdgeSim {
 	return CompSimStats(kind, a, b, minCN, nil)
 }
 
+// Sim is CompSimStats at the exact threshold of the arc whose endpoints
+// have neighbor lists a and b (a list's length is the degree): the one
+// arc-level call every similarity pass makes.
+func Sim(kind Kind, eps simdef.Epsilon, a, b []int32, st *Stats) simdef.EdgeSim {
+	return CompSimStats(kind, a, b, eps.MinCN(int32(len(a)), int32(len(b))), st)
+}
+
 // CompSimStats is CompSim with kernel telemetry recorded into st (nil
 // disables recording at the cost of one predictable branch per return
 // site — see the obsv-overhead benchmark). st must be owned by the

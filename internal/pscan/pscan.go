@@ -214,8 +214,7 @@ func (s *state) compSim(u int32, e int64, v int32) simdef.EdgeSim {
 	if pr := s.th.Eps.PruneResult(g.Degree(u), g.Degree(v)); pr != simdef.Unknown {
 		val = pr
 	} else {
-		c := s.th.Eps.MinCN(g.Degree(u), g.Degree(v))
-		val = intersect.CompSim(s.kernel, g.Neighbors(u), g.Neighbors(v), c)
+		val = intersect.Sim(s.kernel, s.th.Eps, g.Neighbors(u), g.Neighbors(v), nil)
 		s.compSimCalls++
 	}
 	if s.timing {

@@ -30,9 +30,9 @@ func clusterSets(r *result.Result) []map[int32]bool {
 	return sets
 }
 
-// TestClassifyVertexMatchesDefinition: over the whole corpus, the one-vertex
-// answer, the whole-graph answer and Definition 2.10 spelled out with sets
-// agree on every vertex.
+// TestClassifyVertexMatchesDefinition: over the whole corpus, empty graph
+// included, the one-vertex answer, the whole-graph answer and Definition
+// 2.10 spelled out with sets agree on every vertex.
 func TestClassifyVertexMatchesDefinition(t *testing.T) {
 	for _, tc := range algotest.Corpus() {
 		for _, th := range algotest.Params() {
@@ -41,7 +41,10 @@ func TestClassifyVertexMatchesDefinition(t *testing.T) {
 				t.Fatal(err)
 			}
 			sets := clusterSets(r)
-			whole := result.ClassifyHubsOutliers(tc.G, r, 3)
+			whole := result.ClassifyHubsOutliers(tc.G, r)
+			if len(whole) != int(tc.G.NumVertices()) { // the corpus includes the empty graph
+				t.Fatalf("%s: %d attachments for %d vertices", tc.Name, len(whole), tc.G.NumVertices())
+			}
 			for u := int32(0); u < tc.G.NumVertices(); u++ {
 				want := result.AttachOutlier
 				if len(sets[u]) > 0 {
@@ -89,7 +92,7 @@ func TestClassifyVertexAllocatesNothing(t *testing.T) {
 
 func unclusteredMaxDegree(g *graph.Graph, r *result.Result) int32 {
 	best := int32(0)
-	for u, att := range result.ClassifyHubsOutliers(g, r, 0) {
+	for u, att := range result.ClassifyHubsOutliers(g, r) {
 		if att != result.AttachClustered && g.Degree(int32(u)) > g.Degree(best) {
 			best = int32(u)
 		}

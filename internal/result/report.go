@@ -51,7 +51,7 @@ func NewRunReport(g *graph.Graph, r *Result) RunReport {
 		CompSimCalls: r.Stats.CompSimCalls,
 	}
 	covered := 0
-	for _, att := range ClassifyHubsOutliers(g, r, r.Stats.Workers) {
+	for _, att := range ClassifyHubsOutliers(g, r) {
 		switch att {
 		case AttachClustered:
 			covered++

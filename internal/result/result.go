@@ -12,10 +12,8 @@ package result
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"ppscan/graph"
@@ -332,27 +330,12 @@ func ClassifyVertex(g *graph.Graph, r *Result, u int32) Attachment {
 	return AttachOutlier
 }
 
-// ClassifyHubsOutliers is ClassifyVertex for every vertex, fanned out over
-// workers goroutines (< 1 means GOMAXPROCS). The classification of each
-// vertex is independent, so the parallel form is exact.
-func ClassifyHubsOutliers(g *graph.Graph, r *Result, workers int) []Attachment {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
+// ClassifyHubsOutliers is ClassifyVertex for every vertex.
+func ClassifyHubsOutliers(g *graph.Graph, r *Result) []Attachment {
+	out := make([]Attachment, g.NumVertices())
+	for u := range out {
+		out[u] = ClassifyVertex(g, r, int32(u))
 	}
-	n := g.NumVertices()
-	out := make([]Attachment, n)
-	chunk := max(1, (n+int32(workers)-1)/int32(workers))
-	var wg sync.WaitGroup
-	for beg := int32(0); beg < n; beg += chunk {
-		wg.Add(1)
-		go func(beg, end int32) {
-			defer wg.Done()
-			for u := beg; u < end; u++ {
-				out[u] = ClassifyVertex(g, r, u)
-			}
-		}(beg, min(beg+chunk, n))
-	}
-	wg.Wait()
 	return out
 }
 

@@ -136,7 +136,7 @@ func hubResult() *Result {
 func TestClassifyHubsOutliers(t *testing.T) {
 	g := hubGraph(t)
 	r := hubResult()
-	att := ClassifyHubsOutliers(g, r, 1)
+	att := ClassifyHubsOutliers(g, r)
 	want := []Attachment{
 		AttachClustered, AttachClustered, AttachClustered,
 		AttachClustered, AttachClustered, AttachClustered,
@@ -162,7 +162,7 @@ func TestClassifyHubViaNonCoreMembership(t *testing.T) {
 		NonCore:       []Membership{{V: 0, ClusterID: 10}, {V: 2, ClusterID: 20}},
 	}
 	r.Normalize()
-	att := ClassifyHubsOutliers(g, r, 1)
+	att := ClassifyHubsOutliers(g, r)
 	if att[1] != AttachHub {
 		t.Errorf("vertex 1 = %v, want Hub", att[1])
 	}
@@ -182,29 +182,30 @@ func TestClassifySingleClusterNeighborIsOutlier(t *testing.T) {
 		NonCore:       []Membership{{V: 1, ClusterID: 5}, {V: 2, ClusterID: 5}},
 	}
 	r.Normalize()
-	att := ClassifyHubsOutliers(g, r, 1)
+	att := ClassifyHubsOutliers(g, r)
 	if att[0] != AttachOutlier {
 		t.Errorf("vertex 0 = %v, want Outlier (both neighbors in one cluster)", att[0])
 	}
 }
 
+// TestClassifyParallelMatchesSequential: the whole-graph pass and the
+// one-vertex answer agree on every vertex, and the empty graph does not panic.
 func TestClassifyParallelMatchesSequential(t *testing.T) {
 	g := hubGraph(t)
 	r := hubResult()
 	r.Normalize()
-	want := ClassifyHubsOutliers(g, r, 1)
-	for _, workers := range []int{1, 2, 5, 16} {
-		got := ClassifyHubsOutliers(g, r, workers)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("workers=%d: vertex %d = %v, want %v", workers, v, got[v], want[v])
-			}
+	got := ClassifyHubsOutliers(g, r)
+	if len(got) != int(g.NumVertices()) {
+		t.Fatalf("%d attachments for %d vertices", len(got), g.NumVertices())
+	}
+	for v := range got {
+		if want := ClassifyVertex(g, r, int32(v)); got[v] != want {
+			t.Fatalf("vertex %d = %v, want %v", v, got[v], want)
 		}
 	}
-	// Empty graph does not panic.
 	eg := &Result{}
 	egGraph, _ := graph.FromEdges(0, nil)
-	if got := ClassifyHubsOutliers(egGraph, eg, 4); len(got) != 0 {
+	if got := ClassifyHubsOutliers(egGraph, eg); len(got) != 0 {
 		t.Errorf("empty classify = %v", got)
 	}
 }

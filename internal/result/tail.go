@@ -2,6 +2,7 @@ package result
 
 import (
 	"ppscan/graph"
+	"ppscan/internal/intersect"
 	"ppscan/internal/simdef"
 )
 
@@ -36,6 +37,69 @@ func CoreClusterIDs(roles []Role, uf interface{ Find(int32) int32 }) []int32 {
 		}
 	}
 	return ids
+}
+
+// The walks below are the only loops over the similarity array of a vertex
+// range [lo, hi): sim holds the arcs of that range, sim[0] being arc
+// g.Off[lo]. The exhaustive passes (SCAN, SCAN-XP, SCAN++, anySCAN, a
+// fleet worker) differ only in the arguments they pass.
+
+// LabelArcs labels u's still-Unknown arcs with the kernel kind: all of them,
+// or with upper only those to v > u. With mirror, each value is also written
+// into arc (v, u) when v is in range — the similarity-value reuse that
+// halves Theorem 3.4's 2·Σ workload. It returns the number of kernel calls.
+func LabelArcs(g *graph.Graph, lo, hi int32, sim []simdef.EdgeSim, u int32, upper, mirror bool, kind intersect.Kind, eps simdef.Epsilon) int64 {
+	base := g.Off[lo]
+	off := g.Off[u] - base
+	nbrs := g.Neighbors(u)
+	var calls int64
+	for i, v := range nbrs {
+		if (upper && v <= u) || sim[off+int64(i)] != simdef.Unknown {
+			continue
+		}
+		val := intersect.Sim(kind, eps, nbrs, g.Neighbors(v), nil)
+		calls++
+		sim[off+int64(i)] = val
+		if mirror && v >= lo && v < hi {
+			sim[g.EdgeOffset(v, u)-base] = val
+		}
+	}
+	return calls
+}
+
+// ArcRole is u's role from its complete labels: core iff at least mu of
+// its arcs are similar (|N_ε(u)| counts u itself).
+func ArcRole(g *graph.Graph, lo int32, sim []simdef.EdgeSim, u, mu int32) Role {
+	off := g.Off[u] - g.Off[lo]
+	var similar int32
+	for _, val := range sim[off : off+int64(g.Degree(u))] {
+		if val == simdef.Sim {
+			similar++
+		}
+	}
+	if similar >= mu {
+		return RoleCore
+	}
+	return RoleNonCore
+}
+
+// AppendCoreEdges appends the similar core–core edges (u, v), u < v, whose
+// smaller endpoint u is in [lo, hi): the union-find input of P5. roles is
+// whole-graph.
+func AppendCoreEdges(dst [][2]int32, g *graph.Graph, lo, hi int32, sim []simdef.EdgeSim, roles []Role) [][2]int32 {
+	base := g.Off[lo]
+	for u := lo; u < hi; u++ {
+		if roles[u] != RoleCore {
+			continue
+		}
+		off := g.Off[u] - base
+		for i, v := range g.Neighbors(u) {
+			if v > u && roles[v] == RoleCore && sim[off+int64(i)] == simdef.Sim {
+				dst = append(dst, [2]int32{u, v})
+			}
+		}
+	}
+	return dst
 }
 
 // AppendNonCore is P7 (ClusterNonCore) over a complete similarity array:

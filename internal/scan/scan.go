@@ -74,6 +74,7 @@ func Run(g *graph.Graph, th simdef.Threshold, opt engine.Options, x Options, ws 
 			s.expandCluster(u, &queue, res)
 		}
 	}
+	res.NonCore = result.AppendNonCore(nil, g, 0, n, s.sim, s.roles, res.CoreClusterID)
 	res.Normalize()
 	res.Stats = result.Stats{
 		Algorithm:      "SCAN",
@@ -99,48 +100,30 @@ type state struct {
 // checkCore computes sim[e(u,v)] for every neighbor of u (Definition 3.2),
 // caches the values for cluster expansion, assigns and returns u's role.
 func (s *state) checkCore(u int32) result.Role {
-	g := s.g
 	var t0 time.Time
 	if s.breakdown {
 		t0 = time.Now()
 	}
-	var similar int32
-	du := g.Degree(u)
-	nbrs := g.Neighbors(u)
-	for i, v := range nbrs {
-		e := g.Off[u] + int64(i)
-		if s.sim[e] == simdef.Unknown {
-			c := s.th.Eps.MinCN(du, g.Degree(v))
-			s.sim[e] = intersect.CompSim(s.kernel, nbrs, g.Neighbors(v), c)
-			s.compSimCalls++
-		}
-		if s.sim[e] == simdef.Sim {
-			similar++
-		}
-	}
+	n := s.g.NumVertices()
+	s.compSimCalls += result.LabelArcs(s.g, 0, n, s.sim, u, false, false, s.kernel, s.th.Eps)
 	if s.breakdown {
 		s.simTime += time.Since(t0)
 	}
-	role := result.RoleNonCore
-	if similar >= s.th.Mu { // |N_eps(u)| - 1 >= mu  (u itself is the +1)
-		role = result.RoleCore
-	}
-	s.roles[u] = role
-	return role
+	s.roles[u] = result.ArcRole(s.g, 0, s.sim, u, s.th.Mu)
+	return s.roles[u]
 }
 
 // expandCluster grows the cluster seeded at core u via BFS over similar
-// edges (Algorithm 1, ExpandCluster). Core memberships are recorded in
-// res.CoreClusterID; non-core memberships are appended to res.NonCore. The
-// cluster id is fixed up to the minimum core id at the end.
+// edges between cores (Algorithm 1, ExpandCluster), recording core
+// memberships in res.CoreClusterID; the cluster id is fixed up to the
+// minimum core id at the end. Non-core memberships are read off the sim
+// array once every core is known.
 func (s *state) expandCluster(u int32, queue *[]int32, res *result.Result) {
 	g := s.g
 	q := (*queue)[:0]
 	q = append(q, u)
 	cores := []int32{u}
 	minCore := u
-	// Track non-core members of *this* cluster, dedup within the cluster.
-	nonCore := map[int32]struct{}{}
 	res.CoreClusterID[u] = u // provisional; rewritten below
 	for len(q) > 0 {
 		v := q[len(q)-1]
@@ -151,38 +134,20 @@ func (s *state) expandCluster(u int32, queue *[]int32, res *result.Result) {
 				continue
 			}
 			if s.roles[w] == result.RoleUnknown {
-				if s.checkCore(w) == result.RoleCore {
-					// New core joins the cluster and the frontier.
-					res.CoreClusterID[w] = u
-					if w < minCore {
-						minCore = w
-					}
-					cores = append(cores, w)
-					q = append(q, w)
-					continue
-				}
+				s.checkCore(w)
 			}
-			switch s.roles[w] {
-			case result.RoleCore:
-				if res.CoreClusterID[w] < 0 {
-					res.CoreClusterID[w] = u
-					if w < minCore {
-						minCore = w
-					}
-					cores = append(cores, w)
-					q = append(q, w)
-				}
-			case result.RoleNonCore:
-				nonCore[w] = struct{}{}
+			if s.roles[w] == result.RoleCore && res.CoreClusterID[w] < 0 {
+				// A new core joins the cluster and the frontier.
+				res.CoreClusterID[w] = u
+				minCore = min(minCore, w)
+				cores = append(cores, w)
+				q = append(q, w)
 			}
 		}
 	}
 	// Fix up the cluster id to the minimum core id (Definition 3.7).
 	for _, c := range cores {
 		res.CoreClusterID[c] = minCore
-	}
-	for w := range nonCore {
-		res.NonCore = append(res.NonCore, result.Membership{V: w, ClusterID: minCore})
 	}
 	*queue = q
 }

@@ -104,16 +104,8 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 	// outer loop guarantees it), so all roles are known; cluster exactly
 	// as SCAN defines.
 	uf := ws.SequentialUF(n)
-	for u := int32(0); u < n; u++ {
-		if s.roles[u] != result.RoleCore {
-			continue
-		}
-		uOff := g.Off[u]
-		for i, v := range g.Neighbors(u) {
-			if u < v && s.roles[v] == result.RoleCore && s.sim[uOff+int64(i)] == simdef.Sim {
-				uf.Union(u, v)
-			}
-		}
+	for _, e := range result.AppendCoreEdges(nil, g, 0, n, s.sim, s.roles) {
+		uf.Union(e[0], e[1])
 	}
 	res := &result.Result{
 		Eps:           th.Eps.String(),
@@ -145,27 +137,7 @@ type state struct {
 // ones) and assigns u's role. No early termination: SCAN++ has no min-max
 // pruning.
 func (s *state) checkCore(u int32) {
-	g := s.g
-	uOff := g.Off[u]
-	var similar int32
-	nbrs := g.Neighbors(u)
-	du := g.Degree(u)
-	for i, v := range nbrs {
-		e := uOff + int64(i)
-		if s.sim[e] == simdef.Unknown {
-			c := s.th.Eps.MinCN(du, g.Degree(v))
-			val := intersect.CompSim(s.kernel, nbrs, g.Neighbors(v), c)
-			s.compSimCalls++
-			s.sim[e] = val
-			s.sim[g.EdgeOffset(v, u)] = val
-		}
-		if s.sim[e] == simdef.Sim {
-			similar++
-		}
-	}
-	if similar >= s.th.Mu {
-		s.roles[u] = result.RoleCore
-	} else {
-		s.roles[u] = result.RoleNonCore
-	}
+	n := s.g.NumVertices()
+	s.compSimCalls += result.LabelArcs(s.g, 0, n, s.sim, u, false, true, s.kernel, s.th.Eps)
+	s.roles[u] = result.ArcRole(s.g, 0, s.sim, u, s.th.Mu)
 }

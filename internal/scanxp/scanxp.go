@@ -15,7 +15,7 @@ package scanxp
 import (
 	"context"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 
 	"ppscan/graph"
@@ -53,57 +53,32 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 	// Each vertex evaluates all of its own directed edges — twice the
 	// minimum work, as in SCAN-XP.
 	err := sched.ForEachVertexStatic(opt.Workers, n, func(u int32, w int) {
-		du := g.Degree(u)
-		var similar int32
-		uOff := g.Off[u]
-		nbrs := g.Neighbors(u)
-		for i, v := range nbrs {
-			c := th.Eps.MinCN(du, g.Degree(v))
-			val := intersect.CompSim(opt.Kernel, nbrs, g.Neighbors(v), c)
-			counts[w]++
-			sim[uOff+int64(i)] = val
-			if val == simdef.Sim {
-				similar++
-			}
-		}
-		if similar >= th.Mu {
-			roles[u] = result.RoleCore
-		} else {
-			roles[u] = result.RoleNonCore
-		}
+		counts[w] += result.LabelArcs(g, 0, n, sim, u, false, false, opt.Kernel, th.Eps)
+		roles[u] = result.ArcRole(g, 0, sim, u, th.Mu)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 3: parallel core clustering over similar core-core edges.
+	// Phase 3: parallel core clustering over similar core-core edges, read
+	// into one reused buffer per worker.
 	uf := ws.ConcurrentUF(n)
+	edges := make([][][2]int32, opt.Workers)
 	err = sched.ForEachVertexStatic(opt.Workers, n, func(u int32, w int) {
-		if roles[u] != result.RoleCore {
-			return
-		}
-		uOff := g.Off[u]
-		for i, v := range g.Neighbors(u) {
-			if u < v && roles[v] == result.RoleCore && sim[uOff+int64(i)] == simdef.Sim {
-				uf.Union(u, v)
-			}
+		edges[w] = result.AppendCoreEdges(edges[w][:0], g, u, u+1, sim[g.Off[u]:], roles)
+		for _, e := range edges[w] {
+			uf.Union(e[0], e[1])
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 4: cluster ids and non-core memberships.
+	// Phase 4: cluster ids and non-core memberships, one list per worker.
 	coreClusterID := result.CoreClusterIDs(roles, uf)
-	var mu sync.Mutex
-	var nonCore []result.Membership
+	members := make([][]result.Membership, opt.Workers)
 	err = sched.ForEachVertexStatic(opt.Workers, n, func(u int32, w int) {
-		local := result.AppendNonCore(nil, g, u, u+1, sim[g.Off[u]:], roles, coreClusterID[u:])
-		if len(local) > 0 {
-			mu.Lock()
-			nonCore = append(nonCore, local...)
-			mu.Unlock()
-		}
+		members[w] = result.AppendNonCore(members[w], g, u, u+1, sim[g.Off[u]:], roles, coreClusterID[u:])
 	})
 	if err != nil {
 		return nil, err
@@ -114,7 +89,7 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 		Mu:            th.Mu,
 		Roles:         roles,
 		CoreClusterID: coreClusterID,
-		NonCore:       nonCore,
+		NonCore:       slices.Concat(members...),
 	}
 	res.Normalize()
 	var calls int64

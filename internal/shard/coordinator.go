@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -558,9 +559,11 @@ func (c *Coordinator) Shutdown(ctx context.Context) {
 // callStep runs one round RPC against one shard with the full containment
 // ladder: fault injection, per-RPC deadline, failure classification,
 // capped exponential backoff, replica failover in health-preference
-// order, and epoch-mismatch sync. Exhaustion returns a
-// ShardUnavailableError wrapping the last leaf failure.
-func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, req *StepRequest, qBytes *atomic.Int64) (*StepResponse, error) {
+// order, and epoch-mismatch sync. A reply that fails checkReply (ids are
+// the whole-graph cluster ids, needed by RoundMembers only) counts as that
+// replica's failure. Exhaustion returns a ShardUnavailableError wrapping
+// the last leaf failure.
+func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, req *StepRequest, ids []int32, qBytes *atomic.Int64) (*StepResponse, error) {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(req); err != nil {
 		return nil, fmt.Errorf("shard: encoding %s round: %w", req.Round, err)
@@ -600,6 +603,13 @@ func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, re
 				}
 			}
 			resp, err := c.attempt(ctx, shard, r, req.Round, body.Bytes(), qBytes)
+			if err == nil {
+				if cerr := checkReply(sn, shard, req, ids, resp); cerr != nil {
+					c.rejectedC.Inc()
+					err = &ShardRejectedError{Shard: shard, Addr: r.addr, Round: req.Round,
+						Status: http.StatusOK, Kind: rejectBadResponse, Msg: cerr.Error()}
+				}
+			}
 			if err == nil {
 				c.markSuccess(shard, r)
 				return resp, nil
@@ -702,6 +712,40 @@ func (c *Coordinator) attempt(ctx context.Context, shard int, r *replica, round 
 	return &sr, nil
 }
 
+// checkReply vets a decoded reply against the round it answers before any
+// of it is used. A worker's output indexes the coordinator's arrays and
+// becomes the answer, so a buggy or hostile replica must cost a failover,
+// never a panic or a wrong clustering.
+func checkReply(sn *coordSnap, shard int, req *StepRequest, ids []int32, resp *StepResponse) error {
+	n := sn.g.NumVertices()
+	lo, hi := sn.bounds[shard], sn.bounds[shard+1]
+	switch req.Round {
+	case RoundSim:
+		for _, m := range resp.Outbox {
+			if m.U < lo || m.U >= hi || m.V < hi || m.V >= n || (m.Val != simdef.Sim && m.Val != simdef.NSim) {
+				return fmt.Errorf("outbox message %+v is not an owned tail's out-of-range arc", m)
+			}
+		}
+	case RoundRoles:
+		return checkRoles(resp.Roles, hi-lo)
+	case RoundCluster:
+		for _, e := range resp.UnionEdges {
+			u, v := min(e[0], e[1]), max(e[0], e[1])
+			if u < lo || u >= hi || v >= n || req.Roles[u] != result.RoleCore || req.Roles[v] != result.RoleCore {
+				return fmt.Errorf("union edge %v is not an owned core-core edge", e)
+			}
+		}
+	case RoundMembers:
+		for _, m := range resp.Members {
+			if m.V < 0 || m.V >= n || req.Roles[m.V] != result.RoleNonCore ||
+				m.ClusterID < 0 || m.ClusterID >= n || ids[m.ClusterID] != m.ClusterID {
+				return fmt.Errorf("membership %+v is not a non-core in a core's cluster", m)
+			}
+		}
+	}
+	return nil
+}
+
 // countingReader counts wire bytes actually read (Stats.CommBytes is
 // measured, not modeled).
 type countingReader struct {
@@ -762,7 +806,9 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 	}
 
 	// fanOut runs one round on every shard concurrently; the per-shard
-	// request is built by mk (which must not share mutable state).
+	// request is built by mk (which must not share mutable state). Replies
+	// are checked against coreClusterID once round 3 has set it.
+	var coreClusterID []int32
 	fanOut := func(round string, mk func(shard int) *StepRequest) ([]*StepResponse, error) {
 		t0 := time.Now()
 		defer func() { c.roundNs[round].Add(int64(time.Since(t0))) }()
@@ -780,7 +826,7 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 						}
 					}
 				}()
-				resps[s], errs[s] = c.callStep(ctx, sn, s, mk(s), &qBytes)
+				resps[s], errs[s] = c.callStep(ctx, sn, s, mk(s), coreClusterID, &qBytes)
 			}(s)
 		}
 		//lint:chanwait bounded: every callStep is bounded by MaxAttempts deadlined RPCs
@@ -791,19 +837,6 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 			}
 		}
 		return resps, nil
-	}
-
-	owner := func(v int32) int {
-		lo, hi := 0, p-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if v >= bounds[mid+1] {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
 	}
 
 	// Round 1: local similarity passes; outboxes carry cross-shard mirror
@@ -819,7 +852,7 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 	inboxes := make([][]SimMsg, p)
 	for _, resp := range simResps {
 		for _, m := range resp.Outbox {
-			o := owner(m.V)
+			o := sort.Search(p, func(s int) bool { return m.V < bounds[s+1] })
 			inboxes[o] = append(inboxes[o], m)
 		}
 	}
@@ -860,7 +893,7 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 			uf.Union(e[0], e[1])
 		}
 	}
-	coreClusterID := result.CoreClusterIDs(roles, uf)
+	coreClusterID = result.CoreClusterIDs(roles, uf)
 
 	// Round 4: membership emission by each shard's cores.
 	memberResps, err := fanOut(RoundMembers, func(s int) *StepRequest {

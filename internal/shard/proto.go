@@ -162,7 +162,9 @@ const (
 	rejectWrongShard   = "wrong_shard"
 	rejectInternalErr  = "internal_error"
 	rejectInjectedHalt = "injected_halt"
-	// rejectOversize is the coordinator's own verdict on a 200 response
-	// whose body ran past its byte cap; no worker sends it.
-	rejectOversize = "response_too_large"
+	// rejectOversize and rejectBadResponse are the coordinator's own
+	// verdicts on a 200 response: a body past its byte cap, or a reply that
+	// fails checkReply. No worker sends them.
+	rejectOversize    = "response_too_large"
+	rejectBadResponse = "bad_response"
 )

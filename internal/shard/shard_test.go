@@ -796,3 +796,127 @@ func TestErrorStringsNameBlastRadius(t *testing.T) {
 		t.Error("unavailable does not unwrap to its leaf")
 	}
 }
+
+// tamper forwards to a real worker and rewrites its 200 reply to one round.
+type tamper struct {
+	backend http.Handler
+	round   string
+	edit    func(*StepResponse)
+}
+
+func (tp tamper) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	rec := httptest.NewRecorder()
+	tp.backend.ServeHTTP(rec, r)
+	var resp StepResponse
+	if rec.Code != http.StatusOK || gob.NewDecoder(bytes.NewReader(rec.Body.Bytes())).Decode(&resp) != nil || resp.Round != tp.round {
+		rw.WriteHeader(rec.Code)
+		_, _ = rw.Write(rec.Body.Bytes())
+		return
+	}
+	tp.edit(&resp)
+	_ = gob.NewEncoder(rw).Encode(&resp)
+}
+
+// TestCoordinatorChecksReplies: a 200 reply that does not fit its round is
+// a bad_response rejection, so the replica fails over to an honest one and
+// a shard with no honest replica is unavailable — never a panic, a vertex
+// left RoleUnknown or a membership outside the graph.
+func TestCoordinatorChecksReplies(t *testing.T) { overBoth(t, testCoordinatorChecksReplies) }
+
+func testCoordinatorChecksReplies(t *testing.T, transport string) {
+	g := algotest.RandomGraph(59)
+	th := mustTh(t, "0.4", 2)
+	want := reference(g, th)
+	cases := []struct {
+		round string
+		edit  func(*StepResponse)
+	}{
+		{RoundSim, func(r *StepResponse) { r.Outbox = append(r.Outbox, SimMsg{V: 1 << 20, U: 0, Val: simdef.Sim}) }},
+		{RoundRoles, func(r *StepResponse) { r.Roles = r.Roles[:len(r.Roles)/2] }},
+		{RoundCluster, func(r *StepResponse) { r.UnionEdges = append(r.UnionEdges, [2]int32{0, 1 << 20}) }},
+		{RoundMembers, func(r *StepResponse) { r.Members = append(r.Members, result.Membership{V: 1 << 20}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.round, func(t *testing.T) {
+			honest, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := NewWorker(g, WorkerOptions{Shard: 1, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := tamper{backend: honest.Handler(), round: tc.round, edit: tc.edit}
+			for _, reps := range [][]http.Handler{{bad, honest.Handler()}, {bad}} {
+				addrs, client, _ := mount(t, transport, [][]http.Handler{reps, {other.Handler()}})
+				c, err := NewCoordinator(g, Options{
+					Shards: addrs, Client: client, HeartbeatEvery: -1,
+					RetryBackoff: time.Millisecond, MaxAttempts: 2, Registry: obsv.New(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Run(context.Background(), "0.4", 2)
+				if len(reps) > 1 {
+					if err != nil {
+						t.Fatalf("failover past a tampered reply: %v", err)
+					}
+					if err := result.Equal(want, got); err != nil {
+						t.Fatal(err)
+					}
+					if c.failovers.Value() == 0 {
+						t.Error("no failover counted")
+					}
+					continue
+				}
+				var rej *ShardRejectedError
+				if !errors.As(err, &rej) || rej.Kind != rejectBadResponse || rej.Round != tc.round {
+					t.Fatalf("only a tampering replica: want ShardRejectedError %s in round %s, got %v", rejectBadResponse, tc.round, err)
+				}
+			}
+		})
+	}
+}
+
+// TestWorkerChecksRequests: a round request whose inbox carries a label
+// other than Sim / NSim, or whose roles are not all Core / NonCore, is a
+// 400 bad_request — the worker stores and trusts none of it.
+func TestWorkerChecksRequests(t *testing.T) {
+	g := algotest.RandomGraph(61)
+	w, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	v := g.Neighbors(0)[0]
+	badRoles := make([]result.Role, n)
+	for i := range badRoles {
+		badRoles[i] = result.RoleNonCore
+	}
+	badRoles[n-1] = 7
+	base := StepRequest{Epoch: g.Epoch(), Eps: "0.4", Mu: 2}
+	reqs := map[string]StepRequest{}
+	for _, val := range []simdef.EdgeSim{simdef.Unknown, 7} {
+		r := base
+		r.Round, r.Inbox = RoundRoles, []SimMsg{{V: v, U: 0, Val: val}}
+		reqs[fmt.Sprintf("inbox label %d", val)] = r
+	}
+	for _, round := range []string{RoundCluster, RoundMembers} {
+		for _, roles := range [][]result.Role{make([]result.Role, n), badRoles} {
+			r := base
+			r.Round, r.Roles, r.CoreClusterID = round, roles, make([]int32, n)
+			reqs[fmt.Sprintf("%s roles %v", round, roles[n-1])] = r
+		}
+	}
+	for name, req := range reqs {
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(&req); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathStep, &body))
+		if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte(rejectBadRequest)) {
+			t.Errorf("%s: answered %d, want 400 %s", name, rec.Code, rejectBadRequest)
+		}
+	}
+}

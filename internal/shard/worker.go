@@ -114,11 +114,10 @@ type stateKey struct {
 // request's context ending — leaves ready false so the next request
 // recomputes instead of serving torn state.
 type queryState struct {
-	mu      sync.Mutex
-	ready   bool
-	sim     []simdef.EdgeSim
-	outbox  []SimMsg
-	simBase int64
+	mu     sync.Mutex
+	ready  bool
+	sim    []simdef.EdgeSim
+	outbox []SimMsg
 }
 
 // Worker owns one vertex-range partition and serves superstep rounds.
@@ -370,15 +369,18 @@ func (w *Worker) step(ctx context.Context, sn *snapState, req *StepRequest) (*St
 	case RoundSim:
 		resp.Outbox = st.outbox
 	case RoundRoles:
-		resp.Roles = computeRoles(sn, st, th.Mu)
-	case RoundCluster:
-		if int32(len(req.Roles)) != sn.g.NumVertices() {
-			return nil, fmt.Errorf("cluster round needs %d roles, got %d", sn.g.NumVertices(), len(req.Roles))
+		resp.Roles = make([]result.Role, sn.hi-sn.lo)
+		for u := sn.lo; u < sn.hi; u++ {
+			resp.Roles[u-sn.lo] = result.ArcRole(sn.g, sn.lo, st.sim, u, th.Mu)
 		}
-		resp.UnionEdges = unionEdges(sn, st, req.Roles)
+	case RoundCluster:
+		if err := checkRoles(req.Roles, sn.g.NumVertices()); err != nil {
+			return nil, fmt.Errorf("cluster %w", err)
+		}
+		resp.UnionEdges = result.AppendCoreEdges(nil, sn.g, sn.lo, sn.hi, st.sim, req.Roles)
 	case RoundMembers:
-		if int32(len(req.Roles)) != sn.g.NumVertices() {
-			return nil, fmt.Errorf("members round needs %d roles, got %d", sn.g.NumVertices(), len(req.Roles))
+		if err := checkRoles(req.Roles, sn.g.NumVertices()); err != nil {
+			return nil, fmt.Errorf("members %w", err)
 		}
 		if int32(len(req.CoreClusterID)) != sn.hi-sn.lo {
 			return nil, fmt.Errorf("members round needs %d cluster ids, got %d", sn.hi-sn.lo, len(req.CoreClusterID))
@@ -423,56 +425,40 @@ func (w *Worker) ensure(ctx context.Context, sn *snapState, req *StepRequest, th
 }
 
 // computeLocal runs the shard-local similarity pass: every undirected edge
-// whose smaller endpoint u is owned gets its value computed once; the
-// mirror slot is written locally when the larger endpoint is owned too,
-// and emitted as an outbox message otherwise. One Algorithm 5 phase over
-// the owned range: tasks own disjoint vertices, so all sim writes are
-// disjoint, and each worker appends to a private outbox. When ctx ends the
-// pass stops within one task and returns ctx.Err().
+// whose smaller endpoint u is owned gets its value computed once, mirrored
+// locally when the larger endpoint is owned too. One Algorithm 5 phase over
+// the owned range: tasks own disjoint tails, so all sim writes are
+// disjoint. The mirrors other shards need are then read off the labelled
+// range into the outbox. When ctx ends the pass stops within one task and
+// returns ctx.Err().
 func (w *Worker) computeLocal(ctx context.Context, sn *snapState, st *queryState, th simdef.Threshold) error {
 	g := sn.g
-	st.simBase = g.Off[sn.lo]
-	st.sim = make([]simdef.EdgeSim, g.Off[sn.hi]-st.simBase)
-	outs := make([][]SimMsg, w.opt.Workers)
+	base := g.Off[sn.lo]
+	st.sim = make([]simdef.EdgeSim, g.Off[sn.hi]-base)
 	err := sched.ForEachVertexCtx(ctx,
 		sched.Options{Workers: w.opt.Workers, Phase: "shard " + RoundSim},
 		sn.hi-sn.lo, nil,
 		func(i int32) int32 { return g.Degree(sn.lo + i) },
-		func(i int32, worker int) { simVertex(sn, st, th, sn.lo+i, w.opt.Kernel, &outs[worker]) })
+		func(i int32, _ int) {
+			result.LabelArcs(g, sn.lo, sn.hi, st.sim, sn.lo+i, true, true, w.opt.Kernel, th.Eps)
+		})
 	if err != nil {
 		return err
 	}
-	// Outbox order is not protocol: applyInbox addresses slots by (V, U).
 	st.outbox = st.outbox[:0]
-	for _, o := range outs {
-		st.outbox = append(st.outbox, o...)
+	for u := sn.lo; u < sn.hi; u++ {
+		for i, v := range g.Neighbors(u) {
+			if v >= sn.hi {
+				st.outbox = append(st.outbox, SimMsg{V: v, U: u, Val: st.sim[g.Off[u]-base+int64(i)]})
+			}
+		}
 	}
 	return nil
 }
 
-// simVertex computes the similarities of owned tail u's edges to larger
-// heads, appending the mirror messages other shards need to *out.
-func simVertex(sn *snapState, st *queryState, th simdef.Threshold, u int32, kernel intersect.Kind, out *[]SimMsg) {
-	g := sn.g
-	uOff := g.Off[u]
-	nbrs := g.Neighbors(u)
-	for i, v := range nbrs {
-		if v <= u {
-			continue
-		}
-		c := th.Eps.MinCN(g.Degree(u), g.Degree(v))
-		val := intersect.CompSim(kernel, nbrs, g.Neighbors(v), c)
-		st.sim[uOff+int64(i)-st.simBase] = val
-		if v < sn.hi {
-			st.sim[g.EdgeOffset(v, u)-st.simBase] = val
-		} else {
-			*out = append(*out, SimMsg{V: v, U: u, Val: val})
-		}
-	}
-}
-
 // applyInbox writes mirror similarities addressed to this shard. Messages
-// outside the owned range or naming absent edges are protocol errors.
+// outside the owned range, naming absent edges or carrying a label other
+// than Sim / NSim are protocol errors.
 func applyInbox(sn *snapState, st *queryState, inbox []SimMsg) error {
 	g := sn.g
 	for _, m := range inbox {
@@ -483,47 +469,23 @@ func applyInbox(sn *snapState, st *queryState, inbox []SimMsg) error {
 		if e < 0 {
 			return fmt.Errorf("inbox message for absent edge (%d, %d)", m.V, m.U)
 		}
-		st.sim[e-st.simBase] = m.Val
+		if m.Val != simdef.Sim && m.Val != simdef.NSim {
+			return fmt.Errorf("inbox message for edge (%d, %d) carries label %v", m.V, m.U, m.Val)
+		}
+		st.sim[e-g.Off[sn.lo]] = m.Val
 	}
 	return nil
 }
 
-// computeRoles derives the owned range's roles from the completed sim
-// state (local pass + inbox).
-func computeRoles(sn *snapState, st *queryState, mu int32) []result.Role {
-	g := sn.g
-	roles := make([]result.Role, sn.hi-sn.lo)
-	for u := sn.lo; u < sn.hi; u++ {
-		var similar int32
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			if st.sim[e-st.simBase] == simdef.Sim {
-				similar++
-			}
-		}
-		if similar >= mu {
-			roles[u-sn.lo] = result.RoleCore
-		} else {
-			roles[u-sn.lo] = result.RoleNonCore
+// checkRoles refuses a role list that is not one Core / NonCore per vertex.
+func checkRoles(roles []result.Role, n int32) error {
+	if int32(len(roles)) != n {
+		return fmt.Errorf("round needs %d roles, got %d", n, len(roles))
+	}
+	for v, r := range roles {
+		if r != result.RoleCore && r != result.RoleNonCore {
+			return fmt.Errorf("vertex %d has role %v", v, r)
 		}
 	}
-	return roles
-}
-
-// unionEdges lists the similar core-core edges owned by this shard (the
-// smaller endpoint is owned), the coordinator's union-find input.
-func unionEdges(sn *snapState, st *queryState, roles []result.Role) [][2]int32 {
-	g := sn.g
-	var out [][2]int32
-	for u := sn.lo; u < sn.hi; u++ {
-		if roles[u] != result.RoleCore {
-			continue
-		}
-		uOff := g.Off[u]
-		for i, v := range g.Neighbors(u) {
-			if v > u && roles[v] == result.RoleCore && st.sim[uOff+int64(i)-st.simBase] == simdef.Sim {
-				out = append(out, [2]int32{u, v})
-			}
-		}
-	}
-	return out
+	return nil
 }

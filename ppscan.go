@@ -367,7 +367,7 @@ func LoadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 // ClassifyHubsOutliers labels every vertex of g as clustered, hub, or
 // outlier given a clustering result (Definition 2.10 of the paper).
 func ClassifyHubsOutliers(g *graph.Graph, r *Result) []Attachment {
-	return result.ClassifyHubsOutliers(g, r, 1)
+	return result.ClassifyHubsOutliers(g, r)
 }
 
 // Equal compares two results for semantic equality, returning a
