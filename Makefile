@@ -30,10 +30,12 @@ race:
 # one, two and four cores: how tasks interleave, which worker wakes first
 # and whether a cancel lands mid-task all change with the core count, and
 # tier-1 has to be green on any of them (ROADMAP). scan-xp and anyscan drive
-# the shared arc labeller (internal/result/tail.go) from concurrent workers.
+# the shared arc labeller (internal/result/tail.go) from concurrent workers;
+# the server builds an epoch's index on a sweep, racing other sweeps and
+# commits for the one publish.
 cores:
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/gsindex/ ./internal/shard/ \
-		./internal/scanxp/ ./internal/anyscan/
+		./internal/scanxp/ ./internal/anyscan/ ./internal/server/
 
 staticcheck:
 	@command -v $(STATICCHECK) >/dev/null 2>&1 || \

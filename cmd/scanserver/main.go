@@ -7,26 +7,24 @@
 //	scanserver -graph web.bin -index -addr :8080
 //
 // Endpoints: /healthz, /cluster?eps=&mu=[&algo=&members=true],
-// /cluster/sweep?eps=start:end:step&mu= (one similarity pass, one NDJSON
-// line per eps step), POST /edges (with -mutations: batched NDJSON edge
-// insertions/deletions committed as a new graph epoch, the GS*-Index
-// maintained incrementally), /vertex?v=&eps=&mu=, /quality?eps=&mu=,
-// /metrics,
+// /cluster/sweep?eps=start:end:step&mu= (one NDJSON line per eps step,
+// each extracted from the epoch's GS*-Index; the first sweep of an
+// index-less epoch builds that index and the server keeps it), POST
+// /edges (with -mutations: batched NDJSON edge insertions/deletions
+// committed as a new graph epoch, the GS*-Index maintained
+// incrementally), /vertex?v=&eps=&mu=, /quality?eps=&mu=, /metrics,
 // and /debug/slowest — the tail-latency exemplars: the -exemplars slowest
 // computations of the last 15 minutes, each with its per-phase breakdown
 // and a Chrome trace of the actual run (load in chrome://tracing or
 // ui.perfetto.dev). With -pprof, the Go profiling endpoints are
 // additionally served under /debug/pprof/.
 //
-// -coalesce-window merges concurrent requests with different (eps, mu)
-// into a single shared similarity pass whose result fans out to every
-// waiter — the throughput lever for parameter-exploration traffic.
-//
-// -index, -coalesce-window and -shards arm stages of one resolve pipeline
-// in a fixed order: response cache, similarity artifact (the index, else
-// a coalesced flight), compute backend (the fleet, else the in-process
-// engine). Every combination is valid — an earlier armed stage answers, a
-// later one is reached only where it is absent — and logged at startup.
+// -index and -shards arm stages of one resolve pipeline in a fixed order:
+// response cache, the epoch's index (built at startup with -index, else by
+// the first sweep), compute backend (the fleet, else the in-process
+// engine). Every combination is valid — an earlier stage answers, a later
+// one is reached only where it is absent — and logged at startup. /cluster
+// never builds an index; until one exists it runs the backend.
 //
 // -algo selects the default algorithm backend for requests that omit the
 // algo query parameter; -list-algos prints the registered backends. Direct
@@ -68,10 +66,19 @@ import (
 
 // Connection bounds, deliberately not flags. There is no WriteTimeout: a
 // sweep streams for as long as its grid takes and has no per-write
-// deadline yet.
+// deadline yet. readTimeout bounds reading a whole request, body
+// included: a full-size POST /edges body (64 MiB) fits at ~0.6 MB/s.
+// net/http clears the read deadline once the body is read, so it never
+// cuts a running computation short. maxHeaderBytes fits a comma-list
+// sweep of 2 048 of the longest valid eps (a percent-encoded
+// "4294967295%2F4294967295%2C" each), eight times the default
+// -sweep-max-steps; a range spec is a few bytes at any step count. A
+// larger request line or header block is answered 431.
 const (
 	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
 	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
 )
 
 func main() {
@@ -89,9 +96,8 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "expose the Go profiling endpoints under /debug/pprof/")
 		logReqs   = flag.Bool("log-requests", false, "log one structured line per HTTP request")
 
-		mutations   = flag.Bool("mutations", false, "enable POST /edges: batched NDJSON edge mutations commit new graph epochs; with -index the GS*-Index is maintained incrementally across commits")
-		coalesceWin = flag.Duration("coalesce-window", 0, "merge concurrent clustering requests into single-flight similarity passes, holding the first request up to this long so others pile on (0 = coalescing off; with -index the index answers first and no flight opens)")
-		sweepSteps  = flag.Int("sweep-max-steps", server.DefaultSweepMaxSteps, "max eps steps one /cluster/sweep request may stream")
+		mutations  = flag.Bool("mutations", false, "enable POST /edges: batched NDJSON edge mutations commit new graph epochs; with -index the GS*-Index is maintained incrementally across commits")
+		sweepSteps = flag.Int("sweep-max-steps", server.DefaultSweepMaxSteps, "max eps steps one /cluster/sweep request may stream")
 
 		maxInflight = flag.Int("max-inflight", 0, "max concurrent clustering computations (0 = unlimited); excess requests degrade to cache/index or get 429")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request computation deadline (0 = none); exceeded requests get 503")
@@ -100,7 +106,7 @@ func main() {
 		exemplars   = flag.Int("exemplars", 8, "retain the N slowest computations of the last 15 minutes with full execution traces at /debug/slowest (0 = parameters and phase breakdown only for the default 4, traces off)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off) — a chaos drill: injected worker panics, delays and transient faults exercise the containment paths while /metrics reports fault.* counters")
 
-		shardSpec = flag.String("shards", "", "serve queries on a multi-process scanshard worker fleet instead of in-process engines: semicolon-separated shards, each a comma-separated list of replica base URLs, e.g. \"http://h1:9100,http://h2:9100;http://h1:9101,http://h2:9101\"; with -index or -coalesce-window those answer first and the fleet computes only what they do not")
+		shardSpec = flag.String("shards", "", "serve queries on a multi-process scanshard worker fleet instead of in-process engines: semicolon-separated shards, each a comma-separated list of replica base URLs, e.g. \"http://h1:9100,http://h2:9100;http://h1:9101,http://h2:9101\"; with -index the index answers first and the fleet computes only what it does not")
 	)
 	flag.Parse()
 	var shardFleet [][]string
@@ -155,10 +161,6 @@ func main() {
 	stages := []string{fmt.Sprintf("cache(%d)", *cacheSize)}
 	if *useIndex {
 		stages = append(stages, "index")
-	}
-	if *coalesceWin > 0 {
-		srv = srv.WithCoalescing(*coalesceWin)
-		stages = append(stages, fmt.Sprintf("coalesce(%v)", *coalesceWin))
 	}
 	if *exemplars > 0 {
 		// Arm trace capture: every retained slow request carries its Chrome
@@ -222,7 +224,10 @@ func main() {
 	}
 	log.Printf("listening on %s", ln.Addr())
 
-	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	httpSrv := &http.Server{
+		Handler: handler, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		IdleTimeout: idleTimeout, MaxHeaderBytes: maxHeaderBytes,
+	}
 	// Drain on SIGTERM/SIGINT: flip /healthz to 503, stop accepting
 	// connections, and give in-flight requests -shutdown-grace to finish.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)

@@ -47,9 +47,15 @@ import (
 )
 
 // Connection bounds, deliberately not flags (the same as scanserver's).
+// readTimeout bounds reading a whole request: a body at the
+// shard.DefaultMaxBodyBytes cap (1 GiB) fits at ~9 MB/s, far below what a
+// fleet on one network moves. The coordinator's requests carry no large
+// headers, so maxHeaderBytes only refuses junk (431).
 const (
 	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
 	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
 )
 
 func main() {
@@ -117,7 +123,10 @@ func main() {
 	}
 	log.Printf("listening on %s", ln.Addr())
 
-	httpSrv := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	httpSrv := &http.Server{
+		Handler: w.Handler(), ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		IdleTimeout: idleTimeout, MaxHeaderBytes: maxHeaderBytes,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 	done := make(chan struct{})

@@ -2,16 +2,15 @@
 // clustering: analysts sweep (ε, µ) to find a parameterization whose
 // clusters match their domain intuition. The expensive similarity
 // computation does not depend on ε or µ, so the server's GET
-// /cluster/sweep endpoint computes it ONCE per request and streams one
-// NDJSON clustering per ε step — this example starts an in-process server
-// (with request coalescing armed, as a production deployment would) and
+// /cluster/sweep endpoint computes it ONCE — the first sweep builds the
+// graph's GS*-Index and the server keeps it — and streams one NDJSON
+// clustering per ε step. This example starts an in-process server and
 // consumes that stream for three values of µ, printing the dashboard an
 // interactive tool would show.
 //
 // Contrast with calling ppscan.Run per gridpoint: a 7×3 grid would
-// perform 21 similarity passes; the sweep endpoint performs 3 (one per
-// request), and with -coalesce-window even concurrent explorers share
-// them.
+// perform 21 similarity passes; the sweep endpoint performs 1, and every
+// later sweep or /cluster request extracts from the kept index.
 //
 // Run with:
 //
@@ -47,8 +46,8 @@ func main() {
 	fmt.Println(graph.ComputeStats("mixed", g))
 
 	// Serve it the way scanserver would:
-	//   scanserver -graph mixed.bin -coalesce-window 10ms
-	srv := server.New(g, 0).WithCoalescing(10 * time.Millisecond)
+	//   scanserver -graph mixed.bin
+	srv := server.New(g, 0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -59,11 +58,10 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Println("serving on", base)
 
-	// One sweep request per µ: each computes similarities once and streams
-	// seven clusterings as they are extracted.
+	// One sweep request per µ: the first builds the index, and each streams
+	// seven clusterings as they are extracted from it.
 	fmt.Printf("\n%-5s %4s %10s %10s %10s %12s\n", "eps", "mu", "clusters", "cores", "coverage", "extractMs")
 	t0 := time.Now()
-	passes := 0
 	for _, mu := range []int{2, 5, 10} {
 		resp, err := http.Get(fmt.Sprintf("%s/cluster/sweep?eps=0.2:0.8:0.1&mu=%d", base, mu))
 		if err != nil {
@@ -93,9 +91,19 @@ func main() {
 			log.Fatal(err)
 		}
 		resp.Body.Close()
-		passes++
 	}
-	fmt.Printf("\n21 clusterings from %d similarity passes in %v\n",
-		passes, time.Since(t0).Round(time.Millisecond))
+	elapsed := time.Since(t0).Round(time.Millisecond)
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var metrics struct {
+		Builds int `json:"server.sweep.builds"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n21 clusterings from %d similarity pass(es) in %v\n", metrics.Builds, elapsed)
 	fmt.Println("(a per-gridpoint ppscan.Run loop would have computed similarities 21 times)")
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net/http"
+	"net/url"
 	"os/exec"
 	"strconv"
 	"strings"
@@ -120,17 +121,16 @@ func TestScanserverShardSpecValidation(t *testing.T) {
 		t.Errorf("empty shard not diagnosed:\n%s", out)
 	}
 
-	// The fleet, the index and the coalescer are stages of one pipeline, not
-	// exclusive modes: every combination starts, the stage order is logged,
-	// and the index answers without the (here unreachable) fleet being asked.
-	base, cmd, output := startServer(t, bin, "-shards", "http://127.0.0.1:1",
-		"-index", "-coalesce-window", "10ms")
+	// The fleet and the index are stages of one pipeline, not exclusive
+	// modes: both start together, the stage order is logged, and the index
+	// answers without the (here unreachable) fleet being asked.
+	base, cmd, output := startServer(t, bin, "-shards", "http://127.0.0.1:1", "-index")
 	got := httpGetJSON(t, base+"/cluster?eps=0.3&mu=3", http.StatusOK)
 	if got["algorithm"] != "GS*-Index" {
 		t.Errorf("algorithm = %v, want GS*-Index (the index stage comes before the fleet)", got["algorithm"])
 	}
 	_ = cmd.Process.Kill()
-	if log := <-output; !strings.Contains(log, "resolve pipeline: cache(64) → index → coalesce(10ms) → fleet(1 shards)") {
+	if log := <-output; !strings.Contains(log, "resolve pipeline: cache(64) → index → fleet(1 shards)") {
 		t.Errorf("stage order not logged:\n%s", log)
 	}
 }
@@ -177,5 +177,42 @@ func TestShardFleetSmoke(t *testing.T) {
 	}
 	if n, _ := fs["replicas_healthy"].(float64); n != 2 {
 		t.Errorf("replicas_healthy = %v, want 2", fs["replicas_healthy"])
+	}
+}
+
+// TestOversizedHeaderIs431: both binaries cap the request line plus
+// headers, so a 128 KiB header is refused with 431 before any handler
+// runs, while the longest sweep URL the default -sweep-max-steps admits
+// still fits.
+func TestOversizedHeaderIs431(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration tests skipped in -short")
+	}
+	dir := t.TempDir()
+	server, _, _ := startServer(t, build(t, dir, "scanserver"))
+	worker := startWorker(t, build(t, dir, "scanshard"), 0, 1)
+	for _, target := range []string{server + "/healthz", worker + "/shard/healthz"} {
+		req, err := http.NewRequest(http.MethodGet, target, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Pad", strings.Repeat("x", 128<<10))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+			t.Errorf("GET %s with a 128 KiB header: status %d, want 431", target, resp.StatusCode)
+		}
+	}
+	list := strings.TrimSuffix(strings.Repeat("4294967295/4294967295,", 256), ",")
+	resp, err := http.Get(server + "/cluster/sweep?mu=3&eps=" + url.QueryEscape(list))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("256-step sweep of the longest eps: status %d, want 200", resp.StatusCode)
 	}
 }

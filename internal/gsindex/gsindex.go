@@ -26,7 +26,7 @@
 // QueryWorkspace (queryws.go) is the one extraction routine: it draws
 // every buffer from a pooled engine.Workspace and honors context
 // cancellation — the primitive behind every index-derived answer the
-// server gives (attached index, coalesced flight, GET /cluster/sweep),
+// server gives (an index attached at start or built by a sweep),
 // where one Build amortizes across many (ε, µ) extractions. Query is the
 // same routine on a throwaway workspace.
 package gsindex

@@ -27,7 +27,7 @@ const sweepScratchKey = "gsindex.sweep"
 // QueryWorkspace computes the exact clustering for (eps, mu) from the
 // index, drawing every scratch buffer — roles, the union-find, cluster-id
 // arrays and the membership list — from a pooled workspace, so repeated
-// extractions (a parameter sweep, coalesced fan-out) perform zero
+// extractions (a parameter sweep, an index-served route) perform zero
 // steady-state heap allocations beyond the Result header itself.
 //
 // Aliasing rule: the returned Result aliases workspace memory (Roles,

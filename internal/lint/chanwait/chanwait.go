@@ -1,10 +1,13 @@
 // Package chanwait pins a cancellation discipline on blocking waits: every
 // blocking channel receive and WaitGroup.Wait in the serving packages must
-// be paired with a cancellation arm. The PR 7 review
-// found the bug class this pins — a request goroutine parked forever on a
-// coalescer flight whose worker died, with no ctx.Done() arm and no bound;
-// the fix (sharedAcquireMax, epoch-gated joins) is exactly the shape this
-// analyzer demands.
+// be paired with a cancellation arm. The bug class this pins is a request
+// goroutine parked forever on a channel whose sender died, with no
+// ctx.Done() arm and no bound. The waits that remain unarmed are bounded
+// by construction and say why where they stand: the shard coordinator's
+// heartbeat probes (HeartbeatTimeout), its heartbeat-loop stop and drain
+// notifications (the caller's ctx) and its superstep joins (MaxAttempts
+// deadlined RPCs); sched.Crew's join, unbounded only when the caller
+// passes no stall timeout; and the server's admission-slot release.
 //
 // Three waiting constructs are checked:
 //

@@ -49,7 +49,7 @@ func afterWait() {
 	<-time.After(time.Second)
 }
 
-// selectWithCancel is the fixed coalescer shape: data arm + ctx arm.
+// selectWithCancel is the fixed shape: data arm + ctx arm.
 func selectWithCancel(ctx context.Context, f *flight) error {
 	select {
 	case <-f.data:

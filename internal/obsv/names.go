@@ -178,25 +178,6 @@ const (
 	MetricServerExemplars        = "server.exemplars.retained"
 	MetricServerExemplarCaptures = "server.exemplars.captured"
 
-	// Request-coalescing metrics (server-local; see Server.WithCoalescing).
-	//
-	// MetricServerCoalesceFlights counts shared similarity passes started —
-	// one per single-flight group, however many requests share it.
-	MetricServerCoalesceFlights = "server.coalesce.flights"
-	// MetricServerCoalesceHits counts requests that joined an already-open
-	// flight instead of starting their own similarity pass; flights + hits
-	// is the total coalesced request count.
-	MetricServerCoalesceHits = "server.coalesce.hits"
-	// MetricServerCoalesceCancels counts flights whose shared pass was
-	// cancelled because the last waiter left before it finished.
-	MetricServerCoalesceCancels = "server.coalesce.cancels"
-	// MetricServerCoalesceFanout is a histogram of waiters per completed
-	// flight — the amortization factor coalescing achieved.
-	MetricServerCoalesceFanout = "server.coalesce.fanout"
-	// MetricServerCoalesceBuildNs is a histogram of shared similarity-pass
-	// (index build) durations.
-	MetricServerCoalesceBuildNs = "server.coalesce.build_ns"
-
 	// Mutation metrics (server-local; see POST /edges and -mutations).
 	//
 	// MetricGraphEpoch reports the current snapshot epoch — 0 at startup,
@@ -231,9 +212,9 @@ const (
 	// time (similarities are never recomputed per step).
 	MetricServerSweepSteps  = "server.sweep.steps"
 	MetricServerSweepStepNs = "server.sweep.step_ns"
-	// MetricServerSweepBuilds counts similarity passes performed for sweep
-	// requests that had neither an attached index nor a coalescer to share
-	// one with.
+	// MetricServerSweepBuilds counts index builds sweeps performed: at most
+	// one per epoch (the build is kept and serves every later request),
+	// none with -index.
 	MetricServerSweepBuilds = "server.sweep.builds"
 	// MetricServerSweepDisconnects counts sweeps abandoned mid-stream
 	// because the client went away or the request deadline expired.

@@ -20,8 +20,10 @@
 //
 // The whole batch commits atomically into one epoch. Response-cache
 // entries for older epochs are purged on publication (counted in
-// server.cache.invalidations); coalescer flights and sweep streams are
-// epoch-gated, so none of them can serve a stale clustering.
+// server.cache.invalidations); sweep streams are pinned to the epoch they
+// loaded, so none of them can serve a stale clustering. An index a sweep
+// built for an index-less epoch is carried across commits the same way as
+// one attached with WithIndex.
 package server
 
 import (

@@ -47,33 +47,31 @@ func newFleet(t *testing.T, g *graph.Graph, shards int) (*shard.Coordinator, *ob
 	return coord, reg
 }
 
-// TestPipelineStageOrder arms every combination of the three optional
+// TestPipelineStageOrder arms every combination of the two optional
 // stages and checks which one answered a /cluster miss — the fixed order
-// is index, then coalescer, then the compute backend (fleet, else engine)
-// — and that /cluster and the matching /cluster/sweep line both equal the
-// direct answer whatever the combination.
+// is the epoch's index, then the compute backend (fleet, else engine).
+// Without -index the first sweep builds the epoch's index, so a /cluster
+// answered after it is an extraction too. Every /cluster answer and the
+// sweep line equal the direct answer whatever the combination.
 func TestPipelineStageOrder(t *testing.T) {
 	g := gen.PlantedPartition(6, 25, 0.4, 0.02, 13)
 	direct := httptest.NewServer(New(g, 2).Handler())
 	defer direct.Close()
-	const query = "eps=0.4&mu=3&members=true"
+	const query, later = "eps=0.4&mu=3&members=true", "eps=0.5&mu=2&members=true"
 	want := get(t, direct, "/cluster?"+query, http.StatusOK)
+	wantLater := get(t, direct, "/cluster?"+later, http.StatusOK)
 
 	for _, tc := range []struct {
-		index, coalesce, fleet bool
-		algorithm              string
-		flights, queries, runs int64
+		index, fleet          bool
+		before                string // who answers /cluster before any sweep
+		queries, runs, builds int64
 	}{
-		{false, false, false, "ppSCAN", 0, 0, 1},
-		{false, false, true, "shard-scan(s=2)", 0, 1, 0},
-		{false, true, false, "GS*-Index", 1, 0, 0},
-		{false, true, true, "GS*-Index", 1, 0, 0},
-		{true, false, false, "GS*-Index", 0, 0, 0},
-		{true, false, true, "GS*-Index", 0, 0, 0},
-		{true, true, false, "GS*-Index", 0, 0, 0},
-		{true, true, true, "GS*-Index", 0, 0, 0},
+		{false, false, "ppSCAN", 0, 1, 1},
+		{false, true, "shard-scan(s=2)", 1, 0, 1},
+		{true, false, "GS*-Index", 0, 0, 0},
+		{true, true, "GS*-Index", 0, 0, 0},
 	} {
-		t.Run(fmt.Sprintf("index=%v,coalesce=%v,fleet=%v", tc.index, tc.coalesce, tc.fleet), func(t *testing.T) {
+		t.Run(fmt.Sprintf("index=%v,fleet=%v", tc.index, tc.fleet), func(t *testing.T) {
 			srv := New(g, 2)
 			fleetReg := obsv.New()
 			if tc.fleet {
@@ -81,28 +79,25 @@ func TestPipelineStageOrder(t *testing.T) {
 				coord, fleetReg = newFleet(t, g, 2)
 				srv.WithShards(coord)
 			}
-			if tc.coalesce {
-				srv.WithCoalescing(0)
-			}
 			if tc.index {
 				srv.WithIndex(ppscan.BuildIndex(g, 2))
 			}
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
+			same := func(what string, got, want map[string]any) {
+				t.Helper()
+				for _, k := range []string{"clusters", "cores", "memberships", "coverage", "members"} {
+					if !reflect.DeepEqual(got[k], want[k]) {
+						t.Errorf("%s %s = %v, direct %v", what, k, got[k], want[k])
+					}
+				}
+			}
 
 			got := get(t, ts, "/cluster?"+query, http.StatusOK)
-			if got["algorithm"] != tc.algorithm {
-				t.Errorf("answered by %v, want %s", got["algorithm"], tc.algorithm)
+			if got["algorithm"] != tc.before {
+				t.Errorf("answered by %v, want %s", got["algorithm"], tc.before)
 			}
-			if v := srv.reg.Counter(obsv.MetricServerCoalesceFlights).Value(); v != tc.flights {
-				t.Errorf("coalesce flights = %d, want %d", v, tc.flights)
-			}
-			if v := fleetReg.Counter(obsv.MetricShardQueries).Value(); v != tc.queries {
-				t.Errorf("fleet queries = %d, want %d", v, tc.queries)
-			}
-			if v := srv.computeNs.Count(); v != tc.runs {
-				t.Errorf("in-process runs = %d, want %d", v, tc.runs)
-			}
+			same("/cluster", got, want)
 			lines := sweepLines(t, ts, "/cluster/sweep?"+query)
 			if len(lines) != 1 {
 				t.Fatalf("sweep lines = %d, want 1", len(lines))
@@ -110,13 +105,21 @@ func TestPipelineStageOrder(t *testing.T) {
 			if lines[0]["algorithm"] != "GS*-Index" {
 				t.Errorf("sweep step answered by %v, want an extraction", lines[0]["algorithm"])
 			}
-			for _, k := range []string{"clusters", "cores", "memberships", "coverage", "members"} {
-				if !reflect.DeepEqual(got[k], want[k]) {
-					t.Errorf("/cluster %s = %v, direct %v", k, got[k], want[k])
-				}
-				if !reflect.DeepEqual(lines[0][k], want[k]) {
-					t.Errorf("/cluster/sweep %s = %v, direct %v", k, lines[0][k], want[k])
-				}
+			same("/cluster/sweep", lines[0], want)
+			after := get(t, ts, "/cluster?"+later, http.StatusOK)
+			if after["algorithm"] != "GS*-Index" {
+				t.Errorf("after the sweep answered by %v, want GS*-Index", after["algorithm"])
+			}
+			same("/cluster after the sweep", after, wantLater)
+
+			if v := srv.sweepBuilds.Value(); v != tc.builds {
+				t.Errorf("sweep builds = %d, want %d", v, tc.builds)
+			}
+			if v := fleetReg.Counter(obsv.MetricShardQueries).Value(); v != tc.queries {
+				t.Errorf("fleet queries = %d, want %d", v, tc.queries)
+			}
+			if v := srv.computeNs.Count(); v != tc.runs {
+				t.Errorf("in-process runs = %d, want %d", v, tc.runs)
 			}
 		})
 	}
@@ -124,18 +127,16 @@ func TestPipelineStageOrder(t *testing.T) {
 
 // TestParseStageRejectsBeforeAnyWork: a junk ε or a µ outside [1, 2^30]
 // is a 400 from the shared parse stage on every clustering route, before
-// the cache is consulted, a flight opens, the fleet is asked or a
-// workspace leaves the pool. At the parent commit eps=abc bought a full
-// similarity pass under coalescing, and mu=4294967301 was answered by the
-// fleet as µ=5.
+// the cache is consulted, an index is built, the fleet is asked or a
+// workspace leaves the pool. mu=4294967301 was once answered by the fleet
+// as µ=5.
 func TestParseStageRejectsBeforeAnyWork(t *testing.T) {
 	g := gen.PlantedPartition(6, 25, 0.4, 0.02, 13)
 	coord, fleetReg := newFleet(t, g, 2)
 	servers := map[string]*Server{
-		"engine":    New(g, 2),
-		"coalescer": New(g, 2).WithCoalescing(0),
-		"fleet":     New(g, 2).WithShards(coord),
-		"index":     New(g, 2).WithIndex(ppscan.BuildIndex(g, 2)),
+		"engine": New(g, 2),
+		"fleet":  New(g, 2).WithShards(coord),
+		"index":  New(g, 2).WithIndex(ppscan.BuildIndex(g, 2)),
 	}
 	for name, srv := range servers {
 		ts := httptest.NewServer(srv.Handler())
@@ -155,8 +156,8 @@ func TestParseStageRejectsBeforeAnyWork(t *testing.T) {
 		if v := srv.reg.Counter(obsv.MetricCacheMisses).Value(); v != 0 {
 			t.Errorf("%s: %d cache lookups for unanswerable requests, want 0", name, v)
 		}
-		if v := srv.reg.Counter(obsv.MetricServerCoalesceFlights).Value(); v != 0 {
-			t.Errorf("%s: %d flights started for unanswerable requests, want 0", name, v)
+		if v := srv.sweepBuilds.Value(); v != 0 {
+			t.Errorf("%s: %d index builds for unanswerable requests, want 0", name, v)
 		}
 		if st := srv.pool.Stats(); st.Hits+st.Misses != 0 {
 			t.Errorf("%s: %d workspaces acquired for unanswerable requests, want 0", name, st.Hits+st.Misses)

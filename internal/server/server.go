@@ -25,12 +25,11 @@
 //	                                  breakdowns and Chrome traces
 //
 // Every clustering route resolves through one pipeline with a fixed stage
-// order (see resolve): parse and validate → response cache → similarity
-// artifact (the index attached with WithIndex, else the flight
-// WithCoalescing merges concurrent requests into) → extraction from it in
-// O(answer) time, or, with no artifact, an admission slot and the compute
-// backend (the fleet attached with WithShards, else the configured
-// algorithm in process) → one cache insert. An earlier armed stage
+// order (see resolve): parse and validate → response cache → the epoch's
+// GS*-Index (attached with WithIndex, or built by the epoch's first sweep)
+// → extraction from it in O(answer) time, or, with no index, an admission
+// slot and the compute backend (the fleet attached with WithShards, else
+// the configured algorithm in process) → one cache insert. An earlier armed stage
 // answers; a later one is reached only when it is absent. Responses for
 // identical parameters are kept in an LRU cache bounded by
 // DefaultCacheSize (see WithCacheSize). WithLogging enables structured
@@ -67,10 +66,13 @@ const DefaultCacheSize = 64
 
 // epochState is one consistent serving generation: an immutable graph
 // snapshot and (when indexed) the index derived from exactly that
-// snapshot. Requests load the pointer once and thread it through their
-// whole lifetime, so a concurrent mutation can never hand one request a
-// graph and an index from different epochs — the new state is published
-// as a single atomic pointer swap. The generation's version is
+// snapshot. The index is the server's only similarity artifact: attached
+// with WithIndex, or built by the epoch's first sweep and published as a
+// new epochState over the same graph (see epochIndex). Requests load the
+// pointer once and thread it through their whole lifetime, so a
+// concurrent mutation can never hand one request a graph and an index
+// from different epochs — the new state is published as a single atomic
+// pointer swap. The generation's version is
 // g.Epoch(): 0 for a static server, advancing per effective mutation.
 type epochState struct {
 	g  *graph.Graph
@@ -91,9 +93,9 @@ type Server struct {
 	// Mutation serving (see WithMutations and mutations.go). store is nil
 	// unless mutations are enabled; mutMu serializes the whole
 	// commit→index-update→publish sequence so epochs advance in a total
-	// order. maxBatchBytes caps one POST /edges body
-	// (defaultMaxBatchBytes; lowered by tests). Instruments are cached at
-	// WithMutations.
+	// order, and a sweep's build→publish of its epoch's index with it.
+	// maxBatchBytes caps one POST /edges body (defaultMaxBatchBytes;
+	// lowered by tests). Instruments are cached at WithMutations.
 	//
 	// Lock order: mutMu → {Store.commitMu → Store.liveMu, lruCache.mu};
 	// every other mutex is a leaf that calls nothing while held.
@@ -119,24 +121,17 @@ type Server struct {
 	// Admission control (see WithAdmission). sem is nil when in-flight
 	// computations are unbounded; reqTimeout is zero when requests have no
 	// deadline. draining flips when the process received SIGTERM and is
-	// refusing new work while in-flight requests finish. sharedAcquireMax
-	// caps how long a coalesced flight may queue for a slot
-	// (defaultSharedAcquireMax; shortened by tests).
-	sem              chan struct{}
-	reqTimeout       time.Duration
-	sharedAcquireMax time.Duration
-	draining         atomic.Bool
+	// refusing new work while in-flight requests finish.
+	sem        chan struct{}
+	reqTimeout time.Duration
+	draining   atomic.Bool
 
 	// watchdog is the per-phase stall timeout threaded into direct
 	// computations (see WithWatchdog); zero disables.
 	watchdog time.Duration
 
-	// coalesce, when non-nil, merges concurrent requests into
-	// single-flight similarity passes (see WithCoalescing and coalesce.go).
-	coalesce *coalescer
-
-	// coord, when non-nil, is the compute backend: queries no similarity
-	// artifact answers run on the multi-process shard fleet instead of
+	// coord, when non-nil, is the compute backend: queries no index
+	// answers run on the multi-process shard fleet instead of
 	// in-process engines (see WithShards).
 	coord *shard.Coordinator
 
@@ -185,11 +180,10 @@ type cacheKey struct {
 // New creates a server that runs the selected algorithm per request.
 func New(g *graph.Graph, workers int) *Server {
 	s := &Server{
-		workers:          workers,
-		reg:              obsv.New(),
-		start:            time.Now(),
-		pool:             ppscan.NewWorkspacePool(0),
-		sharedAcquireMax: defaultSharedAcquireMax,
+		workers: workers,
+		reg:     obsv.New(),
+		start:   time.Now(),
+		pool:    ppscan.NewWorkspacePool(0),
 	}
 	s.WithCacheSize(DefaultCacheSize)
 	s.state.Store(&epochState{g: g})
@@ -205,9 +199,7 @@ func New(g *graph.Graph, workers int) *Server {
 		s.reg.Counter(name)
 	}
 	s.reg.Gauge(obsv.MetricAdmissionInFlight)
-	// Sweep instruments, pre-registered for the same reason (the coalesce.*
-	// family is registered by WithCoalescing — absent keys mean coalescing
-	// is off, not merely idle).
+	// Sweep instruments, pre-registered for the same reason.
 	s.sweepMaxSteps = DefaultSweepMaxSteps
 	s.sweepSteps = s.reg.Counter(obsv.MetricServerSweepSteps)
 	s.sweepBuilds = s.reg.Counter(obsv.MetricServerSweepBuilds)
@@ -293,36 +285,9 @@ func (s *Server) WithWatchdog(d time.Duration) *Server {
 	return s
 }
 
-// WithCoalescing arms the coalescer stage (coalesce.go): requests that
-// miss the cache on an index-less epoch share single-flight similarity
-// passes — the first opens a flight and waits up to holdoff for
-// companions, then every waiter's (ε, µ) is extracted from the one shared
-// index. It replaces the per-request compute path, so enable it for
-// parameter-exploration traffic (bursts of concurrent (ε, µ) requests on
-// one graph): a lone request pays the holdoff plus an exhaustive
-// similarity pass where pruning might have done less work. A flight
-// queues for its admission slot (see acquire) where single requests fail
-// fast. holdoff < 0 is clamped to 0 — no pile-on window, but requests
-// still join a flight already in progress.
-func (s *Server) WithCoalescing(holdoff time.Duration) *Server {
-	if holdoff < 0 {
-		holdoff = 0
-	}
-	s.coalesce = &coalescer{
-		s:       s,
-		holdoff: holdoff,
-		flights: s.reg.Counter(obsv.MetricServerCoalesceFlights),
-		hits:    s.reg.Counter(obsv.MetricServerCoalesceHits),
-		cancels: s.reg.Counter(obsv.MetricServerCoalesceCancels),
-		fanout:  s.reg.Histogram(obsv.MetricServerCoalesceFanout),
-		buildNs: s.reg.Histogram(obsv.MetricServerCoalesceBuildNs),
-	}
-	return s
-}
-
 // WithShards attaches a shard coordinator, over the server's own graph, as
-// the compute backend: a query that neither the cache nor a similarity
-// artifact answers runs its supersteps on the worker fleet instead of an
+// the compute backend: a query that neither the cache nor the epoch's
+// index answers runs its supersteps on the worker fleet instead of an
 // in-process engine. With WithMutations each committed epoch is published
 // to the coordinator, which pushes snapshot syncs so no worker serves a
 // stale view. Shard faults arrive typed and writeResolveError maps them: a
@@ -620,37 +585,17 @@ func (s *Server) params(r *http.Request, sweep bool) (eps []string, mu int, algo
 // degradation path (cache entry, attached index) could answer the request.
 var errSaturated = errors.New("server saturated: all admission slots busy")
 
-// defaultSharedAcquireMax bounds how long a coalesced flight may queue
-// for an admission slot: without a cap, a saturated server with no
-// -request-timeout would accumulate queued flights — and their waiters —
-// without bound instead of shedding load.
-const defaultSharedAcquireMax = 30 * time.Second
-
-// acquire takes an admission slot, queueing for at most wait: until one
-// frees up, ctx is cancelled (ctx.Err()) or wait elapses (errSaturated).
-// Per-request admission passes 0 — it fails fast and never queues; a
-// coalesced flight passes sharedAcquireMax, because it holds the slot on
-// behalf of its whole batch and each waiter's own deadline still bounds
-// its wait. release must be called exactly once when err is nil.
-func (s *Server) acquire(ctx context.Context, wait time.Duration) (release func(), err error) {
+// acquire takes an admission slot if one is free and fails fast with
+// errSaturated otherwise: no request ever queues for a slot. release must
+// be called exactly once when err is nil.
+func (s *Server) acquire() (release func(), err error) {
 	if s.sem == nil {
 		return func() {}, nil
 	}
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		if wait <= 0 {
-			return nil, errSaturated
-		}
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-t.C:
-			return nil, errSaturated
-		}
+		return nil, errSaturated
 	}
 	g := s.reg.Gauge(obsv.MetricAdmissionInFlight)
 	g.Add(1)
@@ -659,15 +604,14 @@ func (s *Server) acquire(ctx context.Context, wait time.Duration) (release func(
 }
 
 // keyFor is the one cache-key rule: key.algo names where the pipeline
-// gets the answer. "index" — extracted from a similarity artifact: every
-// sweep step, and every route once an index or the coalescer is armed;
-// such answers do not depend on algo=, so they share one entry per (ε, µ).
-// "shard" — computed by the fleet, which ignores algo= the same way. The
-// engine name otherwise. (So on a server with neither index nor coalescer
-// a sweep shares entries with other sweeps, not with /cluster runs.)
+// gets the answer. "index" — extracted from the epoch's index: every sweep
+// step, and every route of an epoch that has one; such answers do not
+// depend on algo=, so they share one entry per (ε, µ). "shard" — computed
+// by the fleet, which ignores algo= the same way. The engine name
+// otherwise.
 func (s *Server) keyFor(st *epochState, eps string, mu int, algo ppscan.Algorithm, sweep bool) cacheKey {
 	switch {
-	case sweep || st.ix != nil || s.coalesce != nil:
+	case sweep || st.ix != nil:
 		algo = "index"
 	case s.coord != nil:
 		algo = "shard"
@@ -676,8 +620,8 @@ func (s *Server) keyFor(st *epochState, eps string, mu int, algo ppscan.Algorith
 }
 
 // resolve answers validated parameters through the pipeline's fixed stage
-// order: response cache → similarity artifact → extraction from it, or,
-// with no artifact, the compute backend → cache insert. ctx bounds the
+// order: response cache → the epoch's index → extraction from it, or,
+// with no index, the compute backend → cache insert. ctx bounds the
 // work (client disconnect, per-request deadline). st is the generation
 // the caller loaded once for the whole request; every answer is derived
 // from and cache-keyed to exactly that epoch, so a concurrent mutation
@@ -707,51 +651,56 @@ func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int
 
 // similarity obtains the (ε, µ)-independent artifact any number of
 // parameter pairs over st can be extracted from, plus the admission state
-// covering the caller's next step. Rungs in order: the epoch's attached
-// index (under a slot if one is free; saturated, the bounded O(answer)
-// extraction goes slotless rather than queue or reject); the coalescer's
-// flight (it holds the slot for the shared pass; this request only
-// waits); neither — the next step is the expensive one, so it takes a
-// fail-fast slot, and ix stays nil unless build asks for a sweep's own
-// index under that slot. release must be called exactly once when err is
-// nil; it is nil otherwise.
+// covering the caller's next step. The epoch's index answers under a slot
+// if one is free; saturated, the bounded O(answer) extraction goes
+// slotless rather than reject. Without one the next step is the expensive
+// one, so it takes a fail-fast slot, and ix stays nil unless build asks
+// for the epoch's index under that slot (a sweep; /cluster never builds).
+// release must be called exactly once when err is nil; it is nil
+// otherwise.
 func (s *Server) similarity(ctx context.Context, st *epochState, build bool) (ix *ppscan.Index, release func(), err error) {
 	if st.ix != nil {
-		if release, err = s.acquire(ctx, 0); err != nil {
+		if release, err = s.acquire(); err != nil {
 			s.reg.Counter(obsv.MetricAdmissionDegradedIndex).Inc()
 			release = func() {}
 		}
 		return st.ix, release, nil
 	}
-	if s.coalesce != nil {
-		// join is epoch-gated. Staying joined until the caller has
-		// extracted is free: a built flight is closed to joiners, and
-		// leave after completion only decrements the counter.
-		f := s.coalesce.join(st)
-		select {
-		case <-f.done:
-			err = f.err
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-		if err != nil {
-			s.coalesce.leave(f)
-			return nil, nil, err
-		}
-		return f.ix, func() { s.coalesce.leave(f) }, nil
-	}
-	if release, err = s.acquire(ctx, 0); err != nil {
+	if release, err = s.acquire(); err != nil {
 		s.reg.Counter(obsv.MetricAdmissionRejected).Inc()
 		return nil, nil, err
 	}
 	if build {
-		s.sweepBuilds.Inc()
-		if ix, err = ppscan.BuildIndexContext(ctx, st.g, s.workers); err != nil {
+		if ix, err = s.epochIndex(ctx, st); err != nil {
 			release()
 			return nil, nil, err
 		}
 	}
 	return ix, release, nil
+}
+
+// epochIndex returns the GS*-Index of st's snapshot, built at most once
+// per epoch. It runs under mutMu, which commits already serialise on: a
+// sweep that waited there finds the index an earlier one published, or
+// builds and publishes it itself, so a waiter never inherits another
+// request's cancellation or panic. The index is published as a new
+// epochState over the same graph only while st's snapshot is still the
+// live one; a sweep pinned to a superseded epoch builds for its own
+// snapshot and publishes nothing. From then on every route of the epoch
+// extracts from it, and POST /edges carries it across commits.
+func (s *Server) epochIndex(ctx context.Context, st *epochState) (*ppscan.Index, error) {
+	s.mutMu.Lock()
+	defer s.mutMu.Unlock()
+	cur := s.state.Load()
+	if cur.g == st.g && cur.ix != nil {
+		return cur.ix, nil
+	}
+	s.sweepBuilds.Inc()
+	ix, err := ppscan.BuildIndexContext(ctx, st.g, s.workers)
+	if err == nil && cur.g == st.g {
+		s.state.Store(&epochState{g: st.g, ix: ix})
+	}
+	return ix, err
 }
 
 // answer produces one cache miss's clustering — extracted from ix on ws

@@ -239,3 +239,19 @@ func TestIndexAndDirectAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutesMatchHandler pins Routes() — the list docs tooling checks the
+// README against — to what Handler actually registers.
+func TestRoutesMatchHandler(t *testing.T) {
+	srv := New(testGraph(t), 1)
+	mux := srv.Handler().(*http.ServeMux)
+	for _, path := range Routes() {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		if _, pattern := mux.Handler(r); pattern != path {
+			t.Errorf("route %s resolves to pattern %q; not registered?", path, pattern)
+		}
+	}
+	if len(Routes()) != len(srv.routes()) {
+		t.Errorf("Routes() and routes() diverge")
+	}
+}

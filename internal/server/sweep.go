@@ -3,10 +3,11 @@
 //
 // The paper's own motivation for structural clustering is interactive
 // (ε, µ) exploration, and the expensive similarity computation does not
-// depend on either parameter. A sweep therefore obtains ONE similarity
-// artifact (Server.similarity) and extracts every requested ε from it on
-// a single pooled workspace, emitting one NDJSON line per step as soon as
-// it is ready.
+// depend on either parameter. A sweep therefore extracts every requested
+// ε from its epoch's GS*-Index (Server.similarity), building that index
+// once per epoch if the epoch has none yet and leaving it for every later
+// request, on a single pooled workspace, emitting one NDJSON line per step
+// as soon as it is ready.
 //
 // The ε grid is parsed with exact integer decimal arithmetic: "0.2:0.8:
 // 0.05" generates the exact decimal strings "0.2", "0.25", ..., "0.8",
@@ -21,6 +22,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ppscan/internal/simdef"
 )
 
 // DefaultSweepMaxSteps bounds the ε grid a single sweep request may
@@ -32,11 +35,12 @@ const DefaultSweepMaxSteps = 256
 // parseSweepEps expands the eps specification into exact decimal epsilon
 // strings: either a range "start:end:step" (inclusive endpoints, decimal
 // literals), a comma list "0.2,0.35,0.5", or a single value. At most max
-// steps.
+// steps, each one an ε simdef.ParseEpsilon accepts.
 func parseSweepEps(spec string, max int) ([]string, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("missing eps parameter (range start:end:step, comma list, or single value)")
 	}
+	var out []string
 	if strings.Contains(spec, ":") {
 		parts := strings.Split(spec, ":")
 		if len(parts) != 3 {
@@ -84,18 +88,20 @@ func parseSweepEps(spec string, max int) ([]string, error) {
 		if steps > int64(max) {
 			return nil, fmt.Errorf("eps range %q has %d steps, exceeding the per-request bound %d (-sweep-max-steps)", spec, steps, max)
 		}
-		out := make([]string, 0, steps)
+		out = make([]string, 0, steps)
 		// Walk by index, not by accumulating a value: the iteration count is
 		// then exactly the validated steps, so the loop is bounded even for
 		// operands an accumulating `v += st` could overflow past b on.
 		for i := int64(0); i < steps; i++ {
 			out = append(out, formatDec(a+i*st, scale))
 		}
-		return out, nil
-	}
-	out := strings.Split(spec, ",")
-	if len(out) > max {
+	} else if out = strings.Split(spec, ","); len(out) > max {
 		return nil, fmt.Errorf("eps list has %d values, exceeding the per-request bound %d (-sweep-max-steps)", len(out), max)
+	}
+	for _, e := range out {
+		if _, err := simdef.ParseEpsilon(e); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -148,10 +154,10 @@ func formatDec(v int64, scale int) string {
 
 // handleSweep streams one clusterSummary NDJSON line per ε step. It is
 // the resolve pipeline with the similarity artifact hoisted out of the
-// loop: parse, one similarity (asking for a build as the last rung), then
-// per gridpoint the response cache, extraction and the cache insert. The
-// response is chunked and flushed per step, so a client reads the first
-// clustering while later ones are still being extracted; client
+// loop: parse, one similarity (building the epoch's index if it has none),
+// then per gridpoint the response cache, extraction and the cache insert.
+// The response is chunked and flushed per step, so a client reads the
+// first clustering while later ones are still being extracted; client
 // disconnect or deadline expiry aborts between (and inside) steps, and
 // the single deferred workspace Release is the only return path — an
 // abandoned stream can neither leak the workspace nor release it twice.
@@ -191,9 +197,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for _, eps := range epsList {
 		// Each gridpoint goes through the shared response cache under the
 		// key every extracted answer uses (see keyFor): a sweep hits entries
-		// earlier requests left behind and, on a server with an index or
-		// the coalescer, warms the cache for the drill-down /cluster
-		// queries that typically follow a sweep.
+		// earlier requests left behind and warms the cache for the
+		// drill-down /cluster queries that typically follow a sweep, which
+		// extract from the same epoch's index.
 		key := s.keyFor(st, eps, mu, "", true)
 		res, hit := s.cache.get(key)
 		if !hit {

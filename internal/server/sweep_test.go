@@ -9,12 +9,16 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ppscan"
+	"ppscan/graph"
+	"ppscan/internal/fault"
 	"ppscan/internal/gen"
 	"ppscan/internal/obsv"
+	"ppscan/internal/simdef"
 )
 
 // sweepLines GETs an NDJSON sweep and decodes every line.
@@ -78,8 +82,8 @@ func TestSweepParseEps(t *testing.T) {
 		"0.8:0.2:0.1", // start > end
 		"0.2:0.8:x",   // non-decimal
 		"-0.2:0.8:0.1",
-		"0.0001:1:0.0001", // exceeds max steps
-		"2:8:1",           // operands outside [0, 1]
+		"0.0001:1:0.0001",         // exceeds max steps
+		"2:8:1",                   // operands outside [0, 1]
 		"0.2:0.8:999999999999999", // step outside [0, 1]
 		// 15-digit operands that, rescaled by the fractional step's 10^4,
 		// used to overflow int64 and walk a wrapped-negative grid for ~10^15
@@ -95,10 +99,43 @@ func TestSweepParseEps(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesCluster: every streamed step agrees with a direct
-// /cluster request at the same ε, and the whole sweep performed one
-// similarity pass (server.sweep.builds == 1 on the build-per-request
-// path).
+// FuzzParseSweepEps: whatever the spec, parseSweepEps never panics and
+// either rejects it or returns at most max steps, each an ε
+// simdef.ParseEpsilon accepts; a range's steps strictly increase inside
+// [0, 1]. The seed corpus is testdata/fuzz/FuzzParseSweepEps.
+func FuzzParseSweepEps(f *testing.F) {
+	const max = DefaultSweepMaxSteps
+	f.Fuzz(func(t *testing.T, spec string) {
+		out, err := parseSweepEps(spec, max)
+		if err != nil {
+			return
+		}
+		if len(out) == 0 || len(out) > max {
+			t.Fatalf("%q: %d steps, want 1..%d", spec, len(out), max)
+		}
+		var prev simdef.Epsilon
+		for i, e := range out {
+			eps, err := simdef.ParseEpsilon(e)
+			if err != nil {
+				t.Fatalf("%q: step %q does not parse: %v", spec, e, err)
+			}
+			if !strings.Contains(spec, ":") {
+				continue
+			}
+			if eps.Num > eps.Den {
+				t.Fatalf("%q: step %q outside [0, 1]", spec, e)
+			}
+			if i > 0 && eps.Num*prev.Den <= prev.Num*eps.Den {
+				t.Fatalf("%q: step %q does not follow %d/%d", spec, e, prev.Num, prev.Den)
+			}
+			prev = eps
+		}
+	})
+}
+
+// TestSweepMatchesCluster: every streamed step agrees with a /cluster
+// request at the same ε, and the whole sweep performed one similarity
+// pass (server.sweep.builds == 1 on a server without -index).
 func TestSweepMatchesCluster(t *testing.T) {
 	g := gen.Roll(300, 8, 3)
 	srv := New(g, 2)
@@ -148,14 +185,14 @@ func TestSweepBadParams(t *testing.T) {
 	defer ts.Close()
 
 	for _, path := range []string{
-		"/cluster/sweep?eps=0.3:0.7:0.1",          // missing mu
-		"/cluster/sweep?eps=0.3:0.7:0.1&mu=0",     // mu out of range
-		"/cluster/sweep?eps=0.3:0.7:0.1&mu=x",     // mu not a number
-		"/cluster/sweep?mu=2",                     // missing eps
-		"/cluster/sweep?eps=0.1:0.9:0.1&mu=2",     // 9 steps > max 4
-		"/cluster/sweep?eps=0:1:0.5&mu=2",         // gridpoint 0 outside (0, 1]
-		"/cluster/sweep?eps=0.2:0.8&mu=2",         // malformed range
-		"/cluster/sweep?eps=0.3,1.5&mu=2",         // list value outside (0, 1]
+		"/cluster/sweep?eps=0.3:0.7:0.1",      // missing mu
+		"/cluster/sweep?eps=0.3:0.7:0.1&mu=0", // mu out of range
+		"/cluster/sweep?eps=0.3:0.7:0.1&mu=x", // mu not a number
+		"/cluster/sweep?mu=2",                 // missing eps
+		"/cluster/sweep?eps=0.1:0.9:0.1&mu=2", // 9 steps > max 4
+		"/cluster/sweep?eps=0:1:0.5&mu=2",     // gridpoint 0 outside (0, 1]
+		"/cluster/sweep?eps=0.2:0.8&mu=2",     // malformed range
+		"/cluster/sweep?eps=0.3,1.5&mu=2",     // list value outside (0, 1]
 	} {
 		body := get(t, ts, path, http.StatusBadRequest)
 		if body["error"] == "" {
@@ -224,46 +261,230 @@ func TestSweepSharesClusterCache(t *testing.T) {
 	}
 }
 
-// TestSweepCoalesced: with coalescing on, a sweep draws its similarity
-// artifact from the shared flight instead of building privately — and a
-// concurrent /cluster request rides the same flight.
+// concurrentSweeps runs one sweep per spec concurrently and returns each
+// one's status and NDJSON lines (or error body), in spec order.
+func concurrentSweeps(ts *httptest.Server, specs []string) ([]int, [][]map[string]any) {
+	statuses := make([]int, len(specs))
+	bodies := make([][]map[string]any, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func(i int, spec string) {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/cluster/sweep?" + spec)
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			dec := json.NewDecoder(resp.Body)
+			for {
+				var m map[string]any
+				if dec.Decode(&m) != nil {
+					return
+				}
+				bodies[i] = append(bodies[i], m)
+			}
+		}(i, spec)
+	}
+	wg.Wait()
+	return statuses, bodies
+}
+
+// matchesDirect reports every difference between a sweep's lines and
+// ppscan.Run on g at each line's (ε, µ).
+func matchesDirect(t *testing.T, g *graph.Graph, lines []map[string]any) {
+	t.Helper()
+	for _, line := range lines {
+		eps, _ := line["eps"].(string)
+		ref, err := ppscan.Run(g, ppscan.Options{Epsilon: eps, Mu: int(line["mu"].(float64)), Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int(line["clusters"].(float64)), ref.NumClusters(); got != want {
+			t.Errorf("eps=%s: clusters = %d, want %d", eps, got, want)
+		}
+		if got, want := int(line["cores"].(float64)), ref.NumCores(); got != want {
+			t.Errorf("eps=%s: cores = %d, want %d", eps, got, want)
+		}
+		if got, want := int(line["memberships"].(float64)), len(ref.NonCore); got != want {
+			t.Errorf("eps=%s: memberships = %d, want %d", eps, got, want)
+		}
+	}
+}
+
+// TestSweepCoalesced: two concurrent sweeps in one epoch of an index-less
+// server share one index build, and a /cluster request after them
+// extracts from the index they left instead of running the engine.
 func TestSweepCoalesced(t *testing.T) {
 	g := gen.Roll(300, 8, 3)
-	srv := New(g, 2).WithCoalescing(300 * time.Millisecond)
+	srv := New(g, 2)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	type res struct {
-		lines []map[string]any
-		body  map[string]any
+	statuses, lines := concurrentSweeps(ts, []string{"eps=0.3:0.6:0.1&mu=3", "eps=0.35:0.65:0.1&mu=3"})
+	for i, st := range statuses {
+		if st != http.StatusOK || len(lines[i]) != 4 {
+			t.Fatalf("sweep %d: status %d, %d lines; want 200 and 4", i, st, len(lines[i]))
+		}
+		matchesDirect(t, g, lines[i])
 	}
-	done := make(chan res, 2)
-	go func() {
-		done <- res{lines: sweepLines(t, ts, "/cluster/sweep?eps=0.3:0.6:0.1&mu=3")}
-	}()
-	go func() {
-		done <- res{body: get(t, ts, "/cluster?eps=0.45&mu=3", http.StatusOK)}
-	}()
-	var got res
-	for i := 0; i < 2; i++ {
-		r := <-done
-		if r.lines != nil {
-			got.lines = r.lines
-		} else {
-			got.body = r.body
+	if v := srv.sweepBuilds.Value(); v != 1 {
+		t.Errorf("sweep.builds = %d, want 1 (both sweeps share the epoch's index)", v)
+	}
+	if got := get(t, ts, "/cluster?eps=0.42&mu=3", http.StatusOK); got["algorithm"] != "GS*-Index" {
+		t.Errorf("/cluster after the sweeps answered by %v, want GS*-Index", got["algorithm"])
+	}
+	if v := srv.computeNs.Count(); v != 0 {
+		t.Errorf("in-process runs = %d, want 0", v)
+	}
+}
+
+// TestCoalescingSingleFlight: N concurrent sweeps at distinct ε on one
+// epoch perform exactly ONE similarity pass between them, every sweep
+// gets the exact answer, and no direct engine phase runs.
+func TestCoalescingSingleFlight(t *testing.T) {
+	g := gen.Roll(300, 8, 3)
+	srv := New(g, 2)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	specs := []string{"eps=0.3&mu=3", "eps=0.4&mu=3", "eps=0.5&mu=3", "eps=0.6&mu=3"}
+	runsBefore := obsv.Default().Counter(obsv.MetricCoreRuns).Value()
+	statuses, lines := concurrentSweeps(ts, specs)
+	// Snapshot the delta before the reference runs below advance the
+	// process-global counter themselves.
+	runsDelta := obsv.Default().Counter(obsv.MetricCoreRuns).Value() - runsBefore
+	for i, st := range statuses {
+		if st != http.StatusOK || len(lines[i]) != 1 {
+			t.Fatalf("%s: status %d, %d lines; want 200 and 1", specs[i], st, len(lines[i]))
+		}
+		if lines[i][0]["algorithm"] != "GS*-Index" {
+			t.Errorf("%s: algorithm = %v, want GS*-Index", specs[i], lines[i][0]["algorithm"])
+		}
+		matchesDirect(t, g, lines[i])
+	}
+	if v := srv.sweepBuilds.Value(); v != 1 {
+		t.Errorf("sweep.builds = %d, want 1", v)
+	}
+	if runsDelta != 0 {
+		t.Errorf("core.runs advanced by %d; the one build should have replaced every direct run", runsDelta)
+	}
+}
+
+// TestCoalescedFaultFanout: a worker panic injected into the epoch's index
+// build gives the sweep that ran it a structured 500 (kind=worker_panic),
+// and no other sweep inherits it: a sweep that was waiting builds the
+// index itself and answers exactly, as does the next one, from the index
+// that build published.
+func TestCoalescedFaultFanout(t *testing.T) {
+	t.Cleanup(fault.Disable)
+	fault.Disable()
+	g := gen.Roll(300, 8, 3)
+	srv := New(g, 2)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{
+		{Point: fault.WorkerTask, Action: fault.ActPanic, Start: 1, Count: 1},
+	}})
+	specs := []string{"eps=0.3&mu=3", "eps=0.5&mu=3", "eps=0.7&mu=3"}
+	statuses, lines := concurrentSweeps(ts, specs)
+	fault.Disable()
+
+	failed := 0
+	for i, st := range statuses {
+		switch st {
+		case http.StatusInternalServerError:
+			failed++
+			if kind := lines[i][0]["kind"]; kind != "worker_panic" {
+				t.Errorf("%s: kind %v, want worker_panic", specs[i], kind)
+			}
+		case http.StatusOK:
+			matchesDirect(t, g, lines[i])
+		default:
+			t.Errorf("%s: status %d, want 200 or 500", specs[i], st)
 		}
 	}
-	if len(got.lines) != 4 {
-		t.Fatalf("sweep: got %d lines, want 4", len(got.lines))
+	if failed != 1 {
+		t.Errorf("%d sweeps failed, want exactly the one whose build panicked", failed)
 	}
-	if got.body["algorithm"] != "GS*-Index" {
-		t.Errorf("coalesced /cluster algorithm = %v, want GS*-Index", got.body["algorithm"])
+	if v := srv.sweepBuilds.Value(); v != 2 {
+		t.Errorf("sweep.builds = %d, want 2 (the failed build, then one that published)", v)
 	}
-	if v := srv.reg.Counter(obsv.MetricServerCoalesceFlights).Value(); v != 1 {
-		t.Errorf("coalesce.flights = %d, want 1 (sweep and /cluster shared one pass)", v)
+
+	next := sweepLines(t, ts, "/cluster/sweep?eps=0.45&mu=3")
+	matchesDirect(t, g, next)
+	if v := srv.sweepBuilds.Value(); v != 2 {
+		t.Errorf("sweep.builds after the published build = %d, want 2", v)
 	}
-	if v := srv.reg.Counter(obsv.MetricServerSweepBuilds).Value(); v != 0 {
-		t.Errorf("sweep.builds = %d with coalescing, want 0 (the flight built it)", v)
+}
+
+// TestSweepIndexCarriesAcrossEpochs: on a mutable server with no -index,
+// the first sweep builds the epoch's index and the server keeps it;
+// POST /edges then carries it to the next epoch, so a second sweep builds
+// nothing and still equals a fresh direct run at the new epoch. A sweep
+// pinned to a superseded epoch answers at its own epoch and publishes
+// nothing, and a server that never sweeps never builds.
+func TestSweepIndexCarriesAcrossEpochs(t *testing.T) {
+	g := gen.Roll(300, 8, 3)
+	srv := New(g, 2).WithMutations()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const sweep = "/cluster/sweep?eps=0.3:0.6:0.1&mu=3&members=true"
+	indexed := func() bool { return get(t, ts, "/healthz", http.StatusOK)["indexed"].(bool) }
+
+	st0 := srv.state.Load()
+	sweepLines(t, ts, sweep)
+	if v := srv.sweepBuilds.Value(); v != 1 {
+		t.Errorf("first sweep: builds = %d, want 1", v)
+	}
+	if !indexed() {
+		t.Error("indexed = false after the first sweep, want true")
+	}
+	if resp := postEdges(t, ts, `{"u":0,"v":150}`+"\n"+`{"u":1,"v":151}`, http.StatusOK); resp["indexed"] != true {
+		t.Errorf("POST /edges: indexed = %v, want true", resp["indexed"])
+	}
+	lines := sweepLines(t, ts, sweep)
+	if v := srv.sweepBuilds.Value(); v != 1 {
+		t.Errorf("sweep after a commit: builds = %d, want 1 (the commit carried the index)", v)
+	}
+	fresh := httptest.NewServer(New(srv.state.Load().g, 2).Handler())
+	defer fresh.Close()
+	for _, line := range lines {
+		ref := get(t, fresh, fmt.Sprintf("/cluster?eps=%s&mu=3&members=true", line["eps"]), http.StatusOK)
+		for _, k := range []string{"clusters", "cores", "memberships", "coverage", "members"} {
+			if !reflect.DeepEqual(line[k], ref[k]) {
+				t.Errorf("eps=%v: sweep %s = %v, direct %v", line["eps"], k, line[k], ref[k])
+			}
+		}
+	}
+
+	// Pinned to epoch 0, which the commit superseded: the build answers
+	// for epoch 0's snapshot and leaves the live epoch's state alone.
+	live := srv.state.Load()
+	ix, err := srv.epochIndex(context.Background(), st0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Graph() != st0.g {
+		t.Error("superseded sweep built over the live snapshot, want its own")
+	}
+	if srv.state.Load() != live {
+		t.Error("superseded sweep published its index")
+	}
+
+	quiet := New(g, 2).WithMutations()
+	qs := httptest.NewServer(quiet.Handler())
+	defer qs.Close()
+	get(t, qs, "/cluster?eps=0.5&mu=3", http.StatusOK)
+	if resp := postEdges(t, qs, `{"u":0,"v":150}`, http.StatusOK); resp["indexed"] != false {
+		t.Errorf("never-swept server: POST /edges indexed = %v, want false", resp["indexed"])
+	}
+	get(t, qs, "/cluster?eps=0.5&mu=3", http.StatusOK)
+	if get(t, qs, "/healthz", http.StatusOK)["indexed"] != false || quiet.sweepBuilds.Value() != 0 {
+		t.Errorf("never-swept server: indexed %v, builds %d; want false, 0",
+			get(t, qs, "/healthz", http.StatusOK)["indexed"], quiet.sweepBuilds.Value())
 	}
 }
 

@@ -295,7 +295,7 @@ func BuildIndexContext(ctx context.Context, g *graph.Graph, workers int) (*Index
 
 // QueryIndexWorkspace answers one (ε, µ) clustering query from a built
 // index, drawing every scratch buffer from ws — the similarity-reuse entry
-// point behind the server's request coalescing and GET /cluster/sweep:
+// point behind the server's index serving and GET /cluster/sweep:
 // similarities are computed once (the index build) and each parameterization
 // is then extracted in O(answer) time with zero steady-state allocations.
 //
