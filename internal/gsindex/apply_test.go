@@ -135,7 +135,8 @@ func effectiveChurn(rng *rand.Rand, g *graph.Graph, k int) []graph.EdgeOp {
 // TestApplyBatchLargeChurnBitIdentical chains eight 1%-churn commits on
 // Roll(10000,16,5). The 60-vertex corpus above never has a run wider
 // than 64 neighbors; this graph has 179 such vertices (max degree 496),
-// so it is what reaches repairRunBig and repairTouchedRunBig.
+// so its touched and affected runs are long ones, up to hundreds of
+// entries per sort.
 func TestApplyBatchLargeChurnBitIdentical(t *testing.T) {
 	g := gen.Roll(10000, 16, 5)
 	st := graph.NewStore(g)

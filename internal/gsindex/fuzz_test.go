@@ -1,0 +1,129 @@
+package gsindex
+
+import (
+	"bytes"
+	"context"
+	"slices"
+	"testing"
+
+	"ppscan/graph"
+)
+
+// fuzzLoadGraph is the graph every FuzzLoad input is loaded against: a hub
+// of degree 69 (a run wider than 64) beside a 5-clique (runs of 5).
+func fuzzLoadGraph(t testing.TB) *graph.Graph {
+	var edges []graph.Edge
+	for v := int32(1); v < 70; v++ {
+		edges = append(edges, graph.Edge{U: 0, V: v})
+	}
+	for u := int32(70); u < 75; u++ {
+		for v := u + 1; v < 75; v++ {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	g, err := graph.FromEdges(75, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// FuzzLoad: Load never panics, and whatever it accepts has per-vertex
+// permutations for orders and survives a Save / Load round trip. The
+// committed corpus (testdata/fuzz/FuzzLoad) holds a valid Save of
+// fuzzLoadGraph and corruptions of it: truncations in the header, counts
+// and orders, a bad magic, a shape mismatch, an out-of-range count, and a
+// duplicate order entry in a run of 5 and in the run of 69.
+func FuzzLoad(f *testing.F) {
+	g := fuzzLoadGraph(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := Load(bytes.NewReader(data), g)
+		if err != nil {
+			return
+		}
+		for u := int32(0); u < g.NumVertices(); u++ {
+			off, deg := g.Off[u], int64(g.Degree(u))
+			run := slices.Clone(ix.order[off : off+deg])
+			slices.Sort(run)
+			for k, o := range run {
+				if o != int32(k) {
+					t.Fatalf("accepted order of vertex %d is not a permutation: %v", u, ix.order[off:off+deg])
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(&buf, g)
+		if err != nil {
+			t.Fatalf("reloading a saved index: %v", err)
+		}
+		requireBitIdentical(t, back, ix)
+	})
+}
+
+// decodeChurn reads a fuzz input as a graph of n ≤ 80 vertices and one
+// mixed batch: data[0] picks n, data[1] is the number of two-byte edge
+// records that form the graph, and every later record is a batch op. In a
+// record (a, b) the endpoints are (a&0x7f) mod n and (b&0x7f) mod n, and
+// a set high bit of a makes a batch op a delete.
+func decodeChurn(t *testing.T, data []byte) (*graph.Graph, []graph.EdgeOp) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	n := int32(data[0]%79) + 2
+	split := int(data[1])
+	var edges []graph.Edge
+	var batch []graph.EdgeOp
+	for k, rec := 0, data[2:]; len(rec) >= 2; k, rec = k+1, rec[2:] {
+		u, v := int32(rec[0]&0x7f)%n, int32(rec[1]&0x7f)%n
+		if k < split {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		} else {
+			batch = append(batch, graph.EdgeOp{U: u, V: v, Del: rec[0]&0x80 != 0})
+		}
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, batch
+}
+
+// FuzzApplyBatch: for any small graph and batch, ApplyBatch is
+// bit-identical to a rebuild of the new snapshot and passes Validate. The
+// committed corpus (testdata/fuzz/FuzzApplyBatch) covers a run wider than
+// 64, a delete that isolates a vertex, duplicate and cancelling ops, and
+// a batch that changes an untouched run only through its neighbors'
+// degrees.
+func FuzzApplyBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, batch := decodeChurn(t, data)
+		if g == nil {
+			return
+		}
+		ctx := context.Background()
+		opt := BuildOptions{Workers: 2}
+		ix, err := BuildContext(ctx, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := graph.NewStore(g).Commit(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nix, err := ix.ApplyBatch(ctx, d, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nix.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := BuildContext(ctx, d.New, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, nix, rebuilt)
+	})
+}

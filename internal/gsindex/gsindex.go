@@ -34,6 +34,7 @@ package gsindex
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"ppscan/graph"
@@ -66,6 +67,14 @@ type BuildOptions struct {
 	// DegreeThreshold is the scheduler task granularity; < 1 means the
 	// default (32768).
 	DegreeThreshold int64
+}
+
+// workers is the worker count Workers resolves to.
+func (o BuildOptions) workers() int {
+	if o.Workers < 1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Workers
 }
 
 // Build constructs the index, computing every edge's intersection count
@@ -122,12 +131,13 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 	// Phase 2: neighbor orders, sorted by exactly-compared similarity.
 	// sortRun (apply.go) is the same routine ApplyBatch uses for repaired
 	// runs — sharing it is what makes incremental maintenance bit-identical.
+	workers := make([]applyWorker, opt.workers())
 	err = sched.ForEachVertexCtx(ctx,
 		sched.Options{Workers: opt.Workers, DegreeThreshold: opt.DegreeThreshold},
 		n,
 		func(int32) bool { return true },
 		g.Degree,
-		func(u int32, worker int) { ix.sortRun(u) })
+		func(u int32, worker int) { ix.sortRun(u, &workers[worker], true) })
 	if err != nil {
 		return nil, fmt.Errorf("gsindex: build aborted during neighbor-order pass after %v: %w", time.Since(start), err)
 	}

@@ -72,15 +72,12 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("gsindex: reading orders: %w", err)
 	}
 	// Cheap sanity checks: counts in range, orders are per-vertex
-	// permutations.
+	// permutations. seen[o] holds the last vertex (plus one) whose run
+	// listed entry o, so one buffer serves every run without clearing.
+	seen := make([]int32, g.MaxDegree())
 	for u := int32(0); u < g.NumVertices(); u++ {
 		deg := g.Degree(u)
 		uOff := g.Off[u]
-		var seen uint64 // bitset for small degrees; fallback to map
-		var seenMap map[int32]struct{}
-		if deg > 64 {
-			seenMap = make(map[int32]struct{}, deg)
-		}
 		for k := int64(0); k < int64(deg); k++ {
 			c := ix.cn[uOff+k]
 			if c < 2 || c > deg+2 {
@@ -90,18 +87,10 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 			if o < 0 || o >= deg {
 				return nil, fmt.Errorf("gsindex: order entry %d out of range at vertex %d", o, u)
 			}
-			if seenMap != nil {
-				if _, dup := seenMap[o]; dup {
-					return nil, fmt.Errorf("gsindex: duplicate order entry at vertex %d", u)
-				}
-				seenMap[o] = struct{}{}
-			} else {
-				bit := uint64(1) << uint(o)
-				if seen&bit != 0 {
-					return nil, fmt.Errorf("gsindex: duplicate order entry at vertex %d", u)
-				}
-				seen |= bit
+			if seen[o] == u+1 {
+				return nil, fmt.Errorf("gsindex: duplicate order entry at vertex %d", u)
 			}
+			seen[o] = u + 1
 		}
 	}
 	return ix, nil

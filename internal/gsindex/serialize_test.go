@@ -81,7 +81,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsDuplicateOrder(t *testing.T) {
-	g := gen.Clique(5) // degree 4 < 64: exercises the bitset path
+	g := gen.Clique(5) // every run has degree 4
 	ix := Build(g, BuildOptions{})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
@@ -97,7 +97,7 @@ func TestLoadRejectsDuplicateOrder(t *testing.T) {
 }
 
 func TestSaveLoadBigDegreeVertex(t *testing.T) {
-	// Hub with degree > 64 exercises the map-based duplicate check.
+	// A hub of degree 99 sizes Load's duplicate check past 64 entries.
 	g := gen.Star(100)
 	ix := Build(g, BuildOptions{})
 	var buf bytes.Buffer

@@ -28,9 +28,12 @@ func FuzzParseEpsilon(f *testing.F) {
 }
 
 // FuzzMinCNBoundary: MinCN must be the exact boundary of Pred for
-// arbitrary degrees and epsilons.
+// arbitrary degrees and epsilons, and PruneResult must be the rule that
+// boundary gives.
 func FuzzMinCNBoundary(f *testing.F) {
 	f.Add(uint16(1), uint16(5), uint32(10), uint32(20))
+	// ε = 1/2, du = dv = 3: σ = 2/√16 = ε exactly at cn = 2.
+	f.Add(uint16(0), uint16(1), uint32(3), uint32(3))
 	f.Fuzz(func(t *testing.T, numRaw, denRaw uint16, duRaw, dvRaw uint32) {
 		den := uint64(denRaw%9999) + 1
 		num := uint64(numRaw)%den + 1
@@ -47,6 +50,15 @@ func FuzzMinCNBoundary(f *testing.F) {
 		}
 		if c > 1 && e.Pred(c-1, du, dv) {
 			t.Fatalf("Pred(MinCN-1) true: eps=%v du=%d dv=%d c=%d", e, du, dv, c)
+		}
+		want := Unknown
+		if min(du, dv)+2 < c {
+			want = NSim
+		} else if c <= 2 {
+			want = Sim
+		}
+		if got := e.PruneResult(du, dv); got != want {
+			t.Fatalf("PruneResult = %v, MinCN rule gives %v: eps=%v du=%d dv=%d c=%d", got, want, e, du, dv, c)
 		}
 	})
 }

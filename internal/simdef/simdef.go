@@ -149,15 +149,7 @@ func gcd(a, b uint64) uint64 {
 // and v structurally similar, given their degrees du = d[u], dv = d[v].
 // Exact: compares cn²·Den² against Num²·(du+1)(dv+1) in 128-bit arithmetic.
 func (e Epsilon) Pred(cn int32, du, dv int32) bool {
-	if cn <= 0 {
-		return false
-	}
-	lhsHi, lhsLo := mul3(uint64(cn), uint64(cn), e.Den*e.Den)
-	rhsHi, rhsLo := mul3(e.Num*e.Num, uint64(du)+1, uint64(dv)+1)
-	if lhsHi != rhsHi {
-		return lhsHi > rhsHi
-	}
-	return lhsLo >= rhsLo
+	return e.predI64(int64(cn), du, dv)
 }
 
 // mul3 multiplies three uint64 values into a 128-bit (hi, lo) result.
@@ -257,12 +249,15 @@ func CompareSimValues(cn1 int32, p1 uint64, cn2 int32, p2 uint64) int {
 //   - NSim when min(d[u], d[v]) + 2 < ⌈ε·√((d[u]+1)(d[v]+1))⌉
 //   - Sim  when 2 ≥ ⌈ε·√((d[u]+1)(d[v]+1))⌉
 //   - Unknown otherwise.
+//
+// Pred is monotone in cn and MinCN is its boundary, so each rule is one
+// exact predicate on the largest and smallest possible count — no square
+// root and no search for the boundary itself.
 func (e Epsilon) PruneResult(du, dv int32) EdgeSim {
-	c := e.MinCN(du, dv)
-	if du+2 < c || dv+2 < c {
+	if !e.predI64(int64(min(du, dv))+2, du, dv) {
 		return NSim
 	}
-	if c <= 2 {
+	if e.predI64(2, du, dv) {
 		return Sim
 	}
 	return Unknown
