@@ -7,7 +7,9 @@ import (
 	"ppscan/graph"
 	"ppscan/internal/engine"
 	"ppscan/internal/gen"
+	"ppscan/internal/gsindex"
 	"ppscan/internal/obsv"
+	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 )
 
@@ -91,6 +93,43 @@ func TestServingAllocBudgetTraced(t *testing.T) {
 		t.Fatal("tracer recorded no spans — the gate measured an untraced run")
 	}
 	t.Logf("traced warm run: %.1f allocs (budget %d), %d spans", allocs, servingBudget, tr.Len())
+}
+
+// TestServingAllocBudgetIndex is the same gate for an index extraction —
+// every indexed answer and every sweep step: a warm QueryWorkspace on one
+// pooled workspace, its crew phases at one and at two workers, must stay
+// within servingBudget.
+func TestServingAllocBudgetIndex(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	// Measured on a graph whose answer is not empty (benchGraph's is):
+	// the benchmark's community graph at a fifth of its size.
+	g := gen.PlantedPartition(200, 50, 0.5, 6e-5, 1)
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		ix := gsindex.Build(g, gsindex.BuildOptions{Workers: workers})
+		ws := engine.NewWorkspace()
+		var res *result.Result
+		run := func() {
+			var err error
+			if res, err = ix.QueryWorkspace(ctx, "0.5", 4, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: grow every buffer and start the crew
+		run()
+		allocs := testing.AllocsPerRun(10, run)
+		ws.Close()
+		if res.NumClusters() == 0 || len(res.NonCore) == 0 {
+			t.Fatalf("workers=%d: the gate point has an empty answer", workers)
+		}
+		if allocs > servingBudget {
+			t.Errorf("workers=%d: warm extraction allocates %.1f objects, budget %d", workers, allocs, servingBudget)
+		}
+		t.Logf("workers=%d: warm extraction %.1f allocs (budget %d), %d clusters, %d memberships",
+			workers, allocs, servingBudget, res.NumClusters(), len(res.NonCore))
+	}
 }
 
 // BenchmarkEngineSteadyState measures the warm serving path: repeated runs

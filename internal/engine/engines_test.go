@@ -11,9 +11,11 @@ import (
 	"ppscan/internal/algotest"
 	"ppscan/internal/engine"
 	"ppscan/internal/gen"
+	"ppscan/internal/gsindex"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
+	"ppscan/quality"
 
 	// Link every backend so the registry is fully populated.
 	_ "ppscan/internal/anyscan"
@@ -137,6 +139,59 @@ func TestEnginesEquivalent(t *testing.T) {
 // scratch, for every engine and every parameter combination.
 func TestEnginesEquivalentPostMutation(t *testing.T) {
 	algotest.CheckEnginesOn(t, algotest.MutatedCorpus())
+}
+
+// TestSummaryMatchesDefinitions pins the allocation-free NumClusters and
+// quality.Coverage, which every /cluster answer and sweep line reports, to
+// their defining forms — distinct ids through a map, and the Clustered()
+// bitmap — on answers from every engine (dist-scan is the loopback fleet)
+// and from the index.
+func TestSummaryMatchesDefinitions(t *testing.T) {
+	check := func(t *testing.T, from string, r *result.Result) {
+		t.Helper()
+		ids := map[int32]bool{}
+		for _, id := range r.CoreClusterID {
+			if id >= 0 {
+				ids[id] = true
+			}
+		}
+		if got := r.NumClusters(); got != len(ids) {
+			t.Errorf("%s eps=%s mu=%d: NumClusters = %d, want %d", from, r.Eps, r.Mu, got, len(ids))
+		}
+		covered, want := 0, 0.0
+		for _, in := range r.Clustered() {
+			if in {
+				covered++
+			}
+		}
+		if len(r.Roles) > 0 {
+			want = float64(covered) / float64(len(r.Roles))
+		}
+		if got := quality.Coverage(r); got != want {
+			t.Errorf("%s eps=%s mu=%d: Coverage = %v, want %v", from, r.Eps, r.Mu, got, want)
+		}
+	}
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	for _, c := range algotest.Corpus() {
+		t.Run(c.Name, func(t *testing.T) {
+			ix := gsindex.Build(c.G, gsindex.BuildOptions{Workers: 2})
+			for _, th := range algotest.Params() {
+				for _, e := range engine.All() {
+					res, err := engine.Run(context.Background(), e.Name, "", c.G, th, engine.Options{Workers: 2}, ws)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(t, e.Name, res)
+				}
+				res, err := ix.QueryWorkspace(context.Background(), th.Eps.String(), th.Mu, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, "index", res)
+			}
+		})
+	}
 }
 
 // graphFor builds the deterministic test graph for a size label.

@@ -174,9 +174,10 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	oldG, newG := d.Old, d.New
 	n := newG.NumVertices()
 	nix := &Index{
-		g:     newG,
-		cn:    make([]int32, newG.NumDirectedEdges()),
-		order: make([]int32, newG.NumDirectedEdges()),
+		g:       newG,
+		cn:      make([]int32, newG.NumDirectedEdges()),
+		order:   make([]int32, newG.NumDirectedEdges()),
+		workers: ix.workers,
 	}
 
 	sc := ws.Scratch(applyScratchKey, func() any { return new(applyScratch) }).(*applyScratch)

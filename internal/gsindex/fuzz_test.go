@@ -3,10 +3,12 @@ package gsindex
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
 	"ppscan/graph"
+	"ppscan/internal/simdef"
 )
 
 // fuzzLoadGraph is the graph every FuzzLoad input is loaded against: a hub
@@ -89,6 +91,53 @@ func decodeChurn(t *testing.T, data []byte) (*graph.Graph, []graph.EdgeOp) {
 		t.Fatal(err)
 	}
 	return g, batch
+}
+
+// decodeQuery reads a fuzz input as a graph of n ≤ 80 vertices, one
+// exact-rational (ε, µ) and a build worker count: data[0] mod 81 is n (0
+// is the empty graph), ε = (data[1] mod den + 1)/den with den = data[2]
+// mod 64 + 1, µ = data[3] mod (maxdeg+2) + 1 and workers = data[4] mod 3
+// + 1; every later byte pair (a, b) is the edge (a mod n, b mod n).
+func decodeQuery(t *testing.T, data []byte) (g *graph.Graph, eps string, mu int32, workers int) {
+	if len(data) < 5 {
+		return nil, "", 0, 0
+	}
+	n := int32(data[0]) % 81
+	var edges []graph.Edge
+	for rec := data[5:]; n > 0 && len(rec) >= 2; rec = rec[2:] {
+		edges = append(edges, graph.Edge{U: int32(rec[0]) % n, V: int32(rec[1]) % n})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	den := int(data[2])%64 + 1
+	eps = fmt.Sprintf("%d/%d", int(data[1])%den+1, den)
+	mu = int32(data[3])%(g.MaxDegree()+2) + 1
+	return g, eps, mu, int(data[4])%3 + 1
+}
+
+// FuzzQueryWorkspace: for any small graph and (ε, µ), the extraction on
+// a crew of 1–3 workers is the SCAN answer with NonCore strictly
+// increasing. The committed corpus (testdata/fuzz/FuzzQueryWorkspace)
+// holds σ = ε exactly, µ = 1, µ = maxdeg+1, an isolated vertex and the
+// empty graph.
+func FuzzQueryWorkspace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, eps, mu, workers := decodeQuery(t, data)
+		if g == nil {
+			return
+		}
+		th, err := simdef.NewThreshold(eps, mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Build(g, BuildOptions{Workers: workers}).QueryWorkspace(context.Background(), eps, mu, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExact(t, g, res, th)
+	})
 }
 
 // FuzzApplyBatch: for any small graph and batch, ApplyBatch is

@@ -15,7 +15,8 @@
 //   - u is a core iff d[u] ≥ µ and the µ-th most similar neighbor of u has
 //     σ(u, v) ≥ ε (the "core order" property);
 //   - clusters are formed by scanning each core's neighbor order while
-//     σ ≥ ε, unioning cores and assigning memberships to non-cores.
+//     σ ≥ ε and unioning similar cores; a non-core's memberships are the
+//     clusters of the cores in its own similar prefix.
 //
 // All comparisons are exact: similarity values are kept as the integer
 // pair (cn, p) with σ = cn/√p, and ordering/thresholding uses 128-bit
@@ -27,8 +28,9 @@
 // every buffer from a pooled engine.Workspace and honors context
 // cancellation — the primitive behind every index-derived answer the
 // server gives (an index attached at start or built by a sweep),
-// where one Build amortizes across many (ε, µ) extractions. Query is the
-// same routine on a throwaway workspace.
+// where one Build amortizes across many (ε, µ) extractions. It is Tseng et
+// al.'s parallel index query on ppSCAN's crew and wait-free union-find.
+// Query is the same routine on a throwaway workspace.
 package gsindex
 
 import (
@@ -58,6 +60,9 @@ type Index struct {
 	// buildTime records how long Build took (the index-construction cost
 	// that ppSCAN's online approach avoids).
 	buildTime time.Duration
+	// workers is the crew size QueryWorkspace extracts with: the build's
+	// resolved worker count, kept by ApplyBatch, GOMAXPROCS after Load.
+	workers int
 }
 
 // BuildOptions configures index construction.
@@ -101,9 +106,10 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 	start := time.Now()
 	n := g.NumVertices()
 	ix := &Index{
-		g:     g,
-		cn:    make([]int32, g.NumDirectedEdges()),
-		order: make([]int32, g.NumDirectedEdges()),
+		g:       g,
+		cn:      make([]int32, g.NumDirectedEdges()),
+		order:   make([]int32, g.NumDirectedEdges()),
+		workers: opt.workers(),
 	}
 	// Phase 1: intersection counts, each undirected edge computed once
 	// under the u < v constraint and mirrored to the reverse offset. Only

@@ -2,34 +2,153 @@ package gsindex
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
+	"ppscan/graph"
 	"ppscan/internal/algotest"
 	"ppscan/internal/engine"
+	"ppscan/internal/fault"
+	"ppscan/internal/gen"
+	"ppscan/internal/intersect"
+	"ppscan/internal/pscan"
 	"ppscan/internal/result"
+	"ppscan/internal/simdef"
 )
 
-// TestQueryWorkspaceMatchesQuery proves the workspace-backed extraction is
-// bit-identical to Query across the corpus and the parameter grid, with
-// ONE workspace reused for every query — the sweep serving pattern.
+// TestQueryWorkspaceMatchesQuery proves the extraction exact across the
+// corpus, the parameter grid and indexes built at 1, 2 and 7 workers (the
+// crew size it extracts with): every answer satisfies the SCAN
+// definitions, equals pSCAN's, and emits NonCore already sorted — all
+// with ONE workspace reused for every query, the sweep serving pattern.
 func TestQueryWorkspaceMatchesQuery(t *testing.T) {
 	ws := engine.NewWorkspace()
 	defer ws.Close()
 	for _, tc := range algotest.Corpus() {
-		ix := Build(tc.G, BuildOptions{Workers: 2})
-		for _, th := range algotest.Params() {
-			want, err := ix.Query(th.Eps.String(), th.Mu)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ix.QueryWorkspace(context.Background(), th.Eps.String(), th.Mu, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := result.Equal(want, got); err != nil {
-				t.Fatalf("%s eps=%s mu=%d: %v", tc.Name, th.Eps, th.Mu, err)
+		for _, workers := range []int{1, 2, 7} {
+			ix := Build(tc.G, BuildOptions{Workers: workers})
+			for _, th := range algotest.Params() {
+				got, err := ix.QueryWorkspace(context.Background(), th.Eps.String(), th.Mu, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Stats.Workers != workers {
+					t.Errorf("Stats.Workers = %d, want the build's %d", got.Stats.Workers, workers)
+				}
+				requireExact(t, tc.G, got, th)
+				want := pscan.Run(tc.G, th, engine.Options{Kernel: intersect.Merge}, pscan.Options{}, nil)
+				if err := result.Equal(want, got); err != nil {
+					t.Fatalf("%s workers=%d eps=%s mu=%d: %v", tc.Name, workers, th.Eps, th.Mu, err)
+				}
 			}
 		}
+	}
+}
+
+// requireExact fails unless r is the SCAN answer on g and its memberships
+// are strictly increasing in (V, ClusterID): the extraction's own order,
+// with no Normalize behind it.
+func requireExact(t *testing.T, g *graph.Graph, r *result.Result, th simdef.Threshold) {
+	t.Helper()
+	if err := result.ValidateAgainst(g, r, th.Eps, th.Mu); err != nil {
+		t.Fatalf("eps=%s mu=%d: %v", th.Eps, th.Mu, err)
+	}
+	for i := 1; i < len(r.NonCore); i++ {
+		a, b := r.NonCore[i-1], r.NonCore[i]
+		if a.V > b.V || a.V == b.V && a.ClusterID >= b.ClusterID {
+			t.Fatalf("eps=%s mu=%d: NonCore[%d..%d] = %v, %v is not strictly increasing", th.Eps, th.Mu, i-1, i, a, b)
+		}
+	}
+}
+
+// TestQueryWorkspaceWorkerPanic: a worker panic in either crew phase is
+// contained — the extraction returns the *result.WorkerPanicError naming
+// the phase and poisons the workspace, as a ppSCAN run does — and the next
+// extraction on that workspace is exact.
+func TestQueryWorkspaceWorkerPanic(t *testing.T) {
+	t.Cleanup(fault.Disable)
+	g := gen.CliqueChain(4, 5) // one task per phase, and cores to union
+	th, err := simdef.NewThreshold("0.5", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(g, BuildOptions{Workers: 2})
+	for hit, phase := range []string{"index roles", "index cores"} {
+		ws := engine.NewWorkspace()
+		fault.Enable(&fault.Plan{Rules: []fault.Rule{
+			{Point: fault.WorkerTask, Action: fault.ActPanic, Start: uint64(hit + 1), Count: 1},
+		}})
+		res, err := ix.QueryWorkspace(context.Background(), "0.5", 3, ws)
+		fault.Disable()
+		var wpe *result.WorkerPanicError
+		if res != nil || !errors.As(err, &wpe) || wpe.Phase != phase {
+			t.Fatalf("panic at task %d: got (%v, %v), want a WorkerPanicError in %q", hit+1, res, err, phase)
+		}
+		if !ws.Poisoned() {
+			t.Errorf("%s: the workspace is not poisoned", phase)
+		}
+		res, err = ix.QueryWorkspace(context.Background(), "0.5", 3, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExact(t, g, res, th)
+		ws.Close()
+	}
+}
+
+// flipCtx is a context whose Err reports nil for its first ok calls and
+// context.DeadlineExceeded ever after: a deadline that lands at one exact,
+// repeatable poll of the extraction. Workers poll it too, hence atomic.
+type flipCtx struct {
+	context.Context
+	ok    int64
+	asked atomic.Int64
+}
+
+func (c *flipCtx) Err() error {
+	if c.asked.Add(1) > c.ok {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestQueryWorkspaceDeadlineAtEveryPoll moves the deadline across every
+// poll an extraction makes — inside each crew phase, between the two, and
+// in the membership walk — until it completes. Each cut-short extraction
+// returns the context's error and leaves the workspace unpoisoned and
+// serving exact answers.
+func TestQueryWorkspaceDeadlineAtEveryPoll(t *testing.T) {
+	g := gen.CliqueChain(4, 5)
+	th, err := simdef.NewThreshold("0.5", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(g, BuildOptions{Workers: 2})
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	for ok := int64(0); ; ok++ {
+		res, err := ix.QueryWorkspace(&flipCtx{Context: context.Background(), ok: ok}, "0.5", 3, ws)
+		if err == nil {
+			// Polls: the coordinator and the worker in each phase, the check
+			// after each phase, and the walk's first stride.
+			if ok < 7 {
+				t.Fatalf("extraction completed after %d polls; the crew phases were never polled", ok)
+			}
+			requireExact(t, g, res, th)
+			return
+		}
+		if res != nil || err != context.DeadlineExceeded {
+			t.Fatalf("deadline after %d polls: got (%v, %v), want context.DeadlineExceeded", ok, res, err)
+		}
+		if ws.Poisoned() {
+			t.Fatalf("deadline after %d polls poisoned the workspace", ok)
+		}
+		res, err = ix.QueryWorkspace(context.Background(), "0.5", 3, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExact(t, g, res, th)
 	}
 }
 

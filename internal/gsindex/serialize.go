@@ -61,9 +61,10 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 			n, m, g.NumVertices(), g.NumDirectedEdges())
 	}
 	ix := &Index{
-		g:     g,
-		cn:    make([]int32, m),
-		order: make([]int32, m),
+		g:       g,
+		cn:      make([]int32, m),
+		order:   make([]int32, m),
+		workers: BuildOptions{}.workers(),
 	}
 	if err := binary.Read(br, binary.LittleEndian, ix.cn); err != nil {
 		return nil, fmt.Errorf("gsindex: reading counts: %w", err)

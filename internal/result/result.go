@@ -178,15 +178,16 @@ func (r *Result) NumCores() int {
 	return n
 }
 
-// NumClusters returns the number of distinct clusters.
+// NumClusters returns the number of distinct clusters: the cores that
+// are their own cluster's id (Definition 3.7), so it allocates nothing.
 func (r *Result) NumClusters() int {
-	ids := make(map[int32]struct{})
-	for _, id := range r.CoreClusterID {
-		if id >= 0 {
-			ids[id] = struct{}{}
+	n := 0
+	for u, id := range r.CoreClusterID {
+		if id == int32(u) {
+			n++
 		}
 	}
-	return len(ids)
+	return n
 }
 
 // Clusters materializes clusters as a map from cluster id to the sorted

@@ -297,12 +297,16 @@ func BuildIndexContext(ctx context.Context, g *graph.Graph, workers int) (*Index
 // index, drawing every scratch buffer from ws — the similarity-reuse entry
 // point behind the server's index serving and GET /cluster/sweep:
 // similarities are computed once (the index build) and each parameterization
-// is then extracted in O(answer) time with zero steady-state allocations.
+// is then extracted with zero steady-state allocations. Roles and core
+// unions run in parallel on ws's crew, with the worker count the index was
+// built with (GOMAXPROCS for a loaded index); memberships come out of one
+// walk already in vertex order.
 //
 // Aliasing rule: the returned Result aliases workspace memory and is valid
 // only until the next use of ws; call Result.Clone to retain it longer. ctx
-// cancels a long extraction between vertex strides. A nil ws allocates
-// transient scratch.
+// cancels an extraction between crew tasks and between vertex strides. A
+// worker panic is returned as a *WorkerPanicError and poisons ws. A nil ws
+// allocates transient scratch.
 func QueryIndexWorkspace(ctx context.Context, ix *Index, eps string, mu int, ws *Workspace) (*Result, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("ppscan: nil index")

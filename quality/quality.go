@@ -127,18 +127,17 @@ func InternalDensity(g *graph.Graph, members []int32) float64 {
 	return 2 * e / float64(n*(n-1))
 }
 
-// Coverage returns the fraction of vertices inside at least one cluster.
+// Coverage returns the fraction of vertices inside at least one cluster:
+// the cores plus the distinct non-core V of the sorted NonCore list,
+// counted without allocating.
 func Coverage(r *result.Result) float64 {
-	if len(r.Roles) == 0 {
-		return 0
-	}
-	covered := 0
-	for _, in := range r.Clustered() {
-		if in {
+	covered := r.NumCores()
+	for i, m := range r.NonCore {
+		if (i == 0 || m.V != r.NonCore[i-1].V) && r.Roles[m.V] != result.RoleCore {
 			covered++
 		}
 	}
-	return float64(covered) / float64(len(r.Roles))
+	return float64(covered) / float64(max(len(r.Roles), 1)) // an empty graph has coverage 0
 }
 
 // ClusterReport summarizes one cluster.
