@@ -100,7 +100,7 @@ func main() {
 		Shard:    *shardID,
 		Shards:   *shards,
 		Workers:  *workers,
-		Kernel:   intersect.MergeEarly,
+		Kernel:   intersect.BlockMerge,
 		Registry: obsv.Default(),
 		// An injected ShardCrash is process death, not an error response:
 		// exit abruptly so the coordinator sees a severed connection and

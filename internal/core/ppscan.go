@@ -1,8 +1,10 @@
 // Package core implements ppSCAN, the paper's primary contribution: a
 // multi-phase, lock-free parallelization of pruning-based structural graph
 // clustering (Algorithms 3 and 4), scheduled with degree-based dynamic
-// tasks (Algorithm 5) and using the pivot-based vectorized set-intersection
-// kernel (Algorithm 6) for similarity computation.
+// tasks (Algorithm 5). Similarity is computed by the vector block-merge
+// kernel (intersect.BlockMerge), which beats the paper's pivot-based
+// kernel (Algorithm 6, intersect.PivotBlock16/PivotBlock8 — still
+// selectable by name) on every measured pair; see DESIGN.md.
 //
 // The computation runs in seven phases with barriers between them:
 //
@@ -59,7 +61,7 @@ import (
 var nonCoreBatch = 1024
 
 func init() {
-	engine.Register(engine.Engine{Name: "ppscan", Kernel: intersect.PivotBlock16, Checkpoints: true, Run: Run})
+	engine.Register(engine.Engine{Name: "ppscan", Kernel: intersect.BlockMerge, Checkpoints: true, Run: Run})
 	// The kernel ablation: the same phases on pSCAN's scalar merge kernel.
 	engine.Register(engine.Engine{Name: "ppscan-no", Label: "ppSCAN-NO", Kernel: intersect.MergeEarly, Checkpoints: true, Run: Run})
 }
@@ -68,8 +70,9 @@ func init() {
 const scratchKey = "core"
 
 // Run executes ppSCAN on g with threshold th under ctx, with opt.Kernel the
-// resolved intersection kernel (the paper's ppSCAN uses PivotBlock16 on the
-// AVX512/KNL profile and PivotBlock8 on AVX2; ppSCAN-NO uses MergeEarly).
+// resolved intersection kernel (ppSCAN defaults to BlockMerge, the paper's
+// figures select PivotBlock16 / PivotBlock8 by name; ppSCAN-NO uses
+// MergeEarly).
 // opt.Workers < 1 means GOMAXPROCS, opt.DegreeThreshold < 1 Algorithm 5's
 // default (32768), a nil opt.Registry obsv.Default() — pass obsv.NewNop()
 // to turn collection off entirely. opt.StallTimeout arms the phase

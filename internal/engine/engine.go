@@ -77,7 +77,7 @@ type Engine struct {
 	// Label, when non-empty, replaces Stats.Algorithm on a successful run
 	// (two registrations sharing one entry point: "ppscan-no").
 	Label string
-	// Kernel is the paper-faithful default used when no kernel is named.
+	// Kernel is the default used when no kernel is named.
 	Kernel intersect.Kind
 	// Checkpoints says Run polls ctx itself and aborts promptly with a
 	// *result.PartialError. Without it the engine is a single pass: the

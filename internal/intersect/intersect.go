@@ -27,6 +27,10 @@
 //	PivotBlock8 — Algorithm 6 with 8-lane software vectors (AVX2 profile).
 //	PivotBlock16— Algorithm 6 with 16-lane software vectors (AVX512
 //	              profile, the paper's KNL configuration).
+//	BlockMerge  — the longer list read in vector blocks, each element of
+//	              the shorter one tested against the current block, in one
+//	              assembly routine per call (blockmerge.go); ppSCAN's
+//	              default.
 package intersect
 
 import (
@@ -53,12 +57,9 @@ const (
 	PivotBlock8
 	// PivotBlock16 is the 16-lane (AVX512-profile) vectorized pivot kernel.
 	PivotBlock16
-	// PivotFused is PivotBlock16 with the block loop fused into a budgeted
-	// multi-block advance: instead of re-checking du/dv after every block,
-	// the cursor advance is capped at the early-termination budget
-	// (du - c), which is arithmetically the same stopping condition with
-	// fewer per-block branches. An engineering extension beyond the paper.
-	PivotFused
+	// BlockMerge is the vector block-merge kernel: one AVX-512 or AVX2
+	// assembly routine per call, MergeEarly on hosts with neither.
+	BlockMerge
 )
 
 var kindNames = map[Kind]string{
@@ -68,7 +69,7 @@ var kindNames = map[Kind]string{
 	PivotScalar:  "pivot-scalar",
 	PivotBlock8:  "pivot-block8",
 	PivotBlock16: "pivot-block16",
-	PivotFused:   "pivot-fused",
+	BlockMerge:   "block-merge",
 }
 
 // String implements fmt.Stringer.
@@ -91,7 +92,7 @@ func ParseKind(s string) (Kind, error) {
 
 // Kinds returns all kernel kinds in a stable order.
 func Kinds() []Kind {
-	return []Kind{Merge, MergeEarly, Gallop, PivotScalar, PivotBlock8, PivotBlock16, PivotFused}
+	return []Kind{Merge, MergeEarly, Gallop, PivotScalar, PivotBlock8, PivotBlock16, BlockMerge}
 }
 
 // Count returns |a ∩ b| for sorted slices via a plain merge.
@@ -174,8 +175,8 @@ func CompSimStats(kind Kind, a, b []int32, minCN int32, st *Stats) simdef.EdgeSi
 		r = pivotBlock8(a, b, c, st)
 	case PivotBlock16:
 		r = pivotBlock16(a, b, c, st)
-	case PivotFused:
-		r = pivotFused(a, b, c, st)
+	case BlockMerge:
+		r = blockMerge(a, b, c, st)
 	default:
 		panic(fmt.Sprintf("intersect: unknown kernel %v", kind))
 	}
@@ -323,74 +324,6 @@ func pivotScalarFrom(a, b []int32, i, j int, du, dv, cn, c int32, st *Stats) sim
 		}
 	}
 	st.noteScalar(i - i0 + j - j0)
-	return simdef.NSim
-}
-
-// advanceGE returns the first index >= from with arr[idx] >= pivot, plus
-// the number of 16-lane block operations used. The advance is budgeted: if
-// more than budget elements would be skipped, it reports failure —
-// equivalent to the per-block du/dv < c early termination, since
-// du0 - skipped < c iff skipped > du0 - c.
-func advanceGE(arr []int32, from int, pivot int32, budget int32) (idx int, blocks int64, ok bool) {
-	i := from
-	for i+vec.Lanes16 <= len(arr) {
-		blocks++
-		bc := vec.CountLessAccel16((*[vec.Lanes16]int32)(arr[i:]), pivot)
-		i += int(bc)
-		if int32(i-from) > budget {
-			return i, blocks, false
-		}
-		if bc < vec.Lanes16 {
-			return i, blocks, true
-		}
-	}
-	for i < len(arr) && arr[i] < pivot {
-		i++
-		if int32(i-from) > budget {
-			return i, blocks, false
-		}
-	}
-	return i, blocks, true
-}
-
-// pivotFused is the fused-advance form of Algorithm 6.
-func pivotFused(a, b []int32, c int32, st *Stats) simdef.EdgeSim {
-	du := int32(len(a)) + 2
-	dv := int32(len(b)) + 2
-	cn := int32(2)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		ni, blocks, ok := advanceGE(a, i, b[j], du-c)
-		st.noteVector(blocks, ni-i)
-		if !ok {
-			st.noteEarlyDu()
-			return simdef.NSim
-		}
-		du -= int32(ni - i)
-		i = ni
-		if i >= len(a) {
-			break
-		}
-		nj, blocks, ok := advanceGE(b, j, a[i], dv-c)
-		st.noteVector(blocks, nj-j)
-		if !ok {
-			st.noteEarlyDv()
-			return simdef.NSim
-		}
-		dv -= int32(nj - j)
-		j = nj
-		if j >= len(b) {
-			break
-		}
-		if a[i] == b[j] {
-			cn++
-			if cn >= c {
-				return simdef.Sim
-			}
-			i++
-			j++
-		}
-	}
 	return simdef.NSim
 }
 

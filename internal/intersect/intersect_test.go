@@ -332,4 +332,4 @@ func BenchmarkKernelGallop(b *testing.B)       { benchKernel(b, Gallop, 512, 0.3
 func BenchmarkKernelPivotScalar(b *testing.B)  { benchKernel(b, PivotScalar, 512, 0.3, 60) }
 func BenchmarkKernelPivotBlock8(b *testing.B)  { benchKernel(b, PivotBlock8, 512, 0.3, 60) }
 func BenchmarkKernelPivotBlock16(b *testing.B) { benchKernel(b, PivotBlock16, 512, 0.3, 60) }
-func BenchmarkKernelPivotFused(b *testing.B)   { benchKernel(b, PivotFused, 512, 0.3, 60) }
+func BenchmarkKernelBlockMerge(b *testing.B)   { benchKernel(b, BlockMerge, 512, 0.3, 60) }

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzPivotKernelsEquivalent pins the vectorized pivot kernels
-// (PivotBlock8/PivotBlock16/PivotFused) to the scalar reference
+// (PivotBlock8/PivotBlock16) to the scalar reference
 // (PivotScalar) on two axes:
 //
 //   - the similarity verdict (mirroring FuzzKernelsAgree's merge ground
@@ -43,7 +43,7 @@ func FuzzPivotKernelsEquivalent(f *testing.F) {
 			t.Fatalf("PivotScalar: got %v want %v (c=%d, a=%v, b=%v)", refVerdict, want, c, a, b)
 		}
 
-		for _, k := range []Kind{PivotBlock8, PivotBlock16, PivotFused} {
+		for _, k := range []Kind{PivotBlock8, PivotBlock16} {
 			var st Stats
 			verdict := CompSimStats(k, a, b, c, &st)
 			if verdict != refVerdict {

@@ -9,8 +9,12 @@ import (
 
 // TestStatsInvariants checks, for every kernel over random inputs, that
 // the recorded telemetry is internally consistent and agrees with the
-// uninstrumented path.
+// uninstrumented path, once per BlockMerge body.
 func TestStatsInvariants(t *testing.T) {
+	eachBody(t, statsInvariants)
+}
+
+func statsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, kind := range Kinds() {
 		var st Stats
@@ -42,15 +46,12 @@ func TestStatsInvariants(t *testing.T) {
 		if st.Scanned == 0 {
 			t.Errorf("%v: no elements scanned over 200 random calls", kind)
 		}
-		switch kind {
-		case PivotBlock8, PivotBlock16, PivotFused:
-			if st.VectorBlocks == 0 {
-				t.Errorf("%v: no vector blocks recorded", kind)
-			}
-		case Merge, MergeEarly, PivotScalar, Gallop:
-			if st.VectorBlocks != 0 {
-				t.Errorf("%v: scalar kernel recorded %d vector blocks", kind, st.VectorBlocks)
-			}
+		vector := kind == PivotBlock8 || kind == PivotBlock16 || kind == BlockMerge && blockBody != bodyMerge
+		switch {
+		case vector && st.VectorBlocks == 0:
+			t.Errorf("%v: no vector blocks recorded", kind)
+		case !vector && st.VectorBlocks != 0:
+			t.Errorf("%v: scalar kernel recorded %d vector blocks", kind, st.VectorBlocks)
 		}
 	}
 }

@@ -130,8 +130,8 @@ type Options struct {
 	Workers int
 	// Kernel optionally overrides the set-intersection kernel by name
 	// ("merge", "merge-early", "gallop", "pivot-scalar", "pivot-block8",
-	// "pivot-block16", "pivot-fused"). Empty selects each algorithm's
-	// paper-faithful default.
+	// "pivot-block16", "block-merge"). Empty selects each algorithm's
+	// default (block-merge for ppSCAN).
 	Kernel string
 	// DegreeThreshold overrides ppSCAN's task-granularity constant
 	// (default 32768).
