@@ -64,10 +64,11 @@ import (
 	"ppscan/internal/shard"
 )
 
-// Connection bounds, deliberately not flags. There is no WriteTimeout: a
-// sweep streams for as long as its grid takes and has no per-write
-// deadline yet. readTimeout bounds reading a whole request, body
-// included: a full-size POST /edges body (64 MiB) fits at ~0.6 MB/s.
+// Connection bounds, deliberately not flags. There is no WriteTimeout: it
+// would also cap the computation of a sweep, which writes its body only
+// after its last step; -request-timeout bounds that. readTimeout bounds
+// reading a whole request, body included: a full-size POST /edges body
+// (64 MiB) fits at ~0.6 MB/s.
 // net/http clears the read deadline once the body is read, so it never
 // cuts a running computation short. maxHeaderBytes fits a comma-list
 // sweep of 2 048 of the longest valid eps (a percent-encoded

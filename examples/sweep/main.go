@@ -3,10 +3,12 @@
 // clusters match their domain intuition. The expensive similarity
 // computation does not depend on ε or µ, so the server's GET
 // /cluster/sweep endpoint computes it ONCE — the first sweep builds the
-// graph's GS*-Index and the server keeps it — and streams one NDJSON
-// clustering per ε step. This example starts an in-process server and
-// consumes that stream for three values of µ, printing the dashboard an
-// interactive tool would show.
+// graph's GS*-Index and the server keeps it — and answers one NDJSON
+// clustering per ε step. It extracts the steps from the largest ε down,
+// each extending the previous one's clusters, and writes the lines in the
+// request's order once the last step is done. This example starts an
+// in-process server and reads those lines for three values of µ, printing
+// the dashboard an interactive tool would show.
 //
 // Contrast with calling ppscan.Run per gridpoint: a 7×3 grid would
 // perform 21 similarity passes; the sweep endpoint performs 1, and every
@@ -58,8 +60,8 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Println("serving on", base)
 
-	// One sweep request per µ: the first builds the index, and each streams
-	// seven clusterings as they are extracted from it.
+	// One sweep request per µ: the first builds the index, and each answers
+	// seven clusterings extracted from it.
 	fmt.Printf("\n%-5s %4s %10s %10s %10s %12s\n", "eps", "mu", "clusters", "cores", "coverage", "extractMs")
 	t0 := time.Now()
 	for _, mu := range []int{2, 5, 10} {

@@ -95,10 +95,11 @@ func TestServingAllocBudgetTraced(t *testing.T) {
 	t.Logf("traced warm run: %.1f allocs (budget %d), %d spans", allocs, servingBudget, tr.Len())
 }
 
-// TestServingAllocBudgetIndex is the same gate for an index extraction —
-// every indexed answer and every sweep step: a warm QueryWorkspace on one
-// pooled workspace, its crew phases at one and at two workers, must stay
-// within servingBudget.
+// TestServingAllocBudgetIndex is the same gate for the index: a warm
+// QueryWorkspace (every indexed answer) and a warm 7-step SweepWorkspace
+// (a sweep's missing gridpoints), each on one pooled workspace with its
+// crew phases at one and at two workers, must stay within servingBudget
+// per extracted step.
 func TestServingAllocBudgetIndex(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -106,29 +107,43 @@ func TestServingAllocBudgetIndex(t *testing.T) {
 	// Measured on a graph whose answer is not empty (benchGraph's is):
 	// the benchmark's community graph at a fifth of its size.
 	g := gen.PlantedPartition(200, 50, 0.5, 6e-5, 1)
+	var grid []simdef.Epsilon // the benchmark's sweep, largest ε first
+	for _, e := range []string{"0.6", "0.55", "0.5", "0.45", "0.4", "0.35", "0.3"} {
+		grid = append(grid, simdef.MustEpsilon(e))
+	}
 	ctx := context.Background()
 	for _, workers := range []int{1, 2} {
 		ix := gsindex.Build(g, gsindex.BuildOptions{Workers: workers})
 		ws := engine.NewWorkspace()
 		var res *result.Result
-		run := func() {
+		query := func() {
 			var err error
 			if res, err = ix.QueryWorkspace(ctx, "0.5", 4, ws); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run() // warm: grow every buffer and start the crew
-		run()
-		allocs := testing.AllocsPerRun(10, run)
+		sweep := func() {
+			if err := ix.SweepWorkspace(ctx, grid, 4, ws, func(int, *result.Result) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tc := range []struct {
+			name  string
+			run   func()
+			steps int
+		}{{"extraction", query, 1}, {"7-step sweep", sweep, len(grid)}} {
+			tc.run() // warm: grow every buffer and start the crew
+			tc.run()
+			perStep := testing.AllocsPerRun(10, tc.run) / float64(tc.steps)
+			if perStep > servingBudget {
+				t.Errorf("workers=%d: warm %s allocates %.1f objects per step, budget %d", workers, tc.name, perStep, servingBudget)
+			}
+			t.Logf("workers=%d: warm %s %.1f allocs per step (budget %d)", workers, tc.name, perStep, servingBudget)
+		}
 		ws.Close()
 		if res.NumClusters() == 0 || len(res.NonCore) == 0 {
 			t.Fatalf("workers=%d: the gate point has an empty answer", workers)
 		}
-		if allocs > servingBudget {
-			t.Errorf("workers=%d: warm extraction allocates %.1f objects, budget %d", workers, allocs, servingBudget)
-		}
-		t.Logf("workers=%d: warm extraction %.1f allocs (budget %d), %d clusters, %d memberships",
-			workers, allocs, servingBudget, res.NumClusters(), len(res.NonCore))
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"ppscan/graph"
+	"ppscan/internal/engine"
+	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 )
 
@@ -93,14 +95,16 @@ func decodeChurn(t *testing.T, data []byte) (*graph.Graph, []graph.EdgeOp) {
 	return g, batch
 }
 
-// decodeQuery reads a fuzz input as a graph of n ≤ 80 vertices, one
-// exact-rational (ε, µ) and a build worker count: data[0] mod 81 is n (0
-// is the empty graph), ε = (data[1] mod den + 1)/den with den = data[2]
-// mod 64 + 1, µ = data[3] mod (maxdeg+2) + 1 and workers = data[4] mod 3
-// + 1; every later byte pair (a, b) is the edge (a mod n, b mod n).
-func decodeQuery(t *testing.T, data []byte) (g *graph.Graph, eps string, mu int32, workers int) {
+// decodeQuery reads a fuzz input as a graph of n ≤ 80 vertices, an
+// exact-rational ε grid, one µ and a build worker count: data[0] mod 81
+// is n (0 is the empty graph), the grid's first ε is (data[1] mod den +
+// 1)/den with den = data[2] mod 64 + 1, µ = data[3] mod (maxdeg+2) + 1
+// and workers = data[4] mod 3 + 1; every later byte pair (a, b) of data is
+// the edge (a mod n, b mod n). Each of the first 16 bytes c of grid adds
+// the ε (c mod den + 1)/den, in the order given, repeats included.
+func decodeQuery(t *testing.T, data, grid []byte) (g *graph.Graph, eps []simdef.Epsilon, mu int32, workers int) {
 	if len(data) < 5 {
-		return nil, "", 0, 0
+		return nil, nil, 0, 0
 	}
 	n := int32(data[0]) % 81
 	var edges []graph.Edge
@@ -112,31 +116,47 @@ func decodeQuery(t *testing.T, data []byte) (g *graph.Graph, eps string, mu int3
 		t.Fatal(err)
 	}
 	den := int(data[2])%64 + 1
-	eps = fmt.Sprintf("%d/%d", int(data[1])%den+1, den)
+	for _, c := range append(data[1:2:2], grid[:min(len(grid), 16)]...) {
+		eps = append(eps, simdef.MustEpsilon(fmt.Sprintf("%d/%d", int(c)%den+1, den)))
+	}
 	mu = int32(data[3])%(g.MaxDegree()+2) + 1
 	return g, eps, mu, int(data[4])%3 + 1
 }
 
-// FuzzQueryWorkspace: for any small graph and (ε, µ), the extraction on
-// a crew of 1–3 workers is the SCAN answer with NonCore strictly
-// increasing. The committed corpus (testdata/fuzz/FuzzQueryWorkspace)
-// holds σ = ε exactly, µ = 1, µ = maxdeg+1, an isolated vertex and the
-// empty graph.
+// FuzzQueryWorkspace: for any small graph, ε grid and µ, on a crew of
+// 1–3 workers, a sweep over the grid sorted from the largest ε down
+// yields at every step the SCAN answer with NonCore strictly increasing,
+// equal to a fresh QueryWorkspace at that ε. An empty grid is the single
+// extraction. The committed corpus (testdata/fuzz/FuzzQueryWorkspace)
+// holds σ = ε exactly (alone and at a sweep step), µ = 1, µ = maxdeg+1,
+// an isolated vertex, the empty graph, a repeated ε, and a new core whose
+// similar cores are all older and smaller (the cores phase's both-sides
+// union).
 func FuzzQueryWorkspace(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, eps, mu, workers := decodeQuery(t, data)
+	f.Fuzz(func(t *testing.T, data, grid []byte) {
+		g, eps, mu, workers := decodeQuery(t, data, grid)
 		if g == nil {
 			return
 		}
-		th, err := simdef.NewThreshold(eps, mu)
-		if err != nil {
-			t.Fatal(err)
+		slices.SortStableFunc(eps, func(a, b simdef.Epsilon) int { return b.Cmp(a) })
+		ix := Build(g, BuildOptions{Workers: workers})
+		ws := engine.NewWorkspace()
+		defer ws.Close()
+		steps := 0
+		err := ix.SweepWorkspace(context.Background(), eps, mu, nil, func(i int, got *result.Result) {
+			steps++
+			requireExact(t, g, got, simdef.Threshold{Eps: eps[i], Mu: mu})
+			want, err := ix.QueryWorkspace(context.Background(), eps[i].String(), mu, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := result.Equal(want, got); err != nil {
+				t.Fatalf("step %d, eps=%s mu=%d: %v", i, eps[i], mu, err)
+			}
+		})
+		if err != nil || steps != len(eps) {
+			t.Fatalf("sweep of %d steps: %d yielded, err %v", len(eps), steps, err)
 		}
-		res, err := Build(g, BuildOptions{Workers: workers}).QueryWorkspace(context.Background(), eps, mu, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireExact(t, g, res, th)
 	})
 }
 

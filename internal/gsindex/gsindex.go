@@ -24,13 +24,15 @@
 // queries return bit-identical results to every direct algorithm in this
 // module.
 //
-// QueryWorkspace (queryws.go) is the one extraction routine: it draws
-// every buffer from a pooled engine.Workspace and honors context
-// cancellation — the primitive behind every index-derived answer the
-// server gives (an index attached at start or built by a sweep),
+// SweepWorkspace (queryws.go) is the one extraction routine: it answers a
+// non-increasing ε list at one µ, carrying its union-find from step to
+// step, draws every buffer from a pooled engine.Workspace and honors
+// context cancellation — the primitive behind every index-derived answer
+// the server gives (an index attached at start or built by a sweep),
 // where one Build amortizes across many (ε, µ) extractions. It is Tseng et
 // al.'s parallel index query on ppSCAN's crew and wait-free union-find.
-// Query is the same routine on a throwaway workspace.
+// QueryWorkspace is its one-step call, and Query that call on a throwaway
+// workspace.
 package gsindex
 
 import (

@@ -3,6 +3,7 @@ package gsindex
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"slices"
 	"time"
 
@@ -18,61 +19,113 @@ import (
 // that a sweep step aborts within microseconds of a client disconnect.
 const ctxStride = 4096
 
-// sweepScratch is the engine-private extraction state QueryWorkspace
-// parks in the workspace: the grow-only membership buffer and the crew
-// phases' closures, bound once so a warm extraction allocates none. ix and
-// ctx are dropped on return, so an idle workspace pins no index or request.
+// sweepScratch is the engine-private extraction state SweepWorkspace
+// parks in the workspace: the grow-only per-vertex sweep state and
+// membership buffer, and the crew phases' closures, bound once so a warm
+// extraction allocates none. ix and ctx are dropped on return, so an idle
+// workspace pins no index or request.
+//
+// Within one sweep, roles and uf carry from step to step, and cursor[u],
+// for a core u, is the length of the similar prefix of u's neighbour order
+// it has already walked. carried is set once a step is done: only then
+// can old cores exist.
 type sweepScratch struct {
 	ix      *Index
 	ctx     context.Context
-	th      simdef.Threshold
+	eps     simdef.Epsilon
+	mu      int32
+	carried bool
 	roles   []result.Role
+	cursor  []int32
 	uf      *unionfind.Concurrent
 	noncore []result.Membership
 
-	fnRole, fnUnion func(u int32, worker int)
-	fnIsCore        func(int32) bool
-	fnDegree        func(int32) int32
-	fnStop          func() bool
+	fnRole, fnUnion     func(u int32, worker int)
+	fnIsCore, fnNotCore func(int32) bool
+	fnDegree            func(int32) int32
+	fnStop              func() bool
 }
 
 // sweepScratchKey identifies the extraction scratch in Workspace.Scratch.
 const sweepScratchKey = "gsindex.sweep"
 
+// roleNewCore is the role the roles phase gives a vertex that becomes a
+// core at this step, so that the cores phase tells new cores from old ones
+// by the roles it reads anyway, with no copy of the previous step's. The
+// membership walk turns it into result.RoleCore before the step is
+// yielded; it is not a result.Role value and never leaves the sweep.
+const roleNewCore result.Role = -1
+
+// isCore reports whether r is a core's role at the current step.
+func isCore(r result.Role) bool { return r == result.RoleCore || r == roleNewCore }
+
 func newSweepScratch() any {
 	sc := &sweepScratch{}
 	sc.fnRole, sc.fnUnion = sc.role, sc.union
-	sc.fnIsCore = func(u int32) bool { return sc.roles[u] == result.RoleCore }
+	sc.fnIsCore = func(u int32) bool { return isCore(sc.roles[u]) }
+	sc.fnNotCore = func(u int32) bool { return sc.roles[u] != result.RoleCore }
 	sc.fnDegree = func(u int32) int32 { return sc.ix.g.Degree(u) }
 	sc.fnStop = func() bool { return sc.ctx.Err() != nil }
 	return sc
 }
 
 // QueryWorkspace computes the exact clustering for (eps, mu) from the
-// index, drawing every scratch buffer — roles, the union-find, the
-// cluster-id array and the membership list — from a pooled workspace, so
-// repeated extractions (a parameter sweep, an index-served route) perform
-// zero steady-state heap allocations beyond the Result header itself.
-//
-// Roles and core unions are two phases on the workspace's crew, run with
-// the index's build worker count (Stats.Workers). The wait-free
-// union-find's representative is its set's minimum, the Definition 3.7
-// cluster id. Memberships come from one walk over the non-cores in vertex
-// order, each scanning its own similar prefix, so NonCore is born sorted
-// by (V, ClusterID) and deduplicated.
+// index: it is the one-step SweepWorkspace, so every scratch buffer —
+// roles, the union-find, the cluster-id array and the membership list —
+// comes from a pooled workspace, and repeated extractions (an
+// index-served route) perform zero steady-state heap allocations beyond
+// the Result header itself.
 //
 // Aliasing rule: the returned Result aliases workspace memory (Roles,
 // CoreClusterID and NonCore are workspace buffers) and is valid only
 // until the next use of ws; call Result.Clone to retain it longer. A nil
-// ws allocates transient buffers via a throwaway workspace.
-//
-// ctx is polled once per crew task and every ctxStride vertices of the
-// walk, so a sweep step aborts promptly with ctx.Err(). A worker panic
-// returns its *result.WorkerPanicError and poisons ws.
+// ws allocates transient buffers via a throwaway workspace. Cancellation
+// and worker panics behave as in SweepWorkspace.
 func (ix *Index) QueryWorkspace(ctx context.Context, eps string, mu int32, ws *engine.Workspace) (*result.Result, error) {
 	th, err := simdef.NewThreshold(eps, mu)
 	if err != nil {
 		return nil, err
+	}
+	var res *result.Result
+	err = ix.SweepWorkspace(ctx, []simdef.Epsilon{th.Eps}, mu, ws, func(_ int, r *result.Result) { res = r })
+	return res, err
+}
+
+// SweepWorkspace computes the exact clustering for each (epsDesc[i], mu)
+// from the index, in order, and hands step i to yield(i, r). epsDesc must
+// be non-increasing: at a fixed µ, lowering ε only adds similar arcs, so
+// the core set only grows and clusters only merge, and each step extends
+// the previous one's union-find instead of starting over. A step is exact
+// after any higher ε, so a caller may leave out the gridpoints it already
+// has.
+//
+// Each step has three stages. The roles phase re-tests only the
+// non-cores. The cores phase walks each core's neighbour order while
+// σ ≥ ε: an old core from its cursor, unioning with every similar core
+// v > u; a new core from the start, unioning with every similar core
+// v > u and every similar old core, since the old cores' walks skipped
+// it. Both run on the workspace's crew with the index's build worker
+// count (Stats.Workers). The wait-free union-find's representative is its
+// set's minimum, the Definition 3.7 cluster id. Memberships come from one
+// walk over the non-cores in vertex order, each scanning its own similar
+// prefix, so NonCore is born sorted by (V, ClusterID) and deduplicated.
+// With one step the cores phase is the plain v > u rule.
+//
+// r aliases workspace memory that the next step overwrites: it is valid
+// only until yield returns; call Result.Clone to retain it. A nil ws
+// allocates transient buffers via a throwaway workspace.
+//
+// ctx is polled once per crew task and every ctxStride vertices of the
+// walk, so a sweep aborts promptly with ctx.Err(). A worker panic returns
+// its *result.WorkerPanicError and poisons ws.
+func (ix *Index) SweepWorkspace(ctx context.Context, epsDesc []simdef.Epsilon, mu int32, ws *engine.Workspace, yield func(i int, r *result.Result)) error {
+	if mu < 1 {
+		return fmt.Errorf("gsindex: mu = %d, want >= 1", mu)
+	}
+	for i := 1; i < len(epsDesc); i++ {
+		if a, b := epsDesc[i-1], epsDesc[i]; a.Cmp(b) < 0 {
+			return fmt.Errorf("gsindex: sweep ε %s after %s, want non-increasing", b, a)
+		}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -81,41 +134,52 @@ func (ix *Index) QueryWorkspace(ctx context.Context, eps string, mu int32, ws *e
 		ws = engine.NewWorkspace()
 		defer ws.Close()
 	}
-	start := time.Now()
 	n := ix.g.NumVertices()
 	sc := ws.Scratch(sweepScratchKey, newSweepScratch).(*sweepScratch)
-	sc.ix, sc.ctx, sc.th = ix, ctx, th
+	sc.ix, sc.ctx, sc.mu, sc.carried = ix, ctx, mu, false
 	defer func() { sc.ix, sc.ctx = nil, nil }()
 	sc.roles, sc.uf = ws.Roles(int(n)), ws.ConcurrentUF(n)
-	if err := sc.phase(ws, "index roles", nil, sc.fnRole); err != nil {
-		return nil, err
-	}
-	if err := sc.phase(ws, "index cores", sc.fnIsCore, sc.fnUnion); err != nil {
-		return nil, err
-	}
-	coreClusterID := ws.CoreClusterIDs(int(n))
-	noncore := sc.noncore[:0]
-	for v := int32(0); v < n; v++ {
-		if v%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	sc.cursor = slices.Grow(sc.cursor[:0], int(n))[:n]
+	for i, eps := range epsDesc {
+		start := time.Now()
+		sc.eps = eps
+		need := sc.fnNotCore
+		if !sc.carried {
+			need = nil // the first step tests every vertex
+		}
+		if err := sc.phase(ws, "index roles", need, sc.fnRole); err != nil {
+			return err
+		}
+		if err := sc.phase(ws, "index cores", sc.fnIsCore, sc.fnUnion); err != nil {
+			return err
+		}
+		coreClusterID := ws.CoreClusterIDs(int(n))
+		noncore := sc.noncore[:0]
+		for v := int32(0); v < n; v++ {
+			if v%ctxStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			if isCore(sc.roles[v]) {
+				sc.roles[v] = result.RoleCore
+				coreClusterID[v] = sc.uf.Find(v)
+			} else {
+				noncore = sc.appendMemberships(noncore, v)
 			}
 		}
-		if sc.roles[v] == result.RoleCore {
-			coreClusterID[v] = sc.uf.Find(v)
-		} else {
-			noncore = sc.appendMemberships(noncore, v)
-		}
+		sc.noncore = noncore // keep the grown buffer for the next step
+		sc.carried = true
+		yield(i, &result.Result{
+			Eps:           eps.String(),
+			Mu:            mu,
+			Roles:         sc.roles,
+			CoreClusterID: coreClusterID,
+			NonCore:       noncore,
+			Stats:         result.Stats{Algorithm: "GS*-Index", Workers: ix.workers, Total: time.Since(start)},
+		})
 	}
-	sc.noncore = noncore // keep the grown buffer for the next extraction
-	return &result.Result{
-		Eps:           th.Eps.String(),
-		Mu:            mu,
-		Roles:         sc.roles,
-		CoreClusterID: coreClusterID,
-		NonCore:       noncore,
-		Stats:         result.Stats{Algorithm: "GS*-Index", Workers: ix.workers, Total: time.Since(start)},
-	}, nil
+	return nil
 }
 
 // phase runs one crew phase over the vertices passing need. A contained
@@ -131,29 +195,45 @@ func (sc *sweepScratch) phase(ws *engine.Workspace, name string, need func(int32
 	return sc.ctx.Err()
 }
 
-// role is u's role from the core-order property, O(1).
+// role tests non-core u from the core-order property, O(1).
 func (sc *sweepScratch) role(u int32, _ int) {
 	sc.roles[u] = result.RoleNonCore
-	if sc.ix.IsCore(sc.th.Eps, sc.th.Mu, u) {
-		sc.roles[u] = result.RoleCore
+	if sc.ix.IsCore(sc.eps, sc.mu, u) {
+		sc.roles[u] = roleNewCore
 	}
 }
 
-// union unions core u with each similar core v > u, so every similar
-// core pair is unioned once.
+// union walks core u's neighbour order from its cursor to the end of the
+// similar prefix, unioning u with each similar core v > u and, if u is a
+// new core, with each similar old core. Every similar core pair is so
+// unioned at the first step where both are cores and the arc is similar:
+// by the smaller end if both are old (the arc is new to both walks) or
+// both new, and by the new end otherwise.
 func (sc *sweepScratch) union(u int32, _ int) {
 	g := sc.ix.g
 	uOff := g.Off[u]
-	for _, i := range sc.ix.order[uOff : uOff+int64(g.Degree(u))] {
+	old := sc.roles[u] == result.RoleCore
+	joinOld := sc.carried && !old // old cores exist, and their walks skipped u
+	k := int32(0)
+	if old {
+		k = sc.cursor[u]
+	}
+	for _, i := range sc.ix.order[uOff+int64(k) : uOff+int64(g.Degree(u))] {
 		pos := uOff + int64(i)
 		v := g.Dst[pos]
-		if !sc.ix.edgeSimGE(sc.th.Eps, u, pos, v) {
-			return // neighbour order: everything after is < eps
+		if !sc.ix.edgeSimGE(sc.eps, u, pos, v) {
+			break // neighbour order: everything after is < eps
 		}
-		if v > u && sc.roles[v] == result.RoleCore {
+		k++
+		if v > u {
+			if isCore(sc.roles[v]) {
+				sc.uf.Union(u, v)
+			}
+		} else if joinOld && sc.roles[v] == result.RoleCore {
 			sc.uf.Union(u, v)
 		}
 	}
+	sc.cursor[u] = k
 }
 
 // appendMemberships appends one membership of non-core v per cluster of
@@ -164,10 +244,10 @@ func (sc *sweepScratch) appendMemberships(dst []result.Membership, v int32) []re
 	for _, i := range sc.ix.order[vOff : vOff+int64(g.Degree(v))] {
 		pos := vOff + int64(i)
 		u := g.Dst[pos]
-		if !sc.ix.edgeSimGE(sc.th.Eps, v, pos, u) {
+		if !sc.ix.edgeSimGE(sc.eps, v, pos, u) {
 			break
 		}
-		if sc.roles[u] == result.RoleCore {
+		if isCore(sc.roles[u]) {
 			dst = append(dst, result.Membership{V: v, ClusterID: sc.uf.Find(u)})
 		}
 	}

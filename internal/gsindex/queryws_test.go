@@ -46,6 +46,50 @@ func TestQueryWorkspaceMatchesQuery(t *testing.T) {
 	}
 }
 
+// TestSweepWorkspaceMatchesQuery: across the corpus, µ ∈ {1, 2, 5} and
+// indexes built at 1, 2 and 7 workers, every step of a sweep over the
+// parameter grid's ε from the largest down equals a fresh QueryWorkspace
+// at that ε, so carrying the union-find and the cursors across steps
+// changes no answer. A grid that rises is refused.
+func TestSweepWorkspaceMatchesQuery(t *testing.T) {
+	var grid []simdef.Epsilon
+	for _, e := range []string{"1", "0.8", "0.65", "0.5", "0.35", "0.2"} {
+		grid = append(grid, simdef.MustEpsilon(e))
+	}
+	sweepWS, queryWS := engine.NewWorkspace(), engine.NewWorkspace()
+	defer sweepWS.Close()
+	defer queryWS.Close()
+	ctx := context.Background()
+	for _, tc := range algotest.Corpus() {
+		for _, workers := range []int{1, 2, 7} {
+			ix := Build(tc.G, BuildOptions{Workers: workers})
+			for _, mu := range []int32{1, 2, 5} {
+				steps := 0
+				err := ix.SweepWorkspace(ctx, grid, mu, sweepWS, func(i int, got *result.Result) {
+					steps++
+					requireExact(t, tc.G, got, simdef.Threshold{Eps: grid[i], Mu: mu})
+					want, err := ix.QueryWorkspace(ctx, grid[i].String(), mu, queryWS)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := result.Equal(want, got); err != nil {
+						t.Fatalf("%s workers=%d eps=%s mu=%d: %v", tc.Name, workers, grid[i], mu, err)
+					}
+				})
+				if err != nil || steps != len(grid) {
+					t.Fatalf("%s workers=%d mu=%d: %d of %d steps, err %v", tc.Name, workers, mu, steps, len(grid), err)
+				}
+			}
+		}
+	}
+	rising := []simdef.Epsilon{grid[1], grid[0]}
+	if err := Build(algotest.RandomGraph(3), BuildOptions{}).SweepWorkspace(ctx, rising, 2, nil, func(int, *result.Result) {
+		t.Error("a rising grid yielded a step")
+	}); err == nil {
+		t.Error("a rising grid was accepted")
+	}
+}
+
 // requireExact fails unless r is the SCAN answer on g and its memberships
 // are strictly increasing in (V, ClusterID): the extraction's own order,
 // with no Normalize behind it.

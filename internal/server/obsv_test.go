@@ -14,6 +14,7 @@ import (
 
 	"ppscan/internal/gen"
 	"ppscan/internal/obsv"
+	"ppscan/internal/simdef"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -89,8 +90,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK)
 
 	size, evictions := srv.cache.len(), srv.cache.evictions
-	_, has04 := srv.cache.items[cacheKey{eps: "0.4", mu: 2, algo: "ppscan"}]
-	_, has05 := srv.cache.items[cacheKey{eps: "0.5", mu: 2, algo: "ppscan"}]
+	_, has04 := srv.cache.items[cacheKey{eps: simdef.MustEpsilon("0.4"), mu: 2, algo: "ppscan"}]
+	_, has05 := srv.cache.items[cacheKey{eps: simdef.MustEpsilon("0.5"), mu: 2, algo: "ppscan"}]
 	if size != 2 {
 		t.Errorf("cache size = %d, want 2", size)
 	}
@@ -138,31 +139,31 @@ func TestRequestLogging(t *testing.T) {
 
 func TestLRUUnit(t *testing.T) {
 	c := newLRU(2)
-	k := func(e string) cacheKey { return cacheKey{eps: e, mu: 1, algo: "ppscan"} }
-	c.add(k("a"), nil)
-	c.add(k("b"), nil)
-	if _, ok := c.get(k("a")); !ok {
-		t.Fatal("a missing")
+	k := func(e string) cacheKey { return cacheKey{eps: simdef.MustEpsilon(e), mu: 1, algo: "ppscan"} }
+	c.add(k("0.1"), nil)
+	c.add(k("0.2"), nil)
+	if _, ok := c.get(k("0.1")); !ok {
+		t.Fatal("0.1 missing")
 	}
-	c.add(k("c"), nil) // evicts b (a was refreshed)
-	if _, ok := c.get(k("b")); ok {
-		t.Error("b should have been evicted")
+	c.add(k("0.3"), nil) // evicts 0.2 (0.1 was refreshed)
+	if _, ok := c.get(k("0.2")); ok {
+		t.Error("0.2 should have been evicted")
 	}
-	if _, ok := c.get(k("a")); !ok {
-		t.Error("a should survive")
+	if _, ok := c.get(k("0.1")); !ok {
+		t.Error("0.1 should survive")
 	}
 	if c.len() != 2 || c.evictions != 1 {
 		t.Errorf("len=%d evictions=%d", c.len(), c.evictions)
 	}
 	// Re-adding an existing key refreshes, no eviction.
-	c.add(k("a"), nil)
+	c.add(k("0.1"), nil)
 	if c.len() != 2 || c.evictions != 1 {
 		t.Errorf("after refresh: len=%d evictions=%d", c.len(), c.evictions)
 	}
 	// Degenerate capacity clamps to 1.
 	c1 := newLRU(0)
-	c1.add(k("x"), nil)
-	c1.add(k("y"), nil)
+	c1.add(k("0.4"), nil)
+	c1.add(k("0.5"), nil)
 	if c1.len() != 1 {
 		t.Errorf("cap-0 cache len = %d, want 1", c1.len())
 	}

@@ -168,10 +168,11 @@ type Server struct {
 	cache *lruCache
 }
 
-// cacheKey identifies one cached answer. algo is the answer's source, set
-// by keyFor alone.
+// cacheKey identifies one cached answer. eps is the exact ε, so "0.5",
+// "0.50" and "1/2" share an entry. algo is the answer's source, set by
+// keyFor alone.
 type cacheKey struct {
-	eps   string
+	eps   simdef.Epsilon
 	mu    int
 	algo  ppscan.Algorithm
 	epoch uint64
@@ -304,7 +305,7 @@ func (s *Server) WithShards(c *shard.Coordinator) *Server {
 const shardRetryAfterSecs = 5
 
 // WithSweepMaxSteps bounds the ε grid one GET /cluster/sweep request may
-// stream (default DefaultSweepMaxSteps); n < 1 restores the default.
+// answer (default DefaultSweepMaxSteps); n < 1 restores the default.
 func (s *Server) WithSweepMaxSteps(n int) *Server {
 	if n < 1 {
 		n = DefaultSweepMaxSteps
@@ -398,15 +399,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	n, err := r.ResponseWriter.Write(b)
 	r.bytes += n
 	return n, err
-}
-
-// Flush forwards to the underlying writer so streaming endpoints
-// (/cluster/sweep) can push each NDJSON line immediately; the embedded
-// interface alone would hide the wrapped writer's Flusher.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // instrument wraps an endpoint with metrics collection and optional
@@ -610,13 +602,14 @@ func (s *Server) acquire() (release func(), err error) {
 // by the fleet, which ignores algo= the same way. The engine name
 // otherwise.
 func (s *Server) keyFor(st *epochState, eps string, mu int, algo ppscan.Algorithm, sweep bool) cacheKey {
+	exact, _ := simdef.ParseEpsilon(eps) // params validated every ε
 	switch {
 	case sweep || st.ix != nil:
 		algo = "index"
 	case s.coord != nil:
 		algo = "shard"
 	}
-	return cacheKey{eps: eps, mu: mu, algo: algo, epoch: st.epoch()}
+	return cacheKey{eps: exact, mu: mu, algo: algo, epoch: st.epoch()}
 }
 
 // resolve answers validated parameters through the pipeline's fixed stage
@@ -646,7 +639,7 @@ func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int
 		ws = s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
 		defer s.pool.Release(ws)
 	}
-	return s.answer(ctx, st, key, ix, ws)
+	return s.answer(ctx, st, key, eps, ix, ws)
 }
 
 // similarity obtains the (ε, µ)-independent artifact any number of
@@ -703,18 +696,19 @@ func (s *Server) epochIndex(ctx context.Context, st *epochState) (*ppscan.Index,
 	return ix, err
 }
 
-// answer produces one cache miss's clustering — extracted from ix on ws
-// when there is an artifact, else computed by the backend under the slot
-// similarity took — and makes the pipeline's one cache insert.
-func (s *Server) answer(ctx context.Context, st *epochState, key cacheKey, ix *ppscan.Index, ws *ppscan.Workspace) (res *ppscan.Result, err error) {
+// answer produces one cache miss's clustering at the request's eps —
+// extracted from ix on ws when there is an artifact, else computed by the
+// backend under the slot similarity took — and makes the pipeline's one
+// cache insert.
+func (s *Server) answer(ctx context.Context, st *epochState, key cacheKey, eps string, ix *ppscan.Index, ws *ppscan.Workspace) (res *ppscan.Result, err error) {
 	switch {
 	case ix != nil:
-		res, err = extract(ctx, ix, key.eps, key.mu, ws)
+		res, err = extract(ctx, ix, eps, key.mu, ws)
 	case s.coord != nil:
 		// Freshly allocated by the coordinator: nothing to detach.
-		res, err = s.coord.Run(ctx, key.eps, int32(key.mu))
+		res, err = s.coord.Run(ctx, eps, int32(key.mu))
 	default:
-		res, err = s.runDirect(ctx, st, key.eps, key.mu, key.algo)
+		res, err = s.runDirect(ctx, st, eps, key.mu, key.algo)
 	}
 	if err != nil {
 		return nil, err
@@ -917,7 +911,7 @@ type clusterSummary struct {
 }
 
 // summarize builds the body /cluster answers with and /cluster/sweep
-// streams per step. eps echoes the request's own string, not the
+// writes per step. eps echoes the request's own string, not the
 // normalized rational the engine reports.
 func summarize(eps string, mu int, res *ppscan.Result, members bool) clusterSummary {
 	out := clusterSummary{

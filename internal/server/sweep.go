@@ -1,13 +1,16 @@
 // GET /cluster/sweep — parameter-sweep serving: compute similarities
-// once, stream one clustering per ε step.
+// once, answer one clustering per ε step.
 //
 // The paper's own motivation for structural clustering is interactive
 // (ε, µ) exploration, and the expensive similarity computation does not
-// depend on either parameter. A sweep therefore extracts every requested
-// ε from its epoch's GS*-Index (Server.similarity), building that index
-// once per epoch if the epoch has none yet and leaving it for every later
-// request, on a single pooled workspace, emitting one NDJSON line per step
-// as soon as it is ready.
+// depend on either parameter. A sweep therefore extracts its ε grid from
+// its epoch's GS*-Index (Server.similarity), building that index once per
+// epoch if the epoch has none yet and leaving it for every later request.
+// The gridpoints the response cache lacks are extracted on one pooled
+// workspace as one incremental sweep from the largest ε down, each step
+// extending the previous one's union-find (gsindex.SweepWorkspace). The
+// NDJSON lines follow in the request's order, so the first line waits for
+// the last step.
 //
 // The ε grid is parsed with exact integer decimal arithmetic: "0.2:0.8:
 // 0.05" generates the exact decimal strings "0.2", "0.25", ..., "0.8",
@@ -19,15 +22,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"ppscan"
 	"ppscan/internal/simdef"
 )
 
 // DefaultSweepMaxSteps bounds the ε grid a single sweep request may
-// stream unless overridden with WithSweepMaxSteps: a runaway grid
+// answer unless overridden with WithSweepMaxSteps: a runaway grid
 // ("0.0001:1:0.0001") would otherwise hold its workspace and admission
 // slot for 10⁴ extractions.
 const DefaultSweepMaxSteps = 256
@@ -152,18 +157,18 @@ func formatDec(v int64, scale int) string {
 	return whole + "." + frac
 }
 
-// handleSweep streams one clusterSummary NDJSON line per ε step. It is
-// the resolve pipeline with the similarity artifact hoisted out of the
-// loop: parse, one similarity (building the epoch's index if it has none),
-// then per gridpoint the response cache, extraction and the cache insert.
-// The response is chunked and flushed per step, so a client reads the
-// first clustering while later ones are still being extracted; client
-// disconnect or deadline expiry aborts between (and inside) steps, and
-// the single deferred workspace Release is the only return path — an
-// abandoned stream can neither leak the workspace nor release it twice.
+// handleSweep answers one clusterSummary NDJSON line per ε gridpoint,
+// in the request's order. It is the resolve pipeline with the similarity
+// artifact hoisted out of the loop: parse, one similarity (building the
+// epoch's index if it has none), the response cache per distinct exact ε,
+// then one incremental index sweep over the missing gridpoints from the
+// largest ε down, each step cloned into the cache. Every step is computed
+// before the first byte is written, so any failure — a client disconnect
+// or deadline expiry included — is a status via writeResolveError, and
+// the single deferred workspace Release is the only return path.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	// Every gridpoint is validated up front: a bad ε must be a 400, not a
-	// mid-stream error line.
+	// Every gridpoint is validated up front: a bad ε is a 400 before any
+	// work.
 	epsList, mu, _, err := s.params(r, true)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -174,7 +179,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// One state load pins the whole sweep to a single snapshot: every
 	// step, cache key, and workspace sizing below derives from st, so a
-	// concurrent mutation batch cannot tear the stream across epochs.
+	// concurrent mutation batch cannot tear the response across epochs.
 	st := s.state.Load()
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
@@ -186,46 +191,59 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// One pooled workspace serves every step, grow-only across the grid.
-	ws := s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
-	defer s.pool.Release(ws)
+	// Each distinct exact ε goes through the shared response cache once,
+	// under the key every extracted answer uses (see keyFor): a sweep hits
+	// entries earlier requests left behind and warms the cache for the
+	// drill-down /cluster queries that typically follow a sweep.
+	keys := make([]cacheKey, len(epsList))
+	sums := make(map[cacheKey]clusterSummary, len(epsList))
+	var missing []cacheKey
+	for i, eps := range epsList {
+		k := s.keyFor(st, eps, mu, "", true)
+		keys[i] = k
+		if _, seen := sums[k]; seen {
+			continue
+		}
+		if res, hit := s.cache.get(k); hit {
+			sums[k] = summarize(eps, mu, res, withMembers)
+		} else {
+			sums[k] = clusterSummary{} // its sweep step fills it in
+			missing = append(missing, k)
+		}
+	}
+	if len(missing) > 0 {
+		slices.SortFunc(missing, func(a, b cacheKey) int { return b.eps.Cmp(a.eps) })
+		epsDesc := make([]simdef.Epsilon, len(missing))
+		for i, k := range missing {
+			epsDesc[i] = k.eps
+		}
+		// One pooled workspace carries the sweep state across the steps.
+		ws := s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
+		defer s.pool.Release(ws)
+		ts := time.Now()
+		err = ix.SweepWorkspace(ctx, epsDesc, int32(mu), ws, func(i int, res *ppscan.Result) {
+			res = res.Clone() // the next step overwrites ws's buffers
+			s.cache.add(missing[i], res)
+			sums[missing[i]] = summarize("", mu, res, withMembers)
+			s.sweepStepNs.Observe(time.Since(ts).Nanoseconds())
+			ts = time.Now()
+		})
+		if err != nil {
+			if ctx.Err() != nil {
+				s.sweepDisconnects.Inc()
+			}
+			s.writeResolveError(w, err)
+			return
+		}
+	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	wrote := false
-	for _, eps := range epsList {
-		// Each gridpoint goes through the shared response cache under the
-		// key every extracted answer uses (see keyFor): a sweep hits entries
-		// earlier requests left behind and warms the cache for the
-		// drill-down /cluster queries that typically follow a sweep, which
-		// extract from the same epoch's index.
-		key := s.keyFor(st, eps, mu, "", true)
-		res, hit := s.cache.get(key)
-		if !hit {
-			ts := time.Now()
-			res, err = s.answer(ctx, st, key, ix, ws)
-			if err != nil {
-				if ctx.Err() != nil {
-					s.sweepDisconnects.Inc()
-				}
-				if !wrote {
-					s.writeResolveError(w, err)
-				} else {
-					// Mid-stream there is no status left to send; emit a
-					// terminal error line and stop.
-					_ = enc.Encode(map[string]string{"error": err.Error()})
-				}
-				return
-			}
-			s.sweepStepNs.Observe(time.Since(ts).Nanoseconds())
-		}
+	for i, eps := range epsList {
+		line := sums[keys[i]]
+		line.Eps = eps
 		s.sweepSteps.Inc()
-		_ = enc.Encode(summarize(eps, mu, res, withMembers))
-		wrote = true
-		if flusher != nil {
-			flusher.Flush()
-		}
+		_ = enc.Encode(line)
 	}
 	// A slow sweep is a tail-latency event like any other: retain it with
 	// the grid spec as the parameter signature.

@@ -488,39 +488,47 @@ func TestSweepIndexCarriesAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestSweepDisconnectReleasesWorkspaceOnce: a client abandoning the
-// stream mid-sweep must release the pooled workspace exactly once — no
-// leak (Retained would stay 0), no double release (Retained would reach
-// 2, or Discards would advance).
+// TestSweepDisconnectReleasesWorkspaceOnce: a client abandoning a sweep
+// mid-grid must release the pooled workspace exactly once — no leak
+// (Retained would stay 0), no double release (Retained would reach 2, or
+// Discards would advance).
 func TestSweepDisconnectReleasesWorkspaceOnce(t *testing.T) {
 	g := gen.Roll(20000, 24, 3)
 	srv := New(g, 2).WithSweepMaxSteps(400)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Warm sweep: seeds the pool with exactly one workspace (miss + release).
+	// Warm sweep: seeds the pool with exactly one workspace (miss + release)
+	// and counts one step.
 	if n := len(sweepLines(t, ts, "/cluster/sweep?eps=0.5&mu=3")); n != 1 {
 		t.Fatalf("warm sweep: %d lines, want 1", n)
 	}
 
-	// Disconnected sweep: read ONE line of a ~280-step grid, then hang up.
+	// Disconnected sweep: hang up on a ~280-step grid once the server has
+	// extracted one of its steps. No line is written before the last step,
+	// so the request is still waiting for its headers.
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		ts.URL+"/cluster/sweep?eps=0.2:0.76:0.002&mu=3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	if !sc.Scan() {
-		t.Fatalf("no first line before disconnect: %v", sc.Err())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	stepNs := srv.reg.Histogram(obsv.MetricServerSweepStepNs)
+	for deadline := time.Now().Add(10 * time.Second); stepNs.Count() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep never extracted a step")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	cancel()
-	resp.Body.Close()
+	<-done
 
 	// The handler observes the disconnect asynchronously; wait for the
 	// workspace to come home.
@@ -550,5 +558,76 @@ func TestSweepDisconnectReleasesWorkspaceOnce(t *testing.T) {
 	}
 	if v := srv.reg.Counter(obsv.MetricServerSweepSteps).Value(); v >= 281 {
 		t.Errorf("sweep.steps = %d; the disconnected sweep appears to have run to completion", v)
+	}
+}
+
+// TestSweepDeadlineIsAStatus: a sweep whose deadline expires after its
+// first gridpoint was answered (here from the cache) is an error status
+// with Retry-After, never a 200 with a partial body.
+func TestSweepDeadlineIsAStatus(t *testing.T) {
+	g := gen.Roll(300, 8, 3)
+	srv := New(g, 2).WithIndex(ppscan.BuildIndex(g, 2))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	get(t, ts, "/cluster?eps=0.3&mu=3", http.StatusOK)
+
+	srv.WithAdmission(0, time.Nanosecond)
+	resp, err := http.Get(ts.URL + "/cluster/sweep?eps=0.3:0.6:0.1&mu=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" || body["error"] == nil {
+		t.Errorf("sweep past its deadline: status %d, Retry-After %q, body %v; want 503 with Retry-After and an error",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if v := srv.reg.Counter(obsv.MetricServerSweepDisconnects).Value(); v != 1 {
+		t.Errorf("sweep.disconnects = %d, want 1", v)
+	}
+}
+
+// TestCacheKeyExactEps: the response cache is keyed by the exact ε, so
+// equal thresholds written differently share one entry, while every
+// response echoes the ε string its request gave.
+func TestCacheKeyExactEps(t *testing.T) {
+	g := gen.Roll(300, 8, 3)
+	srv := New(g, 2).WithIndex(ppscan.BuildIndex(g, 2))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	hits, misses := srv.reg.Counter(obsv.MetricCacheHits), srv.reg.Counter(obsv.MetricCacheMisses)
+
+	first := get(t, ts, "/cluster?eps=0.5&mu=3", http.StatusOK)
+	second := get(t, ts, "/cluster?eps=1/2&mu=3", http.StatusOK)
+	if misses.Value() != 1 || hits.Value() != 1 {
+		t.Errorf("/cluster at 0.5 then 1/2: %d misses, %d hits; want 1 and 1", misses.Value(), hits.Value())
+	}
+	if first["eps"] != "0.5" || second["eps"] != "1/2" {
+		t.Errorf("echoed eps %v, %v; want 0.5, 1/2", first["eps"], second["eps"])
+	}
+
+	// A comma list with a repeat and out of order: one extraction per
+	// distinct ε, the lines in request order, each equal to /cluster.
+	wantEps := []string{"0.5", "0.3", "0.50", "0.4"}
+	lines := sweepLines(t, ts, "/cluster/sweep?eps="+strings.Join(wantEps, ",")+"&mu=3")
+	if len(lines) != len(wantEps) {
+		t.Fatalf("got %d lines, want %d", len(lines), len(wantEps))
+	}
+	if c := srv.reg.Histogram(obsv.MetricServerSweepStepNs).Count(); c != 2 {
+		t.Errorf("sweep.step_ns count = %d, want 2 (0.3 and 0.4; 0.5 was cached)", c)
+	}
+	for i, line := range lines {
+		if line["eps"] != wantEps[i] {
+			t.Errorf("line %d: eps %v, want %s", i, line["eps"], wantEps[i])
+		}
+		ref := get(t, ts, fmt.Sprintf("/cluster?eps=%s&mu=3", wantEps[i]), http.StatusOK)
+		for _, k := range []string{"clusters", "cores", "memberships", "coverage"} {
+			if line[k] != ref[k] {
+				t.Errorf("eps=%s: sweep %s = %v, /cluster says %v", wantEps[i], k, line[k], ref[k])
+			}
+		}
 	}
 }

@@ -20,6 +20,7 @@
 package simdef
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -131,6 +132,13 @@ func MustEpsilon(s string) Epsilon {
 // Float returns the floating-point value of ε.
 func (e Epsilon) Float() float64 {
 	return float64(e.Num) / float64(e.Den)
+}
+
+// Cmp compares e with f exactly, returning -1, 0 or +1. Both sides are
+// ParseEpsilon values (numerator and denominator below 2³²), so the
+// cross products fit in 64 bits.
+func (e Epsilon) Cmp(f Epsilon) int {
+	return cmp.Compare(e.Num*f.Den, f.Num*e.Den)
 }
 
 // String formats ε as its reduced rational.

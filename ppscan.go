@@ -295,7 +295,8 @@ func BuildIndexContext(ctx context.Context, g *graph.Graph, workers int) (*Index
 
 // QueryIndexWorkspace answers one (ε, µ) clustering query from a built
 // index, drawing every scratch buffer from ws — the similarity-reuse entry
-// point behind the server's index serving and GET /cluster/sweep:
+// point behind the server's index-served routes (GET /cluster/sweep runs
+// the same extraction as one incremental sweep over its ε grid):
 // similarities are computed once (the index build) and each parameterization
 // is then extracted with zero steady-state allocations. Roles and core
 // unions run in parallel on ws's crew, with the worker count the index was
