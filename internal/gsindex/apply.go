@@ -27,18 +27,20 @@
 //     (affected). Every other run is copied.
 //
 // Touched and affected runs go through sortRun, the routine Build sorts
-// every run with: a touched run is sorted afresh, and an untouched
-// affected run keeps its copied order and is finished by one insertion
-// pass. The run comparator is a strict total order (similarity ties break
-// on vertex id), so the sorted permutation is unique: the repaired arrays
-// are bit-identical to what a from-scratch Build over the new snapshot
-// would produce — the invariant the equivalence tests pin down.
+// every run with: a touched run is presorted afresh by a float key, and
+// an untouched affected run keeps its copied order; either is finished by
+// one exact insertion pass. The run comparator is a strict total order
+// (similarity ties break on vertex id), so the sorted permutation is
+// unique: the repaired arrays are bit-identical to what a from-scratch
+// Build over the new snapshot would produce — the invariant the
+// equivalence tests pin down.
 package gsindex
 
 import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -50,10 +52,12 @@ import (
 
 // applyWorker is one worker's grow-only run-sorting scratch, used by
 // Build and ApplyBatch alike. cnr and nbrs borrow the counts and the
-// adjacency of the run being sorted; dv1 caches each entry's d(v)+1.
+// adjacency of the run being sorted; dv1 caches each entry's d(v)+1, and
+// keys holds a fresh run's presort words.
 type applyWorker struct {
 	cnr, nbrs []int32
 	dv1       []uint64
+	keys      []uint64
 }
 
 // compare orders the current run's entries a, b: higher similarity
@@ -77,28 +81,57 @@ func (w *applyWorker) compare(a, b int32) int {
 	return cmp.Compare(w.nbrs[a], w.nbrs[b])
 }
 
-// sortRun sorts u's neighbor-order run under compare; it is the one
-// routine that orders runs, for Build and ApplyBatch alike. A fresh run is
-// reset to neighbor order and sorted with slices.SortFunc. Otherwise the
-// run keeps the permutation it holds and one insertion pass sorts it,
-// which costs a pass over the run plus a slot per displaced entry.
-//
-//lint:snapfreeze pre-publication: receiver is always the still-private index under construction or repair
-func (ix *Index) sortRun(u int32, w *applyWorker, fresh bool) {
+// bind points w's comparator at u's run and returns the run's order.
+func (w *applyWorker) bind(ix *Index, u int32) []int32 {
 	g := ix.g
 	off, nbrs := g.Off[u], g.Neighbors(u)
-	ord := ix.order[off : off+int64(len(nbrs))]
 	w.cnr, w.nbrs = ix.cn[off:off+int64(len(nbrs))], nbrs
 	w.dv1 = grow(w.dv1, len(nbrs))
 	for i, v := range nbrs {
 		w.dv1[i] = uint64(g.Degree(v)) + 1
 	}
-	if fresh {
-		for i := range ord {
-			ord[i] = int32(i)
+	return ix.order[off : off+int64(len(nbrs))]
+}
+
+// misordered returns the first position k > 0 at which u's run is not
+// strictly increasing under compare, or 0 when the whole run is. The run
+// must be a permutation of its positions.
+func (w *applyWorker) misordered(ix *Index, u int32) int {
+	ord := w.bind(ix, u)
+	for k := 1; k < len(ord); k++ {
+		if w.compare(ord[k-1], ord[k]) >= 0 {
+			return k
 		}
-		slices.SortFunc(ord, w.compare)
-		return
+	}
+	return 0
+}
+
+// sortRun sorts u's neighbor-order run under compare; it is the one
+// routine that orders runs, for Build and ApplyBatch alike. A fresh run is
+// first presorted by a float key: each entry's word is
+// ^float32bits(cn²/(d(v)+1))<<32 | run index, so an ascending slices.Sort
+// puts higher similarity first and breaks key ties on the index, which is
+// neighbor order. While cn < 2²⁶ the key is a composition of correctly
+// rounded operations, so it never puts a larger similarity after a smaller
+// one; it can only merge distinct similarities into one key. A run that is
+// not fresh keeps the permutation it holds. Either way one exact insertion
+// pass under compare finishes the sort, at the cost of a pass over the run
+// plus a slot per displaced entry — so compare decides every order.
+//
+//lint:snapfreeze pre-publication: receiver is always the still-private index under construction or repair
+func (ix *Index) sortRun(u int32, w *applyWorker, fresh bool) {
+	ord := w.bind(ix, u)
+	if fresh {
+		w.keys = grow(w.keys, len(ord))
+		for i, c := range w.cnr {
+			cf := float64(c)
+			key := ^math.Float32bits(float32(cf * cf / float64(w.dv1[i])))
+			w.keys[i] = uint64(key)<<32 | uint64(i)
+		}
+		slices.Sort(w.keys)
+		for i, k := range w.keys {
+			ord[i] = int32(uint32(k))
+		}
 	}
 	for k := 1; k < len(ord); k++ {
 		x, j := ord[k], k

@@ -33,11 +33,15 @@ func fuzzLoadGraph(t testing.TB) *graph.Graph {
 }
 
 // FuzzLoad: Load never panics, and whatever it accepts has per-vertex
-// permutations for orders and survives a Save / Load round trip. The
-// committed corpus (testdata/fuzz/FuzzLoad) holds a valid Save of
-// fuzzLoadGraph and corruptions of it: truncations in the header, counts
-// and orders, a bad magic, a shape mismatch, an out-of-range count, and a
-// duplicate order entry in a run of 5 and in the run of 69.
+// permutations for orders, answers a query and survives a Save / Load
+// round trip. The committed corpus (testdata/fuzz/FuzzLoad) holds a valid
+// Save of fuzzLoadGraph and corruptions of it: truncations in the header,
+// counts and orders, a bad magic, a shape mismatch, counts below 2 and
+// above d(u)+2, a duplicate order entry in a run of 5 and in the run of
+// 69, and one for each of fence's three checks: a symmetric count above
+// min(d(u), d(v))+1 on a hub's leaf edge, a clique edge whose two arcs
+// disagree (its run reordered to match), and two tied hub entries
+// swapped out of id order.
 func FuzzLoad(f *testing.F) {
 	g := fuzzLoadGraph(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -54,6 +58,9 @@ func FuzzLoad(f *testing.F) {
 					t.Fatalf("accepted order of vertex %d is not a permutation: %v", u, ix.order[off:off+deg])
 				}
 			}
+		}
+		if _, err := ix.Query("1/2", 2); err != nil {
+			t.Fatalf("query on an accepted index: %v", err)
 		}
 		var buf bytes.Buffer
 		if err := ix.Save(&buf); err != nil {
@@ -124,14 +131,16 @@ func decodeQuery(t *testing.T, data, grid []byte) (g *graph.Graph, eps []simdef.
 }
 
 // FuzzQueryWorkspace: for any small graph, ε grid and µ, on a crew of
-// 1–3 workers, a sweep over the grid sorted from the largest ε down
-// yields at every step the SCAN answer with NonCore strictly increasing,
-// equal to a fresh QueryWorkspace at that ε. An empty grid is the single
-// extraction. The committed corpus (testdata/fuzz/FuzzQueryWorkspace)
-// holds σ = ε exactly (alone and at a sweep step), µ = 1, µ = maxdeg+1,
-// an isolated vertex, the empty graph, a repeated ε, and a new core whose
-// similar cores are all older and smaller (the cores phase's both-sides
-// union).
+// 1–3 workers, the build's triangle counts equal arcCount's (Validate),
+// and a sweep over the grid sorted from the largest ε down yields at
+// every step the SCAN answer with NonCore strictly increasing, equal to a
+// fresh QueryWorkspace at that ε. An empty grid is the single extraction.
+// The committed corpus (testdata/fuzz/FuzzQueryWorkspace) holds σ = ε
+// exactly (alone and at a sweep step), µ = 1, µ = maxdeg+1, an isolated
+// vertex, the empty graph, a repeated ε, a new core whose similar cores
+// are all older and smaller (the cores phase's both-sides union), a star
+// (the hub's out-list is empty), K5 (every edge lies in 3 triangles) and
+// a 4-regular ring (every rank tie falls to the id).
 func FuzzQueryWorkspace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data, grid []byte) {
 		g, eps, mu, workers := decodeQuery(t, data, grid)
@@ -140,6 +149,9 @@ func FuzzQueryWorkspace(f *testing.F) {
 		}
 		slices.SortStableFunc(eps, func(a, b simdef.Epsilon) int { return b.Cmp(a) })
 		ix := Build(g, BuildOptions{Workers: workers})
+		if err := ix.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		ws := engine.NewWorkspace()
 		defer ws.Close()
 		steps := 0
@@ -160,12 +172,13 @@ func FuzzQueryWorkspace(f *testing.F) {
 	})
 }
 
-// FuzzApplyBatch: for any small graph and batch, ApplyBatch is
-// bit-identical to a rebuild of the new snapshot and passes Validate. The
-// committed corpus (testdata/fuzz/FuzzApplyBatch) covers a run wider than
-// 64, a delete that isolates a vertex, duplicate and cancelling ops, and
-// a batch that changes an untouched run only through its neighbors'
-// degrees.
+// FuzzApplyBatch: for any small graph and batch, the base build and
+// ApplyBatch's repair both pass Validate, and the repair is bit-identical
+// to a rebuild of the new snapshot. The committed corpus
+// (testdata/fuzz/FuzzApplyBatch) covers a run wider than 64, a delete that
+// isolates a vertex, duplicate and cancelling ops, a batch that changes an
+// untouched run only through its neighbors' degrees, a star, K5 and a
+// 4-regular ring.
 func FuzzApplyBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, batch := decodeChurn(t, data)
@@ -176,6 +189,9 @@ func FuzzApplyBatch(f *testing.F) {
 		opt := BuildOptions{Workers: 2}
 		ix, err := BuildContext(ctx, g, opt)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		d, err := graph.NewStore(g).Commit(batch)

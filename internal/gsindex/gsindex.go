@@ -4,12 +4,13 @@
 // paper's related work (§3.3) as the alternative approach to interactive
 // parameter exploration.
 //
-// The index precomputes every edge's exact intersection count once
-// (exhaustive, which the ppSCAN paper notes is prohibitively expensive on
-// massive graphs — that trade-off is reproduced faithfully: Build costs
-// roughly one SCAN-XP similarity phase) and stores, per vertex, its
-// neighbors ordered by decreasing structural similarity ("neighbor
-// order"). Afterwards any (ε, µ) query is answered in time proportional to
+// The index precomputes every edge's exact intersection count once and
+// stores, per vertex, its neighbors ordered by decreasing structural
+// similarity ("neighbor order"). The counts are exhaustive, which the
+// ppSCAN paper notes is prohibitively expensive on massive graphs; Build
+// pays it as triangle counting, the way Tseng et al.'s parallel GS*-Index
+// does: one degree-oriented pass finds each triangle once and credits its
+// three edges, instead of one merge per edge (see BuildContext). Afterwards any (ε, µ) query is answered in time proportional to
 // the similar edges it touches, with no set intersections at all:
 //
 //   - u is a core iff d[u] ≥ µ and the µ-th most similar neighbor of u has
@@ -39,6 +40,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"ppscan/graph"
@@ -84,21 +87,29 @@ func (o BuildOptions) workers() int {
 	return o.Workers
 }
 
-// Build constructs the index, computing every edge's intersection count
-// exactly once (shared to the reverse edge) and sorting the neighbor
-// orders. The computation is parallelized with the same degree-based
-// scheduler as ppSCAN.
+// Build constructs the index: every edge's intersection count from one
+// degree-oriented triangle pass, then every neighbor order. The passes
+// run on one crew under the same degree-based scheduler as ppSCAN.
 func Build(g *graph.Graph, opt BuildOptions) *Index {
 	ix, _ := BuildContext(context.Background(), g, opt) // Background never cancels
 	return ix
 }
 
-// BuildContext is Build with cooperative cancellation: the exhaustive
-// intersection pass — the expensive part the ppSCAN paper warns about —
-// checks ctx between scheduler task batches and between the two build
-// phases. A cancelled build returns (nil, ctx.Err()); there is no partial
-// index (a half-filled cn array would violate the neighbor-order
-// invariant).
+// BuildContext is Build with cooperative cancellation: every pass checks
+// ctx between scheduler task batches, and the build checks it between
+// passes. A cancelled build returns (nil, error) with ctx.Err() wrapped
+// and the pass named; there is no partial index (a half-filled cn array
+// would violate the neighbor-order invariant).
+//
+// The counts come from triangles rather than one intersection per edge:
+// cn(u, v) − 2 is the number of triangles through edge (u, v). Ranking
+// vertices by (degree, id) and keeping, per vertex, only its out-list of
+// higher-ranked neighbours, every triangle is found exactly once — from
+// its lowest-ranked vertex u, by marking out(u) and scanning out(v) for
+// each v ∈ out(u) — and credited to its three edges. An out-list is never
+// longer than √(2|E|) or than the vertex's degree, so a hub's list is
+// short and the hub is scanned only from below: the exhaustive
+// Σ d(u)·d(v) merge cost becomes O(|E|^1.5) in the worst case.
 //
 //lint:snapfreeze pre-publication: ix exists only in this builder until the return hands it to the caller
 func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index, error) {
@@ -113,44 +124,167 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 		order:   make([]int32, g.NumDirectedEdges()),
 		workers: opt.workers(),
 	}
-	// Phase 1: intersection counts, each undirected edge computed once
-	// under the u < v constraint and mirrored to the reverse offset. Only
-	// u's task writes cn[e(u,v)] and cn[e(v,u)] (v > u never computes
-	// them), so the phase is write-race-free without atomics.
-	err := sched.ForEachVertexCtx(ctx,
-		sched.Options{Workers: opt.Workers, DegreeThreshold: opt.DegreeThreshold},
-		n,
-		func(int32) bool { return true },
-		g.Degree,
-		func(u int32, worker int) {
-			uOff := g.Off[u]
-			for i, v := range g.Neighbors(u) {
-				if v <= u {
-					continue
-				}
-				c := arcCount(g, u, v)
-				ix.cn[uOff+int64(i)] = c
-				ix.cn[g.EdgeOffset(v, u)] = c
-			}
-		})
-	if err != nil {
-		return nil, fmt.Errorf("gsindex: build aborted during intersection pass after %v: %w", time.Since(start), err)
+	crew := sched.NewCrew(ix.workers)
+	defer crew.Close()
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = func() bool { return ctx.Err() != nil }
 	}
-	// Phase 2: neighbor orders, sorted by exactly-compared similarity.
-	// sortRun (apply.go) is the same routine ApplyBatch uses for repaired
-	// runs — sharing it is what makes incremental maintenance bit-identical.
-	workers := make([]applyWorker, opt.workers())
-	err = sched.ForEachVertexCtx(ctx,
-		sched.Options{Workers: opt.Workers, DegreeThreshold: opt.DegreeThreshold},
-		n,
-		func(int32) bool { return true },
-		g.Degree,
-		func(u int32, worker int) { ix.sortRun(u, &workers[worker], true) })
+	pass := func(name string, process func(u int32, worker int)) error {
+		schedOpt := sched.Options{DegreeThreshold: opt.DegreeThreshold, Phase: "gsindex " + name}
+		err := crew.ForEachVertex(schedOpt, n, nil, g.Degree, process, stop)
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
+			return fmt.Errorf("gsindex: build aborted during %s pass after %v: %w", name, time.Since(start), err)
+		}
+		return nil
+	}
+
+	t := &triangles{g: g, off: make([]int64, n+1), mark: make([][]int32, ix.workers), own: make([][]int32, ix.workers)}
+	if err := pass("out-degree", t.countOut); err != nil {
+		return nil, err
+	}
+	for u := int32(0); u < n; u++ {
+		t.off[u+1] += t.off[u]
+	}
+	t.dst = make([]int32, t.off[n])
+	t.credit = make([]int32, t.off[n])
+	if err := pass("out-list", t.layOut); err != nil {
+		return nil, err
+	}
+	if err := pass("triangle", t.enumerate); err != nil {
+		return nil, err
+	}
+	// The neighbor orders. Each task fills u's own run of counts from the
+	// credits — final once the triangle pass's barrier has passed — and
+	// sorts it with sortRun (apply.go), the routine ApplyBatch repairs
+	// runs with: sharing it is what makes incremental maintenance
+	// bit-identical.
+	workers := make([]applyWorker, ix.workers)
+	err := pass("neighbor-order", func(u int32, worker int) {
+		off := g.Off[u]
+		t.fill(u, ix.cn[off:off+int64(g.Degree(u))])
+		ix.sortRun(u, &workers[worker], true)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("gsindex: build aborted during neighbor-order pass after %v: %w", time.Since(start), err)
+		return nil, err
 	}
 	ix.buildTime = time.Since(start)
 	return ix, nil
+}
+
+// triangles is the build's transient count state: 8 B per undirected edge
+// (dst and credit) and n+1 out-list offsets, plus 4 B × n of marks per
+// worker. Each undirected edge lies in exactly one out-list — its
+// lower-ranked endpoint's — and is identified by its slot there.
+type triangles struct {
+	g *graph.Graph
+	// off[u] .. off[u+1] delimits u's out-list in dst: the neighbors that
+	// outrank u, in u's CSR (id) order.
+	off []int64
+	dst []int32
+	// credit[k] counts the triangles through slot k's edge. The triangle
+	// pass adds to it atomically; the neighbor-order pass reads it plainly
+	// after that pass's barrier.
+	credit []int32
+	// Per worker: mark has length n and, while the triangle pass visits u,
+	// holds 1 + w's position in out(u) at mark[w] and 0 elsewhere; own
+	// sums u's credits to its own slots before they are published.
+	mark, own [][]int32
+}
+
+// outranks returns the test "v ranks above u" for a fixed u: larger
+// degree, ties on larger id.
+func outranks(g *graph.Graph, u int32) func(v int32) bool {
+	du := g.Degree(u)
+	return func(v int32) bool {
+		dv := g.Degree(v)
+		return dv > du || dv == du && v > u
+	}
+}
+
+// countOut stores |out(u)| at off[u+1], for the prefix sum.
+func (t *triangles) countOut(u int32, _ int) {
+	above := outranks(t.g, u)
+	var k int64
+	for _, v := range t.g.Neighbors(u) {
+		if above(v) {
+			k++
+		}
+	}
+	t.off[u+1] = k
+}
+
+// layOut writes out(u) into its slots.
+func (t *triangles) layOut(u int32, _ int) {
+	above := outranks(t.g, u)
+	k := t.off[u]
+	for _, v := range t.g.Neighbors(u) {
+		if above(v) {
+			t.dst[k] = v
+			k++
+		}
+	}
+}
+
+// enumerate finds every triangle whose lowest-ranked vertex is u: for
+// each v ∈ out(u), every w ∈ out(v) marked as a member of out(u) closes
+// the triangle (u, v, w) with rank u < v < w. Edges (u, v) and (u, w) are
+// u's own slots, summed in own and published once; (v, w) is v's slot,
+// which other workers credit too.
+func (t *triangles) enumerate(u int32, worker int) {
+	lo, hi := t.off[u], t.off[u+1]
+	if hi-lo < 2 {
+		return
+	}
+	if t.mark[worker] == nil {
+		t.mark[worker] = make([]int32, t.g.NumVertices())
+	}
+	mark := t.mark[worker]
+	out := t.dst[lo:hi]
+	own := grow(t.own[worker], len(out))
+	t.own[worker] = own
+	for i, v := range out {
+		mark[v] = int32(i) + 1
+	}
+	for i, v := range out {
+		vlo := t.off[v]
+		for j, w := range t.dst[vlo:t.off[v+1]] {
+			if m := mark[w]; m != 0 {
+				own[i]++
+				own[m-1]++
+				atomic.AddInt32(&t.credit[vlo+int64(j)], 1)
+			}
+		}
+	}
+	for i, v := range out {
+		mark[v] = 0
+		if own[i] != 0 {
+			atomic.AddInt32(&t.credit[lo+int64(i)], own[i])
+			own[i] = 0
+		}
+	}
+}
+
+// fill writes u's counts into run, u's CSR run of cn: an edge to a
+// higher-ranked v is u's next out-list slot, and an edge to a lower-ranked
+// v is v's slot for u, found by binary search in out(v).
+func (t *triangles) fill(u int32, run []int32) {
+	k, hi := t.off[u], t.off[u+1]
+	for i, v := range t.g.Neighbors(u) {
+		if k < hi && t.dst[k] == v {
+			//lint:atomicok the triangle pass's barrier has passed: credits are final and read-only
+			run[i] = t.credit[k] + 2
+			k++
+			continue
+		}
+		vlo := t.off[v]
+		j, _ := slices.BinarySearch(t.dst[vlo:t.off[v+1]], u)
+		//lint:atomicok the triangle pass's barrier has passed: credits are final and read-only
+		run[i] = t.credit[vlo+int64(j)] + 2
+	}
 }
 
 // Graph returns the indexed graph.
@@ -191,35 +325,29 @@ func (ix *Index) Query(eps string, mu int32) (*result.Result, error) {
 	return ix.QueryWorkspace(context.Background(), eps, mu, nil)
 }
 
-// Validate cross-checks the index invariants: stored counts match
-// recomputed intersections and each neighbor order is non-increasing in
-// similarity. Intended for tests; O(Σ d²).
+// Validate cross-checks the index invariants: every stored count equals
+// arcCount's per-arc merge — the oracle the triangle pass is tested
+// against — and every neighbor order is strictly increasing under the
+// run comparator. Intended for tests; O(Σ d²).
 func (ix *Index) Validate() error {
 	g := ix.g
+	var w applyWorker
 	for u := int32(0); u < g.NumVertices(); u++ {
 		uOff := g.Off[u]
-		nbrs := g.Neighbors(u)
-		du1 := uint64(g.Degree(u)) + 1
-		for i, v := range nbrs {
+		for i, v := range g.Neighbors(u) {
 			if want, got := arcCount(g, u, v), ix.cn[uOff+int64(i)]; got != want {
 				return fmt.Errorf("gsindex: cn[e(%d,%d)] = %d, want %d", u, v, got, want)
 			}
 		}
-		deg := int64(g.Degree(u))
-		for k := int64(1); k < deg; k++ {
-			a, b := int64(ix.order[uOff+k-1]), int64(ix.order[uOff+k])
-			pa := du1 * (uint64(g.Degree(nbrs[a])) + 1)
-			pb := du1 * (uint64(g.Degree(nbrs[b])) + 1)
-			if simdef.CompareSimValues(ix.cn[uOff+a], pa, ix.cn[uOff+b], pb) < 0 {
-				return fmt.Errorf("gsindex: neighbor order of %d not non-increasing at %d", u, k)
-			}
+		if k := w.misordered(ix, u); k > 0 {
+			return fmt.Errorf("gsindex: neighbor order of %d not strictly decreasing in similarity at %d", u, k)
 		}
 	}
 	return nil
 }
 
-// arcCount is the exact |Γ(u) ∩ Γ(v)| of arc (u, v), the one number the
-// index stores per arc; the build and Validate both compute it here.
+// arcCount is the exact |Γ(u) ∩ Γ(v)| of arc (u, v) by one merge, the
+// reference Validate checks the triangle pass's counts against.
 func arcCount(g *graph.Graph, u, v int32) int32 {
 	return intersect.Count(g.Neighbors(u), g.Neighbors(v)) + 2
 }

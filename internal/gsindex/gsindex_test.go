@@ -4,8 +4,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppscan/graph"
 	"ppscan/internal/algotest"
 	"ppscan/internal/engine"
+	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
@@ -114,29 +116,51 @@ func TestQueryRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestBuildWorkerIndependence: the run comparator is a strict total
+// order and every count is exact, so the build is bit-identical at any
+// crew size and task granularity — on a hub-heavy RMAT, a planted
+// partition and a 6-regular ring, where every rank tie falls to the id.
 func TestBuildWorkerIndependence(t *testing.T) {
-	g := algotest.RandomGraph(85)
-	a := Build(g, BuildOptions{Workers: 1})
-	b := Build(g, BuildOptions{Workers: 7, DegreeThreshold: 8})
-	for i := range a.cn {
-		if a.cn[i] != b.cn[i] {
-			t.Fatalf("cn differs at %d", i)
-		}
+	graphs := map[string]*graph.Graph{
+		"rmat":    gen.RMAT(10, 8000, .57, .19, .19, 85),
+		"planted": gen.PlantedPartition(20, 30, 0.5, 0.01, 85),
+		"ring":    gen.WattsStrogatz(400, 6, 0, 85),
 	}
-	// Orders may differ only among exactly-equal similarity ties; verify
-	// queries agree instead.
-	ra, _ := a.Query("0.4", 2)
-	rb, _ := b.Query("0.4", 2)
-	if err := result.Equal(ra, rb); err != nil {
-		t.Fatalf("worker count changed query result: %v", err)
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			want := Build(g, BuildOptions{Workers: 1})
+			if err := want.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 7} {
+				for _, threshold := range []int64{8, 0} {
+					requireBitIdentical(t, Build(g, BuildOptions{Workers: workers, DegreeThreshold: threshold}), want)
+				}
+			}
+		})
 	}
 }
 
+// builtIndex keeps BenchmarkIndexBuild's result live.
+var builtIndex *Index
+
+// BenchmarkIndexBuild builds two graphs sized for about 100 ms a build on
+// a two-core host: a planted partition (short runs, many triangles) and an
+// RMAT (hubs, long runs, few triangles).
 func BenchmarkIndexBuild(b *testing.B) {
-	g := algotest.RandomGraph(87)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(g, BuildOptions{})
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"planted", gen.PlantedPartition(750, 50, 0.5, 3.0/(750*50), 87)},
+		{"rmat", gen.RMAT(15, 320_000, .57, .19, .19, 87)},
+	}
+	for _, tc := range graphs {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				builtIndex = Build(tc.g, BuildOptions{})
+			}
+		})
 	}
 }
 

@@ -38,8 +38,8 @@ func (ix *Index) Save(w io.Writer) error {
 
 // Load deserializes an index previously written by Save and attaches it to
 // g, verifying that the stored shape matches the graph and that the
-// payload satisfies the index invariants cheaply (full verification is
-// available via Validate).
+// payload passes fence, every invariant checkable in one pass over the arcs;
+// Validate adds the exact counts.
 func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	br := bufio.NewReader(r)
 	var magic uint32
@@ -72,27 +72,55 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	if err := binary.Read(br, binary.LittleEndian, ix.order); err != nil {
 		return nil, fmt.Errorf("gsindex: reading orders: %w", err)
 	}
-	// Cheap sanity checks: counts in range, orders are per-vertex
-	// permutations. seen[o] holds the last vertex (plus one) whose run
-	// listed entry o, so one buffer serves every run without clearing.
+	if err := ix.fence(); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// fence checks what Load can check without an intersection: every count
+// is symmetric and in 2 ≤ cn ≤ min(d(u), d(v))+1, and every run is a
+// permutation of its positions, strictly increasing under the run
+// comparator. Exact counts are Validate's, at O(Σ d²).
+func (ix *Index) fence() error {
+	g := ix.g
+	n := g.NumVertices()
+	// rev[v] counts the arcs (u, v), u < v, met so far: the reverse arc of
+	// the next one is (v, u) at position rev[v] of v's run, because v's
+	// smaller neighbors lead its run in the order u is walked. seen[o]
+	// holds the last vertex (plus one) whose run listed entry o, so one
+	// buffer serves every run without clearing.
+	rev := make([]int32, n)
 	seen := make([]int32, g.MaxDegree())
-	for u := int32(0); u < g.NumVertices(); u++ {
+	var w applyWorker
+	for u := int32(0); u < n; u++ {
 		deg := g.Degree(u)
 		uOff := g.Off[u]
-		for k := int64(0); k < int64(deg); k++ {
-			c := ix.cn[uOff+k]
-			if c < 2 || c > deg+2 {
-				return nil, fmt.Errorf("gsindex: count %d out of range at vertex %d", c, u)
+		for k, v := range g.Neighbors(u) {
+			c := ix.cn[uOff+int64(k)]
+			if c < 2 || c > min(deg, g.Degree(v))+1 {
+				return fmt.Errorf("gsindex: count %d out of range at arc (%d, %d)", c, u, v)
 			}
+			if v > u {
+				if back := ix.cn[g.Off[v]+int64(rev[v])]; back != c {
+					return fmt.Errorf("gsindex: counts of arcs (%d, %d) and (%d, %d) differ: %d, %d", u, v, v, u, c, back)
+				}
+				rev[v]++
+			}
+		}
+		for k := int64(0); k < int64(deg); k++ {
 			o := ix.order[uOff+k]
 			if o < 0 || o >= deg {
-				return nil, fmt.Errorf("gsindex: order entry %d out of range at vertex %d", o, u)
+				return fmt.Errorf("gsindex: order entry %d out of range at vertex %d", o, u)
 			}
 			if seen[o] == u+1 {
-				return nil, fmt.Errorf("gsindex: duplicate order entry at vertex %d", u)
+				return fmt.Errorf("gsindex: duplicate order entry at vertex %d", u)
 			}
 			seen[o] = u + 1
 		}
+		if k := w.misordered(ix, u); k > 0 {
+			return fmt.Errorf("gsindex: neighbor order of %d out of order at %d", u, k)
+		}
 	}
-	return ix, nil
+	return nil
 }

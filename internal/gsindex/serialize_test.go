@@ -2,6 +2,8 @@ package gsindex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"ppscan/internal/algotest"
@@ -106,5 +108,49 @@ func TestSaveLoadBigDegreeVertex(t *testing.T) {
 	}
 	if _, err := Load(&buf, g); err != nil {
 		t.Fatalf("star index round trip: %v", err)
+	}
+}
+
+// TestLoadFence corrupts a valid save of fuzzLoadGraph in each way only
+// fence's checks see — the counts stay in 2..d(u)+2 and every run stays a
+// permutation — and requires Load to refuse it for the named reason. The
+// FuzzLoad corpus holds the same three files.
+func TestLoadFence(t *testing.T) {
+	g := fuzzLoadGraph(t)
+	var buf bytes.Buffer
+	if err := Build(g, BuildOptions{Workers: 1}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m := int(g.NumDirectedEdges())
+	// put sets slot i of the counts (arr 0) or the orders (arr 1).
+	put := func(data []byte, arr, i int, v int32) {
+		binary.LittleEndian.PutUint32(data[20+4*(arr*m+i):], uint32(v))
+	}
+	hub, clique := int(g.Off[0]), int(g.Off[70]) // runs of 0 (leaves 1..69) and 70 (71..74)
+	cases := []struct {
+		name, want string
+		corrupt    func(data []byte)
+	}{
+		{"count-above-min-degree-plus-1", "out of range at arc (0, 1)", func(data []byte) {
+			put(data, 0, hub, 3)
+			put(data, 0, int(g.EdgeOffset(1, 0)), 3)
+		}},
+		{"count-asymmetric", "counts of arcs (70, 71) and (71, 70) differ", func(data []byte) {
+			put(data, 0, clique, 4)
+			for k, o := range []int32{1, 2, 3, 0} { // 71 now sorts last
+				put(data, 1, clique+k, o)
+			}
+		}},
+		{"order-misordered-tie", "neighbor order of 0 out of order", func(data []byte) {
+			put(data, 1, hub, 1)
+			put(data, 1, hub+1, 0)
+		}},
+	}
+	for _, tc := range cases {
+		data := bytes.Clone(buf.Bytes())
+		tc.corrupt(data)
+		if _, err := Load(bytes.NewReader(data), g); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

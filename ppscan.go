@@ -279,16 +279,17 @@ func EngineNames() []string {
 type Index = gsindex.Index
 
 // BuildIndex precomputes the structural clustering index for g. The build
-// performs one exhaustive similarity pass (the trade-off the ppSCAN paper
-// highlights: indexing costs roughly a SCAN-XP run, queries are then
-// near-instant for any parameters). workers < 1 means GOMAXPROCS.
+// computes every edge's similarity exhaustively, as one triangle count
+// (the trade-off the ppSCAN paper highlights: the index pays for every
+// edge up front, queries are then near-instant for any parameters).
+// workers < 1 means GOMAXPROCS.
 func BuildIndex(g *graph.Graph, workers int) *Index {
 	return gsindex.Build(g, gsindex.BuildOptions{Workers: workers})
 }
 
-// BuildIndexContext is BuildIndex with cooperative cancellation: the
-// exhaustive similarity pass checks ctx between scheduler task batches. A
-// cancelled build returns (nil, error) — there is no partial index.
+// BuildIndexContext is BuildIndex with cooperative cancellation: every
+// build pass checks ctx between scheduler task batches. A cancelled build
+// returns (nil, error) — there is no partial index.
 func BuildIndexContext(ctx context.Context, g *graph.Graph, workers int) (*Index, error) {
 	return gsindex.BuildContext(ctx, g, gsindex.BuildOptions{Workers: workers})
 }
