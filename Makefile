@@ -5,6 +5,7 @@
 # failing so `make check` stays usable offline.
 
 GO ?= go
+GOFMT ?= gofmt
 
 TOOLS_BIN            := $(CURDIR)/.tools/bin
 STATICCHECK_VERSION  ?= 2025.1.1
@@ -20,8 +21,11 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -1,6 +1,6 @@
 // Command scanshard is one shard worker of the multi-process serving tier:
 // it owns a contiguous vertex range of the graph and serves superstep
-// round RPCs (similarity, roles, clustering, membership) to a coordinator
+// round RPCs (roles, clustering, membership) to a coordinator
 // — scanserver running with -shards (see internal/shard).
 //
 // Usage:
@@ -66,7 +66,7 @@ func main() {
 		addr      = flag.String("addr", ":9100", "listen address")
 		shardID   = flag.Int("shard", -1, "this worker's shard id in [0, shards)")
 		shards    = flag.Int("shards", 0, "total shard count of the fleet")
-		workers   = flag.Int("workers", 0, "goroutines for the local similarity pass (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "goroutines for each round's ppSCAN phases (0 = GOMAXPROCS)")
 		grace     = flag.Duration("shutdown-grace", 15*time.Second, "max time to wait for in-flight rounds on SIGTERM/SIGINT")
 		chaosSeed = flag.Int64("chaos-seed", 0, "arm deterministic shard fault injection with this seed (0 = off): straggler supersteps, abrupt crashes (the process hard-exits with status 3), RPC failures")
 	)

@@ -59,7 +59,7 @@ func TestStoreCommitBasic(t *testing.T) {
 		t.Fatalf("initial epoch = %d, want 0", st.Epoch())
 	}
 	d, err := st.Commit([]EdgeOp{
-		{U: 3, V: 4},           // insert
+		{U: 3, V: 4},            // insert
 		{U: 2, V: 1, Del: true}, // delete, reversed orientation
 	})
 	if err != nil {

@@ -25,6 +25,10 @@
 // make each edge's writer unique within every phase, so the atomics carry
 // no retry loops — the design is lock-free end to end.
 //
+// The per-vertex bodies of P1–P5 and P7 are methods of Range, a walk over
+// one vertex range with the arc labels of that range: Run's is [0, n), a
+// fleet worker's (internal/shard) its partition.
+//
 // # Workspace pooling
 //
 // All O(n+m) scratch (roles, similarity labels, union-find, cluster ids,
@@ -41,7 +45,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +55,6 @@ import (
 	"ppscan/internal/result"
 	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
-	"ppscan/internal/unionfind"
 )
 
 // nonCoreBatch is the non-core clustering batch size: pairs a worker
@@ -205,7 +207,7 @@ func Run(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Op
 			coreClusterID[u] = s.clusterID[s.uf.Find(u)]
 		}
 	}
-	s.coreClusterID = coreClusterID
+	s.ids = coreClusterID
 
 	t0 = time.Now()
 	s.phase = result.PhaseClusterNonCore
@@ -244,19 +246,6 @@ func Run(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Op
 		Total:          total,
 	}
 	return res, nil
-}
-
-// fold sums the per-worker instrumentation blocks into one aggregate.
-func (s *state) fold() (calls int64, byPhase [result.NumPhases]int64, kern intersect.Stats) {
-	for i := range s.workers {
-		w := &s.workers[i]
-		for p, n := range w.compSim {
-			calls += n
-			byPhase[p] += n
-		}
-		kern.Merge(&w.kern)
-	}
-	return calls, byPhase, kern
 }
 
 // abort folds the per-worker counters into a partial Stats and wraps them
@@ -421,40 +410,26 @@ type schedInstruments struct {
 // reset; the fn* fields are method values bound once at construction so
 // the per-phase scheduling calls do not allocate closures per run.
 type state struct {
-	g             *graph.Graph
-	th            simdef.Threshold
-	ctx           context.Context
-	stop          atomic.Bool // set by context.AfterFunc on cancellation
-	opt           engine.Options
-	ws            *engine.Workspace
-	roles         []result.Role
-	sim           []int32 // simdef.EdgeSim values, accessed atomically
-	uf            *unionfind.Concurrent
-	clusterID     []int32 // per union-find root, CAS'd in P6
-	coreClusterID []int32 // per vertex, read-only after P6
-	workers       []workerState
-	reg           *obsv.Registry
-	tr            *obsv.Tracer
-	sm            *schedInstruments // nil when neither registry nor tracer observe
-	smReg         *obsv.Registry    // registry sm was built from
-	pub           *runPublisher     // nil when the registry is disabled
-	schedM        sched.Metrics     // reused per phase (field, so taking &schedM is alloc-free)
-	kernelOn      bool
-	start         time.Time
-	phaseTimes    [result.NumPhases]time.Duration
-	// phase is the stage currently attributed for CompSim counting; set by
-	// the coordinating goroutine between phases (before workers receive
-	// tasks, so the happens-before edge is the task submission).
-	phase result.PhaseID
+	// Range is the whole graph [0, n): the roles, arc labels, union-find,
+	// per-worker stat blocks and P7 batches (all grow-only, reused across
+	// runs), with the phase bodies Run shares with a fleet worker.
+	Range
+	ctx        context.Context
+	stop       atomic.Bool // set by context.AfterFunc on cancellation
+	opt        engine.Options
+	ws         *engine.Workspace
+	clusterID  []int32 // per union-find root, CAS'd in P6
+	reg        *obsv.Registry
+	tr         *obsv.Tracer
+	sm         *schedInstruments // nil when neither registry nor tracer observe
+	smReg      *obsv.Registry    // registry sm was built from
+	pub        *runPublisher     // nil when the registry is disabled
+	schedM     sched.Metrics     // reused per phase (field, so taking &schedM is alloc-free)
+	start      time.Time
+	phaseTimes [result.NumPhases]time.Duration
 	// zombie records a watchdog abort: a hung task may still reference
 	// the run's inputs, so endRun must not clear them. Coordinator-only.
 	zombie bool
-
-	// Non-core clustering batches: per-worker emission buffers flushed
-	// into collected under ncMu (all grow-only, reused across runs).
-	ncMu      sync.Mutex
-	ncLocal   [][]result.Membership
-	collected []result.Membership
 
 	// Method values and closures prebound at construction.
 	fnTrue        func(int32) bool
@@ -499,7 +474,8 @@ func newCoreState() any {
 // is the no-stale-data guarantee between runs).
 func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, ws *engine.Workspace) {
 	n := int(g.NumVertices())
-	s.g, s.th, s.ctx, s.opt, s.ws = g, th, ctx, opt, ws
+	s.g, s.lo, s.hi, s.base, s.th, s.kernel = g, 0, int32(n), 0, th, opt.Kernel
+	s.ctx, s.opt, s.ws = ctx, opt, ws
 	s.start = time.Now()
 	s.stop.Store(false)
 	s.zombie = false
@@ -507,7 +483,7 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 	s.sim = ws.AtomicSim(int(g.NumDirectedEdges()))
 	s.uf = ws.ConcurrentUF(int32(n))
 	s.clusterID = nil
-	s.coreClusterID = nil
+	s.ids = nil
 	if cap(s.workers) < opt.Workers {
 		s.workers = make([]workerState, opt.Workers)
 	} else {
@@ -568,16 +544,6 @@ func (s *state) endRun() {
 	s.g = nil
 }
 
-func (s *state) degree(u int32) int32 { return s.g.Degree(u) }
-
-func (s *state) loadSim(e int64) simdef.EdgeSim {
-	return simdef.EdgeSim(atomic.LoadInt32(&s.sim[e]))
-}
-
-func (s *state) storeSim(e int64, v simdef.EdgeSim) {
-	atomic.StoreInt32(&s.sim[e], int32(v))
-}
-
 // forEach runs one parallel phase over all vertices satisfying need on the
 // workspace's persistent crew, cut by Algorithm 5's degree-based dynamic
 // scheduling (or into static blocks for the ablation). name labels the
@@ -616,177 +582,6 @@ func (s *state) forEach(name string, need func(int32) bool, process func(u int32
 	return crew.ForEachVertex(opt, n, need, s.fnDegree, process, s.fnStop)
 }
 
-func (s *state) roleUnknown(u int32) bool { return s.roles[u] == result.RoleUnknown }
-func (s *state) isCore(u int32) bool      { return s.roles[u] == result.RoleCore }
-
-// compSim evaluates one structural similarity with the configured kernel,
-// attributing the call (and, when observability is on, the kernel-level
-// telemetry) to this worker's private block.
-func (s *state) compSim(u, v int32, worker int) simdef.EdgeSim {
-	w := &s.workers[worker]
-	w.compSim[s.phase]++
-	var st *intersect.Stats
-	if s.kernelOn {
-		st = &w.kern
-	}
-	return intersect.Sim(s.opt.Kernel, s.th.Eps, s.g.Neighbors(u), s.g.Neighbors(v), st)
-}
-
-// pruneSim is Algorithm 3's PruneSim(u): label edges by the similarity
-// predicate pruning rules and initialize u's role from the labels.
-func (s *state) pruneSim(u int32, worker int) {
-	g := s.g
-	du := g.Degree(u)
-	sd, ed := int32(0), du
-	uOff := g.Off[u]
-	for i, v := range g.Neighbors(u) {
-		e := uOff + int64(i)
-		switch s.th.Eps.PruneResult(du, g.Degree(v)) {
-		case simdef.Sim:
-			s.storeSim(e, simdef.Sim)
-			sd++
-		case simdef.NSim:
-			s.storeSim(e, simdef.NSim)
-			ed--
-		}
-	}
-	switch {
-	case sd >= s.th.Mu:
-		s.roles[u] = result.RoleCore
-	case ed < s.th.Mu:
-		s.roles[u] = result.RoleNonCore
-	default:
-		s.roles[u] = result.RoleUnknown
-	}
-}
-
-// checkCore is Algorithm 3's CheckCore(u): re-derive local sd/ed from known
-// similarity labels, then compute unknown similarities under the u < v
-// constraint, with min-max early termination. The role may remain Unknown
-// (resolved by consolidateCore).
-func (s *state) checkCore(u int32, worker int) {
-	s.roleScan(u, worker, true)
-}
-
-// consolidateCore is Algorithm 3's ConsolidateCore(u): CheckCore without
-// the u < v constraint. After it, u's role is definitely known: every
-// needed similarity is either already labeled or computed here.
-func (s *state) consolidateCore(u int32, worker int) {
-	s.roleScan(u, worker, false)
-	if s.roles[u] == result.RoleUnknown {
-		// All similarities known and neither bound fired early: sd is now
-		// exact, decide directly (sd == ed here).
-		panic("core: role still unknown after consolidation")
-	}
-}
-
-// roleScan implements the shared body of CheckCore/ConsolidateCore.
-func (s *state) roleScan(u int32, worker int, onlyGreater bool) {
-	g := s.g
-	mu := s.th.Mu
-	du := g.Degree(u)
-	sd, ed := int32(0), du
-	uOff := g.Off[u]
-	nbrs := g.Neighbors(u)
-	// Pass 1 (Algorithm 3 lines 22-30): fold in known labels.
-	for i := range nbrs {
-		switch s.loadSim(uOff + int64(i)) {
-		case simdef.Sim:
-			sd++
-			if sd >= mu {
-				s.roles[u] = result.RoleCore
-				return
-			}
-		case simdef.NSim:
-			ed--
-			if ed < mu {
-				s.roles[u] = result.RoleNonCore
-				return
-			}
-		}
-	}
-	// Pass 2 (lines 31-33): compute unknown similarities.
-	for i, v := range nbrs {
-		if onlyGreater && v <= u {
-			continue
-		}
-		e := uOff + int64(i)
-		if s.loadSim(e) != simdef.Unknown {
-			continue
-		}
-		val := s.compSim(u, v, worker)
-		// Similarity-value reuse: publish the reverse edge first so the
-		// owner of v can pick it up in its own pass 1.
-		s.storeSim(g.EdgeOffset(v, u), val)
-		s.storeSim(e, val)
-		if val == simdef.Sim {
-			sd++
-			if sd >= mu {
-				s.roles[u] = result.RoleCore
-				return
-			}
-		} else {
-			ed--
-			if ed < mu {
-				s.roles[u] = result.RoleNonCore
-				return
-			}
-		}
-	}
-	if !onlyGreater {
-		// Every edge labeled, no bound fired: sd is the exact similar
-		// count and it is < mu (otherwise we'd have returned).
-		s.roles[u] = result.RoleNonCore
-	}
-	// With the u < v constraint the role may legitimately stay Unknown.
-}
-
-// clusterCoreWithoutCompSim is Algorithm 4 lines 9-11: union adjacent cores
-// over already-known Sim edges, building small clusters that power the
-// union-find pruning of the next phase.
-func (s *state) clusterCoreWithoutCompSim(u int32, worker int) {
-	g := s.g
-	uOff := g.Off[u]
-	for i, v := range g.Neighbors(u) {
-		if u >= v || s.roles[v] != result.RoleCore {
-			continue
-		}
-		if s.loadSim(uOff+int64(i)) != simdef.Sim {
-			continue
-		}
-		if s.uf.Same(u, v) {
-			continue
-		}
-		s.uf.Union(u, v)
-	}
-}
-
-// clusterCoreWithCompSim is Algorithm 4 lines 12-16: compute the remaining
-// unknown core-core similarities (skipping pairs already clustered, the
-// union-find pruning) and union on Sim.
-func (s *state) clusterCoreWithCompSim(u int32, worker int) {
-	g := s.g
-	uOff := g.Off[u]
-	for i, v := range g.Neighbors(u) {
-		if u >= v || s.roles[v] != result.RoleCore {
-			continue
-		}
-		e := uOff + int64(i)
-		if s.loadSim(e) != simdef.Unknown {
-			continue
-		}
-		if s.uf.Same(u, v) {
-			continue
-		}
-		val := s.compSim(u, v, worker)
-		s.storeSim(g.EdgeOffset(v, u), val)
-		s.storeSim(e, val)
-		if val == simdef.Sim {
-			s.uf.Union(u, v)
-		}
-	}
-}
-
 // initClusterID is Algorithm 4 lines 17-23: CAS the minimum core id into
 // the cluster-id slot of u's union-find root.
 func (s *state) initClusterID(u int32, worker int) {
@@ -816,45 +611,4 @@ func (s *state) clusterNonCore() ([]result.Membership, error) {
 		s.flushNonCore(w)
 	}
 	return s.collected, nil
-}
-
-// nonCoreVertex processes one core's adjacency in P7.
-func (s *state) nonCoreVertex(u int32, w int) {
-	g := s.g
-	id := s.coreClusterID[u]
-	uOff := g.Off[u]
-	for i, v := range g.Neighbors(u) {
-		if s.roles[v] != result.RoleNonCore {
-			continue
-		}
-		e := uOff + int64(i)
-		sim := s.loadSim(e)
-		if sim == simdef.Unknown {
-			sim = s.compSim(u, v, w)
-			s.storeSim(g.EdgeOffset(v, u), sim)
-			s.storeSim(e, sim)
-		}
-		if sim == simdef.Sim {
-			// Grow-only per-worker batch: capacity persists across runs in the
-			// workspace scratch.
-			s.ncLocal[w] = append(s.ncLocal[w], result.Membership{V: v, ClusterID: id})
-			if len(s.ncLocal[w]) >= nonCoreBatch {
-				s.flushNonCore(w)
-			}
-		}
-	}
-}
-
-// flushNonCore drains worker w's batch into the shared list.
-func (s *state) flushNonCore(w int) {
-	b := s.ncLocal[w]
-	if len(b) == 0 {
-		return
-	}
-	s.ncMu.Lock()
-	// Grow-only shared list: capacity persists across runs in the workspace
-	// scratch.
-	s.collected = append(s.collected, b...)
-	s.ncMu.Unlock()
-	s.ncLocal[w] = b[:0]
 }

@@ -265,7 +265,7 @@ const (
 	// coordinator and the workers (request plus response bodies) — the
 	// measurement of the paper's §3.3 communication-overhead claim.
 	MetricShardCommBytes = "shard.comm_bytes"
-	// MetricShardRoundNsPrefix + round name ("sim", "roles", "cluster",
+	// MetricShardRoundNsPrefix + round name ("roles", "cluster",
 	// "members") distributes per-round wall time across the fleet barrier,
 	// retries and failovers included.
 	MetricShardRoundNsPrefix = "shard.round_ns."

@@ -39,10 +39,11 @@ func CoreClusterIDs(roles []Role, uf interface{ Find(int32) int32 }) []int32 {
 	return ids
 }
 
-// The walks below are the only loops over the similarity array of a vertex
-// range [lo, hi): sim holds the arcs of that range, sim[0] being arc
-// g.Off[lo]. The exhaustive passes (SCAN, SCAN-XP, SCAN++, anySCAN, a
-// fleet worker) differ only in the arguments they pass.
+// The walks below are the exhaustive passes' loops over the similarity
+// array of a vertex range [lo, hi): sim holds the arcs of that range, sim[0]
+// being arc g.Off[lo]. The exhaustive passes (SCAN, SCAN-XP, SCAN++,
+// anySCAN) differ only in the arguments they pass; ppSCAN's pruned phases
+// walk a range in core.Range.
 
 // LabelArcs labels u's still-Unknown arcs with the kernel kind: all of them,
 // or with upper only those to v > u. With mirror, each value is also written

@@ -135,9 +135,9 @@ func TestEdgesBadBatch(t *testing.T) {
 	s := New(testGraph(t), 2).WithMutations()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	postEdges(t, ts, "", http.StatusBadRequest)                       // empty
+	postEdges(t, ts, "", http.StatusBadRequest)                            // empty
 	postEdges(t, ts, `{"u":0,"v":1,"op":"upsert"}`, http.StatusBadRequest) // unknown op
-	postEdges(t, ts, `{"u":0,"v":99}`, http.StatusBadRequest)         // out of range
+	postEdges(t, ts, `{"u":0,"v":99}`, http.StatusBadRequest)              // out of range
 	// The failed batches must not have advanced the epoch.
 	if got := get(t, ts, "/healthz", http.StatusOK); got["epoch"].(float64) != 0 {
 		t.Fatalf("epoch = %v after rejected batches, want 0", got["epoch"])

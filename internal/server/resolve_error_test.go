@@ -17,7 +17,7 @@ import (
 func TestWriteResolveError(t *testing.T) {
 	s := New(testGraph(t), 2).WithAdmission(1, 1500*time.Millisecond)
 	crash := &shard.ShardCrashError{Shard: 1, Addr: "http://w1", Round: shard.RoundRoles, Err: errors.New("EOF")}
-	timeout := &shard.ShardTimeoutError{Shard: 2, Addr: "http://w2", Round: shard.RoundSim, Timeout: time.Second}
+	timeout := &shard.ShardTimeoutError{Shard: 2, Addr: "http://w2", Round: shard.RoundMembers, Timeout: time.Second}
 	rejected := &shard.ShardRejectedError{Shard: 0, Addr: "http://w0", Round: shard.RoundCluster, Status: 503, Kind: "draining", Msg: "going away"}
 	panicked := &ppscan.WorkerPanicError{Phase: "P1 prune-sim", Worker: 3, Value: "boom"}
 	partial := func(phase string, err error) error {
@@ -39,7 +39,7 @@ func TestWriteResolveError(t *testing.T) {
 			503, "5",
 			`{"attempts":4,"error":"shard 1 unavailable: roles round failed after 4 attempt(s), last: shard 1 (http://w1): roles RPC failed, worker crashed or unreachable: EOF","kind":"shard_unavailable","retryAfterSeconds":5,"round":"roles","shard":1}`},
 		{"shard_timeout", timeout, 500, "",
-			`{"error":"shard 2 (http://w2): sim RPC exceeded 1s deadline","kind":"shard_timeout","round":"sim","shard":2}`},
+			`{"error":"shard 2 (http://w2): members RPC exceeded 1s deadline","kind":"shard_timeout","round":"members","shard":2}`},
 		{"shard_crash", crash, 500, "",
 			`{"error":"shard 1 (http://w1): roles RPC failed, worker crashed or unreachable: EOF","kind":"shard_crash","round":"roles","shard":1}`},
 		{"shard_rejected", rejected, 500, "",

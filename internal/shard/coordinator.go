@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -719,20 +718,19 @@ func (c *Coordinator) attempt(ctx context.Context, shard int, r *replica, round 
 func checkReply(sn *coordSnap, shard int, req *StepRequest, ids []int32, resp *StepResponse) error {
 	n := sn.g.NumVertices()
 	lo, hi := sn.bounds[shard], sn.bounds[shard+1]
+	// A round labels each owned arc at most once, so it makes at most one
+	// call per owned arc.
+	if arcs := sn.g.Off[hi] - sn.g.Off[lo]; resp.Calls < 0 || resp.Calls > arcs {
+		return fmt.Errorf("%d CompSim calls over %d owned arcs", resp.Calls, arcs)
+	}
 	switch req.Round {
-	case RoundSim:
-		for _, m := range resp.Outbox {
-			if m.U < lo || m.U >= hi || m.V < hi || m.V >= n || (m.Val != simdef.Sim && m.Val != simdef.NSim) {
-				return fmt.Errorf("outbox message %+v is not an owned tail's out-of-range arc", m)
-			}
-		}
 	case RoundRoles:
 		return checkRoles(resp.Roles, hi-lo)
 	case RoundCluster:
 		for _, e := range resp.UnionEdges {
-			u, v := min(e[0], e[1]), max(e[0], e[1])
-			if u < lo || u >= hi || v >= n || req.Roles[u] != result.RoleCore || req.Roles[v] != result.RoleCore {
-				return fmt.Errorf("union edge %v is not an owned core-core edge", e)
+			x, root := e[0], e[1]
+			if root < lo || root >= hi || x <= root || x >= n || req.Roles[x] != result.RoleCore || req.Roles[root] != result.RoleCore {
+				return fmt.Errorf("union edge %v does not join a core to an owned root below it", e)
 			}
 		}
 	case RoundMembers:
@@ -759,10 +757,10 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Run executes one clustering query across the fleet: four fan-out
-// rounds (sim → roles → cluster → members) with a central union-find
-// reduce, producing a Result bit-identical to every in-process engine's
-// for the same snapshot and parameters. Any shard that cannot serve a
+// Run executes one clustering query across the fleet: three fan-out
+// rounds (roles → cluster → members) with a central union-find reduce of
+// the shards' spanning forests, producing a Result bit-identical to every
+// in-process engine's for the same snapshot and parameters. Any shard that cannot serve a
 // round after retries and failover fails the query with a typed
 // ShardUnavailableError — never a hang, never a partial result.
 func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Result, error) {
@@ -793,12 +791,15 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 	// Wire bytes are measured per query (request bodies out, response
 	// bodies in), not modeled — concurrent queries each count their own.
 	var qBytes atomic.Int64
+	// CompSim calls are measured too: each round's replies report theirs.
+	var calls int64
 	stats := func() result.Stats {
 		return result.Stats{
-			Algorithm: fmt.Sprintf("shard-scan(s=%d)", p),
-			Workers:   p,
-			Total:     time.Since(start),
-			CommBytes: qBytes.Load(),
+			Algorithm:    fmt.Sprintf("shard-scan(s=%d)", p),
+			Workers:      p,
+			Total:        time.Since(start),
+			CompSimCalls: calls,
+			CommBytes:    qBytes.Load(),
 		}
 	}
 	abort := func(round string, err error) (*result.Result, *result.PartialError) {
@@ -807,7 +808,7 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 
 	// fanOut runs one round on every shard concurrently; the per-shard
 	// request is built by mk (which must not share mutable state). Replies
-	// are checked against coreClusterID once round 3 has set it.
+	// are checked against coreClusterID once round 2 has set it.
 	var coreClusterID []int32
 	fanOut := func(round string, mk func(shard int) *StepRequest) ([]*StepResponse, error) {
 		t0 := time.Now()
@@ -836,32 +837,16 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 				return nil, e
 			}
 		}
+		for _, resp := range resps {
+			calls += resp.Calls
+		}
 		return resps, nil
 	}
 
-	// Round 1: local similarity passes; outboxes carry cross-shard mirror
-	// values, grouped here into per-shard inboxes for every later round.
-	simResps, err := fanOut(RoundSim, func(s int) *StepRequest {
-		r := base
-		r.Round = RoundSim
-		return &r
-	})
-	if err != nil {
-		return abort(RoundSim, err)
-	}
-	inboxes := make([][]SimMsg, p)
-	for _, resp := range simResps {
-		for _, m := range resp.Outbox {
-			o := sort.Search(p, func(s int) bool { return m.V < bounds[s+1] })
-			inboxes[o] = append(inboxes[o], m)
-		}
-	}
-
-	// Round 2: roles over the completed similarity state.
+	// Round 1: P1–P3 over each shard's range.
 	roleResps, err := fanOut(RoundRoles, func(s int) *StepRequest {
 		r := base
 		r.Round = RoundRoles
-		r.Inbox = inboxes[s]
 		return &r
 	})
 	if err != nil {
@@ -872,12 +857,11 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 		copy(roles[bounds[s]:bounds[s+1]], resp.Roles)
 	}
 
-	// Round 3: similar core-core edges, reduced through a central
-	// union-find with min-core-id labeling.
+	// Round 2: P4–P5 per shard; the spanning forests are reduced through a
+	// central union-find with min-core-id labeling (P6).
 	clusterResps, err := fanOut(RoundCluster, func(s int) *StepRequest {
 		r := base
 		r.Round = RoundCluster
-		r.Inbox = inboxes[s]
 		r.Roles = roles
 		return &r
 	})
@@ -895,11 +879,10 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 	}
 	coreClusterID = result.CoreClusterIDs(roles, uf)
 
-	// Round 4: membership emission by each shard's cores.
+	// Round 3: P7, membership emission by each shard's cores.
 	memberResps, err := fanOut(RoundMembers, func(s int) *StepRequest {
 		r := base
 		r.Round = RoundMembers
-		r.Inbox = inboxes[s]
 		r.Roles = roles
 		r.CoreClusterID = coreClusterID[bounds[s]:bounds[s+1]]
 		return &r
@@ -919,6 +902,5 @@ func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Res
 	}
 	res.Normalize()
 	res.Stats = stats()
-	res.Stats.CompSimCalls = g.NumEdges()
 	return res, nil
 }

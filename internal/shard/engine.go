@@ -21,7 +21,7 @@ func init() {
 
 // runLoopback is the "dist-scan" engine: the package's Coordinator over p
 // in-process Workers behind the loopback transport below, so
-// Stats.CommBytes is the measured gob traffic of the four rounds.
+// Stats.CommBytes is the measured gob traffic of the three rounds.
 // opt.Workers selects the partition count (default 4), opt.Kernel the
 // workers' kernel, opt.StallTimeout the per-RPC deadline
 // (DefaultStepTimeout when zero).
@@ -33,7 +33,7 @@ func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt e
 	lb := make(loopback, p)
 	shards := make([][]string, p)
 	for s := range shards {
-		// One similarity-pass worker per partition: the partitions are the
+		// One phase goroutine per partition: the partitions are the
 		// parallelism, as in the BSP systems this stands in for.
 		w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: p, Workers: 1, Kernel: opt.Kernel, Registry: opt.Registry})
 		if err != nil {

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"net/http"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ppscan/graph"
 	"ppscan/internal/algotest"
+	"ppscan/internal/core"
 	"ppscan/internal/engine"
 	"ppscan/internal/fault"
 	"ppscan/internal/gen"
@@ -37,17 +39,35 @@ func TestEngineMatchesSCANQuick(t *testing.T) {
 	}
 }
 
+// TestEngineStats: the CompSim count is the workers' measured one, at most
+// ppSCAN's one-worker count plus one more call per edge across a range
+// boundary (both owners may compute it).
 func TestEngineStats(t *testing.T) {
 	g := algotest.RandomGraph(117)
-	r, err := runDist(context.Background(), g, mustTh(t, "0.5", 3), 3)
+	th := mustTh(t, "0.5", 3)
+	r, err := runDist(context.Background(), g, th, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats.Workers != 3 || r.Stats.Total <= 0 {
 		t.Errorf("stats = %+v", r.Stats)
 	}
-	if r.Stats.CompSimCalls != g.NumEdges() {
-		t.Errorf("calls = %d, want |E| = %d", r.Stats.CompSimCalls, g.NumEdges())
+	single, err := core.Run(context.Background(), g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: 1, Registry: obsv.NewNop()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := Partition(g, 3)
+	owner := func(u int32) int { return sort.Search(3, func(s int) bool { return u < bounds[s+1] }) }
+	var boundary int64
+	for u := int32(0); u < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v && owner(u) != owner(v) {
+				boundary++
+			}
+		}
+	}
+	if c, most := r.Stats.CompSimCalls, single.Stats.CompSimCalls+boundary; c <= 0 || c > most {
+		t.Errorf("calls = %d, want in (0, %d]: ppSCAN's %d plus %d boundary edges", c, most, single.Stats.CompSimCalls, boundary)
 	}
 	if r.Stats.CommBytes <= 0 {
 		t.Errorf("comm bytes = %d, want the measured gob traffic", r.Stats.CommBytes)

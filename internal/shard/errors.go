@@ -23,7 +23,7 @@ type ShardTimeoutError struct {
 	Shard int
 	// Addr is the worker endpoint that timed out.
 	Addr string
-	// Round is the superstep round in flight ("sim", "roles", "cluster",
+	// Round is the superstep round in flight ("roles", "cluster",
 	// "members", or "heartbeat").
 	Round string
 	// Timeout is the per-RPC deadline that expired.

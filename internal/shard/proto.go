@@ -2,22 +2,28 @@
 // bulk-synchronous structural clustering — the SparkSCAN / PSCAN family
 // (Zhou & Wang 2015; Zhao et al. 2013) the ppSCAN paper's related work
 // dismisses with "incurring communication overheads" (§3.3). A coordinator
-// drives four rounds over a fleet of workers, each owning one contiguous
+// drives three rounds over a fleet of workers, each owning one contiguous
 // vertex range of the CSR (Partition), speaking gob over stdlib HTTP; every
 // byte that crosses is counted into Stats.CommBytes. The fleet is worker
 // processes (cmd/scanshard) behind scanserver -shards, or p in-process
 // workers behind a loopback transport as the "dist-scan" engine
 // (engine.go).
 //
+// A worker runs ppSCAN's own pruned phases over its range (core.Range, the
+// bodies core.Run walks over [0, n)). Every worker holds the whole
+// snapshot, so it computes any arc its vertices read itself and no
+// similarity value crosses the wire: an edge across a range boundary may
+// be computed by both owners. Only roles, a spanning forest of each
+// shard's core unions, cluster ids and memberships do.
+//
 // The headline property is shard-level fault containment. Every round
 // request is self-contained — it carries the query parameters, the target
-// epoch, and every cross-shard input (mirror-similarity inbox, global
-// roles, cluster ids) the round needs — so any replica of a shard can
-// serve any round at any time, a retried round is idempotent, and a
-// worker that crashed and restarted serves the very next round correctly
-// by recomputing its deterministic local state. That is what makes the
-// paper's BSP phase structure recoverable: a failed shard costs one
-// bounded round re-dispatch, never the whole query.
+// epoch, and every cross-shard input (global roles, cluster ids) the round
+// needs — so any replica of a shard can serve any round at any time, a
+// retried round is idempotent, and a worker that crashed and restarted
+// serves the very next round correctly by recomputing its local roles
+// first. That is what makes the paper's BSP phase structure recoverable: a
+// failed shard costs one bounded round re-dispatch, never the whole query.
 //
 // The failure model (errors.go) types every observable fault — timeout,
 // crash, rejection — and the coordinator reacts with per-RPC deadlines,
@@ -28,10 +34,7 @@
 // the HTTP server surfaces as a structured 503 + Retry-After.
 package shard
 
-import (
-	"ppscan/internal/result"
-	"ppscan/internal/simdef"
-)
+import "ppscan/internal/result"
 
 // Worker HTTP surface. The paths live under /shard/ so a worker can share
 // a mux with diagnostic endpoints without collisions; none of them are
@@ -51,32 +54,24 @@ const (
 	PathDrain = "/shard/drain"
 )
 
-// Round names, in execution order. RoundSim computes each undirected edge
-// once, at the owner of its smaller endpoint (every worker holds the whole
-// snapshot, so no adjacency is exchanged; mirror values cross shards as
-// SimMsg outboxes), RoundRoles replies with the owned range's roles, and
-// RoundCluster and RoundMembers sit either side of the coordinator's
-// global union-find reduce.
+// Round names, in execution order. RoundRoles runs P1 (the degree
+// predicate), P2 (u < v) and P3 over the owned range and replies with its
+// roles. RoundCluster runs P4 then P5 with a shard-local union-find and
+// replies with a spanning forest of it, which the coordinator's global
+// union-find reduces. RoundMembers runs P7. A round that finds no roles
+// computed for its (epoch, ε, µ) — a restarted worker, an evicted state —
+// runs P1–P3 first.
 const (
-	RoundSim     = "sim"
 	RoundRoles   = "roles"
 	RoundCluster = "cluster"
 	RoundMembers = "members"
 )
 
 // Rounds lists the step rounds in execution order.
-var Rounds = []string{RoundSim, RoundRoles, RoundCluster, RoundMembers}
-
-// SimMsg carries one cross-shard mirror similarity: the value of edge
-// (V, U) computed by U's owner, addressed to V's owner so both directed
-// slots of the undirected edge agree.
-type SimMsg struct {
-	V, U int32
-	Val  simdef.EdgeSim
-}
+var Rounds = []string{RoundRoles, RoundCluster, RoundMembers}
 
 // StepRequest is one superstep round addressed to one shard. Requests are
-// self-contained by design (see the package comment): Inbox, Roles and
+// self-contained by design (see the package comment): Roles and
 // CoreClusterID repeat whatever cross-shard state the round needs, so a
 // replica or a freshly restarted worker can serve it without any history.
 type StepRequest struct {
@@ -91,18 +86,16 @@ type StepRequest struct {
 	// Eps and Mu are the clustering parameters.
 	Eps string
 	Mu  int32
-	// Round selects the superstep (RoundSim, RoundRoles, RoundCluster,
+	// Round selects the superstep (RoundRoles, RoundCluster,
 	// RoundMembers).
 	Round string
-	// Inbox carries the mirror similarities addressed to this shard
-	// (every round after RoundSim; applying it twice is idempotent).
-	Inbox []SimMsg
 	// Roles is the full n-vertex role assignment (RoundCluster and
-	// RoundMembers — membership emission tests neighbor roles, and
-	// neighbors cross shard boundaries).
+	// RoundMembers — both test neighbor roles, and neighbors cross shard
+	// boundaries).
 	Roles []result.Role
 	// CoreClusterID carries the cluster id of each vertex in this shard's
-	// range, cores only, -1 elsewhere (RoundMembers).
+	// range, cores only, -1 elsewhere (RoundMembers). A core's id is the
+	// minimum core of its cluster.
 	CoreClusterID []int32
 }
 
@@ -114,14 +107,15 @@ type StepResponse struct {
 	// in-flight request is discarded instead of trusted.
 	Shard int
 	Round string
-	// Outbox (RoundSim) carries mirror similarities for edges whose other
-	// endpoint lives on a different shard, grouped by the coordinator into
-	// the next round's inboxes.
-	Outbox []SimMsg
+	// Calls counts the CompSim (kernel) calls the worker made serving the
+	// round; the coordinator sums them into Stats.CompSimCalls.
+	Calls int64
 	// Roles (RoundRoles) holds the roles of this shard's vertex range.
 	Roles []result.Role
-	// UnionEdges (RoundCluster) lists similar core-core edges owned by
-	// this shard, the coordinator's union-find input.
+	// UnionEdges (RoundCluster) is a spanning forest of the shard's core
+	// unions: (x, root) for each core x joined to a different root, the
+	// root being the minimum of its set and owned by this shard. It is
+	// the coordinator's union-find input, at most one edge per core.
 	UnionEdges [][2]int32
 	// Members (RoundMembers) lists non-core memberships emitted by this
 	// shard's cores.

@@ -82,13 +82,19 @@ type fleet struct {
 }
 
 func newFleet(t *testing.T, transport string, g *graph.Graph, shards, replicas int) *fleet {
+	return newFleetWorkers(t, transport, g, shards, replicas, 2)
+}
+
+// newFleetWorkers is newFleet with each worker running its phases on
+// workers goroutines.
+func newFleetWorkers(t *testing.T, transport string, g *graph.Graph, shards, replicas, workers int) *fleet {
 	t.Helper()
 	f := &fleet{}
 	handlers := make([][]http.Handler, shards)
 	for s := 0; s < shards; s++ {
 		var ws []*Worker
 		for r := 0; r < replicas; r++ {
-			w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: shards, Workers: 2})
+			w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: shards, Workers: workers})
 			if err != nil {
 				t.Fatalf("NewWorker(%d/%d): %v", s, shards, err)
 			}
@@ -131,21 +137,35 @@ func reference(g *graph.Graph, th simdef.Threshold) *result.Result {
 	return scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
 }
 
+// TestRunMatchesReferenceCorpus: the fleet's answer equals SCAN's at every
+// shard count × worker goroutine count, over the ε of algotest.Params (on
+// these graphs some arcs sit exactly at σ = ε) and µ ∈ {1, 2, max-degree +
+// 1}, the last leaving no core at all.
 func TestRunMatchesReferenceCorpus(t *testing.T) {
 	for _, tc := range algotest.Corpus() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
-			for _, shards := range []int{1, 3} {
-				f := newFleet(t, overHTTP, tc.G, shards, 1)
-				c := f.coord(t, tc.G)
-				for _, th := range algotest.Params() {
-					want := reference(tc.G, th)
-					got, err := c.Run(context.Background(), th.Eps.String(), th.Mu)
-					if err != nil {
-						t.Fatalf("shards=%d eps=%s mu=%d: %v", shards, th.Eps, th.Mu, err)
-					}
-					if err := result.Equal(want, got); err != nil {
-						t.Fatalf("shards=%d eps=%s mu=%d: %v", shards, th.Eps, th.Mu, err)
+			var ths []simdef.Threshold
+			for _, p := range algotest.Params() {
+				if p.Mu != 1 {
+					continue
+				}
+				for _, mu := range []int32{1, 2, tc.G.MaxDegree() + 1} {
+					ths = append(ths, mustTh(t, p.Eps.String(), mu))
+				}
+			}
+			for _, shards := range []int{1, 2, 5} {
+				for _, workers := range []int{1, 2, 7} {
+					f := newFleetWorkers(t, overLoopback, tc.G, shards, 1, workers)
+					c := f.coord(t, tc.G)
+					for _, th := range ths {
+						got, err := c.Run(context.Background(), th.Eps.String(), th.Mu)
+						if err == nil {
+							err = result.Equal(reference(tc.G, th), got)
+						}
+						if err != nil {
+							t.Fatalf("shards=%d workers=%d eps=%s mu=%d: %v", shards, workers, th.Eps, th.Mu, err)
+						}
 					}
 				}
 			}
@@ -193,8 +213,8 @@ func TestCommBytesMeasured(t *testing.T) {
 func TestResponseBodyCapped(t *testing.T) {
 	g := algotest.RandomGraph(7)
 	oversize := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		// A well-formed sim response of at least a byte per message.
-		_ = gob.NewEncoder(rw).Encode(&StepResponse{Round: RoundSim, Outbox: make([]SimMsg, 1<<20)})
+		// A well-formed roles response of at least a byte per role.
+		_ = gob.NewEncoder(rw).Encode(&StepResponse{Round: RoundRoles, Roles: make([]result.Role, 1<<20)})
 	})
 	addrs, client, _ := mount(t, overHTTP, [][]http.Handler{{oversize}})
 	c, err := NewCoordinator(g, Options{
@@ -210,15 +230,22 @@ func TestResponseBodyCapped(t *testing.T) {
 		t.Fatalf("oversize response: want ShardRejectedError kind %s, got %v", rejectOversize, err)
 	}
 
-	f := newFleet(t, overHTTP, g, 3, 1)
-	fc := f.coord(t, g)
-	want, err := fc.Run(context.Background(), "0.4", 3)
+	// Each query runs on a fresh one-goroutine fleet: a worker's replies
+	// report the CompSim calls it made, which a warm state or another
+	// schedule changes.
+	cold := func(maxRespBytes int64) (*result.Result, error) {
+		fc := newFleetWorkers(t, overHTTP, g, 3, 1, 1).coord(t, g)
+		if maxRespBytes > 0 {
+			fc.maxRespBytes = maxRespBytes
+		}
+		return fc.Run(context.Background(), "0.4", 3)
+	}
+	want, err := cold(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No single response is larger than the whole query's traffic.
-	fc.maxRespBytes = want.Stats.CommBytes
-	got, err := fc.Run(context.Background(), "0.4", 3)
+	got, err := cold(want.Stats.CommBytes)
 	if err != nil {
 		t.Fatalf("in-bound responses under a tight cap: %v", err)
 	}
@@ -617,12 +644,12 @@ func testQueryCancellation(t *testing.T, transport string) {
 	}
 }
 
-// TestStepContextStopsSimPass: a worker's similarity pass runs under the
-// step request's context. When the coordinator's StepTimeout fires or the
-// client hangs up mid-pass, the pass stops within one task per core — it
-// used to keep every core busy to the end — and leaves no half-computed
+// TestStepContextStopsRolesRound: a worker's roles round (P1–P3) runs under
+// the step request's context. When the coordinator's StepTimeout fires or
+// the client hangs up mid-pass, the pass stops within one task per core —
+// it used to keep every core busy to the end — and leaves no half-computed
 // state behind: the next query for that key recomputes and is exact.
-func TestStepContextStopsSimPass(t *testing.T) {
+func TestStepContextStopsRolesRound(t *testing.T) {
 	t.Cleanup(fault.Disable)
 	const workers = 2
 	g := gen.Roll(60_000, 32, 13)
@@ -631,7 +658,7 @@ func TestStepContextStopsSimPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&StepRequest{Round: RoundSim, Epoch: g.Epoch(), Eps: "0.5", Mu: 4}); err != nil {
+	if err := gob.NewEncoder(&body).Encode(&StepRequest{Round: RoundRoles, Epoch: g.Epoch(), Eps: "0.5", Mu: 4}); err != nil {
 		t.Fatal(err)
 	}
 	// Every executed task is one worker_task hit; the zero-length delay
@@ -654,7 +681,7 @@ func TestStepContextStopsSimPass(t *testing.T) {
 	end, stopped := tasks(), <-atCancel
 	fault.Disable()
 	if rec.Code == http.StatusOK {
-		t.Fatalf("cancelled sim round answered 200 after %d tasks", end-start)
+		t.Fatalf("cancelled roles round answered 200 after %d tasks", end-start)
 	}
 	// A task that passed its stop check before the cancel still runs; there
 	// is at most one of those per core.
@@ -701,6 +728,40 @@ func TestWorkerStateCacheSharedAcrossQueries(t *testing.T) {
 	if f.workers[0][0].hits.Value() == 0 {
 		t.Error("no state-cache hits counted")
 	}
+}
+
+// TestConcurrentQueriesShareState: concurrent queries on one fleet, some on
+// the same (ε, µ) and so on one worker state, and more keys than a worker
+// keeps, so states are evicted while queries use them. Every answer is
+// SCAN's.
+func TestConcurrentQueriesShareState(t *testing.T) {
+	g := algotest.RandomGraph(67)
+	c := newFleet(t, overLoopback, g, 2, 1).coord(t, g)
+	var keys []simdef.Threshold
+	for _, eps := range []string{"0.3", "0.4", "0.5"} {
+		for _, mu := range []int32{2, 3} {
+			keys = append(keys, mustTh(t, eps, mu))
+		}
+	}
+	var wg sync.WaitGroup
+	for q := 0; q < 8; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			for i := 0; i < len(keys); i++ {
+				th := keys[(q+i)%len(keys)]
+				got, err := c.Run(context.Background(), th.Eps.String(), th.Mu)
+				if err == nil {
+					err = result.Equal(reference(g, th), got)
+				}
+				if err != nil {
+					t.Errorf("query %d eps=%s mu=%d: %v", q, th.Eps, th.Mu, err)
+					return
+				}
+			}
+		}(q)
+	}
+	wg.Wait()
 }
 
 func TestInjectedShardRPCFaultIsRetried(t *testing.T) {
@@ -780,7 +841,7 @@ func TestNewWorkerValidation(t *testing.T) {
 }
 
 func TestErrorStringsNameBlastRadius(t *testing.T) {
-	e1 := &ShardTimeoutError{Shard: 2, Addr: "http://x:1", Round: RoundSim, Timeout: time.Second}
+	e1 := &ShardTimeoutError{Shard: 2, Addr: "http://x:1", Round: RoundRoles, Timeout: time.Second}
 	e2 := &ShardCrashError{Shard: 1, Addr: "http://y:2", Round: RoundRoles, Err: fmt.Errorf("boom")}
 	e3 := &ShardRejectedError{Shard: 0, Addr: "http://z:3", Round: RoundCluster, Status: 409, Kind: "epoch_mismatch", Msg: "stale"}
 	e4 := &ShardUnavailableError{Shard: 3, Round: RoundMembers, Attempts: 4, Err: e2}
@@ -831,7 +892,6 @@ func testCoordinatorChecksReplies(t *testing.T, transport string) {
 		round string
 		edit  func(*StepResponse)
 	}{
-		{RoundSim, func(r *StepResponse) { r.Outbox = append(r.Outbox, SimMsg{V: 1 << 20, U: 0, Val: simdef.Sim}) }},
 		{RoundRoles, func(r *StepResponse) { r.Roles = r.Roles[:len(r.Roles)/2] }},
 		{RoundCluster, func(r *StepResponse) { r.UnionEdges = append(r.UnionEdges, [2]int32{0, 1 << 20}) }},
 		{RoundMembers, func(r *StepResponse) { r.Members = append(r.Members, result.Membership{V: 1 << 20}) }},
@@ -878,9 +938,9 @@ func testCoordinatorChecksReplies(t *testing.T, transport string) {
 	}
 }
 
-// TestWorkerChecksRequests: a round request whose inbox carries a label
-// other than Sim / NSim, or whose roles are not all Core / NonCore, is a
-// 400 bad_request — the worker stores and trusts none of it.
+// TestWorkerChecksRequests: a round request whose roles are not all Core /
+// NonCore, or whose cluster ids cannot be P6's, is a 400 bad_request — the
+// worker stores and trusts none of it.
 func TestWorkerChecksRequests(t *testing.T) {
 	g := algotest.RandomGraph(61)
 	w, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 1})
@@ -896,10 +956,16 @@ func TestWorkerChecksRequests(t *testing.T) {
 	badRoles[n-1] = 7
 	base := StepRequest{Epoch: g.Epoch(), Eps: "0.4", Mu: 2}
 	reqs := map[string]StepRequest{}
-	for _, val := range []simdef.EdgeSim{simdef.Unknown, 7} {
+	cores := make([]result.Role, n)
+	for i := range cores {
+		cores[i] = result.RoleCore
+	}
+	for _, id := range []int32{-1, v, n} {
 		r := base
-		r.Round, r.Inbox = RoundRoles, []SimMsg{{V: v, U: 0, Val: val}}
-		reqs[fmt.Sprintf("inbox label %d", val)] = r
+		ids := make([]int32, n)
+		ids[0] = id
+		r.Round, r.Roles, r.CoreClusterID = RoundMembers, cores, ids
+		reqs[fmt.Sprintf("cluster id %d", id)] = r
 	}
 	for _, round := range []string{RoundCluster, RoundMembers} {
 		for _, roles := range [][]result.Role{make([]result.Role, n), badRoles} {

@@ -14,21 +14,21 @@ import (
 	"sync/atomic"
 
 	"ppscan/graph"
+	"ppscan/internal/core"
 	"ppscan/internal/fault"
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
-	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
 )
 
-// DefaultStateCache is how many per-query similarity states a worker keeps
-// resident (see WorkerOptions.StateCache). Each costs O(m/p) memory; the
+// DefaultStateCache is how many per-query states a worker keeps resident
+// (see WorkerOptions.StateCache). Each costs O(m/p + n) memory; the
 // coordinator touches one per in-flight query, so a handful suffices.
 const DefaultStateCache = 4
 
 // DefaultMaxBodyBytes bounds a step request body. Round inputs are O(n)
-// (roles) plus O(boundary) (inbox); 1 GiB is far above any graph this tier
+// (roles and cluster ids); 1 GiB is far above any graph this tier
 // serves while still refusing a decompression-bomb-shaped request before
 // it allocates.
 const DefaultMaxBodyBytes = 1 << 30
@@ -40,13 +40,15 @@ type WorkerOptions struct {
 	// Shards is the fleet's partition count; the vertex-range bounds are
 	// Partition(g, Shards), identical on coordinator and workers.
 	Shards int
-	// Workers bounds intra-process parallelism for the similarity pass;
+	// Workers bounds intra-process parallelism for each round's phases;
 	// < 1 defaults to GOMAXPROCS.
 	Workers int
-	// Kernel selects the set-intersection kernel (default MergeEarly).
+	// Kernel selects the set-intersection kernel. The zero value is
+	// intersect.Merge; cmd/scanshard passes intersect.BlockMerge, ppSCAN's
+	// default.
 	Kernel intersect.Kind
-	// StateCache bounds resident per-query similarity states; < 1
-	// defaults to DefaultStateCache.
+	// StateCache bounds resident per-query states; < 1 defaults to
+	// DefaultStateCache.
 	StateCache int
 	// MaxBodyBytes bounds one request body; < 1 defaults to
 	// DefaultMaxBodyBytes.
@@ -97,9 +99,9 @@ func Partition(g *graph.Graph, p int) []int32 {
 	return bounds
 }
 
-// stateKey identifies one deterministic similarity state. QueryID is
-// deliberately absent: for a fixed (epoch, eps, mu) every intermediate is
-// deterministic, so two queries with equal parameters share state — the
+// stateKey identifies one query state. QueryID is deliberately absent: for
+// a fixed (epoch, eps, mu) the roles are deterministic and every known arc
+// label is exact, so two queries with equal parameters share state — the
 // worker-side analogue of the server's response cache.
 type stateKey struct {
 	epoch uint64
@@ -107,17 +109,18 @@ type stateKey struct {
 	mu    int32
 }
 
-// queryState caches the shard-local similarity pass for one stateKey. sim
-// holds the owned directed-edge range [Off[lo], Off[hi)) rebased to 0;
-// outbox holds the mirror messages for other shards. ready flips once the
-// local pass completed; a pass cut short — a contained panic, or the step
-// request's context ending — leaves ready false so the next request
-// recomputes instead of serving torn state.
+// queryState caches one stateKey's ppSCAN phases over the owned range:
+// the arc labels of [Off[lo], Off[hi)), the roles and the local union-find
+// live in r; roles are the owned range's, read-only once ready. ready
+// flips once P1–P3 completed; a pass cut short — a contained panic, or the
+// step request's context ending — leaves ready false so the next request
+// recomputes instead of serving torn roles. Later rounds only add exact
+// labels, so one cut short leaves nothing torn.
 type queryState struct {
-	mu     sync.Mutex
-	ready  bool
-	sim    []simdef.EdgeSim
-	outbox []SimMsg
+	mu    sync.Mutex
+	ready bool
+	r     *core.Range
+	roles []result.Role
 }
 
 // Worker owns one vertex-range partition and serves superstep rounds.
@@ -331,7 +334,7 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status, kind := http.StatusBadRequest, rejectBadRequest
 		var wpe *result.WorkerPanicError
-		if errors.As(err, &wpe) { // a contained sim-task panic: the worker's fault, not the request's
+		if errors.As(err, &wpe) { // a contained phase-task panic: the worker's fault, not the request's
 			status, kind = http.StatusInternalServerError, rejectInternalErr
 		}
 		reject(rw, status, kind, err, 0)
@@ -345,60 +348,67 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 }
 
 // step executes one self-contained round against the generation sn; ctx
-// (the step request's) bounds the similarity pass a state miss runs.
+// (the step request's) bounds the phases it runs. The request is checked
+// whole before any of it is used.
 func (w *Worker) step(ctx context.Context, sn *snapState, req *StepRequest) (*StepResponse, error) {
 	th, err := simdef.NewThreshold(req.Eps, req.Mu)
 	if err != nil {
 		return nil, fmt.Errorf("bad parameters: %w", err)
 	}
-	st, err := w.ensure(ctx, sn, req, th)
-	if err != nil {
-		return nil, err
-	}
-	resp := &StepResponse{Shard: w.opt.Shard, Round: req.Round}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// Re-applying an inbox on a retried round is idempotent: the same
-	// offsets get the same values.
-	if len(req.Inbox) > 0 {
-		if err := applyInbox(sn, st, req.Inbox); err != nil {
-			return nil, err
-		}
-	}
 	switch req.Round {
-	case RoundSim:
-		resp.Outbox = st.outbox
 	case RoundRoles:
-		resp.Roles = make([]result.Role, sn.hi-sn.lo)
-		for u := sn.lo; u < sn.hi; u++ {
-			resp.Roles[u-sn.lo] = result.ArcRole(sn.g, sn.lo, st.sim, u, th.Mu)
-		}
-	case RoundCluster:
+	case RoundCluster, RoundMembers:
 		if err := checkRoles(req.Roles, sn.g.NumVertices()); err != nil {
-			return nil, fmt.Errorf("cluster %w", err)
+			return nil, fmt.Errorf("%s %w", req.Round, err)
 		}
-		resp.UnionEdges = result.AppendCoreEdges(nil, sn.g, sn.lo, sn.hi, st.sim, req.Roles)
-	case RoundMembers:
-		if err := checkRoles(req.Roles, sn.g.NumVertices()); err != nil {
-			return nil, fmt.Errorf("members %w", err)
+		if req.Round == RoundMembers {
+			if err := checkIDs(req.CoreClusterID, req.Roles, sn.lo, sn.hi); err != nil {
+				return nil, err
+			}
 		}
-		if int32(len(req.CoreClusterID)) != sn.hi-sn.lo {
-			return nil, fmt.Errorf("members round needs %d cluster ids, got %d", sn.hi-sn.lo, len(req.CoreClusterID))
-		}
-		resp.Members = result.AppendNonCore(nil, sn.g, sn.lo, sn.hi, st.sim, req.Roles, req.CoreClusterID)
 	default:
 		return nil, fmt.Errorf("unknown round %q", req.Round)
+	}
+	st := w.state(stateKey{epoch: req.Epoch, eps: th.Eps.String(), mu: req.Mu})
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	resp := &StepResponse{Shard: w.opt.Shard, Round: req.Round}
+	if st.ready {
+		w.hits.Inc()
+	} else {
+		// A miss is how a restarted worker catches up mid-query: the roles
+		// are deterministic, so recomputing them yields the same answer.
+		w.misses.Inc()
+		if st.r == nil {
+			st.r = core.NewRange(sn.g, sn.lo, sn.hi, th, w.opt.Kernel, w.opt.Workers)
+		}
+		roles, calls, err := st.r.Roles(ctx)
+		if err != nil {
+			return nil, err
+		}
+		st.roles, st.ready, resp.Calls = roles, true, calls
+	}
+	var calls int64
+	switch req.Round {
+	case RoundRoles:
+		resp.Roles = st.roles
+	case RoundCluster:
+		resp.UnionEdges, calls, err = st.r.ClusterCores(ctx, req.Roles)
+	case RoundMembers:
+		resp.Members, calls, err = st.r.NonCore(ctx, req.Roles, req.CoreClusterID)
+	}
+	resp.Calls += calls
+	if err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
 
-// ensure returns the similarity state for the request's (epoch, eps, mu),
-// computing the shard-local pass if the cache misses — which is exactly
-// how a restarted worker catches up mid-query: the pass is deterministic,
-// so recomputing it yields bit-identical state.
-func (w *Worker) ensure(ctx context.Context, sn *snapState, req *StepRequest, th simdef.Threshold) (*queryState, error) {
-	key := stateKey{epoch: req.Epoch, eps: th.Eps.String(), mu: req.Mu}
+// state returns the query state for key, creating it (and evicting the
+// oldest beyond StateCache) on a miss.
+func (w *Worker) state(key stateKey) *queryState {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	st, ok := w.states[key]
 	if !ok {
 		st = &queryState{}
@@ -409,70 +419,24 @@ func (w *Worker) ensure(ctx context.Context, sn *snapState, req *StepRequest, th
 			w.order = w.order[1:]
 		}
 	}
-	w.mu.Unlock()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ready {
-		w.hits.Inc()
-		return st, nil
-	}
-	w.misses.Inc()
-	if err := w.computeLocal(ctx, sn, st, th); err != nil {
-		return nil, err
-	}
-	st.ready = true
-	return st, nil
+	return st
 }
 
-// computeLocal runs the shard-local similarity pass: every undirected edge
-// whose smaller endpoint u is owned gets its value computed once, mirrored
-// locally when the larger endpoint is owned too. One Algorithm 5 phase over
-// the owned range: tasks own disjoint tails, so all sim writes are
-// disjoint. The mirrors other shards need are then read off the labelled
-// range into the outbox. When ctx ends the pass stops within one task and
-// returns ctx.Err().
-func (w *Worker) computeLocal(ctx context.Context, sn *snapState, st *queryState, th simdef.Threshold) error {
-	g := sn.g
-	base := g.Off[sn.lo]
-	st.sim = make([]simdef.EdgeSim, g.Off[sn.hi]-base)
-	err := sched.ForEachVertexCtx(ctx,
-		sched.Options{Workers: w.opt.Workers, Phase: "shard " + RoundSim},
-		sn.hi-sn.lo, nil,
-		func(i int32) int32 { return g.Degree(sn.lo + i) },
-		func(i int32, _ int) {
-			result.LabelArcs(g, sn.lo, sn.hi, st.sim, sn.lo+i, true, true, w.opt.Kernel, th.Eps)
-		})
-	if err != nil {
-		return err
+// checkIDs refuses cluster ids that cannot be P6's: each core u of [lo, hi)
+// must carry the id of a core c <= u — its cluster's minimum — and an owned
+// c must carry its own id.
+func checkIDs(ids []int32, roles []result.Role, lo, hi int32) error {
+	if int32(len(ids)) != hi-lo {
+		return fmt.Errorf("members round needs %d cluster ids, got %d", hi-lo, len(ids))
 	}
-	st.outbox = st.outbox[:0]
-	for u := sn.lo; u < sn.hi; u++ {
-		for i, v := range g.Neighbors(u) {
-			if v >= sn.hi {
-				st.outbox = append(st.outbox, SimMsg{V: v, U: u, Val: st.sim[g.Off[u]-base+int64(i)]})
-			}
+	for i, c := range ids {
+		u := lo + int32(i)
+		if roles[u] != result.RoleCore {
+			continue
 		}
-	}
-	return nil
-}
-
-// applyInbox writes mirror similarities addressed to this shard. Messages
-// outside the owned range, naming absent edges or carrying a label other
-// than Sim / NSim are protocol errors.
-func applyInbox(sn *snapState, st *queryState, inbox []SimMsg) error {
-	g := sn.g
-	for _, m := range inbox {
-		if m.V < sn.lo || m.V >= sn.hi {
-			return fmt.Errorf("inbox message for vertex %d outside owned range [%d, %d)", m.V, sn.lo, sn.hi)
+		if c < 0 || c > u || roles[c] != result.RoleCore || (c >= lo && ids[c-lo] != c) {
+			return fmt.Errorf("core %d has cluster id %d", u, c)
 		}
-		e := g.EdgeOffset(m.V, m.U)
-		if e < 0 {
-			return fmt.Errorf("inbox message for absent edge (%d, %d)", m.V, m.U)
-		}
-		if m.Val != simdef.Sim && m.Val != simdef.NSim {
-			return fmt.Errorf("inbox message for edge (%d, %d) carries label %v", m.V, m.U, m.Val)
-		}
-		st.sim[e-g.Off[sn.lo]] = m.Val
 	}
 	return nil
 }

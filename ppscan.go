@@ -322,7 +322,7 @@ func QueryIndexWorkspace(ctx context.Context, ix *Index, eps string, mu int, ws 
 	return ix.QueryWorkspace(ctx, eps, int32(mu), ws)
 }
 
-/// Store re-exports graph.Store: the epoch-versioned snapshot store that
+// Store re-exports graph.Store: the epoch-versioned snapshot store that
 // layers batched edge mutations over the immutable CSR. Each Commit
 // produces a new immutable graph snapshot under the next epoch while
 // in-flight queries keep whatever snapshot they loaded.
@@ -332,7 +332,7 @@ type Store = graph.Store
 // Store.Commit batches.
 type EdgeOp = graph.EdgeOp
 
-/// GraphDelta re-exports the commit summary a Store produces: the
+// GraphDelta re-exports the commit summary a Store produces: the
 // snapshot pair, the normalized applied edge sets, and the touched
 // vertices — the input contract of ApplyIndexBatch.
 type GraphDelta = graph.Delta
