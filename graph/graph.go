@@ -6,8 +6,9 @@
 // neighbor list of vertex u. Every undirected edge {u, v} is stored twice,
 // once as (u, v) and once as (v, u). The index of the directed edge (u, v)
 // inside dst is called the edge offset e(u, v); similarity values are stored
-// per edge offset, and the reverse offset e(v, u) is recovered by binary
-// search in v's sorted neighbor list.
+// per edge offset. EdgeOffset recovers the reverse offset e(v, u) by binary
+// search in v's sorted neighbor list; ppSCAN (internal/core) does not
+// search: it builds the reverse positions once per graph, keyed by ID.
 //
 // Graphs are immutable once built. Build one with FromEdges, FromAdjacency,
 // or one of the readers in io.go.
@@ -16,6 +17,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is an immutable undirected graph in CSR form.
@@ -38,7 +40,25 @@ type Graph struct {
 	// not participate in structural equality — it identifies which version
 	// of a mutating Store this snapshot captured.
 	epoch uint64
+	// id names this graph value for the life of the process; see ID.
+	id uint64
 }
+
+// lastID is the id most recently handed to a constructed graph.
+var lastID atomic.Uint64
+
+// newGraph is the one place a constructor publishes arrays as a graph: it
+// stamps the graph with a fresh id.
+func newGraph(off []int64, dst []int32) *Graph {
+	return &Graph{Off: off, Dst: dst, id: lastID.Add(1)}
+}
+
+// ID identifies this graph value for caches of state derived from its
+// arrays, such as ppSCAN's arc words: two graphs with one nonzero ID are
+// one graph. The package's constructors (FromEdges and its callers, the
+// readers, Clone and Store.Commit) each draw a new ID. A Graph literal built
+// elsewhere has ID 0, which such a cache must treat as never seen before.
+func (g *Graph) ID() uint64 { return g.id }
 
 // Epoch returns the snapshot version this graph captured: 0 for graphs
 // built directly (FromEdges, readers), the committing Store's version for
@@ -81,6 +101,8 @@ func (g *Graph) HasEdge(u, v int32) bool {
 // [Off[u], Off[u+1]) with Dst[i] == v, or -1 when the edge does not exist.
 // It runs a binary search over u's sorted neighbor list, exactly as the
 // reverse-edge-offset computation in pSCAN's similarity-value reuse.
+// ppSCAN's reuse no longer searches: its arc words carry the reverse
+// position (internal/core).
 func (g *Graph) EdgeOffset(u, v int32) int64 {
 	lo, hi := g.Off[u], g.Off[u+1]
 	for lo < hi {
@@ -227,7 +249,7 @@ func fromOrientedEdges(n int32, edges []Edge) *Graph {
 		dst[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	g := &Graph{Off: off, Dst: dst}
+	g := newGraph(off, dst)
 	g.sortAdjacency()
 	return g
 }
@@ -276,7 +298,7 @@ func (g *Graph) Clone() *Graph {
 	copy(off, g.Off)
 	dst := make([]int32, len(g.Dst))
 	copy(dst, g.Dst)
-	return &Graph{Off: off, Dst: dst, epoch: g.epoch}
+	return &Graph{Off: off, Dst: dst, epoch: g.epoch, id: lastID.Add(1)}
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,

@@ -482,3 +482,39 @@ func TestNeighborsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestIDs: every constructor draws a fresh nonzero ID, and a literal has
+// ID 0.
+func TestIDs(t *testing.T) {
+	g := triangle(t)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabeled, err := g.Relabel([]int32{2, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewStore(g).Commit([]EdgeOp{{U: 0, V: 1, Del: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]string{}
+	for name, h := range map[string]*Graph{"FromEdges": g, "ReadBinary": read, "Clone": g.Clone(),
+		"Relabel": relabeled, "Commit": d.New} {
+		if h.ID() == 0 {
+			t.Errorf("%s: ID 0", name)
+		}
+		if other, dup := seen[h.ID()]; dup {
+			t.Errorf("%s and %s share ID %d", name, other, h.ID())
+		}
+		seen[h.ID()] = name
+	}
+	if id := (&Graph{Off: g.Off, Dst: g.Dst}).ID(); id != 0 {
+		t.Errorf("literal ID = %d, want 0", id)
+	}
+}

@@ -212,7 +212,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{Off: off, Dst: dst}
+	g := newGraph(off, dst)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: binary payload invalid: %w", err)
 	}

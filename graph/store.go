@@ -304,7 +304,7 @@ func applyBatch(old *Graph, batch []EdgeOp) (*Delta, error) {
 		copy(dst[off[u]:off[stop]], old.Dst[old.Off[u]:old.Off[stop]])
 		u = stop
 	}
-	d.New = &Graph{Off: off, Dst: dst}
+	d.New = newGraph(off, dst)
 	return d, nil
 }
 

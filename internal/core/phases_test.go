@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -31,6 +32,9 @@ func newState(t *testing.T, g *graph.Graph, eps string, mu int32, workers int) *
 		DegreeThreshold: sched.DefaultDegreeThreshold, Registry: obsv.Default()}
 	s := ws.Scratch(scratchKey, newCoreState).(*state)
 	s.reset(context.Background(), g, th, opt, ws)
+	if err := s.loadArcs(); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 
@@ -42,8 +46,8 @@ func TestPruneSimLabelsObviousEdges(t *testing.T) {
 	for u := int32(0); u < g.NumVertices(); u++ {
 		s.pruneSim(u, 0)
 	}
-	for e := range s.sim {
-		if simdef.EdgeSim(s.sim[e]) != simdef.NSim {
+	for e := range s.arcs {
+		if simdef.EdgeSim(s.arcs[e]&3) != simdef.NSim {
 			t.Fatalf("edge %d not pruned to NSim", e)
 		}
 	}
@@ -66,8 +70,8 @@ func TestPruneSimLeavesAmbiguousUnknown(t *testing.T) {
 	}
 	// K4: d=3 for all; c = ceil(0.9*4) = 4, max cn = min(3,3)+2 = 5 >= 4,
 	// lower 2 < 4: undecidable without intersection.
-	for e := range s.sim {
-		if simdef.EdgeSim(s.sim[e]) != simdef.Unknown {
+	for e := range s.arcs {
+		if simdef.EdgeSim(s.arcs[e]&3) != simdef.Unknown {
 			t.Fatalf("edge %d decided by pruning; should be ambiguous", e)
 		}
 	}
@@ -125,11 +129,10 @@ func TestTheorem41WithinPhases(t *testing.T) {
 		uOff := g.Off[u]
 		for i, v := range g.Neighbors(u) {
 			e := uOff + int64(i)
-			rev := g.EdgeOffset(v, u)
-			unknown := int32(simdef.Unknown)
-			if s.sim[e] != unknown && s.sim[rev] != unknown && s.sim[e] != s.sim[rev] {
-				t.Fatalf("edge (%d,%d): sim %v but reverse %v", u, v,
-					simdef.EdgeSim(s.sim[e]), simdef.EdgeSim(s.sim[rev]))
+			rev := g.Off[v] + int64(slices.Index(g.Neighbors(v), u))
+			fwd, back := simdef.EdgeSim(s.arcs[e]&3), simdef.EdgeSim(s.arcs[rev]&3)
+			if fwd != simdef.Unknown && back != simdef.Unknown && fwd != back {
+				t.Fatalf("edge (%d,%d): sim %v but reverse %v", u, v, fwd, back)
 			}
 		}
 	}

@@ -18,20 +18,22 @@
 //	  P6 InitClusterID               — CAS minimum-core-id per set
 //	  P7 ClusterNonCore              — batched membership emission
 //
-// Shared mutable state across threads is confined to: the per-edge
-// similarity array (atomic int32), the wait-free union-find, the CAS'd
-// cluster-id array, and the batch-flushed membership list. Per Theorem 4.1
-// each edge's similarity is computed at most once; the u < v constraints
-// make each edge's writer unique within every phase, so the atomics carry
-// no retry loops — the design is lock-free end to end.
+// Shared mutable state across threads is confined to: the per-arc words
+// (a 2-bit similarity label beside the reverse arc's position), the
+// wait-free union-find, the CAS'd cluster-id array, and the batch-flushed
+// membership list. Per Theorem 4.1 each edge's similarity is computed at
+// most once; the u < v constraints make each edge's writer unique within
+// every phase, so the atomics carry no retry loops — the design is
+// lock-free end to end — and a store is fenced only where two tasks can
+// meet at one word (DESIGN.md §3a).
 //
 // The per-vertex bodies of P1–P5 and P7 are methods of Range, a walk over
-// one vertex range with the arc labels of that range: Run's is [0, n), a
+// one vertex range with the arc words of that range: Run's is [0, n), a
 // fleet worker's (internal/shard) its partition.
 //
 // # Workspace pooling
 //
-// All O(n+m) scratch (roles, similarity labels, union-find, cluster ids,
+// All O(n+m) scratch (roles, arc words, union-find, cluster ids,
 // per-worker stat blocks, membership batches) and the scheduler's worker
 // goroutines live in an engine.Workspace. Run acquires them from
 // the workspace and leaves them there grown for the next run, so a warm
@@ -116,6 +118,9 @@ func Run(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Op
 	s := ws.Scratch(scratchKey, newCoreState).(*state)
 	s.reset(ctx, g, th, opt, ws)
 	defer s.endRun()
+	if err := s.loadArcs(); err != nil {
+		return nil, err
+	}
 	if ctx.Done() != nil {
 		release := context.AfterFunc(ctx, s.fnSetStop)
 		defer release()
@@ -410,10 +415,13 @@ type schedInstruments struct {
 // reset; the fn* fields are method values bound once at construction so
 // the per-phase scheduling calls do not allocate closures per run.
 type state struct {
-	// Range is the whole graph [0, n): the roles, arc labels, union-find,
+	// Range is the whole graph [0, n): the roles, arc words, union-find,
 	// per-worker stat blocks and P7 batches (all grow-only, reused across
 	// runs), with the phase bodies Run shares with a fleet worker.
 	Range
+	// arcsID is the graph.ID the arc words were built for; 0 when none are.
+	arcsID     uint64
+	cursor     []int32 // buildArcs' scratch
 	ctx        context.Context
 	stop       atomic.Bool // set by context.AfterFunc on cancellation
 	opt        engine.Options
@@ -480,7 +488,6 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 	s.stop.Store(false)
 	s.zombie = false
 	s.roles = ws.Roles(n)
-	s.sim = ws.AtomicSim(int(g.NumDirectedEdges()))
 	s.uf = ws.ConcurrentUF(int32(n))
 	s.clusterID = nil
 	s.ids = nil
@@ -528,6 +535,35 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 	} else {
 		s.pub = nil
 	}
+}
+
+// loadArcs points the arc words at s.g, rebuilding them unless they were
+// last built for its graph.ID; ID 0 always rebuilds. The state keeps only
+// the number, so an idle workspace pins no old graph, and an ID is never
+// reused by another graph.
+func (s *state) loadArcs() error {
+	id, m, n := s.g.ID(), s.g.NumDirectedEdges(), s.g.NumVertices()
+	if id != 0 && id == s.arcsID {
+		return nil
+	}
+	s.arcsID = 0
+	if int64(cap(s.arcs)) < m {
+		s.arcs = make([]int32, m)
+	}
+	s.arcs = s.arcs[:m]
+	if int32(cap(s.cursor)) < n {
+		s.cursor = make([]int32, n)
+	}
+	if err := buildArcs(s.g, 0, n, s.arcs, s.cursor[:n]); err != nil {
+		return err
+	}
+	s.arcsID = id
+	return nil
+}
+
+// MemoryBytes is the arc words' share of the workspace's retained memory.
+func (s *state) MemoryBytes() int64 {
+	return int64(cap(s.arcs)+cap(s.cursor)) * 4
 }
 
 // endRun drops the per-run references so a pooled workspace does not pin

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"ppscan/graph"
 	"ppscan/internal/algotest"
 	"ppscan/internal/engine"
+	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
 	"ppscan/internal/result"
 	"ppscan/internal/scan"
@@ -216,5 +218,40 @@ func TestLargeWorkerCountSmallGraph(t *testing.T) {
 	r := run(g, th, engine.Options{Workers: 32, Kernel: intersect.PivotBlock16})
 	if err := algotest.CheckGroundTruth(g, r, th); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArcWordsFollowTheGraph: one workspace keeps its arc words between
+// runs only for the graph they were built for. Two graphs with equal n and
+// m but different edges, then graph literals (ID 0) over their arrays, must
+// each get the SCAN answer.
+func TestArcWordsFollowTheGraph(t *testing.T) {
+	g1 := gen.PlantedPartition(8, 16, 0.5, 0.02, 11)
+	perm := rand.New(rand.NewSource(3)).Perm(int(g1.NumVertices()))
+	p32 := make([]int32, len(perm))
+	for i, p := range perm {
+		p32[i] = int32(p)
+	}
+	g2, err := g1.Relabel(p32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := &graph.Graph{Off: g1.Off, Dst: g1.Dst}
+	lit2 := &graph.Graph{Off: g2.Off, Dst: g2.Dst}
+	if g1.ID() == 0 || g2.ID() == 0 || g1.ID() == g2.ID() || lit.ID() != 0 || lit2.ID() != 0 {
+		t.Fatalf("ids %d %d %d %d: want two distinct nonzero ids and two zeros", g1.ID(), g2.ID(), lit.ID(), lit2.ID())
+	}
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	th, _ := simdef.NewThreshold("0.5", 3)
+	for i, g := range []*graph.Graph{g1, g1, g2, lit, lit2, lit, g2, g1} {
+		want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
+		got, err := Run(context.Background(), g, th, engine.Options{Kernel: intersect.BlockMerge, Workers: 2}, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := result.Equal(want, got); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,18 +20,22 @@ import (
 // worker (internal/shard) walks its partition through Roles, ClusterCores
 // and NonCore. Both call the same bodies.
 //
-// The arc labels cover the owned arcs only: sim[0] is arc g.Off[lo]. A body
+// The arc words cover the owned arcs only: arcs[0] is arc g.Off[lo]. A body
 // computes any arc an owned vertex reads, its other end in range or not,
 // and mirrors the value into arc (v, u) only when v is in range. An edge
 // across the range boundary may therefore be computed by both owners.
 // Roles and the union-find are indexed by vertex over the whole graph.
 type Range struct {
-	g       *graph.Graph
-	lo, hi  int32
-	base    int64 // g.Off[lo]
-	th      simdef.Threshold
-	kernel  intersect.Kind
-	sim     []int32       // simdef.EdgeSim values, accessed atomically
+	g      *graph.Graph
+	lo, hi int32
+	base   int64 // g.Off[lo]
+	th     simdef.Threshold
+	kernel intersect.Kind
+	// arcs holds one word per owned arc (u, v): pos<<2 | label, with label
+	// a simdef.EdgeSim and pos the position of arc (v, u) within v's run
+	// when v is in range (0 otherwise). buildArcs fills the positions once
+	// per graph; the phases rewrite only labels (DESIGN.md §3a).
+	arcs    []int32
 	roles   []result.Role // P1–P3 write the owned range; P4, P5 and P7 read any vertex
 	uf      *unionfind.Concurrent
 	ids     []int32 // P7: the cluster id of core u is ids[u-lo]
@@ -47,24 +53,93 @@ type Range struct {
 	own []result.Role // NewRange only: the roles P1–P3 write
 }
 
+// An arc word keeps its label in the low labelBits bits and the reverse
+// position above them.
+const (
+	labelBits = 2
+	labelMask = 1<<labelBits - 1
+)
+
+// MaxDegree is the first vertex degree arc words cannot hold: a reverse
+// position must fit in the 29 bits above the label.
+const MaxDegree = 1 << (31 - labelBits)
+
+// DegreeError reports a vertex of degree MaxDegree or more, whose reverse
+// positions an arc word cannot hold.
+type DegreeError struct {
+	Vertex, Degree int32
+}
+
+func (e *DegreeError) Error() string {
+	return fmt.Sprintf("core: vertex %d has degree %d; ppSCAN's arc words hold degrees below %d (2^29)",
+		e.Vertex, e.Degree, MaxDegree)
+}
+
+// checkDegree is the arc words' degree guard.
+func checkDegree(u, d int32) error {
+	if d >= MaxDegree {
+		return &DegreeError{Vertex: u, Degree: d}
+	}
+	return nil
+}
+
+// buildArcs fills arcs, the words of [lo, hi)'s arcs, with the reverse
+// positions and Unknown labels in one cursor pass. cur is scratch of
+// hi-lo entries. Visiting u in ascending order, each v's run is met in
+// ascending order of its neighbours u, so v's cursor, started at its first
+// neighbour ≥ lo, is the position of (v, u) when u reaches it. Each edge
+// with both ends in range is filled from its lower end, both arcs at once.
+func buildArcs(g *graph.Graph, lo, hi int32, arcs, cur []int32) error {
+	base := g.Off[lo]
+	for v := lo; v < hi; v++ {
+		if err := checkDegree(v, g.Degree(v)); err != nil {
+			return err
+		}
+		j, _ := slices.BinarySearch(g.Neighbors(v), lo)
+		cur[v-lo] = int32(j)
+	}
+	clear(arcs)
+	for u := lo; u < hi; u++ {
+		uOff := g.Off[u] - base
+		for i, v := range g.Neighbors(u) {
+			if v <= u {
+				continue
+			}
+			if v >= hi {
+				break
+			}
+			j := cur[v-lo]
+			cur[v-lo]++
+			arcs[uOff+int64(i)] = j << labelBits
+			arcs[g.Off[v]-base+int64(j)] = int32(i) << labelBits
+		}
+	}
+	return nil
+}
+
 // NewRange prepares ppSCAN's phases over the owned range [lo, hi) of g at
-// th, with kernel and up to workers goroutines per phase (at least one).
-func NewRange(g *graph.Graph, lo, hi int32, th simdef.Threshold, kernel intersect.Kind, workers int) *Range {
+// th, with kernel and up to workers goroutines per phase (at least one),
+// building the range's arc words. It fails with a *DegreeError when a
+// vertex in range has degree MaxDegree or more.
+func NewRange(g *graph.Graph, lo, hi int32, th simdef.Threshold, kernel intersect.Kind, workers int) (*Range, error) {
 	workers = max(workers, 1)
-	return &Range{
+	r := &Range{
 		g: g, lo: lo, hi: hi, base: g.Off[lo], th: th, kernel: kernel,
-		sim:     make([]int32, g.Off[hi]-g.Off[lo]),
+		arcs:    make([]int32, g.Off[hi]-g.Off[lo]),
 		own:     make([]result.Role, g.NumVertices()),
 		workers: make([]workerState, workers),
 		ncLocal: make([][]result.Membership, workers),
 	}
+	if err := buildArcs(g, lo, hi, r.arcs, make([]int32, hi-lo)); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// Roles runs P1–P3 over the range from no labels. It returns the final
-// roles of [lo, hi) — read-only, valid as long as the Range — and the
-// CompSim calls made.
+// Roles runs P1–P3 over the range from no labels: P1 rewrites every
+// owned label. It returns the final roles of [lo, hi) — read-only, valid as
+// long as the Range — and the CompSim calls made.
 func (r *Range) Roles(ctx context.Context) ([]result.Role, int64, error) {
-	clear(r.sim)
 	r.roles = r.own
 	calls, err := r.run(ctx, []rangePhase{
 		{"P1 prune-sim", result.PhasePruning, nil, r.pruneSim},
@@ -181,22 +256,19 @@ func (r *Range) degree(u int32) int32 { return r.g.Degree(u) }
 func (r *Range) roleUnknown(u int32) bool { return r.roles[u] == result.RoleUnknown }
 func (r *Range) isCore(u int32) bool      { return r.roles[u] == result.RoleCore }
 
-func (r *Range) loadSim(e int64) simdef.EdgeSim {
-	return simdef.EdgeSim(atomic.LoadInt32(&r.sim[e]))
+// label loads arc e's label; a mirror store may land concurrently.
+func (r *Range) label(e int64) simdef.EdgeSim {
+	return simdef.EdgeSim(atomic.LoadInt32(&r.arcs[e]) & labelMask)
 }
 
-func (r *Range) storeSim(e int64, v simdef.EdgeSim) {
-	atomic.StoreInt32(&r.sim[e], int32(v))
-}
-
-// label stores a computed value into arc e of u, publishing the reverse
-// arc (v, u) first when v is in range, so that v's owner can pick it up in
-// its own pass — the similarity-value reuse.
-func (r *Range) label(e int64, u, v int32, val simdef.EdgeSim) {
+// mirror publishes val into arc (v, u), at position pos of v's run, when v
+// is in range, so that v's task picks it up in its own pass: the
+// similarity-value reuse. i is the position of (u, v) in u's run, so the
+// whole word is known and one atomic store writes it.
+func (r *Range) mirror(v, pos int32, i int, val simdef.EdgeSim) {
 	if v >= r.lo && v < r.hi {
-		r.storeSim(r.g.EdgeOffset(v, u)-r.base, val)
+		atomic.StoreInt32(&r.arcs[r.g.Off[v]-r.base+int64(pos)], int32(i)<<labelBits|int32(val))
 	}
-	r.storeSim(e, val)
 }
 
 // compSim evaluates one structural similarity with the configured kernel,
@@ -213,20 +285,23 @@ func (r *Range) compSim(u, v int32, worker int) simdef.EdgeSim {
 }
 
 // pruneSim is Algorithm 3's PruneSim(u): label edges by the similarity
-// predicate pruning rules and initialize u's role from the labels.
+// predicate pruning rules and initialize u's role from the labels. Every
+// arc of u gets a label, so no clear precedes the phase.
 func (r *Range) pruneSim(u int32, worker int) {
 	g := r.g
 	du := g.Degree(u)
+	cut := r.th.Eps.PruneCut(du)
 	sd, ed := int32(0), du
 	uOff := g.Off[u] - r.base
 	for i, v := range g.Neighbors(u) {
 		e := uOff + int64(i)
-		switch r.th.Eps.PruneResult(du, g.Degree(v)) {
+		val := cut.Result(g.Degree(v))
+		//lint:atomicok P1: u's task is arc e's only writer and nothing reads the arcs before the phase barrier
+		r.arcs[e] = r.arcs[e]&^labelMask | int32(val)
+		switch val {
 		case simdef.Sim:
-			r.storeSim(e, simdef.Sim)
 			sd++
 		case simdef.NSim:
-			r.storeSim(e, simdef.NSim)
 			ed--
 		}
 	}
@@ -270,7 +345,7 @@ func (r *Range) roleScan(u int32, worker int, onlyGreater bool) {
 	nbrs := g.Neighbors(u)
 	// Pass 1 (Algorithm 3 lines 22-30): fold in known labels.
 	for i := range nbrs {
-		switch r.loadSim(uOff + int64(i)) {
+		switch r.label(uOff + int64(i)) {
 		case simdef.Sim:
 			sd++
 			if sd >= mu {
@@ -291,11 +366,19 @@ func (r *Range) roleScan(u int32, worker int, onlyGreater bool) {
 			continue
 		}
 		e := uOff + int64(i)
-		if r.loadSim(e) != simdef.Unknown {
+		w := atomic.LoadInt32(&r.arcs[e])
+		if simdef.EdgeSim(w&labelMask) != simdef.Unknown {
 			continue
 		}
 		val := r.compSim(u, v, worker)
-		r.label(e, u, v, val)
+		if onlyGreater {
+			//lint:atomicok P2: for v > u, u's task is the only reader and writer of arc (u, v)
+			r.arcs[e] = w | int32(val)
+		} else {
+			// P3: v's task may write the same word as its mirror.
+			atomic.StoreInt32(&r.arcs[e], w|int32(val))
+		}
+		r.mirror(v, w>>labelBits, i, val)
 		if val == simdef.Sim {
 			sd++
 			if sd >= mu {
@@ -328,7 +411,7 @@ func (r *Range) clusterCoreWithoutCompSim(u int32, worker int) {
 		if u >= v || r.roles[v] != result.RoleCore {
 			continue
 		}
-		if r.loadSim(uOff+int64(i)) != simdef.Sim {
+		if r.label(uOff+int64(i)) != simdef.Sim {
 			continue
 		}
 		if r.uf.Same(u, v) {
@@ -349,14 +432,17 @@ func (r *Range) clusterCoreWithCompSim(u int32, worker int) {
 			continue
 		}
 		e := uOff + int64(i)
-		if r.loadSim(e) != simdef.Unknown {
+		w := atomic.LoadInt32(&r.arcs[e])
+		if simdef.EdgeSim(w&labelMask) != simdef.Unknown {
 			continue
 		}
 		if r.uf.Same(u, v) {
 			continue
 		}
 		val := r.compSim(u, v, worker)
-		r.label(e, u, v, val)
+		// No mirror: P4 and P5 read a core–core arc only from its lower end.
+		//lint:atomicok P5: for v > u, u's task is the only reader and writer of arc (u, v)
+		r.arcs[e] = w | int32(val)
 		if val == simdef.Sim {
 			r.uf.Union(u, v)
 		}
@@ -373,10 +459,12 @@ func (r *Range) nonCoreVertex(u int32, w int) {
 			continue
 		}
 		e := uOff + int64(i)
-		sim := r.loadSim(e)
+		sim := r.label(e)
 		if sim == simdef.Unknown {
 			sim = r.compSim(u, v, w)
-			r.label(e, u, v, sim)
+			// No mirror: no phase visits the non-core v after P3.
+			//lint:atomicok P7: only core u's task reads or writes arc (u, v) to a non-core v
+			r.arcs[e] |= int32(sim)
 		}
 		if sim == simdef.Sim {
 			// Grow-only per-worker batch: capacity persists across runs in the

@@ -38,7 +38,6 @@ import (
 // use NewWorkspace.
 type Workspace struct {
 	roles         []result.Role
-	atomicSim     []int32
 	edgeSims      []simdef.EdgeSim
 	clusterID     []int32
 	coreClusterID []int32
@@ -128,15 +127,6 @@ func (w *Workspace) Roles(n int) []result.Role {
 	w.roles = grow(w.roles, n)
 	clear(w.roles)
 	return w.roles
-}
-
-// AtomicSim returns n int32 similarity slots (one per directed edge for
-// the lock-free engines), all zero. The caller accesses them atomically.
-func (w *Workspace) AtomicSim(n int) []int32 {
-	w.note(uint64(n))
-	w.atomicSim = grow(w.atomicSim, n)
-	clear(w.atomicSim)
-	return w.atomicSim
 }
 
 // EdgeSims returns n edge-similarity states (for the sequential and
@@ -248,10 +238,15 @@ func (w *Workspace) Scratch(key string, newFn func() any) any {
 	return v
 }
 
-// MemoryBytes approximates the workspace's retained buffer memory.
+// MemoryBytes approximates the workspace's retained buffer memory,
+// counting each Scratch value that reports its own MemoryBytes.
 func (w *Workspace) MemoryBytes() int64 {
 	b := int64(cap(w.roles)) * 1
-	b += int64(cap(w.atomicSim)) * 4
+	for _, v := range w.scratch {
+		if m, ok := v.(interface{ MemoryBytes() int64 }); ok {
+			b += m.MemoryBytes()
+		}
+	}
 	b += int64(cap(w.edgeSims)) * 4
 	b += int64(cap(w.clusterID)) * 4
 	b += int64(cap(w.coreClusterID)) * 4

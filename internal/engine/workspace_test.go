@@ -57,9 +57,6 @@ func TestWorkspaceNoStaleData(t *testing.T) {
 		_ = r
 		ws.roles[i] = result.RoleCore
 	}
-	for i := range ws.AtomicSim(64) {
-		ws.atomicSim[i] = 7
-	}
 	for i := range ws.EdgeSims(64) {
 		ws.edgeSims[i] = simdef.Sim
 	}
@@ -86,11 +83,6 @@ func TestWorkspaceNoStaleData(t *testing.T) {
 	for i, r := range ws.Roles(32) {
 		if r != result.RoleUnknown {
 			t.Fatalf("Roles[%d] = %v, want Unknown", i, r)
-		}
-	}
-	for i, v := range ws.AtomicSim(32) {
-		if v != 0 {
-			t.Fatalf("AtomicSim[%d] = %d, want 0", i, v)
 		}
 	}
 	for i, v := range ws.EdgeSims(32) {

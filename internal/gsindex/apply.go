@@ -330,6 +330,8 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	// on both directed slots, and both owners are marked affected.
 	applyDelta := func(a, v int32, slotU int64, delta int32) {
 		nix.cn[slotU] += delta
+		// A search per changed count, not per arc: reverse positions built
+		// per epoch would add O(m) to every commit.
 		nix.cn[newG.EdgeOffset(v, a)] += delta
 		affected[a>>6] |= 1 << (uint(a) & 63)
 		affected[v>>6] |= 1 << (uint(v) & 63)
@@ -406,6 +408,7 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	for _, e := range d.Added {
 		c := contribAdd(e.U, e.V) + 2
 		contribAdd(e.V, e.U)
+		// Two searches per inserted edge, not per arc (see applyDelta).
 		nix.cn[newG.EdgeOffset(e.U, e.V)] = c
 		nix.cn[newG.EdgeOffset(e.V, e.U)] = c
 	}

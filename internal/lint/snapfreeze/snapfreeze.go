@@ -9,7 +9,7 @@
 //
 // Flagged, anywhere in the repo:
 //
-//   - stores into frozen fields: g.Dst[i] = v, g.Off = x, g.epoch++,
+//   - stores into frozen fields: g.Dst[i] = v, g.Off = x, g.epoch++, g.id = x,
 //     ix.cn[e] = c, copy(g.Dst, …), sort.Slice(g.Dst[lo:hi], …)
 //   - stores through graph-aliased locals: a slice obtained from a frozen
 //     field (row := g.Dst[lo:hi]) or from Neighbors() aliases the CSR
@@ -36,7 +36,7 @@ import (
 // must never be written after publication. The snapfix entries mirror the
 // real types so the fixture suite exercises the same code path.
 var frozenFields = map[[2]string]map[string]bool{
-	{"ppscan/graph", "Graph"}:            {"Off": true, "Dst": true, "epoch": true},
+	{"ppscan/graph", "Graph"}:            {"Off": true, "Dst": true, "epoch": true, "id": true},
 	{"ppscan/internal/gsindex", "Index"}: {"cn": true, "order": true},
 	{"snapfix", "Graph"}:                 {"Off": true, "Dst": true, "epoch": true},
 	{"snapfix", "Index"}:                 {"cn": true, "order": true},
@@ -50,7 +50,7 @@ var aliasMethods = map[string]bool{"Neighbors": true}
 var Analyzer = &framework.Analyzer{
 	Name:      "snapfreeze",
 	Directive: "snapfreeze",
-	Doc: "flags writes to published graph/index state — Graph.Off/Dst/epoch and Index.cn/order " +
+	Doc: "flags writes to published graph/index state — Graph.Off/Dst/epoch/id and Index.cn/order " +
 		"element or field stores, including through slices aliased from them (Neighbors, " +
 		"g.Dst[lo:hi]) — readers walk these arrays lock-free, so any post-publication write is " +
 		"a data race; pre-publication construction sites annotate //lint:snapfreeze <reason>",

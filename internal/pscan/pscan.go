@@ -222,7 +222,7 @@ func (s *state) compSim(u int32, e int64, v int32) simdef.EdgeSim {
 		t0 = time.Now()
 	}
 	s.sim[e] = val
-	rev := g.EdgeOffset(v, u) // binary search, as in the paper
+	rev := g.EdgeOffset(v, u) // the baseline's binary-search cross-link, as in the paper
 	s.sim[rev] = val
 	for _, w := range [2]int32{u, v} {
 		if val == simdef.Sim {

@@ -62,6 +62,7 @@ func LabelArcs(g *graph.Graph, lo, hi int32, sim []simdef.EdgeSim, u int32, uppe
 		calls++
 		sim[off+int64(i)] = val
 		if mirror && v >= lo && v < hi {
+			// Binary search kept: SCAN++ is the only mirroring caller.
 			sim[g.EdgeOffset(v, u)-base] = val
 		}
 	}

@@ -380,7 +380,9 @@ func (w *Worker) step(ctx context.Context, sn *snapState, req *StepRequest) (*St
 		// are deterministic, so recomputing them yields the same answer.
 		w.misses.Inc()
 		if st.r == nil {
-			st.r = core.NewRange(sn.g, sn.lo, sn.hi, th, w.opt.Kernel, w.opt.Workers)
+			if st.r, err = core.NewRange(sn.g, sn.lo, sn.hi, th, w.opt.Kernel, w.opt.Workers); err != nil {
+				return nil, err
+			}
 		}
 		roles, calls, err := st.r.Roles(ctx)
 		if err != nil {

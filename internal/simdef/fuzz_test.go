@@ -28,14 +28,16 @@ func FuzzParseEpsilon(f *testing.F) {
 }
 
 // FuzzMinCNBoundary: MinCN must be the exact boundary of Pred for
-// arbitrary degrees and epsilons, and PruneResult must be the rule that
-// boundary gives.
+// arbitrary degrees and epsilons, PruneResult must be the rule that
+// boundary gives, and PruneCut's cuts must give PruneResult. ε runs down to
+// 1/65536, small enough to put the cuts at MaxInt32; testdata/fuzz holds
+// the edge seeds.
 func FuzzMinCNBoundary(f *testing.F) {
 	f.Add(uint16(1), uint16(5), uint32(10), uint32(20))
 	// ε = 1/2, du = dv = 3: σ = 2/√16 = ε exactly at cn = 2.
 	f.Add(uint16(0), uint16(1), uint32(3), uint32(3))
 	f.Fuzz(func(t *testing.T, numRaw, denRaw uint16, duRaw, dvRaw uint32) {
-		den := uint64(denRaw%9999) + 1
+		den := uint64(denRaw) + 1
 		num := uint64(numRaw)%den + 1
 		g := gcd(num, den)
 		e := Epsilon{Num: num / g, Den: den / g}
@@ -59,6 +61,9 @@ func FuzzMinCNBoundary(f *testing.F) {
 		}
 		if got := e.PruneResult(du, dv); got != want {
 			t.Fatalf("PruneResult = %v, MinCN rule gives %v: eps=%v du=%d dv=%d c=%d", got, want, e, du, dv, c)
+		}
+		if got := e.PruneCut(du).Result(dv); got != want {
+			t.Fatalf("PruneCut(%d).Result(%d) = %v, PruneResult gives %v: eps=%v cut=%+v", du, dv, got, want, e, e.PruneCut(du))
 		}
 	})
 }

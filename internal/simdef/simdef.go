@@ -271,6 +271,78 @@ func (e Epsilon) PruneResult(du, dv int32) EdgeSim {
 	return Unknown
 }
 
+// Cut is PruneResult(du, ·) for one du as three exact degree cuts, so that
+// a vertex classifies each neighbour with two comparisons and no 128-bit
+// product. Build it with PruneCut.
+type Cut struct {
+	nsimBelow int32 // NSim for dv < nsimBelow; nsimBelow ≤ du
+	nsimFrom  int32 // NSim for dv ≥ nsimFrom; nsimFrom ≥ du
+	simBelow  int32 // otherwise Sim for dv < simBelow
+}
+
+// Result is PruneResult(du, dv) for the du the cut was built for and any
+// degree 0 ≤ dv < MaxInt32.
+func (c Cut) Result(dv int32) EdgeSim {
+	// One unsigned comparison tests dv ∉ [nsimBelow, nsimFrom).
+	if uint32(dv-c.nsimBelow) >= uint32(c.nsimFrom-c.nsimBelow) {
+		return NSim
+	}
+	if dv < c.simBelow {
+		return Sim
+	}
+	return Unknown
+}
+
+// PruneCut returns the cuts of PruneResult(du, ·). The rules are monotone
+// in dv on [0, du) and on [du, ∞): with k = ε²(du+1),
+//
+//   - NSim below du while (dv+2)²/(dv+1) < k, which rises with dv;
+//   - NSim from du on once (du+2)²/(dv+1) < k, which falls with dv;
+//   - Sim while 4/(dv+1) ≥ k, which falls with dv.
+//
+// So each cut is the first degree where a monotone predicate flips. A
+// float estimate finds it and exact predI64 steps correct it; a cut past
+// MaxInt32 is MaxInt32.
+func (e Epsilon) PruneCut(du int32) Cut {
+	k := e.Float() * e.Float() * (float64(du) + 1)
+	// (y+1)²/y = k for y = dv+1 has its larger root at
+	// ((k-2) + √((k-2)²-4))/2 when k > 4; below that no dv is NSim.
+	est := 0.0
+	if k > 4 {
+		est = ((k-2)+math.Sqrt((k-2)*(k-2)-4))/2 - 1
+	}
+	return Cut{
+		nsimBelow: firstFalse(0, int64(du), est, func(dv int64) bool {
+			return !e.predI64(dv+2, du, int32(dv))
+		}),
+		nsimFrom: firstFalse(int64(du), math.MaxInt32, (float64(du)+2)*(float64(du)+2)/k, func(dv int64) bool {
+			return e.predI64(int64(du)+2, du, int32(dv))
+		}),
+		simBelow: firstFalse(0, math.MaxInt32, 4/k, func(dv int64) bool {
+			return e.predI64(2, du, int32(dv))
+		}),
+	}
+}
+
+// firstFalse returns the least t in [lo, hi) with !ok(t), or hi when ok
+// holds on all of it; ok must be true and then false on [lo, hi). est is a
+// guess at the answer, corrected one step at a time.
+func firstFalse(lo, hi int64, est float64, ok func(int64) bool) int32 {
+	t := lo
+	if est >= float64(hi) {
+		t = hi
+	} else if est > float64(lo) {
+		t = int64(est)
+	}
+	for t > lo && !ok(t-1) {
+		t--
+	}
+	for t < hi && ok(t) {
+		t++
+	}
+	return int32(t)
+}
+
 // Threshold bundles ε and µ, the two SCAN parameters.
 type Threshold struct {
 	Eps Epsilon

@@ -205,6 +205,27 @@ func TestPruneResultConsistentWithPred(t *testing.T) {
 	}
 }
 
+// TestPruneCutMatchesPruneResult checks the cuts on every small degree
+// pair, and that an ε too small to prune anything puts both upper cuts at
+// MaxInt32.
+func TestPruneCutMatchesPruneResult(t *testing.T) {
+	for _, s := range []string{"0.1", "0.2", "0.35", "0.5", "0.7", "0.9", "1", "1/65536"} {
+		e := MustEpsilon(s)
+		for du := int32(0); du <= 150; du++ {
+			c := e.PruneCut(du)
+			for dv := int32(0); dv <= 300; dv++ {
+				if got, want := c.Result(dv), e.PruneResult(du, dv); got != want {
+					t.Fatalf("eps=%s du=%d dv=%d: cut %+v gives %v, PruneResult %v", s, du, dv, c, got, want)
+				}
+			}
+		}
+	}
+	c := MustEpsilon("1/65536").PruneCut(0)
+	if c.nsimBelow != 0 || c.nsimFrom != math.MaxInt32 || c.simBelow != math.MaxInt32 {
+		t.Errorf("tiny eps cut = %+v, want {0 MaxInt32 MaxInt32}", c)
+	}
+}
+
 func TestPredMonotoneInCN(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
