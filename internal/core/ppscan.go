@@ -3,8 +3,8 @@
 // clustering (Algorithms 3 and 4), scheduled with degree-based dynamic
 // tasks (Algorithm 5). Similarity is computed by the vector block-merge
 // kernel (intersect.BlockMerge), which beats the paper's pivot-based
-// kernel (Algorithm 6, intersect.PivotBlock16/PivotBlock8 — still
-// selectable by name) on every measured pair; see DESIGN.md.
+// kernel (Algorithm 6, intersect.PivotBlock16 — still selectable by name)
+// on every measured pair; see DESIGN.md.
 //
 // The computation runs in seven phases with barriers between them:
 //
@@ -74,9 +74,9 @@ func init() {
 const scratchKey = "core"
 
 // Run executes ppSCAN on g with threshold th under ctx, with opt.Kernel the
-// resolved intersection kernel (ppSCAN defaults to BlockMerge, the paper's
-// figures select PivotBlock16 / PivotBlock8 by name; ppSCAN-NO uses
-// MergeEarly).
+// resolved intersection kernel (ppSCAN defaults to BlockMerge, Figure 5's
+// Algorithm 6 row selects PivotBlock16 by name; ppSCAN-NO is ppSCAN on
+// pSCAN's MergeEarly).
 // opt.Workers < 1 means GOMAXPROCS, opt.DegreeThreshold < 1 Algorithm 5's
 // default (32768), a nil opt.Registry obsv.Default() — pass obsv.NewNop()
 // to turn collection off entirely. opt.StallTimeout arms the phase

@@ -16,13 +16,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Skip("CSV export of all experiments skipped in -short")
 	}
 	cfg := Config{Scale: 0.02, Workers: 2, Quick: true}
-	wantRows := map[string]int{
-		"table1": 4, "table2": 4,
-		"fig1": 12, "fig2": 40, "fig3": 40, "fig4": 8,
-		"fig5": 16, "fig6": 8, "fig7": 16, "fig8": 8,
-		// 1 quick dataset x (2 scheduler + 3 thresholds + 3 orders + 7 kernels + 4 partitionings)
-		"ablations": 19,
-	}
+	wantRows := quickRows()
 	for _, e := range Experiments() {
 		tab := e.Run(cfg)
 		if len(tab.Rows) != wantRows[e.ID] {

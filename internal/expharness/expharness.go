@@ -195,8 +195,10 @@ func Fig1(cfg Config) Table {
 // Figures 2 and 3: overall comparison
 // ---------------------------------------------------------------------------
 
-// Profile selects the instruction-set profile: the CPU profile uses 8-lane
-// blocks (AVX2) for vectorized kernels, the KNL profile 16-lane (AVX512).
+// Profile names the machine of one of the paper's figures by the body of
+// ppSCAN's block-merge kernel that stands in for its vector unit: the CPU
+// runs AVX2, the KNL AVX-512. A profile runs only on a host that has its
+// body (hostProfiles), never on another body under its label.
 type Profile int
 
 // Profiles.
@@ -207,23 +209,34 @@ const (
 
 func (p Profile) String() string {
 	if p == ProfileKNL {
-		return "KNL(AVX512/16-lane)"
+		return "KNL(AVX512)"
 	}
-	return "CPU(AVX2/8-lane)"
+	return "CPU(AVX2)"
 }
 
-// kernel names the profile's block-vectorized kernel for engine.Run.
-func (p Profile) kernel() string {
-	if p == ProfileKNL {
-		return intersect.PivotBlock16.String()
+// force makes ppSCAN's kernel run the profile's body until restore is
+// called; ok is false, and nothing changes, on a host without it.
+func (p Profile) force() (restore func(), ok bool) {
+	return intersect.ForceBody([...]string{"avx2", "avx512"}[p])
+}
+
+// hostProfiles lists the profiles this host can run, CPU first.
+func hostProfiles() []Profile {
+	var ps []Profile
+	for _, p := range []Profile{ProfileCPU, ProfileKNL} {
+		if restore, ok := p.force(); ok {
+			restore()
+			ps = append(ps, p)
+		}
 	}
-	return intersect.PivotBlock8.String()
+	return ps
 }
 
 // OverallComparison runs the Figure 2/3 experiment for one profile: every
-// algorithm with its paper-faithful kernel, ppSCAN's resolved per profile.
+// algorithm with its default kernel, ppSCAN's on the profile's body.
 // speedup_vs_pscan is pSCAN's runtime divided by the row's on the same
-// (dataset, eps) — the paper's headline ratios.
+// (dataset, eps) — the paper's headline ratios. On a host without the
+// profile's body the table has no rows.
 func OverallComparison(cfg Config, profile Profile) Table {
 	cfg = cfg.norm()
 	t := Table{
@@ -232,6 +245,11 @@ func OverallComparison(cfg Config, profile Profile) Table {
 			{"dataset", String}, {"algorithm", String}, {"eps", String}, {"runtime", Duration}, {"speedup_vs_pscan", Ratio},
 		},
 	}
+	restore, ok := profile.force()
+	if !ok {
+		return t
+	}
+	defer restore()
 	engines := []string{"scan", "pscan", "anyscan", "scan-xp", "ppscan"}
 	for _, spec := range dataset.RealWorld() {
 		g := dataset.MustLoad(spec.Name, cfg.Scale)
@@ -240,11 +258,7 @@ func OverallComparison(cfg Config, profile Profile) Table {
 			stats := make([]result.Stats, len(engines))
 			var pscanTotal time.Duration
 			for i, name := range engines {
-				kernel := ""
-				if name == "ppscan" {
-					kernel = profile.kernel()
-				}
-				stats[i] = cfg.best(name, kernel, g, th, engine.Options{Workers: cfg.Workers}).Stats
+				stats[i] = cfg.best(name, "", g, th, engine.Options{Workers: cfg.Workers}).Stats
 				if name == "pscan" {
 					pscanTotal = stats[i].Total
 				}
@@ -297,22 +311,32 @@ func Fig4(cfg Config) Table {
 // ---------------------------------------------------------------------------
 
 // Fig5 regenerates Figure 5: the core-checking stage time of ppSCAN-NO
-// (scalar kernel) and of ppSCAN with the pivot-based block-vectorized
-// kernel, and their quotient, on both profiles.
+// (ppSCAN on pSCAN's scalar merge-early kernel) against ppSCAN on a vector
+// kernel, and their quotient. Each (dataset, eps) has one row for
+// Algorithm 6 as the paper writes it (pivot-block16) and one for ppSCAN's
+// block-merge on each profile's body the host has.
 func Fig5(cfg Config) Table {
 	cfg = cfg.norm()
 	t := Table{Title: "Figure 5: vectorized set-intersection core-checking speedup (mu=5)", Columns: []Column{
-		{"dataset", String}, {"eps", String}, {"profile", String},
+		{"dataset", String}, {"eps", String}, {"kernel", String},
 		{"scalar", Duration}, {"vectorized", Duration}, {"speedup", Ratio},
 	}}
-	for _, profile := range []Profile{ProfileCPU, ProfileKNL} {
-		for _, spec := range dataset.RealWorld() {
-			g := dataset.MustLoad(spec.Name, cfg.Scale)
-			for _, eps := range cfg.epsGrid() {
-				th := mustTh(eps, DefaultMu)
-				no := cfg.best("ppscan-no", "", g, th, engine.Options{Workers: cfg.Workers}).Stats.PhaseTimes[result.PhaseCheckCore]
-				vec := cfg.best("ppscan", profile.kernel(), g, th, engine.Options{Workers: cfg.Workers}).Stats.PhaseTimes[result.PhaseCheckCore]
-				t.add(spec.Name, eps, profile.String(), no, vec, ratio(no, vec))
+	opt := engine.Options{Workers: cfg.Workers}
+	for _, spec := range dataset.RealWorld() {
+		g := dataset.MustLoad(spec.Name, cfg.Scale)
+		for _, eps := range cfg.epsGrid() {
+			th := mustTh(eps, DefaultMu)
+			checkCore := func(name, kernel string) time.Duration {
+				return cfg.best(name, kernel, g, th, opt).Stats.PhaseTimes[result.PhaseCheckCore]
+			}
+			no := checkCore("ppscan-no", "")
+			row := func(kernel string, vec time.Duration) { t.add(spec.Name, eps, kernel, no, vec, ratio(no, vec)) }
+			row(intersect.PivotBlock16.String(), checkCore("ppscan", intersect.PivotBlock16.String()))
+			for _, p := range hostProfiles() {
+				restore, _ := p.force()
+				vec := checkCore("ppscan", "")
+				restore()
+				row(intersect.BlockMerge.String()+" "+p.String(), vec)
 			}
 		}
 	}
@@ -390,30 +414,32 @@ func Fig7(cfg Config) Table {
 // Figure 8: ROLL graphs
 // ---------------------------------------------------------------------------
 
-// Fig8 regenerates Figure 8: ppSCAN runtime on the ROLL family, µ = 5, both
-// profiles, and its self-speedup over the 1-worker run at the same
-// (dataset, eps).
+// Fig8 regenerates Figure 8: ppSCAN runtime on the ROLL family, µ = 5, on
+// each profile the host has (under Quick, only the last), and its
+// self-speedup over the 1-worker run at the same (dataset, eps).
 func Fig8(cfg Config) Table {
 	cfg = cfg.norm()
 	t := Table{Title: "Figure 8: ppSCAN on ROLL graphs (mu=5)", Columns: []Column{
 		{"dataset", String}, {"eps", String}, {"profile", String}, {"runtime", Duration}, {"self_speedup", Ratio},
 		{"cores", Int}, {"clusters", Int},
 	}}
-	profiles := []Profile{ProfileCPU, ProfileKNL}
-	if cfg.Quick {
-		profiles = []Profile{ProfileKNL}
+	profiles := hostProfiles()
+	if cfg.Quick && len(profiles) > 1 {
+		profiles = profiles[len(profiles)-1:]
 	}
 	for _, profile := range profiles {
+		restore, _ := profile.force()
 		for _, spec := range dataset.RollFamily() {
 			g := dataset.MustLoad(spec.Name, cfg.Scale)
 			for _, eps := range cfg.epsGrid() {
 				th := mustTh(eps, DefaultMu)
-				one := cfg.best("ppscan", profile.kernel(), g, th, engine.Options{Workers: 1})
-				par := cfg.best("ppscan", profile.kernel(), g, th, engine.Options{Workers: cfg.Workers})
+				one := cfg.best("ppscan", "", g, th, engine.Options{Workers: 1})
+				par := cfg.best("ppscan", "", g, th, engine.Options{Workers: cfg.Workers})
 				t.add(spec.Name, eps, profile.String(), par.Stats.Total, ratio(one.Stats.Total, par.Stats.Total),
 					int64(par.NumCores()), int64(par.NumClusters()))
 			}
 		}
+		restore()
 	}
 	return t
 }

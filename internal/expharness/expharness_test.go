@@ -2,12 +2,14 @@ package expharness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ppscan/internal/dataset"
 	"ppscan/internal/engine"
+	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 )
@@ -15,6 +17,27 @@ import (
 // quickCfg keeps harness tests fast: tiny datasets, reduced grids.
 func quickCfg() Config {
 	return Config{Scale: 0.03, Workers: 2, Quick: true}
+}
+
+// quickRows is each experiment's row count under Quick on this host. The
+// profile figures have rows only for the block-merge bodies the host has:
+// fig2 for AVX2, fig3 for AVX-512, fig5 one row per body beside
+// pivot-block16's, fig8 the last profile's.
+func quickRows() map[string]int {
+	profiles := hostProfiles()
+	has := func(p Profile) int {
+		if slices.Contains(profiles, p) {
+			return 1
+		}
+		return 0
+	}
+	return map[string]int{
+		"table1": 4, "table2": 4,
+		"fig1": 12, "fig2": 40 * has(ProfileCPU), "fig3": 40 * has(ProfileKNL), "fig4": 8,
+		"fig5": 8 * (1 + len(profiles)), "fig6": 8, "fig7": 16, "fig8": 8 * min(len(profiles), 1),
+		// 1 quick dataset x (2 scheduler + 3 thresholds + 3 orders + kernels + 4 partitionings)
+		"ablations": 12 + len(intersect.Kinds()),
+	}
 }
 
 // column returns the cells of the named column.
@@ -101,9 +124,12 @@ func TestFig1Breakdown(t *testing.T) {
 
 func TestOverallComparison(t *testing.T) {
 	tab := Fig3(quickCfg())
-	// 4 datasets x 2 eps x 5 algorithms.
-	if len(tab.Rows) != 40 {
-		t.Fatalf("Fig3 rows = %d, want 40", len(tab.Rows))
+	// 4 datasets x 2 eps x 5 algorithms, on a host with AVX-512.
+	if want := quickRows()["fig3"]; len(tab.Rows) != want {
+		t.Fatalf("Fig3 rows = %d, want %d", len(tab.Rows), want)
+	}
+	if len(tab.Rows) == 0 {
+		t.Skip("this host cannot run the KNL profile's body")
 	}
 	algo := column[string](t, tab, "algorithm")
 	runtime := column[time.Duration](t, tab, "runtime")
@@ -152,14 +178,26 @@ func TestFig4Invocations(t *testing.T) {
 
 func TestFig5Vectorization(t *testing.T) {
 	tab := Fig5(quickCfg())
-	if len(tab.Rows) != 16 { // 2 profiles x 4 datasets x 2 eps
-		t.Fatalf("Fig5 rows = %d", len(tab.Rows))
+	// 4 datasets x 2 eps x (pivot-block16 + one row per host profile).
+	if want := quickRows()["fig5"]; len(tab.Rows) != want {
+		t.Fatalf("Fig5 rows = %d, want %d", len(tab.Rows), want)
+	}
+	kernels := map[string]int{}
+	for _, k := range column[string](t, tab, "kernel") {
+		kernels[k]++
+	}
+	if kernels["pivot-block16"] != 8 || len(kernels) != 1+len(hostProfiles()) {
+		t.Errorf("Fig5 kernel rows = %v", kernels)
 	}
 	scalar := column[time.Duration](t, tab, "scalar")
 	vec := column[time.Duration](t, tab, "vectorized")
 	for i := range tab.Rows {
 		if scalar[i] < 0 || vec[i] < 0 {
 			t.Errorf("negative stage time")
+		}
+		// Every row of one (dataset, eps) shares ppSCAN-NO's scalar side.
+		if i%len(kernels) != 0 && scalar[i] != scalar[i-1] {
+			t.Errorf("row %d: scalar %v, row above %v", i, scalar[i], scalar[i-1])
 		}
 	}
 }
@@ -198,8 +236,9 @@ func TestFig7Robustness(t *testing.T) {
 
 func TestFig8Roll(t *testing.T) {
 	tab := Fig8(quickCfg())
-	if len(tab.Rows) != 8 { // 1 profile (quick) x 4 datasets x 2 eps
-		t.Fatalf("Fig8 rows = %d", len(tab.Rows))
+	// 1 profile (quick) x 4 datasets x 2 eps, on a host with AVX2.
+	if want := quickRows()["fig8"]; len(tab.Rows) != want {
+		t.Fatalf("Fig8 rows = %d, want %d", len(tab.Rows), want)
 	}
 	for i, sp := range column[float64](t, tab, "self_speedup") {
 		if sp <= 0 {
@@ -245,7 +284,10 @@ func TestRegistryRunsSmoke(t *testing.T) {
 		if !strings.HasPrefix(out, "== "+tab.Title+" ==\n") {
 			t.Errorf("%s: series does not open with its title: %q", e.ID, out)
 		}
-		if got := strings.Count(out, "\n"); len(tab.Rows) == 0 || got != len(tab.Rows)+2 {
+		if len(tab.Rows) != quickRows()[e.ID] {
+			t.Errorf("%s: %d rows, want %d", e.ID, len(tab.Rows), quickRows()[e.ID])
+		}
+		if got := strings.Count(out, "\n"); got != len(tab.Rows)+2 {
 			t.Errorf("%s: %d lines for %d rows", e.ID, got, len(tab.Rows))
 		}
 	}
@@ -253,8 +295,8 @@ func TestRegistryRunsSmoke(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	tab := Ablations(quickCfg())
-	if len(tab.Rows) != 19 {
-		t.Fatalf("ablation rows = %d, want 19", len(tab.Rows))
+	if want := quickRows()["ablations"]; len(tab.Rows) != want {
+		t.Fatalf("ablation rows = %d, want %d", len(tab.Rows), want)
 	}
 	runtime := column[time.Duration](t, tab, "runtime")
 	groups := map[string]int{}
@@ -264,7 +306,7 @@ func TestAblations(t *testing.T) {
 			t.Errorf("%v: zero runtime", tab.Rows[i])
 		}
 	}
-	want := map[string]int{"scheduler": 2, "task-threshold": 3, "pscan-order": 3, "ppscan-kernel": 7, "dist-partitions": 4}
+	want := map[string]int{"scheduler": 2, "task-threshold": 3, "pscan-order": 3, "ppscan-kernel": len(intersect.Kinds()), "dist-partitions": 4}
 	for g, n := range want {
 		if groups[g] != n {
 			t.Errorf("group %s has %d rows, want %d", g, groups[g], n)

@@ -48,9 +48,25 @@ func (b body) String() string {
 	return [...]string{"merge-early", "avx2", "avx512"}[b]
 }
 
-// blockBody is the body BlockMerge runs, chosen once at init; only tests
-// change it (forceBody).
+// blockBody is the body BlockMerge runs, chosen once at init; only
+// ForceBody changes it.
 var blockBody = hostBodies()[0]
+
+// ForceBody makes BlockMerge run the named body — "avx512", "avx2" or
+// "merge-early" — until restore is called, so the experiment harness and
+// the tests can measure each body the host has. ok is false, and nothing
+// changes, when this host cannot run the body. The setting is process-wide:
+// no CompSim may run concurrently with a ForceBody or its restore.
+func ForceBody(name string) (restore func(), ok bool) {
+	for _, bd := range hostBodies() {
+		if bd.String() == name {
+			old := blockBody
+			blockBody = bd
+			return func() { blockBody = old }, true
+		}
+	}
+	return func() {}, false
+}
 
 // hostBodies lists the bodies this host can run, fastest first.
 func hostBodies() []body {

@@ -1,28 +1,21 @@
 package intersect
 
 import (
-	"slices"
 	"testing"
 
 	"ppscan/internal/simdef"
 )
-
-// forceBody makes BlockMerge run bd until the returned restore is called.
-func forceBody(bd body) (restore func()) {
-	old := blockBody
-	blockBody = bd
-	return func() { blockBody = old }
-}
 
 // eachBody runs f as one subtest per BlockMerge body, named after it, with
 // that body forced; a body this host cannot run is skipped.
 func eachBody(t *testing.T, f func(t *testing.T)) {
 	for _, bd := range []body{bodyAVX512, bodyAVX2, bodyMerge} {
 		t.Run(bd.String(), func(t *testing.T) {
-			if !slices.Contains(hostBodies(), bd) {
+			restore, ok := ForceBody(bd.String())
+			if !ok {
 				t.Skipf("this host cannot run the %v body", bd)
 			}
-			defer forceBody(bd)()
+			defer restore()
 			f(t)
 		})
 	}

@@ -41,7 +41,7 @@ func FuzzKernelsAgree(f *testing.F) {
 			}
 		}
 		for _, bd := range hostBodies() {
-			restore := forceBody(bd)
+			restore, _ := ForceBody(bd.String())
 			got := CompSim(BlockMerge, a, b, c)
 			restore()
 			if got != want {

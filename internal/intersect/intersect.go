@@ -19,14 +19,12 @@
 //
 //	Merge       — textbook merge count, no early termination (used by the
 //	              SCAN baseline; Theorem 3.4's workload model).
-//	MergeEarly  — pSCAN's merge with min-max early termination.
-//	Gallop      — galloping-search count; demonstrates the paper's remark
-//	              that galloping cannot exploit early termination well.
-//	PivotScalar — the scalar pivot-based kernel (Algorithm 6's fallback
-//	              path); this is the "ppSCAN-NO" kernel of Figure 5.
-//	PivotBlock8 — Algorithm 6 with 8-lane software vectors (AVX2 profile).
-//	PivotBlock16— Algorithm 6 with 16-lane software vectors (AVX512
-//	              profile, the paper's KNL configuration).
+//	MergeEarly  — pSCAN's merge with min-max early termination; ppSCAN-NO
+//	              is ppSCAN on this kernel.
+//	PivotScalar — the scalar pivot-based kernel: Algorithm 6's control
+//	              flow one element at a time, and PivotBlock16's tail.
+//	PivotBlock16— Algorithm 6 as the paper writes it, on 16-lane blocks
+//	              (one vec.CountLessAccel16 per block).
 //	BlockMerge  — the longer list read in vector blocks, each element of
 //	              the shorter one tested against the current block, in one
 //	              assembly routine per call (blockmerge.go); ppSCAN's
@@ -35,7 +33,6 @@ package intersect
 
 import (
 	"fmt"
-	"sort"
 
 	"ppscan/internal/simdef"
 	"ppscan/internal/vec"
@@ -49,33 +46,29 @@ const (
 	Merge Kind = iota
 	// MergeEarly is pSCAN's merge with early termination.
 	MergeEarly
-	// Gallop is a galloping-search full count.
-	Gallop
 	// PivotScalar is the scalar pivot kernel with early termination.
 	PivotScalar
-	// PivotBlock8 is the 8-lane (AVX2-profile) vectorized pivot kernel.
-	PivotBlock8
-	// PivotBlock16 is the 16-lane (AVX512-profile) vectorized pivot kernel.
+	// PivotBlock16 is Algorithm 6, the 16-lane vectorized pivot kernel.
 	PivotBlock16
 	// BlockMerge is the vector block-merge kernel: one AVX-512 or AVX2
 	// assembly routine per call, MergeEarly on hosts with neither.
 	BlockMerge
 )
 
-var kindNames = map[Kind]string{
+// kindNames is every kernel's name, indexed by its Kind: the one list
+// String, ParseKind and Kinds read.
+var kindNames = [...]string{
 	Merge:        "merge",
 	MergeEarly:   "merge-early",
-	Gallop:       "gallop",
 	PivotScalar:  "pivot-scalar",
-	PivotBlock8:  "pivot-block8",
 	PivotBlock16: "pivot-block16",
 	BlockMerge:   "block-merge",
 }
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int32(k))
 }
@@ -84,7 +77,7 @@ func (k Kind) String() string {
 func ParseKind(s string) (Kind, error) {
 	for k, name := range kindNames {
 		if name == s {
-			return k, nil
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("intersect: unknown kernel %q", s)
@@ -92,7 +85,11 @@ func ParseKind(s string) (Kind, error) {
 
 // Kinds returns all kernel kinds in a stable order.
 func Kinds() []Kind {
-	return []Kind{Merge, MergeEarly, Gallop, PivotScalar, PivotBlock8, PivotBlock16, BlockMerge}
+	ks := make([]Kind, len(kindNames))
+	for k := range ks {
+		ks[k] = Kind(k)
+	}
+	return ks
 }
 
 // Count returns |a ∩ b| for sorted slices via a plain merge.
@@ -158,21 +155,10 @@ func CompSimStats(kind Kind, a, b []int32, minCN int32, st *Stats) simdef.EdgeSi
 	case Merge:
 		r = simFromCount(Count(a, b)+2, c)
 		st.noteScalar(len(a) + len(b))
-	case Gallop:
-		r = simFromCount(gallopCount(a, b)+2, c)
-		// Galloping's probe count is data-dependent; attribute the smaller
-		// side as the scan proxy (each of its elements is searched once).
-		if len(a) < len(b) {
-			st.noteScalar(len(a))
-		} else {
-			st.noteScalar(len(b))
-		}
 	case MergeEarly:
 		r = mergeEarly(a, b, c, st)
 	case PivotScalar:
 		r = pivotScalar(a, b, c, st)
-	case PivotBlock8:
-		r = pivotBlock8(a, b, c, st)
 	case PivotBlock16:
 		r = pivotBlock16(a, b, c, st)
 	case BlockMerge:
@@ -235,43 +221,9 @@ func mergeEarly(a, b []int32, c int32, st *Stats) simdef.EdgeSim {
 	return simdef.NSim
 }
 
-// gallopCount intersects by galloping: for each element of the smaller
-// array, exponentially search then binary search in the larger array.
-func gallopCount(a, b []int32) int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var cn int32
-	lo := 0
-	for _, x := range a {
-		// Exponential probe from lo.
-		step := 1
-		hi := lo
-		for hi < len(b) && b[hi] < x {
-			hi += step
-			step <<= 1
-		}
-		if hi > len(b) {
-			hi = len(b)
-		}
-		// Binary search in (lo, hi]. The closure captures only stack
-		// locals sort.Search never leaks, so it stays on the stack.
-		idx := lo + sort.Search(hi-lo, func(k int) bool { return b[lo+k] >= x })
-		if idx < len(b) && b[idx] == x {
-			cn++
-			idx++
-		}
-		lo = idx
-		if lo >= len(b) {
-			break
-		}
-	}
-	return cn
-}
-
 // pivotScalar is the non-vectorized pivot kernel: the same control flow as
-// Algorithm 6 with a block width of 1. It is also the tail fallback of the
-// block kernels ("Fall back to the non-vectorized logic", Alg. 6 line 23).
+// Algorithm 6 with a block width of 1. It is also pivotBlock16's tail
+// fallback ("Fall back to the non-vectorized logic", Alg. 6 line 23).
 func pivotScalar(a, b []int32, c int32, st *Stats) simdef.EdgeSim {
 	du := int32(len(a)) + 2
 	dv := int32(len(b)) + 2
@@ -327,7 +279,7 @@ func pivotScalarFrom(a, b []int32, i, j int, du, dv, cn, c int32, st *Stats) sim
 	return simdef.NSim
 }
 
-// pivotBlock16 is Algorithm 6 with 16-lane software vectors. Block
+// pivotBlock16 is Algorithm 6 on 16-lane blocks. Block
 // operations are tallied in a local (register) counter unconditionally and
 // flushed to st only at the exit points, keeping instrumentation out of
 // the inner loops.
@@ -339,8 +291,8 @@ func pivotBlock16(a, b []int32, c int32, st *Stats) simdef.EdgeSim {
 	var blocks int64
 	for {
 		// Step 1: find the next pivot offset i with a[i] >= b[j]. Each
-		// iteration is one emulated 512-bit compare+popcount over a sorted
-		// block (vec.RankLess16 — bit-identical to the mask popcount).
+		// iteration is one 16-lane compare+popcount over a sorted block
+		// (vec.CountLessAccel16).
 		for i+vec.Lanes16 <= len(a) {
 			blocks++
 			bitCnt := vec.CountLessAccel16((*[vec.Lanes16]int32)(a[i:]), b[j])
@@ -388,62 +340,6 @@ func pivotBlock16(a, b []int32, c int32, st *Stats) simdef.EdgeSim {
 		}
 	}
 	// Tail: fewer than 16 elements remain on one side.
-	st.noteVector(blocks, i+j)
-	return pivotScalarFrom(a, b, i, j, du, dv, cn, c, st)
-}
-
-// pivotBlock8 is Algorithm 6 with 8-lane software vectors (AVX2 profile).
-func pivotBlock8(a, b []int32, c int32, st *Stats) simdef.EdgeSim {
-	du := int32(len(a)) + 2
-	dv := int32(len(b)) + 2
-	cn := int32(2)
-	i, j := 0, 0
-	var blocks int64
-	for {
-		for i+vec.Lanes8 <= len(a) {
-			blocks++
-			bitCnt := vec.CountLessAccel8((*[vec.Lanes8]int32)(a[i:]), b[j])
-			i += int(bitCnt)
-			du -= bitCnt
-			if du < c {
-				st.noteVector(blocks, i+j)
-				st.noteEarlyDu()
-				return simdef.NSim
-			}
-			if bitCnt < vec.Lanes8 {
-				break
-			}
-		}
-		if i+vec.Lanes8 > len(a) {
-			break
-		}
-		for j+vec.Lanes8 <= len(b) {
-			blocks++
-			bitCnt := vec.CountLessAccel8((*[vec.Lanes8]int32)(b[j:]), a[i])
-			j += int(bitCnt)
-			dv -= bitCnt
-			if dv < c {
-				st.noteVector(blocks, i+j)
-				st.noteEarlyDv()
-				return simdef.NSim
-			}
-			if bitCnt < vec.Lanes8 {
-				break
-			}
-		}
-		if j+vec.Lanes8 > len(b) {
-			break
-		}
-		if a[i] == b[j] {
-			cn++
-			if cn >= c {
-				st.noteVector(blocks, i+j)
-				return simdef.Sim
-			}
-			i++
-			j++
-		}
-	}
 	st.noteVector(blocks, i+j)
 	return pivotScalarFrom(a, b, i, j, du, dv, cn, c, st)
 }

@@ -59,17 +59,6 @@ func TestCountBasic(t *testing.T) {
 	}
 }
 
-func TestGallopCountMatchesMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		a := sortedRandom(rng, rng.Intn(60), 120)
-		b := sortedRandom(rng, rng.Intn(60), 120)
-		if got, want := gallopCount(a, b), Count(a, b); got != want {
-			t.Fatalf("gallopCount = %d, merge = %d\na=%v\nb=%v", got, want, a, b)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for _, k := range Kinds() {
 		if k.String() == "" {
@@ -80,11 +69,15 @@ func TestKindString(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), back, err)
 		}
 	}
-	if Kind(99).String() == "" {
-		t.Errorf("unknown kind should still stringify")
+	if got := Kind(5).String(); got != "Kind(5)" {
+		t.Errorf("Kind(5).String() = %q, want \"Kind(5)\"", got)
 	}
-	if _, err := ParseKind("nonsense"); err == nil {
-		t.Errorf("ParseKind should reject unknown names")
+	// A name outside kindNames is unknown.
+	for _, name := range []string{"nonsense", "gallop", "pivot-block8"} {
+		_, err := ParseKind(name)
+		if want := `intersect: unknown kernel "` + name + `"`; err == nil || err.Error() != want {
+			t.Errorf("ParseKind(%q) error = %v, want %s", name, err, want)
+		}
 	}
 }
 
@@ -147,7 +140,7 @@ func TestAllKernelsAgreeRandom(t *testing.T) {
 	}
 }
 
-// Long arrays exercise the 8/16-lane block paths and their tail fallback.
+// Long arrays exercise the 16-lane block path and its tail fallback.
 func TestBlockKernelsLongArrays(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
@@ -160,7 +153,7 @@ func TestBlockKernelsLongArrays(t *testing.T) {
 				c = 1
 			}
 			want := reference(a, b, c)
-			for _, k := range []Kind{PivotScalar, PivotBlock8, PivotBlock16} {
+			for _, k := range []Kind{PivotScalar, PivotBlock16} {
 				if got := CompSim(k, a, b, c); got != want {
 					t.Fatalf("kernel %v long arrays: got %v want %v (c=%d, la=%d, lb=%d)", k, got, want, c, la, lb)
 				}
@@ -328,8 +321,6 @@ func benchKernel(b *testing.B, k Kind, n int, overlap float64, c int32) {
 
 func BenchmarkKernelMerge(b *testing.B)        { benchKernel(b, Merge, 512, 0.3, 60) }
 func BenchmarkKernelMergeEarly(b *testing.B)   { benchKernel(b, MergeEarly, 512, 0.3, 60) }
-func BenchmarkKernelGallop(b *testing.B)       { benchKernel(b, Gallop, 512, 0.3, 60) }
 func BenchmarkKernelPivotScalar(b *testing.B)  { benchKernel(b, PivotScalar, 512, 0.3, 60) }
-func BenchmarkKernelPivotBlock8(b *testing.B)  { benchKernel(b, PivotBlock8, 512, 0.3, 60) }
 func BenchmarkKernelPivotBlock16(b *testing.B) { benchKernel(b, PivotBlock16, 512, 0.3, 60) }
 func BenchmarkKernelBlockMerge(b *testing.B)   { benchKernel(b, BlockMerge, 512, 0.3, 60) }

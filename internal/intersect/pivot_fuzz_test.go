@@ -6,9 +6,8 @@ import (
 	"ppscan/internal/simdef"
 )
 
-// FuzzPivotKernelsEquivalent pins the vectorized pivot kernels
-// (PivotBlock8/PivotBlock16) to the scalar reference
-// (PivotScalar) on two axes:
+// FuzzPivotKernelsEquivalent pins the vectorized pivot kernel
+// (PivotBlock16) to the scalar reference (PivotScalar) on two axes:
 //
 //   - the similarity verdict (mirroring FuzzKernelsAgree's merge ground
 //     truth), and
@@ -26,6 +25,18 @@ func FuzzPivotKernelsEquivalent(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{200, 201, 202}, uint8(4))
 	f.Add([]byte{}, []byte{1, 2, 3, 4}, uint8(3))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, []byte{1, 3}, uint8(4))
+	// n even numbers against n multiples of 3: both lists are one or two
+	// 16-lane blocks long, give or take one, so the handoff from blocks
+	// to pivotScalarFrom falls on each side of a block boundary. The
+	// count is ⌈n/3⌉ + 2, so c = ⌊n/3⌋ + 3 is NSim where 3 divides n and
+	// Sim elsewhere.
+	for _, n := range []byte{15, 16, 17, 31, 32, 33} {
+		a, b := make([]byte, n), make([]byte, n)
+		for i := range a {
+			a[i], b[i] = 2*byte(i), 3*byte(i)
+		}
+		f.Add(a, b, n/3+3)
+	}
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte, cRaw uint8) {
 		a := normalize(aRaw)
 		b := normalize(bRaw)
@@ -43,17 +54,14 @@ func FuzzPivotKernelsEquivalent(f *testing.F) {
 			t.Fatalf("PivotScalar: got %v want %v (c=%d, a=%v, b=%v)", refVerdict, want, c, a, b)
 		}
 
-		for _, k := range []Kind{PivotBlock8, PivotBlock16} {
-			var st Stats
-			verdict := CompSimStats(k, a, b, c, &st)
-			if verdict != refVerdict {
-				t.Fatalf("kernel %v: verdict %v, PivotScalar %v (c=%d, a=%v, b=%v)",
-					k, verdict, refVerdict, c, a, b)
-			}
-			if got := earlyClass(&st); got != refEarly {
-				t.Fatalf("kernel %v: early-termination %q, PivotScalar %q (c=%d, a=%v, b=%v)",
-					k, got, refEarly, c, a, b)
-			}
+		var st Stats
+		if verdict := CompSimStats(PivotBlock16, a, b, c, &st); verdict != refVerdict {
+			t.Fatalf("PivotBlock16: verdict %v, PivotScalar %v (c=%d, a=%v, b=%v)",
+				verdict, refVerdict, c, a, b)
+		}
+		if got := earlyClass(&st); got != refEarly {
+			t.Fatalf("PivotBlock16: early-termination %q, PivotScalar %q (c=%d, a=%v, b=%v)",
+				got, refEarly, c, a, b)
 		}
 	})
 }

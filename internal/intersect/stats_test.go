@@ -46,7 +46,7 @@ func statsInvariants(t *testing.T) {
 		if st.Scanned == 0 {
 			t.Errorf("%v: no elements scanned over 200 random calls", kind)
 		}
-		vector := kind == PivotBlock8 || kind == PivotBlock16 || kind == BlockMerge && blockBody != bodyMerge
+		vector := kind == PivotBlock16 || kind == BlockMerge && blockBody != bodyMerge
 		switch {
 		case vector && st.VectorBlocks == 0:
 			t.Errorf("%v: no vector blocks recorded", kind)

@@ -3,9 +3,9 @@
 #include "textflag.h"
 
 // The hardware forms of Algorithm 6's block primitive: count the lanes of
-// a 16-lane (or 8-lane) int32 block that are strictly less than a
-// broadcast pivot. For sorted blocks this equals the mask popcount the
-// paper's kernel computes with _mm512_cmpgt_epi32_mask + _mm_popcnt_u32.
+// a 16-lane int32 block that are strictly less than a broadcast pivot, the
+// mask popcount the paper computes with _mm512_cmpgt_epi32_mask +
+// _mm_popcnt_u32.
 
 // func countLess16AVX2(blk *[16]int32, pivot int32) int32
 TEXT ·countLess16AVX2(SB), NOSPLIT, $0-20
@@ -22,21 +22,6 @@ TEXT ·countLess16AVX2(SB), NOSPLIT, $0-20
 	POPCNTL      AX, AX          // 4 mask bits per matching lane
 	POPCNTL      BX, BX
 	ADDL         BX, AX
-	SHRL         $2, AX
-	MOVL         AX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func countLess8AVX2(blk *[8]int32, pivot int32) int32
-TEXT ·countLess8AVX2(SB), NOSPLIT, $0-20
-	MOVQ         blk+0(FP), DI
-	MOVL         pivot+8(FP), AX
-	MOVQ         AX, X0
-	VPBROADCASTD X0, Y0
-	VMOVDQU      (DI), Y1
-	VPCMPGTD     Y1, Y0, Y1
-	VPMOVMSKB    Y1, AX
-	POPCNTL      AX, AX
 	SHRL         $2, AX
 	MOVL         AX, ret+16(FP)
 	VZEROUPPER

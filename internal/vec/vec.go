@@ -1,116 +1,19 @@
-// Package vec is a software vector unit that mirrors the subset of AVX2 /
-// AVX512 semantics used by the paper's pivot-based vectorized set
-// intersection (Algorithm 6):
+// Package vec holds Algorithm 6's block primitive: count the lanes of a
+// sorted 16-lane int32 block that are strictly less than a pivot, the
+// popcount of the paper's
 //
-//	pivot_v  <- _mm512_set1_epi32(x)          => Broadcast16
-//	u_eles   <- _mm512_loadu_si512(&dst[o])   => Load16
-//	mask     <- _mm512_cmpgt_epi32_mask(p, e) => CmpGtMask16
-//	bit_cnt  <- _mm_popcnt_u32(mask)          => Popcount
+//	_mm_popcnt_u32(_mm512_cmpgt_epi32_mask(_mm512_set1_epi32(pivot), blk))
 //
-// Go has no SIMD intrinsics, so this package provides two implementations:
-// portable branch-free scalar forms (this file), and — on amd64 — real
-// hardware forms written in Go assembly (countless_amd64.s: VPBROADCASTD,
-// VPCMPGTD, VPMOVMSKB/KMOVW, POPCNT in both the AVX2 and AVX512F
-// encodings), selected at package init via CPUID/XGETBV feature detection
-// and exposed as CountLessAccel8/CountLessAccel16. The algorithm (block
-// loads, mask construction, popcount-driven cursor advance) is identical
-// in every implementation. The 8-lane variants model AVX2 (256-bit) and
-// the 16-lane variants AVX512 (512-bit), which is how the harness
-// reproduces the paper's CPU-vs-KNL kernel comparison (Figure 5).
+// CountLessAccel16 runs it in Go assembly (countless_amd64.s): one AVX-512
+// compare into a mask register, or two AVX2 compares, chosen at init from
+// CPUID/XGETBV (HasAVX512, HasAVX2), with RankLess16 as the portable
+// fallback. CountLess16 is the lane-by-lane reference the tests compare
+// them against. The pivot-block16 kernel (internal/intersect) is its one
+// caller, and block-merge's init reads the two feature flags.
 package vec
 
-import "math/bits"
-
-// Lanes16 is the lane count of the AVX512 profile (512 bits / 32-bit lanes).
+// Lanes16 is the block width: 512 bits of 32-bit lanes.
 const Lanes16 = 16
-
-// Lanes8 is the lane count of the AVX2 profile (256 bits / 32-bit lanes).
-const Lanes8 = 8
-
-// Vec16 models a 512-bit register holding 16 int32 lanes.
-type Vec16 [Lanes16]int32
-
-// Vec8 models a 256-bit register holding 8 int32 lanes.
-type Vec8 [Lanes8]int32
-
-// Broadcast16 returns a Vec16 with every lane set to x
-// (_mm512_set1_epi32).
-func Broadcast16(x int32) Vec16 {
-	var v Vec16
-	for i := range v {
-		v[i] = x
-	}
-	return v
-}
-
-// Broadcast8 returns a Vec8 with every lane set to x (_mm256_set1_epi32).
-func Broadcast8(x int32) Vec8 {
-	var v Vec8
-	for i := range v {
-		v[i] = x
-	}
-	return v
-}
-
-// Load16 loads 16 consecutive int32 values starting at s[0]
-// (_mm512_loadu_si512). s must have at least 16 elements.
-func Load16(s []int32) Vec16 {
-	var v Vec16
-	copy(v[:], s[:Lanes16])
-	return v
-}
-
-// Load8 loads 8 consecutive int32 values starting at s[0]
-// (_mm256_loadu_si256). s must have at least 8 elements.
-func Load8(s []int32) Vec8 {
-	var v Vec8
-	copy(v[:], s[:Lanes8])
-	return v
-}
-
-// CmpGtMask16 compares a > b lane-wise and packs the results into a 16-bit
-// mask, bit i set iff a[i] > b[i] (_mm512_cmpgt_epi32_mask). The loop body
-// is branch-free: the comparison result is converted to 0/1 arithmetically.
-func CmpGtMask16(a, b Vec16) uint32 {
-	var mask uint32
-	for i := 0; i < Lanes16; i++ {
-		mask |= b2u(a[i] > b[i]) << uint(i)
-	}
-	return mask
-}
-
-// CmpGtMask8 is the 8-lane variant of CmpGtMask16.
-func CmpGtMask8(a, b Vec8) uint32 {
-	var mask uint32
-	for i := 0; i < Lanes8; i++ {
-		mask |= b2u(a[i] > b[i]) << uint(i)
-	}
-	return mask
-}
-
-// CmpEqMask16 compares a == b lane-wise into a 16-bit mask
-// (_mm512_cmpeq_epi32_mask).
-func CmpEqMask16(a, b Vec16) uint32 {
-	var mask uint32
-	for i := 0; i < Lanes16; i++ {
-		mask |= b2u(a[i] == b[i]) << uint(i)
-	}
-	return mask
-}
-
-// CmpEqMask8 is the 8-lane variant of CmpEqMask16.
-func CmpEqMask8(a, b Vec8) uint32 {
-	var mask uint32
-	for i := 0; i < Lanes8; i++ {
-		mask |= b2u(a[i] == b[i]) << uint(i)
-	}
-	return mask
-}
-
-// Popcount counts the set bits of a mask (_mm_popcnt_u32).
-func Popcount(mask uint32) int {
-	return bits.OnesCount32(mask)
-}
 
 // b2u converts a bool to 0/1 without a branch in the generated code.
 func b2u(b bool) uint32 {
@@ -121,14 +24,7 @@ func b2u(b bool) uint32 {
 }
 
 // CountLess16 returns the number of lanes of blk that are strictly less
-// than pivot. It is the fused form of
-//
-//	Popcount(CmpGtMask16(Broadcast16(pivot), Load16(blk)))
-//
-// used in the hot path of the pivot kernels: the software emulation skips
-// materializing the broadcast register and the bit mask, but performs the
-// same sixteen branch-free lane comparisons, so bit_cnt, cursor advance and
-// early-termination behaviour are identical to Algorithm 6.
+// than pivot, one branch-free lane comparison at a time, sorted or not.
 func CountLess16(blk *[16]int32, pivot int32) int32 {
 	var c int32
 	for i := 0; i < Lanes16; i++ {
@@ -137,27 +33,11 @@ func CountLess16(blk *[16]int32, pivot int32) int32 {
 	return c
 }
 
-// CountLess8 is the 8-lane (AVX2-profile) variant of CountLess16.
-func CountLess8(blk *[8]int32, pivot int32) int32 {
-	var c int32
-	for i := 0; i < Lanes8; i++ {
-		c += int32(b2u(pivot > blk[i]))
-	}
-	return c
-}
-
 // RankLess16 returns, for a block whose lanes are sorted ascending, the
 // number of lanes strictly less than pivot — the same value as CountLess16
-// and as Popcount(CmpGtMask16(Broadcast16(pivot), blk)) on sorted input
-// (adjacency blocks always are), computed with a branch-free binary search
-// in log2(16)+... 4 steps instead of 16 lane operations.
-//
-// This is the throughput stand-in for the single-cycle hardware
-// compare+popcount: a software loop over 16 lanes costs ~16x a hardware
-// vector op, which would invert the paper's kernel comparison; the rank
-// form keeps the per-block cost at the few-cycles level of the real
-// instruction while remaining bit-identical in result, so Algorithm 6's
-// cursor movement, bound updates and early terminations are unchanged.
+// on sorted input (adjacency blocks always are) — with a branch-free
+// binary search of five steps instead of sixteen lane comparisons. It is
+// CountLessAccel16's fallback on hosts without AVX2.
 func RankLess16(blk *[16]int32, pivot int32) int32 {
 	var r int32
 	r += 8 & -int32(b2u(pivot > blk[r+7]))
@@ -165,15 +45,5 @@ func RankLess16(blk *[16]int32, pivot int32) int32 {
 	r += 2 & -int32(b2u(pivot > blk[r+1]))
 	r += 1 & -int32(b2u(pivot > blk[r]))
 	r += int32(b2u(pivot > blk[r])) // rank may be the full lane count
-	return r
-}
-
-// RankLess8 is the 8-lane variant of RankLess16.
-func RankLess8(blk *[8]int32, pivot int32) int32 {
-	var r int32
-	r += 4 & -int32(b2u(pivot > blk[r+3]))
-	r += 2 & -int32(b2u(pivot > blk[r+1]))
-	r += 1 & -int32(b2u(pivot > blk[r]))
-	r += int32(b2u(pivot > blk[r]))
 	return r
 }

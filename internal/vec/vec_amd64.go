@@ -2,21 +2,14 @@
 
 package vec
 
-// Hardware SIMD backend: on amd64 the block compare+popcount of
-// Algorithm 6 is implemented with real vector instructions (Go assembly,
-// see countless_amd64.s), exactly as in the paper:
-//
-//	AVX2   (CPU profile): VPBROADCASTD + VPCMPGTD + VPMOVMSKB + POPCNT
-//	AVX512 (KNL profile): VPBROADCASTD + VPCMPGTD->K + KMOVW + POPCNT
-//
 // Feature detection follows the Intel manuals: the OS must have enabled
-// XMM/YMM (and ZMM for AVX512) state via XSAVE before the instructions are
+// XMM/YMM (and ZMM for AVX-512) state via XSAVE before the instructions are
 // usable, so XCR0 is consulted in addition to the CPUID feature flags.
 
-// HasAVX2 reports whether 8-lane hardware ops are usable on this machine.
+// HasAVX2 reports whether AVX2 instructions are usable on this machine.
 var HasAVX2 bool
 
-// HasAVX512 reports whether 16-lane hardware ops are usable.
+// HasAVX512 reports whether AVX-512F instructions are usable.
 var HasAVX512 bool
 
 func init() {
@@ -54,16 +47,12 @@ func xgetbv0() (eax, edx uint32)
 func countLess16AVX2(blk *[16]int32, pivot int32) int32
 
 //go:noescape
-func countLess8AVX2(blk *[8]int32, pivot int32) int32
-
-//go:noescape
 func countLess16AVX512(blk *[16]int32, pivot int32) int32
 
 // CountLessAccel16 is the fastest available 16-lane "compare pivot-greater
-// and popcount" for sorted blocks: single-instruction AVX512 compare when
-// the CPU has it, two AVX2 compares otherwise, and the branch-free software
-// rank as the portable fallback. Bit-identical to CountLess16 on sorted
-// input.
+// and popcount" for sorted blocks: one AVX-512 compare when the CPU has it,
+// two AVX2 compares otherwise, and RankLess16 as the fallback. Equal to
+// CountLess16 on sorted input.
 func CountLessAccel16(blk *[16]int32, pivot int32) int32 {
 	if HasAVX512 {
 		return countLess16AVX512(blk, pivot)
@@ -72,12 +61,4 @@ func CountLessAccel16(blk *[16]int32, pivot int32) int32 {
 		return countLess16AVX2(blk, pivot)
 	}
 	return RankLess16(blk, pivot)
-}
-
-// CountLessAccel8 is the 8-lane (AVX2-profile) accelerated variant.
-func CountLessAccel8(blk *[8]int32, pivot int32) int32 {
-	if HasAVX2 {
-		return countLess8AVX2(blk, pivot)
-	}
-	return RankLess8(blk, pivot)
 }

@@ -27,12 +27,6 @@ func TestAsmImplementationsDirect(t *testing.T) {
 		if got := countLess16AVX2(&blk, pivot); got != want {
 			t.Fatalf("countLess16AVX2(%v, %d) = %d, want %d", blk, pivot, got, want)
 		}
-		var b8 [8]int32
-		copy(b8[:], blk[:8])
-		want8 := CountLess8(&b8, pivot)
-		if got := countLess8AVX2(&b8, pivot); got != want8 {
-			t.Fatalf("countLess8AVX2(%v, %d) = %d, want %d", b8, pivot, got, want8)
-		}
 		if HasAVX512 {
 			if got := countLess16AVX512(&blk, pivot); got != want {
 				t.Fatalf("countLess16AVX512(%v, %d) = %d, want %d", blk, pivot, got, want)
@@ -41,7 +35,7 @@ func TestAsmImplementationsDirect(t *testing.T) {
 	}
 }
 
-// The AVX2 kernels must also handle unsorted blocks (mask semantics count
+// The assembly forms must also handle unsorted blocks (mask semantics count
 // every lane, not just a prefix).
 func TestAsmUnsortedBlocks(t *testing.T) {
 	if !HasAVX2 {

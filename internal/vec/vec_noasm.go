@@ -10,12 +10,7 @@ var HasAVX2 bool
 // HasAVX512 is always false off amd64.
 var HasAVX512 bool
 
-// CountLessAccel16 falls back to the branch-free software rank.
+// CountLessAccel16 is RankLess16 off amd64.
 func CountLessAccel16(blk *[16]int32, pivot int32) int32 {
 	return RankLess16(blk, pivot)
-}
-
-// CountLessAccel8 falls back to the branch-free software rank.
-func CountLessAccel8(blk *[8]int32, pivot int32) int32 {
-	return RankLess8(blk, pivot)
 }

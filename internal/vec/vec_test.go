@@ -2,153 +2,45 @@ package vec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestBroadcast(t *testing.T) {
-	v16 := Broadcast16(7)
-	for i, x := range v16 {
-		if x != 7 {
-			t.Fatalf("Broadcast16 lane %d = %d", i, x)
-		}
-	}
-	v8 := Broadcast8(-3)
-	for i, x := range v8 {
-		if x != -3 {
-			t.Fatalf("Broadcast8 lane %d = %d", i, x)
-		}
-	}
-}
-
-func TestLoad(t *testing.T) {
-	src := make([]int32, 32)
-	for i := range src {
-		src[i] = int32(i * i)
-	}
-	v16 := Load16(src[4:])
-	for i := 0; i < Lanes16; i++ {
-		if v16[i] != src[4+i] {
-			t.Fatalf("Load16 lane %d = %d, want %d", i, v16[i], src[4+i])
-		}
-	}
-	v8 := Load8(src[10:])
-	for i := 0; i < Lanes8; i++ {
-		if v8[i] != src[10+i] {
-			t.Fatalf("Load8 lane %d = %d, want %d", i, v8[i], src[10+i])
-		}
-	}
-}
-
-func TestCmpGtMask16(t *testing.T) {
-	a := Broadcast16(5)
-	var b Vec16
-	for i := range b {
-		b[i] = int32(i) // 0..15
-	}
-	mask := CmpGtMask16(a, b)
-	// 5 > b[i] for i in 0..4 -> low 5 bits set.
-	if mask != 0b11111 {
-		t.Fatalf("mask = %b, want 11111", mask)
-	}
-	if Popcount(mask) != 5 {
-		t.Fatalf("popcount = %d, want 5", Popcount(mask))
-	}
-}
-
-func TestCmpGtMask8(t *testing.T) {
-	a := Broadcast8(3)
-	var b Vec8
-	for i := range b {
-		b[i] = int32(i)
-	}
-	mask := CmpGtMask8(a, b)
-	if mask != 0b111 {
-		t.Fatalf("mask = %b, want 111", mask)
-	}
-}
-
-func TestCmpEqMask(t *testing.T) {
-	a := Broadcast16(9)
-	b := Broadcast16(9)
-	if CmpEqMask16(a, b) != 0xFFFF {
-		t.Fatalf("all-equal mask16 wrong")
-	}
-	b[3] = 0
-	if CmpEqMask16(a, b) != 0xFFFF&^(1<<3) {
-		t.Fatalf("mask16 with lane 3 differing wrong")
-	}
-	x := Broadcast8(1)
-	y := Broadcast8(1)
-	if CmpEqMask8(x, y) != 0xFF {
-		t.Fatalf("all-equal mask8 wrong")
-	}
-}
-
-func TestPopcount(t *testing.T) {
-	cases := map[uint32]int{0: 0, 1: 1, 0xFFFF: 16, 0b1010101: 4, 0xFFFFFFFF: 32}
-	for in, want := range cases {
-		if got := Popcount(in); got != want {
-			t.Errorf("Popcount(%b) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-// Property: for a sorted block and a pivot, popcount(CmpGtMask(pivot, blk))
-// equals the number of elements strictly less than the pivot — exactly the
-// invariant Algorithm 6 relies on to advance its cursor.
+// Property: for a sorted block and a pivot, the accelerated count and the
+// rank both equal the number of elements strictly less than the pivot —
+// exactly the invariant Algorithm 6 relies on to advance its cursor.
 func TestSortedBlockCursorInvariantQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		blk := make([]int32, Lanes16)
+		var blk [Lanes16]int32
 		x := int32(rng.Intn(10))
 		for i := range blk {
 			x += int32(rng.Intn(5)) // non-decreasing
 			blk[i] = x
 		}
 		pivot := int32(rng.Intn(int(x) + 10))
-		mask := CmpGtMask16(Broadcast16(pivot), Load16(blk))
-		want := 0
+		var want int32
 		for _, e := range blk {
 			if e < pivot {
 				want++
 			}
 		}
-		return Popcount(mask) == want
+		return CountLessAccel16(&blk, pivot) == want && RankLess16(&blk, pivot) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: 8-lane and 16-lane comparisons agree on shared lanes.
-func TestLaneWidthAgreementQuick(t *testing.T) {
-	f := func(vals [8]int32, pivot int32) bool {
-		var b16 Vec16
-		copy(b16[:8], vals[:])
-		var b8 Vec8
-		copy(b8[:], vals[:])
-		m16 := CmpGtMask16(Broadcast16(pivot), b16)
-		m8 := CmpGtMask8(Broadcast8(pivot), b8)
-		return m16&0xFF == m8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// CountLess must be exactly the fused mask-popcount it documents.
+// CountLess16 must count every lane below the pivot, sorted or not: the
+// pivot's insertion point in a sorted copy of the block.
 func TestCountLessEquivalence(t *testing.T) {
 	f := func(vals [16]int32, pivot int32) bool {
-		got16 := CountLess16(&vals, pivot)
-		want16 := int32(Popcount(CmpGtMask16(Broadcast16(pivot), vals)))
-		var v8 [8]int32
-		copy(v8[:], vals[:8])
-		var b8 Vec8
-		copy(b8[:], vals[:8])
-		got8 := CountLess8(&v8, pivot)
-		want8 := int32(Popcount(CmpGtMask8(Broadcast8(pivot), b8)))
-		return got16 == want16 && got8 == want8
+		sorted := slices.Clone(vals[:])
+		slices.Sort(sorted)
+		rank, _ := slices.BinarySearch(sorted, pivot)
+		return CountLess16(&vals, pivot) == int32(rank)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -166,13 +58,8 @@ func TestRankLessEquivalenceOnSorted(t *testing.T) {
 			x += int32(rng.Intn(4))
 			blk[i] = x
 		}
-		var blk8 [8]int32
-		copy(blk8[:], blk[:8])
 		for p := blk[0] - 2; p <= blk[15]+2; p++ {
 			if RankLess16(&blk, p) != CountLess16(&blk, p) {
-				return false
-			}
-			if RankLess8(&blk8, p) != CountLess8(&blk8, p) {
 				return false
 			}
 		}
@@ -209,9 +96,9 @@ func TestFeatureFlagsConsistent(t *testing.T) {
 	}
 }
 
-// The hardware-accelerated ops must agree with the software emulation on
-// every input (including unsorted blocks for CountLess semantics, since
-// the mask popcount counts all lanes).
+// The accelerated count must agree with the lane-by-lane reference on
+// every sorted block (vec_amd64_test.go also feeds the assembly unsorted
+// ones).
 func TestAccelMatchesSoftware(t *testing.T) {
 	t.Logf("HasAVX2=%v HasAVX512=%v", HasAVX2, HasAVX512)
 	f := func(vals [16]int32, pivot int32) bool {
@@ -222,12 +109,7 @@ func TestAccelMatchesSoftware(t *testing.T) {
 				blk[j-1], blk[j] = blk[j], blk[j-1]
 			}
 		}
-		if CountLessAccel16(&blk, pivot) != CountLess16(&blk, pivot) {
-			return false
-		}
-		var b8 [8]int32
-		copy(b8[:], blk[:8])
-		return CountLessAccel8(&b8, pivot) == CountLess8(&b8, pivot)
+		return CountLessAccel16(&blk, pivot) == CountLess16(&blk, pivot)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -239,7 +121,7 @@ func TestAccelExtremes(t *testing.T) {
 	blk := [16]int32{minI32, minI32, -5, -1, 0, 0, 1, 2, 3, 100, 1000, 1 << 20, maxI32 - 1, maxI32, maxI32, maxI32}
 	for _, p := range []int32{minI32, minI32 + 1, -1, 0, 1, maxI32 - 1, maxI32} {
 		if got, want := CountLessAccel16(&blk, p), CountLess16(&blk, p); got != want {
-			t.Errorf("pivot %d: accel %d, software %d", p, got, want)
+			t.Errorf("pivot %d: accel %d, reference %d", p, got, want)
 		}
 	}
 }
@@ -267,15 +149,6 @@ func BenchmarkCountLess16(b *testing.B) {
 	var acc int32
 	for i := 0; i < b.N; i++ {
 		acc += CountLess16(&blk, int32(i&31))
-	}
-	_ = acc
-}
-
-func BenchmarkCmpGtMask16(b *testing.B) {
-	blk := Load16([]int32{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31})
-	var acc int
-	for i := 0; i < b.N; i++ {
-		acc += Popcount(CmpGtMask16(Broadcast16(int32(i&31)), blk))
 	}
 	_ = acc
 }

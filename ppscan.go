@@ -129,9 +129,9 @@ type Options struct {
 	// GOMAXPROCS. Ignored by sequential algorithms.
 	Workers int
 	// Kernel optionally overrides the set-intersection kernel by name
-	// ("merge", "merge-early", "gallop", "pivot-scalar", "pivot-block8",
-	// "pivot-block16", "block-merge"). Empty selects each algorithm's
-	// default (block-merge for ppSCAN).
+	// ("merge", "merge-early", "pivot-scalar", "pivot-block16",
+	// "block-merge"). Empty selects each algorithm's default (block-merge
+	// for ppSCAN).
 	Kernel string
 	// DegreeThreshold overrides ppSCAN's task-granularity constant
 	// (default 32768).

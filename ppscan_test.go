@@ -7,6 +7,7 @@ import (
 
 	"ppscan/graph"
 	"ppscan/internal/algotest"
+	"ppscan/internal/intersect"
 )
 
 func kiteGraph(t *testing.T) *graph.Graph {
@@ -74,18 +75,22 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestKernelOverride runs the facade under every kernel name -kernel
+// accepts: each answer is the merge kernel's.
 func TestKernelOverride(t *testing.T) {
 	g := kiteGraph(t)
-	a, err := Run(g, Options{Epsilon: "0.7", Mu: 2, Kernel: "merge"})
+	want, err := Run(g, Options{Epsilon: "0.7", Mu: 2, Kernel: "merge"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{Epsilon: "0.7", Mu: 2, Kernel: "pivot-block8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Equal(a, b); err != nil {
-		t.Errorf("kernel override changed result: %v", err)
+	for _, k := range intersect.Kinds() {
+		got, err := Run(g, Options{Epsilon: "0.7", Mu: 2, Kernel: k.String()})
+		if err != nil {
+			t.Fatalf("kernel %v: %v", k, err)
+		}
+		if err := Equal(want, got); err != nil {
+			t.Errorf("kernel %v changed the result: %v", k, err)
+		}
 	}
 }
 
