@@ -87,7 +87,7 @@ alloc-gate:
 # containment paths. Set SHARD_CHAOS_LOG_DIR to keep the worker
 # processes' logs on disk (CI uploads them as artifacts on failure).
 chaos:
-	$(GO) test -race -count 1 -run 'TestChaos|TestWatchdog|TestDistscanSuperstepRetry|TestDistscanRetryExhaustion|TestAcceptance|TestServerChaos|TestServerWatchdog|TestHandlerPanic|TestShardChaos' \
+	$(GO) test -race -count 1 -run 'TestChaos|TestWatchdog|TestDistscanSuperstepRetry|TestDistscanRetryExhaustion|TestAcceptance|TestServerChaos|TestBuildOnMiss|TestHandlerPanic|TestShardChaos' \
 		./internal/engine/ ./internal/server/ ./internal/shard/
 
 # Documentation drift gate (cmd/docscheck): every flag each CLI binary

@@ -10,7 +10,10 @@
 //
 // Each positional argument is a built binary; docscheck runs it with -h,
 // extracts every registered flag name from the usage listing, and
-// requires a backticked `-flag` mention in OPERATIONS.md. Every path from
+// requires a backticked `-flag` mention in OPERATIONS.md. In the other
+// direction, every row of the flag table under the binary's own
+// "## … <binary> flags" or "### <binary> flags" heading must name a flag
+// the binary registers. Every path from
 // server.Routes() must appear in README.md. With -scanlint PATH, the
 // OPERATIONS.md §9 analyzer table is additionally diffed against that
 // binary's -list output: every analyzer needs a table row, every row must
@@ -26,6 +29,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,6 +83,7 @@ func realMain(args []string, w io.Writer) int {
 	}
 
 	drift := 0
+	tables := flagTables(string(ops))
 	for _, bin := range bins {
 		help, err := helpOutput(bin)
 		if err != nil {
@@ -86,8 +91,13 @@ func realMain(args []string, w io.Writer) int {
 			return 2
 		}
 		name := filepath.Base(bin)
-		for _, missing := range checkFlags(string(ops), parseHelpFlags(help)) {
+		flags := parseHelpFlags(help)
+		for _, missing := range checkFlags(string(ops), flags) {
 			fmt.Fprintf(w, "docscheck: %s flag -%s is not documented in %s\n", name, missing, opsPath)
+			drift++
+		}
+		for _, stale := range staleFlags(tables[name], flags) {
+			fmt.Fprintf(w, "docscheck: %s documents %s flag -%s, which the binary does not register\n", opsPath, name, stale)
 			drift++
 		}
 	}
@@ -107,7 +117,7 @@ func realMain(args []string, w io.Writer) int {
 		}
 	}
 	if drift > 0 {
-		fmt.Fprintf(w, "docscheck: %d undocumented item(s) — update the docs or the code\n", drift)
+		fmt.Fprintf(w, "docscheck: %d drifted item(s) — update the docs or the code\n", drift)
 		return 1
 	}
 	fmt.Fprintf(w, "docscheck: %d binarie(s) and %d routes match the docs\n", len(bins), len(server.Routes()))
@@ -230,6 +240,46 @@ func checkFlags(doc string, flags []string) []string {
 		}
 	}
 	return missing
+}
+
+// flagHeadingRe matches a flag-table heading, "## 1. scanserver flags" or
+// "### scanshard flags", capturing the binary's name.
+var flagHeadingRe = regexp.MustCompile(`^#{2,3} (?:.* )?([A-Za-z0-9_-]+) flags\s*$`)
+
+// flagRowRe matches a flag-table row, capturing the flag its first cell
+// names: "| `-addr host:port` | …", "| `-index` | …".
+var flagRowRe = regexp.MustCompile("^\\|\\s*`-([A-Za-z0-9][-A-Za-z0-9]*)[` =]")
+
+// flagTables maps each binary with a flag-table heading in the document to
+// the flags its table's rows name, in order. A table runs to the next
+// heading.
+func flagTables(doc string) map[string][]string {
+	tables := map[string][]string{}
+	bin := ""
+	for _, line := range strings.Split(doc, "\n") {
+		if m := flagHeadingRe.FindStringSubmatch(line); m != nil {
+			bin = m[1]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			bin = ""
+		} else if m := flagRowRe.FindStringSubmatch(line); m != nil && bin != "" {
+			tables[bin] = append(tables[bin], m[1])
+		}
+	}
+	return tables
+}
+
+// staleFlags returns the documented rows whose flag is not among the
+// registered ones.
+func staleFlags(rows, registered []string) []string {
+	var stale []string
+	for _, f := range rows {
+		if !slices.Contains(registered, f) {
+			stale = append(stale, f)
+		}
+	}
+	return stale
 }
 
 // checkRoutes returns the registered HTTP paths the document never

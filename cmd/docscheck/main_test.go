@@ -86,3 +86,30 @@ func TestCheckAnalyzerTable(t *testing.T) {
 		t.Fatalf("clean table produced drift: %q", d)
 	}
 }
+
+// TestStaleFlags is the other direction of TestCheckFlags: a row of a
+// binary's flag table naming a flag that binary does not register is
+// drift, while the same flag in another binary's table is not.
+func TestStaleFlags(t *testing.T) {
+	doc := "## 1. scanserver flags\n\n| Flag | Default | Meaning |\n|---|---|---|\n" +
+		"| `-addr host:port` | `:8080` | ... |\n| `-watchdog d` | `0` | ... |\n| `-index` | off | ... |\n\n" +
+		"Prose mentioning `-stale` is not a row.\n\n" +
+		"## 2. ppscan flags\n\n| `-watchdog d` | `0` | ... |\n\n" +
+		"### scanshard flags\n\n| `-shard i` | `-1` | ... |\n\n" +
+		"## 3. Admission control\n\n| `-retired` | — | a table under no flags heading |\n"
+	tables := flagTables(doc)
+	want := map[string][]string{
+		"scanserver": {"addr", "watchdog", "index"},
+		"ppscan":     {"watchdog"},
+		"scanshard":  {"shard"},
+	}
+	if !reflect.DeepEqual(tables, want) {
+		t.Fatalf("flagTables = %v, want %v", tables, want)
+	}
+	if stale := staleFlags(tables["scanserver"], []string{"addr", "index"}); !reflect.DeepEqual(stale, []string{"watchdog"}) {
+		t.Errorf("scanserver stale = %v, want [watchdog]", stale)
+	}
+	if stale := staleFlags(tables["ppscan"], []string{"watchdog", "eps"}); stale != nil {
+		t.Errorf("ppscan stale = %v, want none", stale)
+	}
+}

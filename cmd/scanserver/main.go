@@ -6,38 +6,31 @@
 //	scanserver -dataset orkut-sim -addr :8080
 //	scanserver -graph web.bin -index -addr :8080
 //
-// Endpoints: /healthz, /cluster?eps=&mu=[&algo=&members=true],
-// /cluster/sweep?eps=start:end:step&mu= (one NDJSON line per eps step,
-// each extracted from the epoch's GS*-Index; the first sweep of an
-// index-less epoch builds that index and the server keeps it), POST
-// /edges (with -mutations: batched NDJSON edge insertions/deletions
+// Endpoints: /healthz, /cluster?eps=&mu=[&members=true],
+// /cluster/sweep?eps=start:end:step&mu= (one NDJSON line per eps step),
+// POST /edges (with -mutations: batched NDJSON edge insertions/deletions
 // committed as a new graph epoch, the GS*-Index maintained
-// incrementally), /vertex?v=&eps=&mu=, /quality?eps=&mu=, /metrics,
-// and /debug/slowest — the tail-latency exemplars: the -exemplars slowest
-// computations of the last 15 minutes, each with its per-phase breakdown
-// and a Chrome trace of the actual run (load in chrome://tracing or
-// ui.perfetto.dev). With -pprof, the Go profiling endpoints are
-// additionally served under /debug/pprof/.
+// incrementally), /vertex?v=&eps=&mu=, /quality?eps=&mu=, /metrics, and
+// /debug/slowest — the -exemplars slowest cache misses of the last 15
+// minutes, each with its epoch, parameters, duration, error and build
+// time. With -pprof, the Go profiling endpoints are additionally served
+// under /debug/pprof/.
 //
-// -index and -shards arm stages of one resolve pipeline in a fixed order:
-// response cache, the epoch's index (built at startup with -index, else by
-// the first sweep), compute backend (the fleet, else the in-process
-// engine). Every combination is valid — an earlier stage answers, a later
-// one is reached only where it is absent — and logged at startup. /cluster
-// never builds an index; until one exists it runs the backend.
+// Every answer is extracted from the epoch's GS*-Index. The first cache
+// miss of an index-less epoch builds it under its admission slot, and the
+// server keeps it; -index builds it at startup instead (-indexfile loads
+// it from disk). With -shards, a /cluster, /vertex or /quality miss on an
+// index-less epoch goes to the fleet instead; sweeps still build. The
+// stages are logged at startup. Extractions draw their scratch memory
+// from a per-server workspace pool sized to -max-inflight.
 //
-// -algo selects the default algorithm backend for requests that omit the
-// algo query parameter; -list-algos prints the registered backends. Direct
-// (non-index) computations draw their scratch memory from a per-server
-// workspace pool sized to -max-inflight, so steady-state serving performs
-// near-zero allocations per request.
-//
-// Admission control: -max-inflight bounds concurrent clustering
-// computations (excess requests degrade to the cache/index or get 429 +
-// Retry-After) and -request-timeout cancels computations that exceed the
-// deadline (503 + Retry-After). On SIGTERM/SIGINT the server drains:
-// /healthz flips to 503 so load balancers stop routing here, in-flight
-// requests finish (up to -shutdown-grace), then the process exits 0.
+// Admission control: -max-inflight bounds concurrent misses (excess
+// requests degrade to the cache/index or get 429 + Retry-After) and
+// -request-timeout cancels a miss that exceeds the deadline (503 +
+// Retry-After), so it must exceed one index build. On SIGTERM/SIGINT the
+// server drains: /healthz flips to 503 so load balancers stop routing
+// here, in-flight requests finish (up to -shutdown-grace), then the
+// process exits 0.
 package main
 
 import (
@@ -51,7 +44,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -89,9 +81,7 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "worker goroutines per query (0 = GOMAXPROCS)")
-		algoName  = flag.String("algo", "", "default algorithm backend for requests that omit algo= (empty = ppscan); see -list-algos")
-		listAlgos = flag.Bool("list-algos", false, "list the registered algorithm backends and exit")
-		useIndex  = flag.Bool("index", false, "build a GS*-Index at startup and serve queries from it")
+		useIndex  = flag.Bool("index", false, "build the GS*-Index at startup instead of on the first cache miss")
 		indexFile = flag.String("indexfile", "", "with -index: load the index from this file if it exists, otherwise build and save it there")
 		cacheSize = flag.Int("cache", server.DefaultCacheSize, "response-cache capacity (distinct parameter combinations kept resident)")
 		pprofOn   = flag.Bool("pprof", false, "expose the Go profiling endpoints under /debug/pprof/")
@@ -100,14 +90,13 @@ func main() {
 		mutations  = flag.Bool("mutations", false, "enable POST /edges: batched NDJSON edge mutations commit new graph epochs; with -index the GS*-Index is maintained incrementally across commits")
 		sweepSteps = flag.Int("sweep-max-steps", server.DefaultSweepMaxSteps, "max eps steps one /cluster/sweep request may stream")
 
-		maxInflight = flag.Int("max-inflight", 0, "max concurrent clustering computations (0 = unlimited); excess requests degrade to cache/index or get 429")
-		reqTimeout  = flag.Duration("request-timeout", 0, "per-request computation deadline (0 = none); exceeded requests get 503")
+		maxInflight = flag.Int("max-inflight", 0, "max concurrent cache misses (0 = unlimited); excess requests degrade to cache/index or get 429")
+		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline (0 = none), longer than one index build; exceeded requests get 503")
 		grace       = flag.Duration("shutdown-grace", 15*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
-		watchdog    = flag.Duration("watchdog", 0, "phase stall watchdog for direct computations: abort a request whose run makes no scheduler progress for this long and answer 500 (0 = off)")
-		exemplars   = flag.Int("exemplars", 8, "retain the N slowest computations of the last 15 minutes with full execution traces at /debug/slowest (0 = parameters and phase breakdown only for the default 4, traces off)")
+		exemplars   = flag.Int("exemplars", 8, "retain the N slowest cache misses of the last 15 minutes at /debug/slowest (0 = off)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off) — a chaos drill: injected worker panics, delays and transient faults exercise the containment paths while /metrics reports fault.* counters")
 
-		shardSpec = flag.String("shards", "", "serve queries on a multi-process scanshard worker fleet instead of in-process engines: semicolon-separated shards, each a comma-separated list of replica base URLs, e.g. \"http://h1:9100,http://h2:9100;http://h1:9101,http://h2:9101\"; with -index the index answers first and the fleet computes only what it does not")
+		shardSpec = flag.String("shards", "", "answer the misses of an index-less epoch on a multi-process scanshard worker fleet: semicolon-separated shards, each a comma-separated list of replica base URLs, e.g. \"http://h1:9100,http://h2:9100;http://h1:9101,http://h2:9101\"; an epoch's index, once built, answers first")
 	)
 	flag.Parse()
 	var shardFleet [][]string
@@ -123,19 +112,6 @@ func main() {
 	if *chaosSeed != 0 {
 		fault.Enable(fault.NewPlan(*chaosSeed))
 		log.Printf("fault injection armed (seed %d): this server will misbehave on purpose", *chaosSeed)
-	}
-
-	if *listAlgos {
-		for _, name := range ppscan.EngineNames() {
-			fmt.Println(name)
-		}
-		return
-	}
-	if *algoName != "" {
-		names := ppscan.EngineNames()
-		if !slices.Contains(names, *algoName) {
-			log.Fatalf("scanserver: unknown -algo %q (registered: %s)", *algoName, strings.Join(names, ", "))
-		}
 	}
 
 	var g *graph.Graph
@@ -156,20 +132,9 @@ func main() {
 	srv := server.New(g, *workers).
 		WithCacheSize(*cacheSize).
 		WithAdmission(*maxInflight, *reqTimeout).
-		WithWatchdog(*watchdog).
 		WithSweepMaxSteps(*sweepSteps).
-		WithAlgorithm(ppscan.Algorithm(*algoName))
-	stages := []string{fmt.Sprintf("cache(%d)", *cacheSize)}
-	if *useIndex {
-		stages = append(stages, "index")
-	}
-	if *exemplars > 0 {
-		// Arm trace capture: every retained slow request carries its Chrome
-		// trace. WithExemplars after WithAdmission so the tracer pool sizes
-		// itself to the in-flight bound.
-		srv = srv.WithExemplars(*exemplars, server.DefaultExemplarWindow, true)
-		log.Printf("tail-latency exemplars: %d slowest requests with traces at /debug/slowest", *exemplars)
-	}
+		WithExemplars(*exemplars, server.DefaultExemplarWindow)
+	stages := []string{fmt.Sprintf("cache(%d)", *cacheSize), "index"}
 	if *logReqs {
 		srv = srv.WithLogging(log.Default())
 	}
@@ -197,8 +162,6 @@ func main() {
 		}
 		srv = srv.WithShards(coord)
 		stages = append(stages, fmt.Sprintf("fleet(%d shards)", len(shardFleet)))
-	} else {
-		stages = append(stages, "engine")
 	}
 	log.Printf("resolve pipeline: %s", strings.Join(stages, " → "))
 	handler := srv.Handler()

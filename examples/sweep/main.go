@@ -101,7 +101,7 @@ func main() {
 	}
 	defer resp.Body.Close()
 	var metrics struct {
-		Builds int `json:"server.sweep.builds"`
+		Builds int `json:"server.index.builds"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
 		log.Fatal(err)

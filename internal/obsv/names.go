@@ -130,12 +130,6 @@ const (
 	// handler-level recovery — each answered with HTTP 500 instead of
 	// process death.
 	MetricServerPanics = "server.panics"
-	// MetricServerStalls counts requests answered 500 because the phase
-	// watchdog (Server.WithWatchdog) abandoned the computation.
-	MetricServerStalls = "server.stalls"
-	// MetricServerWatchdogNs reports the configured stall timeout (0 =
-	// watchdog disabled).
-	MetricServerWatchdogNs = "server.watchdog_ns"
 	// MetricWatchdogStalls counts phases or supersteps aborted by the
 	// stall watchdog (no scheduler progress within -watchdog).
 	MetricWatchdogStalls = "watchdog.stalls"
@@ -167,11 +161,10 @@ const (
 
 	// Server-side tail-latency attribution (server-local registry).
 	//
-	// MetricServerComputeNs is a histogram of direct-compute durations
-	// (cache misses that ran the algorithm); MetricServerPhasePrefix +
-	// stage name distributes each computation's per-stage time.
-	MetricServerComputeNs   = "server.compute_ns"
-	MetricServerPhasePrefix = "server.phase_ns."
+	// MetricServerComputeNs is a histogram of cache-miss durations past
+	// admission: waiting for or doing the epoch's index build, then the
+	// extraction and its clone (or the fleet query on a -shards server).
+	MetricServerComputeNs = "server.compute_ns"
 	// MetricServerExemplars gauges the exemplars currently retained in the
 	// slowest-request ring; MetricServerExemplarCaptures counts requests
 	// that qualified for retention since startup.
@@ -212,10 +205,10 @@ const (
 	// time (similarities are never recomputed per step).
 	MetricServerSweepSteps  = "server.sweep.steps"
 	MetricServerSweepStepNs = "server.sweep.step_ns"
-	// MetricServerSweepBuilds counts index builds sweeps performed: at most
-	// one per epoch (the build is kept and serves every later request),
-	// none with -index.
-	MetricServerSweepBuilds = "server.sweep.builds"
+	// MetricServerIndexBuilds counts the epoch index builds misses and
+	// sweeps performed: at most one per epoch that succeeds (the build is
+	// kept and serves every later request), none with -index.
+	MetricServerIndexBuilds = "server.index.builds"
 	// MetricServerSweepDisconnects counts sweeps abandoned mid-stream
 	// because the client went away or the request deadline expired.
 	MetricServerSweepDisconnects = "server.sweep.disconnects"

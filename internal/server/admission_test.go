@@ -15,22 +15,21 @@ import (
 	"ppscan/internal/obsv"
 )
 
-// blockingServer returns a server whose runFn parks until release is
-// closed (or the request context ends), so tests can hold the admission
-// slot deterministically.
+// blockingServer returns a server whose index build parks until release
+// is closed (or the request context ends), so tests can hold the
+// admission slot — and mutMu — deterministically.
 func blockingServer(t *testing.T, maxInflight int, timeout time.Duration) (s *Server, release chan struct{}, started chan struct{}) {
 	t.Helper()
 	release = make(chan struct{})
 	started = make(chan struct{}, 16)
 	s = New(testGraph(t), 2).WithAdmission(maxInflight, timeout)
-	real := s.runFn
-	s.runFn = func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error) {
+	s.buildFn = func(ctx context.Context, g *graph.Graph, workers int) (*ppscan.Index, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
-			return real(context.Background(), g, opt, ws)
+			return ppscan.BuildIndexContext(context.Background(), g, workers)
 		case <-ctx.Done():
-			return nil, &ppscan.PartialError{Phase: "P1 prune-sim", Err: context.Cause(ctx)}
+			return nil, context.Cause(ctx)
 		}
 	}
 	return s, release, started
@@ -46,9 +45,9 @@ func counterValue(t *testing.T, ts *httptest.Server, name string) float64 {
 	return v
 }
 
-// TestAdmissionRejectsWhenSaturated: with one slot held and no index or
-// cache entry, a second distinct request gets 429 + Retry-After and the
-// rejection counter increments.
+// TestAdmissionRejectsWhenSaturated: with the one slot held by a miss
+// building the epoch's index, and no cache entry, a second distinct
+// request gets 429 + Retry-After and the rejection counter increments.
 func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	s, release, started := blockingServer(t, 1, 0)
 	ts := httptest.NewServer(s.Handler())
@@ -85,38 +84,33 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 // TestAdmissionDegradesToCache: a saturated request whose parameters are
 // already cached is served 200 from the cache and counted as degraded.
 func TestAdmissionDegradesToCache(t *testing.T) {
-	s := New(testGraph(t), 2).WithAdmission(1, 0)
+	s, release, started := blockingServer(t, 1, 0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Warm the cache while the server is idle.
-	get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK)
-
-	// Saturate: hold the single slot with a computation on a different key
-	// that blocks until we release it.
-	started := make(chan struct{})
-	block := make(chan struct{})
-	s.runFn = func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error) {
-		close(started)
-		<-block
-		return nil, context.Canceled
+	// An answer cached without a build, as one from a fleet would be: the
+	// epoch stays index-less, so the next miss parks in the build.
+	st := s.state.Load()
+	ref, err := ppscan.Run(st.g, ppscan.Options{Epsilon: "0.6", Mu: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	s.cache.add(keyFor(st, "0.6", 2), ref)
+
+	// Saturate: the single slot is held by a miss parked in the build.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/cluster?eps=0.9&mu=5")
-		if err == nil {
-			resp.Body.Close()
-		}
+		get(t, ts, "/cluster?eps=0.9&mu=5", http.StatusOK)
 	}()
-	<-started // slot held
+	<-started
 
 	get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK) // cached key still serves
 	if v := counterValue(t, ts, obsv.MetricAdmissionDegradedCache); v < 1 {
 		t.Errorf("%s = %v, want >= 1", obsv.MetricAdmissionDegradedCache, v)
 	}
-	close(block)
+	close(release)
 	wg.Wait()
 }
 
@@ -126,8 +120,8 @@ func TestAdmissionDegradesToIndex(t *testing.T) {
 	g := testGraph(t)
 	ix := ppscan.BuildIndex(g, 2)
 	s := New(g, 2).WithIndex(ix).WithAdmission(1, 0)
-	// Hold the only slot directly (runFn is bypassed for index servers, so
-	// occupy the semaphore itself).
+	// Hold the only slot directly: an indexed epoch never builds, so
+	// occupy the semaphore itself.
 	s.sem <- struct{}{}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -139,9 +133,9 @@ func TestAdmissionDegradesToIndex(t *testing.T) {
 	<-s.sem
 }
 
-// TestAdmissionTimeout: a request whose computation exceeds the deadline
-// answers 503 + Retry-After and increments the timeout counter. This also
-// covers the acceptance criterion's behavior with a deterministic seam.
+// TestAdmissionTimeout: a request whose build exceeds the deadline answers
+// 503 + Retry-After and increments the timeout counter, with a
+// deterministic seam.
 func TestAdmissionTimeout(t *testing.T) {
 	s, release, _ := blockingServer(t, 0, 20*time.Millisecond)
 	defer close(release)
@@ -164,9 +158,9 @@ func TestAdmissionTimeout(t *testing.T) {
 	}
 }
 
-// TestAdmissionTimeoutRealRun is the acceptance criterion end to end: a
-// real clustering run on a large graph is aborted by -request-timeout and
-// the request returns 503 well before the full computation would finish.
+// TestAdmissionTimeoutRealRun: a real index build on a large graph is
+// aborted by the request deadline, the request returns 503 well before the
+// full build would finish, and the aborted build publishes nothing.
 func TestAdmissionTimeoutRealRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large graph")
@@ -191,8 +185,11 @@ func TestAdmissionTimeoutRealRun(t *testing.T) {
 	if v := counterValue(t, ts, obsv.MetricAdmissionTimeouts); v < 1 {
 		t.Errorf("%s = %v, want >= 1", obsv.MetricAdmissionTimeouts, v)
 	}
-	if v := counterValue(t, ts, "core.cancels"); v < 1 {
-		t.Errorf("core.cancels = %v, want >= 1", v)
+	if v := counterValue(t, ts, obsv.MetricServerIndexBuilds); v != 1 {
+		t.Errorf("%s = %v, want 1", obsv.MetricServerIndexBuilds, v)
+	}
+	if s.state.Load().ix != nil {
+		t.Error("the aborted build published an index")
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,22 +8,16 @@ import (
 	"time"
 
 	"ppscan"
-	"ppscan/graph"
 	"ppscan/internal/fault"
 	"ppscan/internal/gen"
 	"ppscan/internal/obsv"
 )
 
-// chaosServerGraph is large enough that each request runs several
-// scheduler tasks, giving WorkerTask injection points plenty of hits.
-func chaosServerGraph() *httptest.Server {
-	return httptest.NewServer(New(gen.Roll(300, 8, 3), 2).Handler())
-}
-
-// TestAcceptancePanicTo500AndRecovery is the PR's acceptance scenario: an
-// injected worker panic answers HTTP 500 with a structured body,
-// server.panics increments, and the immediately following identical
-// request completes correctly from a pristine pooled workspace.
+// TestAcceptancePanicTo500AndRecovery: an injected worker panic in the
+// epoch's index build answers HTTP 500 with a structured body,
+// server.panics increments, the failed build publishes nothing, and the
+// immediately following identical request builds again and answers
+// exactly.
 func TestAcceptancePanicTo500AndRecovery(t *testing.T) {
 	t.Cleanup(fault.Disable)
 	fault.Disable()
@@ -40,8 +33,8 @@ func TestAcceptancePanicTo500AndRecovery(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Exactly one fault: the first scheduler task of the first request
-	// panics.
+	// Exactly one fault: the first scheduler task of the first request —
+	// its build's first pass — panics.
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
 		{Point: fault.WorkerTask, Action: fault.ActPanic, Start: 1, Count: 1},
 	}})
@@ -61,9 +54,11 @@ func TestAcceptancePanicTo500AndRecovery(t *testing.T) {
 	if p, _ := metrics[obsv.MetricServerPanics].(float64); p != 1 {
 		t.Errorf("server.panics = %v, want 1", metrics[obsv.MetricServerPanics])
 	}
+	if metrics[obsv.MetricServerIndexed] != false {
+		t.Errorf("server.indexed = %v after the failed build, want false", metrics[obsv.MetricServerIndexed])
+	}
 
-	// The very next request reuses the workspace the panic poisoned; the
-	// pool must have reset it, and the answer must be exact.
+	// The very next request builds again, and the answer must be exact.
 	body = get(t, ts, "/cluster?eps=0.5&mu=3", http.StatusOK)
 	if got := int(body["clusters"].(float64)); got != ref.NumClusters() {
 		t.Errorf("post-panic clusters = %d, want %d", got, ref.NumClusters())
@@ -74,9 +69,8 @@ func TestAcceptancePanicTo500AndRecovery(t *testing.T) {
 	if got := int(body["memberships"].(float64)); got != len(ref.NonCore) {
 		t.Errorf("post-panic memberships = %d, want %d", got, len(ref.NonCore))
 	}
-	metrics = get(t, ts, "/metrics", http.StatusOK)
-	if r, _ := metrics[obsv.MetricWorkspaceResets].(float64); r < 1 {
-		t.Errorf("workspace.pool.resets = %v, want >= 1", metrics[obsv.MetricWorkspaceResets])
+	if v := srv.indexBuilds.Value(); v != 2 {
+		t.Errorf("%s = %d, want 2 (the failed build, then one that published)", obsv.MetricServerIndexBuilds, v)
 	}
 }
 
@@ -92,15 +86,16 @@ func TestServerChaosSurvives100FaultedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(g, 2).WithCacheSize(1) // tiny cache so requests actually compute
+	srv := New(g, 2).WithCacheSize(1) // tiny cache so requests actually extract
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// A panic every 23rd task hit, forever (Count 0 = unlimited), plus a
-	// sprinkle of stragglers: a request runs roughly seven tasks (one per
-	// phase on this small graph), so panics land in a fraction of the
-	// requests and the rest must still answer correctly mid-storm.
-	// Cache-busting mu values force computations.
+	// sprinkle of stragglers: a build runs four tasks on this small graph
+	// and an extraction a few, so panics land in failed builds (the next
+	// miss builds again) and in a fraction of the extractions, and the
+	// rest must still answer correctly mid-storm. Cache-busting mu values
+	// force extractions.
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
 		{Point: fault.WorkerTask, Action: fault.ActPanic, Start: 7, Every: 23},
 		{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 3, Every: 17, Delay: 200 * time.Microsecond},
@@ -144,69 +139,26 @@ func TestServerChaosSurvives100FaultedRequests(t *testing.T) {
 	}
 }
 
-// TestServerWatchdogStall arms the server watchdog and injects a straggler
-// sleeping far past the window: the request answers 500 naming the stall,
-// server.stalls increments, the fatal workspace is discarded (not pooled),
-// and the next request computes correctly on a fresh workspace.
-func TestServerWatchdogStall(t *testing.T) {
-	t.Cleanup(fault.Disable)
-	fault.Disable()
-	g := gen.Roll(300, 8, 3)
-	ref, err := ppscan.Run(g, ppscan.Options{Epsilon: "0.5", Mu: 3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(g, 2).WithWatchdog(40 * time.Millisecond)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	fault.Enable(&fault.Plan{Rules: []fault.Rule{
-		{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 1, Count: 1, Delay: 3 * time.Second},
-	}})
-	start := time.Now()
-	body := get(t, ts, "/cluster?eps=0.5&mu=3", http.StatusInternalServerError)
-	if time.Since(start) >= 3*time.Second {
-		t.Error("request waited for the straggler; watchdog did not abandon")
-	}
-	if body["kind"] != "watchdog_stall" {
-		t.Errorf("500 body kind = %v, want watchdog_stall (body: %v)", body["kind"], body)
-	}
-	fault.Disable()
-
-	metrics := get(t, ts, "/metrics", http.StatusOK)
-	if s, _ := metrics[obsv.MetricServerStalls].(float64); s != 1 {
-		t.Errorf("server.stalls = %v, want 1", metrics[obsv.MetricServerStalls])
-	}
-	if d, _ := metrics[obsv.MetricWorkspaceDiscards].(float64); d < 1 {
-		t.Errorf("workspace.pool.discards = %v, want >= 1 (fatal workspace must not be reused)", metrics[obsv.MetricWorkspaceDiscards])
-	}
-
-	body = get(t, ts, "/cluster?eps=0.5&mu=3", http.StatusOK)
-	if got := int(body["clusters"].(float64)); got != ref.NumClusters() {
-		t.Errorf("post-stall clusters = %d, want %d", got, ref.NumClusters())
-	}
-}
-
 // TestHandlerPanicContained drives the last-resort middleware recover: a
-// panic out of the handler itself (not a worker) still answers 500 and
-// counts, and the server keeps serving.
+// panic out of a handler itself (not a worker, not a build) still answers
+// a structured 500 and counts, and the server keeps serving.
 func TestHandlerPanicContained(t *testing.T) {
-	g := gen.Roll(100, 6, 3)
-	srv := New(g, 2)
-	srv.runFn = func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error) {
-		panic("synthetic coordinator panic")
-	}
-	ts := httptest.NewServer(srv.Handler())
+	srv := New(gen.Roll(100, 6, 3), 2)
+	ts := httptest.NewServer(srv.instrument("cluster", func(http.ResponseWriter, *http.Request) {
+		panic("synthetic handler panic")
+	}))
 	defer ts.Close()
 
 	body := get(t, ts, "/cluster?eps=0.5&mu=3", http.StatusInternalServerError)
-	if body["kind"] != "worker_panic" {
-		t.Errorf("kind = %v, want worker_panic (runDirect converts coordinator panics)", body["kind"])
+	if body["error"] != "internal error: synthetic handler panic" {
+		t.Errorf("500 body = %v, want the recovered value", body)
 	}
-	metrics := get(t, ts, "/metrics", http.StatusOK)
-	if p, _ := metrics[obsv.MetricServerPanics].(float64); p < 1 {
-		t.Errorf("server.panics = %v, want >= 1", metrics[obsv.MetricServerPanics])
+	if p := srv.reg.Counter(obsv.MetricServerPanics).Value(); p != 1 {
+		t.Errorf("server.panics = %d, want 1", p)
 	}
-	// Healthz still answers: the process survived.
-	get(t, ts, "/healthz", http.StatusOK)
+	// The real handler still answers: the process survived.
+	real := httptest.NewServer(srv.Handler())
+	defer real.Close()
+	get(t, real, "/healthz", http.StatusOK)
+	get(t, real, "/cluster?eps=0.5&mu=3", http.StatusOK)
 }

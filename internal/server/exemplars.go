@@ -1,15 +1,12 @@
-// Tail-latency exemplars: the server retains the slowest direct-compute
-// requests of a sliding window — parameters, per-stage phase breakdown,
-// and (when armed) the full Chrome trace of the run — and serves them at
-// GET /debug/slowest. When a latency alert fires, the trace of the actual
-// offending request is already captured; no reproduction needed.
+// Tail-latency exemplars: the server retains the slowest cache misses of
+// a sliding window — epoch, parameters, duration, error and the share of
+// it spent building the epoch's index — and serves them at GET
+// /debug/slowest. When a latency alert fires, the offending requests'
+// parameters are already captured.
 //
-// Cost model: the warm path pays one lock-free qualifies() check per
-// computation (a few atomic loads, no allocation). Only requests slow
-// enough to enter the ring take the mutex and copy state, and only then
-// is a captured trace exported. Tracers come from a small pool and are
-// Reset between runs, so traced serving stays inside the zero-allocation
-// budget (see TestServingAllocBudgetTraced in internal/engine).
+// Cost model: the warm path pays one lock-free qualifies() check per miss
+// (a few atomic loads, no allocation). Only misses slow enough to enter
+// the ring take the mutex and copy state.
 package server
 
 import (
@@ -20,7 +17,6 @@ import (
 	"time"
 
 	"ppscan/internal/obsv"
-	"ppscan/internal/result"
 )
 
 // DefaultExemplarWindow is the sliding window within which the slowest
@@ -28,17 +24,15 @@ import (
 // lazily.
 const DefaultExemplarWindow = 15 * time.Minute
 
-// exemplar is one retained slow request.
+// exemplar is one retained slow miss.
 type exemplar struct {
 	At       time.Time
 	Epoch    uint64 // graph snapshot the request was answered against
-	Eps      string
+	Eps      string // a sweep's grid spec
 	Mu       int
-	Algo     string
 	Err      string // empty on success
 	Duration time.Duration
-	Phases   [result.NumPhases]time.Duration
-	Trace    []obsv.TraceEvent // nil unless trace capture is armed
+	Build    time.Duration // spent building the epoch's index; 0 when one was found
 }
 
 // exemplarRing keeps the slowest K requests of the last window. The
@@ -90,20 +84,16 @@ func (r *exemplarRing) qualifies(d time.Duration, now time.Time) bool {
 }
 
 // offer retains e (Duration set by the caller) when it is slow enough to
-// enter the ring, stamping it now and attaching the error text and — when
-// the run was traced — the trace. The gate comes first, so a request that
-// does not qualify pays for none of the copying.
-func (r *exemplarRing) offer(e exemplar, err error, tr *obsv.Tracer) {
+// enter the ring, stamping it now and attaching the error text. The gate
+// comes first, so a miss that does not qualify pays for none of the
+// copying.
+func (r *exemplarRing) offer(e exemplar, err error) {
 	e.At = time.Now()
 	if !r.qualifies(e.Duration, e.At) {
 		return
 	}
 	if err != nil {
 		e.Err = err.Error()
-	}
-	if tr != nil {
-		// Cold path: only requests entering the slowest-K ring copy their events.
-		e.Trace = tr.Events()
 	}
 	r.add(e)
 }
@@ -197,117 +187,55 @@ func (r *exemplarRing) len() int {
 }
 
 // WithExemplars configures the tail-latency exemplar ring: the n slowest
-// direct computations of the last window stay inspectable at
-// GET /debug/slowest. captureTrace additionally threads a pooled tracer
-// through each computation so every retained exemplar carries the full
-// Chrome trace (phases + scheduler tasks) of its run; the per-request
-// overhead is the span recording itself, still allocation-free in steady
-// state. n < 1 disables retention; window <= 0 means
-// DefaultExemplarWindow. Call after WithAdmission so the tracer pool can
-// size itself to the in-flight bound.
-func (s *Server) WithExemplars(n int, window time.Duration, captureTrace bool) *Server {
-	if n < 1 {
-		s.exemplars = nil
-		s.captureTrace = false
-		s.trPool = nil
-		return s
-	}
+// cache misses of the last window stay inspectable at GET /debug/slowest.
+// n < 1 turns retention off; window <= 0 means DefaultExemplarWindow.
+func (s *Server) WithExemplars(n int, window time.Duration) *Server {
 	s.exemplars = newExemplarRing(n, window, s.reg.Counter(obsv.MetricServerExemplarCaptures))
-	s.captureTrace = captureTrace
-	if captureTrace {
-		size := 4
-		if c := cap(s.sem); c > size {
-			size = c
-		}
-		s.trPool = make(chan *obsv.Tracer, size)
-	} else {
-		s.trPool = nil
-	}
 	return s
-}
-
-// getTracer takes a pooled tracer (reset, ready to record) or builds one
-// when the pool is empty — that happens only while concurrency ramps past
-// the pool's high-water mark; steady state recycles.
-func (s *Server) getTracer() *obsv.Tracer {
-	select {
-	case tr := <-s.trPool:
-		tr.Reset()
-		return tr
-	default:
-		// Pool miss: only while in-flight concurrency exceeds every tracer ever pooled.
-		return obsv.NewTracer()
-	}
-}
-
-// putTracer returns a tracer to the pool, dropping it when full.
-func (s *Server) putTracer(tr *obsv.Tracer) {
-	if tr == nil {
-		return
-	}
-	select {
-	case s.trPool <- tr:
-	default:
-	}
 }
 
 // slowestEntry is the JSON shape of one exemplar in /debug/slowest.
 type slowestEntry struct {
-	At         time.Time        `json:"at"`
-	AgeMs      float64          `json:"ageMs"`
-	Epoch      uint64           `json:"epoch"`
-	Eps        string           `json:"eps"`
-	Mu         int              `json:"mu"`
-	Algorithm  string           `json:"algorithm"`
-	DurationMs float64          `json:"durationMs"`
-	Error      string           `json:"error,omitempty"`
-	PhaseNs    map[string]int64 `json:"phaseNs"`
-	Trace      *obsv.TraceFile  `json:"trace,omitempty"`
+	At         time.Time `json:"at"`
+	AgeMs      float64   `json:"ageMs"`
+	Epoch      uint64    `json:"epoch"`
+	Eps        string    `json:"eps"`
+	Mu         int       `json:"mu"`
+	DurationMs float64   `json:"durationMs"`
+	BuildMs    float64   `json:"buildMs"`
+	Error      string    `json:"error,omitempty"`
 }
 
 // slowestResponse is the /debug/slowest response body.
 type slowestResponse struct {
-	WindowMs     float64        `json:"windowMs"`
-	Capacity     int            `json:"capacity"`
-	TraceCapture bool           `json:"traceCapture"`
-	Exemplars    []slowestEntry `json:"exemplars"`
+	WindowMs  float64        `json:"windowMs"`
+	Capacity  int            `json:"capacity"`
+	Exemplars []slowestEntry `json:"exemplars"`
 }
 
 // handleSlowest serves the retained tail-latency exemplars, slowest
-// first. ?trace=false strips the embedded Chrome traces (they dominate
-// the payload); each trace object is directly loadable in
-// chrome://tracing or https://ui.perfetto.dev.
+// first.
 func (s *Server) handleSlowest(w http.ResponseWriter, r *http.Request) {
-	includeTrace := r.URL.Query().Get("trace") != "false"
 	now := time.Now()
-	out := slowestResponse{
-		Capacity:     0,
-		TraceCapture: s.captureTrace,
-		Exemplars:    []slowestEntry{},
-	}
+	out := slowestResponse{Exemplars: []slowestEntry{}}
 	if s.exemplars != nil {
-		out.WindowMs = float64(s.exemplars.window) / float64(time.Millisecond)
+		out.WindowMs = ms(s.exemplars.window)
 		out.Capacity = s.exemplars.capacity
 		for _, e := range s.exemplars.snapshot(now) {
-			entry := slowestEntry{
+			out.Exemplars = append(out.Exemplars, slowestEntry{
 				At:         e.At,
-				AgeMs:      float64(now.Sub(e.At)) / float64(time.Millisecond),
+				AgeMs:      ms(now.Sub(e.At)),
 				Epoch:      e.Epoch,
 				Eps:        e.Eps,
 				Mu:         e.Mu,
-				Algorithm:  e.Algo,
-				DurationMs: float64(e.Duration) / float64(time.Millisecond),
+				DurationMs: ms(e.Duration),
+				BuildMs:    ms(e.Build),
 				Error:      e.Err,
-				PhaseNs:    make(map[string]int64, result.NumPhases),
-			}
-			for ph := result.PhaseID(0); ph < result.NumPhases; ph++ {
-				entry.PhaseNs[result.PhaseNames[ph]] = e.Phases[ph].Nanoseconds()
-			}
-			if includeTrace && e.Trace != nil {
-				entry.Trace = obsv.NewTraceFile(e.Trace)
-			}
-			out.Exemplars = append(out.Exemplars, entry)
+			})
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
+
+// ms renders d in fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

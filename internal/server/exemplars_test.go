@@ -12,7 +12,6 @@ import (
 	"ppscan/graph"
 	"ppscan/internal/gen"
 	"ppscan/internal/obsv"
-	"ppscan/internal/result"
 )
 
 // TestExemplarRingRetainsSlowest: the ring keeps the K slowest entries,
@@ -87,18 +86,18 @@ func TestExemplarQualifiesNoAlloc(t *testing.T) {
 	}
 }
 
-// TestSlowestEndpoint drives a load burst through a trace-armed server
-// and asserts /debug/slowest returns the slowest request with per-stage
-// phase attribution and a loadable Chrome trace.
+// TestSlowestEndpoint drives a burst of misses and asserts /debug/slowest
+// returns the slowest of them, slowest first, with their parameters and
+// the one miss that built the epoch's index marked by its build time.
 func TestSlowestEndpoint(t *testing.T) {
 	g := gen.Roll(2000, 8, 3)
-	s := New(g, 2).WithExemplars(4, time.Hour, true)
+	s := New(g, 2).WithExemplars(4, time.Hour)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	ctx := context.Background()
 	for _, eps := range []string{"0.3", "0.4", "0.5", "0.6", "0.7", "0.8"} {
-		if _, err := s.resolve(ctx, s.state.Load(), eps, 4, ppscan.AlgoPPSCAN); err != nil {
+		if _, err := s.resolve(ctx, s.state.Load(), eps, 4); err != nil {
 			t.Fatalf("resolve eps=%s: %v", eps, err)
 		}
 	}
@@ -115,69 +114,32 @@ func TestSlowestEndpoint(t *testing.T) {
 	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
 		t.Fatalf("decoding /debug/slowest: %v", err)
 	}
-	if !out.TraceCapture {
-		t.Errorf("traceCapture=false, want true")
-	}
 	if out.Capacity != 4 {
 		t.Errorf("capacity=%d, want 4", out.Capacity)
 	}
 	if len(out.Exemplars) != 4 {
-		t.Fatalf("retained %d exemplars, want 4 (6 requests, ring of 4)", len(out.Exemplars))
+		t.Fatalf("retained %d exemplars, want 4 (6 misses, ring of 4)", len(out.Exemplars))
 	}
-	for i := 1; i < len(out.Exemplars); i++ {
-		if out.Exemplars[i].DurationMs > out.Exemplars[i-1].DurationMs {
+	var built []string
+	for i, e := range out.Exemplars {
+		if i > 0 && e.DurationMs > out.Exemplars[i-1].DurationMs {
 			t.Errorf("exemplars not sorted slowest-first: [%d]=%.3fms > [%d]=%.3fms",
-				i, out.Exemplars[i].DurationMs, i-1, out.Exemplars[i-1].DurationMs)
+				i, e.DurationMs, i-1, out.Exemplars[i-1].DurationMs)
+		}
+		if e.Eps == "" || e.Mu != 4 || e.Epoch != 0 || e.Error != "" {
+			t.Errorf("exemplar %d parameters incomplete: %+v", i, e)
+		}
+		if e.BuildMs > e.DurationMs {
+			t.Errorf("exemplar %d: buildMs %.3f > durationMs %.3f", i, e.BuildMs, e.DurationMs)
+		}
+		if e.BuildMs > 0 {
+			built = append(built, e.Eps)
 		}
 	}
-	slowest := out.Exemplars[0]
-	if slowest.Eps == "" || slowest.Mu != 4 || slowest.Algorithm != string(ppscan.AlgoPPSCAN) {
-		t.Errorf("slowest exemplar parameters incomplete: %+v", slowest)
-	}
-	// Phase attribution: every reported stage present, and at least one
-	// stage with nonzero wall time.
-	var phaseTotal int64
-	for _, name := range result.PhaseNames {
-		ns, ok := slowest.PhaseNs[name]
-		if !ok {
-			t.Errorf("phase %q missing from exemplar breakdown", name)
-		}
-		phaseTotal += ns
-	}
-	if phaseTotal <= 0 {
-		t.Errorf("slowest exemplar has zero total phase time: %v", slowest.PhaseNs)
-	}
-	// Trace: present, with process/thread metadata and phase spans.
-	if slowest.Trace == nil {
-		t.Fatalf("slowest exemplar has no trace although capture is armed")
-	}
-	var haveMeta, havePhase bool
-	for _, ev := range slowest.Trace.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			haveMeta = true
-		case "X":
-			havePhase = true
-		}
-	}
-	if !haveMeta || !havePhase {
-		t.Errorf("trace lacks metadata (%v) or span (%v) events", haveMeta, havePhase)
-	}
-
-	// ?trace=false strips the embedded traces but keeps the breakdown.
-	res2, err := ts.Client().Get(ts.URL + "/debug/slowest?trace=false")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res2.Body.Close()
-	var out2 slowestResponse
-	if err := json.NewDecoder(res2.Body).Decode(&out2); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range out2.Exemplars {
-		if e.Trace != nil {
-			t.Errorf("exemplar %d still carries a trace with ?trace=false", i)
-		}
+	// The first miss built the index, which makes it by far the slowest,
+	// so it is retained; every later miss extracted from that index.
+	if len(built) != 1 || built[0] != "0.3" {
+		t.Errorf("exemplars with a build: %v, want [0.3] (the first miss)", built)
 	}
 
 	// The exemplar metrics are exported.
@@ -189,37 +151,36 @@ func TestSlowestEndpoint(t *testing.T) {
 	}
 }
 
-// TestExemplarCapturesFailedRuns: a run that fails still lands in the
-// ring with its error and the phase breakdown carried by the
-// PartialError.
+// TestExemplarCapturesFailedRuns: a miss whose build fails still lands in
+// the ring with its error and the time the build took.
 func TestExemplarCapturesFailedRuns(t *testing.T) {
 	g := gen.Roll(500, 6, 3)
-	s := New(g, 1).WithExemplars(2, time.Hour, false)
-	wantErr := &ppscan.PartialError{Phase: "P2 check-core", Err: context.DeadlineExceeded}
-	wantErr.Stats.PhaseTimes[result.PhasePruning] = 7 * time.Millisecond
-	s.runFn = func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error) {
+	s := New(g, 1).WithExemplars(2, time.Hour)
+	wantErr := errors.New("synthetic build failure")
+	s.buildFn = func(ctx context.Context, g *graph.Graph, workers int) (*ppscan.Index, error) {
+		time.Sleep(2 * time.Millisecond)
 		return nil, wantErr
 	}
-	if _, err := s.resolve(context.Background(), s.state.Load(), "0.5", 4, ppscan.AlgoPPSCAN); !errors.As(err, new(*ppscan.PartialError)) {
-		t.Fatalf("resolve error = %v, want the injected PartialError", err)
+	if _, err := s.resolve(context.Background(), s.state.Load(), "0.5", 4); !errors.Is(err, wantErr) {
+		t.Fatalf("resolve error = %v, want the injected build failure", err)
 	}
 	got := s.exemplars.snapshot(time.Now())
 	if len(got) != 1 {
 		t.Fatalf("retained %d exemplars, want 1", len(got))
 	}
-	if got[0].Err == "" {
-		t.Errorf("failed-run exemplar has empty Err")
+	if got[0].Err != wantErr.Error() {
+		t.Errorf("failed-miss exemplar Err = %q, want %q", got[0].Err, wantErr)
 	}
-	if got[0].Phases[result.PhasePruning] != 7*time.Millisecond {
-		t.Errorf("failed-run exemplar lost the PartialError phase times: %+v", got[0].Phases)
+	if got[0].Build < 2*time.Millisecond || got[0].Build > got[0].Duration {
+		t.Errorf("failed-miss exemplar build %v, duration %v; want 2ms <= build <= duration", got[0].Build, got[0].Duration)
 	}
 }
 
 // TestWithExemplarsDisable: n < 1 turns retention off entirely.
 func TestWithExemplarsDisable(t *testing.T) {
 	g := gen.Roll(500, 6, 3)
-	s := New(g, 1).WithExemplars(0, 0, true)
-	if _, err := s.resolve(context.Background(), s.state.Load(), "0.5", 4, ppscan.AlgoPPSCAN); err != nil {
+	s := New(g, 1).WithExemplars(0, 0)
+	if _, err := s.resolve(context.Background(), s.state.Load(), "0.5", 4); err != nil {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest("GET", "/debug/slowest", nil)

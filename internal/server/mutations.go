@@ -21,9 +21,9 @@
 // The whole batch commits atomically into one epoch. Response-cache
 // entries for older epochs are purged on publication (counted in
 // server.cache.invalidations); sweeps are pinned to the epoch they
-// loaded, so none of them can serve a stale clustering. An index a sweep
-// built for an index-less epoch is carried across commits the same way as
-// one attached with WithIndex.
+// loaded, so none of them can serve a stale clustering. An index the first
+// miss built for an index-less epoch is carried across commits the same
+// way as one attached with WithIndex.
 package server
 
 import (

@@ -22,7 +22,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Two identical /cluster requests: one miss (computed), one hit.
+	// Two identical /cluster requests: one miss (built and extracted), one
+	// hit.
 	get(t, ts, "/cluster?eps=0.7&mu=2", http.StatusOK)
 	get(t, ts, "/cluster?eps=0.7&mu=2", http.StatusOK)
 	get(t, ts, "/cluster?eps=0.7", http.StatusBadRequest) // missing mu
@@ -57,12 +58,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if lat["max"].(float64) <= 0 {
 		t.Errorf("latency max = %v", lat["max"])
 	}
-	// The run itself published into the global registry.
-	if got := m["core.runs"].(float64); got < 1 {
-		t.Errorf("core.runs = %v, want >= 1", got)
+	// The miss built the epoch's index and was timed.
+	if got := m[obsv.MetricServerIndexBuilds].(float64); got != 1 {
+		t.Errorf("%s = %v, want 1", obsv.MetricServerIndexBuilds, got)
 	}
-	if got := m["core.compsim_calls"].(float64); got <= 0 {
-		t.Errorf("core.compsim_calls = %v, want > 0", got)
+	if got := m[obsv.MetricServerComputeNs].(map[string]any)["count"].(float64); got != 1 {
+		t.Errorf("%s count = %v, want 1", obsv.MetricServerComputeNs, got)
 	}
 	// Graph and runtime gauges.
 	if m["graph.vertices"].(float64) != 8 {
@@ -71,8 +72,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m["runtime.goroutines"].(float64) < 1 {
 		t.Errorf("runtime.goroutines = %v", m["runtime.goroutines"])
 	}
-	if m["server.indexed"] != false {
-		t.Errorf("server.indexed = %v", m["server.indexed"])
+	if m["server.indexed"] != true {
+		t.Errorf("server.indexed = %v, want true after the first miss", m["server.indexed"])
 	}
 }
 
@@ -90,8 +91,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK)
 
 	size, evictions := srv.cache.len(), srv.cache.evictions
-	_, has04 := srv.cache.items[cacheKey{eps: simdef.MustEpsilon("0.4"), mu: 2, algo: "ppscan"}]
-	_, has05 := srv.cache.items[cacheKey{eps: simdef.MustEpsilon("0.5"), mu: 2, algo: "ppscan"}]
+	_, has04 := srv.cache.items[cacheKey{eps: simdef.MustEpsilon("0.4"), mu: 2}]
+	_, has05 := srv.cache.items[cacheKey{eps: simdef.MustEpsilon("0.5"), mu: 2}]
 	if size != 2 {
 		t.Errorf("cache size = %d, want 2", size)
 	}
@@ -139,7 +140,7 @@ func TestRequestLogging(t *testing.T) {
 
 func TestLRUUnit(t *testing.T) {
 	c := newLRU(2)
-	k := func(e string) cacheKey { return cacheKey{eps: simdef.MustEpsilon(e), mu: 1, algo: "ppscan"} }
+	k := func(e string) cacheKey { return cacheKey{eps: simdef.MustEpsilon(e), mu: 1} }
 	c.add(k("0.1"), nil)
 	c.add(k("0.2"), nil)
 	if _, ok := c.get(k("0.1")); !ok {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"sync/atomic"
+	"net/url"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +15,7 @@ import (
 	"ppscan/internal/gen"
 	"ppscan/internal/obsv"
 	"ppscan/internal/shard"
+	"ppscan/internal/simdef"
 )
 
 // newFleet starts an in-process worker fleet over g and returns its
@@ -49,27 +50,25 @@ func newFleet(t *testing.T, g *graph.Graph, shards int) (*shard.Coordinator, *ob
 
 // TestPipelineStageOrder arms every combination of the two optional
 // stages and checks which one answered a /cluster miss — the fixed order
-// is the epoch's index, then the compute backend (fleet, else engine).
-// Without -index the first sweep builds the epoch's index, so a /cluster
-// answered after it is an extraction too. Every /cluster answer and the
-// sweep line equal the direct answer whatever the combination.
+// is the epoch's index (attached, or built by the first miss), then the
+// fleet, which only a -shards server's index-less epoch reaches. A sweep
+// builds the index on every server, so a /cluster answered after it is an
+// extraction too. Every /cluster answer and the sweep line equal
+// ppscan.Run whatever the combination.
 func TestPipelineStageOrder(t *testing.T) {
 	g := gen.PlantedPartition(6, 25, 0.4, 0.02, 13)
-	direct := httptest.NewServer(New(g, 2).Handler())
-	defer direct.Close()
 	const query, later = "eps=0.4&mu=3&members=true", "eps=0.5&mu=2&members=true"
-	want := get(t, direct, "/cluster?"+query, http.StatusOK)
-	wantLater := get(t, direct, "/cluster?"+later, http.StatusOK)
+	want, wantLater := oracle(t, g, "0.4", 3), oracle(t, g, "0.5", 2)
 
 	for _, tc := range []struct {
-		index, fleet          bool
-		before                string // who answers /cluster before any sweep
-		queries, runs, builds int64
+		index, fleet    bool
+		before          string // who answers /cluster before any sweep
+		queries, builds int64
 	}{
-		{false, false, "ppSCAN", 0, 1, 1},
-		{false, true, "shard-scan(s=2)", 1, 0, 1},
-		{true, false, "GS*-Index", 0, 0, 0},
-		{true, true, "GS*-Index", 0, 0, 0},
+		{false, false, "GS*-Index", 0, 1},
+		{false, true, "shard-scan(s=2)", 1, 1},
+		{true, false, "GS*-Index", 0, 0},
+		{true, true, "GS*-Index", 0, 0},
 	} {
 		t.Run(fmt.Sprintf("index=%v,fleet=%v", tc.index, tc.fleet), func(t *testing.T) {
 			srv := New(g, 2)
@@ -84,42 +83,33 @@ func TestPipelineStageOrder(t *testing.T) {
 			}
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
-			same := func(what string, got, want map[string]any) {
-				t.Helper()
-				for _, k := range []string{"clusters", "cores", "memberships", "coverage", "members"} {
-					if !reflect.DeepEqual(got[k], want[k]) {
-						t.Errorf("%s %s = %v, direct %v", what, k, got[k], want[k])
-					}
-				}
-			}
 
 			got := get(t, ts, "/cluster?"+query, http.StatusOK)
 			if got["algorithm"] != tc.before {
 				t.Errorf("answered by %v, want %s", got["algorithm"], tc.before)
 			}
-			same("/cluster", got, want)
+			sameClustering(t, "/cluster", got, want)
 			lines := sweepLines(t, ts, "/cluster/sweep?"+query)
 			if len(lines) != 1 {
 				t.Fatalf("sweep lines = %d, want 1", len(lines))
 			}
-			if lines[0]["algorithm"] != "GS*-Index" {
-				t.Errorf("sweep step answered by %v, want an extraction", lines[0]["algorithm"])
+			// The step's key is the /cluster miss's: the sweep builds the
+			// index but answers that gridpoint from the cache.
+			if lines[0]["algorithm"] != tc.before {
+				t.Errorf("sweep step answered by %v, want the cached %s answer", lines[0]["algorithm"], tc.before)
 			}
-			same("/cluster/sweep", lines[0], want)
+			sameClustering(t, "/cluster/sweep", lines[0], want)
 			after := get(t, ts, "/cluster?"+later, http.StatusOK)
 			if after["algorithm"] != "GS*-Index" {
 				t.Errorf("after the sweep answered by %v, want GS*-Index", after["algorithm"])
 			}
-			same("/cluster after the sweep", after, wantLater)
+			sameClustering(t, "/cluster after the sweep", after, wantLater)
 
-			if v := srv.sweepBuilds.Value(); v != tc.builds {
-				t.Errorf("sweep builds = %d, want %d", v, tc.builds)
+			if v := srv.indexBuilds.Value(); v != tc.builds {
+				t.Errorf("index builds = %d, want %d", v, tc.builds)
 			}
 			if v := fleetReg.Counter(obsv.MetricShardQueries).Value(); v != tc.queries {
 				t.Errorf("fleet queries = %d, want %d", v, tc.queries)
-			}
-			if v := srv.computeNs.Count(); v != tc.runs {
-				t.Errorf("in-process runs = %d, want %d", v, tc.runs)
 			}
 		})
 	}
@@ -134,9 +124,9 @@ func TestParseStageRejectsBeforeAnyWork(t *testing.T) {
 	g := gen.PlantedPartition(6, 25, 0.4, 0.02, 13)
 	coord, fleetReg := newFleet(t, g, 2)
 	servers := map[string]*Server{
-		"engine": New(g, 2),
-		"fleet":  New(g, 2).WithShards(coord),
-		"index":  New(g, 2).WithIndex(ppscan.BuildIndex(g, 2)),
+		"build": New(g, 2),
+		"fleet": New(g, 2).WithShards(coord),
+		"index": New(g, 2).WithIndex(ppscan.BuildIndex(g, 2)),
 	}
 	for name, srv := range servers {
 		ts := httptest.NewServer(srv.Handler())
@@ -156,7 +146,7 @@ func TestParseStageRejectsBeforeAnyWork(t *testing.T) {
 		if v := srv.reg.Counter(obsv.MetricCacheMisses).Value(); v != 0 {
 			t.Errorf("%s: %d cache lookups for unanswerable requests, want 0", name, v)
 		}
-		if v := srv.sweepBuilds.Value(); v != 0 {
+		if v := srv.indexBuilds.Value(); v != 0 {
 			t.Errorf("%s: %d index builds for unanswerable requests, want 0", name, v)
 		}
 		if st := srv.pool.Stats(); st.Hits+st.Misses != 0 {
@@ -168,47 +158,66 @@ func TestParseStageRejectsBeforeAnyWork(t *testing.T) {
 	}
 }
 
-// TestPurgedEpochStaysOutOfCache: a request that loaded epoch 0, was still
-// computing when a mutation batch published epoch 1 and purged the cache,
-// must not re-insert its epoch-0 answer afterwards — nobody can request
-// that epoch again, so the entry would only displace live ones.
+// TestPurgedEpochStaysOutOfCache: a request that loaded epoch 0 and was
+// still missing when a mutation batch published epoch 1 and purged the
+// cache builds and answers for its own snapshot, but publishes no index
+// and does not re-insert its epoch-0 answer afterwards — nobody can
+// request that epoch again, so the entry would only displace live ones.
 func TestPurgedEpochStaysOutOfCache(t *testing.T) {
 	srv := New(testGraph(t), 2).WithMutations()
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once atomic.Bool
-	real := srv.runFn
-	srv.runFn = func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error) {
-		if once.CompareAndSwap(false, true) {
-			close(entered)
-			<-release
-		}
-		return real(ctx, g, opt, ws)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	done := make(chan int, 1)
-	go func() {
-		resp, err := http.Get(ts.URL + "/cluster?eps=0.7&mu=2")
-		if err != nil {
-			done <- 0
-			return
-		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	<-entered
+	st0 := srv.state.Load() // what the overtaken request loaded
 	postEdges(t, ts, `{"u":0,"v":5}`, http.StatusOK)
-	close(release)
-	if status := <-done; status != http.StatusOK {
-		t.Fatalf("the overtaken request answered %d, want 200 (its own snapshot is still valid)", status)
+	res, err := srv.resolve(context.Background(), st0, "0.7", 2)
+	if err != nil {
+		t.Fatalf("the overtaken request failed: %v (its own snapshot is still valid)", err)
+	}
+	if want := oracle(t, st0.g, "0.7", 2); res.NumClusters() != want.NumClusters() || res.NumCores() != want.NumCores() {
+		t.Errorf("the overtaken request answered %d clusters, %d cores; epoch 0 has %d, %d",
+			res.NumClusters(), res.NumCores(), want.NumClusters(), want.NumCores())
 	}
 	if n := counterValue(t, ts, obsv.MetricCacheSize); n != 0 {
 		t.Errorf("cache holds %v entries below the live epoch, want 0", n)
 	}
-	// The live epoch caches as usual.
+	if srv.state.Load().ix != nil {
+		t.Error("the epoch-0 build was published over epoch 1")
+	}
+	// The live epoch builds and caches as usual.
 	get(t, ts, "/cluster?eps=0.7&mu=2", http.StatusOK)
 	if n := counterValue(t, ts, obsv.MetricCacheSize); n != 1 {
 		t.Errorf("cache size after a live-epoch request = %v, want 1", n)
 	}
+	if v := srv.indexBuilds.Value(); v != 2 {
+		t.Errorf("index builds = %d, want 2 (one per epoch)", v)
+	}
+}
+
+// FuzzParams: whatever the query string, the parse stage never panics, and
+// what it accepts is answerable — 1 ≤ µ ≤ 2^30 and every ε a valid
+// threshold at that µ — and does not depend on algo=, which it ignores.
+// The seed corpus is testdata/fuzz/FuzzParams.
+func FuzzParams(f *testing.F) {
+	s := &Server{sweepMaxSteps: DefaultSweepMaxSteps}
+	f.Fuzz(func(t *testing.T, raw string, sweep bool) {
+		q := (&url.URL{RawQuery: raw}).Query()
+		eps, mu, err := s.params(q, sweep)
+		q.Del("algo")
+		eps2, mu2, err2 := s.params(q, sweep)
+		if (err == nil) != (err2 == nil) || mu != mu2 || !slices.Equal(eps, eps2) {
+			t.Fatalf("%q: algo= changed the parse: (%v, %d, %v) vs (%v, %d, %v)", raw, eps, mu, err, eps2, mu2, err2)
+		}
+		if err != nil {
+			return
+		}
+		if mu < 1 || mu > 1<<30 || len(eps) == 0 {
+			t.Fatalf("%q: accepted mu=%d with %d eps values", raw, mu, len(eps))
+		}
+		for _, e := range eps {
+			if _, err := simdef.NewThreshold(e, int32(mu)); err != nil {
+				t.Fatalf("%q: accepted eps %q: %v", raw, e, err)
+			}
+		}
+	})
 }

@@ -23,7 +23,6 @@ func TestWriteResolveError(t *testing.T) {
 	partial := func(phase string, err error) error {
 		return &ppscan.PartialError{Phase: phase, Err: err}
 	}
-	stalled := partial("P4 cluster-core", ppscan.ErrStalled)
 	late := partial("P2 check-core", context.DeadlineExceeded)
 	for _, tc := range []struct {
 		name       string
@@ -46,8 +45,6 @@ func TestWriteResolveError(t *testing.T) {
 			`{"error":"shard 0 (http://w0): cluster RPC rejected with 503 (draining): going away","kind":"shard_rejected","round":"cluster","shard":0}`},
 		{"worker_panic", partial("P1 prune-sim", panicked), 500, "",
 			`{"error":"worker 3 panicked during P1 prune-sim: boom","kind":"worker_panic","phase":"P1 prune-sim","worker":3}`},
-		{"watchdog_stall", stalled, 500, "",
-			fmt.Sprintf(`{"error":%q,"kind":"watchdog_stall","phase":"P4 cluster-core"}`, stalled.Error())},
 		{"saturated", errSaturated, 429, "1",
 			`{"error":"server saturated: all admission slots busy","retryAfterSeconds":1}`},
 		{"deadline", late, 503, "2",

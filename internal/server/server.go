@@ -6,9 +6,7 @@
 // The service loads one graph at startup and exposes:
 //
 //	GET /healthz                    — liveness and graph statistics
-//	GET /cluster?eps=0.6&mu=5       — run clustering (algo= selects the
-//	                                  algorithm; default ppscan) and return
-//	                                  a JSON summary
+//	GET /cluster?eps=0.6&mu=5       — one clustering, as a JSON summary
 //	GET /cluster?...&members=true   — include full cluster member lists
 //	GET /cluster/sweep?eps=0.2:0.8:0.05&mu=5
 //	                                — ONE similarity pass, one NDJSON
@@ -21,19 +19,20 @@
 //	                                  hits/misses/evictions, in-flight
 //	                                  queries, graph and runtime stats, and
 //	                                  the global algorithm metrics
-//	GET /debug/slowest              — tail-latency exemplars with phase
-//	                                  breakdowns and Chrome traces
+//	GET /debug/slowest              — the slowest cache misses of a
+//	                                  sliding window (exemplars.go)
 //
 // Every clustering route resolves through one pipeline with a fixed stage
 // order (see resolve): parse and validate → response cache → the epoch's
-// GS*-Index (attached with WithIndex, or built by the epoch's first sweep)
-// → extraction from it in O(answer) time, or, with no index, an admission
-// slot and the compute backend (the fleet attached with WithShards, else
-// the configured algorithm in process) → one cache insert. An earlier armed stage
-// answers; a later one is reached only when it is absent. Responses for
-// identical parameters are kept in an LRU cache bounded by
-// DefaultCacheSize (see WithCacheSize). WithLogging enables structured
-// per-request log lines.
+// GS*-Index (attached with WithIndex, else built by the epoch's first
+// miss under that miss's admission slot) → extraction from it in
+// O(answer) time → one cache insert. A server with a fleet attached
+// (WithShards) sends a /cluster, /vertex or /quality miss on an
+// index-less epoch to the fleet instead; its sweeps build the index like
+// any other server's. Every answer is the SCAN clustering of the
+// request's snapshot, whichever stage gave it. Responses for identical
+// parameters are kept in an LRU cache bounded by DefaultCacheSize (see
+// WithCacheSize). WithLogging enables structured per-request log lines.
 package server
 
 import (
@@ -43,6 +42,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -60,14 +60,14 @@ import (
 	"ppscan/quality"
 )
 
-// DefaultCacheSize bounds the response cache (distinct (eps, mu, algo)
-// results kept resident) unless overridden with WithCacheSize.
+// DefaultCacheSize bounds the response cache (distinct (eps, mu) results
+// kept resident per epoch) unless overridden with WithCacheSize.
 const DefaultCacheSize = 64
 
 // epochState is one consistent serving generation: an immutable graph
 // snapshot and (when indexed) the index derived from exactly that
 // snapshot. The index is the server's only similarity artifact: attached
-// with WithIndex, or built by the epoch's first sweep and published as a
+// with WithIndex, or built by the epoch's first miss and published as a
 // new epochState over the same graph (see epochIndex). Requests load the
 // pointer once and thread it through their whole lifetime, so a
 // concurrent mutation can never hand one request a graph and an index
@@ -93,7 +93,8 @@ type Server struct {
 	// Mutation serving (see WithMutations and mutations.go). store is nil
 	// unless mutations are enabled; mutMu serializes the whole
 	// commit→index-update→publish sequence so epochs advance in a total
-	// order, and a sweep's build→publish of its epoch's index with it.
+	// order, and a miss's build→publish of its epoch's index with it: a
+	// commit posted during a build waits for it.
 	// maxBatchBytes caps one POST /edges body (defaultMaxBatchBytes;
 	// lowered by tests). Instruments are cached at WithMutations.
 	//
@@ -108,12 +109,11 @@ type Server struct {
 	mutRebuilds   *obsv.Counter
 	mutCommitNs   *obsv.Histogram
 	mutUpdateNs   *obsv.Histogram
-	algo          ppscan.Algorithm // default when the request omits algo=
-	reg           *obsv.Registry   // server-local: HTTP and cache metrics
-	logger        *log.Logger      // nil disables request logging
+	reg           *obsv.Registry // server-local: HTTP and cache metrics
+	logger        *log.Logger    // nil disables request logging
 	start         time.Time
 
-	// pool caches one workspace per in-flight computation so steady-state
+	// pool caches one workspace per in-flight extraction so steady-state
 	// serving reuses the O(n+m) scratch buffers instead of reallocating
 	// them per request. Sized to the admission bound (see WithAdmission).
 	pool *ppscan.WorkspacePool
@@ -126,105 +126,77 @@ type Server struct {
 	reqTimeout time.Duration
 	draining   atomic.Bool
 
-	// watchdog is the per-phase stall timeout threaded into direct
-	// computations (see WithWatchdog); zero disables.
-	watchdog time.Duration
-
-	// coord, when non-nil, is the compute backend: queries no index
-	// answers run on the multi-process shard fleet instead of
-	// in-process engines (see WithShards).
+	// coord, when non-nil, answers the /cluster, /vertex and /quality
+	// misses of an index-less epoch on the multi-process shard fleet (see
+	// WithShards).
 	coord *shard.Coordinator
 
 	// Sweep serving (see WithSweepMaxSteps and sweep.go): the per-request
 	// ε-grid bound and the cached sweep instruments.
 	sweepMaxSteps    int
 	sweepSteps       *obsv.Counter
-	sweepBuilds      *obsv.Counter
 	sweepDisconnects *obsv.Counter
 	sweepStepNs      *obsv.Histogram
 
-	// Tail-latency exemplars (see WithExemplars and exemplars.go): the
-	// ring retains the slowest direct computations of a sliding window;
-	// when captureTrace is armed, each computation records into a pooled
-	// tracer whose events are exported only for retained exemplars.
-	exemplars    *exemplarRing
-	captureTrace bool
-	trPool       chan *obsv.Tracer
+	// indexBuilds counts epochIndex builds; computeNs times each miss's
+	// answer (see answer). exemplars retains the slowest misses of a
+	// sliding window (see WithExemplars and exemplars.go).
+	indexBuilds *obsv.Counter
+	computeNs   *obsv.Histogram
+	exemplars   *exemplarRing
 
-	// Cached instruments for the direct-computation path: end-to-end
-	// compute latency and per-stage phase durations, fetched once in New
-	// so runDirect never touches the registry map.
-	computeNs *obsv.Histogram
-	phaseNs   [result.NumPhases]*obsv.Histogram
-
-	// runFn performs one direct clustering computation on a pooled
-	// workspace, against the graph snapshot of the request's epoch. It
-	// exists as a test seam (admission tests substitute a controllable
-	// function); production servers always use ppscan.RunWorkspace. The
-	// returned result may alias ws — resolve clones it before the
-	// workspace is released.
-	runFn func(ctx context.Context, g *graph.Graph, opt ppscan.Options, ws *ppscan.Workspace) (*ppscan.Result, error)
+	// buildFn builds the GS*-Index of one snapshot. Production servers use
+	// ppscan.BuildIndexContext; tests substitute a function that parks,
+	// fails or panics inside the build.
+	buildFn func(ctx context.Context, g *graph.Graph, workers int) (*ppscan.Index, error)
 
 	cache *lruCache
 }
 
 // cacheKey identifies one cached answer. eps is the exact ε, so "0.5",
-// "0.50" and "1/2" share an entry. algo is the answer's source, set by
-// keyFor alone.
+// "0.50" and "1/2" share an entry. Every stage answers with the same
+// clustering, so the key does not name the stage.
 type cacheKey struct {
 	eps   simdef.Epsilon
 	mu    int
-	algo  ppscan.Algorithm
 	epoch uint64
 }
 
-// New creates a server that runs the selected algorithm per request.
+// New creates a server over g. Its first cache miss builds the epoch's
+// GS*-Index unless WithIndex attaches one.
 func New(g *graph.Graph, workers int) *Server {
 	s := &Server{
 		workers: workers,
 		reg:     obsv.New(),
 		start:   time.Now(),
 		pool:    ppscan.NewWorkspacePool(0),
+		buildFn: ppscan.BuildIndexContext,
 	}
 	s.WithCacheSize(DefaultCacheSize)
 	s.state.Store(&epochState{g: g})
-	s.runFn = ppscan.RunWorkspace
 	// Pre-register the admission counters so /metrics shows zeros before
 	// the first rejection instead of omitting the keys.
 	for _, name := range []string{
 		obsv.MetricAdmissionRejected, obsv.MetricAdmissionTimeouts,
 		obsv.MetricAdmissionCanceled, obsv.MetricAdmissionDegradedCache,
-		obsv.MetricAdmissionDegradedIndex,
-		obsv.MetricServerPanics, obsv.MetricServerStalls,
+		obsv.MetricAdmissionDegradedIndex, obsv.MetricServerPanics,
 	} {
 		s.reg.Counter(name)
 	}
 	s.reg.Gauge(obsv.MetricAdmissionInFlight)
-	// Sweep instruments, pre-registered for the same reason.
+	// Sweep and miss instruments, pre-registered for the same reason.
 	s.sweepMaxSteps = DefaultSweepMaxSteps
 	s.sweepSteps = s.reg.Counter(obsv.MetricServerSweepSteps)
-	s.sweepBuilds = s.reg.Counter(obsv.MetricServerSweepBuilds)
 	s.sweepDisconnects = s.reg.Counter(obsv.MetricServerSweepDisconnects)
 	s.sweepStepNs = s.reg.Histogram(obsv.MetricServerSweepStepNs)
+	s.indexBuilds = s.reg.Counter(obsv.MetricServerIndexBuilds)
 	s.computeNs = s.reg.Histogram(obsv.MetricServerComputeNs)
-	for ph := result.PhaseID(0); ph < result.NumPhases; ph++ {
-		s.phaseNs[ph] = s.reg.Histogram(obsv.MetricServerPhasePrefix + result.PhaseNames[ph])
-	}
-	// Exemplar retention is on by default (parameters + phase breakdown
-	// only); trace capture stays opt-in via WithExemplars.
-	s.exemplars = newExemplarRing(4, DefaultExemplarWindow,
-		s.reg.Counter(obsv.MetricServerExemplarCaptures))
-	// The engine-side containment counters live in the process-global
-	// registry; touch them too so a clean server's /metrics proves they
-	// are zero rather than omitting the keys.
-	obsv.Default().Counter(obsv.MetricCorePanics)
-	obsv.Default().Counter(obsv.MetricWatchdogStalls)
-	return s
+	return s.WithExemplars(4, DefaultExemplarWindow)
 }
 
-// WithIndex attaches a prebuilt GS*-Index; index-served queries ignore the
-// algo parameter. The index must have been built from the graph the
-// server was constructed with. Call during wiring, before serving starts.
+// WithIndex attaches a prebuilt GS*-Index, so no miss waits for a build.
+// The index must have been built from the graph the server was
+// constructed with. Call during wiring, before serving starts.
 func (s *Server) WithIndex(ix *ppscan.Index) *Server {
 	st := s.state.Load()
 	s.state.Store(&epochState{g: st.g, ix: ix})
@@ -249,13 +221,14 @@ func (s *Server) WithLogging(l *log.Logger) *Server {
 	return s
 }
 
-// WithAdmission bounds the serving stack: at most maxInflight clustering
-// computations run concurrently (0 = unlimited), and each computation is
-// cancelled after requestTimeout (0 = no deadline). A request that cannot
-// get an admission slot degrades to the response cache or the attached
-// GS*-Index; with neither available it is rejected with 429 and a
-// Retry-After header. A computation that exceeds its deadline aborts
-// mid-phase (see ppscan.RunContext) and answers 503.
+// WithAdmission bounds the serving stack: at most maxInflight cache misses
+// — an index build and extraction, or a fleet query — run concurrently
+// (0 = unlimited), and each request is cancelled after requestTimeout (0 =
+// no deadline). A request that cannot get an admission slot degrades to
+// the response cache or the epoch's GS*-Index; with neither available it
+// is rejected with 429 and a Retry-After header. A build or extraction
+// that exceeds its deadline aborts at its next task batch and answers 503,
+// so requestTimeout must exceed one index build.
 func (s *Server) WithAdmission(maxInflight int, requestTimeout time.Duration) *Server {
 	if maxInflight > 0 {
 		s.sem = make(chan struct{}, maxInflight)
@@ -272,24 +245,10 @@ func (s *Server) WithAdmission(maxInflight int, requestTimeout time.Duration) *S
 	return s
 }
 
-// WithWatchdog arms the per-phase stall watchdog on direct computations:
-// a run whose scheduler makes no progress for d is abandoned with a 500
-// response carrying partial statistics, and the workspace involved is
-// discarded rather than pooled (see ppscan.Options.StallTimeout). Zero —
-// the default — disables the watchdog; the stall detection latency is one
-// to two windows, so pick d well above the longest healthy phase.
-func (s *Server) WithWatchdog(d time.Duration) *Server {
-	if d < 0 {
-		d = 0
-	}
-	s.watchdog = d
-	return s
-}
-
-// WithShards attaches a shard coordinator, over the server's own graph, as
-// the compute backend: a query that neither the cache nor the epoch's
-// index answers runs its supersteps on the worker fleet instead of an
-// in-process engine. With WithMutations each committed epoch is published
+// WithShards attaches a shard coordinator, over the server's own graph: a
+// /cluster, /vertex or /quality miss on an epoch with no index runs its
+// supersteps on the worker fleet instead of building the index. With
+// WithMutations each committed epoch is published
 // to the coordinator, which pushes snapshot syncs so no worker serves a
 // stale view. Shard faults arrive typed and writeResolveError maps them: a
 // shard with no live replica is a 503 + Retry-After naming it, never a
@@ -311,14 +270,6 @@ func (s *Server) WithSweepMaxSteps(n int) *Server {
 		n = DefaultSweepMaxSteps
 	}
 	s.sweepMaxSteps = n
-	return s
-}
-
-// WithAlgorithm sets the algorithm used when a request omits the algo
-// query parameter (default ppscan.AlgoPPSCAN). The name must be a
-// registered backend — see ppscan.EngineNames.
-func (s *Server) WithAlgorithm(algo ppscan.Algorithm) *Server {
-	s.algo = algo
 	return s
 }
 
@@ -431,7 +382,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 
 // serveContained runs one endpoint handler under the last-resort panic
 // barrier: a panic that escapes every inner containment layer (the worker
-// recoveries, runDirect's deferred release) is recovered here so one bad
+// recoveries, epochIndex's recover) is recovered here so one bad
 // request cannot crash the process. The client gets a structured 500 when
 // the response has not started yet; a response already in flight is left
 // truncated — the connection, not the process, absorbs the damage.
@@ -459,8 +410,8 @@ func (s *Server) serveContained(rec *statusRecorder, r *http.Request, h http.Han
 }
 
 // handleMetrics serves the flat expvar-style metrics JSON: the server
-// registry (http.*, cache.*), the process-global algorithm registry
-// (core.*, kernel.*, sched.* — filled by every clustering run), plus
+// registry (http.*, cache.*, server.*), the process-global registry
+// (the fleet coordinator's shard.*), plus
 // runtime, graph and uptime gauges. Histograms appear as
 // {count,sum,mean,p50,p90,p99,max} objects.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -500,7 +451,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out[obsv.MetricFaultDelays] = fs.Delays
 	out[obsv.MetricFaultErrors] = fs.Errors
 	out[obsv.MetricFaultRetries] = fs.Retries
-	out[obsv.MetricServerWatchdogNs] = s.watchdog.Nanoseconds()
 	out[obsv.MetricServerSweepMaxSteps] = s.sweepMaxSteps
 	out[obsv.MetricServerExemplars] = s.exemplars.len()
 	writeJSON(w, http.StatusOK, out)
@@ -536,11 +486,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // params is the parse stage every clustering route shares: the ε list (one
-// value, or the /cluster/sweep grid when sweep is set), µ and the
-// algorithm. Each ε is validated against µ here, so an unanswerable
-// request gets its 400 before any cache lookup, flight or admission slot.
-func (s *Server) params(r *http.Request, sweep bool) (eps []string, mu int, algo ppscan.Algorithm, err error) {
-	q := r.URL.Query()
+// value, or the /cluster/sweep grid when sweep is set) and µ. Each ε is
+// validated against µ here, so an unanswerable request gets its 400 before
+// any cache lookup, build or admission slot. Other parameters (algo=
+// among them) are ignored.
+func (s *Server) params(q url.Values, sweep bool) (eps []string, mu int, err error) {
 	if sweep {
 		eps, err = parseSweepEps(q.Get("eps"), s.sweepMaxSteps)
 	} else if e := q.Get("eps"); e != "" {
@@ -549,32 +499,25 @@ func (s *Server) params(r *http.Request, sweep bool) (eps []string, mu int, algo
 		err = fmt.Errorf("missing eps parameter")
 	}
 	if err != nil {
-		return nil, 0, "", err
+		return nil, 0, err
 	}
 	// The upper bound keeps µ inside the int32 the index and the fleet
 	// take: a larger value must not wrap into a different, valid µ.
 	muStr := q.Get("mu")
 	mu, err = strconv.Atoi(muStr)
 	if err != nil || mu < 1 || mu > 1<<30 {
-		return nil, 0, "", fmt.Errorf("bad or missing mu %q, want an integer in [1, 2^30]", muStr)
+		return nil, 0, fmt.Errorf("bad or missing mu %q, want an integer in [1, 2^30]", muStr)
 	}
 	for _, e := range eps {
 		if _, err := simdef.NewThreshold(e, int32(mu)); err != nil {
-			return nil, 0, "", err
+			return nil, 0, err
 		}
 	}
-	algo = ppscan.Algorithm(q.Get("algo"))
-	if algo == "" {
-		algo = s.algo
-	}
-	if algo == "" {
-		algo = ppscan.AlgoPPSCAN
-	}
-	return eps, mu, algo, nil
+	return eps, mu, nil
 }
 
 // errSaturated reports that every admission slot is busy and no
-// degradation path (cache entry, attached index) could answer the request.
+// degradation path (cache entry, epoch index) could answer the request.
 var errSaturated = errors.New("server saturated: all admission slots busy")
 
 // acquire takes an admission slot if one is free and fails fast with
@@ -595,32 +538,20 @@ func (s *Server) acquire() (release func(), err error) {
 	return func() { g.Add(-1); <-s.sem }, nil
 }
 
-// keyFor is the one cache-key rule: key.algo names where the pipeline
-// gets the answer. "index" — extracted from the epoch's index: every sweep
-// step, and every route of an epoch that has one; such answers do not
-// depend on algo=, so they share one entry per (ε, µ). "shard" — computed
-// by the fleet, which ignores algo= the same way. The engine name
-// otherwise.
-func (s *Server) keyFor(st *epochState, eps string, mu int, algo ppscan.Algorithm, sweep bool) cacheKey {
+// keyFor is the one cache-key rule: the exact ε, µ and st's epoch.
+func keyFor(st *epochState, eps string, mu int) cacheKey {
 	exact, _ := simdef.ParseEpsilon(eps) // params validated every ε
-	switch {
-	case sweep || st.ix != nil:
-		algo = "index"
-	case s.coord != nil:
-		algo = "shard"
-	}
-	return cacheKey{eps: exact, mu: mu, algo: algo, epoch: st.epoch()}
+	return cacheKey{eps: exact, mu: mu, epoch: st.epoch()}
 }
 
 // resolve answers validated parameters through the pipeline's fixed stage
-// order: response cache → the epoch's index → extraction from it, or,
-// with no index, the compute backend → cache insert. ctx bounds the
-// work (client disconnect, per-request deadline). st is the generation
-// the caller loaded once for the whole request; every answer is derived
-// from and cache-keyed to exactly that epoch, so a concurrent mutation
-// can never mix snapshots inside one response.
-func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int, algo ppscan.Algorithm) (*ppscan.Result, error) {
-	key := s.keyFor(st, eps, mu, algo, false)
+// order: response cache, then one miss (answer). ctx bounds the work
+// (client disconnect, per-request deadline). st is the generation the
+// caller loaded once for the whole request; every answer is derived from
+// and cache-keyed to exactly that epoch, so a concurrent mutation can
+// never mix snapshots inside one response.
+func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int) (*ppscan.Result, error) {
+	key := keyFor(st, eps, mu)
 	if res, ok := s.cache.get(key); ok {
 		// A racy snapshot of slot occupancy: it only attributes the hit to
 		// degraded serving, never decides admission.
@@ -629,170 +560,120 @@ func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int
 		}
 		return res, nil
 	}
-	ix, release, err := s.similarity(ctx, st, false)
+	return s.answer(ctx, st, key, eps)
+}
+
+// answer resolves one cache miss — extracted from the epoch's index (built
+// first if the epoch has none), or computed by the fleet on a -shards
+// server's index-less epoch — and makes the pipeline's one cache insert.
+// Every miss that got past admission is timed into server.compute_ns and
+// offered to the exemplar ring, failed ones included: the tail is where
+// the failures live.
+func (s *Server) answer(ctx context.Context, st *epochState, key cacheKey, eps string) (*ppscan.Result, error) {
+	t0 := time.Now()
+	ix, build, release, err := s.similarity(ctx, st)
+	if errors.Is(err, errSaturated) {
+		return nil, err
+	}
+	var res *ppscan.Result
+	if err == nil {
+		defer release()
+		if ix != nil {
+			res, err = s.extract(ctx, st, ix, eps, key.mu)
+		} else {
+			// Freshly allocated by the coordinator: nothing to detach.
+			res, err = s.coord.Run(ctx, eps, int32(key.mu))
+		}
+	}
+	d := time.Since(t0)
+	s.computeNs.Observe(d.Nanoseconds())
+	s.exemplars.offer(exemplar{Epoch: key.epoch, Eps: eps, Mu: key.mu, Duration: d, Build: build}, err)
 	if err != nil {
 		return nil, err // classified by writeResolveError
-	}
-	defer release()
-	var ws *ppscan.Workspace
-	if ix != nil {
-		ws = s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
-		defer s.pool.Release(ws)
-	}
-	return s.answer(ctx, st, key, eps, ix, ws)
-}
-
-// similarity obtains the (ε, µ)-independent artifact any number of
-// parameter pairs over st can be extracted from, plus the admission state
-// covering the caller's next step. The epoch's index answers under a slot
-// if one is free; saturated, the bounded O(answer) extraction goes
-// slotless rather than reject. Without one the next step is the expensive
-// one, so it takes a fail-fast slot, and ix stays nil unless build asks
-// for the epoch's index under that slot (a sweep; /cluster never builds).
-// release must be called exactly once when err is nil; it is nil
-// otherwise.
-func (s *Server) similarity(ctx context.Context, st *epochState, build bool) (ix *ppscan.Index, release func(), err error) {
-	if st.ix != nil {
-		if release, err = s.acquire(); err != nil {
-			s.reg.Counter(obsv.MetricAdmissionDegradedIndex).Inc()
-			release = func() {}
-		}
-		return st.ix, release, nil
-	}
-	if release, err = s.acquire(); err != nil {
-		s.reg.Counter(obsv.MetricAdmissionRejected).Inc()
-		return nil, nil, err
-	}
-	if build {
-		if ix, err = s.epochIndex(ctx, st); err != nil {
-			release()
-			return nil, nil, err
-		}
-	}
-	return ix, release, nil
-}
-
-// epochIndex returns the GS*-Index of st's snapshot, built at most once
-// per epoch. It runs under mutMu, which commits already serialise on: a
-// sweep that waited there finds the index an earlier one published, or
-// builds and publishes it itself, so a waiter never inherits another
-// request's cancellation or panic. The index is published as a new
-// epochState over the same graph only while st's snapshot is still the
-// live one; a sweep pinned to a superseded epoch builds for its own
-// snapshot and publishes nothing. From then on every route of the epoch
-// extracts from it, and POST /edges carries it across commits.
-func (s *Server) epochIndex(ctx context.Context, st *epochState) (*ppscan.Index, error) {
-	s.mutMu.Lock()
-	defer s.mutMu.Unlock()
-	cur := s.state.Load()
-	if cur.g == st.g && cur.ix != nil {
-		return cur.ix, nil
-	}
-	s.sweepBuilds.Inc()
-	ix, err := ppscan.BuildIndexContext(ctx, st.g, s.workers)
-	if err == nil && cur.g == st.g {
-		s.state.Store(&epochState{g: st.g, ix: ix})
-	}
-	return ix, err
-}
-
-// answer produces one cache miss's clustering at the request's eps —
-// extracted from ix on ws when there is an artifact, else computed by the
-// backend under the slot similarity took — and makes the pipeline's one
-// cache insert.
-func (s *Server) answer(ctx context.Context, st *epochState, key cacheKey, eps string, ix *ppscan.Index, ws *ppscan.Workspace) (res *ppscan.Result, err error) {
-	switch {
-	case ix != nil:
-		res, err = extract(ctx, ix, eps, key.mu, ws)
-	case s.coord != nil:
-		// Freshly allocated by the coordinator: nothing to detach.
-		res, err = s.coord.Run(ctx, eps, int32(key.mu))
-	default:
-		res, err = s.runDirect(ctx, st, eps, key.mu, key.algo)
-	}
-	if err != nil {
-		return nil, err
 	}
 	s.cache.add(key, res)
 	return res, nil
 }
 
-// extract answers (eps, mu) from a similarity artifact in O(answer), with
-// no similarity work. The extraction aliases ws buffers the next step or
-// request will reuse, so a detached clone is what callers and the cache
-// get.
-func extract(ctx context.Context, ix *ppscan.Index, eps string, mu int, ws *ppscan.Workspace) (*ppscan.Result, error) {
+// similarity obtains the (ε, µ)-independent artifact any number of
+// parameter pairs over st can be extracted from — the epoch's index — plus
+// the admission state covering the caller's extraction. An existing index
+// answers under a slot if one is free; saturated, the bounded O(answer)
+// extraction goes slotless rather than reject. Without one the next step
+// is the expensive one, so it takes a fail-fast slot and builds the index
+// under it (epochIndex; build is the time this call spent building, 0 when
+// another request's build was found). The one exception is a -shards
+// server, whose fleet computes the miss instead: ix is then nil under the
+// slot. release must be called exactly once when err is nil; it is nil
+// otherwise.
+func (s *Server) similarity(ctx context.Context, st *epochState) (ix *ppscan.Index, build time.Duration, release func(), err error) {
+	if st.ix != nil {
+		if release, err = s.acquire(); err != nil {
+			s.reg.Counter(obsv.MetricAdmissionDegradedIndex).Inc()
+			release = func() {}
+		}
+		return st.ix, 0, release, nil
+	}
+	if release, err = s.acquire(); err != nil {
+		s.reg.Counter(obsv.MetricAdmissionRejected).Inc()
+		return nil, 0, nil, err
+	}
+	if s.coord != nil {
+		return nil, 0, release, nil
+	}
+	if ix, build, err = s.epochIndex(ctx, st); err != nil {
+		release()
+		return nil, build, nil, err
+	}
+	return ix, build, release, nil
+}
+
+// epochIndex returns the GS*-Index of st's snapshot, built at most once
+// per epoch. It runs under mutMu, which commits already serialise on: a
+// miss that waited there finds the index an earlier one published, or
+// builds and publishes it itself, so a waiter never inherits another
+// request's cancellation or panic, and a commit posted meanwhile waits
+// for the build. The index is published as a new epochState over the
+// same graph only while st's snapshot is still the live one; a miss
+// pinned to a superseded epoch builds for its own snapshot and publishes
+// nothing. From then on every route of the epoch extracts from it, and
+// POST /edges carries it across commits. A panic in the build itself is
+// returned as a *ppscan.WorkerPanicError and publishes nothing.
+func (s *Server) epochIndex(ctx context.Context, st *epochState) (ix *ppscan.Index, build time.Duration, err error) {
+	s.mutMu.Lock()
+	defer s.mutMu.Unlock()
+	cur := s.state.Load()
+	if cur.g == st.g && cur.ix != nil {
+		return cur.ix, 0, nil
+	}
+	s.indexBuilds.Inc()
+	t0 := time.Now()
+	defer func() {
+		if v := recover(); v != nil {
+			ix, build, err = nil, time.Since(t0), &ppscan.WorkerPanicError{
+				Phase: "index build", Worker: -1, Value: v, Stack: debug.Stack(),
+			}
+		}
+	}()
+	ix, err = s.buildFn(ctx, st.g, s.workers)
+	if err == nil && cur.g == st.g {
+		s.state.Store(&epochState{g: st.g, ix: ix})
+	}
+	return ix, time.Since(t0), err
+}
+
+// extract answers (eps, mu) from ix in O(answer) on a pooled workspace,
+// with no similarity work. The extraction aliases workspace buffers the
+// next request will reuse, so a detached clone is what callers and the
+// cache get.
+func (s *Server) extract(ctx context.Context, st *epochState, ix *ppscan.Index, eps string, mu int) (*ppscan.Result, error) {
+	ws := s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
+	defer s.pool.Release(ws)
 	res, err := ppscan.QueryIndexWorkspace(ctx, ix, eps, mu, ws)
 	if err != nil {
 		return nil, err
 	}
 	return res.Clone(), nil
-}
-
-// runDirect performs one algorithm run on a pooled workspace. The single
-// deferred Release is the only return path for the workspace — success,
-// engine error, and panic all funnel through it, so a failed request can
-// never leak a workspace out of the pool. The engines contain their own
-// worker panics (returning *result.WorkerPanicError) and poison the
-// workspace themselves; the recover here is the belt-and-suspenders layer
-// for a panic on the coordinator path (e.g. a sequential baseline, or
-// Result.Clone on a corrupt result), which poisons and converts it to the
-// same structured error so writeResolveError needs only one rule.
-func (s *Server) runDirect(ctx context.Context, st *epochState, eps string, mu int, algo ppscan.Algorithm) (res *ppscan.Result, err error) {
-	ws := s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
-	defer s.pool.Release(ws)
-	defer func() {
-		if v := recover(); v != nil {
-			ws.Poison()
-			res = nil
-			err = &ppscan.WorkerPanicError{
-				Phase: "serve", Worker: -1, Value: v, Stack: debug.Stack(),
-			}
-		}
-	}()
-	var tr *obsv.Tracer
-	if s.captureTrace {
-		tr = s.getTracer()
-		defer s.putTracer(tr)
-	}
-	t0 := time.Now()
-	r, err := s.runFn(ctx, st.g, ppscan.Options{
-		Algorithm: algo, Epsilon: eps, Mu: mu, Workers: s.workers,
-		StallTimeout: s.watchdog, Tracer: tr,
-	}, ws)
-	d := time.Since(t0)
-	s.observeCompute(st.epoch(), eps, mu, algo, d, r, err, tr)
-	if err != nil {
-		return nil, err
-	}
-	// The result may alias ws scratch, which the next request will reuse:
-	// detach it before the deferred Release hands the workspace back. The
-	// clone is what the cache retains and all readers see.
-	return r.Clone(), nil
-}
-
-// observeCompute records one direct computation: end-to-end latency and
-// per-stage phase durations into the server registry, and — when the run
-// is slow enough to qualify — a tail-latency exemplar. Failed runs count
-// too (their phase breakdown comes from the PartialError when one is
-// attached): the tail is where the failures live.
-func (s *Server) observeCompute(epoch uint64, eps string, mu int, algo ppscan.Algorithm, d time.Duration, r *ppscan.Result, err error, tr *obsv.Tracer) {
-	s.computeNs.Observe(d.Nanoseconds())
-	var phases [result.NumPhases]time.Duration
-	var pe *ppscan.PartialError
-	if err == nil && r != nil {
-		phases = r.Stats.PhaseTimes
-	} else if errors.As(err, &pe) {
-		phases = pe.Stats.PhaseTimes
-	}
-	for ph, v := range phases {
-		if v > 0 {
-			s.phaseNs[ph].Observe(v.Nanoseconds())
-		}
-	}
-	s.exemplars.offer(exemplar{
-		Epoch: epoch, Eps: eps, Mu: mu, Algo: string(algo), Duration: d, Phases: phases,
-	}, err, tr)
 }
 
 // computeCtx derives the computation context for one request: the client's
@@ -820,10 +701,10 @@ func (s *Server) retryAfterSecs() int {
 // (graceful degradation — the query is answerable again once a worker
 // rejoins); a bare shard leaf fault (a path that did not exhaust the
 // budget) a structured 500 naming shard and round; a contained worker
-// panic or watchdog stall 500 with a structured body; saturation 429 +
-// Retry-After; a deadline expiry 503 + Retry-After (the body names the
-// aborted phase from the PartialError); a client disconnect 503; anything
-// else 400.
+// panic (in a build, an extraction or a fleet round) a structured 500;
+// saturation 429 + Retry-After; a deadline expiry 503 + Retry-After (the
+// body names the aborted phase when a PartialError carries one); a client
+// disconnect 503; anything else 400.
 func (s *Server) writeResolveError(w http.ResponseWriter, err error) {
 	var pe *ppscan.PartialError
 	phase := ""
@@ -873,13 +754,6 @@ func (s *Server) writeResolveError(w http.ResponseWriter, err error) {
 			"kind":   "worker_panic",
 			"phase":  wpe.Phase,
 			"worker": wpe.Worker,
-		})
-	case errors.Is(err, ppscan.ErrStalled):
-		s.reg.Counter(obsv.MetricServerStalls).Inc()
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
-			"error": err.Error(),
-			"kind":  "watchdog_stall",
-			"phase": phase,
 		})
 	case errors.Is(err, errSaturated):
 		writeRetryError(w, http.StatusTooManyRequests, 1, err, phase)
@@ -932,19 +806,20 @@ func summarize(eps string, mu int, res *ppscan.Result, members bool) clusterSumm
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	eps, mu, algo, err := s.params(r, false)
+	q := r.URL.Query()
+	eps, mu, err := s.params(q, false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	res, err := s.resolve(ctx, s.state.Load(), eps[0], mu, algo)
+	res, err := s.resolve(ctx, s.state.Load(), eps[0], mu)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, summarize(eps[0], mu, res, r.URL.Query().Get("members") == "true"))
+	writeJSON(w, http.StatusOK, summarize(eps[0], mu, res, q.Get("members") == "true"))
 }
 
 // vertexInfo is the /vertex response body.
@@ -957,7 +832,8 @@ type vertexInfo struct {
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
-	eps, mu, algo, err := s.params(r, false)
+	q := r.URL.Query()
+	eps, mu, err := s.params(q, false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -965,7 +841,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	// One state load serves the whole request: bounds check, clustering
 	// and attachment classification all see the same snapshot.
 	st := s.state.Load()
-	vStr := r.URL.Query().Get("v")
+	vStr := q.Get("v")
 	v64, err := strconv.ParseInt(vStr, 10, 32)
 	if err != nil || v64 < 0 || v64 >= int64(st.g.NumVertices()) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad vertex %q", vStr))
@@ -974,7 +850,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 	v := int32(v64)
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	res, err := s.resolve(ctx, st, eps[0], mu, algo)
+	res, err := s.resolve(ctx, st, eps[0], mu)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return
@@ -1003,7 +879,7 @@ type qualityInfo struct {
 }
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	eps, mu, algo, err := s.params(r, false)
+	eps, mu, err := s.params(r.URL.Query(), false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1011,7 +887,7 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	st := s.state.Load()
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	res, err := s.resolve(ctx, st, eps[0], mu, algo)
+	res, err := s.resolve(ctx, st, eps[0], mu)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return

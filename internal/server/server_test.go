@@ -2,13 +2,19 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"ppscan"
 	"ppscan/graph"
 	"ppscan/internal/gen"
+	"ppscan/internal/obsv"
+	"ppscan/internal/result"
+	"ppscan/quality"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -67,8 +73,8 @@ func TestClusterEndpoint(t *testing.T) {
 	if body["cores"].(float64) != 8 {
 		t.Errorf("cores = %v, want 8", body["cores"])
 	}
-	if body["algorithm"] != "ppSCAN" {
-		t.Errorf("algorithm = %v", body["algorithm"])
+	if body["algorithm"] != "GS*-Index" {
+		t.Errorf("algorithm = %v, want GS*-Index (the first miss builds the index)", body["algorithm"])
 	}
 	// With member lists.
 	body = get(t, ts, "/cluster?eps=0.7&mu=2&members=true", http.StatusOK)
@@ -76,10 +82,13 @@ func TestClusterEndpoint(t *testing.T) {
 	if len(members) != 2 {
 		t.Errorf("member lists = %v", members)
 	}
-	// Algorithm selection.
-	body = get(t, ts, "/cluster?eps=0.7&mu=2&algo=pscan", http.StatusOK)
-	if body["algorithm"] != "pSCAN" {
-		t.Errorf("algorithm = %v, want pSCAN", body["algorithm"])
+	// algo= is ignored like any unknown parameter: every answer is the
+	// same clustering.
+	for _, algo := range []string{"pscan", "q"} {
+		body = get(t, ts, "/cluster?eps=0.7&mu=2&algo="+algo, http.StatusOK)
+		if body["algorithm"] != "GS*-Index" || body["clusters"].(float64) != 2 {
+			t.Errorf("algo=%s: %v, want the index's 2 clusters", algo, body)
+		}
 	}
 }
 
@@ -90,7 +99,6 @@ func TestClusterEndpointErrors(t *testing.T) {
 	get(t, ts, "/cluster?eps=0.7", http.StatusBadRequest)      // missing mu
 	get(t, ts, "/cluster?eps=0.7&mu=x", http.StatusBadRequest) // bad mu
 	get(t, ts, "/cluster?eps=7&mu=2", http.StatusBadRequest)   // bad eps
-	get(t, ts, "/cluster?eps=0.7&mu=2&algo=q", http.StatusBadRequest)
 }
 
 func TestVertexEndpoint(t *testing.T) {
@@ -150,7 +158,6 @@ func TestVertexAndQualityErrorPaths(t *testing.T) {
 	get(t, ts, "/vertex?v=0&eps=9&mu=2", http.StatusBadRequest) // bad eps reaches resolve
 	get(t, ts, "/quality?mu=2", http.StatusBadRequest)          // missing eps
 	get(t, ts, "/quality?eps=9&mu=2", http.StatusBadRequest)    // bad eps reaches resolve
-	get(t, ts, "/quality?eps=0.7&mu=2&algo=bad", http.StatusBadRequest)
 }
 
 func TestIndexRejectsBadMu(t *testing.T) {
@@ -223,20 +230,97 @@ func TestResponseCaching(t *testing.T) {
 	}
 }
 
-func TestIndexAndDirectAgree(t *testing.T) {
-	g := gen.PlantedPartition(6, 25, 0.4, 0.02, 13)
-	direct := httptest.NewServer(New(g, 2).Handler())
-	defer direct.Close()
-	indexed := httptest.NewServer(New(g, 2).WithIndex(ppscan.BuildIndex(g, 2)).Handler())
-	defer indexed.Close()
-	for _, q := range []string{"/cluster?eps=0.4&mu=3", "/cluster?eps=0.6&mu=2"} {
-		a := get(t, direct, q, http.StatusOK)
-		b := get(t, indexed, q, http.StatusOK)
-		for _, field := range []string{"clusters", "cores", "memberships", "coverage"} {
-			if a[field] != b[field] {
-				t.Errorf("%s: %s differs: %v vs %v", q, field, a[field], b[field])
-			}
+// asJSON round-trips v through JSON, so a computed body compares with a
+// decoded response.
+func asJSON(t *testing.T, v any) map[string]any {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// oracle is ppscan.Run's clustering of g at (eps, mu).
+func oracle(t *testing.T, g *graph.Graph, eps string, mu int) *ppscan.Result {
+	t.Helper()
+	ref, err := ppscan.Run(g, ppscan.Options{Epsilon: eps, Mu: mu, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// sameClustering reports every clustering field of a /cluster?members=true
+// body that differs from ref's.
+func sameClustering(t *testing.T, what string, got map[string]any, ref *ppscan.Result) {
+	t.Helper()
+	want := asJSON(t, summarize("", 0, ref, true))
+	for _, k := range []string{"clusters", "cores", "memberships", "coverage", "members"} {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Errorf("%s: %s = %v, ppscan.Run says %v", what, k, got[k], want[k])
 		}
+	}
+}
+
+// TestEveryRouteMatchesOracle: on a server with no index, /cluster,
+// /vertex and /quality answer exactly what ppscan.Run gives across an
+// (ε, µ) grid — µ = 1 and µ past the largest degree included — and the
+// whole grid costs one index build.
+func TestEveryRouteMatchesOracle(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"planted": gen.PlantedPartition(6, 25, 0.4, 0.02, 13),
+		"star":    gen.Star(12),
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := New(g, 2)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			for _, eps := range []string{"0.2", "0.4", "0.5", "0.6", "1"} {
+				for _, mu := range []int{1, 2, 3, int(g.MaxDegree()) + 1} {
+					q := fmt.Sprintf("eps=%s&mu=%d", eps, mu)
+					ref := oracle(t, g, eps, mu)
+					sameClustering(t, q, get(t, ts, "/cluster?members=true&"+q, http.StatusOK), ref)
+					reports := quality.Report(g, ref)
+					if len(reports) > 10 {
+						reports = reports[:10]
+					}
+					// Modularity sums over a map, so its last bit varies
+					// from call to call; the rest is exact.
+					want := asJSON(t, qualityInfo{0, quality.Coverage(ref), reports})
+					got := get(t, ts, "/quality?"+q, http.StatusOK)
+					if m := got["modularity"].(float64); math.Abs(m-quality.Modularity(g, ref)) > 1e-12 {
+						t.Errorf("/quality?%s modularity = %v, ppscan.Run says %v", q, m, quality.Modularity(g, ref))
+					}
+					if got["modularity"] = 0.0; !reflect.DeepEqual(got, want) {
+						t.Errorf("/quality?%s = %v, ppscan.Run says %v", q, got, want)
+					}
+				}
+			}
+			// Every vertex of one key.
+			ref := oracle(t, g, "0.5", 2)
+			for v := int32(0); v < g.NumVertices(); v++ {
+				var clusters []int32
+				if id := ref.CoreClusterID[v]; id >= 0 {
+					clusters = append(clusters, id)
+				}
+				for _, m := range ref.MembershipsOf(v) {
+					clusters = append(clusters, m.ClusterID)
+				}
+				want := asJSON(t, vertexInfo{v, g.Degree(v), ref.Roles[v].String(), clusters,
+					result.ClassifyVertex(g, ref, v).String()})
+				if got := get(t, ts, fmt.Sprintf("/vertex?v=%d&eps=0.5&mu=2", v), http.StatusOK); !reflect.DeepEqual(got, want) {
+					t.Errorf("/vertex?v=%d = %v, ppscan.Run says %v", v, got, want)
+				}
+			}
+			if v := srv.indexBuilds.Value(); v != 1 {
+				t.Errorf("%s = %d after the grid, want 1", obsv.MetricServerIndexBuilds, v)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,8 @@
 // (ε, µ) exploration, and the expensive similarity computation does not
 // depend on either parameter. A sweep therefore extracts its ε grid from
 // its epoch's GS*-Index (Server.similarity), building that index once per
-// epoch if the epoch has none yet and leaving it for every later request.
+// epoch if the epoch has none yet and leaving it for every later request,
+// exactly as a /cluster miss does.
 // The gridpoints the response cache lacks are extracted on one pooled
 // workspace as one incremental sweep from the largest ε down, each step
 // extending the previous one's union-find (gsindex.SweepWorkspace). The
@@ -169,12 +170,12 @@ func formatDec(v int64, scale int) string {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Every gridpoint is validated up front: a bad ε is a 400 before any
 	// work.
-	epsList, mu, _, err := s.params(r, true)
+	q := r.URL.Query()
+	epsList, mu, err := s.params(q, true)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	q := r.URL.Query()
 	withMembers := q.Get("members") == "true"
 
 	// One state load pins the whole sweep to a single snapshot: every
@@ -184,22 +185,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
 	t0 := time.Now()
-	ix, release, err := s.similarity(ctx, st, true)
+	ix, build, release, err := s.similarity(ctx, st)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return
 	}
 	defer release()
+	if ix == nil {
+		// A -shards server's fleet answers /cluster misses, never a grid:
+		// the sweep builds the epoch's index under its slot all the same.
+		if ix, build, err = s.epochIndex(ctx, st); err != nil {
+			s.writeResolveError(w, err)
+			return
+		}
+	}
 
 	// Each distinct exact ε goes through the shared response cache once,
-	// under the key every extracted answer uses (see keyFor): a sweep hits
+	// under the key every answer uses (see keyFor): a sweep hits
 	// entries earlier requests left behind and warms the cache for the
 	// drill-down /cluster queries that typically follow a sweep.
 	keys := make([]cacheKey, len(epsList))
 	sums := make(map[cacheKey]clusterSummary, len(epsList))
 	var missing []cacheKey
 	for i, eps := range epsList {
-		k := s.keyFor(st, eps, mu, "", true)
+		k := keyFor(st, eps, mu)
 		keys[i] = k
 		if _, seen := sums[k]; seen {
 			continue
@@ -248,6 +257,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// A slow sweep is a tail-latency event like any other: retain it with
 	// the grid spec as the parameter signature.
 	s.exemplars.offer(exemplar{
-		Epoch: st.epoch(), Eps: q.Get("eps"), Mu: mu, Algo: "sweep", Duration: time.Since(t0),
-	}, nil, nil)
+		Epoch: st.epoch(), Eps: q.Get("eps"), Mu: mu, Duration: time.Since(t0), Build: build,
+	}, nil)
 }

@@ -135,7 +135,7 @@ func FuzzParseSweepEps(f *testing.F) {
 
 // TestSweepMatchesCluster: every streamed step agrees with a /cluster
 // request at the same ε, and the whole sweep performed one similarity
-// pass (server.sweep.builds == 1 on a server without -index).
+// pass (server.index.builds == 1 on a server without -index).
 func TestSweepMatchesCluster(t *testing.T) {
 	g := gen.Roll(300, 8, 3)
 	srv := New(g, 2)
@@ -158,8 +158,8 @@ func TestSweepMatchesCluster(t *testing.T) {
 			}
 		}
 	}
-	if v := srv.reg.Counter(obsv.MetricServerSweepBuilds).Value(); v != 1 {
-		t.Errorf("sweep.builds = %d, want 1 (one similarity pass for the whole grid)", v)
+	if v := srv.reg.Counter(obsv.MetricServerIndexBuilds).Value(); v != 1 {
+		t.Errorf("index builds = %d, want 1 (one similarity pass for the whole grid)", v)
 	}
 	if v := srv.reg.Counter(obsv.MetricServerSweepSteps).Value(); v != int64(len(wantEps)) {
 		t.Errorf("sweep.steps = %d, want %d", v, len(wantEps))
@@ -199,8 +199,8 @@ func TestSweepBadParams(t *testing.T) {
 			t.Errorf("%s: 400 body lacks error text", path)
 		}
 	}
-	if v := srv.reg.Counter(obsv.MetricServerSweepBuilds).Value(); v != 0 {
-		t.Errorf("sweep.builds = %d after rejected requests, want 0", v)
+	if v := srv.reg.Counter(obsv.MetricServerIndexBuilds).Value(); v != 0 {
+		t.Errorf("index builds = %d after rejected requests, want 0", v)
 	}
 }
 
@@ -224,8 +224,8 @@ func TestSweepWithIndex(t *testing.T) {
 				line["eps"], line["clusters"], line["cores"], ref["clusters"], ref["cores"])
 		}
 	}
-	if v := srv.reg.Counter(obsv.MetricServerSweepBuilds).Value(); v != 0 {
-		t.Errorf("sweep.builds = %d with an attached index, want 0", v)
+	if v := srv.reg.Counter(obsv.MetricServerIndexBuilds).Value(); v != 0 {
+		t.Errorf("index builds = %d with an attached index, want 0", v)
 	}
 }
 
@@ -315,7 +315,7 @@ func matchesDirect(t *testing.T, g *graph.Graph, lines []map[string]any) {
 
 // TestSweepCoalesced: two concurrent sweeps in one epoch of an index-less
 // server share one index build, and a /cluster request after them
-// extracts from the index they left instead of running the engine.
+// extracts from the index they left instead of building another.
 func TestSweepCoalesced(t *testing.T) {
 	g := gen.Roll(300, 8, 3)
 	srv := New(g, 2)
@@ -329,20 +329,20 @@ func TestSweepCoalesced(t *testing.T) {
 		}
 		matchesDirect(t, g, lines[i])
 	}
-	if v := srv.sweepBuilds.Value(); v != 1 {
-		t.Errorf("sweep.builds = %d, want 1 (both sweeps share the epoch's index)", v)
+	if v := srv.indexBuilds.Value(); v != 1 {
+		t.Errorf("index builds = %d, want 1 (both sweeps share the epoch's index)", v)
 	}
 	if got := get(t, ts, "/cluster?eps=0.42&mu=3", http.StatusOK); got["algorithm"] != "GS*-Index" {
 		t.Errorf("/cluster after the sweeps answered by %v, want GS*-Index", got["algorithm"])
 	}
-	if v := srv.computeNs.Count(); v != 0 {
-		t.Errorf("in-process runs = %d, want 0", v)
+	if v := srv.indexBuilds.Value(); v != 1 {
+		t.Errorf("index builds after the /cluster miss = %d, want 1", v)
 	}
 }
 
 // TestCoalescingSingleFlight: N concurrent sweeps at distinct ε on one
 // epoch perform exactly ONE similarity pass between them, every sweep
-// gets the exact answer, and no direct engine phase runs.
+// gets the exact answer, and no batch engine run happens.
 func TestCoalescingSingleFlight(t *testing.T) {
 	g := gen.Roll(300, 8, 3)
 	srv := New(g, 2)
@@ -364,8 +364,8 @@ func TestCoalescingSingleFlight(t *testing.T) {
 		}
 		matchesDirect(t, g, lines[i])
 	}
-	if v := srv.sweepBuilds.Value(); v != 1 {
-		t.Errorf("sweep.builds = %d, want 1", v)
+	if v := srv.indexBuilds.Value(); v != 1 {
+		t.Errorf("index builds = %d, want 1", v)
 	}
 	if runsDelta != 0 {
 		t.Errorf("core.runs advanced by %d; the one build should have replaced every direct run", runsDelta)
@@ -409,13 +409,13 @@ func TestCoalescedFaultFanout(t *testing.T) {
 	if failed != 1 {
 		t.Errorf("%d sweeps failed, want exactly the one whose build panicked", failed)
 	}
-	if v := srv.sweepBuilds.Value(); v != 2 {
-		t.Errorf("sweep.builds = %d, want 2 (the failed build, then one that published)", v)
+	if v := srv.indexBuilds.Value(); v != 2 {
+		t.Errorf("index builds = %d, want 2 (the failed build, then one that published)", v)
 	}
 
 	next := sweepLines(t, ts, "/cluster/sweep?eps=0.45&mu=3")
 	matchesDirect(t, g, next)
-	if v := srv.sweepBuilds.Value(); v != 2 {
+	if v := srv.indexBuilds.Value(); v != 2 {
 		t.Errorf("sweep.builds after the published build = %d, want 2", v)
 	}
 }
@@ -423,9 +423,10 @@ func TestCoalescedFaultFanout(t *testing.T) {
 // TestSweepIndexCarriesAcrossEpochs: on a mutable server with no -index,
 // the first sweep builds the epoch's index and the server keeps it;
 // POST /edges then carries it to the next epoch, so a second sweep builds
-// nothing and still equals a fresh direct run at the new epoch. A sweep
-// pinned to a superseded epoch answers at its own epoch and publishes
-// nothing, and a server that never sweeps never builds.
+// nothing and still equals ppscan.Run at the new epoch. A sweep pinned to
+// a superseded epoch answers at its own epoch and publishes nothing, and
+// on a server that never sweeps the first /cluster miss builds the index
+// the commits then carry the same way.
 func TestSweepIndexCarriesAcrossEpochs(t *testing.T) {
 	g := gen.Roll(300, 8, 3)
 	srv := New(g, 2).WithMutations()
@@ -436,7 +437,7 @@ func TestSweepIndexCarriesAcrossEpochs(t *testing.T) {
 
 	st0 := srv.state.Load()
 	sweepLines(t, ts, sweep)
-	if v := srv.sweepBuilds.Value(); v != 1 {
+	if v := srv.indexBuilds.Value(); v != 1 {
 		t.Errorf("first sweep: builds = %d, want 1", v)
 	}
 	if !indexed() {
@@ -446,24 +447,18 @@ func TestSweepIndexCarriesAcrossEpochs(t *testing.T) {
 		t.Errorf("POST /edges: indexed = %v, want true", resp["indexed"])
 	}
 	lines := sweepLines(t, ts, sweep)
-	if v := srv.sweepBuilds.Value(); v != 1 {
+	if v := srv.indexBuilds.Value(); v != 1 {
 		t.Errorf("sweep after a commit: builds = %d, want 1 (the commit carried the index)", v)
 	}
-	fresh := httptest.NewServer(New(srv.state.Load().g, 2).Handler())
-	defer fresh.Close()
 	for _, line := range lines {
-		ref := get(t, fresh, fmt.Sprintf("/cluster?eps=%s&mu=3&members=true", line["eps"]), http.StatusOK)
-		for _, k := range []string{"clusters", "cores", "memberships", "coverage", "members"} {
-			if !reflect.DeepEqual(line[k], ref[k]) {
-				t.Errorf("eps=%v: sweep %s = %v, direct %v", line["eps"], k, line[k], ref[k])
-			}
-		}
+		eps := line["eps"].(string)
+		sameClustering(t, "sweep at eps="+eps, line, oracle(t, srv.state.Load().g, eps, 3))
 	}
 
 	// Pinned to epoch 0, which the commit superseded: the build answers
 	// for epoch 0's snapshot and leaves the live epoch's state alone.
 	live := srv.state.Load()
-	ix, err := srv.epochIndex(context.Background(), st0)
+	ix, _, err := srv.epochIndex(context.Background(), st0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,13 +473,14 @@ func TestSweepIndexCarriesAcrossEpochs(t *testing.T) {
 	qs := httptest.NewServer(quiet.Handler())
 	defer qs.Close()
 	get(t, qs, "/cluster?eps=0.5&mu=3", http.StatusOK)
-	if resp := postEdges(t, qs, `{"u":0,"v":150}`, http.StatusOK); resp["indexed"] != false {
-		t.Errorf("never-swept server: POST /edges indexed = %v, want false", resp["indexed"])
+	if resp := postEdges(t, qs, `{"u":0,"v":150}`, http.StatusOK); resp["indexed"] != true {
+		t.Errorf("never-swept server: POST /edges indexed = %v, want true", resp["indexed"])
 	}
-	get(t, qs, "/cluster?eps=0.5&mu=3", http.StatusOK)
-	if get(t, qs, "/healthz", http.StatusOK)["indexed"] != false || quiet.sweepBuilds.Value() != 0 {
-		t.Errorf("never-swept server: indexed %v, builds %d; want false, 0",
-			get(t, qs, "/healthz", http.StatusOK)["indexed"], quiet.sweepBuilds.Value())
+	got := get(t, qs, "/cluster?eps=0.5&mu=3&members=true", http.StatusOK)
+	sameClustering(t, "never-swept server after the commit", got, oracle(t, quiet.state.Load().g, "0.5", 3))
+	if get(t, qs, "/healthz", http.StatusOK)["indexed"] != true || quiet.indexBuilds.Value() != 1 {
+		t.Errorf("never-swept server: indexed %v, builds %d; want true, 1",
+			get(t, qs, "/healthz", http.StatusOK)["indexed"], quiet.indexBuilds.Value())
 	}
 }
 

@@ -9,6 +9,7 @@
 package quality
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -167,6 +168,23 @@ func Report(g *graph.Graph, r *result.Result) []ClusterReport {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// MarshalJSON writes a NaN metric — the conductance of a cluster holding
+// its whole component's volume, the density of a singleton — as null,
+// since JSON has no NaN.
+func (c ClusterReport) MarshalJSON() ([]byte, error) {
+	orNull := func(x float64) *float64 {
+		if math.IsNaN(x) {
+			return nil
+		}
+		return &x
+	}
+	return json.Marshal(struct {
+		ID                           int32
+		Size                         int
+		Conductance, InternalDensity *float64
+	}{c.ID, c.Size, orNull(c.Conductance), orNull(c.InternalDensity)})
 }
 
 // String implements fmt.Stringer.

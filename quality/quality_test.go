@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -158,5 +159,23 @@ func TestReport(t *testing.T) {
 	// Sorted by size desc then id: equal sizes -> id order.
 	if reports[0].ID != 0 || reports[1].ID != 4 {
 		t.Errorf("order = %d, %d", reports[0].ID, reports[1].ID)
+	}
+}
+
+// TestClusterReportJSON: a NaN metric encodes as null, a finite one as
+// itself — encoding/json refuses NaN, which once left GET /quality with
+// an empty 200 body for a cluster spanning its whole component.
+func TestClusterReportJSON(t *testing.T) {
+	b, err := json.Marshal([]ClusterReport{
+		{ID: 0, Size: 1, Conductance: 0.25, InternalDensity: math.NaN()},
+		{ID: 1, Size: 4, Conductance: math.NaN(), InternalDensity: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"ID":0,"Size":1,"Conductance":0.25,"InternalDensity":null},` +
+		`{"ID":1,"Size":4,"Conductance":null,"InternalDensity":1}]`
+	if string(b) != want {
+		t.Errorf("got  %s\nwant %s", b, want)
 	}
 }
