@@ -47,7 +47,6 @@ func BenchmarkAlgoPSCAN(b *testing.B)   { benchAlgo(b, ppscan.AlgoPSCAN) }
 func BenchmarkAlgoPPSCAN(b *testing.B)  { benchAlgo(b, ppscan.AlgoPPSCAN) }
 func BenchmarkAlgoSCANXP(b *testing.B)  { benchAlgo(b, ppscan.AlgoSCANXP) }
 func BenchmarkAlgoAnySCAN(b *testing.B) { benchAlgo(b, ppscan.AlgoAnySCAN) }
-func BenchmarkAlgoSCANPP(b *testing.B)  { benchAlgo(b, ppscan.AlgoSCANPP) }
 
 // GS*-Index: one exhaustive build vs per-query cost (the §3.3 trade-off).
 func BenchmarkIndexBuildVsQuery(b *testing.B) {

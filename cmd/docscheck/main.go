@@ -18,8 +18,10 @@
 // OPERATIONS.md §9 analyzer table is additionally diffed against that
 // binary's -list output: every analyzer needs a table row, every row must
 // name a live analyzer, and each row's suppression directive must match
-// the code. Exit status: 0 = docs match, 1 = drift (each missing item is
-// listed), 2 = usage or I/O error.
+// the code. Each document in lineCeilings, read from the directory that
+// holds OPERATIONS.md, must be no longer than its committed ceiling.
+// Exit status: 0 = docs match, 1 = drift (each missing item is listed),
+// 2 = usage or I/O error.
 package main
 
 import (
@@ -116,12 +118,54 @@ func realMain(args []string, w io.Writer) int {
 			drift++
 		}
 	}
+	docs := map[string]string{}
+	for name := range lineCeilings {
+		b, err := os.ReadFile(filepath.Join(filepath.Dir(opsPath), name))
+		if err != nil {
+			fmt.Fprintf(w, "docscheck: %v\n", err)
+			return 2
+		}
+		docs[name] = string(b)
+	}
+	for _, d := range overCeiling(docs, lineCeilings) {
+		fmt.Fprintf(w, "docscheck: %s\n", d)
+		drift++
+	}
 	if drift > 0 {
 		fmt.Fprintf(w, "docscheck: %d drifted item(s) — update the docs or the code\n", drift)
 		return 1
 	}
 	fmt.Fprintf(w, "docscheck: %d binarie(s) and %d routes match the docs\n", len(bins), len(server.Routes()))
 	return 0
+}
+
+// lineCeilings is the prose ratchet: the most lines each document may
+// have, set to its length when the ceiling last moved. Prose only falls; a
+// change that must add lines raises the ceiling in the same diff and says
+// why in CHANGES.md.
+var lineCeilings = map[string]int{
+	"README.md":           533,
+	"DESIGN.md":           766,
+	"OPERATIONS.md":       906,
+	"EXPERIMENTS.md":      386,
+	"benchmark/README.md": 312,
+}
+
+// overCeiling returns one drift line, in name order, for every document
+// with more lines than its ceiling.
+func overCeiling(docs map[string]string, ceilings map[string]int) []string {
+	names := make([]string, 0, len(ceilings))
+	for name := range ceilings {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var drift []string
+	for _, name := range names {
+		if n := strings.Count(docs[name], "\n"); n > ceilings[name] {
+			drift = append(drift, fmt.Sprintf("%s has %d lines, over its ceiling of %d", name, n, ceilings[name]))
+		}
+	}
+	return drift
 }
 
 // scanlintList runs bin -list and returns analyzer name → suppression

@@ -113,3 +113,16 @@ func TestStaleFlags(t *testing.T) {
 		t.Errorf("ppscan stale = %v, want none", stale)
 	}
 }
+
+// TestOverCeiling: a document one line over its ceiling is drift, one at
+// its ceiling is not.
+func TestOverCeiling(t *testing.T) {
+	docs := map[string]string{"A.md": "one\ntwo\nthree\n", "B.md": "one\ntwo\n"}
+	got := overCeiling(docs, map[string]int{"A.md": 2, "B.md": 2})
+	if want := []string{"A.md has 3 lines, over its ceiling of 2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("overCeiling = %v, want %v", got, want)
+	}
+	if got := overCeiling(docs, map[string]int{"A.md": 3, "B.md": 2}); got != nil {
+		t.Fatalf("documents at their ceilings reported: %v", got)
+	}
+}

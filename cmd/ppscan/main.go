@@ -48,7 +48,6 @@ func main() {
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (algo ppscan/ppscan-no only); open in chrome://tracing or ui.perfetto.dev")
 		statsJSON = flag.String("stats-json", "", "write the run report plus a metrics-registry snapshot as JSON to this file")
 		chaosSeed = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off); the run then exercises the containment paths — worker panics become structured errors, transient superstep faults retry")
-		watchdog  = flag.Duration("watchdog", 0, "phase stall watchdog: abort a run whose scheduler makes no progress for this long (0 = off)")
 	)
 	flag.Parse()
 	if *chaosSeed != 0 {
@@ -66,15 +65,14 @@ func main() {
 	}
 	var res *ppscan.Result
 	if *tracePath != "" {
-		res, err = runTraced(g, *algo, *eps, *mu, *workers, *kernel, *tracePath, *watchdog)
+		res, err = runTraced(g, *algo, *eps, *mu, *workers, *kernel, *tracePath)
 	} else {
 		res, err = ppscan.Run(g, ppscan.Options{
-			Algorithm:    ppscan.Algorithm(*algo),
-			Epsilon:      *eps,
-			Mu:           *mu,
-			Workers:      *workers,
-			Kernel:       *kernel,
-			StallTimeout: *watchdog,
+			Algorithm: ppscan.Algorithm(*algo),
+			Epsilon:   *eps,
+			Mu:        *mu,
+			Workers:   *workers,
+			Kernel:    *kernel,
 		})
 	}
 	if err != nil {
@@ -129,19 +127,18 @@ func main() {
 // through the facade (ppscan.Options.Tracer) and writes the Chrome
 // trace_event JSON to path. Only the two ppSCAN variants emit spans —
 // the same dispatch path and defaults as an untraced run, trace attached.
-func runTraced(g *graph.Graph, algo, eps string, mu, workers int, kernel, path string, watchdog time.Duration) (*ppscan.Result, error) {
+func runTraced(g *graph.Graph, algo, eps string, mu, workers int, kernel, path string) (*ppscan.Result, error) {
 	if algo != "ppscan" && algo != "ppscan-no" {
 		return nil, fmt.Errorf("-trace requires -algo ppscan or ppscan-no (got %q)", algo)
 	}
 	tr := ppscan.NewTracer()
 	res, err := ppscan.Run(g, ppscan.Options{
-		Algorithm:    ppscan.Algorithm(algo),
-		Epsilon:      eps,
-		Mu:           mu,
-		Workers:      workers,
-		Kernel:       kernel,
-		StallTimeout: watchdog,
-		Tracer:       tr,
+		Algorithm: ppscan.Algorithm(algo),
+		Epsilon:   eps,
+		Mu:        mu,
+		Workers:   workers,
+		Kernel:    kernel,
+		Tracer:    tr,
 	})
 	if err != nil {
 		return nil, err

@@ -56,7 +56,6 @@ func ExampleRun_algorithms() {
 	// scan true
 	// scan-xp true
 	// anyscan true
-	// scan++ true
 	// dist-scan true
 }
 

@@ -78,7 +78,7 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 		err := sched.ForEachVertexStatic(opt.Workers, blockEnd-blockStart, func(i int32, _ int) {
 			u := blockStart + i
 			row := make([]simdef.EdgeSim, g.Degree(u)) // per-vertex allocation
-			calls.Add(result.LabelArcs(g, u, u+1, row, u, false, false, opt.Kernel, th.Eps))
+			calls.Add(result.LabelArcs(g, u, row, u, opt.Kernel, th.Eps))
 			roles[u] = result.ArcRole(g, u, row, u, th.Mu)
 			blockSim[i] = row
 		})

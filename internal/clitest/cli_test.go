@@ -115,7 +115,7 @@ func TestCLITools(t *testing.T) {
 		if !strings.Contains(out, "identical clusterings") {
 			t.Errorf("cross-check verdict missing: %q", out)
 		}
-		for _, algo := range []string{"ppscan", "pscan", "scan-xp", "scan++"} {
+		for _, algo := range []string{"ppscan", "pscan", "scan-xp"} {
 			if !strings.Contains(out, algo) {
 				t.Errorf("algorithm %s missing from table: %q", algo, out)
 			}

@@ -45,7 +45,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -79,10 +78,7 @@ const scratchKey = "core"
 // pSCAN's MergeEarly).
 // opt.Workers < 1 means GOMAXPROCS, opt.DegreeThreshold < 1 Algorithm 5's
 // default (32768), a nil opt.Registry obsv.Default() — pass obsv.NewNop()
-// to turn collection off entirely. opt.StallTimeout arms the phase
-// watchdog (dynamic scheduling only): a phase in which no scheduler task
-// completes for that long is abandoned with a result.PartialError wrapping
-// result.ErrStalled and the workspace is fatally poisoned.
+// to turn collection off entirely.
 //
 // The run checks for cancellation at every phase barrier and — through the
 // degree-based scheduler — between task batches inside each phase, so a
@@ -273,31 +269,11 @@ func (s *state) abort(phase string) (*result.Result, error) {
 	}
 }
 
-// abortFault reports a phase that ended in a contained failure — a
-// recovered worker panic or a watchdog stall — as a PartialError naming
-// the phase, and poisons the workspace so the pool rebuilds (panic) or
-// discards (stall) it before any reuse.
-//
-// Stalled phases skip the per-worker counter fold: the hung task's worker
-// may still be mutating its stat block, so only coordinator-owned numbers
-// (phase times, totals) are safe to read. Panic aborts fold normally —
-// the barrier completed, every worker is quiescent.
+// abortFault reports a phase that ended in a contained worker panic as a
+// PartialError naming the phase, and poisons the workspace so the pool
+// rebuilds it before any reuse. The barrier completed, so every worker is
+// quiescent and the per-worker counters fold normally.
 func (s *state) abortFault(phase string, err error) (*result.Result, error) {
-	if errors.Is(err, result.ErrStalled) {
-		s.zombie = true
-		s.ws.PoisonFatal()
-		s.reg.Counter(obsv.MetricWatchdogStalls).Inc()
-		return nil, &result.PartialError{
-			Stats: result.Stats{
-				Algorithm:  "ppSCAN",
-				Workers:    s.opt.Workers,
-				PhaseTimes: s.phaseTimes,
-				Total:      time.Since(s.start),
-			},
-			Phase: phase,
-			Err:   err,
-		}
-	}
 	s.ws.Poison()
 	s.reg.Counter(obsv.MetricCorePanics).Inc()
 	calls, byPhase, kern := s.fold()
@@ -435,9 +411,6 @@ type state struct {
 	schedM     sched.Metrics     // reused per phase (field, so taking &schedM is alloc-free)
 	start      time.Time
 	phaseTimes [result.NumPhases]time.Duration
-	// zombie records a watchdog abort: a hung task may still reference
-	// the run's inputs, so endRun must not clear them. Coordinator-only.
-	zombie bool
 
 	// Method values and closures prebound at construction.
 	fnTrue        func(int32) bool
@@ -486,7 +459,6 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 	s.ctx, s.opt, s.ws = ctx, opt, ws
 	s.start = time.Now()
 	s.stop.Store(false)
-	s.zombie = false
 	s.roles = ws.Roles(n)
 	s.uf = ws.ConcurrentUF(int32(n))
 	s.clusterID = nil
@@ -567,15 +539,8 @@ func (s *state) MemoryBytes() int64 {
 }
 
 // endRun drops the per-run references so a pooled workspace does not pin
-// the caller's graph or context between requests. After a stalled
-// (abandoned) phase the references are left in place: the hung task may
-// still read them, and nil-ing them here would race with it — the
-// workspace is fatally poisoned and about to be discarded anyway, so the
-// pinning is bounded by the zombie's lifetime.
+// the caller's graph or context between requests.
 func (s *state) endRun() {
-	if s.zombie {
-		return
-	}
 	s.ctx = nil
 	s.g = nil
 }
@@ -610,7 +575,6 @@ func (s *state) forEach(name string, need func(int32) bool, process func(u int32
 		DegreeThreshold: s.opt.DegreeThreshold,
 		Metrics:         m,
 		Phase:           name,
-		StallTimeout:    s.opt.StallTimeout,
 	}
 	if s.opt.StaticScheduling {
 		return crew.ForEachVertexStatic(opt, n, need, process, s.fnStop)

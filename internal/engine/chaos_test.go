@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"ppscan/internal/algotest"
 	"ppscan/internal/engine"
@@ -16,8 +15,8 @@ import (
 )
 
 // typedFaultError reports whether err is one of the clean, typed failures
-// a faulted run is allowed to return: a contained worker panic, a watchdog
-// stall, an injected transient that exhausted its retries, a dist-scan
+// a faulted run is allowed to return: a contained worker panic, an
+// injected transient that exhausted its retries, a dist-scan
 // partition that exhausted its attempts (a panic contained inside a shard
 // worker crosses the wire as a rejection, so only the shard taxonomy
 // survives), or a context abort — always wrapped in a *result.PartialError
@@ -29,9 +28,6 @@ func typedFaultError(err error) bool {
 	}
 	var ua *shard.ShardUnavailableError
 	if errors.As(err, &ua) {
-		return true
-	}
-	if errors.Is(err, result.ErrStalled) {
 		return true
 	}
 	if errors.Is(err, fault.ErrInjected) {
@@ -168,61 +164,6 @@ func TestChaosPanicPoisonsAndPoolResets(t *testing.T) {
 		t.Errorf("reset workspace produced wrong result: %v", cerr)
 	}
 	pool.Release(ws2)
-}
-
-// TestWatchdogStall injects a straggler delay far longer than the stall
-// window and asserts the watchdog abandons the phase: the run returns a
-// PartialError wrapping ErrStalled well before the straggler wakes, the
-// workspace is fatally poisoned, and the pool discards it at Release
-// (its buffers may still be referenced by the zombie task).
-func TestWatchdogStall(t *testing.T) {
-	t.Cleanup(fault.Disable)
-	g := gen.Roll(400, 8, 7)
-	th, err := simdef.NewThreshold("0.5", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := engine.NewPool(2)
-	ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
-
-	fault.Enable(&fault.Plan{Rules: []fault.Rule{
-		{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 1, Count: 1, Delay: 3 * time.Second},
-	}})
-	start := time.Now()
-	_, err = engine.Run(context.Background(), "ppscan", "", g, th,
-		engine.Options{Workers: 2, StallTimeout: 40 * time.Millisecond}, ws)
-	took := time.Since(start)
-	fault.Disable()
-	if !errors.Is(err, result.ErrStalled) {
-		t.Fatalf("err = %v, want ErrStalled", err)
-	}
-	var pe *result.PartialError
-	if !errors.As(err, &pe) || pe.Phase == "" {
-		t.Errorf("stall error should be a PartialError naming the phase, got %v", err)
-	}
-	if took >= 3*time.Second {
-		t.Errorf("watchdog took %v — it waited for the straggler instead of abandoning", took)
-	}
-	if !ws.Fatal() {
-		t.Error("stalled workspace not fatally poisoned")
-	}
-	pre := pool.Stats().Discards
-	pool.Release(ws)
-	if st := pool.Stats(); st.Discards != pre+1 {
-		t.Errorf("pool discards = %d, want %d (fatal workspace must not be pooled)", st.Discards, pre+1)
-	}
-
-	// The serving path after a stall: a fresh pooled workspace answers
-	// correctly while the zombie straggler is still sleeping.
-	ws2 := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
-	defer pool.Release(ws2)
-	res, err := engine.Run(context.Background(), "ppscan", "", g, th, engine.Options{Workers: 2}, ws2)
-	if err != nil {
-		t.Fatalf("post-stall clean run: %v", err)
-	}
-	if err := algotest.CheckGroundTruth(g, res.Clone(), th); err != nil {
-		t.Errorf("post-stall result: %v", err)
-	}
 }
 
 // TestDistscanSuperstepRetry pins the BSP retry path: transient injected

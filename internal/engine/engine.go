@@ -55,12 +55,6 @@ type Options struct {
 	Registry *obsv.Registry
 	// Tracer, when non-nil, records per-phase and per-task spans.
 	Tracer *obsv.Tracer
-	// StallTimeout arms the phase watchdog on engines that support it
-	// (currently the ppscan and dist-scan families): a phase or superstep
-	// making no scheduler progress for this long is aborted with a
-	// result.PartialError wrapping result.ErrStalled. Zero disables the
-	// watchdog (the default: no extra goroutine, no extra allocation).
-	StallTimeout time.Duration
 }
 
 // Engine is one registered clustering backend: data, and the package's

@@ -22,7 +22,6 @@ import (
 	_ "ppscan/internal/core"
 	_ "ppscan/internal/pscan"
 	_ "ppscan/internal/scan"
-	_ "ppscan/internal/scanpp"
 	_ "ppscan/internal/scanxp"
 	_ "ppscan/internal/shard"
 )
@@ -30,7 +29,7 @@ import (
 // TestRegistryNames: all shipped backends register under their canonical
 // names, and Names() and All() agree and are sorted.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"anyscan", "dist-scan", "ppscan", "ppscan-no", "pscan", "scan", "scan++", "scan-xp"}
+	want := []string{"anyscan", "dist-scan", "ppscan", "ppscan-no", "pscan", "scan", "scan-xp"}
 	if got := engine.Names(); !slices.Equal(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -67,7 +66,7 @@ func (c *expiringCtx) Err() error {
 func TestDispatcherSeam(t *testing.T) {
 	labels := map[string]string{
 		"anyscan": "anySCAN", "dist-scan": "dist-scan(p=3)", "ppscan": "ppSCAN", "ppscan-no": "ppSCAN-NO",
-		"pscan": "pSCAN", "scan": "SCAN", "scan++": "SCAN++", "scan-xp": "SCAN-XP",
+		"pscan": "pSCAN", "scan": "SCAN", "scan-xp": "SCAN-XP",
 	}
 	g := graphFor("small")
 	th, err := simdef.NewThreshold("0.5", 3)

@@ -44,7 +44,7 @@ type PoolStats struct {
 	// pool was full (or closed).
 	Discards uint64
 	// Resets counts poisoned workspaces rebuilt at Release after a
-	// contained failure (worker panic or watchdog abort).
+	// contained worker panic.
 	Resets uint64
 	// RetainedBytes approximates the buffer memory held by idle
 	// workspaces.
@@ -126,17 +126,6 @@ func (p *Pool) Release(ws *Workspace) {
 	}
 	if ws.released.Swap(true) {
 		panic("engine: Pool.Release of a workspace that was already released")
-	}
-	if ws.Fatal() {
-		// A fatal workspace (stalled phase, possibly a hung goroutine
-		// still referencing its buffers) can never be made safe to reuse:
-		// close it and let the GC reclaim the memory once the zombie —
-		// if any — lets go.
-		p.mu.Lock()
-		p.discards++
-		p.mu.Unlock()
-		ws.Close()
-		return
 	}
 	reset := false
 	if ws.Poisoned() {

@@ -50,18 +50,12 @@ type Workspace struct {
 	work          uint64 // high-water n+m, for pool size classing
 
 	// poisoned marks a workspace whose last run ended in a contained
-	// failure (worker panic or watchdog abort): engine-private scratch
-	// state may be mid-phase inconsistent (e.g. a mutex held when the
-	// panic fired, partial per-worker stat folds). Pool.Release resets a
-	// poisoned workspace before retaining it. Atomic because tests and
-	// the pool may inspect it from a different goroutine than the run's.
+	// worker panic: engine-private scratch state may be mid-phase
+	// inconsistent (e.g. a mutex held when the panic fired, partial
+	// per-worker stat folds). Pool.Release resets a poisoned workspace
+	// before retaining it. Atomic because tests and the pool may inspect
+	// it from a different goroutine than the run's.
 	poisoned atomic.Bool
-	// fatal marks a workspace that must never be reused: a stalled
-	// (abandoned) phase may leave a hung goroutine that still writes to
-	// the workspace's buffers whenever — if ever — it resumes, so no
-	// Reset can make the memory safe to hand to another run.
-	// Pool.Release discards fatal workspaces instead of retaining them.
-	fatal atomic.Bool
 	// released is set by Pool.Release and cleared when Pool.Acquire hands
 	// the workspace out again; a Release that finds it set is a double
 	// release, which would hand one workspace to two requests.
@@ -88,20 +82,12 @@ func (w *Workspace) Close() {
 
 // Poison marks the workspace as failure-tainted: its engine-private
 // scratch state may be inconsistent and must be rebuilt before the next
-// run. Called by the engine/server layer when a run ends in a contained
-// worker panic or a watchdog abort.
+// run. Called by the engine layer when a run ends in a contained worker
+// panic.
 func (w *Workspace) Poison() { w.poisoned.Store(true) }
 
 // Poisoned reports whether the workspace is failure-tainted.
 func (w *Workspace) Poisoned() bool { return w.poisoned.Load() }
-
-// PoisonFatal marks the workspace as unrecoverable (see the fatal field);
-// the pool discards it at Release instead of resetting it.
-func (w *Workspace) PoisonFatal() { w.fatal.Store(true); w.poisoned.Store(true) }
-
-// Fatal reports whether the workspace must be discarded rather than
-// reused.
-func (w *Workspace) Fatal() bool { return w.fatal.Load() }
 
 // Reset rebuilds the workspace to a pristine state after a contained
 // failure, clearing the poison mark. It drops the engine-private scratch
@@ -211,7 +197,7 @@ func (w *Workspace) Crew(workers int) *sched.Crew {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if w.crew != nil && (w.crew.Workers() != workers || w.crew.Abandoned()) {
+	if w.crew != nil && w.crew.Workers() != workers {
 		w.crew.Close()
 		w.crew = nil
 	}

@@ -6,8 +6,8 @@
 // by construction and say why where they stand: the shard coordinator's
 // heartbeat probes (HeartbeatTimeout), its heartbeat-loop stop and drain
 // notifications (the caller's ctx) and its superstep joins (MaxAttempts
-// deadlined RPCs); sched.Crew's join, unbounded only when the caller
-// passes no stall timeout; and the server's admission-slot release.
+// deadlined RPCs); sched.Crew's phase join, to which every task reports
+// Done; and the server's admission-slot release.
 //
 // Three waiting constructs are checked:
 //

@@ -130,9 +130,6 @@ const (
 	// handler-level recovery — each answered with HTTP 500 instead of
 	// process death.
 	MetricServerPanics = "server.panics"
-	// MetricWatchdogStalls counts phases or supersteps aborted by the
-	// stall watchdog (no scheduler progress within -watchdog).
-	MetricWatchdogStalls = "watchdog.stalls"
 	// MetricWorkspaceResets counts poisoned workspaces rebuilt by the
 	// pool after a contained failure, before reuse.
 	MetricWorkspaceResets = "workspace.pool.resets"

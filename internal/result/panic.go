@@ -1,9 +1,6 @@
 package result
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // WorkerPanicError reports a panic recovered inside a scheduler worker.
 // The panic is contained: the worker survives (it recovers per task), the
@@ -27,10 +24,3 @@ type WorkerPanicError struct {
 func (e *WorkerPanicError) Error() string {
 	return fmt.Sprintf("worker %d panicked during %s: %v", e.Worker, e.Phase, e.Value)
 }
-
-// ErrStalled is the cause reported by the phase watchdog when a phase
-// makes no scheduler progress for the configured stall timeout. It
-// surfaces wrapped in a PartialError carrying the stats accumulated up to
-// the abort, so errors.Is(err, result.ErrStalled) identifies watchdog
-// aborts.
-var ErrStalled = errors.New("phase stalled: no scheduler progress within the stall timeout")

@@ -41,32 +41,19 @@ func CoreClusterIDs(roles []Role, uf interface{ Find(int32) int32 }) []int32 {
 
 // The walks below are the exhaustive passes' loops over the similarity
 // array of a vertex range [lo, hi): sim holds the arcs of that range, sim[0]
-// being arc g.Off[lo]. The exhaustive passes (SCAN, SCAN-XP, SCAN++,
-// anySCAN) differ only in the arguments they pass; ppSCAN's pruned phases
-// walk a range in core.Range.
+// being arc g.Off[lo]. The exhaustive passes (SCAN, SCAN-XP, anySCAN)
+// differ only in the arguments they pass; ppSCAN's pruned phases walk a
+// range in core.Range.
 
-// LabelArcs labels u's still-Unknown arcs with the kernel kind: all of them,
-// or with upper only those to v > u. With mirror, each value is also written
-// into arc (v, u) when v is in range — the similarity-value reuse that
-// halves Theorem 3.4's 2·Σ workload. It returns the number of kernel calls.
-func LabelArcs(g *graph.Graph, lo, hi int32, sim []simdef.EdgeSim, u int32, upper, mirror bool, kind intersect.Kind, eps simdef.Epsilon) int64 {
-	base := g.Off[lo]
-	off := g.Off[u] - base
+// LabelArcs labels every arc of u with the kernel kind — one kernel call per
+// arc, Theorem 3.4's 2·Σ workload — and returns the number of calls.
+func LabelArcs(g *graph.Graph, lo int32, sim []simdef.EdgeSim, u int32, kind intersect.Kind, eps simdef.Epsilon) int64 {
+	row := sim[g.Off[u]-g.Off[lo]:]
 	nbrs := g.Neighbors(u)
-	var calls int64
 	for i, v := range nbrs {
-		if (upper && v <= u) || sim[off+int64(i)] != simdef.Unknown {
-			continue
-		}
-		val := intersect.Sim(kind, eps, nbrs, g.Neighbors(v), nil)
-		calls++
-		sim[off+int64(i)] = val
-		if mirror && v >= lo && v < hi {
-			// Binary search kept: SCAN++ is the only mirroring caller.
-			sim[g.EdgeOffset(v, u)-base] = val
-		}
+		row[i] = intersect.Sim(kind, eps, nbrs, g.Neighbors(v), nil)
 	}
-	return calls
+	return int64(len(nbrs))
 }
 
 // ArcRole is u's role from its complete labels: core iff at least mu of

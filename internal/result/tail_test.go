@@ -14,30 +14,24 @@ import (
 
 // TestArcWalksCompose: the walks every exhaustive pass shares agree with
 // one another however a pass splits its work. Over the corpus × Params():
-// labelling u < v arcs with mirrors over [0, n) gives the all-arcs array at
-// half the kernel calls (SCAN++ / fleet against SCAN / SCAN-XP); labelling
-// each shard.Partition range on its own and then writing its out-of-range
-// mirrors (the fleet's outbox → inbox) gives it too; and roles, core edges
-// and memberships read range by range concatenate to the whole-graph ones.
+// labelling each shard.Partition range on its own gives the all-arcs array,
+// and roles, core edges and memberships read range by range concatenate to
+// the whole-graph ones.
 func TestArcWalksCompose(t *testing.T) {
 	for _, tc := range algotest.Corpus() {
 		g, n := tc.G, tc.G.NumVertices()
 		for _, th := range algotest.Params() {
-			label := func(lo, hi int32, upper, mirror bool) ([]simdef.EdgeSim, int64) {
+			label := func(lo, hi int32) ([]simdef.EdgeSim, int64) {
 				sim := make([]simdef.EdgeSim, g.Off[hi]-g.Off[lo])
 				var calls int64
 				for u := lo; u < hi; u++ {
-					calls += result.LabelArcs(g, lo, hi, sim, u, upper, mirror, intersect.Merge, th.Eps)
+					calls += result.LabelArcs(g, lo, sim, u, intersect.Merge, th.Eps)
 				}
 				return sim, calls
 			}
-			all, calls := label(0, n, false, false)
+			all, calls := label(0, n)
 			if calls != g.NumDirectedEdges() {
 				t.Fatalf("%s: all-arcs labelling made %d kernel calls, want 2m = %d", tc.Name, calls, g.NumDirectedEdges())
-			}
-			shared, calls := label(0, n, true, true)
-			if calls != g.NumEdges() || !slices.Equal(shared, all) {
-				t.Fatalf("%s eps=%s: mirrored labelling (%d calls, want m = %d) differs from all-arcs", tc.Name, th.Eps, calls, g.NumEdges())
 			}
 			roles := make([]result.Role, n)
 			for u := range roles {
@@ -55,18 +49,7 @@ func TestArcWalksCompose(t *testing.T) {
 				bounds := shard.Partition(g, p)
 				sims := make([][]simdef.EdgeSim, p)
 				for s := range sims {
-					sims[s], _ = label(bounds[s], bounds[s+1], true, true)
-				}
-				for s := range sims {
-					lo, hi := bounds[s], bounds[s+1]
-					for u := lo; u < hi; u++ {
-						for i, v := range g.Neighbors(u) {
-							if v >= hi {
-								o := owner(bounds, v)
-								sims[o][g.EdgeOffset(v, u)-g.Off[bounds[o]]] = sims[s][g.Off[u]-g.Off[lo]+int64(i)]
-							}
-						}
-					}
+					sims[s], _ = label(bounds[s], bounds[s+1])
 				}
 				var gotRoles []result.Role
 				var gotEdges [][2]int32
@@ -86,12 +69,4 @@ func TestArcWalksCompose(t *testing.T) {
 			}
 		}
 	}
-}
-
-func owner(bounds []int32, v int32) int {
-	s := 0
-	for v >= bounds[s+1] {
-		s++
-	}
-	return s
 }

@@ -104,8 +104,7 @@ func (s *state) checkCore(u int32) result.Role {
 	if s.breakdown {
 		t0 = time.Now()
 	}
-	n := s.g.NumVertices()
-	s.compSimCalls += result.LabelArcs(s.g, 0, n, s.sim, u, false, false, s.kernel, s.th.Eps)
+	s.compSimCalls += result.LabelArcs(s.g, 0, s.sim, u, s.kernel, s.th.Eps)
 	if s.breakdown {
 		s.simTime += time.Since(t0)
 	}

@@ -53,7 +53,7 @@ func Run(_ context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Opti
 	// Each vertex evaluates all of its own directed edges — twice the
 	// minimum work, as in SCAN-XP.
 	err := sched.ForEachVertexStatic(opt.Workers, n, func(u int32, w int) {
-		counts[w] += result.LabelArcs(g, 0, n, sim, u, false, false, opt.Kernel, th.Eps)
+		counts[w] += result.LabelArcs(g, 0, sim, u, opt.Kernel, th.Eps)
 		roles[u] = result.ArcRole(g, 0, sim, u, th.Mu)
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package sched
 import (
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,39 +21,27 @@ import (
 // degree-based cut) or ForEachVertexStatic (one equal block per worker)
 // once per phase (phases run one at a time; the call is the barrier), Close
 // when the owning workspace is discarded. The two differ only in how
-// ranges are cut: tasks, containment, cancellation, telemetry and the
-// watchdog are the same code.
+// ranges are cut: tasks, containment, cancellation and telemetry are the
+// same code.
 //
 // Synchronization: the coordinator writes the per-phase fields (need,
 // process, stop, m, phase) before submitting any task; workers read them
 // only after receiving a task from the channel, so the channel send/receive
 // is the happens-before edge. Between phases workers are parked on the
 // channel receive and read nothing, making the coordinator's next writes
-// safe. The phase barrier is a pending-task counter plus a completion
-// signal rather than a sync.WaitGroup, so the coordinator can give up
-// waiting (the watchdog path) instead of blocking forever on a hung task.
+// safe. The phase barrier is a WaitGroup over the submitted tasks: every
+// Add happens on the coordinator before its Wait.
 //
 // Fault containment: each task runs under a recover. A panicking task
 // records a *result.WorkerPanicError (first panic wins), trips the failed
 // flag so remaining tasks drain without running — the same quiesce
 // mechanics as cancellation — and the worker goroutine survives to serve
 // the next phase. The phase returns the recorded error after the barrier.
-//
-// Watchdog: with Options.StallTimeout > 0 the barrier additionally
-// monitors the crew's progress counter; when no task completes for a full
-// timeout window, the phase abandons the barrier and returns
-// result.ErrStalled. An abandoned crew is permanently out of service (a
-// hung task may still hold a worker; Go cannot kill it) — the owning
-// workspace must be discarded, which the engine pool does for fatally
-// poisoned workspaces.
 type Crew struct {
 	workers int
 	tasks   chan task
-	// pending counts queued-or-running tasks plus one coordinator token
-	// held while submission is in progress; done receives one signal when
-	// a task's completion drops pending to zero.
-	pending atomic.Int64
-	done    chan struct{}
+	// tasksLeft counts queued-or-running tasks; barrier waits on it.
+	tasksLeft sync.WaitGroup
 
 	// Per-phase state; see the synchronization note above.
 	need    func(int32) bool
@@ -63,13 +52,8 @@ type Crew struct {
 
 	// failed makes workers drain queued tasks without running them after a
 	// panic; panicErr holds the first recovered panic (CAS, first wins).
-	// progress counts completed tasks monotonically across phases and runs
-	// — the watchdog samples it to detect stalls. abandoned marks a crew
-	// whose barrier was given up on; it refuses further phases.
-	failed    atomic.Bool
-	panicErr  atomic.Pointer[result.WorkerPanicError]
-	progress  atomic.Uint64
-	abandoned atomic.Bool
+	failed   atomic.Bool
+	panicErr atomic.Pointer[result.WorkerPanicError]
 }
 
 // task is one queued unit of work: the vertex range, its degree-sum
@@ -90,7 +74,6 @@ func NewCrew(workers int) *Crew {
 	c := &Crew{
 		workers: workers,
 		tasks:   make(chan task, 4*workers), // a few cut-ahead tasks per worker, so none idles while the coordinator walks skipped vertices
-		done:    make(chan struct{}, 1),
 	}
 	for w := 0; w < workers; w++ {
 		go c.work(w)
@@ -101,20 +84,8 @@ func NewCrew(workers int) *Crew {
 // Workers returns the crew's worker count.
 func (c *Crew) Workers() int { return c.workers }
 
-// Progress returns the number of tasks completed over the crew's
-// lifetime. It increases monotonically while a phase is running; the
-// watchdog samples it to detect stalled phases.
-func (c *Crew) Progress() uint64 { return c.progress.Load() }
-
-// Abandoned reports whether a stalled barrier was given up on. An
-// abandoned crew refuses further phases; its owning workspace must be
-// discarded.
-func (c *Crew) Abandoned() bool { return c.abandoned.Load() }
-
 // Close stops the workers. The crew must be idle (no phase in progress);
-// starting a phase after Close panics. Closing an abandoned crew is safe:
-// surviving workers exit when the channel drains, and a hung worker (the
-// reason for abandonment) exits whenever — if ever — its task returns.
+// starting a phase after Close panics.
 func (c *Crew) Close() { close(c.tasks) }
 
 // ForEachVertex runs one phase: process(u, worker) for every u in [0, n)
@@ -140,17 +111,13 @@ func (c *Crew) Close() { close(c.tasks) }
 // A panic inside process is contained: the phase quiesces (remaining
 // tasks drain) and the call returns a *result.WorkerPanicError carrying
 // opt.Phase, the worker index and the captured stack; the crew remains
-// usable for the next phase. With opt.StallTimeout > 0, a phase making no
-// progress for a full timeout window returns result.ErrStalled and the
-// crew is permanently abandoned (see Abandoned). A nil return means the
-// phase ran (or was stopped) cleanly.
+// usable for the next phase. A nil return means the phase ran (or was
+// stopped) cleanly.
 func (c *Crew) ForEachVertex(opt Options, n int32, need func(int32) bool, deg func(int32) int32, process func(u int32, worker int), stop func() bool) error {
 	if n <= 0 {
 		return nil
 	}
-	if err := c.begin(opt, need, process, stop); err != nil {
-		return err
-	}
+	c.begin(opt, need, process, stop)
 	threshold := opt.DegreeThreshold
 	if threshold < 1 {
 		threshold = DefaultDegreeThreshold
@@ -162,7 +129,7 @@ func (c *Crew) ForEachVertex(opt Options, n int32, need func(int32) bool, deg fu
 		// vertices: the loop is otherwise a tight accumulation over
 		// skipped vertices.
 		if u&8191 == 0 && c.quiesced() {
-			return c.barrier(opt.StallTimeout) // cut no more; join what was submitted
+			return c.barrier() // cut no more; join what was submitted
 		}
 		if need != nil && !need(u) {
 			continue
@@ -173,12 +140,12 @@ func (c *Crew) ForEachVertex(opt Options, n int32, need func(int32) bool, deg fu
 			degSum = 0
 			beg = u + 1
 			if c.quiesced() {
-				return c.barrier(opt.StallTimeout)
+				return c.barrier()
 			}
 		}
 	}
 	c.submit(Range{Beg: beg, End: n}, degSum)
-	return c.barrier(opt.StallTimeout)
+	return c.barrier()
 }
 
 // ForEachVertexStatic is ForEachVertex with the static cut: [0, n) is
@@ -189,91 +156,42 @@ func (c *Crew) ForEachVertexStatic(opt Options, n int32, need func(int32) bool, 
 	if n <= 0 {
 		return nil
 	}
-	if err := c.begin(opt, need, process, stop); err != nil {
-		return err
-	}
+	c.begin(opt, need, process, stop)
 	chunk := (n + int32(c.workers) - 1) / int32(c.workers)
 	for beg := int32(0); beg < n; beg += chunk {
 		c.submit(Range{Beg: beg, End: min(beg+chunk, n)}, 0)
 	}
-	return c.barrier(opt.StallTimeout)
+	return c.barrier()
 }
 
-// begin opens a phase: it publishes the per-phase state and takes the
-// coordinator's pending token, which barrier releases.
-func (c *Crew) begin(opt Options, need func(int32) bool, process func(u int32, worker int), stop func() bool) error {
-	if c.abandoned.Load() {
-		return result.ErrStalled
-	}
+// begin opens a phase: it publishes the per-phase state.
+func (c *Crew) begin(opt Options, need func(int32) bool, process func(u int32, worker int), stop func() bool) {
 	// Workers are parked between phases, so these plain writes are ordered
 	// before their reads by the task-channel send/receive.
 	c.need, c.process, c.stop, c.m, c.phase = need, process, stop, opt.Metrics, opt.Phase
 	c.failed.Store(false)
 	c.panicErr.Store(nil)
-	// The coordinator holds one pending token while submitting, so the
-	// count cannot transiently hit zero before the last submission.
-	c.pending.Add(1)
-	return nil
 }
 
-// quiesced reports whether the phase is draining — a task panicked, the
-// barrier was abandoned, or stop reports true — so cutting or running
-// further tasks is pointless.
+// quiesced reports whether the phase is draining — a task panicked or
+// stop reports true — so cutting or running further tasks is pointless.
 func (c *Crew) quiesced() bool {
 	return c.failed.Load() || c.stop != nil && c.stop()
 }
 
-// barrier closes a phase: it releases the coordinator token, waits for
-// pending to reach zero and returns the phase's contained panic, if any.
-// With stall > 0 it samples the progress counter each time a full window
-// elapses: a window with zero completed tasks abandons the crew and
-// returns result.ErrStalled (detection latency is between one and two
-// windows). With stall <= 0 it waits indefinitely.
-func (c *Crew) barrier(stall time.Duration) error {
-	if c.pending.Add(-1) != 0 {
-		if err := c.wait(stall); err != nil {
-			return err
-		}
-	}
+// barrier closes a phase: it waits for every submitted task and returns
+// the phase's contained panic, if any.
+func (c *Crew) barrier() error {
+	//lint:chanwait the phase join: every task calls Done, its panic contained by runTask's recover
+	c.tasksLeft.Wait()
 	if wpe := c.panicErr.Load(); wpe != nil {
 		return wpe
 	}
 	return nil
 }
 
-// wait blocks until the last task signals done, or the watchdog gives up.
-func (c *Crew) wait(stall time.Duration) error {
-	if stall <= 0 {
-		//lint:chanwait stall<=0 is the unbounded join the caller asked for; the last worker always sends on done and panics are contained
-		<-c.done
-		return nil
-	}
-	timer := time.NewTimer(stall)
-	defer timer.Stop()
-	last := c.progress.Load()
-	for {
-		select {
-		case <-c.done:
-			return nil
-		case <-timer.C:
-			if p := c.progress.Load(); p != last {
-				last = p
-				timer.Reset(stall)
-				continue
-			}
-			// No task completed for a full window: give up on the
-			// barrier. A hung task may still hold a worker goroutine and
-			// may still write to the run's buffers, so the crew — and the
-			// workspace owning it — are out of service for good.
-			c.abandoned.Store(true)
-			c.failed.Store(true) // queued tasks drain without running
-			return result.ErrStalled
-		}
-	}
-}
-
-// submit enqueues one range task. The pending increment happens before
-// the send so the barrier covers every queued task.
+// submit enqueues one range task. The Add happens before the send so the
+// barrier covers every queued task.
 func (c *Crew) submit(r Range, deg int64) {
 	if r.Beg >= r.End {
 		return
@@ -287,20 +205,8 @@ func (c *Crew) submit(r Range, deg int64) {
 			t.submitAt = time.Now()
 		}
 	}
-	c.pending.Add(1)
+	c.tasksLeft.Add(1)
 	c.tasks <- t
-}
-
-// taskDone retires one pending task, signalling the barrier when the
-// count reaches zero (at most once per phase: the coordinator token keeps
-// the count positive until submission finished).
-func (c *Crew) taskDone() {
-	if c.pending.Add(-1) == 0 {
-		select {
-		case c.done <- struct{}{}:
-		default:
-		}
-	}
 }
 
 func (c *Crew) work(worker int) {
@@ -316,10 +222,10 @@ func (c *Crew) work(worker int) {
 // deferred calls are open-coded (no heap allocation on the non-panic
 // path), keeping the serving alloc budget intact.
 func (c *Crew) runTask(t task, worker int) {
-	defer c.taskDone()
+	defer c.tasksLeft.Done()
 	defer c.recoverTask(worker)
 	if c.quiesced() {
-		return // drain without running after a panic, stall or stop
+		return // drain without running after a panic or stop
 	}
 	if err := fault.Inject(fault.WorkerTask); err != nil {
 		// Workers have no error channel; injected error-action faults at
@@ -340,7 +246,6 @@ func (c *Crew) runTask(t task, worker int) {
 	} else {
 		c.runRange(t.r, worker)
 	}
-	c.progress.Add(1)
 }
 
 // recoverTask is runTask's deferred recovery: it converts a panic into a

@@ -87,39 +87,6 @@ func TestCrewSurvivesPanic(t *testing.T) {
 	}
 }
 
-// TestCrewWatchdog: with a StallTimeout, a phase — of either cut — whose
-// tasks stop completing is abandoned with result.ErrStalled within a few
-// windows, and the crew refuses further phases.
-func TestCrewWatchdog(t *testing.T) {
-	for _, static := range []bool{false, true} {
-		c := NewCrew(2)
-		hang := make(chan struct{})
-		opt := Options{StallTimeout: 20 * time.Millisecond}
-		process := func(int32, int) { <-hang }
-		start := time.Now()
-		var err error
-		if static {
-			err = c.ForEachVertexStatic(opt, 100, nil, process, nil)
-		} else {
-			err = c.ForEachVertex(opt, 100, always, unit, process, nil)
-		}
-		if !errors.Is(err, result.ErrStalled) {
-			t.Fatalf("static=%v: err = %v, want result.ErrStalled", static, err)
-		}
-		if el := time.Since(start); el > 5*time.Second {
-			t.Errorf("static=%v: stall detected after %v", static, el)
-		}
-		if !c.Abandoned() {
-			t.Errorf("static=%v: crew not abandoned after a stall", static)
-		}
-		if err := c.ForEachVertex(Options{}, 10, always, unit, func(int32, int) {}, nil); !errors.Is(err, result.ErrStalled) {
-			t.Errorf("static=%v: abandoned crew ran a phase: %v", static, err)
-		}
-		close(hang) // the zombie tasks return; Close lets the workers exit
-		c.Close()
-	}
-}
-
 // TestCrewConcurrentWorkersUsed: more than one worker participates. The
 // first worker to enter the task body holds there until a second distinct
 // worker id has entered too (bounded, so a crew that really starves its

@@ -14,8 +14,8 @@
 // contiguous ranges preserve the adjacent memory access patterns of the CSR
 // arrays (§4.4).
 //
-// Crew is the one executor: its workers, task queue, barrier, fault
-// containment and watchdog serve both the degree-based cut and the static
+// Crew is the one executor: its workers, task queue, barrier and fault
+// containment serve both the degree-based cut and the static
 // one-block-per-worker cut (the scheduler ablation's baseline).
 // ForEachVertexCtx and ForEachVertexStatic run one phase on a short-lived
 // crew for callers without a workspace to keep one in.
@@ -23,7 +23,6 @@ package sched
 
 import (
 	"context"
-	"time"
 
 	"ppscan/internal/obsv"
 )
@@ -99,10 +98,6 @@ type Options struct {
 	// Phase labels the phase for fault reporting: a contained worker
 	// panic carries it in result.WorkerPanicError.Phase. Optional.
 	Phase string
-	// StallTimeout arms the barrier's watchdog: a phase in which no task
-	// completes for this long is abandoned with result.ErrStalled. Zero
-	// (the default) waits indefinitely.
-	StallTimeout time.Duration
 }
 
 // ForEachVertexCtx runs one Crew.ForEachVertex phase on a crew of
@@ -112,8 +107,8 @@ type Options struct {
 // tasks, queued tasks drain without running and in-flight tasks finish
 // their range, so cancellation granularity is one task (~DegreeThreshold
 // accumulated degree). Returns a *result.WorkerPanicError when process
-// panicked (contained; see Crew), result.ErrStalled when opt.StallTimeout
-// expired, ctx.Err() when the run was cut short, nil otherwise.
+// panicked (contained; see Crew), ctx.Err() when the run was cut short,
+// nil otherwise.
 func ForEachVertexCtx(ctx context.Context, opt Options, n int32, need func(int32) bool, deg func(int32) int32, process func(u int32, worker int)) error {
 	if n <= 0 {
 		return nil

@@ -114,6 +114,38 @@ func TestAdmissionDegradesToCache(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAdmissionSweepDegradesToCache: a saturated, index-less server
+// answers a sweep whose every gridpoint is cached from the cache, as it
+// does a cached /cluster: no slot, no build, no 429.
+func TestAdmissionSweepDegradesToCache(t *testing.T) {
+	g := testGraph(t)
+	s := New(g, 2).WithAdmission(1, 0)
+	st := s.state.Load()
+	refs := map[string]*ppscan.Result{"0.5": oracle(t, g, "0.5", 2), "0.6": oracle(t, g, "0.6", 2)}
+	for eps, ref := range refs {
+		s.cache.add(keyFor(st, eps, 2), ref)
+	}
+	s.sem <- struct{}{} // the only slot is taken
+	defer func() { <-s.sem }()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	lines := sweepLines(t, ts, "/cluster/sweep?eps=0.6,0.5&mu=2&members=true")
+	if len(lines) != 2 {
+		t.Fatalf("sweep lines = %d, want 2", len(lines))
+	}
+	for _, line := range lines {
+		eps, _ := line["eps"].(string)
+		sameClustering(t, "sweep eps="+eps, line, refs[eps])
+	}
+	if v := s.indexBuilds.Value(); v != 0 {
+		t.Errorf("%s = %d, want 0", obsv.MetricServerIndexBuilds, v)
+	}
+	if v := counterValue(t, ts, obsv.MetricAdmissionDegradedCache); v < 1 {
+		t.Errorf("%s = %v, want >= 1", obsv.MetricAdmissionDegradedCache, v)
+	}
+}
+
 // TestAdmissionDegradesToIndex: an index-backed server answers saturated
 // requests from the index instead of rejecting.
 func TestAdmissionDegradesToIndex(t *testing.T) {

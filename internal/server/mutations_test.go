@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -142,6 +144,48 @@ func TestEdgesBadBatch(t *testing.T) {
 	if got := get(t, ts, "/healthz", http.StatusOK); got["epoch"].(float64) != 0 {
 		t.Fatalf("epoch = %v after rejected batches, want 0", got["epoch"])
 	}
+}
+
+// FuzzDecodeEdgeOps feeds arbitrary POST /edges bodies and batch bounds
+// to the NDJSON decoder. An accepted batch holds at most max ops, marks Del
+// exactly on the lines whose op is "del", and decodes back to itself once
+// re-encoded. The committed corpus (testdata/fuzz/FuzzDecodeEdgeOps) runs
+// under plain go test.
+func FuzzDecodeEdgeOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body string, max uint8) {
+		ops, err := decodeEdgeOps(strings.NewReader(body), int(max))
+		if err != nil {
+			return
+		}
+		if len(ops) > int(max) {
+			t.Fatalf("%q: %d ops accepted, bound %d", body, len(ops), max)
+		}
+		dec := json.NewDecoder(strings.NewReader(body))
+		for i, op := range ops {
+			var line edgeOpLine
+			if err := dec.Decode(&line); err != nil {
+				t.Fatalf("%q: line %d of an accepted batch does not decode: %v", body, i+1, err)
+			}
+			if op.Del != (line.Op == "del") {
+				t.Fatalf("%q: line %d has op %q but Del=%v", body, i+1, line.Op, op.Del)
+			}
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for _, op := range ops {
+			line := edgeOpLine{U: op.U, V: op.V, Op: "add"}
+			if op.Del {
+				line.Op = "del"
+			}
+			if err := enc.Encode(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := decodeEdgeOps(&buf, int(max))
+		if err != nil || !slices.Equal(again, ops) {
+			t.Fatalf("%q: re-encoded batch decodes to %v, %v; want %v", body, again, err, ops)
+		}
+	})
 }
 
 // TestEdgesBodyCapped: the batch bound counts operations, so one endless

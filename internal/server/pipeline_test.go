@@ -51,9 +51,10 @@ func newFleet(t *testing.T, g *graph.Graph, shards int) (*shard.Coordinator, *ob
 // TestPipelineStageOrder arms every combination of the two optional
 // stages and checks which one answered a /cluster miss — the fixed order
 // is the epoch's index (attached, or built by the first miss), then the
-// fleet, which only a -shards server's index-less epoch reaches. A sweep
-// builds the index on every server, so a /cluster answered after it is an
-// extraction too. Every /cluster answer and the sweep line equal
+// fleet, which only a -shards server's index-less epoch reaches. The sweep
+// asks for the /cluster miss's gridpoint only, so the cache answers it and
+// it builds nothing: on the fleet's index-less epoch the later /cluster
+// goes to the fleet too. Every /cluster answer and the sweep line equal
 // ppscan.Run whatever the combination.
 func TestPipelineStageOrder(t *testing.T) {
 	g := gen.PlantedPartition(6, 25, 0.4, 0.02, 13)
@@ -62,13 +63,13 @@ func TestPipelineStageOrder(t *testing.T) {
 
 	for _, tc := range []struct {
 		index, fleet    bool
-		before          string // who answers /cluster before any sweep
+		before, after   string // who answers /cluster before and after the sweep
 		queries, builds int64
 	}{
-		{false, false, "GS*-Index", 0, 1},
-		{false, true, "shard-scan(s=2)", 1, 1},
-		{true, false, "GS*-Index", 0, 0},
-		{true, true, "GS*-Index", 0, 0},
+		{false, false, "GS*-Index", "GS*-Index", 0, 1},
+		{false, true, "shard-scan(s=2)", "shard-scan(s=2)", 2, 0},
+		{true, false, "GS*-Index", "GS*-Index", 0, 0},
+		{true, true, "GS*-Index", "GS*-Index", 0, 0},
 	} {
 		t.Run(fmt.Sprintf("index=%v,fleet=%v", tc.index, tc.fleet), func(t *testing.T) {
 			srv := New(g, 2)
@@ -93,15 +94,14 @@ func TestPipelineStageOrder(t *testing.T) {
 			if len(lines) != 1 {
 				t.Fatalf("sweep lines = %d, want 1", len(lines))
 			}
-			// The step's key is the /cluster miss's: the sweep builds the
-			// index but answers that gridpoint from the cache.
+			// The step's key is the /cluster miss's: the cache answers it.
 			if lines[0]["algorithm"] != tc.before {
 				t.Errorf("sweep step answered by %v, want the cached %s answer", lines[0]["algorithm"], tc.before)
 			}
 			sameClustering(t, "/cluster/sweep", lines[0], want)
 			after := get(t, ts, "/cluster?"+later, http.StatusOK)
-			if after["algorithm"] != "GS*-Index" {
-				t.Errorf("after the sweep answered by %v, want GS*-Index", after["algorithm"])
+			if after["algorithm"] != tc.after {
+				t.Errorf("after the sweep answered by %v, want %s", after["algorithm"], tc.after)
 			}
 			sameClustering(t, "/cluster after the sweep", after, wantLater)
 

@@ -553,14 +553,19 @@ func keyFor(st *epochState, eps string, mu int) cacheKey {
 func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int) (*ppscan.Result, error) {
 	key := keyFor(st, eps, mu)
 	if res, ok := s.cache.get(key); ok {
-		// A racy snapshot of slot occupancy: it only attributes the hit to
-		// degraded serving, never decides admission.
-		if s.sem != nil && len(s.sem) == cap(s.sem) {
-			s.reg.Counter(obsv.MetricAdmissionDegradedCache).Inc()
-		}
+		s.noteCacheHit()
 		return res, nil
 	}
 	return s.answer(ctx, st, key, eps)
+}
+
+// noteCacheHit attributes a cache hit served while every slot is busy to
+// degraded serving. It reads a racy snapshot of slot occupancy, so it
+// never decides admission.
+func (s *Server) noteCacheHit() {
+	if s.sem != nil && len(s.sem) == cap(s.sem) {
+		s.reg.Counter(obsv.MetricAdmissionDegradedCache).Inc()
+	}
 }
 
 // answer resolves one cache miss — extracted from the epoch's index (built

@@ -3,11 +3,12 @@
 //
 // The paper's own motivation for structural clustering is interactive
 // (ε, µ) exploration, and the expensive similarity computation does not
-// depend on either parameter. A sweep therefore extracts its ε grid from
-// its epoch's GS*-Index (Server.similarity), building that index once per
-// epoch if the epoch has none yet and leaving it for every later request,
-// exactly as a /cluster miss does.
-// The gridpoints the response cache lacks are extracted on one pooled
+// depend on either parameter. A sweep therefore looks every gridpoint up
+// in the response cache first, and only when some are missing extracts
+// them from its epoch's GS*-Index (Server.similarity), building that index
+// once per epoch if the epoch has none yet and leaving it for every later
+// request, exactly as a /cluster miss does. The missing gridpoints are
+// extracted on one pooled
 // workspace as one incremental sweep from the largest ε down, each step
 // extending the previous one's union-find (gsindex.SweepWorkspace). The
 // NDJSON lines follow in the request's order, so the first line waits for
@@ -160,10 +161,12 @@ func formatDec(v int64, scale int) string {
 
 // handleSweep answers one clusterSummary NDJSON line per ε gridpoint,
 // in the request's order. It is the resolve pipeline with the similarity
-// artifact hoisted out of the loop: parse, one similarity (building the
-// epoch's index if it has none), the response cache per distinct exact ε,
-// then one incremental index sweep over the missing gridpoints from the
-// largest ε down, each step cloned into the cache. Every step is computed
+// artifact hoisted out of the loop: parse, the response cache per distinct
+// exact ε, then — only if some gridpoint missed — one similarity (building
+// the epoch's index if it has none) and one incremental index sweep over
+// the missing gridpoints from the largest ε down, each step cloned into
+// the cache. A sweep whose every gridpoint is cached takes no slot and
+// builds nothing, as a /cluster hit does. Every step is computed
 // before the first byte is written, so any failure — a client disconnect
 // or deadline expiry included — is a status via writeResolveError, and
 // the single deferred workspace Release is the only return path.
@@ -185,20 +188,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
 	t0 := time.Now()
-	ix, build, release, err := s.similarity(ctx, st)
-	if err != nil {
-		s.writeResolveError(w, err)
-		return
-	}
-	defer release()
-	if ix == nil {
-		// A -shards server's fleet answers /cluster misses, never a grid:
-		// the sweep builds the epoch's index under its slot all the same.
-		if ix, build, err = s.epochIndex(ctx, st); err != nil {
-			s.writeResolveError(w, err)
-			return
-		}
-	}
 
 	// Each distinct exact ε goes through the shared response cache once,
 	// under the key every answer uses (see keyFor): a sweep hits
@@ -220,7 +209,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			missing = append(missing, k)
 		}
 	}
-	if len(missing) > 0 {
+	var build time.Duration
+	if len(missing) == 0 {
+		s.noteCacheHit()
+	} else {
+		var ix *ppscan.Index
+		var release func()
+		if ix, build, release, err = s.similarity(ctx, st); err != nil {
+			s.writeResolveError(w, err)
+			return
+		}
+		defer release()
+		if ix == nil {
+			// A -shards server's fleet answers /cluster misses, never a
+			// grid: the sweep builds the epoch's index under its slot all
+			// the same.
+			if ix, build, err = s.epochIndex(ctx, st); err != nil {
+				s.writeResolveError(w, err)
+				return
+			}
+		}
 		slices.SortFunc(missing, func(a, b cacheKey) int { return b.eps.Cmp(a.eps) })
 		epsDesc := make([]simdef.Epsilon, len(missing))
 		for i, k := range missing {

@@ -23,8 +23,7 @@ func init() {
 // in-process Workers behind the loopback transport below, so
 // Stats.CommBytes is the measured gob traffic of the three rounds.
 // opt.Workers selects the partition count (default 4), opt.Kernel the
-// workers' kernel, opt.StallTimeout the per-RPC deadline
-// (DefaultStepTimeout when zero).
+// workers' kernel; each RPC gets DefaultStepTimeout.
 func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Options, _ *engine.Workspace) (*result.Result, error) {
 	p := opt.Workers
 	if p < 1 {
@@ -46,7 +45,6 @@ func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt e
 	c, err := NewCoordinator(g, Options{
 		Shards:         shards,
 		Client:         &http.Client{Transport: lb},
-		StepTimeout:    opt.StallTimeout,
 		HeartbeatEvery: -1,
 		// In-process there is no restart to wait for, only injected faults
 		// to ride out: three attempts, 1ms doubling to 50ms.

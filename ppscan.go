@@ -8,7 +8,7 @@
 // non-cores, and — optionally — the hub/outlier classification of
 // unclustered vertices.
 //
-// Eight algorithm selections produce identical results at very different
+// Seven algorithm selections produce identical results at very different
 // speeds:
 //
 //   - AlgoPPSCAN   — the paper's parallel, multi-phase, lock-free ppSCAN
@@ -19,7 +19,6 @@
 //   - AlgoSCAN     — the original exhaustive sequential SCAN;
 //   - AlgoSCANXP   — the parallel exhaustive SCAN-XP baseline;
 //   - AlgoAnySCAN  — a surrogate of the anySCAN parallel baseline;
-//   - AlgoSCANPP   — a SCAN++-style similarity-sharing sequential baseline;
 //   - AlgoDistSCAN — a partitioned BSP surrogate of the distributed
 //     SparkSCAN/PSCAN systems, reporting communication bytes.
 //
@@ -37,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"ppscan/graph"
 	"ppscan/internal/engine"
@@ -52,7 +50,6 @@ import (
 	_ "ppscan/internal/core"
 	_ "ppscan/internal/pscan"
 	_ "ppscan/internal/scan"
-	_ "ppscan/internal/scanpp"
 	_ "ppscan/internal/scanxp"
 	_ "ppscan/internal/shard"
 )
@@ -74,8 +71,6 @@ const (
 	AlgoSCANXP Algorithm = "scan-xp"
 	// AlgoAnySCAN is the anySCAN-surrogate parallel baseline.
 	AlgoAnySCAN Algorithm = "anyscan"
-	// AlgoSCANPP is the SCAN++-style sequential baseline.
-	AlgoSCANPP Algorithm = "scan++"
 	// AlgoDistSCAN is the partitioned/distributed surrogate (SparkSCAN /
 	// PSCAN family); Workers selects the partition count and
 	// Stats.CommBytes reports the communication overhead.
@@ -84,7 +79,7 @@ const (
 
 // Algorithms lists every supported algorithm.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgoPPSCAN, AlgoPPSCANNO, AlgoPSCAN, AlgoSCAN, AlgoSCANXP, AlgoAnySCAN, AlgoSCANPP, AlgoDistSCAN}
+	return []Algorithm{AlgoPPSCAN, AlgoPPSCANNO, AlgoPSCAN, AlgoSCAN, AlgoSCANXP, AlgoAnySCAN, AlgoDistSCAN}
 }
 
 // Result re-exports the shared result type: roles, core cluster ids,
@@ -96,7 +91,6 @@ type Role = result.Role
 
 // Role values.
 const (
-	RoleUnknown = result.RoleUnknown
 	RoleCore    = result.RoleCore
 	RoleNonCore = result.RoleNonCore
 )
@@ -133,17 +127,9 @@ type Options struct {
 	// "block-merge"). Empty selects each algorithm's default (block-merge
 	// for ppSCAN).
 	Kernel string
-	// DegreeThreshold overrides ppSCAN's task-granularity constant
-	// (default 32768).
-	DegreeThreshold int64
 	// StaticScheduling disables ppSCAN's degree-based dynamic scheduler
 	// (ablation knob).
 	StaticScheduling bool
-	// StallTimeout arms the phase watchdog in the algorithms that support
-	// it (ppscan, ppscan-no, dist-scan): a phase or superstep making no
-	// scheduler progress for this long is abandoned with a *PartialError
-	// wrapping ErrStalled. Zero — the default — disables the watchdog.
-	StallTimeout time.Duration
 	// Tracer, when non-nil, records the run as Chrome trace_event spans in
 	// the engines that support tracing (ppscan, ppscan-no): phases P1–P7 on
 	// track 0, one span per scheduler task on tracks 1..Workers. A pooled
@@ -155,10 +141,6 @@ type Options struct {
 // Tracer re-exports the span tracer engines record into; see
 // Options.Tracer. Create with NewTracer, reuse via Tracer.Reset.
 type Tracer = obsv.Tracer
-
-// TraceEvent re-exports one Chrome trace_event record, as returned by
-// Tracer.Events.
-type TraceEvent = obsv.TraceEvent
 
 // NewTracer returns a tracer whose time origin is now.
 func NewTracer() *Tracer {
@@ -181,11 +163,6 @@ type PartialError = result.PartialError
 // the process. The workspace involved is poisoned so pooled reuse starts
 // from a reset state.
 type WorkerPanicError = result.WorkerPanicError
-
-// ErrStalled is wrapped by the *PartialError a run returns when the phase
-// watchdog (Options.StallTimeout) detects a phase or superstep making no
-// scheduler progress for a full window.
-var ErrStalled = result.ErrStalled
 
 // RunContext is Run with cooperative cancellation. The parallel
 // multi-phase algorithms (ppscan, ppscan-no, dist-scan) check ctx at every
@@ -234,9 +211,7 @@ func RunWorkspace(ctx context.Context, g *graph.Graph, opt Options, ws *Workspac
 	// the run in engine.run_ns.<algorithm>.
 	return engine.Run(ctx, string(algo), opt.Kernel, g, th, engine.Options{
 		Workers:          opt.Workers,
-		DegreeThreshold:  opt.DegreeThreshold,
 		StaticScheduling: opt.StaticScheduling,
-		StallTimeout:     opt.StallTimeout,
 		Tracer:           opt.Tracer,
 	}, ws)
 }
@@ -263,13 +238,6 @@ type WorkspacePoolStats = engine.PoolStats
 // workspaces; capacity < 1 defaults to GOMAXPROCS.
 func NewWorkspacePool(capacity int) *WorkspacePool {
 	return engine.NewPool(capacity)
-}
-
-// EngineNames lists every registered algorithm backend, sorted. It is the
-// dynamic counterpart of Algorithms(): backends registered by packages
-// outside this module's defaults also appear here.
-func EngineNames() []string {
-	return engine.Names()
 }
 
 // Index is a GS*-Index-style precomputed structure answering any (ε, µ)
@@ -322,25 +290,10 @@ func QueryIndexWorkspace(ctx context.Context, ix *Index, eps string, mu int, ws 
 	return ix.QueryWorkspace(ctx, eps, int32(mu), ws)
 }
 
-// Store re-exports graph.Store: the epoch-versioned snapshot store that
-// layers batched edge mutations over the immutable CSR. Each Commit
-// produces a new immutable graph snapshot under the next epoch while
-// in-flight queries keep whatever snapshot they loaded.
-type Store = graph.Store
-
-// EdgeOp re-exports one edge mutation (insert or delete) for
-// Store.Commit batches.
-type EdgeOp = graph.EdgeOp
-
-// GraphDelta re-exports the commit summary a Store produces: the
+// GraphDelta re-exports the commit summary a graph.Store produces: the
 // snapshot pair, the normalized applied edge sets, and the touched
 // vertices — the input contract of ApplyIndexBatch.
 type GraphDelta = graph.Delta
-
-// NewStore creates a snapshot store whose epoch-0 snapshot is g.
-func NewStore(g *graph.Graph) *Store {
-	return graph.NewStore(g)
-}
 
 // ApplyIndexBatch derives the GS*-Index for d.New from the index over
 // d.Old incrementally: similarities are recomputed only for edges
@@ -386,9 +339,4 @@ func Equal(a, b *Result) error {
 // Equal results always serialize identically.
 func WriteResult(w io.Writer, r *Result) error {
 	return result.Write(w, r)
-}
-
-// ReadResult parses a result written by WriteResult.
-func ReadResult(r io.Reader) (*Result, error) {
-	return result.Read(r)
 }

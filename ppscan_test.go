@@ -8,6 +8,7 @@ import (
 	"ppscan/graph"
 	"ppscan/internal/algotest"
 	"ppscan/internal/intersect"
+	"ppscan/internal/result"
 )
 
 func kiteGraph(t *testing.T) *graph.Graph {
@@ -244,7 +245,7 @@ func TestWriteReadResultFacade(t *testing.T) {
 	if err := WriteResult(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadResult(&buf)
+	back, err := result.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

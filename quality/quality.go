@@ -46,9 +46,12 @@ func Modularity(g *graph.Graph, r *result.Result) float64 {
 	if m == 0 {
 		return 0
 	}
+	// Cluster ids are vertex ids, so the per-cluster sums are arrays and
+	// the total is summed in ascending cluster-id order: one fixed order,
+	// one bit pattern for one clustering.
 	assign := PrimaryAssignment(r)
-	intra := map[int32]float64{}
-	degSum := map[int32]float64{}
+	intra := make([]float64, g.NumVertices())
+	degSum := make([]float64, g.NumVertices())
 	for u := int32(0); u < g.NumVertices(); u++ {
 		c := assign[u]
 		if c < 0 {
@@ -61,18 +64,11 @@ func Modularity(g *graph.Graph, r *result.Result) float64 {
 			}
 		}
 	}
+	// An id that names no cluster adds exactly zero.
 	var q float64
 	for c, e := range intra {
-		q += e / m
 		frac := degSum[c] / (2 * m)
-		q -= frac * frac
-	}
-	// Clusters with no intra edges still pay the degree penalty.
-	for c, d := range degSum {
-		if _, ok := intra[c]; !ok {
-			frac := d / (2 * m)
-			q -= frac * frac
-		}
+		q += e/m - frac*frac
 	}
 	return q
 }

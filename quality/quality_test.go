@@ -93,6 +93,42 @@ func TestModularityEdgelessAndUnclustered(t *testing.T) {
 	}
 }
 
+// TestModularityDeterministic: one clustering gives one bit pattern, call
+// after call. 400 cliques of 3 to 7 vertices, chained by bridges, make
+// 400 unequal per-cluster terms, so a sum whose order varied between
+// calls would show in the last bits.
+func TestModularityDeterministic(t *testing.T) {
+	var edges []graph.Edge
+	var ids []int32
+	for c, base := 0, int32(0); c < 400; c++ {
+		k := int32(3 + c%5)
+		for i := base; i < base+k; i++ {
+			ids = append(ids, base)
+			for j := i + 1; j < base+k; j++ {
+				edges = append(edges, graph.Edge{U: i, V: j})
+			}
+		}
+		if c > 0 {
+			edges = append(edges, graph.Edge{U: base - 1, V: base})
+		}
+		base += k
+	}
+	g, err := graph.FromEdges(int32(len(ids)), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &result.Result{Roles: make([]result.Role, len(ids)), CoreClusterID: ids}
+	for i := range r.Roles {
+		r.Roles[i] = result.RoleCore
+	}
+	want := math.Float64bits(Modularity(g, r))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(Modularity(g, r)); got != want {
+			t.Fatalf("call %d: modularity bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
 func TestConductance(t *testing.T) {
 	g := twoCliques(t)
 	// One clique: cut = 1 (bridge), vol = 13.
