@@ -153,23 +153,38 @@ func TestScanserverAdmissionFlags(t *testing.T) {
 
 	t.Run("request-timeout-503", func(t *testing.T) {
 		// A 1ns deadline is already expired when the computation starts, so
-		// every /cluster request must fail fast with 503 + Retry-After.
-		base, cmd, _ := startServer(t, bin, "-request-timeout", "1ns")
-		defer cmd.Process.Kill()
-		resp, err := http.Get(base + "/cluster?eps=0.3&mu=3")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status %d, want 503", resp.StatusCode)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Error("503 response missing Retry-After header")
+		// every /cluster request must fail fast with 503 + Retry-After, and
+		// the log must say once, not once per miss, that the timeout is
+		// shorter than an index build.
+		base, cmd, output := startServer(t, bin, "-request-timeout", "1ns", "-log-requests")
+		for i := 0; i < 2; i++ {
+			resp, err := http.Get(base + "/cluster?eps=0.3&mu=3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("request %d: status %d, want 503", i, resp.StatusCode)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Errorf("request %d: 503 response missing Retry-After header", i)
+			}
 		}
 		metrics := httpGetJSON(t, base+"/metrics", http.StatusOK)
-		if v, _ := metrics["admission.timeouts"].(float64); v < 1 {
-			t.Errorf("admission.timeouts = %v, want >= 1", metrics["admission.timeouts"])
+		if v, _ := metrics["admission.timeouts"].(float64); v < 2 {
+			t.Errorf("admission.timeouts = %v, want >= 2", metrics["admission.timeouts"])
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		var log string
+		select {
+		case log = <-output:
+		case <-time.After(15 * time.Second):
+			t.Fatal("scanserver did not exit after SIGTERM")
+		}
+		if n := strings.Count(log, "hit the 1ns request timeout"); n != 1 {
+			t.Errorf("build-timeout line logged %d times over two misses, want 1:\n%s", n, log)
 		}
 	})
 

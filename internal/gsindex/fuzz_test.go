@@ -140,7 +140,10 @@ func decodeQuery(t *testing.T, data, grid []byte) (g *graph.Graph, eps []simdef.
 // vertex, the empty graph, a repeated ε, a new core whose similar cores
 // are all older and smaller (the cores phase's both-sides union), a star
 // (the hub's out-list is empty), K5 (every edge lies in 3 triangles) and
-// a 4-regular ring (every rank tie falls to the id).
+// a 4-regular ring (every rank tie falls to the id). The search-* seeds
+// drive similarEnd: a core whose whole run is similar (K9, the probe ≥ hi
+// exit), and on a 6-regular ring with σ ∈ {6/7, 5/7, 4/7} a prefix that
+// ends on σ = ε, µ = 1 and µ equal to every degree.
 func FuzzQueryWorkspace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data, grid []byte) {
 		g, eps, mu, workers := decodeQuery(t, data, grid)

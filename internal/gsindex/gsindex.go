@@ -15,9 +15,9 @@
 //
 //   - u is a core iff d[u] ≥ µ and the µ-th most similar neighbor of u has
 //     σ(u, v) ≥ ε (the "core order" property);
-//   - clusters are formed by scanning each core's neighbor order while
-//     σ ≥ ε and unioning similar cores; a non-core's memberships are the
-//     clusters of the cores in its own similar prefix.
+//   - clusters are formed by walking each core's similar prefix, whose end
+//     a search from µ finds, and unioning similar cores; a non-core's
+//     memberships are the clusters of the cores in its own similar prefix.
 //
 // All comparisons are exact: similarity values are kept as the integer
 // pair (cn, p) with σ = cn/√p, and ordering/thresholding uses 128-bit
@@ -305,16 +305,42 @@ func (ix *Index) edgeSimGE(eps simdef.Epsilon, u int32, pos int64, v int32) bool
 	return eps.PredP(ix.cn[pos], p)
 }
 
+// similarEnd returns the length of u's similar prefix under eps, given
+// that the first k entries of u's neighbour order are similar. The order
+// is non-increasing in σ, so "σ ≥ ε" holds on a prefix: it probes entries
+// k, k+2, k+6, … until one is not similar or past the run, then
+// binary-searches the last step. Every probe is one exact edgeSimGE, and
+// there are O(log L) of them for an extension of length L.
+func (ix *Index) similarEnd(eps simdef.Epsilon, u, k int32) int32 {
+	lo, hi := k, ix.g.Degree(u) // entries < lo are similar; entry hi is not, or hi is the end
+	for probe, step := k, int32(2); probe < hi; probe, step = probe+step, step*2 {
+		if !ix.orderSimGE(eps, u, probe) {
+			hi = probe
+			break
+		}
+		lo = probe + 1
+	}
+	// The end lies in [lo, lo+n]. Each probe halves n whatever it answers,
+	// so the update is a conditional add rather than a mispredicted branch.
+	for n := hi - lo; n > 0; n /= 2 {
+		if ix.orderSimGE(eps, u, lo+n/2) {
+			lo += n - n/2
+		}
+	}
+	return lo
+}
+
+// orderSimGE reports whether σ ≥ ε for u's j-th most similar neighbour.
+func (ix *Index) orderSimGE(eps simdef.Epsilon, u, j int32) bool {
+	uOff := ix.g.Off[u]
+	pos := uOff + int64(ix.order[uOff+int64(j)])
+	return ix.edgeSimGE(eps, u, pos, ix.g.Dst[pos])
+}
+
 // IsCore answers the core predicate for one vertex under (eps, mu) in O(1)
 // via the neighbor order.
 func (ix *Index) IsCore(eps simdef.Epsilon, mu int32, u int32) bool {
-	if ix.g.Degree(u) < mu {
-		return false
-	}
-	uOff := ix.g.Off[u]
-	i := ix.order[uOff+int64(mu-1)]
-	v := ix.g.Dst[uOff+int64(i)]
-	return ix.edgeSimGE(eps, u, uOff+int64(i), v)
+	return ix.g.Degree(u) >= mu && ix.orderSimGE(eps, u, mu-1)
 }
 
 // Query computes the exact clustering for (eps, mu) from the index,

@@ -1,6 +1,9 @@
 package gsindex
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,4 +176,102 @@ func BenchmarkIndexQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestSimilarEndMatchesScan: on a planted partition and a star, for every
+// vertex, every start k up to the true end and every ε that can move an
+// end — each distinct σ of the graph that is rational (the σ = ε boundary,
+// where the arc is similar), plus a value between each two consecutive σ,
+// below the least and above the greatest — similarEnd equals a linear scan
+// of the neighbour order by simdef's Pred.
+func TestSimilarEndMatchesScan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"planted", gen.PlantedPartition(6, 12, 0.6, 0.05, 5)},
+		{"star", gen.Star(8)}, // every arc has σ = 2/√(8·2) = 1/2
+	} {
+		ix := Build(tc.g, BuildOptions{Workers: 2})
+		grid, exact := similarityGrid(ix)
+		if exact == 0 {
+			t.Fatalf("%s: no σ is rational, so σ = ε is never tested", tc.name)
+		}
+		for _, eps := range grid {
+			for u := int32(0); u < tc.g.NumVertices(); u++ {
+				off, du := tc.g.Off[u], tc.g.Degree(u)
+				want := int32(0)
+				for ; want < du; want++ {
+					pos := off + int64(ix.order[off+int64(want)])
+					if !eps.Pred(ix.cn[pos], du, tc.g.Degree(tc.g.Dst[pos])) {
+						break
+					}
+				}
+				for k := int32(0); k <= want; k++ {
+					if got := ix.similarEnd(eps, u, k); got != want {
+						t.Fatalf("%s: similarEnd(ε=%s, u=%d, k=%d) = %d, the scan ends at %d of %d", tc.name, eps, u, k, got, want, du)
+					}
+				}
+			}
+		}
+	}
+}
+
+// similarityGrid returns the ε values that can move a similar prefix's end
+// on ix's graph, and how many of them are some arc's σ exactly.
+func similarityGrid(ix *Index) (grid []simdef.Epsilon, exact int) {
+	g := ix.g
+	type sim struct {
+		cn int32
+		p  uint64
+	}
+	var sims []sim
+	for u := int32(0); u < g.NumVertices(); u++ {
+		for i, v := range g.Neighbors(u) {
+			sims = append(sims, sim{ix.cn[g.Off[u]+int64(i)], (uint64(g.Degree(u)) + 1) * (uint64(g.Degree(v)) + 1)})
+		}
+	}
+	slices.SortFunc(sims, func(a, b sim) int { return simdef.CompareSimValues(a.cn, a.p, b.cn, b.p) })
+	sims = slices.CompactFunc(sims, func(a, b sim) bool { return simdef.CompareSimValues(a.cn, a.p, b.cn, b.p) == 0 })
+	value := func(s sim) float64 { return float64(s.cn) / math.Sqrt(float64(s.p)) }
+	approx := func(x float64) simdef.Epsilon {
+		return simdef.MustEpsilon(fmt.Sprintf("%d/1000000000", int64(math.Round(x*1e9))))
+	}
+	grid = append(grid, approx(value(sims[0])/2))
+	for i, s := range sims {
+		// σ² = cn²/p is the square of a rational iff both sides of the
+		// reduced fraction are perfect squares.
+		num, den := uint64(s.cn)*uint64(s.cn), s.p
+		d := gcdU64(num, den)
+		if a, b := isqrt(num/d), isqrt(den/d); a*a == num/d && b*b == den/d {
+			grid = append(grid, simdef.MustEpsilon(fmt.Sprintf("%d/%d", a, b)))
+			exact++
+		}
+		next := 1.0
+		if i+1 < len(sims) {
+			next = value(sims[i+1])
+		}
+		if mid := (value(s) + next) / 2; mid > value(s) {
+			grid = append(grid, approx(mid))
+		}
+	}
+	return grid, exact
+}
+
+func gcdU64(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func isqrt(x uint64) uint64 {
+	r := uint64(math.Sqrt(float64(x)))
+	for r*r > x {
+		r--
+	}
+	for (r+1)*(r+1) <= x {
+		r++
+	}
+	return r
 }

@@ -100,15 +100,16 @@ func (ix *Index) QueryWorkspace(ctx context.Context, eps string, mu int32, ws *e
 // has.
 //
 // Each step has three stages. The roles phase re-tests only the
-// non-cores. The cores phase walks each core's neighbour order while
-// σ ≥ ε: an old core from its cursor, unioning with every similar core
-// v > u; a new core from the start, unioning with every similar core
-// v > u and every similar old core, since the old cores' walks skipped
-// it. Both run on the workspace's crew with the index's build worker
-// count (Stats.Workers). The wait-free union-find's representative is its
-// set's minimum, the Definition 3.7 cluster id. Memberships come from one
-// walk over the non-cores in vertex order, each scanning its own similar
-// prefix, so NonCore is born sorted by (V, ClusterID) and deduplicated.
+// non-cores. The cores phase walks each core's similar prefix: a new core
+// from the start to an end it searches for from µ, with no σ test,
+// unioning with every similar core v > u and every similar old core,
+// since the old cores' walks skipped it; an old core from its cursor
+// while σ ≥ ε, unioning with every similar core v > u. Both run on the
+// workspace's crew with the index's build worker count (Stats.Workers).
+// The wait-free union-find's representative is its set's minimum, the
+// Definition 3.7 cluster id. Memberships come from one walk over the
+// non-cores in vertex order, each scanning its own similar prefix, so
+// NonCore is born sorted by (V, ClusterID) and deduplicated.
 // With one step the cores phase is the plain v > u rule.
 //
 // r aliases workspace memory that the next step overwrites: it is valid
@@ -209,31 +210,42 @@ func (sc *sweepScratch) role(u int32, _ int) {
 // unioned at the first step where both are cores and the arc is similar:
 // by the smaller end if both are old (the arc is new to both walks) or
 // both new, and by the new end otherwise.
+//
+// A new core's prefix end is searched for from µ — IsCore tested entry
+// µ−1, so the first µ entries are similar — and the walk reads no σ. An
+// old core's slice is usually a few arcs, where the search's probes cost
+// more than the linear test they replace, so it tests arc by arc.
 func (sc *sweepScratch) union(u int32, _ int) {
 	g := sc.ix.g
 	uOff := g.Off[u]
-	old := sc.roles[u] == result.RoleCore
-	joinOld := sc.carried && !old // old cores exist, and their walks skipped u
-	k := int32(0)
-	if old {
-		k = sc.cursor[u]
-	}
-	for _, i := range sc.ix.order[uOff+int64(k) : uOff+int64(g.Degree(u))] {
-		pos := uOff + int64(i)
-		v := g.Dst[pos]
-		if !sc.ix.edgeSimGE(sc.eps, u, pos, v) {
-			break // neighbour order: everything after is < eps
+	if sc.roles[u] == result.RoleCore {
+		k := sc.cursor[u]
+		for _, i := range sc.ix.order[uOff+int64(k) : uOff+int64(g.Degree(u))] {
+			pos := uOff + int64(i)
+			v := g.Dst[pos]
+			if !sc.ix.edgeSimGE(sc.eps, u, pos, v) {
+				break // neighbour order: everything after is < eps
+			}
+			k++
+			if v > u && isCore(sc.roles[v]) {
+				sc.uf.Union(u, v)
+			}
 		}
-		k++
+		sc.cursor[u] = k
+		return
+	}
+	end := sc.ix.similarEnd(sc.eps, u, sc.mu)
+	for _, i := range sc.ix.order[uOff : uOff+int64(end)] {
+		v := g.Dst[uOff+int64(i)]
 		if v > u {
 			if isCore(sc.roles[v]) {
 				sc.uf.Union(u, v)
 			}
-		} else if joinOld && sc.roles[v] == result.RoleCore {
-			sc.uf.Union(u, v)
+		} else if sc.carried && sc.roles[v] == result.RoleCore {
+			sc.uf.Union(u, v) // an old core, whose walks skipped u
 		}
 	}
-	sc.cursor[u] = k
+	sc.cursor[u] = end
 }
 
 // appendMemberships appends one membership of non-core v per cluster of

@@ -145,6 +145,11 @@ type Server struct {
 	computeNs   *obsv.Histogram
 	exemplars   *exemplarRing
 
+	// buildTimeoutLogged is 1 + the epoch whose build last hit the request
+	// timeout in the log (0: none yet), so that epochIndex logs one line
+	// per epoch rather than one per miss. Guarded by mutMu.
+	buildTimeoutLogged uint64
+
 	// buildFn builds the GS*-Index of one snapshot. Production servers use
 	// ppscan.BuildIndexContext; tests substitute a function that parks,
 	// fails or panics inside the build.
@@ -643,7 +648,9 @@ func (s *Server) similarity(ctx context.Context, st *epochState) (ix *ppscan.Ind
 // pinned to a superseded epoch builds for its own snapshot and publishes
 // nothing. From then on every route of the epoch extracts from it, and
 // POST /edges carries it across commits. A panic in the build itself is
-// returned as a *ppscan.WorkerPanicError and publishes nothing.
+// returned as a *ppscan.WorkerPanicError and publishes nothing. A build the
+// request timeout cut short publishes nothing either, so with a logger the
+// first one of each epoch is logged: every later miss would fail the same way.
 func (s *Server) epochIndex(ctx context.Context, st *epochState) (ix *ppscan.Index, build time.Duration, err error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
@@ -664,7 +671,13 @@ func (s *Server) epochIndex(ctx context.Context, st *epochState) (ix *ppscan.Ind
 	if err == nil && cur.g == st.g {
 		s.state.Store(&epochState{g: st.g, ix: ix})
 	}
-	return ix, time.Since(t0), err
+	build = time.Since(t0)
+	if errors.Is(err, context.DeadlineExceeded) && s.logger != nil && s.buildTimeoutLogged != st.epoch()+1 {
+		s.buildTimeoutLogged = st.epoch() + 1
+		s.logger.Printf("index build of epoch %d hit the %v request timeout after %v: misses of this epoch cannot answer until the timeout exceeds a build or -index builds at startup",
+			st.epoch(), s.reqTimeout, build.Round(time.Millisecond))
+	}
+	return ix, build, err
 }
 
 // extract answers (eps, mu) from ix in O(answer) on a pooled workspace,

@@ -661,10 +661,11 @@ func TestStepContextStopsRolesRound(t *testing.T) {
 	if err := gob.NewEncoder(&body).Encode(&StepRequest{Round: RoundRoles, Epoch: g.Epoch(), Eps: "0.5", Mu: 4}); err != nil {
 		t.Fatal(err)
 	}
-	// Every executed task is one worker_task hit; the zero-length delay
-	// rule makes them countable.
+	// Every executed task is one worker_task hit; the delay rule makes them
+	// countable, and its millisecond sleep yields each task's P, so the
+	// canceller below runs before the pass ends even at GOMAXPROCS 1.
 	tasks := func() uint64 { return fault.Snapshot().Delays }
-	fault.Enable(&fault.Plan{Rules: []fault.Rule{{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 1, Every: 1}}})
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 1, Every: 1, Delay: time.Millisecond}}})
 	start := tasks()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

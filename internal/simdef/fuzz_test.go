@@ -28,10 +28,11 @@ func FuzzParseEpsilon(f *testing.F) {
 }
 
 // FuzzMinCNBoundary: MinCN must be the exact boundary of Pred for
-// arbitrary degrees and epsilons, PruneResult must be the rule that
-// boundary gives, and PruneCut's cuts must give PruneResult. ε runs down to
-// 1/65536, small enough to put the cuts at MaxInt32; testdata/fuzz holds
-// the edge seeds.
+// arbitrary degrees and epsilons and equal the exact correction loop's
+// answer whether or not its float fast path was taken, PruneResult must be
+// the rule that boundary gives, and PruneCut's cuts must give PruneResult.
+// ε runs down to 1/65536, small enough to put the cuts at MaxInt32;
+// testdata/fuzz holds the edge seeds.
 func FuzzMinCNBoundary(f *testing.F) {
 	f.Add(uint16(1), uint16(5), uint32(10), uint32(20))
 	// ε = 1/2, du = dv = 3: σ = 2/√16 = ε exactly at cn = 2.
@@ -52,6 +53,9 @@ func FuzzMinCNBoundary(f *testing.F) {
 		}
 		if c > 1 && e.Pred(c-1, du, dv) {
 			t.Fatalf("Pred(MinCN-1) true: eps=%v du=%d dv=%d c=%d", e, du, dv, c)
+		}
+		if exact := e.minCNExact(du, dv); c != exact {
+			t.Fatalf("MinCN = %d, the exact loop gives %d: eps=%v du=%d dv=%d", c, exact, e, du, dv)
 		}
 		want := Unknown
 		if min(du, dv)+2 < c {

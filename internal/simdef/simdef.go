@@ -175,12 +175,31 @@ func mul3(a, b, c uint64) (hi, lo uint64) {
 // MinCN returns the smallest intersection count t with Pred(t, du, dv),
 // i.e. ⌈ε·√((du+1)(dv+1))⌉ computed exactly. This is the early-termination
 // threshold c of Algorithm 6 and Definition 3.9.
+//
+// The float estimate est is five correctly rounded operations on exact
+// inputs, so its relative error is below 2⁻⁵⁰. When est is more than
+// est·2⁻⁴⁰ away from both ⌈est⌉ and ⌈est⌉−1, the true value lies strictly
+// between them and ⌈est⌉ is exact; only a near-integer estimate pays for
+// minCNExact's 128-bit corrections.
 func (e Epsilon) MinCN(du, dv int32) int32 {
-	// Start from the floating-point estimate, then correct with the exact
-	// predicate. The float is within 1 ulp of the true value, so at most a
-	// couple of adjustment steps run.
-	est := e.Float() * math.Sqrt(float64(du)+1) * math.Sqrt(float64(dv)+1)
-	t := int64(est)
+	est := e.minCNEstimate(du, dv)
+	c := math.Ceil(est)
+	if margin := est * 0x1p-40; c-est > margin && est-(c-1) > margin {
+		return clampI32(int64(c))
+	}
+	return e.minCNExact(du, dv)
+}
+
+// minCNEstimate is the float ε·√(du+1)·√(dv+1).
+func (e Epsilon) minCNEstimate(du, dv int32) float64 {
+	return e.Float() * math.Sqrt(float64(du)+1) * math.Sqrt(float64(dv)+1)
+}
+
+// minCNExact is MinCN by the exact predicate alone: it starts from the
+// float estimate and corrects it one step at a time. The float is within
+// 1 ulp of the true value, so at most a couple of steps run.
+func (e Epsilon) minCNExact(du, dv int32) int32 {
+	t := int64(e.minCNEstimate(du, dv))
 	if t < 1 {
 		t = 1
 	}
