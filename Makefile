@@ -110,11 +110,12 @@ docs-check:
 benchmark-test:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Non-test and test Go lines per package, with the three totals ROADMAP's
+# Non-test and test Go lines per package, with the four totals ROADMAP's
 # code-budget items are stated in: internal/ + cmd/, the lint tooling
-# (internal/lint + cmd/scanlint, fixtures counted as test lines), and the
+# (internal/lint + cmd/scanlint, fixtures counted as test lines), the
 # paper's algorithm, its five baselines and the seam that reaches them
-# (core + baselines + engine). Informational, never a gate.
+# (core + baselines + engine), and the serving tier with its fleet
+# (server + shard + cmd/scanshard). Informational, never a gate.
 loc:
 	@find . -name '*.go' -not -path './.*' -print0 | xargs -0 wc -l | \
 	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
@@ -126,9 +127,11 @@ loc:
 	     $$1 ~ /^\.\/(internal\/lint|cmd\/scanlint)(\/|$$)/ { \
 	       if ($$1 ~ /\/testdata\//) lt += $$2; else ls += $$2; lt += $$3 } \
 	     $$1 ~ /^\.\/internal\/(core|scan|pscan|scanxp|anyscan|engine)$$/ { es += $$2; et += $$3 } \
+	     $$1 ~ /^\.\/(internal\/(server|shard)|cmd\/scanshard)$$/ { fs += $$2; ft += $$3 } \
 	     END { printf "%-36s %9d %9d\n", "internal/ + cmd/", s, t; \
 	           printf "%-36s %9d %9d\n", "internal/lint + cmd/scanlint", ls, lt; \
-	           printf "%-36s %9d %9d\n", "core + baselines + engine", es, et }'
+	           printf "%-36s %9d %9d\n", "core + baselines + engine", es, et; \
+	           printf "%-36s %9d %9d\n", "server + shard + cmd/scanshard", fs, ft }'
 
 # The pre-merge gate: static checks, the full suite under the race
 # detector (the parallel phases, scheduler telemetry and HTTP middleware

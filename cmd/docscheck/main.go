@@ -144,9 +144,9 @@ func realMain(args []string, w io.Writer) int {
 // change that must add lines raises the ceiling in the same diff and says
 // why in CHANGES.md.
 var lineCeilings = map[string]int{
-	"README.md":           533,
-	"DESIGN.md":           766,
-	"OPERATIONS.md":       906,
+	"README.md":           531,
+	"DESIGN.md":           765,
+	"OPERATIONS.md":       866,
 	"EXPERIMENTS.md":      386,
 	"benchmark/README.md": 312,
 }

@@ -96,10 +96,10 @@ func main() {
 		exemplars   = flag.Int("exemplars", 8, "retain the N slowest cache misses of the last 15 minutes at /debug/slowest (0 = off)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off) — a chaos drill: injected worker panics, delays and transient faults exercise the containment paths while /metrics reports fault.* counters")
 
-		shardSpec = flag.String("shards", "", "answer the misses of an index-less epoch on a multi-process scanshard worker fleet: semicolon-separated shards, each a comma-separated list of replica base URLs, e.g. \"http://h1:9100,http://h2:9100;http://h1:9101,http://h2:9101\"; an epoch's index, once built, answers first")
+		shardSpec = flag.String("shards", "", "answer the misses of an index-less epoch on a multi-process scanshard worker fleet: one base URL per shard, semicolon-separated, e.g. \"http://h1:9100;http://h1:9101\"; an epoch's index, once built, answers first")
 	)
 	flag.Parse()
-	var shardFleet [][]string
+	var shardFleet []string
 	if *shardSpec != "" {
 		var perr error
 		shardFleet, perr = parseShardSpec(*shardSpec)
@@ -153,10 +153,7 @@ func main() {
 	}
 	var coord *shard.Coordinator
 	if shardFleet != nil {
-		coord, err = shard.NewCoordinator(g, shard.Options{
-			Shards: shardFleet,
-			Logf:   log.Printf,
-		})
+		coord, err = shard.NewCoordinator(g, shard.Options{Shards: shardFleet})
 		if err != nil {
 			log.Fatal("scanserver: ", err)
 		}
@@ -208,13 +205,6 @@ func main() {
 			log.Printf("shutdown: %v (forcing close)", err)
 			httpSrv.Close()
 		}
-		if coord != nil {
-			// After in-flight requests finished their supersteps: stop the
-			// heartbeat loop and notify workers to drain, so the fleet
-			// refuses rounds from a coordinator that is going away.
-			coord.Shutdown(shutdownCtx)
-			log.Printf("shard fleet notified to drain")
-		}
 	}()
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal("scanserver: ", err)
@@ -223,29 +213,21 @@ func main() {
 	log.Printf("drained, exiting")
 }
 
-// parseShardSpec parses the -shards fleet spec: semicolon-separated
-// shards, each a comma-separated list of replica base URLs.
-func parseShardSpec(spec string) ([][]string, error) {
-	var fleet [][]string
-	for i, shardPart := range strings.Split(spec, ";") {
-		var replicas []string
-		for _, addr := range strings.Split(shardPart, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-				return nil, fmt.Errorf("shard %d: replica %q is not an http(s) base URL", i, addr)
-			}
-			replicas = append(replicas, strings.TrimRight(addr, "/"))
+// parseShardSpec parses the -shards fleet spec: one http(s) base URL per
+// shard, semicolon-separated.
+func parseShardSpec(spec string) ([]string, error) {
+	var fleet []string
+	for i, addr := range strings.Split(spec, ";") {
+		addr = strings.TrimSpace(addr)
+		switch {
+		case addr == "":
+			return nil, fmt.Errorf("shard %d has no base URL", i)
+		case strings.Contains(addr, ","):
+			return nil, fmt.Errorf("shard %d: %q lists more than one base URL (a shard has one worker)", i, addr)
+		case !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://"):
+			return nil, fmt.Errorf("shard %d: %q is not an http(s) base URL", i, addr)
 		}
-		if len(replicas) == 0 {
-			return nil, fmt.Errorf("shard %d has no replicas", i)
-		}
-		fleet = append(fleet, replicas)
-	}
-	if len(fleet) == 0 {
-		return nil, fmt.Errorf("empty fleet spec")
+		fleet = append(fleet, strings.TrimRight(addr, "/"))
 	}
 	return fleet, nil
 }

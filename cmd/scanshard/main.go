@@ -9,14 +9,13 @@
 //	scanshard -graph web.bin -shard 1 -shards 4 -addr :9101
 //
 // Every worker loads the same snapshot (the partition bounds are derived
-// deterministically from it); the coordinator cross-checks -shard/-shards
-// via heartbeats, so a worker launched with the wrong partition arguments
-// is quarantined instead of serving wrong ranges. When the coordinator's
-// graph epoch moves ahead (mutations), it pushes a snapshot sync — the
-// worker catches up in place and rejoins, never serving a stale view.
+// deterministically from it). Every step request names the partition it
+// is addressed to, so a worker launched with the wrong -shard/-shards
+// refuses it (400 wrong_shard) instead of serving wrong ranges. When the
+// coordinator's graph epoch moves ahead (mutations), it pushes a snapshot
+// sync — the worker catches up in place, never serving a stale view.
 //
-// Endpoints (coordinator-facing): /shard/step, /shard/healthz,
-// /shard/sync, /shard/drain.
+// Endpoints (coordinator-facing): /shard/step, /shard/sync.
 //
 // -chaos-seed arms the shard fault plan (straggler supersteps, abrupt
 // worker death, RPC failures). An injected crash hard-exits the process
@@ -113,9 +112,9 @@ func main() {
 	if err != nil {
 		log.Fatal("scanshard: ", err)
 	}
-	h := w.Health()
+	lo, hi := w.Range()
 	log.Printf("shard %d/%d owns vertices [%d, %d) at epoch %d",
-		h.Shard, h.Shards, h.Lo, h.Hi, h.Epoch)
+		*shardID, *shards, lo, hi, w.Epoch())
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -134,7 +133,6 @@ func main() {
 		defer close(done)
 		<-ctx.Done()
 		log.Printf("shutdown signal received, draining (grace %v)", *grace)
-		w.SetDraining(true)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {

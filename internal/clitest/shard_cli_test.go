@@ -107,18 +107,26 @@ func TestScanserverShardSpecValidation(t *testing.T) {
 	dir := t.TempDir()
 	bin := build(t, dir, "scanserver")
 
-	// Replica addresses must be http(s) base URLs.
+	// Shard addresses must be http(s) base URLs.
 	out := expectExit2(t, bin, "-dataset", "ROLL-d40", "-scale", "0.02",
 		"-shards", "localhost:9100")
 	if !strings.Contains(out, "bad -shards") || !strings.Contains(out, "not an http(s) base URL") {
-		t.Errorf("bad replica URL not diagnosed:\n%s", out)
+		t.Errorf("bad shard URL not diagnosed:\n%s", out)
 	}
 
 	// An empty shard inside the spec names which shard is broken.
 	out = expectExit2(t, bin, "-dataset", "ROLL-d40", "-scale", "0.02",
 		"-shards", "http://h1:9100;;http://h2:9100")
-	if !strings.Contains(out, "shard 1 has no replicas") {
+	if !strings.Contains(out, "shard 1 has no base URL") {
 		t.Errorf("empty shard not diagnosed:\n%s", out)
+	}
+
+	// One base URL per shard: a comma inside a shard would otherwise pass
+	// the http:// prefix test and be dialled as one URL.
+	out = expectExit2(t, bin, "-dataset", "ROLL-d40", "-scale", "0.02",
+		"-shards", "http://h1:9100;http://a:9101,http://b:9101")
+	if !strings.Contains(out, "shard 1:") || !strings.Contains(out, "more than one base URL") {
+		t.Errorf("comma inside a shard not diagnosed:\n%s", out)
 	}
 
 	// The fleet and the index are stages of one pipeline, not exclusive
@@ -165,19 +173,6 @@ func TestShardFleetSmoke(t *testing.T) {
 			t.Errorf("%s: sharded %v, direct %v", k, got[k], want[k])
 		}
 	}
-
-	// /healthz surfaces the fleet: both shards present and reachable.
-	health := httpGetJSON(t, base+"/healthz", http.StatusOK)
-	fs, ok := health["shards"].(map[string]any)
-	if !ok {
-		t.Fatalf("/healthz has no shards block: %v", health)
-	}
-	if n, _ := fs["shards"].(float64); n != 2 {
-		t.Errorf("fleet shard count %v, want 2", fs["shards"])
-	}
-	if n, _ := fs["replicas_healthy"].(float64); n != 2 {
-		t.Errorf("replicas_healthy = %v, want 2", fs["replicas_healthy"])
-	}
 }
 
 // TestOversizedHeaderIs431: both binaries cap the request line plus
@@ -191,7 +186,7 @@ func TestOversizedHeaderIs431(t *testing.T) {
 	dir := t.TempDir()
 	server, _, _ := startServer(t, build(t, dir, "scanserver"))
 	worker := startWorker(t, build(t, dir, "scanshard"), 0, 1)
-	for _, target := range []string{server + "/healthz", worker + "/shard/healthz"} {
+	for _, target := range []string{server + "/healthz", worker + "/shard/step"} {
 		req, err := http.NewRequest(http.MethodGet, target, nil)
 		if err != nil {
 			t.Fatal(err)

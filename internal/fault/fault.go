@@ -44,8 +44,8 @@ const (
 	EdgeBatchApply
 	// ShardRPC fires on the coordinator side once per shard RPC attempt,
 	// before the request leaves the process. Error actions model a lost or
-	// refused connection (transient — the coordinator retries with backoff
-	// and fails over to a replica), delay actions model a slow network.
+	// refused connection (transient — the coordinator retries with
+	// backoff), delay actions model a slow network.
 	ShardRPC
 	// ShardCrash fires on the worker side once per superstep RPC served.
 	// Error actions make the worker die abruptly mid-superstep (the real
@@ -55,8 +55,7 @@ const (
 	ShardCrash
 	// ShardDelay fires on the worker side once per superstep RPC served;
 	// delay actions stall the superstep so the coordinator's per-RPC
-	// deadline expires (a straggler shard → ShardTimeoutError → retry or
-	// failover).
+	// deadline expires (a straggler shard → ShardTimeoutError → retry).
 	ShardDelay
 	// NumPoints bounds the Point space (array sizing).
 	NumPoints

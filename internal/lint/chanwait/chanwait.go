@@ -4,10 +4,9 @@
 // goroutine parked forever on a channel whose sender died, with no
 // ctx.Done() arm and no bound. The waits that remain unarmed are bounded
 // by construction and say why where they stand: the shard coordinator's
-// heartbeat probes (HeartbeatTimeout), its heartbeat-loop stop and drain
-// notifications (the caller's ctx) and its superstep joins (MaxAttempts
-// deadlined RPCs); sched.Crew's phase join, to which every task reports
-// Done; and the server's admission-slot release.
+// superstep joins (MaxAttempts deadlined RPCs); sched.Crew's phase join,
+// to which every task reports Done; and the server's admission-slot
+// release.
 //
 // Three waiting constructs are checked:
 //

@@ -216,39 +216,27 @@ const (
 	// Shard-tier metrics (internal/shard): the coordinator records the
 	// shard.* family into the registry it is constructed with (scanserver
 	// passes the process-global registry so /metrics surfaces the fleet);
-	// workers record the shard.worker.* family into their own registry,
-	// surfaced by the worker's /shard/healthz body.
+	// workers record the shard.worker.* family into their own registry.
 	//
 	// MetricShardRPCs counts shard RPC attempts issued by the coordinator
-	// (retries and failovers included); MetricShardRPCNs distributes their
-	// wall time, failures included.
+	// (retries included); MetricShardRPCNs distributes their wall time,
+	// failures included.
 	MetricShardRPCs  = "shard.rpcs"
 	MetricShardRPCNs = "shard.rpc_ns"
-	// MetricShardRetries counts RPC attempts beyond each call's first;
-	// MetricShardFailovers counts attempts that moved to a different
-	// replica after a failure.
-	MetricShardRetries   = "shard.retries"
-	MetricShardFailovers = "shard.failovers"
+	// MetricShardRetries counts RPC attempts beyond each call's first.
+	MetricShardRetries = "shard.retries"
 	// Typed-failure counters, one per taxonomy class: per-RPC deadline
 	// expiries (ShardTimeoutError), severed connections or dead processes
 	// (ShardCrashError), and non-200 worker responses (ShardRejectedError).
 	MetricShardTimeouts = "shard.timeouts"
 	MetricShardCrashes  = "shard.crashes"
 	MetricShardRejected = "shard.rejected"
-	// MetricShardHeartbeats counts heartbeat probes sent;
-	// MetricShardRejoins counts replicas that returned to healthy from
-	// suspect or dead; MetricShardSyncs counts epoch catch-up snapshot
-	// pushes to stale or rejoined workers.
-	MetricShardHeartbeats = "shard.heartbeats"
-	MetricShardRejoins    = "shard.rejoins"
-	MetricShardSyncs      = "shard.syncs"
-	// Fleet-state gauges: replicas currently in each health state.
-	MetricShardHealthy = "shard.replicas_healthy"
-	MetricShardSuspect = "shard.replicas_suspect"
-	MetricShardDead    = "shard.replicas_dead"
+	// MetricShardSyncs counts epoch catch-up snapshot pushes to stale or
+	// restarted workers.
+	MetricShardSyncs = "shard.syncs"
 	// MetricShardQueries counts coordinator-run sharded queries;
 	// MetricShardUnavailable counts queries abandoned because some shard
-	// had no replica left to serve a round (surfaced as 503 + Retry-After).
+	// failed every attempt at a round (surfaced as 503 + Retry-After).
 	MetricShardQueries     = "shard.queries"
 	MetricShardUnavailable = "shard.unavailable"
 	// MetricShardCommBytes accumulates real wire bytes moved between the
@@ -257,7 +245,7 @@ const (
 	MetricShardCommBytes = "shard.comm_bytes"
 	// MetricShardRoundNsPrefix + round name ("roles", "cluster",
 	// "members") distributes per-round wall time across the fleet barrier,
-	// retries and failovers included.
+	// retries included.
 	MetricShardRoundNsPrefix = "shard.round_ns."
 
 	// Worker-side shard metrics (recorded into the worker's own registry).

@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"slices"
 	"testing"
-	"time"
 
 	"ppscan"
 	"ppscan/graph"
@@ -23,7 +22,7 @@ import (
 // a test can tell whether the compute backend was reached.
 func newFleet(t *testing.T, g *graph.Graph, shards int) (*shard.Coordinator, *obsv.Registry) {
 	t.Helper()
-	var fleet [][]string
+	var fleet []string
 	for s := 0; s < shards; s++ {
 		w, err := shard.NewWorker(g, shard.WorkerOptions{Shard: s, Shards: shards})
 		if err != nil {
@@ -31,20 +30,13 @@ func newFleet(t *testing.T, g *graph.Graph, shards int) (*shard.Coordinator, *ob
 		}
 		ws := httptest.NewServer(w.Handler())
 		t.Cleanup(ws.Close)
-		fleet = append(fleet, []string{ws.URL})
+		fleet = append(fleet, ws.URL)
 	}
 	reg := obsv.New()
-	coord, err := shard.NewCoordinator(g, shard.Options{
-		Shards: fleet, HeartbeatEvery: -1, MaxAttempts: 2, Registry: reg,
-	})
+	coord, err := shard.NewCoordinator(g, shard.Options{Shards: fleet, MaxAttempts: 2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		coord.Shutdown(ctx)
-	})
 	return coord, reg
 }
 

@@ -256,16 +256,16 @@ func (s *Server) WithAdmission(maxInflight int, requestTimeout time.Duration) *S
 // WithMutations each committed epoch is published
 // to the coordinator, which pushes snapshot syncs so no worker serves a
 // stale view. Shard faults arrive typed and writeResolveError maps them: a
-// shard with no live replica is a 503 + Retry-After naming it, never a
-// hang and never a silent partial result.
+// shard that failed every attempt is a 503 + Retry-After naming it, never
+// a hang and never a silent partial result.
 func (s *Server) WithShards(c *shard.Coordinator) *Server {
 	s.coord = c
 	return s
 }
 
 // shardRetryAfterSecs is the Retry-After hint for shard unavailability:
-// long enough for a worker restart plus a heartbeat period, short enough
-// that clients re-probe a recovered fleet promptly.
+// long enough for a worker restart, short enough that clients re-probe a
+// recovered fleet promptly.
 const shardRetryAfterSecs = 5
 
 // WithSweepMaxSteps bounds the ε grid one GET /cluster/sweep request may
@@ -479,13 +479,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"indexed":   es.ix != nil,
 		"epoch":     es.epoch(),
 		"mutable":   s.store != nil,
-	}
-	if s.coord != nil {
-		// Sharded serving: expose the fleet's per-shard health so
-		// operators see which vertex ranges are degraded. A fleet with a
-		// dead-only shard still answers 200 — the serving process is
-		// healthy; affected queries degrade per-request with 503.
-		resp["shards"] = s.coord.FleetStatus()
 	}
 	writeJSON(w, status, resp)
 }
@@ -715,9 +708,9 @@ func (s *Server) retryAfterSecs() int {
 }
 
 // writeResolveError maps a resolve failure to an HTTP response, first match
-// wins: a shard with no live replica 503 + Retry-After naming the shard
-// (graceful degradation — the query is answerable again once a worker
-// rejoins); a bare shard leaf fault (a path that did not exhaust the
+// wins: a shard that failed every attempt 503 + Retry-After naming the
+// shard (graceful degradation — the query is answerable again once the
+// worker is back); a bare shard leaf fault (a path that did not exhaust the
 // budget) a structured 500 naming shard and round; a contained worker
 // panic (in a build, an extraction or a fleet round) a structured 500;
 // saturation 429 + Retry-After; a deadline expiry 503 + Retry-After (the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +18,7 @@ import (
 // coordinator and the worker test servers for fault injection.
 func shardedServer(t *testing.T, g *graph.Graph, shards int) (*Server, *shard.Coordinator, []*httptest.Server) {
 	t.Helper()
-	var fleet [][]string
+	var fleet []string
 	var wsrvs []*httptest.Server
 	for s := 0; s < shards; s++ {
 		w, err := shard.NewWorker(g, shard.WorkerOptions{Shard: s, Shards: shards})
@@ -29,11 +28,10 @@ func shardedServer(t *testing.T, g *graph.Graph, shards int) (*Server, *shard.Co
 		ws := httptest.NewServer(w.Handler())
 		t.Cleanup(ws.Close)
 		wsrvs = append(wsrvs, ws)
-		fleet = append(fleet, []string{ws.URL})
+		fleet = append(fleet, ws.URL)
 	}
 	coord, err := shard.NewCoordinator(g, shard.Options{
 		Shards:          fleet,
-		HeartbeatEvery:  -1,
 		RetryBackoff:    time.Millisecond,
 		MaxRetryBackoff: 10 * time.Millisecond,
 		MaxAttempts:     2,
@@ -42,11 +40,6 @@ func shardedServer(t *testing.T, g *graph.Graph, shards int) (*Server, *shard.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		coord.Shutdown(ctx)
-	})
 	return New(g, 2).WithShards(coord), coord, wsrvs
 }
 
@@ -70,46 +63,10 @@ func TestShardedClusterMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestShardedHealthzFleetStatus(t *testing.T) {
-	g := testGraph(t)
-	srv, coord, _ := shardedServer(t, g, 2)
-	coord.HeartbeatNow(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	body := get(t, ts, "/healthz", http.StatusOK)
-	shardsAny, ok := body["shards"]
-	if !ok {
-		t.Fatal("/healthz has no shards block in sharded mode")
-	}
-	fs := shardsAny.(map[string]any)
-	if fs["shards"].(float64) != 2 {
-		t.Errorf("fleet shard count %v", fs["shards"])
-	}
-	if fs["replicas_healthy"].(float64) != 2 {
-		t.Errorf("replicas_healthy %v, want 2 after a heartbeat", fs["replicas_healthy"])
-	}
-	rows := fs["fleet"].([]any)
-	if len(rows) != 2 {
-		t.Fatalf("fleet rows %d", len(rows))
-	}
-	r0 := rows[0].(map[string]any)["replicas"].([]any)[0].(map[string]any)
-	for _, k := range []string{"addr", "state", "epoch", "last_heartbeat_ms", "steps"} {
-		if _, ok := r0[k]; !ok {
-			t.Errorf("replica row missing %q: %v", k, r0)
-		}
-	}
-	if r0["state"] != "healthy" {
-		t.Errorf("replica state %v", r0["state"])
-	}
-	if r0["last_heartbeat_ms"].(float64) < 0 {
-		t.Errorf("heartbeat age unrecorded: %v", r0["last_heartbeat_ms"])
-	}
-}
-
 func TestShardedDegradesTo503WhenFleetDead(t *testing.T) {
 	g := testGraph(t)
 	srv, _, wsrvs := shardedServer(t, g, 2)
-	wsrvs[1].Close() // shard 1 has no replica left
+	wsrvs[1].Close() // shard 1's worker is gone
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/cluster?eps=0.6&mu=3")
@@ -135,30 +92,20 @@ func TestShardedDegradesTo503WhenFleetDead(t *testing.T) {
 
 func TestShardedResponseCache(t *testing.T) {
 	g := testGraph(t)
-	srv, coord, _ := shardedServer(t, g, 2)
-	ts := httptest.NewServer(srv.Handler())
+	coord, reg := newFleet(t, g, 2)
+	ts := httptest.NewServer(New(g, 2).WithShards(coord).Handler())
 	defer ts.Close()
-	fleetSteps := func() int64 {
-		coord.HeartbeatNow(context.Background())
-		var n int64
-		for _, s := range coord.FleetStatus().Fleet {
-			for _, r := range s.Replicas {
-				n += r.Steps
-			}
-		}
-		return n
-	}
+	rpcs := reg.Counter(obsv.MetricShardRPCs)
 	get(t, ts, "/cluster?eps=0.6&mu=3", http.StatusOK)
-	before := fleetSteps()
+	before := rpcs.Value()
 	if before == 0 {
-		t.Fatal("first query served no supersteps")
+		t.Fatal("first query sent no round RPCs")
 	}
 	get(t, ts, "/cluster?eps=0.6&mu=3", http.StatusOK)
-	// The second identical request must be a cache hit: no new rounds hit
-	// the workers. Steps only move when rounds are served; heartbeats
-	// don't count as steps.
-	if after := fleetSteps(); after != before {
-		t.Errorf("cached request still hit the fleet: steps %d -> %d", before, after)
+	// The second identical request must be a cache hit: no new rounds go
+	// to the workers.
+	if after := rpcs.Value(); after != before {
+		t.Errorf("cached request still hit the fleet: rpcs %d -> %d", before, after)
 	}
 }
 

@@ -42,9 +42,8 @@ func typedShardError(err error) bool {
 // TestShardChaosSeeds drives the full coordinator/worker stack under
 // seeded randomized shard fault schedules (straggler supersteps, severed
 // connections, RPC failures). The acceptance contract: every query either
-// returns a result bit-identical to the clean reference — the retries,
-// failover and epoch machinery absorbed the faults — or a clean typed
-// shard error. Never a hang, never a wrong answer. After disabling
+// returns a result bit-identical to the clean reference — the retries and
+// epoch machinery absorbed the faults — or a clean typed shard error. Never a hang, never a wrong answer. After disabling
 // injection the same fleet serves correctly, proving no fault poisoned
 // worker or coordinator state.
 func TestShardChaosSeeds(t *testing.T) {
@@ -56,11 +55,10 @@ func TestShardChaosSeeds(t *testing.T) {
 	}
 	want := reference(g, th)
 
-	f := newFleet(t, overHTTP, g, 2, 2)
+	f := newFleet(t, overHTTP, g, 2)
 	c, err := NewCoordinator(g, Options{
 		Shards:          f.addrs,
 		StepTimeout:     150 * time.Millisecond,
-		HeartbeatEvery:  -1,
 		RetryBackoff:    time.Millisecond,
 		MaxRetryBackoff: 20 * time.Millisecond,
 		MaxAttempts:     6,
@@ -97,7 +95,7 @@ func TestShardChaosSeeds(t *testing.T) {
 		t.Fatalf("clean run after chaos wrong: %v", err)
 	}
 	if absorbed == 0 {
-		t.Error("no seed was absorbed; retry/failover never succeeded under faults")
+		t.Error("no seed was absorbed; retry never succeeded under faults")
 	}
 }
 
@@ -208,7 +206,7 @@ func buildScanshard(t *testing.T, dir string) string {
 // coordinator masks the death via retry against the restarted process, or
 // fails with a typed ShardUnavailableError; never a hang, never a partial
 // result, and after the worker restarts the fleet serves bit-identical
-// results again (rejoin).
+// results again: the on-demand sync and the retry bring it back.
 func TestShardChaosProcessKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process chaos skipped in -short")
@@ -234,14 +232,11 @@ func TestShardChaosProcessKill(t *testing.T) {
 	want := reference(g, th)
 
 	c, err := NewCoordinator(g, Options{
-		Shards:           [][]string{{"http://" + w0.addr}, {"http://" + w1.addr}},
-		StepTimeout:      5 * time.Second,
-		HeartbeatTimeout: time.Second,
-		HeartbeatEvery:   -1,
-		RetryBackoff:     50 * time.Millisecond,
-		MaxRetryBackoff:  500 * time.Millisecond,
-		MaxAttempts:      8,
-		Logf:             t.Logf,
+		Shards:          []string{"http://" + w0.addr, "http://" + w1.addr},
+		StepTimeout:     5 * time.Second,
+		RetryBackoff:    50 * time.Millisecond,
+		MaxRetryBackoff: 500 * time.Millisecond,
+		MaxAttempts:     8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,25 +295,19 @@ func TestShardChaosProcessKill(t *testing.T) {
 		t.Fatalf("mid-kill query escaped the taxonomy: %v", qerr)
 	}
 
-	// Rejoin: heartbeat marks the restarted replica healthy and the next
-	// query is bit-identical.
-	c.HeartbeatNow(context.Background())
-	fs := c.FleetStatus()
-	if fs.Healthy != 2 {
-		t.Fatalf("restarted worker did not rejoin: %+v", fs)
-	}
+	// The restarted worker serves the next query bit-identically.
 	got, err = c.Run(context.Background(), "0.5", 3)
 	if err != nil {
-		t.Fatalf("post-rejoin query failed: %v", err)
+		t.Fatalf("post-restart query failed: %v", err)
 	}
 	if err := result.Equal(want, got); err != nil {
-		t.Fatalf("post-rejoin query wrong: %v", err)
+		t.Fatalf("post-restart query wrong: %v", err)
 	}
 }
 
 // TestShardChaosProcessCrashInjection arms the worker process's own
 // -chaos-seed: an injected ShardCrash hard-exits the process with status
-// 3 mid-superstep. With no replica and no restart, the contract degrades
+// 3 mid-superstep. With no restart, the contract degrades
 // cleanly: a typed ShardUnavailableError wrapping a crash, never a hang.
 func TestShardChaosProcessCrashInjection(t *testing.T) {
 	if testing.Short() {
@@ -343,9 +332,8 @@ func TestShardChaosProcessCrashInjection(t *testing.T) {
 	// this stays deterministic.
 	w0 := startShardProc(t, bin, graphPath, 0, 1, "127.0.0.1:0", "-chaos-seed", "14")
 	c, err := NewCoordinator(g, Options{
-		Shards:          [][]string{{"http://" + w0.addr}},
+		Shards:          []string{"http://" + w0.addr},
 		StepTimeout:     2 * time.Second,
-		HeartbeatEvery:  -1,
 		RetryBackoff:    10 * time.Millisecond,
 		MaxRetryBackoff: 50 * time.Millisecond,
 		MaxAttempts:     3,

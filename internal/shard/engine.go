@@ -30,7 +30,7 @@ func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt e
 		p = 4
 	}
 	lb := make(loopback, p)
-	shards := make([][]string, p)
+	shards := make([]string, p)
 	for s := range shards {
 		// One phase goroutine per partition: the partitions are the
 		// parallelism, as in the BSP systems this stands in for.
@@ -40,12 +40,11 @@ func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt e
 		}
 		host := fmt.Sprintf("shard-%d", s)
 		lb[host] = w.Handler()
-		shards[s] = []string{"http://" + host}
+		shards[s] = "http://" + host
 	}
 	c, err := NewCoordinator(g, Options{
-		Shards:         shards,
-		Client:         &http.Client{Transport: lb},
-		HeartbeatEvery: -1,
+		Shards: shards,
+		Client: &http.Client{Transport: lb},
 		// In-process there is no restart to wait for, only injected faults
 		// to ride out: three attempts, 1ms doubling to 50ms.
 		MaxAttempts:     3,

@@ -163,9 +163,9 @@ func TestWorkerPanicAnswers500(t *testing.T) {
 	overBoth(t, func(t *testing.T, transport string) {
 		t.Cleanup(fault.Disable)
 		g := algotest.RandomGraph(59)
-		f := newFleet(t, transport, g, 1, 1)
+		f := newFleet(t, transport, g, 1)
 		c, err := NewCoordinator(g, Options{
-			Shards: f.addrs, Client: f.client, HeartbeatEvery: -1, MaxAttempts: 1,
+			Shards: f.addrs, Client: f.client, MaxAttempts: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

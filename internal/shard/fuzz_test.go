@@ -14,10 +14,12 @@ import (
 // FuzzStepRequest sends arbitrary gob bodies to PathStep on a small-graph
 // worker — shard 1 of 2, so its range does not start at vertex 0. Each
 // must get a 200 whose reply checkReply accepts, or a typed 400 / 409
-// refusal. A 500 fails too: on these inputs it could only be a contained
-// panic. The committed corpus (testdata/fuzz/FuzzStepRequest) holds one
-// valid request per round, roles short of one vertex, and negative,
-// out-of-range and not-their-own-root cluster ids.
+// refusal (a request addressed to another partition is 400 wrong_shard).
+// A 500 fails too: on these inputs it could only be a contained panic. The
+// committed corpus (testdata/fuzz/FuzzStepRequest) holds one valid request
+// per round, roles short of one vertex, and negative, out-of-range and
+// not-their-own-root cluster ids, each addressed to shard 1 of 2 so it
+// reaches the round code.
 func FuzzStepRequest(f *testing.F) {
 	// Three planted communities of 8: at the corpus's (0.5, 4), 16 cores, 8
 	// non-cores and a cluster across the boundary of the two shards.
@@ -35,7 +37,7 @@ func FuzzStepRequest(f *testing.F) {
 		if rec.Code != http.StatusOK {
 			var rej rejection
 			if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil ||
-				!(rec.Code == http.StatusBadRequest && rej.Kind == rejectBadRequest ||
+				!(rec.Code == http.StatusBadRequest && (rej.Kind == rejectBadRequest || rej.Kind == rejectWrongShard) ||
 					rec.Code == http.StatusConflict && rej.Kind == rejectEpoch) {
 				t.Fatalf("answered %d %q", rec.Code, rec.Body.String())
 			}

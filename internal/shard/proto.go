@@ -18,20 +18,20 @@
 //
 // The headline property is shard-level fault containment. Every round
 // request is self-contained — it carries the query parameters, the target
-// epoch, and every cross-shard input (global roles, cluster ids) the round
-// needs — so any replica of a shard can serve any round at any time, a
-// retried round is idempotent, and a worker that crashed and restarted
-// serves the very next round correctly by recomputing its local roles
-// first. That is what makes the paper's BSP phase structure recoverable: a
-// failed shard costs one bounded round re-dispatch, never the whole query.
+// epoch, the partition it is addressed to, and every cross-shard input
+// (global roles, cluster ids) the round needs — so a retried round is
+// idempotent, and a worker that crashed and restarted serves the very next
+// round correctly by recomputing its local roles first. That is what makes
+// the paper's BSP phase structure recoverable: a failed shard costs one
+// bounded round re-dispatch, never the whole query.
 //
 // The failure model (errors.go) types every observable fault — timeout,
 // crash, rejection — and the coordinator reacts with per-RPC deadlines,
-// capped exponential backoff, replica failover, heartbeat-driven health
-// states (healthy → suspect → dead) and epoch catch-up pushes so a
-// rejoined worker never serves a stale snapshot. When a shard has no
-// replica left, the query degrades to a typed ShardUnavailableError that
-// the HTTP server surfaces as a structured 503 + Retry-After.
+// capped exponential backoff against the shard's one address, and an
+// on-demand snapshot sync when a worker answers for another epoch, so a
+// restarted worker never serves a stale snapshot. A shard that fails every
+// attempt degrades the query to a typed ShardUnavailableError that the
+// HTTP server surfaces as a structured 503 + Retry-After.
 package shard
 
 import "ppscan/internal/result"
@@ -43,15 +43,9 @@ const (
 	// PathStep serves one superstep round (POST, gob StepRequest →
 	// gob StepResponse).
 	PathStep = "/shard/step"
-	// PathHealth is the heartbeat probe (GET → JSON Health).
-	PathHealth = "/shard/healthz"
 	// PathSync accepts an epoch catch-up snapshot (POST, 8-byte big-endian
 	// epoch + graph.WriteBinary payload).
 	PathSync = "/shard/sync"
-	// PathDrain notifies the worker that the coordinator is going away
-	// (POST); the worker finishes in-flight supersteps, flips its health
-	// endpoint to draining and refuses new rounds.
-	PathDrain = "/shard/drain"
 )
 
 // Round names, in execution order. RoundRoles runs P1 (the degree
@@ -73,12 +67,18 @@ var Rounds = []string{RoundRoles, RoundCluster, RoundMembers}
 // StepRequest is one superstep round addressed to one shard. Requests are
 // self-contained by design (see the package comment): Roles and
 // CoreClusterID repeat whatever cross-shard state the round needs, so a
-// replica or a freshly restarted worker can serve it without any history.
+// freshly restarted worker can serve it without any history.
 type StepRequest struct {
 	// QueryID identifies the query for logs; correctness never depends on
 	// it (worker state is keyed by epoch and parameters, which determine
 	// every intermediate deterministically).
 	QueryID uint64
+	// Shard and Shards name the partition the coordinator addresses: a
+	// worker started with other -shard / -shards arguments refuses the
+	// round with 400 wrong_shard. Its range could have the right length at
+	// the wrong offset, which no check of the reply would catch.
+	Shard  int
+	Shards int
 	// Epoch is the snapshot generation this round must be computed
 	// against. A worker holding a different epoch rejects with 409 and
 	// the coordinator pushes a sync before retrying.
@@ -122,23 +122,6 @@ type StepResponse struct {
 	Members []result.Membership
 }
 
-// Health is the worker's heartbeat body (JSON on PathHealth). The
-// coordinator cross-checks Shard/Shards/Epoch against its own wiring and
-// treats any mismatch as a routing failure, so a worker launched with the
-// wrong partition arguments can never silently serve wrong ranges.
-type Health struct {
-	Shard    int    `json:"shard"`
-	Shards   int    `json:"shards"`
-	Epoch    uint64 `json:"epoch"`
-	Draining bool   `json:"draining"`
-	// Lo and Hi are the owned vertex range [Lo, Hi).
-	Lo int32 `json:"lo"`
-	Hi int32 `json:"hi"`
-	// Steps counts superstep rounds served since the worker started — a
-	// cheap liveness progress signal for operators.
-	Steps int64 `json:"steps"`
-}
-
 // rejection is the JSON error body a worker answers non-200 with; Kind is
 // machine-readable so the coordinator can react (epoch_mismatch → sync).
 type rejection struct {
@@ -150,9 +133,10 @@ type rejection struct {
 
 // Rejection kinds.
 const (
-	rejectDraining     = "draining"
-	rejectEpoch        = "epoch_mismatch"
-	rejectBadRequest   = "bad_request"
+	rejectEpoch      = "epoch_mismatch"
+	rejectBadRequest = "bad_request"
+	// rejectWrongShard is a request addressed to another partition, or a
+	// reply whose shard or round echo does not match its request.
 	rejectWrongShard   = "wrong_shard"
 	rejectInternalErr  = "internal_error"
 	rejectInjectedHalt = "injected_halt"

@@ -43,93 +43,76 @@ func overBoth(t *testing.T, fn func(t *testing.T, transport string)) {
 	}
 }
 
-// mount exposes handlers[shard][replica] over the transport and returns
-// their addresses, the client that reaches them (nil: the coordinator's
-// default) and, over HTTP, the servers so a test can kill one.
-func mount(t *testing.T, transport string, handlers [][]http.Handler) ([][]string, *http.Client, [][]*httptest.Server) {
+// mount exposes handlers[shard] over the transport and returns their
+// addresses, the client that reaches them (nil: the coordinator's default)
+// and, over HTTP, the servers so a test can kill one.
+func mount(t *testing.T, transport string, handlers []http.Handler) ([]string, *http.Client, []*httptest.Server) {
 	t.Helper()
-	addrs := make([][]string, len(handlers))
+	addrs := make([]string, len(handlers))
 	if transport == overLoopback {
 		lb := loopback{}
-		for s, hs := range handlers {
-			for r, h := range hs {
-				host := fmt.Sprintf("shard-%d-%d", s, r)
-				lb[host] = h
-				addrs[s] = append(addrs[s], "http://"+host)
-			}
+		for s, h := range handlers {
+			host := fmt.Sprintf("shard-%d", s)
+			lb[host] = h
+			addrs[s] = "http://" + host
 		}
 		return addrs, &http.Client{Transport: lb}, nil
 	}
-	servers := make([][]*httptest.Server, len(handlers))
-	for s, hs := range handlers {
-		for _, h := range hs {
-			srv := httptest.NewServer(h)
-			t.Cleanup(srv.Close)
-			servers[s] = append(servers[s], srv)
-			addrs[s] = append(addrs[s], srv.URL)
-		}
+	servers := make([]*httptest.Server, len(handlers))
+	for s, h := range handlers {
+		servers[s] = httptest.NewServer(h)
+		t.Cleanup(servers[s].Close)
+		addrs[s] = servers[s].URL
 	}
 	return addrs, nil, servers
 }
 
-// fleet is an in-process worker fleet for tests: real Workers, one or more
-// replicas per shard, mounted over one of the transports.
+// fleet is an in-process worker fleet for tests: one real Worker per
+// shard, mounted over one of the transports.
 type fleet struct {
-	workers [][]*Worker
-	servers [][]*httptest.Server // overHTTP only
-	addrs   [][]string
+	workers []*Worker
+	servers []*httptest.Server // overHTTP only
+	addrs   []string
 	client  *http.Client
 }
 
-func newFleet(t *testing.T, transport string, g *graph.Graph, shards, replicas int) *fleet {
-	return newFleetWorkers(t, transport, g, shards, replicas, 2)
+func newFleet(t *testing.T, transport string, g *graph.Graph, shards int) *fleet {
+	return newFleetWorkers(t, transport, g, shards, 2)
 }
 
 // newFleetWorkers is newFleet with each worker running its phases on
 // workers goroutines.
-func newFleetWorkers(t *testing.T, transport string, g *graph.Graph, shards, replicas, workers int) *fleet {
+func newFleetWorkers(t *testing.T, transport string, g *graph.Graph, shards, workers int) *fleet {
 	t.Helper()
 	f := &fleet{}
-	handlers := make([][]http.Handler, shards)
-	for s := 0; s < shards; s++ {
-		var ws []*Worker
-		for r := 0; r < replicas; r++ {
-			w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: shards, Workers: workers})
-			if err != nil {
-				t.Fatalf("NewWorker(%d/%d): %v", s, shards, err)
-			}
-			ws = append(ws, w)
-			handlers[s] = append(handlers[s], w.Handler())
+	handlers := make([]http.Handler, shards)
+	for s := range handlers {
+		w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: shards, Workers: workers})
+		if err != nil {
+			t.Fatalf("NewWorker(%d/%d): %v", s, shards, err)
 		}
-		f.workers = append(f.workers, ws)
+		f.workers = append(f.workers, w)
+		handlers[s] = w.Handler()
 	}
 	f.addrs, f.client, f.servers = mount(t, transport, handlers)
 	return f
 }
 
-// coord builds a coordinator over the fleet with fast test timings and no
-// background heartbeat loop (tests drive HeartbeatNow explicitly).
+// coord builds a coordinator over the fleet with fast test timings.
 func (f *fleet) coord(t *testing.T, g *graph.Graph) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(g, Options{
-		Shards:           f.addrs,
-		Client:           f.client,
-		StepTimeout:      5 * time.Second,
-		HeartbeatTimeout: time.Second,
-		HeartbeatEvery:   -1,
-		RetryBackoff:     time.Millisecond,
-		MaxRetryBackoff:  10 * time.Millisecond,
+		Shards:          f.addrs,
+		Client:          f.client,
+		StepTimeout:     5 * time.Second,
+		RetryBackoff:    time.Millisecond,
+		MaxRetryBackoff: 10 * time.Millisecond,
 		// Counter assertions must not see other tests' coordinators.
 		Registry: obsv.New(),
 	})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		c.Shutdown(ctx)
-	})
 	return c
 }
 
@@ -156,7 +139,7 @@ func TestRunMatchesReferenceCorpus(t *testing.T) {
 			}
 			for _, shards := range []int{1, 2, 5} {
 				for _, workers := range []int{1, 2, 7} {
-					f := newFleetWorkers(t, overLoopback, tc.G, shards, 1, workers)
+					f := newFleetWorkers(t, overLoopback, tc.G, shards, workers)
 					c := f.coord(t, tc.G)
 					for _, th := range ths {
 						got, err := c.Run(context.Background(), th.Eps.String(), th.Mu)
@@ -178,7 +161,7 @@ func TestShardCountIndependence(t *testing.T) {
 	th, _ := simdef.NewThreshold("0.4", 3)
 	want := reference(g, th)
 	for _, shards := range []int{1, 2, 4, 7} {
-		f := newFleet(t, overHTTP, g, shards, 1)
+		f := newFleet(t, overHTTP, g, shards)
 		c := f.coord(t, g)
 		got, err := c.Run(context.Background(), "0.4", 3)
 		if err != nil {
@@ -192,7 +175,7 @@ func TestShardCountIndependence(t *testing.T) {
 
 func TestCommBytesMeasured(t *testing.T) {
 	g := algotest.RandomGraph(7)
-	f := newFleet(t, overHTTP, g, 3, 1)
+	f := newFleet(t, overHTTP, g, 3)
 	c := f.coord(t, g)
 	r, err := c.Run(context.Background(), "0.4", 3)
 	if err != nil {
@@ -216,9 +199,9 @@ func TestResponseBodyCapped(t *testing.T) {
 		// A well-formed roles response of at least a byte per role.
 		_ = gob.NewEncoder(rw).Encode(&StepResponse{Round: RoundRoles, Roles: make([]result.Role, 1<<20)})
 	})
-	addrs, client, _ := mount(t, overHTTP, [][]http.Handler{{oversize}})
+	addrs, client, _ := mount(t, overHTTP, []http.Handler{oversize})
 	c, err := NewCoordinator(g, Options{
-		Shards: addrs, Client: client, HeartbeatEvery: -1, MaxAttempts: 1, Registry: obsv.New(),
+		Shards: addrs, Client: client, MaxAttempts: 1, Registry: obsv.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +217,7 @@ func TestResponseBodyCapped(t *testing.T) {
 	// report the CompSim calls it made, which a warm state or another
 	// schedule changes.
 	cold := func(maxRespBytes int64) (*result.Result, error) {
-		fc := newFleetWorkers(t, overHTTP, g, 3, 1, 1).coord(t, g)
+		fc := newFleetWorkers(t, overHTTP, g, 3, 1).coord(t, g)
 		if maxRespBytes > 0 {
 			fc.maxRespBytes = maxRespBytes
 		}
@@ -289,14 +272,13 @@ func testRetryAfterTransportFailure(t *testing.T, transport string) {
 		t.Fatal(err)
 	}
 	proxy := &flakyProxy{backend: w.Handler(), fails: 2}
-	addrs, client, _ := mount(t, transport, [][]http.Handler{{proxy}})
+	addrs, client, _ := mount(t, transport, []http.Handler{proxy})
 	c, err := NewCoordinator(g, Options{
-		Shards:         addrs,
-		Client:         client,
-		HeartbeatEvery: -1,
-		RetryBackoff:   time.Millisecond,
-		MaxAttempts:    4,
-		Registry:       obsv.New(),
+		Shards:       addrs,
+		Client:       client,
+		RetryBackoff: time.Millisecond,
+		MaxAttempts:  4,
+		Registry:     obsv.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,43 +300,14 @@ func testRetryAfterTransportFailure(t *testing.T, transport string) {
 	}
 }
 
-func TestFailoverToReplica(t *testing.T) {
-	g := algotest.RandomGraph(5)
-	f := newFleet(t, overHTTP, g, 2, 2)
-	// Kill shard 1's first replica entirely: every round must fail over.
-	f.servers[1][0].Close()
-	c := f.coord(t, g)
-	th, _ := simdef.NewThreshold("0.4", 3)
-	want := reference(g, th)
-	got, err := c.Run(context.Background(), "0.4", 3)
-	if err != nil {
-		t.Fatalf("failover did not mask a dead replica: %v", err)
-	}
-	if err := result.Equal(want, got); err != nil {
-		t.Fatal(err)
-	}
-	if c.failovers.Value() == 0 {
-		t.Error("no failovers counted despite a dead first replica")
-	}
-	// The dead replica must have been marked: fleet status shows it.
-	fs := c.FleetStatus()
-	if fs.Healthy+fs.Suspect+fs.Dead != 4 {
-		t.Fatalf("fleet status lost replicas: %+v", fs)
-	}
-	if fs.Suspect+fs.Dead == 0 {
-		t.Error("dead replica still reported healthy after failed RPCs")
-	}
-}
-
 func TestUnavailableWhenNoReplicaLeft(t *testing.T) {
 	g := algotest.RandomGraph(9)
-	f := newFleet(t, overHTTP, g, 2, 1)
-	f.servers[1][0].Close()
+	f := newFleet(t, overHTTP, g, 2)
+	f.servers[1].Close()
 	c, err := NewCoordinator(g, Options{
-		Shards:         f.addrs,
-		HeartbeatEvery: -1,
-		RetryBackoff:   time.Millisecond,
-		MaxAttempts:    2,
+		Shards:       f.addrs,
+		RetryBackoff: time.Millisecond,
+		MaxAttempts:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -391,15 +344,14 @@ func testStragglerTimesOut(t *testing.T, transport string) {
 		time.Sleep(200 * time.Millisecond)
 		w.Handler().ServeHTTP(rw, r)
 	})
-	addrs, client, _ := mount(t, transport, [][]http.Handler{{slow}})
+	addrs, client, _ := mount(t, transport, []http.Handler{slow})
 	c, err := NewCoordinator(g, Options{
-		Shards:         addrs,
-		Client:         client,
-		StepTimeout:    30 * time.Millisecond,
-		HeartbeatEvery: -1,
-		RetryBackoff:   time.Millisecond,
-		MaxAttempts:    2,
-		Registry:       obsv.New(),
+		Shards:       addrs,
+		Client:       client,
+		StepTimeout:  30 * time.Millisecond,
+		RetryBackoff: time.Millisecond,
+		MaxAttempts:  2,
+		Registry:     obsv.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +368,7 @@ func testStragglerTimesOut(t *testing.T, transport string) {
 
 func TestEpochCatchUpOnMutation(t *testing.T) {
 	g := algotest.RandomGraph(13)
-	f := newFleet(t, overHTTP, g, 2, 1)
+	f := newFleet(t, overHTTP, g, 2)
 	c := f.coord(t, g)
 	if _, err := c.Run(context.Background(), "0.4", 3); err != nil {
 		t.Fatal(err)
@@ -455,155 +407,50 @@ func TestEpochCatchUpOnMutation(t *testing.T) {
 	if c.syncsC.Value() == 0 {
 		t.Error("no snapshot syncs counted despite an epoch bump")
 	}
-	for s, ws := range f.workers {
-		if e := ws[0].Epoch(); e != g2.Epoch() {
+	for s, w := range f.workers {
+		if e := w.Epoch(); e != g2.Epoch() {
 			t.Errorf("shard %d worker stuck at epoch %d, want %d", s, e, g2.Epoch())
 		}
 	}
 }
 
-func TestHeartbeatSyncsLaggingWorker(t *testing.T) {
-	g := algotest.RandomGraph(17)
-	f := newFleet(t, overHTTP, g, 1, 1)
-	c := f.coord(t, g)
-	st := graph.NewStore(g)
-	delta, err := st.Commit([]graph.EdgeOp{{U: 0, V: g.NumVertices() - 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.New.Epoch() == g.Epoch() {
-		t.Skip("edge already present")
-	}
-	c.Publish(delta.New)
-	c.HeartbeatNow(context.Background())
-	if e := f.workers[0][0].Epoch(); e != delta.New.Epoch() {
-		t.Fatalf("heartbeat did not sync the idle worker: epoch %d, want %d", e, delta.New.Epoch())
-	}
-	fs := c.FleetStatus()
-	if fs.Fleet[0].Replicas[0].Epoch != delta.New.Epoch() {
-		t.Errorf("fleet status epoch stale: %+v", fs.Fleet[0].Replicas[0])
-	}
-	if fs.Fleet[0].Replicas[0].LastHeartbeatMS < 0 {
-		t.Errorf("heartbeat age not recorded")
-	}
-}
-
-func TestHeartbeatDetectsDeathAndRejoin(t *testing.T) {
-	g := algotest.RandomGraph(19)
-	w, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alive := atomic.Bool{}
-	alive.Store(true)
-	gate := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if !alive.Load() {
-			hj := rw.(http.Hijacker)
-			conn, _, err := hj.Hijack()
-			if err == nil {
-				conn.Close()
-			}
-			return
-		}
-		w.Handler().ServeHTTP(rw, r)
-	})
-	srv := httptest.NewServer(gate)
-	defer srv.Close()
-	c, err := NewCoordinator(g, Options{
-		Shards:         [][]string{{srv.URL}},
-		HeartbeatEvery: -1,
-		SuspectAfter:   1,
-		DeadAfter:      2,
-		// The exact-value assertion below needs a registry other tests'
-		// coordinators (which default to obsv.Default()) don't share.
-		Registry: obsv.New(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	c.HeartbeatNow(ctx)
-	if fs := c.FleetStatus(); fs.Healthy != 1 {
-		t.Fatalf("live worker not healthy: %+v", fs)
-	}
-	alive.Store(false)
-	c.HeartbeatNow(ctx)
-	if fs := c.FleetStatus(); fs.Suspect != 1 {
-		t.Fatalf("one failed heartbeat should mark suspect: %+v", fs)
-	}
-	c.HeartbeatNow(ctx)
-	if fs := c.FleetStatus(); fs.Dead != 1 {
-		t.Fatalf("two failed heartbeats should mark dead: %+v", fs)
-	}
-	alive.Store(true)
-	c.HeartbeatNow(ctx)
-	if fs := c.FleetStatus(); fs.Healthy != 1 {
-		t.Fatalf("revived worker did not rejoin: %+v", fs)
-	}
-	if c.rejoins.Value() != 1 {
-		t.Errorf("rejoins counter = %d, want 1", c.rejoins.Value())
-	}
-}
-
+// TestWorkerRejectsWrongPartitionArguments: a worker started as shard 0 of
+// 3 behind a coordinator that has 2 shards answers every round addressed
+// to shard 0 of 2 with 400 wrong_shard. Its reply would echo the right
+// shard id, so only the request's partition catches it: the query fails
+// typed and never returns an answer.
 func TestWorkerRejectsWrongPartitionArguments(t *testing.T) {
-	g := algotest.RandomGraph(23)
-	// Worker believes it is shard 1 of 3; coordinator routes to it as
-	// shard 0 of 1. Heartbeat cross-check must quarantine it.
-	w, err := NewWorker(g, WorkerOptions{Shard: 1, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(w.Handler())
-	defer srv.Close()
-	c, err := NewCoordinator(g, Options{
-		Shards:         [][]string{{srv.URL}},
-		HeartbeatEvery: -1,
-		SuspectAfter:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.HeartbeatNow(context.Background())
-	if fs := c.FleetStatus(); fs.Healthy != 0 {
-		t.Fatalf("mispartitioned worker passed the heartbeat cross-check: %+v", fs)
-	}
-}
-
-func TestDrainingWorkerRefusesRounds(t *testing.T) {
-	g := algotest.RandomGraph(29)
-	f := newFleet(t, overHTTP, g, 1, 1)
-	f.workers[0][0].SetDraining(true)
-	c, err := NewCoordinator(g, Options{
-		Shards:         f.addrs,
-		HeartbeatEvery: -1,
-		RetryBackoff:   time.Millisecond,
-		MaxAttempts:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Run(context.Background(), "0.4", 3)
-	var rej *ShardRejectedError
-	if !errors.As(err, &rej) {
-		t.Fatalf("want ShardRejectedError from a draining worker, got %v", err)
-	}
-	if rej.Kind != "draining" || rej.Status != http.StatusServiceUnavailable {
-		t.Errorf("rejection = %+v, want draining/503", rej)
-	}
-}
-
-func TestShutdownNotifiesWorkers(t *testing.T) {
-	g := algotest.RandomGraph(31)
-	f := newFleet(t, overHTTP, g, 2, 1)
-	c := f.coord(t, g)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	c.Shutdown(ctx)
-	for s, ws := range f.workers {
-		if !ws[0].Health().Draining {
-			t.Errorf("shard %d worker not draining after coordinator shutdown", s)
+	overBoth(t, func(t *testing.T, transport string) {
+		g := algotest.RandomGraph(23)
+		wrong, err := NewWorker(g, WorkerOptions{Shard: 0, Shards: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		right, err := NewWorker(g, WorkerOptions{Shard: 1, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs, client, _ := mount(t, transport, []http.Handler{wrong.Handler(), right.Handler()})
+		c, err := NewCoordinator(g, Options{
+			Shards: addrs, Client: client, RetryBackoff: time.Millisecond, MaxAttempts: 2, Registry: obsv.New(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Run(context.Background(), "0.4", 3)
+		if got != nil {
+			t.Fatal("a mispartitioned worker's fleet returned an answer")
+		}
+		var ua *ShardUnavailableError
+		var rej *ShardRejectedError
+		if !errors.As(err, &ua) || ua.Shard != 0 || !errors.As(err, &rej) ||
+			rej.Kind != rejectWrongShard || rej.Status != http.StatusBadRequest {
+			t.Fatalf("want ShardUnavailableError for shard 0 wrapping a 400 %s rejection, got %v", rejectWrongShard, err)
+		}
+		if wrong.misses.Value() != 0 {
+			t.Error("the mispartitioned worker ran round work before refusing")
+		}
+	})
 }
 
 func TestQueryCancellation(t *testing.T) { overBoth(t, testQueryCancellation) }
@@ -621,12 +468,8 @@ func testQueryCancellation(t *testing.T, transport string) {
 		time.Sleep(50 * time.Millisecond)
 		w.Handler().ServeHTTP(rw, r)
 	})
-	addrs, client, _ := mount(t, transport, [][]http.Handler{{slow}})
-	c, err := NewCoordinator(g, Options{
-		Shards:         addrs,
-		Client:         client,
-		HeartbeatEvery: -1,
-	})
+	addrs, client, _ := mount(t, transport, []http.Handler{slow})
+	c, err := NewCoordinator(g, Options{Shards: addrs, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +501,7 @@ func TestStepContextStopsRolesRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&StepRequest{Round: RoundRoles, Epoch: g.Epoch(), Eps: "0.5", Mu: 4}); err != nil {
+	if err := gob.NewEncoder(&body).Encode(&StepRequest{Shards: 1, Round: RoundRoles, Epoch: g.Epoch(), Eps: "0.5", Mu: 4}); err != nil {
 		t.Fatal(err)
 	}
 	// Every executed task is one worker_task hit; the delay rule makes them
@@ -694,8 +537,8 @@ func TestStepContextStopsRolesRound(t *testing.T) {
 		t.Errorf("cancelled pass ran %d tasks of about %d: it did not stop", end-start, total)
 	}
 
-	addrs, client, _ := mount(t, overLoopback, [][]http.Handler{{w.Handler()}})
-	c, err := NewCoordinator(g, Options{Shards: addrs, Client: client, HeartbeatEvery: -1})
+	addrs, client, _ := mount(t, overLoopback, []http.Handler{w.Handler()})
+	c, err := NewCoordinator(g, Options{Shards: addrs, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,20 +556,20 @@ func TestStepContextStopsRolesRound(t *testing.T) {
 
 func TestWorkerStateCacheSharedAcrossQueries(t *testing.T) {
 	g := algotest.RandomGraph(41)
-	f := newFleet(t, overHTTP, g, 1, 1)
+	f := newFleet(t, overHTTP, g, 1)
 	c := f.coord(t, g)
 	ctx := context.Background()
 	if _, err := c.Run(ctx, "0.4", 3); err != nil {
 		t.Fatal(err)
 	}
-	missesAfterFirst := f.workers[0][0].misses.Value()
+	missesAfterFirst := f.workers[0].misses.Value()
 	if _, err := c.Run(ctx, "0.4", 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.workers[0][0].misses.Value(); got != missesAfterFirst {
+	if got := f.workers[0].misses.Value(); got != missesAfterFirst {
 		t.Errorf("second identical query recomputed state: misses %d -> %d", missesAfterFirst, got)
 	}
-	if f.workers[0][0].hits.Value() == 0 {
+	if f.workers[0].hits.Value() == 0 {
 		t.Error("no state-cache hits counted")
 	}
 }
@@ -737,7 +580,7 @@ func TestWorkerStateCacheSharedAcrossQueries(t *testing.T) {
 // SCAN's.
 func TestConcurrentQueriesShareState(t *testing.T) {
 	g := algotest.RandomGraph(67)
-	c := newFleet(t, overLoopback, g, 2, 1).coord(t, g)
+	c := newFleet(t, overLoopback, g, 2).coord(t, g)
 	var keys []simdef.Threshold
 	for _, eps := range []string{"0.3", "0.4", "0.5"} {
 		for _, mu := range []int32{2, 3} {
@@ -767,7 +610,7 @@ func TestConcurrentQueriesShareState(t *testing.T) {
 
 func TestInjectedShardRPCFaultIsRetried(t *testing.T) {
 	g := algotest.RandomGraph(43)
-	f := newFleet(t, overHTTP, g, 2, 1)
+	f := newFleet(t, overHTTP, g, 2)
 	c := f.coord(t, g)
 	plan := &fault.Plan{Rules: []fault.Rule{
 		{Point: fault.ShardRPC, Action: fault.ActError, Start: 1, Count: 2},
@@ -791,7 +634,7 @@ func TestInjectedWorkerPanicSeversConnection(t *testing.T) {
 
 func testInjectedWorkerPanicSeversConnection(t *testing.T, transport string) {
 	g := algotest.RandomGraph(47)
-	f := newFleet(t, transport, g, 1, 1)
+	f := newFleet(t, transport, g, 1)
 	c := f.coord(t, g)
 	plan := &fault.Plan{Rules: []fault.Rule{
 		{Point: fault.ShardCrash, Action: fault.ActPanic, Start: 1, Count: 1},
@@ -826,8 +669,8 @@ func TestNewCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(g, Options{}); err == nil {
 		t.Error("empty fleet accepted")
 	}
-	if _, err := NewCoordinator(g, Options{Shards: [][]string{{}}}); err == nil {
-		t.Error("replica-less shard accepted")
+	if _, err := NewCoordinator(g, Options{Shards: []string{""}}); err == nil {
+		t.Error("address-less shard accepted")
 	}
 }
 
@@ -859,18 +702,21 @@ func TestErrorStringsNameBlastRadius(t *testing.T) {
 	}
 }
 
-// tamper forwards to a real worker and rewrites its 200 reply to one round.
+// tamper forwards to a real worker and rewrites its 200 replies to one
+// round: the first left of them, or every one when left is nil.
 type tamper struct {
 	backend http.Handler
 	round   string
 	edit    func(*StepResponse)
+	left    *atomic.Int32
 }
 
 func (tp tamper) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	rec := httptest.NewRecorder()
 	tp.backend.ServeHTTP(rec, r)
 	var resp StepResponse
-	if rec.Code != http.StatusOK || gob.NewDecoder(bytes.NewReader(rec.Body.Bytes())).Decode(&resp) != nil || resp.Round != tp.round {
+	if rec.Code != http.StatusOK || gob.NewDecoder(bytes.NewReader(rec.Body.Bytes())).Decode(&resp) != nil || resp.Round != tp.round ||
+		tp.left != nil && tp.left.Add(-1) < 0 {
 		rw.WriteHeader(rec.Code)
 		_, _ = rw.Write(rec.Body.Bytes())
 		return
@@ -880,9 +726,10 @@ func (tp tamper) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 }
 
 // TestCoordinatorChecksReplies: a 200 reply that does not fit its round is
-// a bad_response rejection, so the replica fails over to an honest one and
-// a shard with no honest replica is unavailable — never a panic, a vertex
-// left RoleUnknown or a membership outside the graph.
+// a bad_response rejection, so a worker that tampers once is absorbed by
+// the retry and one that always tampers leaves its shard unavailable —
+// never a panic, a vertex left RoleUnknown or a membership outside the
+// graph.
 func TestCoordinatorChecksReplies(t *testing.T) { overBoth(t, testCoordinatorChecksReplies) }
 
 func testCoordinatorChecksReplies(t *testing.T, transport string) {
@@ -907,32 +754,36 @@ func testCoordinatorChecksReplies(t *testing.T, transport string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bad := tamper{backend: honest.Handler(), round: tc.round, edit: tc.edit}
-			for _, reps := range [][]http.Handler{{bad, honest.Handler()}, {bad}} {
-				addrs, client, _ := mount(t, transport, [][]http.Handler{reps, {other.Handler()}})
+			for _, once := range []bool{true, false} {
+				bad := tamper{backend: honest.Handler(), round: tc.round, edit: tc.edit}
+				if once {
+					bad.left = new(atomic.Int32)
+					bad.left.Store(1)
+				}
+				addrs, client, _ := mount(t, transport, []http.Handler{bad, other.Handler()})
 				c, err := NewCoordinator(g, Options{
-					Shards: addrs, Client: client, HeartbeatEvery: -1,
+					Shards: addrs, Client: client,
 					RetryBackoff: time.Millisecond, MaxAttempts: 2, Registry: obsv.New(),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, err := c.Run(context.Background(), "0.4", 2)
-				if len(reps) > 1 {
+				if once {
 					if err != nil {
-						t.Fatalf("failover past a tampered reply: %v", err)
+						t.Fatalf("retry past a tampered reply: %v", err)
 					}
 					if err := result.Equal(want, got); err != nil {
 						t.Fatal(err)
 					}
-					if c.failovers.Value() == 0 {
-						t.Error("no failover counted")
+					if c.retriesC.Value() == 0 {
+						t.Error("no retry counted")
 					}
 					continue
 				}
 				var rej *ShardRejectedError
 				if !errors.As(err, &rej) || rej.Kind != rejectBadResponse || rej.Round != tc.round {
-					t.Fatalf("only a tampering replica: want ShardRejectedError %s in round %s, got %v", rejectBadResponse, tc.round, err)
+					t.Fatalf("an always-tampering worker: want ShardRejectedError %s in round %s, got %v", rejectBadResponse, tc.round, err)
 				}
 			}
 		})
@@ -955,7 +806,7 @@ func TestWorkerChecksRequests(t *testing.T) {
 		badRoles[i] = result.RoleNonCore
 	}
 	badRoles[n-1] = 7
-	base := StepRequest{Epoch: g.Epoch(), Eps: "0.4", Mu: 2}
+	base := StepRequest{Shards: 1, Epoch: g.Epoch(), Eps: "0.4", Mu: 2}
 	reqs := map[string]StepRequest{}
 	cores := make([]result.Role, n)
 	for i := range cores {

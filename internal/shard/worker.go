@@ -54,7 +54,7 @@ type WorkerOptions struct {
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// Registry receives the shard.worker.* metrics. nil means a private
-	// registry (surfaced only through Health).
+	// registry.
 	Registry *obsv.Registry
 	// CrashHook runs when an injected ShardCrash error-action fires
 	// mid-superstep. cmd/scanshard hard-exits the process; the default
@@ -130,9 +130,6 @@ type Worker struct {
 	opt  WorkerOptions
 	snap atomic.Pointer[snapState]
 
-	draining atomic.Bool
-	stepsN   atomic.Int64
-
 	mu     sync.Mutex
 	states map[stateKey]*queryState
 	order  []stateKey // FIFO eviction order
@@ -203,49 +200,19 @@ func (w *Worker) install(g *graph.Graph, epoch uint64) {
 // Epoch returns the epoch of the published snapshot.
 func (w *Worker) Epoch() uint64 { return w.snap.Load().epoch }
 
-// SetDraining flips the drain flag: health answers 503 and new step
-// rounds are rejected, while rounds already executing finish normally.
-func (w *Worker) SetDraining(v bool) { w.draining.Store(v) }
+// Range returns the vertex range [lo, hi) the worker owns in the published
+// snapshot.
+func (w *Worker) Range() (lo, hi int32) {
+	sn := w.snap.Load()
+	return sn.lo, sn.hi
+}
 
-// Handler returns the worker's HTTP surface (PathStep, PathHealth,
-// PathSync, PathDrain).
+// Handler returns the worker's HTTP surface (PathStep, PathSync).
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathStep, w.handleStep)
-	mux.HandleFunc(PathHealth, w.handleHealth)
 	mux.HandleFunc(PathSync, w.handleSync)
-	mux.HandleFunc(PathDrain, w.handleDrain)
 	return mux
-}
-
-// Health reports the worker's heartbeat body.
-func (w *Worker) Health() Health {
-	sn := w.snap.Load()
-	return Health{
-		Shard:    w.opt.Shard,
-		Shards:   w.opt.Shards,
-		Epoch:    sn.epoch,
-		Draining: w.draining.Load(),
-		Lo:       sn.lo,
-		Hi:       sn.hi,
-		Steps:    w.stepsN.Load(),
-	}
-}
-
-func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
-	h := w.Health()
-	status := http.StatusOK
-	if h.Draining {
-		status = http.StatusServiceUnavailable
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	_ = json.NewEncoder(rw).Encode(h)
-}
-
-func (w *Worker) handleDrain(rw http.ResponseWriter, r *http.Request) {
-	w.SetDraining(true)
-	rw.WriteHeader(http.StatusOK)
 }
 
 // handleSync accepts an epoch catch-up snapshot: 8 bytes of big-endian
@@ -306,9 +273,9 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		reject(rw, http.StatusBadRequest, rejectBadRequest, fmt.Errorf("decoding step: %w", err), 0)
 		return
 	}
-	if w.draining.Load() {
-		reject(rw, http.StatusServiceUnavailable, rejectDraining,
-			fmt.Errorf("worker draining, not accepting rounds"), 0)
+	if req.Shard != w.opt.Shard || req.Shards != w.opt.Shards {
+		reject(rw, http.StatusBadRequest, rejectWrongShard, fmt.Errorf("round addressed to shard %d of %d, worker is shard %d of %d",
+			req.Shard, req.Shards, w.opt.Shard, w.opt.Shards), 0)
 		return
 	}
 	sn := w.snap.Load()
@@ -340,7 +307,6 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		reject(rw, status, kind, err, 0)
 		return
 	}
-	w.stepsN.Add(1)
 	w.steps.Inc()
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	wrote = true
