@@ -13,7 +13,7 @@ GOVULNCHECK_VERSION  ?= v1.1.4
 STATICCHECK          := $(TOOLS_BIN)/staticcheck
 GOVULNCHECK          := $(TOOLS_BIN)/govulncheck
 
-.PHONY: build test vet race cores check staticcheck govulncheck scanlint bench bench-obsv bench-alloc alloc-gate chaos docs-check loc benchmark-test
+.PHONY: build test vet race cores check staticcheck govulncheck scanlint bench bench-alloc alloc-gate chaos docs-check loc benchmark-test
 
 build:
 	$(GO) build ./...
@@ -95,7 +95,8 @@ chaos:
 # OPERATIONS.md, every HTTP route the server registers must appear in the
 # README API reference, and the OPERATIONS.md §9 analyzer table must match
 # `scanlint -list` (both name directions plus each suppression directive),
-# and README, DESIGN, OPERATIONS, EXPERIMENTS and benchmark/README.md must
+# the OPERATIONS.md metric tables must match the constants of
+# internal/obsv/names.go (both directions), and README, DESIGN, OPERATIONS, EXPERIMENTS and benchmark/README.md must
 # stay within their committed line ceilings (docscheck's lineCeilings).
 # Built from source like scanlint — no network.
 docs-check:
@@ -134,7 +135,7 @@ loc:
 	           printf "%-36s %9d %9d\n", "server + shard + cmd/scanshard", fs, ft }'
 
 # The pre-merge gate: static checks, the full suite under the race
-# detector (the parallel phases, scheduler telemetry and HTTP middleware
+# detector (the parallel phases, scheduler crew and HTTP middleware
 # are all exercised concurrently), the scheduler's dependants at one, two
 # and four cores, the chaos/fault-containment suite, the non-race
 # allocation gate, and the benchmark module (outside `./...`, and an
@@ -147,8 +148,8 @@ check: vet scanlint staticcheck govulncheck docs-check benchmark-test
 	$(MAKE) alloc-gate
 
 # Benchmark sweep: the root package's facade benchmarks (one round-trip per
-# algorithm, index build vs query, observability overhead — no table,
-# figure or ablation: cmd/experiments is their only producer) plus the
+# algorithm, index build vs query — no table, figure or ablation:
+# cmd/experiments is their only producer) plus the
 # engine- and server-level serving benchmarks, with -count 6 so the outputs
 # feed benchstat:
 #   make bench > old.txt ; <edit> ; make bench > new.txt
@@ -160,11 +161,6 @@ bench:
 	$(GO) test -bench . -benchtime 10x -count 6 .
 	$(GO) test -run xxx -bench . -benchtime 20x -count 6 ./internal/engine/
 	$(GO) test -run xxx -bench . -benchtime 20x -count 6 ./internal/server/
-
-# Instrumented-vs-nop registry overhead on the core engine (<2% target;
-# numbers recorded in EXPERIMENTS.md).
-bench-obsv:
-	$(GO) test -run xxx -bench BenchmarkObsvOverhead -benchtime 30x -count 3 .
 
 # Pooled-workspace serving benchmarks: warm (steady-state) vs cold runs of
 # the engine, plus the end-to-end server resolve path. allocs/op is the

@@ -1,23 +1,16 @@
-// Benchmarks of the facade on a fixed workload: one per algorithm, the
-// GS*-Index build/query trade-off, and the observability overhead of the
-// core engine. No table, figure or ablation of the paper's evaluation is
-// benchmarked here — `go run ./cmd/experiments -run <id>` is the only
-// producer of those. Kernel-level micro benchmarks live in
+// Benchmarks of the facade on a fixed workload: one per algorithm and the
+// GS*-Index build/query trade-off. No table, figure or ablation of the
+// paper's evaluation is benchmarked here — `go run ./cmd/experiments -run
+// <id>` is the only producer of those. Kernel-level micro benchmarks live in
 // internal/intersect.
 package ppscan_test
 
 import (
-	"context"
 	"testing"
 
 	"ppscan"
 	"ppscan/graph"
-	"ppscan/internal/core"
 	"ppscan/internal/dataset"
-	"ppscan/internal/engine"
-	"ppscan/internal/intersect"
-	"ppscan/internal/obsv"
-	"ppscan/internal/simdef"
 )
 
 // --- Per-algorithm benches on a fixed workload ---------------------------
@@ -62,38 +55,6 @@ func BenchmarkIndexBuildVsQuery(b *testing.B) {
 			if _, err := ix.Query("0.2", 5); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// --- Observability overhead ----------------------------------------------
-
-func mustTh(b *testing.B, eps string, mu int32) simdef.Threshold {
-	b.Helper()
-	th, err := simdef.NewThreshold(eps, mu)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return th
-}
-
-// Observability overhead: a fully instrumented run (live registry —
-// per-worker kernel telemetry, scheduler histograms, registry publication)
-// vs a nop registry that disables collection. The instrumented/baseline
-// ratio is the number quoted in EXPERIMENTS.md; the design target is < 2%.
-func BenchmarkObsvOverhead(b *testing.B) {
-	g := benchGraph(b)
-	th := mustTh(b, "0.2", 5)
-	b.Run("instrumented", func(b *testing.B) {
-		reg := obsv.New()
-		for i := 0; i < b.N; i++ {
-			core.Run(context.Background(), g, th, engine.Options{Kernel: intersect.PivotBlock16, Registry: reg}, nil)
-		}
-	})
-	b.Run("nop", func(b *testing.B) {
-		reg := obsv.NewNop()
-		for i := 0; i < b.N; i++ {
-			core.Run(context.Background(), g, th, engine.Options{Kernel: intersect.PivotBlock16, Registry: reg}, nil)
 		}
 	})
 }

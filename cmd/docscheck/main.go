@@ -18,14 +18,22 @@
 // OPERATIONS.md §9 analyzer table is additionally diffed against that
 // binary's -list output: every analyzer needs a table row, every row must
 // name a live analyzer, and each row's suppression directive must match
-// the code. Each document in lineCeilings, read from the directory that
-// holds OPERATIONS.md, must be no longer than its committed ceiling.
+// the code. The metric catalogue (every "| Name | Type | Meaning |" table
+// in OPERATIONS.md) is diffed against the string constants of
+// internal/obsv/names.go in both directions: every constant needs a row
+// (a prefix constant written "prefix.<what>"), and every name in a row's
+// first column must be a constant. Each document in lineCeilings and
+// names.go are read relative to the directory that holds OPERATIONS.md;
+// each document must be no longer than its committed ceiling.
 // Exit status: 0 = docs match, 1 = drift (each missing item is listed),
 // 2 = usage or I/O error.
 package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"os/exec"
@@ -33,6 +41,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ppscan/internal/server"
@@ -118,6 +127,21 @@ func realMain(args []string, w io.Writer) int {
 			drift++
 		}
 	}
+	namesPath := filepath.Join(filepath.Dir(opsPath), "internal", "obsv", "names.go")
+	names, err := os.ReadFile(namesPath)
+	if err != nil {
+		fmt.Fprintf(w, "docscheck: %v\n", err)
+		return 2
+	}
+	consts, err := metricConstants(string(names))
+	if err != nil {
+		fmt.Fprintf(w, "docscheck: %s: %v\n", namesPath, err)
+		return 2
+	}
+	for _, d := range checkMetrics(string(ops), consts) {
+		fmt.Fprintf(w, "docscheck: %s (%s metric tables vs %s)\n", d, opsPath, namesPath)
+		drift++
+	}
 	docs := map[string]string{}
 	for name := range lineCeilings {
 		b, err := os.ReadFile(filepath.Join(filepath.Dir(opsPath), name))
@@ -144,10 +168,10 @@ func realMain(args []string, w io.Writer) int {
 // change that must add lines raises the ceiling in the same diff and says
 // why in CHANGES.md.
 var lineCeilings = map[string]int{
-	"README.md":           531,
-	"DESIGN.md":           765,
-	"OPERATIONS.md":       866,
-	"EXPERIMENTS.md":      386,
+	"README.md":           524,
+	"DESIGN.md":           763,
+	"OPERATIONS.md":       826,
+	"EXPERIMENTS.md":      368,
 	"benchmark/README.md": 312,
 }
 
@@ -165,6 +189,100 @@ func overCeiling(docs map[string]string, ceilings map[string]int) []string {
 			drift = append(drift, fmt.Sprintf("%s has %d lines, over its ceiling of %d", name, n, ceilings[name]))
 		}
 	}
+	return drift
+}
+
+// metricConstants returns the value of every string constant declared in
+// src, the source of internal/obsv/names.go.
+func metricConstants(src string) ([]string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), "names.go", src, 0)
+	if err != nil {
+		return nil, err
+	}
+	var values []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, v := range spec.(*ast.ValueSpec).Values {
+				if lit, ok := v.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					s, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						return nil, err
+					}
+					values = append(values, s)
+				}
+			}
+		}
+	}
+	if len(values) == 0 {
+		return nil, fmt.Errorf("no string constants")
+	}
+	return values, nil
+}
+
+// backtickRe matches one backticked span.
+var backtickRe = regexp.MustCompile("`([^`]+)`")
+
+// metricRowNames returns the backticked names in the first cell of every
+// metric-table row: the rows of each table whose header row starts
+// "| Name |", up to the first line that is not a table row.
+func metricRowNames(doc string) []string {
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(line, "| Name |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable && !strings.HasPrefix(line, "|---"):
+			cell := strings.SplitN(line, "|", 3)[1]
+			for _, m := range backtickRe.FindAllStringSubmatch(cell, -1) {
+				names = append(names, m[1])
+			}
+		}
+	}
+	return names
+}
+
+// placeholderRe matches a prefix family written with its varying part as
+// a placeholder: "http.requests.<endpoint>".
+var placeholderRe = regexp.MustCompile(`^(.+\.)<[^<>]+>$`)
+
+// checkMetrics diffs the metric tables of doc against the names.go
+// constant values, in both directions. A constant ending in "." is a
+// prefix and needs a "prefix<…>" row; every other constant needs a row of
+// its own; every row name must be one of the two shapes.
+func checkMetrics(doc string, consts []string) []string {
+	known := map[string]bool{}
+	for _, c := range consts {
+		known[c] = true
+	}
+	rows := map[string]bool{}
+	var drift []string
+	for _, name := range metricRowNames(doc) {
+		key := name
+		if m := placeholderRe.FindStringSubmatch(name); m != nil {
+			key = m[1]
+		}
+		rows[key] = true
+		if !known[key] || (key != name) != strings.HasSuffix(key, ".") {
+			drift = append(drift, fmt.Sprintf("metric row `%s` is not a names.go constant", name))
+		}
+	}
+	for _, c := range consts {
+		if !rows[c] {
+			shape := "`" + c + "`"
+			if strings.HasSuffix(c, ".") {
+				shape = "`" + c + "<…>`"
+			}
+			drift = append(drift, fmt.Sprintf("metric %s has no table row", shape))
+		}
+	}
+	sort.Strings(drift)
 	return drift
 }
 

@@ -126,3 +126,59 @@ func TestOverCeiling(t *testing.T) {
 		t.Fatalf("documents at their ceilings reported: %v", got)
 	}
 }
+
+const sampleNames = `package obsv
+
+const (
+	MetricCacheHits = "cache.hits"
+	// MetricHTTPRequestsPrefix + endpoint.
+	MetricHTTPRequestsPrefix = "http.requests."
+	MetricServerPanics       = "server.panics"
+)
+`
+
+func TestCheckMetrics(t *testing.T) {
+	consts, err := metricConstants(sampleNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"cache.hits", "http.requests.", "server.panics"}; !reflect.DeepEqual(consts, want) {
+		t.Fatalf("constants = %q, want %q", consts, want)
+	}
+	const table = "| Name | Type | Meaning |\n|---|---|---|\n"
+	full := table +
+		"| `cache.hits` | counter | See `server.panics` in prose: only the first cell names rows. |\n" +
+		"| `http.requests.<endpoint>` | counter | Requests per endpoint. |\n" +
+		"| `server.panics` | counter | Contained panics. |\n" +
+		"\nProse after the table: `retired.metric` is not a row.\n"
+	if d := checkMetrics(full, consts); len(d) != 0 {
+		t.Fatalf("matching catalogue drifted: %q", d)
+	}
+
+	t.Run("constant without a row", func(t *testing.T) {
+		doc := table + "| `cache.hits` | counter | … |\n| `server.panics` | counter | … |\n"
+		want := []string{"metric `http.requests.<…>` has no table row"}
+		if d := checkMetrics(doc, consts); !reflect.DeepEqual(d, want) {
+			t.Fatalf("drift = %q, want %q", d, want)
+		}
+	})
+	t.Run("row without a constant", func(t *testing.T) {
+		doc := full + "\n" + table +
+			"| `core.runs` | counter | A deleted metric. |\n" +
+			"| `cache.hits` / `.misses` | counter | A grouped row that names no whole second metric. |\n" +
+			"| `http.requests.` | counter | A prefix without its placeholder. |\n" +
+			"| `server.panics.<kind>` | counter | A placeholder on a whole name. |\n"
+		want := []string{
+			"metric row `.misses` is not a names.go constant",
+			"metric row `core.runs` is not a names.go constant",
+			"metric row `http.requests.` is not a names.go constant",
+			"metric row `server.panics.<kind>` is not a names.go constant",
+		}
+		if d := checkMetrics(doc, consts); !reflect.DeepEqual(d, want) {
+			t.Fatalf("drift = %q, want %q", d, want)
+		}
+	})
+	if _, err := metricConstants("package obsv\n"); err == nil {
+		t.Error("a names.go without constants parsed")
+	}
+}

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,7 +20,6 @@ import (
 	"time"
 
 	"ppscan/internal/expharness"
-	"ppscan/internal/obsv"
 )
 
 func main() {
@@ -33,7 +31,6 @@ func main() {
 		repeats = flag.Int("repeats", 1, "repetitions per measurement (best time reported, as in the paper)")
 		quick   = flag.Bool("quick", false, "reduced parameter grids (smoke test)")
 		csvDir  = flag.String("csv", "", "also write machine-readable <id>.csv files into this directory")
-		metrics = flag.Bool("metrics", false, "after the runs, print the accumulated metrics-registry snapshot as JSON")
 	)
 	flag.Parse()
 
@@ -74,19 +71,6 @@ func main() {
 		cfg.Workers, cfg.Scale, cfg.Repeats, cfg.Quick)
 	for _, e := range exps {
 		runOne(e, cfg, *csvDir)
-	}
-	if *metrics {
-		dumpMetrics()
-	}
-}
-
-// dumpMetrics prints the process-global registry (phase, kernel and
-// scheduler totals accumulated across every run performed) as JSON.
-func dumpMetrics() {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(obsv.Default().Snapshot()); err != nil {
-		fatal(err)
 	}
 }
 

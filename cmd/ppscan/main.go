@@ -7,12 +7,11 @@
 //	ppscan -graph web.txt -eps 0.6 -mu 5
 //	ppscan -dataset orkut-sim -algo pscan -eps 0.2 -mu 5 -stats
 //	ppscan -dataset ROLL-d40 -eps 0.5 -mu 5 -workers 8 -kernel pivot-block16 -clusters
-//	ppscan -dataset ROLL-d40 -eps 0.5 -mu 5 -trace run.json -stats-json stats.json
+//	ppscan -dataset ROLL-d40 -eps 0.5 -mu 5 -trace run.json -json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +24,6 @@ import (
 	"ppscan/internal/dataset"
 	"ppscan/internal/fault"
 	"ppscan/internal/intersect"
-	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 )
 
@@ -46,7 +44,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "print a machine-readable JSON run report instead of the summary line")
 		quiet     = flag.Bool("q", false, "suppress the summary line")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (algo ppscan/ppscan-no only); open in chrome://tracing or ui.perfetto.dev")
-		statsJSON = flag.String("stats-json", "", "write the run report plus a metrics-registry snapshot as JSON to this file")
 		chaosSeed = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off); the run then exercises the containment paths — worker panics become structured errors, transient superstep faults retry")
 	)
 	flag.Parse()
@@ -116,11 +113,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *statsJSON != "" {
-		if err := writeStatsJSON(*statsJSON, g, res); err != nil {
-			fatal(err)
-		}
-	}
 }
 
 // runTraced runs the selected algorithm with a span tracer threaded
@@ -152,27 +144,6 @@ func runTraced(g *graph.Graph, algo, eps string, mu, workers int, kernel, path s
 		return nil, err
 	}
 	return res, f.Close()
-}
-
-// writeStatsJSON dumps the run report together with the process-global
-// metrics registry (phase, kernel and scheduler telemetry accumulated by
-// the run) as one JSON document.
-func writeStatsJSON(path string, g *graph.Graph, res *ppscan.Result) error {
-	out := map[string]any{
-		"report":  result.NewRunReport(g, res),
-		"metrics": obsv.Default().Snapshot(),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runAll executes every algorithm on the same input, prints a comparison

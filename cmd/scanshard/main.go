@@ -41,7 +41,6 @@ import (
 	"ppscan/internal/dataset"
 	"ppscan/internal/fault"
 	"ppscan/internal/intersect"
-	"ppscan/internal/obsv"
 	"ppscan/internal/shard"
 )
 
@@ -96,11 +95,10 @@ func main() {
 	}
 
 	w, err := shard.NewWorker(g, shard.WorkerOptions{
-		Shard:    *shardID,
-		Shards:   *shards,
-		Workers:  *workers,
-		Kernel:   intersect.BlockMerge,
-		Registry: obsv.Default(),
+		Shard:   *shardID,
+		Shards:  *shards,
+		Workers: *workers,
+		Kernel:  intersect.BlockMerge,
 		// An injected ShardCrash is process death, not an error response:
 		// exit abruptly so the coordinator sees a severed connection and
 		// exercises its crash-containment path end to end.

@@ -97,10 +97,8 @@ func TestPpscanTraceAndStatsJSON(t *testing.T) {
 	ppscanBin := build(t, dir, "ppscan")
 
 	tracePath := filepath.Join(dir, "run.trace.json")
-	statsPath := filepath.Join(dir, "run.stats.json")
-	run(t, ppscanBin, "-dataset", "ROLL-d40", "-scale", "0.02",
-		"-eps", "0.3", "-mu", "3", "-q",
-		"-trace", tracePath, "-stats-json", statsPath)
+	out := run(t, ppscanBin, "-dataset", "ROLL-d40", "-scale", "0.02",
+		"-eps", "0.3", "-mu", "3", "-trace", tracePath, "-json")
 
 	traceData, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -115,17 +113,15 @@ func TestPpscanTraceAndStatsJSON(t *testing.T) {
 		t.Errorf("trace file has no traceEvents: %v", trace["traceEvents"])
 	}
 
-	statsData, err := os.ReadFile(statsPath)
-	if err != nil {
-		t.Fatalf("-stats-json wrote no file: %v", err)
+	// The -json report is the run's one record: Figure 6's stage times,
+	// Figure 4's per-stage CompSim calls and Figure 5's kernel work.
+	var report map[string]any
+	if err := json.Unmarshal([]byte(out), &report); err != nil {
+		t.Fatalf("-json report is not valid JSON: %v\n%s", err, out)
 	}
-	var stats map[string]any
-	if err := json.Unmarshal(statsData, &stats); err != nil {
-		t.Fatalf("stats file is not valid JSON: %v", err)
-	}
-	for _, field := range []string{"report", "metrics"} {
-		if _, ok := stats[field]; !ok {
-			t.Errorf("stats JSON missing %q: %s", field, statsData)
+	for _, field := range []string{"phaseNs", "compSimByPhase", "kernel"} {
+		if _, ok := report[field]; !ok {
+			t.Errorf("-json report missing %q: %s", field, out)
 		}
 	}
 }

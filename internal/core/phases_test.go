@@ -14,7 +14,6 @@ import (
 	"ppscan/internal/engine"
 	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
-	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
@@ -29,7 +28,7 @@ func newState(t *testing.T, g *graph.Graph, eps string, mu int32, workers int) *
 	ws := engine.NewWorkspace()
 	t.Cleanup(ws.Close)
 	opt := engine.Options{Kernel: intersect.PivotBlock16, Workers: workers,
-		DegreeThreshold: sched.DefaultDegreeThreshold, Registry: obsv.Default()}
+		DegreeThreshold: sched.DefaultDegreeThreshold}
 	s := ws.Scratch(scratchKey, newCoreState).(*state)
 	s.reset(context.Background(), g, th, opt, ws)
 	if err := s.loadArcs(); err != nil {

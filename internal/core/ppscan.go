@@ -77,8 +77,8 @@ const scratchKey = "core"
 // Algorithm 6 row selects PivotBlock16 by name; ppSCAN-NO is ppSCAN on
 // pSCAN's MergeEarly).
 // opt.Workers < 1 means GOMAXPROCS, opt.DegreeThreshold < 1 Algorithm 5's
-// default (32768), a nil opt.Registry obsv.Default() — pass obsv.NewNop()
-// to turn collection off entirely.
+// default (32768). Every run fills result.Stats, kernel telemetry
+// included; a non-nil opt.Tracer also records the phase and task spans.
 //
 // The run checks for cancellation at every phase barrier and — through the
 // degree-based scheduler — between task batches inside each phase, so a
@@ -107,9 +107,6 @@ func Run(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Op
 	}
 	if opt.DegreeThreshold < 1 {
 		opt.DegreeThreshold = sched.DefaultDegreeThreshold
-	}
-	if opt.Registry == nil {
-		opt.Registry = obsv.Default()
 	}
 	s := ws.Scratch(scratchKey, newCoreState).(*state)
 	s.reset(ctx, g, th, opt, ws)
@@ -230,43 +227,29 @@ func Run(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt engine.Op
 		NonCore:       nonCore,
 	}
 	res.Normalize()
-	// Fold the per-worker instrumentation blocks into one aggregate; both
-	// result.Stats and the registry are read-outs of this single source.
+	res.Stats = s.stats()
+	return res, nil
+}
+
+// stats folds the per-worker instrumentation blocks into the run's one
+// record, complete or partial.
+func (s *state) stats() result.Stats {
 	calls, byPhase, kern := s.fold()
-	total := time.Since(s.start)
-	if s.pub != nil {
-		s.pub.publish(s.phaseTimes, calls, byPhase, &kern)
-	}
-	res.Stats = result.Stats{
+	return result.Stats{
 		Algorithm:      "ppSCAN",
-		Workers:        opt.Workers,
+		Workers:        s.opt.Workers,
 		CompSimCalls:   calls,
 		CompSimByPhase: byPhase,
 		Kernel:         kern,
 		PhaseTimes:     s.phaseTimes,
-		Total:          total,
+		Total:          time.Since(s.start),
 	}
-	return res, nil
 }
 
-// abort folds the per-worker counters into a partial Stats and wraps them
-// in a PartialError naming the phase that observed cancellation.
+// abort wraps the partial Stats in a PartialError naming the phase that
+// observed cancellation.
 func (s *state) abort(phase string) (*result.Result, error) {
-	calls, byPhase, kern := s.fold()
-	s.reg.Counter(obsv.MetricCoreCancels).Inc()
-	return nil, &result.PartialError{
-		Stats: result.Stats{
-			Algorithm:      "ppSCAN",
-			Workers:        s.opt.Workers,
-			CompSimCalls:   calls,
-			CompSimByPhase: byPhase,
-			Kernel:         kern,
-			PhaseTimes:     s.phaseTimes,
-			Total:          time.Since(s.start),
-		},
-		Phase: phase,
-		Err:   context.Cause(s.ctx),
-	}
+	return nil, &result.PartialError{Stats: s.stats(), Phase: phase, Err: context.Cause(s.ctx)}
 }
 
 // abortFault reports a phase that ended in a contained worker panic as a
@@ -275,94 +258,7 @@ func (s *state) abort(phase string) (*result.Result, error) {
 // quiescent and the per-worker counters fold normally.
 func (s *state) abortFault(phase string, err error) (*result.Result, error) {
 	s.ws.Poison()
-	s.reg.Counter(obsv.MetricCorePanics).Inc()
-	calls, byPhase, kern := s.fold()
-	return nil, &result.PartialError{
-		Stats: result.Stats{
-			Algorithm:      "ppSCAN",
-			Workers:        s.opt.Workers,
-			CompSimCalls:   calls,
-			CompSimByPhase: byPhase,
-			Kernel:         kern,
-			PhaseTimes:     s.phaseTimes,
-			Total:          time.Since(s.start),
-		},
-		Phase: phase,
-		Err:   err,
-	}
-}
-
-// runPublisher caches every registry instrument a run publishes to —
-// including the per-phase counters whose names are concatenations — so
-// the steady-state publish path performs no string building and no
-// registry map writes.
-type runPublisher struct {
-	reg          *obsv.Registry
-	runs         *obsv.Counter
-	phaseNs      [result.NumPhases]*obsv.Counter
-	phaseDur     [result.NumPhases]*obsv.Histogram
-	compSimPhase [result.NumPhases]*obsv.Counter
-	compSim      *obsv.Counter
-	kernCalls    *obsv.Counter
-	kernSim      *obsv.Counter
-	kernNSim     *obsv.Counter
-	kernPSim     *obsv.Counter
-	kernPNSim    *obsv.Counter
-	kernEarlyDu  *obsv.Counter
-	kernEarlyDv  *obsv.Counter
-	kernVecBlk   *obsv.Counter
-	kernScalar   *obsv.Counter
-	kernScanned  *obsv.Counter
-}
-
-// newRunPublisher runs once per registry; caching these instruments is
-// what keeps the steady-state publish path allocation-free.
-func newRunPublisher(reg *obsv.Registry) *runPublisher {
-	p := &runPublisher{
-		reg:         reg,
-		runs:        reg.Counter(obsv.MetricCoreRuns),
-		compSim:     reg.Counter(obsv.MetricCompSimCalls),
-		kernCalls:   reg.Counter(obsv.MetricKernelCalls),
-		kernSim:     reg.Counter(obsv.MetricKernelSim),
-		kernNSim:    reg.Counter(obsv.MetricKernelNSim),
-		kernPSim:    reg.Counter(obsv.MetricKernelPrunedSim),
-		kernPNSim:   reg.Counter(obsv.MetricKernelPrunedNSim),
-		kernEarlyDu: reg.Counter(obsv.MetricKernelEarlyDu),
-		kernEarlyDv: reg.Counter(obsv.MetricKernelEarlyDv),
-		kernVecBlk:  reg.Counter(obsv.MetricKernelVectorBlocks),
-		kernScalar:  reg.Counter(obsv.MetricKernelScalarSteps),
-		kernScanned: reg.Counter(obsv.MetricKernelScanned),
-	}
-	for ph := result.PhaseID(0); ph < result.NumPhases; ph++ {
-		p.phaseNs[ph] = reg.Counter(obsv.MetricPhaseNsPrefix + result.PhaseNames[ph])
-		p.phaseDur[ph] = reg.Histogram(obsv.MetricPhaseDurPrefix + result.PhaseNames[ph])
-		p.compSimPhase[ph] = reg.Counter(obsv.MetricCompSimPrefix + result.PhaseNames[ph])
-	}
-	return p
-}
-
-// publish folds one run's aggregates into the registry under the
-// canonical obsv.Metric* names. Counters accumulate across runs; per-run
-// values live in result.Stats.
-func (p *runPublisher) publish(phaseTimes [result.NumPhases]time.Duration,
-	calls int64, byPhase [result.NumPhases]int64, kern *intersect.Stats) {
-	p.runs.Inc()
-	for ph := result.PhaseID(0); ph < result.NumPhases; ph++ {
-		p.phaseNs[ph].Add(phaseTimes[ph].Nanoseconds())
-		p.phaseDur[ph].Observe(phaseTimes[ph].Nanoseconds())
-		p.compSimPhase[ph].Add(byPhase[ph])
-	}
-	p.compSim.Add(calls)
-	p.kernCalls.Add(kern.Calls)
-	p.kernSim.Add(kern.Sim)
-	p.kernNSim.Add(kern.NSim)
-	p.kernPSim.Add(kern.PrunedSim)
-	p.kernPNSim.Add(kern.PrunedNSim)
-	p.kernEarlyDu.Add(kern.EarlyDu)
-	p.kernEarlyDv.Add(kern.EarlyDv)
-	p.kernVecBlk.Add(kern.VectorBlocks)
-	p.kernScalar.Add(kern.ScalarSteps)
-	p.kernScanned.Add(kern.Scanned)
+	return nil, &result.PartialError{Stats: s.stats(), Phase: phase, Err: err}
 }
 
 // workerState is one worker's private instrumentation block, sized and
@@ -373,17 +269,6 @@ type workerState struct {
 	compSim [result.NumPhases]int64
 	kern    intersect.Stats
 	_       [2]int64
-}
-
-// schedInstruments caches the registry lookups for scheduler telemetry so
-// forEach builds a sched.Metrics without re-locking the registry per phase.
-type schedInstruments struct {
-	tasks   *obsv.Counter
-	degSum  *obsv.Histogram
-	verts   *obsv.Histogram
-	wait    *obsv.Histogram
-	taskDur *obsv.Histogram
-	busy    *obsv.ShardedCounter
 }
 
 // state is the pooled per-workspace run state. One instance lives in each
@@ -403,12 +288,7 @@ type state struct {
 	opt        engine.Options
 	ws         *engine.Workspace
 	clusterID  []int32 // per union-find root, CAS'd in P6
-	reg        *obsv.Registry
 	tr         *obsv.Tracer
-	sm         *schedInstruments // nil when neither registry nor tracer observe
-	smReg      *obsv.Registry    // registry sm was built from
-	pub        *runPublisher     // nil when the registry is disabled
-	schedM     sched.Metrics     // reused per phase (field, so taking &schedM is alloc-free)
 	start      time.Time
 	phaseTimes [result.NumPhases]time.Duration
 
@@ -434,6 +314,7 @@ type state struct {
 // here is what keeps the per-phase launches allocation-free.
 func newCoreState() any {
 	s := &state{}
+	s.kernelOn = true // every Run fills Stats.Kernel; a fleet worker's Range leaves it off
 	s.fnTrue = func(int32) bool { return true }
 	s.fnRoleUnknown = s.roleUnknown
 	s.fnIsCore = s.isCore
@@ -480,33 +361,7 @@ func (s *state) reset(ctx context.Context, g *graph.Graph, th simdef.Threshold, 
 		s.ncLocal[w] = s.ncLocal[w][:0]
 	}
 	s.collected = s.collected[:0]
-
-	// Instruments: cache the registry lookups (and the publisher's
-	// concatenated metric names) per registry, not per run.
-	s.reg, s.tr = opt.Registry, opt.Tracer
-	s.kernelOn = s.reg.Enabled()
-	if s.reg.Enabled() || s.tr != nil {
-		if s.sm == nil || s.smReg != s.reg {
-			s.sm = &schedInstruments{
-				tasks:   s.reg.Counter(obsv.MetricSchedTasks),
-				degSum:  s.reg.Histogram(obsv.MetricSchedTaskDegreeSum),
-				verts:   s.reg.Histogram(obsv.MetricSchedTaskVertices),
-				wait:    s.reg.Histogram(obsv.MetricSchedQueueWaitNs),
-				taskDur: s.reg.Histogram(obsv.MetricSchedTaskSpanNs),
-				busy:    s.reg.Sharded(obsv.MetricSchedWorkerBusyNs, opt.Workers),
-			}
-			s.smReg = s.reg
-		}
-	} else {
-		s.sm, s.smReg = nil, nil
-	}
-	if s.reg.Enabled() {
-		if s.pub == nil || s.pub.reg != s.reg {
-			s.pub = newRunPublisher(s.reg)
-		}
-	} else {
-		s.pub = nil
-	}
+	s.tr = opt.Tracer
 }
 
 // loadArcs points the arc words at s.g, rebuilding them unless they were
@@ -555,26 +410,12 @@ func (s *state) forEach(name string, need func(int32) bool, process func(u int32
 	n := s.g.NumVertices()
 	sp := s.tr.Begin(name, 0)
 	defer sp.End()
-	var m *sched.Metrics
-	if s.sm != nil {
-		s.schedM = sched.Metrics{
-			TasksSubmitted: s.sm.tasks,
-			TaskDegreeSum:  s.sm.degSum,
-			TaskVertices:   s.sm.verts,
-			QueueWaitNs:    s.sm.wait,
-			TaskDurNs:      s.sm.taskDur,
-			WorkerBusyNs:   s.sm.busy,
-			Tracer:         s.tr,
-			SpanName:       name,
-			TIDOffset:      1,
-		}
-		m = &s.schedM
-	}
 	crew := s.ws.Crew(s.opt.Workers)
 	opt := sched.Options{
 		DegreeThreshold: s.opt.DegreeThreshold,
-		Metrics:         m,
 		Phase:           name,
+		Tracer:          s.tr,
+		TIDOffset:       1,
 	}
 	if s.opt.StaticScheduling {
 		return crew.ForEachVertexStatic(opt, n, need, process, s.fnStop)

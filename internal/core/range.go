@@ -42,7 +42,9 @@ type Range struct {
 	workers []workerState
 	// phase is the stage CompSim calls are attributed to; set between
 	// phases, before workers receive tasks.
-	phase    result.PhaseID
+	phase result.PhaseID
+	// kernelOn collects intersect.Stats per CompSim call: on for Run, off
+	// in a fleet worker's Range, which reports only call counts.
 	kernelOn bool
 
 	// P7's per-worker emission buffers, flushed into collected under ncMu.
@@ -272,8 +274,8 @@ func (r *Range) mirror(v, pos int32, i int, val simdef.EdgeSim) {
 }
 
 // compSim evaluates one structural similarity with the configured kernel,
-// attributing the call (and, when observability is on, the kernel-level
-// telemetry) to this worker's private block.
+// attributing the call (and, when kernelOn, the kernel-level telemetry)
+// to this worker's private block.
 func (r *Range) compSim(u, v int32, worker int) simdef.EdgeSim {
 	w := &r.workers[worker]
 	w.compSim[r.phase]++

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"ppscan/graph"
 	"ppscan/internal/intersect"
@@ -50,9 +49,6 @@ type Options struct {
 	// StaticScheduling disables degree-based dynamic scheduling (ablation
 	// knob; ppSCAN engines only).
 	StaticScheduling bool
-	// Registry, when non-nil, receives the engine's run telemetry.
-	// Engines that publish metrics default to obsv.Default() when nil.
-	Registry *obsv.Registry
 	// Tracer, when non-nil, records per-phase and per-task spans.
 	Tracer *obsv.Tracer
 }
@@ -78,11 +74,6 @@ type Engine struct {
 	// dispatcher reports a cancellation that fired meanwhile after the fact.
 	Checkpoints bool
 	Run         func(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt Options, ws *Workspace) (*result.Result, error)
-
-	// runs is engine.run_ns.<Name> in the process-global registry, resolved
-	// once by Register so recording a run on the serving path is one atomic
-	// Observe: no string concatenation, no registry lock.
-	runs *obsv.Histogram
 }
 
 var (
@@ -102,7 +93,6 @@ func Register(e Engine) {
 	if _, dup := engines[e.Name]; dup {
 		panic(fmt.Sprintf("engine: duplicate Register(%q)", e.Name))
 	}
-	e.runs = obsv.Default().Histogram(obsv.MetricEngineRunPrefix + e.Name)
 	engines[e.Name] = e
 }
 
@@ -136,8 +126,7 @@ func Names() []string {
 // facade's historical error order). A ctx that is already done answers "not
 // started" without touching the graph; a checkpoint-free engine that ran
 // past a cancellation yields a *result.PartialError carrying the completed
-// run's stats. Every run, errors included, lands in engine.run_ns.<name> —
-// tail latency counts the failures too.
+// run's stats.
 func Run(ctx context.Context, name, kernel string, g *graph.Graph, th simdef.Threshold, opt Options, ws *Workspace) (*result.Result, error) {
 	if kernel != "" {
 		k, err := intersect.ParseKind(kernel)
@@ -158,7 +147,6 @@ func Run(ctx context.Context, name, kernel string, g *graph.Graph, th simdef.Thr
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("ppscan: not started: %w", err)
 	}
-	t0 := time.Now()
 	res, err := e.Run(ctx, g, th, opt, ws)
 	if err == nil {
 		if cerr := ctx.Err(); cerr != nil && !e.Checkpoints {
@@ -167,6 +155,5 @@ func Run(ctx context.Context, name, kernel string, g *graph.Graph, th simdef.Thr
 			res.Stats.Algorithm = e.Label
 		}
 	}
-	e.runs.Observe(time.Since(t0).Nanoseconds())
 	return res, err
 }

@@ -107,8 +107,7 @@ func (c Config) bestOf(f func() *result.Result) *result.Result {
 }
 
 // run executes the named engine once on a transient workspace through the
-// dispatcher, the way the facade and the server reach it (so every run
-// lands in engine.run_ns.<name>). An empty kernel is the engine's
+// dispatcher, the way the facade reaches it. An empty kernel is the engine's
 // paper-faithful default. The harness arms no faults and no deadline, so a
 // failed run is a bug worth the loud exit.
 func run(name, kernel string, g *graph.Graph, th simdef.Threshold, opt engine.Options) *result.Result {

@@ -7,10 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"ppscan/internal/dataset"
-	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
-	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 )
 
@@ -314,18 +311,6 @@ func TestAblations(t *testing.T) {
 	}
 	if !strings.Contains(text(t, tab), "scheduler") {
 		t.Errorf("ablation print missing group")
-	}
-}
-
-// TestRunIsObserved: the harness reaches engines through the dispatcher, so
-// `experiments -metrics` shows an engine.run_ns.* histogram for each one it
-// ran.
-func TestRunIsObserved(t *testing.T) {
-	runs := obsv.Default().Histogram(obsv.MetricEngineRunPrefix + "pscan")
-	before := runs.Count()
-	run("pscan", "", dataset.MustLoad("webbase-sim", 0.03), mustTh("0.4", DefaultMu), engine.Options{})
-	if got := runs.Count() - before; got != 1 {
-		t.Errorf("run(pscan) moved %spscan by %d, want 1", obsv.MetricEngineRunPrefix, got)
 	}
 }
 

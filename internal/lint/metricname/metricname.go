@@ -4,7 +4,7 @@
 // silently — the recorder emits a key no /metrics reader, experiment script
 // or dashboard knows about — so literals are flagged unless the expression
 // also references an obsv constant (prefix-constant + dynamic suffix is the
-// sanctioned pattern for per-endpoint and per-phase families).
+// sanctioned pattern for per-endpoint and per-round families).
 package metricname
 
 import (
@@ -20,7 +20,7 @@ var Analyzer = &framework.Analyzer{
 	Name:      "metricname",
 	Directive: "metricname",
 	Doc: "flags string literals passed to obsv.Registry instrument calls " +
-		"(Counter/Gauge/Histogram/Sharded) instead of constants from internal/obsv/names.go",
+		"(Counter/Gauge/Histogram) instead of constants from internal/obsv/names.go",
 	Run: run,
 }
 
@@ -32,7 +32,6 @@ var instrumentMethods = map[string]bool{
 	"Counter":   true,
 	"Gauge":     true,
 	"Histogram": true,
-	"Sharded":   true,
 }
 
 func run(pass *framework.Pass) error {

@@ -6,20 +6,20 @@ import "ppscan/internal/obsv"
 
 const shadow = "shadow.metric"
 
-func record(reg *obsv.Registry, endpoint string, workers int) {
+func record(reg *obsv.Registry, endpoint, round string) {
 	reg.Counter("raw.literal").Inc() // want `metric name passed to Registry.Counter is not a constant`
 	_ = reg.Gauge("raw.gauge")       // want `metric name passed to Registry.Gauge is not a constant`
 	_ = reg.Histogram("raw.hist")    // want `metric name passed to Registry.Histogram is not a constant`
 	_ = reg.Counter(shadow)          // want `metric name passed to Registry.Counter is not a constant`
 
-	reg.Counter(obsv.MetricCoreRuns).Inc()
-	_ = reg.Histogram(obsv.MetricSchedQueueWaitNs)
-	_ = reg.Sharded(obsv.MetricSchedWorkerBusyNs, workers)
+	reg.Counter(obsv.MetricCacheHits).Inc()
+	_ = reg.Histogram(obsv.MetricServerComputeNs)
+	_ = reg.Gauge(obsv.MetricCacheSize)
 
 	// Prefix-constant plus dynamic suffix is the sanctioned pattern for
-	// per-endpoint and per-phase metric families.
+	// per-endpoint and per-round metric families.
 	_ = reg.Counter(obsv.MetricHTTPRequestsPrefix + endpoint)
-	_ = reg.Counter(obsv.MetricPhaseNsPrefix + "check-core")
+	_ = reg.Counter(obsv.MetricShardRoundNsPrefix + round)
 
 	// Non-constant names that flow in from elsewhere are the range-var
 	// pattern (iterating over a slice of canonical constants).
@@ -31,4 +31,4 @@ func record(reg *obsv.Registry, endpoint string, workers int) {
 	_ = reg.Counter("exp.custom")
 }
 
-var preRegistered = []string{obsv.MetricCoreRuns, obsv.MetricCoreCancels}
+var preRegistered = []string{obsv.MetricCacheHits, obsv.MetricCacheMisses}

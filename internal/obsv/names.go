@@ -1,51 +1,11 @@
 package obsv
 
-// Canonical metric names, shared by the recorders (internal/core,
-// internal/sched via core, internal/server) and the readers (/metrics,
-// ppscan -stats-json, experiments -metrics) so the same key always means
-// the same quantity.
-//
-// Mapping to the paper's evaluation:
-//
-//   - MetricPhaseNsPrefix + <stage>   — Figure 6's per-stage wall time
-//   - MetricCompSimCalls[.<stage>]    — Figure 4's similarity-computation
-//     counts (and their stage decomposition)
-//   - the kernel.* counters           — Figure 5's vectorized-vs-scalar
-//     kernel work and Definition 3.9's early-termination effectiveness
-//   - the sched.* metrics             — §4.4's scheduling overhead claim
+// Canonical metric names, shared by the recorders (internal/server,
+// internal/shard) and the reader (/metrics) so the same key always means
+// the same quantity. A clustering run's own quantities (Figure 4's CompSim
+// calls, Figure 5's kernel work, Figure 6's stage times) are not metrics:
+// they are fields of its result.Stats, printed by ppscan -json.
 const (
-	// MetricCoreRuns counts completed ppSCAN runs.
-	MetricCoreRuns = "core.runs"
-	// MetricCoreCancels counts ppSCAN runs aborted by context cancellation
-	// or deadline expiry (each such run returns a result.PartialError).
-	MetricCoreCancels = "core.cancels"
-	// MetricPhaseNsPrefix + stage name accumulates per-stage wall time in
-	// nanoseconds (stages are result.PhaseNames).
-	MetricPhaseNsPrefix = "core.phase_ns."
-	// MetricCompSimCalls accumulates similarity computations; with the
-	// MetricCompSimPrefix it decomposes per stage.
-	MetricCompSimCalls  = "core.compsim_calls"
-	MetricCompSimPrefix = "core.compsim_calls."
-
-	// Kernel counters (summed over per-worker intersect.Stats).
-	MetricKernelCalls        = "kernel.calls"
-	MetricKernelSim          = "kernel.sim"
-	MetricKernelNSim         = "kernel.nsim"
-	MetricKernelPrunedSim    = "kernel.pruned_sim"
-	MetricKernelPrunedNSim   = "kernel.pruned_nsim"
-	MetricKernelEarlyDu      = "kernel.early_du"
-	MetricKernelEarlyDv      = "kernel.early_dv"
-	MetricKernelVectorBlocks = "kernel.vector_blocks"
-	MetricKernelScalarSteps  = "kernel.scalar_steps"
-	MetricKernelScanned      = "kernel.elements_scanned"
-
-	// Scheduler telemetry.
-	MetricSchedTasks         = "sched.tasks_submitted"
-	MetricSchedTaskDegreeSum = "sched.task_degree_sum"
-	MetricSchedTaskVertices  = "sched.task_vertices"
-	MetricSchedQueueWaitNs   = "sched.queue_wait_ns"
-	MetricSchedWorkerBusyNs  = "sched.worker_busy_ns"
-
 	// HTTP server metrics (per-endpoint names append "." + endpoint).
 	MetricHTTPRequestsPrefix = "http.requests."
 	MetricHTTPErrorsPrefix   = "http.errors."
@@ -121,10 +81,6 @@ const (
 
 	// Fault-containment metrics.
 	//
-	// MetricCorePanics counts ppSCAN runs aborted by a contained worker
-	// panic (each such run returns a result.PartialError wrapping a
-	// *result.WorkerPanicError).
-	MetricCorePanics = "core.worker_panics"
 	// MetricServerPanics counts panics the server contained — recovered
 	// worker panics surfacing as engine errors plus panics caught by the
 	// handler-level recovery — each answered with HTTP 500 instead of
@@ -140,21 +96,6 @@ const (
 	MetricFaultDelays  = "fault.injected.delays"
 	MetricFaultErrors  = "fault.injected.errors"
 	MetricFaultRetries = "fault.retries"
-
-	// Tail-latency attribution histograms.
-	//
-	// MetricPhaseDurPrefix + stage name is a histogram of single-run
-	// per-stage wall times in nanoseconds — the distribution behind the
-	// MetricPhaseNsPrefix accumulators, so quantiles answer "which stage
-	// makes the slow runs slow" (stages are result.PhaseNames).
-	MetricPhaseDurPrefix = "core.phase_dur_ns."
-	// MetricSchedTaskSpanNs is a histogram of individual scheduler-task
-	// wall times (queue wait excluded) across both pool flavors; its tail
-	// quantifies Algorithm 5's load-balance quality.
-	MetricSchedTaskSpanNs = "sched.task_span_ns"
-	// MetricEngineRunPrefix + engine name is a histogram of end-to-end
-	// RunWorkspace wall times per engine, recorded at the facade dispatch.
-	MetricEngineRunPrefix = "engine.run_ns."
 
 	// Server-side tail-latency attribution (server-local registry).
 	//
@@ -215,8 +156,7 @@ const (
 
 	// Shard-tier metrics (internal/shard): the coordinator records the
 	// shard.* family into the registry it is constructed with (scanserver
-	// passes the process-global registry so /metrics surfaces the fleet);
-	// workers record the shard.worker.* family into their own registry.
+	// passes the process-global registry so /metrics surfaces the fleet).
 	//
 	// MetricShardRPCs counts shard RPC attempts issued by the coordinator
 	// (retries included); MetricShardRPCNs distributes their wall time,
@@ -247,17 +187,4 @@ const (
 	// "members") distributes per-round wall time across the fleet barrier,
 	// retries included.
 	MetricShardRoundNsPrefix = "shard.round_ns."
-
-	// Worker-side shard metrics (recorded into the worker's own registry).
-	//
-	// MetricShardWorkerSteps counts superstep RPCs served;
-	// MetricShardWorkerStateHits / Misses count step requests answered from
-	// cached per-query state vs. ones that recomputed it (a restarted
-	// worker always misses — the self-contained round inputs make that
-	// correct, just slower); MetricShardWorkerSyncs counts epoch catch-up
-	// snapshots accepted via /shard/sync.
-	MetricShardWorkerSteps       = "shard.worker.steps"
-	MetricShardWorkerStateHits   = "shard.worker.state_hits"
-	MetricShardWorkerStateMisses = "shard.worker.state_misses"
-	MetricShardWorkerSyncs       = "shard.worker.syncs"
 )

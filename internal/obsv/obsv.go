@@ -1,7 +1,7 @@
 // Package obsv is the runtime observability layer: a lock-free metrics
-// registry (atomic counters, gauges, per-worker sharded counters and
-// streaming log-bucketed histograms) plus a lightweight span tracer that
-// exports Chrome trace_event JSON (see trace.go).
+// registry (atomic counters, gauges and streaming log-bucketed
+// histograms) plus a lightweight span tracer that exports Chrome
+// trace_event JSON (see trace.go).
 //
 // Design rules, in order of importance:
 //
@@ -9,17 +9,16 @@
 //     operation) happens once per metric; callers cache the returned
 //     instrument pointer and never touch the registry map again.
 //  2. Everything is nil-safe. A nil *Counter, *Gauge, *Histogram,
-//     *ShardedCounter, *Registry or *Tracer is a valid no-op instrument,
-//     so instrumented code needs no "is observability on?" branches
-//     beyond the ones the compiler already emits for the nil check. The
-//     no-op registry (NewNop) hands out nil instruments, which is how the
-//     overhead benchmark compares instrumented vs. uninstrumented runs.
+//     *Registry or *Tracer is a valid no-op instrument, so instrumented
+//     code needs no "is observability on?" branches beyond the ones the
+//     compiler already emits for the nil check.
 //  3. Snapshots are JSON-ready: Registry.Snapshot returns plain maps and
 //     integers suitable for an expvar-style /metrics endpoint.
 //
-// The process-global Default registry accumulates cross-run totals (per
-// clustering-phase wall time, kernel counters, scheduler telemetry); a
-// server or test that wants isolated numbers creates its own with New.
+// A clustering run's own numbers (CompSim calls, phase times, kernel
+// work) are in its result.Stats, not here. The process-global Default
+// registry holds the shard coordinator's fleet totals; a server or test
+// that wants isolated numbers creates its own with New.
 package obsv
 
 import (
@@ -82,51 +81,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// shardedSlot is one per-worker counter slot, padded to its own cache line
-// so concurrent workers never contend on a shared line.
-type shardedSlot struct {
-	v atomic.Int64
-	_ [7]int64
-}
-
-// ShardedCounter is a counter split into per-worker slots: each worker adds
-// to its own cache line and Value folds the slots, the same layout the
-// paper's per-thread counters use. A nil *ShardedCounter is a no-op.
-type ShardedCounter struct {
-	slots []shardedSlot
-}
-
-// NewShardedCounter returns a counter with shards slots (minimum 1).
-func NewShardedCounter(shards int) *ShardedCounter {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedCounter{slots: make([]shardedSlot, shards)}
-}
-
-// Add adds n to the slot for shard (wrapped into range).
-func (s *ShardedCounter) Add(shard int, n int64) {
-	if s == nil {
-		return
-	}
-	if shard < 0 || shard >= len(s.slots) {
-		shard = 0
-	}
-	s.slots[shard].v.Add(n)
-}
-
-// Value returns the sum over all slots.
-func (s *ShardedCounter) Value() int64 {
-	if s == nil {
-		return 0
-	}
-	var sum int64
-	for i := range s.slots {
-		sum += s.slots[i].v.Load()
-	}
-	return sum
 }
 
 // histBuckets is the bucket count of the streaming histogram: bucket i
@@ -268,16 +222,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // Registry is a named collection of instruments. Lookup-or-create takes a
 // mutex; the returned instruments are lock-free, so callers fetch once and
-// use forever. A nil *Registry (or one from NewNop) hands out nil no-op
-// instruments.
+// use forever. A nil *Registry hands out nil no-op instruments.
 type Registry struct {
-	nop bool
-
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	sharded  map[string]*ShardedCounter
 }
 
 // New returns an empty live registry.
@@ -286,27 +236,18 @@ func New() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		sharded:  map[string]*ShardedCounter{},
 	}
 }
 
-// NewNop returns a registry whose getters hand out nil (no-op)
-// instruments; Snapshot returns an empty map. Use it to turn
-// instrumentation off entirely (the overhead-benchmark baseline).
-func NewNop() *Registry { return &Registry{nop: true} }
-
 var defaultRegistry = New()
 
-// Default returns the process-global registry. Algorithm runs record their
-// per-phase and kernel totals here unless given a private registry.
+// Default returns the process-global registry: a shard coordinator
+// records here unless given a private registry.
 func Default() *Registry { return defaultRegistry }
-
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil && !r.nop }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -321,7 +262,7 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -336,7 +277,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -349,28 +290,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Sharded returns the named sharded counter, creating it with shards slots
-// on first use (an existing counter keeps its original shard count).
-func (r *Registry) Sharded(name string, shards int) *ShardedCounter {
-	if !r.Enabled() {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.sharded[name]
-	if s == nil {
-		s = NewShardedCounter(shards)
-		r.sharded[name] = s
-	}
-	return s
-}
-
-// Snapshot returns a JSON-ready view of every instrument: counters,
-// gauges and sharded counters as integers, histograms as summary objects.
+// Snapshot returns a JSON-ready view of every instrument: counters and
+// gauges as integers, histograms as summary objects.
 // Keys are the metric names (encoding/json emits them sorted).
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
-	if !r.Enabled() {
+	if r == nil {
 		return out
 	}
 	r.mu.Lock()
@@ -381,9 +306,6 @@ func (r *Registry) Snapshot() map[string]any {
 	for name, g := range r.gauges {
 		out[name] = g.Value()
 	}
-	for name, s := range r.sharded {
-		out[name] = s.Value()
-	}
 	for name, h := range r.hists {
 		out[name] = h.Snapshot()
 	}
@@ -392,12 +314,12 @@ func (r *Registry) Snapshot() map[string]any {
 
 // Names returns the sorted metric names currently registered.
 func (r *Registry) Names() []string {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.sharded))
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for n := range r.counters {
 		names = append(names, n)
 	}
@@ -405,9 +327,6 @@ func (r *Registry) Names() []string {
 		names = append(names, n)
 	}
 	for n := range r.hists {
-		names = append(names, n)
-	}
-	for n := range r.sharded {
 		names = append(names, n)
 	}
 	sort.Strings(names)

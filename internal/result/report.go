@@ -29,7 +29,7 @@ type RunReport struct {
 	CompSimCalls   int64   `json:"compSimCalls"`
 	CompSimByPhase []int64 `json:"compSimByPhase,omitempty"`
 	// Kernel carries the intersection-kernel telemetry when the run
-	// collected it (ppSCAN with observability enabled).
+	// collected it (every ppSCAN run does).
 	Kernel *intersect.Stats `json:"kernel,omitempty"`
 }
 

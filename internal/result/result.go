@@ -91,11 +91,10 @@ type Stats struct {
 	// by ppSCAN): almost all intersections happen in core checking; the
 	// clustering stages mop up the few edges pruning skipped.
 	CompSimByPhase [NumPhases]int64
-	// Kernel aggregates set-intersection telemetry across workers (only
-	// filled by ppSCAN when observability is enabled): call outcomes, the
-	// pruning-bound and early-termination decisions of Definition 3.9, and
-	// vectorized-vs-scalar work. It is a read-out of the same per-worker
-	// counters the run publishes to its obsv.Registry.
+	// Kernel aggregates set-intersection telemetry across workers (filled
+	// by every ppSCAN run): call outcomes, the pruning-bound and
+	// early-termination decisions of Definition 3.9, and vectorized-vs-scalar
+	// work.
 	Kernel intersect.Stats
 	// PhaseTimes records wall time per ppSCAN stage (zero for algorithms
 	// without that stage).

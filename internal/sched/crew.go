@@ -5,9 +5,9 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ppscan/internal/fault"
+	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 )
 
@@ -21,16 +21,16 @@ import (
 // degree-based cut) or ForEachVertexStatic (one equal block per worker)
 // once per phase (phases run one at a time; the call is the barrier), Close
 // when the owning workspace is discarded. The two differ only in how
-// ranges are cut: tasks, containment, cancellation and telemetry are the
+// ranges are cut: tasks, containment, cancellation and tracing are the
 // same code.
 //
 // Synchronization: the coordinator writes the per-phase fields (need,
-// process, stop, m, phase) before submitting any task; workers read them
-// only after receiving a task from the channel, so the channel send/receive
-// is the happens-before edge. Between phases workers are parked on the
-// channel receive and read nothing, making the coordinator's next writes
-// safe. The phase barrier is a WaitGroup over the submitted tasks: every
-// Add happens on the coordinator before its Wait.
+// process, stop, phase, tracer, tid) before submitting any task; workers
+// read them only after receiving a task from the channel, so the channel
+// send/receive is the happens-before edge. Between phases workers are
+// parked on the channel receive and read nothing, making the coordinator's
+// next writes safe. The phase barrier is a WaitGroup over the submitted
+// tasks: every Add happens on the coordinator before its Wait.
 //
 // Fault containment: each task runs under a recover. A panicking task
 // records a *result.WorkerPanicError (first panic wins), trips the failed
@@ -47,8 +47,9 @@ type Crew struct {
 	need    func(int32) bool
 	process func(u int32, worker int)
 	stop    func() bool
-	m       *Metrics
 	phase   string
+	tracer  *obsv.Tracer
+	tid     int // TIDOffset
 
 	// failed makes workers drain queued tasks without running them after a
 	// panic; panicErr holds the first recovered panic (CAS, first wins).
@@ -56,13 +57,11 @@ type Crew struct {
 	panicErr atomic.Pointer[result.WorkerPanicError]
 }
 
-// task is one queued unit of work: the vertex range, its degree-sum
-// workload estimate (zero for a static block), and (when the phase is
-// timed) the submit time used to measure queue wait.
+// task is one queued unit of work: the vertex range and its degree-sum
+// workload estimate (zero for a static block).
 type task struct {
-	r        Range
-	deg      int64
-	submitAt time.Time
+	r   Range
+	deg int64
 }
 
 // NewCrew starts workers goroutines (< 1 means GOMAXPROCS) that serve
@@ -168,7 +167,8 @@ func (c *Crew) ForEachVertexStatic(opt Options, n int32, need func(int32) bool, 
 func (c *Crew) begin(opt Options, need func(int32) bool, process func(u int32, worker int), stop func() bool) {
 	// Workers are parked between phases, so these plain writes are ordered
 	// before their reads by the task-channel send/receive.
-	c.need, c.process, c.stop, c.m, c.phase = need, process, stop, opt.Metrics, opt.Phase
+	c.need, c.process, c.stop, c.phase = need, process, stop, opt.Phase
+	c.tracer, c.tid = opt.Tracer, opt.TIDOffset
 	c.failed.Store(false)
 	c.panicErr.Store(nil)
 }
@@ -196,17 +196,8 @@ func (c *Crew) submit(r Range, deg int64) {
 	if r.Beg >= r.End {
 		return
 	}
-	t := task{r: r, deg: deg}
-	if m := c.m; m != nil {
-		m.TasksSubmitted.Inc()
-		m.TaskDegreeSum.Observe(deg)
-		m.TaskVertices.Observe(int64(r.End - r.Beg))
-		if m.timed() {
-			t.submitAt = time.Now()
-		}
-	}
 	c.tasksLeft.Add(1)
-	c.tasks <- t
+	c.tasks <- task{r: r, deg: deg}
 }
 
 func (c *Crew) work(worker int) {
@@ -232,17 +223,16 @@ func (c *Crew) runTask(t task, worker int) {
 		// this point surface through the same containment path as panics.
 		panic(err)
 	}
-	if m := c.m; m.timed() {
-		start := time.Now()
-		m.QueueWaitNs.Observe(start.Sub(t.submitAt).Nanoseconds())
-		sp := m.Tracer.Begin(m.spanName(), m.TIDOffset+worker)
+	if c.tracer != nil {
+		name := c.phase
+		if name == "" {
+			name = "task"
+		}
+		sp := c.tracer.Begin(name, c.tid+worker)
 		c.runRange(t.r, worker)
 		// EndTask defers the args-map build to trace export, so recording
 		// the span stays allocation-free on the serving path.
 		sp.EndTask(t.r.Beg, t.r.End, t.deg)
-		busy := time.Since(start).Nanoseconds()
-		m.TaskDurNs.Observe(busy)
-		m.WorkerBusyNs.Add(worker, busy)
 	} else {
 		c.runRange(t.r, worker)
 	}

@@ -37,53 +37,6 @@ type Range struct {
 	Beg, End int32
 }
 
-// Metrics is the scheduler's telemetry sink. Every field is optional: a
-// nil instrument (or a nil *Metrics) disables that measurement, and the
-// crew then skips the associated clock reads entirely. The instruments
-// come from an obsv.Registry so the same numbers surface in /metrics and
-// the end-of-run registry snapshot.
-type Metrics struct {
-	// TasksSubmitted counts non-empty range tasks handed to the workers.
-	TasksSubmitted *obsv.Counter
-	// TaskDegreeSum observes each task's accumulated degree sum — the
-	// workload estimate Algorithm 5 balances on (its distribution shows
-	// whether the threshold produced even tasks).
-	TaskDegreeSum *obsv.Histogram
-	// TaskVertices observes each task's vertex-range width.
-	TaskVertices *obsv.Histogram
-	// QueueWaitNs observes submit-to-start latency per task (scheduling
-	// overhead, the paper's "negligible scheduling cost" claim).
-	QueueWaitNs *obsv.Histogram
-	// TaskDurNs observes each task's execution wall time (queue wait
-	// excluded); its tail is the load-balance signal behind Algorithm 5.
-	TaskDurNs *obsv.Histogram
-	// WorkerBusyNs accumulates per-worker time spent running tasks; shard
-	// = worker index.
-	WorkerBusyNs *obsv.ShardedCounter
-	// Tracer, when non-nil, records one span per executed task on the
-	// worker's track, named SpanName.
-	Tracer *obsv.Tracer
-	// SpanName labels task spans (typically the phase name); empty means
-	// "task".
-	SpanName string
-	// TIDOffset shifts worker track ids in the trace (so multiple phases
-	// or crews can share one tracer with the coordinator on track 0).
-	TIDOffset int
-}
-
-// timed reports whether any instrument needs per-task clock reads.
-func (m *Metrics) timed() bool {
-	return m != nil && (m.QueueWaitNs != nil || m.TaskDurNs != nil || m.WorkerBusyNs != nil || m.Tracer != nil)
-}
-
-// spanName returns the task-span label.
-func (m *Metrics) spanName() string {
-	if m == nil || m.SpanName == "" {
-		return "task"
-	}
-	return m.SpanName
-}
-
 // Options configures a scheduling run.
 type Options struct {
 	// Workers is the number of worker goroutines ForEachVertexCtx starts;
@@ -93,11 +46,17 @@ type Options struct {
 	// DegreeThreshold is the degree-sum task granularity; values < 1
 	// default to DefaultDegreeThreshold.
 	DegreeThreshold int64
-	// Metrics, when non-nil, receives scheduler telemetry.
-	Metrics *Metrics
-	// Phase labels the phase for fault reporting: a contained worker
-	// panic carries it in result.WorkerPanicError.Phase. Optional.
+	// Phase labels the phase: a contained worker panic carries it in
+	// result.WorkerPanicError.Phase, and it names the task spans. Optional.
 	Phase string
+	// Tracer, when non-nil, records one span per executed task on the
+	// worker's track, named after Phase ("task" when empty), with the
+	// task's range and degree sum as arguments. Without it the crew reads
+	// no clock.
+	Tracer *obsv.Tracer
+	// TIDOffset shifts worker track ids in the trace, so the coordinator
+	// can keep track 0 of the same tracer.
+	TIDOffset int
 }
 
 // ForEachVertexCtx runs one Crew.ForEachVertex phase on a crew of

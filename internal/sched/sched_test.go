@@ -70,7 +70,7 @@ func unit(int32) int32  { return 1 }
 func cutRanges(t *testing.T, ep entryPoint, workers int, opt Options, n int32, need func(int32) bool, deg func(int32) int32) ([]Range, []int64) {
 	t.Helper()
 	tr := obsv.NewTracer()
-	opt.Metrics = &Metrics{Tracer: tr}
+	opt.Tracer = tr
 	if err := ep.run(context.Background(), workers, opt, n, need, deg, func(int32, int) {}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -105,6 +105,18 @@ func requireTiling(t *testing.T, ranges []Range, n int32) {
 	if next != n {
 		t.Fatalf("ranges end at %d, want %d", next, n)
 	}
+}
+
+// taskSpans counts the task spans a traced phase recorded: one per
+// executed task.
+func taskSpans(tr *obsv.Tracer) int64 {
+	var n int64
+	for _, e := range tr.Events() {
+		if e.Ph == "X" {
+			n++
+		}
+	}
+	return n
 }
 
 // Property: every vertex with need() true is processed exactly once and no
@@ -248,16 +260,16 @@ func TestFaultWorkerTask(t *testing.T) {
 	overEntryPoints(t, func(t *testing.T, ep entryPoint) {
 		t.Cleanup(fault.Disable)
 		const n, workers = int32(4096), 4
-		m := &Metrics{TasksSubmitted: obsv.New().Counter("sched.tasks_submitted")}
+		tr := obsv.NewTracer()
 		fault.Enable(&fault.Plan{Rules: []fault.Rule{{Point: fault.WorkerTask, Action: fault.ActDelay, Start: 1, Every: 1}}})
 		before := fault.Snapshot().Delays
-		err := ep.run(context.Background(), workers, Options{DegreeThreshold: 100, Metrics: m}, n, always, unit, func(int32, int) {})
+		err := ep.run(context.Background(), workers, Options{DegreeThreshold: 100, Tracer: tr}, n, always, unit, func(int32, int) {})
 		hits := int64(fault.Snapshot().Delays - before)
 		fault.Disable()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tasks := m.TasksSubmitted.Value(); hits != tasks || tasks < workers {
+		if tasks := taskSpans(tr); hits != tasks || tasks < workers {
 			t.Errorf("worker_task hit %d times over %d tasks, want once per task", hits, tasks)
 		}
 
@@ -355,8 +367,8 @@ func TestStaticCut(t *testing.T) {
 func TestZeroOptions(t *testing.T) {
 	const n, d = int32(100_000), 64
 	var badWorker atomic.Bool
-	m := &Metrics{TasksSubmitted: obsv.New().Counter("sched.tasks_submitted")}
-	err := ForEachVertexCtx(context.Background(), Options{Metrics: m}, n, always, func(int32) int32 { return d },
+	tr := obsv.NewTracer()
+	err := ForEachVertexCtx(context.Background(), Options{Tracer: tr}, n, always, func(int32) int32 { return d },
 		func(u int32, w int) {
 			if w < 0 || w >= runtime.GOMAXPROCS(0) {
 				badWorker.Store(true)
@@ -366,7 +378,7 @@ func TestZeroOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	perTask := int64(DefaultDegreeThreshold/d + 1)
-	if got, want := m.TasksSubmitted.Value(), (int64(n)+perTask-1)/perTask; got != want {
+	if got, want := taskSpans(tr), (int64(n)+perTask-1)/perTask; got != want {
 		t.Errorf("%d tasks, want %d at the default threshold", got, want)
 	}
 	if badWorker.Load() {
@@ -399,32 +411,21 @@ func TestForEachVertexStatic(t *testing.T) {
 	}
 }
 
-// TestSchedulerMetrics wires a full Metrics set into a dynamic phase and
-// checks the recorded task count and degree-sum total against what the
-// coordinator's splitting rule must produce.
+// TestSchedulerMetrics: a traced dynamic phase records one span per task,
+// named after Options.Phase on worker tracks shifted by TIDOffset, and the
+// spans' arguments carry the splitting rule's task count, degree sums and
+// a tiling of [0, n).
 func TestSchedulerMetrics(t *testing.T) {
 	overEntryPoints(t, func(t *testing.T, ep entryPoint) {
 		if ep.static {
 			t.Skip("degree-based cut only")
 		}
-		reg := obsv.New()
 		tr := obsv.NewTracer()
-		m := &Metrics{
-			TasksSubmitted: reg.Counter("sched.tasks_submitted"),
-			TaskDegreeSum:  reg.Histogram("sched.task_degree_sum"),
-			TaskVertices:   reg.Histogram("sched.task_vertices"),
-			QueueWaitNs:    reg.Histogram("sched.queue_wait_ns"),
-			TaskDurNs:      reg.Histogram("sched.task_span_ns"),
-			WorkerBusyNs:   reg.Sharded("sched.worker_busy_ns", 3),
-			Tracer:         tr,
-			SpanName:       "core-checking",
-			TIDOffset:      1,
-		}
 		const n = int32(10000)
 		const deg = 16
 		const threshold = 1024
 		var processed int64
-		err := ep.run(context.Background(), 3, Options{DegreeThreshold: threshold, Metrics: m}, n,
+		err := ep.run(context.Background(), 3, Options{DegreeThreshold: threshold, Phase: "core-checking", Tracer: tr, TIDOffset: 1}, n,
 			func(u int32) bool { return u%2 == 0 }, func(int32) int32 { return deg },
 			func(u int32, w int) { atomic.AddInt64(&processed, 1) })
 		if err != nil {
@@ -439,47 +440,30 @@ func TestSchedulerMetrics(t *testing.T) {
 		if needed%perTask != 0 {
 			wantTasks++ // non-empty tail range
 		}
-		if got := m.TasksSubmitted.Value(); got != wantTasks {
-			t.Errorf("tasks submitted = %d, want %d", got, wantTasks)
-		}
-		if got := m.TaskDegreeSum.Count(); got != wantTasks {
-			t.Errorf("degree-sum observations = %d, want %d", got, wantTasks)
-		}
-		// Every needed vertex contributes its degree to exactly one task.
-		if got := m.TaskDegreeSum.Sum(); got != needed*deg {
-			t.Errorf("degree-sum total = %d, want %d", got, needed*deg)
-		}
-		// Task vertex ranges tile [0, n): widths must sum to n.
-		if got := m.TaskVertices.Sum(); got != int64(n) {
-			t.Errorf("task vertex widths sum = %d, want %d", got, n)
-		}
-		if got := m.QueueWaitNs.Count(); got != wantTasks {
-			t.Errorf("queue-wait observations = %d, want %d", got, wantTasks)
-		}
-		if got := m.TaskDurNs.Count(); got != wantTasks {
-			t.Errorf("task-duration observations = %d, want %d", got, wantTasks)
-		}
-		if m.WorkerBusyNs.Value() <= 0 {
-			t.Errorf("worker busy time not recorded")
-		}
-		// One trace span per executed task, named after the phase, on worker
-		// tracks shifted by TIDOffset.
-		spans := 0
+		var ranges []Range
+		var degSum int64
 		for _, e := range tr.Events() {
 			if e.Ph != "X" {
 				continue
 			}
-			spans++
 			if e.Name != "core-checking" {
 				t.Errorf("span name = %q", e.Name)
 			}
 			if e.TID < 1 || e.TID > 3 {
 				t.Errorf("span tid = %d, want 1..3", e.TID)
 			}
+			ranges = append(ranges, Range{e.Args["beg"].(int32), e.Args["end"].(int32)})
+			degSum += e.Args["deg"].(int64)
 		}
-		if int64(spans) != wantTasks {
-			t.Errorf("trace spans = %d, want %d", spans, wantTasks)
+		if int64(len(ranges)) != wantTasks {
+			t.Errorf("task spans = %d, want %d", len(ranges), wantTasks)
 		}
+		// Every needed vertex contributes its degree to exactly one task.
+		if degSum != needed*deg {
+			t.Errorf("degree-sum total = %d, want %d", degSum, needed*deg)
+		}
+		sort.Slice(ranges, func(i, j int) bool { return ranges[i].Beg < ranges[j].Beg })
+		requireTiling(t, ranges, n)
 		if processed != needed {
 			t.Errorf("processed = %d, want %d", processed, needed)
 		}

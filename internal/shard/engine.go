@@ -11,6 +11,7 @@ import (
 	"ppscan/graph"
 	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
+	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 )
@@ -34,7 +35,7 @@ func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt e
 	for s := range shards {
 		// One phase goroutine per partition: the partitions are the
 		// parallelism, as in the BSP systems this stands in for.
-		w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: p, Workers: 1, Kernel: opt.Kernel, Registry: opt.Registry})
+		w, err := NewWorker(g, WorkerOptions{Shard: s, Shards: p, Workers: 1, Kernel: opt.Kernel})
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +51,10 @@ func runLoopback(ctx context.Context, g *graph.Graph, th simdef.Threshold, opt e
 		MaxAttempts:     3,
 		RetryBackoff:    time.Millisecond,
 		MaxRetryBackoff: 50 * time.Millisecond,
-		Registry:        opt.Registry,
+		// The run's numbers are its Stats (CompSim calls, CommBytes); the
+		// shard.* counters stay private to it instead of adding a batch
+		// run's traffic to a serving process's fleet totals.
+		Registry: obsv.New(),
 	})
 	if err != nil {
 		return nil, err

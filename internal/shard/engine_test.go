@@ -17,14 +17,13 @@ import (
 	"ppscan/internal/fault"
 	"ppscan/internal/gen"
 	"ppscan/internal/intersect"
-	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 )
 
 // runDist runs the dist-scan engine with p partitions.
 func runDist(ctx context.Context, g *graph.Graph, th simdef.Threshold, p int) (*result.Result, error) {
-	return runLoopback(ctx, g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: p, Registry: obsv.NewNop()}, nil)
+	return runLoopback(ctx, g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: p}, nil)
 }
 
 func TestEngineMatchesSCANQuick(t *testing.T) {
@@ -52,7 +51,7 @@ func TestEngineStats(t *testing.T) {
 	if r.Stats.Workers != 3 || r.Stats.Total <= 0 {
 		t.Errorf("stats = %+v", r.Stats)
 	}
-	single, err := core.Run(context.Background(), g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: 1, Registry: obsv.NewNop()}, nil)
+	single, err := core.Run(context.Background(), g, th, engine.Options{Kernel: intersect.MergeEarly, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,37 @@ const (
 	overLoopback = "loopback"
 )
 
+// states counts a worker's query states and the ready ones among them.
+func states(w *Worker) (n, ready int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, st := range w.states {
+		st.mu.Lock()
+		if st.ready {
+			ready++
+		}
+		st.mu.Unlock()
+		n++
+	}
+	return n, ready
+}
+
+// readyState returns the worker's state for key when it is ready, else nil.
+func readyState(w *Worker, key stateKey) *queryState {
+	w.mu.Lock()
+	st := w.states[key]
+	w.mu.Unlock()
+	if st == nil {
+		return nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.ready {
+		return nil
+	}
+	return st
+}
+
 // overBoth runs fn once per transport.
 func overBoth(t *testing.T, fn func(t *testing.T, transport string)) {
 	for _, tr := range []string{overHTTP, overLoopback} {
@@ -447,7 +478,7 @@ func TestWorkerRejectsWrongPartitionArguments(t *testing.T) {
 			rej.Kind != rejectWrongShard || rej.Status != http.StatusBadRequest {
 			t.Fatalf("want ShardUnavailableError for shard 0 wrapping a 400 %s rejection, got %v", rejectWrongShard, err)
 		}
-		if wrong.misses.Value() != 0 {
+		if n, _ := states(wrong); n != 0 {
 			t.Error("the mispartitioned worker ran round work before refusing")
 		}
 	})
@@ -527,6 +558,9 @@ func TestStepContextStopsRolesRound(t *testing.T) {
 	if rec.Code == http.StatusOK {
 		t.Fatalf("cancelled roles round answered 200 after %d tasks", end-start)
 	}
+	if n, ready := states(w); n != 1 || ready != 0 {
+		t.Fatalf("after the cancelled pass: %d states, %d ready; want 1 and 0", n, ready)
+	}
 	// A task that passed its stop check before the cancel still runs; there
 	// is at most one of those per core.
 	if end-stopped > workers {
@@ -549,8 +583,8 @@ func TestStepContextStopsRolesRound(t *testing.T) {
 	if err := result.Equal(reference(g, mustTh(t, "0.5", 4)), got); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.misses.Value(); got != 2 {
-		t.Errorf("state misses = %d, want 2: the aborted pass must not count as ready", got)
+	if n, ready := states(w); n != 1 || ready != 1 {
+		t.Errorf("after the query: %d states, %d ready; want the aborted one recomputed", n, ready)
 	}
 }
 
@@ -562,15 +596,18 @@ func TestWorkerStateCacheSharedAcrossQueries(t *testing.T) {
 	if _, err := c.Run(ctx, "0.4", 3); err != nil {
 		t.Fatal(err)
 	}
-	missesAfterFirst := f.workers[0].misses.Value()
+	w, key := f.workers[0], stateKey{epoch: g.Epoch(), eps: "2/5", mu: 3}
+	// A state turns ready once and stays so; a query finding the same ready
+	// state reuses its roles instead of recomputing them.
+	first := readyState(w, key)
+	if first == nil {
+		t.Fatal("after the first query: no ready state for its key")
+	}
 	if _, err := c.Run(ctx, "0.4", 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.workers[0].misses.Value(); got != missesAfterFirst {
-		t.Errorf("second identical query recomputed state: misses %d -> %d", missesAfterFirst, got)
-	}
-	if f.workers[0].hits.Value() == 0 {
-		t.Error("no state-cache hits counted")
+	if n, _ := states(w); n != 1 || readyState(w, key) != first {
+		t.Errorf("second identical query built a new state (%d states)", n)
 	}
 }
 

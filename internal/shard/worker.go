@@ -17,7 +17,6 @@ import (
 	"ppscan/internal/core"
 	"ppscan/internal/fault"
 	"ppscan/internal/intersect"
-	"ppscan/internal/obsv"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 )
@@ -53,9 +52,6 @@ type WorkerOptions struct {
 	// MaxBodyBytes bounds one request body; < 1 defaults to
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// Registry receives the shard.worker.* metrics. nil means a private
-	// registry.
-	Registry *obsv.Registry
 	// CrashHook runs when an injected ShardCrash error-action fires
 	// mid-superstep. cmd/scanshard hard-exits the process; the default
 	// panics, which net/http converts into a severed connection — either
@@ -133,8 +129,6 @@ type Worker struct {
 	mu     sync.Mutex
 	states map[stateKey]*queryState
 	order  []stateKey // FIFO eviction order
-
-	steps, hits, misses, syncs *obsv.Counter
 }
 
 // NewWorker creates a worker owning shard opt.Shard of opt.Shards over g
@@ -155,9 +149,6 @@ func NewWorker(g *graph.Graph, opt WorkerOptions) (*Worker, error) {
 	if opt.MaxBodyBytes < 1 {
 		opt.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opt.Registry == nil {
-		opt.Registry = obsv.New()
-	}
 	if opt.CrashHook == nil {
 		opt.CrashHook = func() {
 			panic("shard: injected worker crash (ShardCrash)")
@@ -166,10 +157,6 @@ func NewWorker(g *graph.Graph, opt WorkerOptions) (*Worker, error) {
 	w := &Worker{
 		opt:    opt,
 		states: make(map[stateKey]*queryState),
-		steps:  opt.Registry.Counter(obsv.MetricShardWorkerSteps),
-		hits:   opt.Registry.Counter(obsv.MetricShardWorkerStateHits),
-		misses: opt.Registry.Counter(obsv.MetricShardWorkerStateMisses),
-		syncs:  opt.Registry.Counter(obsv.MetricShardWorkerSyncs),
 	}
 	w.install(g, g.Epoch())
 	return w, nil
@@ -234,7 +221,6 @@ func (w *Worker) handleSync(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.install(g, epoch)
-	w.syncs.Inc()
 	rw.WriteHeader(http.StatusOK)
 }
 
@@ -307,7 +293,6 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		reject(rw, status, kind, err, 0)
 		return
 	}
-	w.steps.Inc()
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	wrote = true
 	_ = gob.NewEncoder(rw).Encode(resp)
@@ -339,12 +324,9 @@ func (w *Worker) step(ctx context.Context, sn *snapState, req *StepRequest) (*St
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	resp := &StepResponse{Shard: w.opt.Shard, Round: req.Round}
-	if st.ready {
-		w.hits.Inc()
-	} else {
+	if !st.ready {
 		// A miss is how a restarted worker catches up mid-query: the roles
 		// are deterministic, so recomputing them yields the same answer.
-		w.misses.Inc()
 		if st.r == nil {
 			if st.r, err = core.NewRange(sn.g, sn.lo, sn.hi, th, w.opt.Kernel, w.opt.Workers); err != nil {
 				return nil, err

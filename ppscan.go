@@ -207,8 +207,7 @@ func RunWorkspace(ctx context.Context, g *graph.Graph, opt Options, ws *Workspac
 		algo = AlgoPPSCAN
 	}
 	// The dispatcher reports a bad kernel name, then an unknown algorithm,
-	// then a ctx already done ("not started") — in that order — and records
-	// the run in engine.run_ns.<algorithm>.
+	// then a ctx already done ("not started") — in that order.
 	return engine.Run(ctx, string(algo), opt.Kernel, g, th, engine.Options{
 		Workers:          opt.Workers,
 		StaticScheduling: opt.StaticScheduling,
