@@ -30,16 +30,17 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The scheduler and the packages that run their parallel phases on it, at
-# one, two and four cores: how tasks interleave, which worker wakes first
-# and whether a cancel lands mid-task all change with the core count, and
-# tier-1 has to be green on any of them (ROADMAP). scan-xp and anyscan drive
+# The scheduler, the packages that run their parallel phases on it, and the
+# snapshot store, at one, two and four cores: how tasks interleave, which
+# worker wakes first and whether a cancel lands mid-task all change with the
+# core count, and tier-1 has to be green on any of them (ROADMAP). scan-xp and anyscan drive
 # the shared arc labeller (internal/result/tail.go) from concurrent workers;
 # the server builds an epoch's index on a sweep, racing other sweeps and
-# commits for the one publish.
+# commits for the one publish; and graph.Store's lock-free readers race its
+# commits on one atomic pointer.
 cores:
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/gsindex/ ./internal/shard/ \
-		./internal/scanxp/ ./internal/anyscan/ ./internal/server/
+		./internal/scanxp/ ./internal/anyscan/ ./internal/server/ ./graph/
 
 staticcheck:
 	@command -v $(STATICCHECK) >/dev/null 2>&1 || \

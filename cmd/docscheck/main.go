@@ -168,9 +168,9 @@ func realMain(args []string, w io.Writer) int {
 // change that must add lines raises the ceiling in the same diff and says
 // why in CHANGES.md.
 var lineCeilings = map[string]int{
-	"README.md":           524,
+	"README.md":           513,
 	"DESIGN.md":           763,
-	"OPERATIONS.md":       826,
+	"OPERATIONS.md":       801,
 	"EXPERIMENTS.md":      368,
 	"benchmark/README.md": 312,
 }

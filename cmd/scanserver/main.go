@@ -17,20 +17,19 @@
 // under /debug/pprof/.
 //
 // Every answer is extracted from the epoch's GS*-Index. The first cache
-// miss of an index-less epoch builds it under its admission slot, and the
-// server keeps it; -index builds it at startup instead (-indexfile loads
-// it from disk). With -shards, a /cluster, /vertex or /quality miss on an
-// index-less epoch goes to the fleet instead; sweeps still build. The
-// stages are logged at startup. Extractions draw their scratch memory
-// from a per-server workspace pool sized to -max-inflight.
+// miss of an index-less epoch builds it, misses that arrive meanwhile wait
+// for that build, and the server keeps it; -index builds it at startup
+// instead (-indexfile, which implies -index, loads it from disk). With
+// -shards, a /cluster, /vertex or /quality miss on an index-less epoch
+// goes to the fleet instead; sweeps still build. The stages are logged at
+// startup. Extractions draw their scratch memory from a per-server
+// workspace pool.
 //
-// Admission control: -max-inflight bounds concurrent misses (excess
-// requests degrade to the cache/index or get 429 + Retry-After) and
-// -request-timeout cancels a miss that exceeds the deadline (503 +
-// Retry-After), so it must exceed one index build. On SIGTERM/SIGINT the
-// server drains: /healthz flips to 503 so load balancers stop routing
-// here, in-flight requests finish (up to -shutdown-grace), then the
-// process exits 0.
+// No request is refused for load. -request-timeout cancels a request that
+// exceeds the deadline (503 + Retry-After), so it must exceed one index
+// build. On SIGTERM/SIGINT the server drains: /healthz flips to 503 so
+// load balancers stop routing here, in-flight requests finish (up to
+// -shutdown-grace), then the process exits 0.
 package main
 
 import (
@@ -82,7 +81,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "worker goroutines per query (0 = GOMAXPROCS)")
 		useIndex  = flag.Bool("index", false, "build the GS*-Index at startup instead of on the first cache miss")
-		indexFile = flag.String("indexfile", "", "with -index: load the index from this file if it exists, otherwise build and save it there")
+		indexFile = flag.String("indexfile", "", "load the index from this file if it exists, otherwise build and save it there (implies -index)")
 		cacheSize = flag.Int("cache", server.DefaultCacheSize, "response-cache capacity (distinct parameter combinations kept resident)")
 		pprofOn   = flag.Bool("pprof", false, "expose the Go profiling endpoints under /debug/pprof/")
 		logReqs   = flag.Bool("log-requests", false, "log one structured line per HTTP request")
@@ -90,11 +89,10 @@ func main() {
 		mutations  = flag.Bool("mutations", false, "enable POST /edges: batched NDJSON edge mutations commit new graph epochs; with -index the GS*-Index is maintained incrementally across commits")
 		sweepSteps = flag.Int("sweep-max-steps", server.DefaultSweepMaxSteps, "max eps steps one /cluster/sweep request may stream")
 
-		maxInflight = flag.Int("max-inflight", 0, "max concurrent cache misses (0 = unlimited); excess requests degrade to cache/index or get 429")
-		reqTimeout  = flag.Duration("request-timeout", 0, "per-request deadline (0 = none), longer than one index build; exceeded requests get 503")
-		grace       = flag.Duration("shutdown-grace", 15*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
-		exemplars   = flag.Int("exemplars", 8, "retain the N slowest cache misses of the last 15 minutes at /debug/slowest (0 = off)")
-		chaosSeed   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off) — a chaos drill: injected worker panics, delays and transient faults exercise the containment paths while /metrics reports fault.* counters")
+		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline (0 = none), longer than one index build; exceeded requests get 503")
+		grace      = flag.Duration("shutdown-grace", 15*time.Second, "max time to wait for in-flight requests on SIGTERM/SIGINT")
+		exemplars  = flag.Int("exemplars", 8, "retain the N slowest cache misses of the last 15 minutes at /debug/slowest (0 = off)")
+		chaosSeed  = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off) — a chaos drill: injected worker panics, delays and transient faults exercise the containment paths while /metrics reports fault.* counters")
 
 		shardSpec = flag.String("shards", "", "answer the misses of an index-less epoch on a multi-process scanshard worker fleet: one base URL per shard, semicolon-separated, e.g. \"http://h1:9100;http://h1:9101\"; an epoch's index, once built, answers first")
 	)
@@ -131,14 +129,14 @@ func main() {
 
 	srv := server.New(g, *workers).
 		WithCacheSize(*cacheSize).
-		WithAdmission(*maxInflight, *reqTimeout).
+		WithRequestTimeout(*reqTimeout).
 		WithSweepMaxSteps(*sweepSteps).
 		WithExemplars(*exemplars, server.DefaultExemplarWindow)
 	stages := []string{fmt.Sprintf("cache(%d)", *cacheSize), "index"}
 	if *logReqs {
 		srv = srv.WithLogging(log.Default())
 	}
-	if *useIndex {
+	if *useIndex || *indexFile != "" {
 		ix, err := obtainIndex(g, *workers, *indexFile)
 		if err != nil {
 			log.Fatal("scanserver: ", err)
@@ -173,10 +171,6 @@ func main() {
 		handler = mux
 		log.Printf("pprof enabled at /debug/pprof/")
 	}
-	if *maxInflight > 0 || *reqTimeout > 0 {
-		log.Printf("admission control: max-inflight=%d request-timeout=%v", *maxInflight, *reqTimeout)
-	}
-
 	// Listen explicitly so the resolved address (e.g. with -addr :0 in
 	// tests) can be logged before serving.
 	ln, err := net.Listen("tcp", *addr)
@@ -255,8 +249,11 @@ func obtainIndex(g *graph.Graph, workers int, path string) (*ppscan.Index, error
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		if err := ppscan.SaveIndex(f, ix); err != nil {
+		err = ppscan.SaveIndex(f, ix)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return nil, err
 		}
 		log.Printf("GS*-Index saved to %s", path)

@@ -9,8 +9,8 @@
 // run; untouched runs are bulk-copied, touched runs are re-merged), and
 // an epoch counter versions the sequence. In-flight readers keep whatever
 // snapshot they loaded — a mutation can never tear a running query — and
-// a snapshot's bookkeeping entry is dropped when its last reader leaves,
-// so the store never pins more history than its readers do.
+// the store holds only the current one, so a superseded snapshot lives
+// exactly as long as its last reader's pointer.
 package graph
 
 import (
@@ -58,99 +58,31 @@ func (d *Delta) Epoch() uint64 { return d.New.Epoch() }
 // Empty reports whether the commit changed nothing.
 func (d *Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// snapshot is one epoch's bookkeeping entry: the graph plus a reader
-// refcount. The store's own "current" pointer holds one reference; each
-// Acquire holds another. When the count reaches zero (the snapshot has
-// been superseded and its last reader left) the entry is dropped from the
-// live table — the Graph itself stays valid for anyone still holding it
-// (it is immutable and garbage-collected); only the store stops tracking
-// and pinning it.
-type snapshot struct {
-	store *Store
-	g     *Graph
-	refs  atomic.Int64
-}
-
-// Snapshot is a counted reference to one epoch's graph. Obtain one with
-// Store.Acquire, read Graph and Epoch freely, and call Release exactly
-// once when done. The Graph remains usable after Release (immutability
-// makes that safe); Release only returns the reference so the store can
-// drop superseded epochs from its live table.
-type Snapshot struct {
-	sn *snapshot
-}
-
-// Graph returns the snapshot's immutable graph.
-func (s *Snapshot) Graph() *Graph { return s.sn.g }
-
-// Epoch returns the snapshot's version.
-func (s *Snapshot) Epoch() uint64 { return s.sn.g.Epoch() }
-
-// Release returns the reference. It must be called exactly once.
-func (s *Snapshot) Release() { s.sn.unref() }
-
-func (sn *snapshot) unref() {
-	if sn.refs.Add(-1) == 0 {
-		sn.store.liveMu.Lock()
-		// Re-check under the lock: a racing Acquire may have resurrected
-		// the count between the Add and here.
-		if sn.refs.Load() == 0 {
-			delete(sn.store.live, sn.g.Epoch())
-		}
-		sn.store.liveMu.Unlock()
-	}
-}
-
 // Store versions one logical graph through batched edge mutations. Reads
-// (Acquire, Epoch) are lock-free; Commits serialize against each other
-// but never block readers. The zero value is not ready; use NewStore.
+// (Graph, Epoch) are one lock-free atomic load; Commits serialize against
+// each other but never block readers. The zero value is not ready; use
+// NewStore.
 type Store struct {
 	commitMu sync.Mutex // serializes Commit
-	cur      atomic.Pointer[snapshot]
-
-	liveMu sync.Mutex
-	live   map[uint64]*snapshot
-
-	epoch atomic.Uint64 // current epoch, == cur's graph epoch
+	cur      atomic.Pointer[Graph]
 }
 
 // NewStore creates a store whose epoch-0 snapshot is g. The store assumes
 // ownership of nothing: g must not be mutated by the caller afterwards
 // (the usual immutability contract of this package).
 func NewStore(g *Graph) *Store {
-	s := &Store{live: map[uint64]*snapshot{}}
-	sn := &snapshot{store: s, g: g}
-	sn.refs.Store(1) // the store's current-pointer reference
-	s.cur.Store(sn)
-	s.live[g.Epoch()] = sn
-	s.epoch.Store(g.Epoch())
+	s := &Store{}
+	s.cur.Store(g)
 	return s
 }
 
 // Epoch returns the current snapshot's version.
-func (s *Store) Epoch() uint64 { return s.epoch.Load() }
+func (s *Store) Epoch() uint64 { return s.cur.Load().Epoch() }
 
-// Graph returns the current snapshot's graph without taking a counted
-// reference — the convenience accessor for callers that only need a
-// consistent momentary view (the graph stays valid regardless; see
-// Snapshot for why).
-func (s *Store) Graph() *Graph { return s.cur.Load().g }
-
-// Acquire returns a counted reference to the current snapshot. The pair
-// (graph, epoch) it carries is consistent: both come from one atomic load.
-func (s *Store) Acquire() *Snapshot {
-	sn := s.cur.Load()
-	sn.refs.Add(1)
-	return &Snapshot{sn: sn}
-}
-
-// LiveSnapshots reports how many epochs the store is still tracking: the
-// current one plus every superseded snapshot with at least one reader.
-func (s *Store) LiveSnapshots() int {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	return len(s.live)
-}
+// Graph returns the current snapshot. A reader that loaded it keeps a
+// consistent view for as long as it holds the pointer: the graph is
+// immutable, and a later Commit publishes a new one beside it.
+func (s *Store) Graph() *Graph { return s.cur.Load() }
 
 // Commit applies one mutation batch and publishes the resulting snapshot
 // under the next epoch. The batch is normalized first (orientation, last
@@ -180,7 +112,7 @@ func (s *Store) Commit(batch []EdgeOp) (*Delta, error) {
 func (s *Store) CommitWith(batch []EdgeOp, prepare func(*Delta) error) (*Delta, error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	old := s.cur.Load().g
+	old := s.cur.Load()
 	d, err := applyBatch(old, batch)
 	if err != nil {
 		return nil, err
@@ -188,21 +120,14 @@ func (s *Store) CommitWith(batch []EdgeOp, prepare func(*Delta) error) (*Delta, 
 	if d.Empty() {
 		return d, nil
 	}
-	//lint:snapfreeze pre-publication: d.New is the next snapshot, invisible to readers until the CAS below
+	//lint:snapfreeze pre-publication: d.New is the next snapshot, invisible to readers until the Store below
 	d.New.epoch = old.Epoch() + 1
 	if prepare != nil {
 		if err := prepare(d); err != nil {
 			return nil, err
 		}
 	}
-	sn := &snapshot{store: s, g: d.New}
-	sn.refs.Store(1)
-	s.liveMu.Lock()
-	s.live[d.New.Epoch()] = sn
-	s.liveMu.Unlock()
-	prev := s.cur.Swap(sn)
-	s.epoch.Store(d.New.Epoch())
-	prev.unref() // drop the store's reference to the superseded snapshot
+	s.cur.Store(d.New)
 	return d, nil
 }
 

@@ -102,7 +102,7 @@ func TestWorkerPanicContained(t *testing.T) {
 	th, _ := simdef.NewThreshold("0.5", 3)
 	pool := engine.NewPool(1)
 	runPooled := func() (*result.Result, error) {
-		ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
+		ws := pool.Acquire()
 		defer pool.Release(ws)
 		return engine.Run(context.Background(), "anyscan", "", g, th, engine.Options{Workers: 2}, ws)
 	}

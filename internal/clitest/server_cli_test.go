@@ -133,20 +133,6 @@ func TestScanserverAdmissionFlags(t *testing.T) {
 	dir := t.TempDir()
 	bin := build(t, dir, "scanserver")
 
-	t.Run("max-inflight-serves", func(t *testing.T) {
-		base, cmd, _ := startServer(t, bin, "-max-inflight", "1")
-		defer cmd.Process.Kill()
-		httpGetJSON(t, base+"/healthz", http.StatusOK)
-		httpGetJSON(t, base+"/cluster?eps=0.3&mu=3", http.StatusOK)
-		metrics := httpGetJSON(t, base+"/metrics", http.StatusOK)
-		if v, ok := metrics["admission.max_inflight"].(float64); !ok || v != 1 {
-			t.Errorf("admission.max_inflight = %v, want 1", metrics["admission.max_inflight"])
-		}
-		if _, ok := metrics["admission.rejected"].(float64); !ok {
-			t.Errorf("admission.rejected missing from /metrics")
-		}
-	})
-
 	t.Run("request-timeout-503", func(t *testing.T) {
 		// A 1ns deadline is already expired when the computation starts, so
 		// every /cluster request must fail fast with 503 + Retry-After, and
@@ -214,6 +200,38 @@ func TestScanserverAdmissionFlags(t *testing.T) {
 			t.Errorf("shutdown log missing 'drained':\n%s", log)
 		}
 	})
+}
+
+// -indexfile alone implies -index: the first start builds the index and
+// saves it before it listens, a second start loads the saved file, and
+// both serve an indexed epoch.
+func TestScanserverIndexFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration tests skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := build(t, dir, "scanserver")
+	ixPath := filepath.Join(dir, "roll.ix")
+	for _, want := range []string{"GS*-Index saved to", "GS*-Index loaded from"} {
+		base, cmd, output := startServer(t, bin, "-indexfile", ixPath)
+		if fi, err := os.Stat(ixPath); err != nil || fi.Size() == 0 {
+			t.Fatalf("-indexfile: no index file after listening: %v", err)
+		}
+		if h := httpGetJSON(t, base+"/healthz", http.StatusOK); h["indexed"] != true {
+			t.Errorf("/healthz indexed = %v, want true", h["indexed"])
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case log := <-output:
+			if !strings.Contains(log, want) {
+				t.Errorf("log missing %q:\n%s", want, log)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("scanserver did not exit after SIGTERM")
+		}
+	}
 }
 
 // A client that stalls inside the request line must not hold a connection

@@ -73,7 +73,7 @@ func TestChaosEngines(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		fault.Enable(fault.NewPlan(seed))
 		for _, e := range engines {
-			ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
+			ws := pool.Acquire()
 			res, err := engine.Run(context.Background(), e.Name, "", g, th, engine.Options{Workers: 4}, ws)
 			if err != nil {
 				faulted++
@@ -100,7 +100,7 @@ func TestChaosEngines(t *testing.T) {
 	// poisoned workspace that slipped back into circulation un-reset shows
 	// up here as a wrong result.
 	for _, e := range engines {
-		ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
+		ws := pool.Acquire()
 		res, err := engine.Run(context.Background(), e.Name, "", g, th, engine.Options{Workers: 4}, ws)
 		if err != nil {
 			t.Errorf("post-chaos clean run %s: %v", e.Name, err)
@@ -134,7 +134,7 @@ func TestChaosPanicPoisonsAndPoolResets(t *testing.T) {
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
 		{Point: fault.WorkerTask, Action: fault.ActPanic, Start: 1, Count: 1},
 	}})
-	ws := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
+	ws := pool.Acquire()
 	_, err = engine.Run(context.Background(), "ppscan", "", g, th, engine.Options{Workers: 2}, ws)
 	var wpe *result.WorkerPanicError
 	if !errors.As(err, &wpe) {
@@ -152,7 +152,7 @@ func TestChaosPanicPoisonsAndPoolResets(t *testing.T) {
 	}
 
 	fault.Disable()
-	ws2 := pool.Acquire(int(g.NumVertices()), int(g.NumEdges()))
+	ws2 := pool.Acquire()
 	if ws2.Poisoned() {
 		t.Error("pool handed out a still-poisoned workspace")
 	}

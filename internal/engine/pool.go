@@ -1,30 +1,27 @@
 package engine
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 )
 
-// Pool is a size-classed cache of workspaces for concurrent serving: each
-// in-flight request acquires its own workspace, runs, and releases it for
-// the next request. Classing by the high-water run size (class =
-// bits.Len64(n+m)) steers big requests toward workspaces that already own
-// big buffers, so the steady state converges to zero growth allocations
-// even under mixed request sizes.
+// Pool is a cache of workspaces for concurrent serving: each in-flight
+// request acquires its own workspace, runs, and releases it for the next
+// request. Every workspace of a server serves the same graph, so the
+// pool is one LIFO free list: the most recently released workspace, whose
+// buffers are warmest, goes out first, and the steady state converges to
+// zero growth allocations.
 //
 // Capacity bounds how many idle workspaces the pool retains — released
 // workspaces beyond it are closed and left to the GC. It does not bound
 // concurrency: Acquire always returns a workspace, creating one on a
-// pool miss. Bound in-flight work elsewhere (the server's admission
-// semaphore does), and size the pool to that bound.
+// pool miss.
 //
 // All methods are safe for concurrent use.
 type Pool struct {
 	mu       sync.Mutex
 	capacity int
-	classes  [65][]*Workspace
-	retained int
+	free     []*Workspace
 	closed   bool
 
 	hits, misses, discards, resets uint64
@@ -32,8 +29,6 @@ type Pool struct {
 
 // PoolStats is a snapshot of pool effectiveness counters.
 type PoolStats struct {
-	// Capacity is the maximum number of retained idle workspaces.
-	Capacity int
 	// Retained is the current number of idle workspaces held.
 	Retained int
 	// Hits counts Acquire calls served from the pool.
@@ -61,54 +56,22 @@ func NewPool(capacity int) *Pool {
 	return &Pool{capacity: capacity}
 }
 
-// sizeClass buckets a run footprint; one class per power of two.
-func sizeClass(work uint64) int {
-	return bits.Len64(work)
-}
-
-// Acquire returns a workspace suitable for a graph with n vertices and m
-// directed edges, preferring an idle workspace whose buffers are already
-// at least that large (same or larger size class), then any smaller one
-// (grow-only reuse still saves its prior capacity), and creating a fresh
-// workspace only when the pool is empty.
-func (p *Pool) Acquire(n, m int) *Workspace {
-	want := sizeClass(uint64(n) + uint64(m))
+// Acquire returns the most recently released idle workspace, or a fresh
+// one when the pool is empty.
+func (p *Pool) Acquire() *Workspace {
 	p.mu.Lock()
-	for c := want; c < len(p.classes); c++ {
-		if ws := p.take(c); ws != nil {
-			p.hits++
-			p.mu.Unlock()
-			ws.note(uint64(n) + uint64(m))
-			return ws
-		}
-	}
-	for c := want - 1; c >= 0; c-- {
-		if ws := p.take(c); ws != nil {
-			p.hits++
-			p.mu.Unlock()
-			ws.note(uint64(n) + uint64(m))
-			return ws
-		}
+	if n := len(p.free); n > 0 {
+		ws := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.hits++
+		p.mu.Unlock()
+		ws.released.Store(false)
+		return ws
 	}
 	p.misses++
 	p.mu.Unlock()
-	ws := NewWorkspace()
-	ws.note(uint64(n) + uint64(m))
-	return ws
-}
-
-// take pops an idle workspace from class c. Caller holds p.mu.
-func (p *Pool) take(c int) *Workspace {
-	s := p.classes[c]
-	if len(s) == 0 {
-		return nil
-	}
-	ws := s[len(s)-1]
-	s[len(s)-1] = nil
-	p.classes[c] = s[:len(s)-1]
-	p.retained--
-	ws.released.Store(false)
-	return ws
+	return NewWorkspace()
 }
 
 // Release returns ws to the pool for reuse. When the pool is at capacity
@@ -136,15 +99,13 @@ func (p *Pool) Release(ws *Workspace) {
 	if reset {
 		p.resets++
 	}
-	if p.closed || p.retained >= p.capacity {
+	if p.closed || len(p.free) >= p.capacity {
 		p.discards++
 		p.mu.Unlock()
 		ws.Close()
 		return
 	}
-	c := sizeClass(ws.work)
-	p.classes[c] = append(p.classes[c], ws)
-	p.retained++
+	p.free = append(p.free, ws)
 	p.mu.Unlock()
 }
 
@@ -153,17 +114,14 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := PoolStats{
-		Capacity: p.capacity,
-		Retained: p.retained,
+		Retained: len(p.free),
 		Hits:     p.hits,
 		Misses:   p.misses,
 		Discards: p.discards,
 		Resets:   p.resets,
 	}
-	for _, s := range p.classes {
-		for _, ws := range s {
-			st.RetainedBytes += ws.MemoryBytes()
-		}
+	for _, ws := range p.free {
+		st.RetainedBytes += ws.MemoryBytes()
 	}
 	return st
 }
@@ -174,12 +132,8 @@ func (p *Pool) Stats() PoolStats {
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	var all []*Workspace
-	for c := range p.classes {
-		all = append(all, p.classes[c]...)
-		p.classes[c] = nil
-	}
-	p.retained = 0
+	all := p.free
+	p.free = nil
 	p.mu.Unlock()
 	for _, ws := range all {
 		ws.Close()

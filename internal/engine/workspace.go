@@ -42,12 +42,10 @@ type Workspace struct {
 	clusterID     []int32
 	coreClusterID []int32
 	sd, ed        []int32
-	flags, flags2 []bool
 	cuf           *unionfind.Concurrent
 	suf           *unionfind.Sequential
 	crew          *sched.Crew
 	scratch       map[string]any
-	work          uint64 // high-water n+m, for pool size classing
 
 	// poisoned marks a workspace whose last run ended in a contained
 	// worker panic: engine-private scratch state may be mid-phase
@@ -100,16 +98,8 @@ func (w *Workspace) Reset() {
 	w.poisoned.Store(false)
 }
 
-// note records a run size for pool classing (monotone high-water).
-func (w *Workspace) note(size uint64) {
-	if size > w.work {
-		w.work = size
-	}
-}
-
 // Roles returns n vertex roles, all RoleUnknown.
 func (w *Workspace) Roles(n int) []result.Role {
-	w.note(uint64(n))
 	w.roles = grow(w.roles, n)
 	clear(w.roles)
 	return w.roles
@@ -118,7 +108,6 @@ func (w *Workspace) Roles(n int) []result.Role {
 // EdgeSims returns n edge-similarity states (for the sequential and
 // exhaustive engines), all simdef.Unknown.
 func (w *Workspace) EdgeSims(n int) []simdef.EdgeSim {
-	w.note(uint64(n))
 	w.edgeSims = grow(w.edgeSims, n)
 	clear(w.edgeSims)
 	return w.edgeSims
@@ -126,7 +115,6 @@ func (w *Workspace) EdgeSims(n int) []simdef.EdgeSim {
 
 // ClusterIDs returns n root-indexed cluster ids, all -1.
 func (w *Workspace) ClusterIDs(n int) []int32 {
-	w.note(uint64(n))
 	w.clusterID = grow(w.clusterID, n)
 	fillNeg(w.clusterID)
 	return w.clusterID
@@ -135,7 +123,6 @@ func (w *Workspace) ClusterIDs(n int) []int32 {
 // CoreClusterIDs returns n vertex-indexed core cluster ids, all -1.
 // Guaranteed distinct from the ClusterIDs array (see the aliasing rule).
 func (w *Workspace) CoreClusterIDs(n int) []int32 {
-	w.note(uint64(n))
 	w.coreClusterID = grow(w.coreClusterID, n)
 	fillNeg(w.coreClusterID)
 	return w.coreClusterID
@@ -144,7 +131,6 @@ func (w *Workspace) CoreClusterIDs(n int) []int32 {
 // Bounds returns pSCAN's two per-vertex bound arrays (similar-degree and
 // effective-degree), both zeroed.
 func (w *Workspace) Bounds(n int) (sd, ed []int32) {
-	w.note(uint64(n))
 	w.sd = grow(w.sd, n)
 	w.ed = grow(w.ed, n)
 	clear(w.sd)
@@ -152,25 +138,8 @@ func (w *Workspace) Bounds(n int) (sd, ed []int32) {
 	return w.sd, w.ed
 }
 
-// Flags returns n booleans, all false.
-func (w *Workspace) Flags(n int) []bool {
-	w.note(uint64(n))
-	w.flags = grow(w.flags, n)
-	clear(w.flags)
-	return w.flags
-}
-
-// Flags2 returns a second independent boolean array, all false.
-func (w *Workspace) Flags2(n int) []bool {
-	w.note(uint64(n))
-	w.flags2 = grow(w.flags2, n)
-	clear(w.flags2)
-	return w.flags2
-}
-
 // ConcurrentUF returns the wait-free union–find reset to n singletons.
 func (w *Workspace) ConcurrentUF(n int32) *unionfind.Concurrent {
-	w.note(uint64(n))
 	if w.cuf == nil {
 		w.cuf = unionfind.NewConcurrent(n)
 	} else {
@@ -181,7 +150,6 @@ func (w *Workspace) ConcurrentUF(n int32) *unionfind.Concurrent {
 
 // SequentialUF returns the sequential union–find reset to n singletons.
 func (w *Workspace) SequentialUF(n int32) *unionfind.Sequential {
-	w.note(uint64(n))
 	if w.suf == nil {
 		w.suf = unionfind.NewSequential(n)
 	} else {
@@ -237,7 +205,6 @@ func (w *Workspace) MemoryBytes() int64 {
 	b += int64(cap(w.clusterID)) * 4
 	b += int64(cap(w.coreClusterID)) * 4
 	b += int64(cap(w.sd)+cap(w.ed)) * 4
-	b += int64(cap(w.flags) + cap(w.flags2))
 	if w.cuf != nil {
 		b += int64(w.cuf.Len()) * 4
 	}

@@ -30,9 +30,6 @@ func TestWorkspaceGrowOnly(t *testing.T) {
 	if &small[0] != &big[0] {
 		t.Error("Roles(10) after Roles(1000) did not reuse the backing array")
 	}
-	if ws.work < 1000 {
-		t.Errorf("high-water work = %d, want >= 1000", ws.work)
-	}
 
 	// Growing past capacity allocates, then stays put again.
 	huge := ws.ClusterIDs(5000)
@@ -70,12 +67,6 @@ func TestWorkspaceNoStaleData(t *testing.T) {
 	for i := range sd {
 		sd[i], ed[i] = 3, 9
 	}
-	for i := range ws.Flags(64) {
-		ws.flags[i] = true
-	}
-	for i := range ws.Flags2(64) {
-		ws.flags2[i] = true
-	}
 	ws.ConcurrentUF(64).Union(1, 2)
 	ws.SequentialUF(64).Union(3, 4)
 
@@ -104,16 +95,6 @@ func TestWorkspaceNoStaleData(t *testing.T) {
 	for i := range sd {
 		if sd[i] != 0 || ed[i] != 0 {
 			t.Fatalf("Bounds[%d] = (%d, %d), want zeros", i, sd[i], ed[i])
-		}
-	}
-	for i, v := range ws.Flags(32) {
-		if v {
-			t.Fatalf("Flags[%d] = true, want false", i)
-		}
-	}
-	for i, v := range ws.Flags2(32) {
-		if v {
-			t.Fatalf("Flags2[%d] = true, want false", i)
 		}
 	}
 	if cuf := ws.ConcurrentUF(32); cuf.Find(1) == cuf.Find(2) {
@@ -170,25 +151,29 @@ func TestWorkspaceScratch(t *testing.T) {
 	}
 }
 
-// TestPoolReuseAndClassing: a released workspace is preferred over a fresh
-// allocation, and a big released workspace serves a small request.
-func TestPoolReuseAndClassing(t *testing.T) {
+// TestPoolReuse: a released workspace is preferred over a fresh
+// allocation, and the free list is LIFO — the most recently released
+// workspace, whose buffers are warmest, goes out first.
+func TestPoolReuse(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 
-	ws := p.Acquire(1000, 8000)
-	ws.Roles(1000) // materialize something
-	p.Release(ws)
+	a, b := p.Acquire(), p.Acquire()
+	a.Roles(1000) // materialize something
+	p.Release(a)
+	p.Release(b)
 
-	got := p.Acquire(10, 20)
-	if got != ws {
-		t.Error("small Acquire did not reuse the released larger workspace")
+	if got := p.Acquire(); got != b {
+		t.Error("Acquire did not return the most recently released workspace")
 	}
-	p.Release(got)
+	if got := p.Acquire(); got != a {
+		t.Error("second Acquire did not return the earlier released workspace")
+	}
+	p.Release(a)
 
 	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
+	if st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 hits / 2 misses", st)
 	}
 	if st.Retained != 1 {
 		t.Errorf("retained = %d, want 1", st.Retained)
@@ -203,7 +188,7 @@ func TestPoolReuseAndClassing(t *testing.T) {
 func TestPoolCapacityBound(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	a, b, c := p.Acquire(8, 8), p.Acquire(8, 8), p.Acquire(8, 8)
+	a, b, c := p.Acquire(), p.Acquire(), p.Acquire()
 	p.Release(a)
 	p.Release(b)
 	p.Release(c) // over capacity: discarded
@@ -231,19 +216,19 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 		p.Release(ws)
 	}
 	p := NewPool(2)
-	ws := p.Acquire(8, 8)
+	ws := p.Acquire()
 	p.Release(ws)
 	mustPanic(p, ws)
 	if st := p.Stats(); st.Retained != 1 {
 		t.Errorf("retained after a double release = %d, want 1", st.Retained)
 	}
-	if again := p.Acquire(8, 8); again != ws {
+	if again := p.Acquire(); again != ws {
 		t.Fatal("Acquire did not return the one retained workspace")
 	}
 	p.Release(ws)
 
 	p.Close()
-	discarded := p.Acquire(8, 8)
+	discarded := p.Acquire()
 	p.Release(discarded) // closed pool: discarded, not retained
 	mustPanic(p, discarded)
 }
@@ -252,8 +237,8 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 // releases discard immediately, while Acquire keeps working.
 func TestPoolClose(t *testing.T) {
 	p := NewPool(2)
-	a := p.Acquire(8, 8)
-	b := p.Acquire(8, 8)
+	a := p.Acquire()
+	b := p.Acquire()
 	p.Release(a)
 	p.Close()
 	if st := p.Stats(); st.Retained != 0 {
@@ -263,7 +248,7 @@ func TestPoolClose(t *testing.T) {
 	if st := p.Stats(); st.Discards < 1 {
 		t.Errorf("discards after post-Close release = %d, want >= 1", st.Discards)
 	}
-	if ws := p.Acquire(8, 8); ws == nil {
+	if ws := p.Acquire(); ws == nil {
 		t.Error("Acquire after Close returned nil")
 	} else {
 		ws.Close()
@@ -282,7 +267,7 @@ func TestPoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				n := 16 << uint((seed+j)%6)
-				ws := p.Acquire(n, 4*n)
+				ws := p.Acquire()
 				ids := ws.ClusterIDs(n)
 				for k := range ids {
 					if ids[k] != -1 {

@@ -4,9 +4,8 @@
 // goroutine parked forever on a channel whose sender died, with no
 // ctx.Done() arm and no bound. The waits that remain unarmed are bounded
 // by construction and say why where they stand: the shard coordinator's
-// superstep joins (MaxAttempts deadlined RPCs); sched.Crew's phase join,
-// to which every task reports Done; and the server's admission-slot
-// release.
+// superstep joins (MaxAttempts deadlined RPCs) and sched.Crew's phase
+// join, to which every task reports Done.
 //
 // Three waiting constructs are checked:
 //

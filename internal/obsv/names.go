@@ -18,28 +18,17 @@ const (
 	MetricCacheEvictions = "cache.evictions"
 	MetricCacheSize      = "cache.size"
 
-	// Admission-control metrics (server-local, like http.* and cache.*).
+	// Request-deadline metrics (server-local, like http.* and cache.*).
 	//
-	// MetricAdmissionRejected counts requests rejected with 429 because the
-	// in-flight job semaphore was saturated and no degradation path
-	// (cache entry or index) was available.
-	MetricAdmissionRejected = "admission.rejected"
 	// MetricAdmissionTimeouts counts computations aborted by the
 	// per-request deadline (-request-timeout) and answered with 503.
 	MetricAdmissionTimeouts = "admission.timeouts"
 	// MetricAdmissionCanceled counts computations aborted because the
 	// client disconnected before completion.
 	MetricAdmissionCanceled = "admission.canceled"
-	// MetricAdmissionDegradedCache counts saturated requests answered from
-	// the LRU response cache instead of being admitted for computation.
-	MetricAdmissionDegradedCache = "admission.degraded_cache"
-	// MetricAdmissionDegradedIndex counts saturated requests answered from
-	// the attached GS*-Index without holding an admission slot.
-	MetricAdmissionDegradedIndex = "admission.degraded_index"
-	// MetricAdmissionInFlight gauges clustering computations currently
-	// holding an admission slot (compute jobs, not HTTP requests —
-	// compare http.in_flight).
-	MetricAdmissionInFlight = "admission.jobs_in_flight"
+	// MetricAdmissionRequestTimeoutNs echoes the configured per-request
+	// deadline (-request-timeout; 0 = none).
+	MetricAdmissionRequestTimeoutNs = "admission.request_timeout_ns"
 
 	// Workspace-pool metrics (server-local, reported from engine.Pool.Stats
 	// in /metrics rather than recorded through registry instruments).
@@ -55,8 +44,6 @@ const (
 	// MetricWorkspaceRetainedBytes is the scratch memory they pin.
 	MetricWorkspaceRetained      = "workspace.pool.retained"
 	MetricWorkspaceRetainedBytes = "workspace.pool.retained_bytes"
-	// MetricWorkspaceCapacity reports the pool's retention bound.
-	MetricWorkspaceCapacity = "workspace.pool.capacity"
 
 	// Process/runtime gauges reported by the server's /metrics handler
 	// (computed at read time from runtime.MemStats etc., not recorded
@@ -72,12 +59,6 @@ const (
 	// Server lifecycle gauges.
 	MetricServerIndexed  = "server.indexed"
 	MetricServerUptimeNs = "server.uptime_ns"
-	MetricServerDraining = "server.draining"
-
-	// Admission configuration, echoed so dashboards can normalize the
-	// admission.* counters against the configured limits.
-	MetricAdmissionMaxInflight      = "admission.max_inflight"
-	MetricAdmissionRequestTimeoutNs = "admission.request_timeout_ns"
 
 	// Fault-containment metrics.
 	//
@@ -99,9 +80,9 @@ const (
 
 	// Server-side tail-latency attribution (server-local registry).
 	//
-	// MetricServerComputeNs is a histogram of cache-miss durations past
-	// admission: waiting for or doing the epoch's index build, then the
-	// extraction and its clone (or the fleet query on a -shards server).
+	// MetricServerComputeNs is a histogram of cache-miss durations: waiting
+	// for or doing the epoch's index build, then the extraction and its
+	// clone (or the fleet query on a -shards server).
 	MetricServerComputeNs = "server.compute_ns"
 	// MetricServerExemplars gauges the exemplars currently retained in the
 	// slowest-request ring; MetricServerExemplarCaptures counts requests
@@ -115,10 +96,6 @@ const (
 	// incremented by every effective POST /edges batch. Static servers
 	// stay at 0 forever.
 	MetricGraphEpoch = "graph.epoch"
-	// MetricGraphSnapshotsLive reports how many snapshot epochs the store
-	// still tracks (the current one plus superseded snapshots pinned by
-	// readers); absent when mutations are disabled.
-	MetricGraphSnapshotsLive = "graph.snapshots_live"
 	// MetricCacheInvalidations counts response-cache entries purged
 	// because a mutation advanced the epoch past theirs.
 	MetricCacheInvalidations = "server.cache.invalidations"

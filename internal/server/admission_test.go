@@ -4,8 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,13 +14,13 @@ import (
 )
 
 // blockingServer returns a server whose index build parks until release
-// is closed (or the request context ends), so tests can hold the
-// admission slot — and mutMu — deterministically.
-func blockingServer(t *testing.T, maxInflight int, timeout time.Duration) (s *Server, release chan struct{}, started chan struct{}) {
+// is closed (or the request context ends), so tests can hold the build —
+// and mutMu — deterministically.
+func blockingServer(t *testing.T, timeout time.Duration) (s *Server, release chan struct{}, started chan struct{}) {
 	t.Helper()
 	release = make(chan struct{})
 	started = make(chan struct{}, 16)
-	s = New(testGraph(t), 2).WithAdmission(maxInflight, timeout)
+	s = New(testGraph(t), 2).WithRequestTimeout(timeout)
 	s.buildFn = func(ctx context.Context, g *graph.Graph, workers int) (*ppscan.Index, error) {
 		started <- struct{}{}
 		select {
@@ -35,6 +33,23 @@ func blockingServer(t *testing.T, maxInflight int, timeout time.Duration) (s *Se
 	return s, release, started
 }
 
+// getAsync sends GET path from its own goroutine and delivers the status
+// (0 when the request failed) on the returned channel.
+func getAsync(t *testing.T, ts *httptest.Server, path string) chan int {
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Errorf("GET %s: %v", path, err)
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	return done
+}
+
 func counterValue(t *testing.T, ts *httptest.Server, name string) float64 {
 	t.Helper()
 	body := get(t, ts, "/metrics", http.StatusOK)
@@ -45,46 +60,10 @@ func counterValue(t *testing.T, ts *httptest.Server, name string) float64 {
 	return v
 }
 
-// TestAdmissionRejectsWhenSaturated: with the one slot held by a miss
-// building the epoch's index, and no cache entry, a second distinct
-// request gets 429 + Retry-After and the rejection counter increments.
-func TestAdmissionRejectsWhenSaturated(t *testing.T) {
-	s, release, started := blockingServer(t, 1, 0)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK)
-	}()
-	<-started // slot is now held
-
-	resp, err := http.Get(ts.URL + "/cluster?eps=0.7&mu=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated request: status %d, want 429", resp.StatusCode)
-	}
-	ra := resp.Header.Get("Retry-After")
-	if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-		t.Fatalf("Retry-After = %q, want positive integer seconds", ra)
-	}
-
-	close(release)
-	wg.Wait()
-	if v := counterValue(t, ts, obsv.MetricAdmissionRejected); v < 1 {
-		t.Errorf("%s = %v, want >= 1", obsv.MetricAdmissionRejected, v)
-	}
-}
-
-// TestAdmissionDegradesToCache: a saturated request whose parameters are
-// already cached is served 200 from the cache and counted as degraded.
+// TestAdmissionDegradesToCache: a cached key answers 200 while a miss is
+// parked in the epoch's index build: a hit never waits for a build.
 func TestAdmissionDegradesToCache(t *testing.T) {
-	s, release, started := blockingServer(t, 1, 0)
+	s, release, started := blockingServer(t, 0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -97,36 +76,28 @@ func TestAdmissionDegradesToCache(t *testing.T) {
 	}
 	s.cache.add(keyFor(st, "0.6", 2), ref)
 
-	// Saturate: the single slot is held by a miss parked in the build.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		get(t, ts, "/cluster?eps=0.9&mu=5", http.StatusOK)
-	}()
-	<-started
+	parked := getAsync(t, ts, "/cluster?eps=0.9&mu=5")
+	<-started // the miss now holds mutMu in the build
 
-	get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK) // cached key still serves
-	if v := counterValue(t, ts, obsv.MetricAdmissionDegradedCache); v < 1 {
-		t.Errorf("%s = %v, want >= 1", obsv.MetricAdmissionDegradedCache, v)
-	}
+	body := get(t, ts, "/cluster?eps=0.6&mu=2&members=true", http.StatusOK)
+	sameClustering(t, "cached eps=0.6", body, ref)
 	close(release)
-	wg.Wait()
+	if code := <-parked; code != http.StatusOK {
+		t.Errorf("parked miss: status %d, want 200", code)
+	}
 }
 
-// TestAdmissionSweepDegradesToCache: a saturated, index-less server
-// answers a sweep whose every gridpoint is cached from the cache, as it
-// does a cached /cluster: no slot, no build, no 429.
+// TestAdmissionSweepDegradesToCache: an index-less server answers a sweep
+// whose every gridpoint is cached from the cache, as it does a cached
+// /cluster: it builds nothing.
 func TestAdmissionSweepDegradesToCache(t *testing.T) {
 	g := testGraph(t)
-	s := New(g, 2).WithAdmission(1, 0)
+	s := New(g, 2)
 	st := s.state.Load()
 	refs := map[string]*ppscan.Result{"0.5": oracle(t, g, "0.5", 2), "0.6": oracle(t, g, "0.6", 2)}
 	for eps, ref := range refs {
 		s.cache.add(keyFor(st, eps, 2), ref)
 	}
-	s.sem <- struct{}{} // the only slot is taken
-	defer func() { <-s.sem }()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -141,35 +112,42 @@ func TestAdmissionSweepDegradesToCache(t *testing.T) {
 	if v := s.indexBuilds.Value(); v != 0 {
 		t.Errorf("%s = %d, want 0", obsv.MetricServerIndexBuilds, v)
 	}
-	if v := counterValue(t, ts, obsv.MetricAdmissionDegradedCache); v < 1 {
-		t.Errorf("%s = %v, want >= 1", obsv.MetricAdmissionDegradedCache, v)
+	if s.state.Load().ix != nil {
+		t.Error("a fully cached sweep published an index")
 	}
 }
 
-// TestAdmissionDegradesToIndex: an index-backed server answers saturated
-// requests from the index instead of rejecting.
-func TestAdmissionDegradesToIndex(t *testing.T) {
-	g := testGraph(t)
-	ix := ppscan.BuildIndex(g, 2)
-	s := New(g, 2).WithIndex(ix).WithAdmission(1, 0)
-	// Hold the only slot directly: an indexed epoch never builds, so
-	// occupy the semaphore itself.
-	s.sem <- struct{}{}
+// TestMissWaitsForParkedBuild: a miss that arrives while another miss is
+// building the epoch's index waits for that build instead of being
+// refused or starting a second one, and both answer.
+func TestMissWaitsForParkedBuild(t *testing.T) {
+	s, release, started := blockingServer(t, 0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	get(t, ts, "/cluster?eps=0.6&mu=2", http.StatusOK)
-	if v := counterValue(t, ts, obsv.MetricAdmissionDegradedIndex); v < 1 {
-		t.Errorf("%s = %v, want >= 1", obsv.MetricAdmissionDegradedIndex, v)
+	first := getAsync(t, ts, "/cluster?eps=0.6&mu=2")
+	<-started // the first miss is parked in the build
+	second := getAsync(t, ts, "/cluster?eps=0.7&mu=3")
+	inFlight := s.reg.Gauge(obsv.MetricHTTPInFlight)
+	for inFlight.Value() < 2 && len(second) == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	<-s.sem
+	close(release)
+	for i, done := range []chan int{first, second} {
+		if code := <-done; code != http.StatusOK {
+			t.Errorf("miss %d: status %d, want 200", i, code)
+		}
+	}
+	if v := s.indexBuilds.Value(); v != 1 {
+		t.Errorf("%s = %d, want 1", obsv.MetricServerIndexBuilds, v)
+	}
 }
 
 // TestAdmissionTimeout: a request whose build exceeds the deadline answers
 // 503 + Retry-After and increments the timeout counter, with a
 // deterministic seam.
 func TestAdmissionTimeout(t *testing.T) {
-	s, release, _ := blockingServer(t, 0, 20*time.Millisecond)
+	s, release, _ := blockingServer(t, 20*time.Millisecond)
 	defer close(release)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -198,7 +176,7 @@ func TestAdmissionTimeoutRealRun(t *testing.T) {
 		t.Skip("large graph")
 	}
 	g := gen.Roll(120_000, 32, 31)
-	s := New(g, 2).WithAdmission(0, 5*time.Millisecond)
+	s := New(g, 2).WithRequestTimeout(5 * time.Millisecond)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -225,30 +203,28 @@ func TestAdmissionTimeoutRealRun(t *testing.T) {
 	}
 }
 
-// TestMetricsExposeAdmissionConfig: /metrics always carries the admission
-// configuration and pre-registered zero counters.
+// TestMetricsExposeAdmissionConfig: /metrics always carries the request
+// deadline and pre-registered zero failure counters, and none of the
+// load-shedding keys.
 func TestMetricsExposeAdmissionConfig(t *testing.T) {
-	s := New(testGraph(t), 2).WithAdmission(3, 2*time.Second)
+	s := New(testGraph(t), 2).WithRequestTimeout(2 * time.Second)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body := get(t, ts, "/metrics", http.StatusOK)
-	if v := body["admission.max_inflight"].(float64); v != 3 {
-		t.Errorf("admission.max_inflight = %v, want 3", v)
-	}
-	if v := body["admission.request_timeout_ns"].(float64); v != float64(2*time.Second) {
-		t.Errorf("admission.request_timeout_ns = %v", v)
+	if v := body[obsv.MetricAdmissionRequestTimeoutNs].(float64); v != float64(2*time.Second) {
+		t.Errorf("%s = %v", obsv.MetricAdmissionRequestTimeoutNs, v)
 	}
 	for _, name := range []string{
-		obsv.MetricAdmissionRejected, obsv.MetricAdmissionTimeouts,
-		obsv.MetricAdmissionCanceled, obsv.MetricAdmissionDegradedCache,
-		obsv.MetricAdmissionDegradedIndex, obsv.MetricAdmissionInFlight,
+		obsv.MetricAdmissionTimeouts, obsv.MetricAdmissionCanceled, obsv.MetricServerPanics,
 	} {
-		if _, ok := body[name].(float64); !ok {
-			t.Errorf("/metrics missing pre-registered %q", name)
+		if v, ok := body[name].(float64); !ok || v != 0 {
+			t.Errorf("/metrics %q = %v, want a pre-registered 0", name, body[name])
 		}
 	}
-	if body["server.draining"] != false {
-		t.Errorf("server.draining = %v, want false", body["server.draining"])
+	for _, gone := range []string{"admission.rejected", "admission.max_inflight", "server.draining"} {
+		if _, ok := body[gone]; ok {
+			t.Errorf("/metrics still has %q", gone)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // response-cache entry — the extraction scratch itself is pooled.
 func BenchmarkServerSteadyState(b *testing.B) {
 	g := gen.Roll(20_000, 16, 5)
-	s := New(g, 4).WithCacheSize(1).WithAdmission(2, 0)
+	s := New(g, 4).WithCacheSize(1)
 	ctx := context.Background()
 
 	// Warm both parameter sets: the first builds the epoch's index, and

@@ -145,7 +145,7 @@ func TestBuildOnMissUnderChurn(t *testing.T) {
 // 503 and publishes nothing; the next miss builds and answers correctly.
 func TestBuildOnMissCancelled(t *testing.T) {
 	g := gen.Roll(300, 8, 3)
-	srv := New(g, 2).WithMutations().WithAdmission(0, 200*time.Millisecond)
+	srv := New(g, 2).WithMutations().WithRequestTimeout(200 * time.Millisecond)
 	var calls atomic.Int32
 	srv.buildFn = func(ctx context.Context, g *graph.Graph, workers int) (*ppscan.Index, error) {
 		if calls.Add(1) == 1 {

@@ -208,7 +208,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 // across every successful commit.
 func (s *Server) updateIndex(r *http.Request, ix *ppscan.Index, d *graph.Delta) (*ppscan.Index, bool, error) {
 	ctx := r.Context()
-	ws := s.pool.Acquire(int(d.New.NumVertices()), int(d.New.NumEdges()))
+	ws := s.pool.Acquire()
 	defer s.pool.Release(ws)
 	nix, err := ppscan.ApplyIndexBatch(ctx, ix, d, s.workers, ws)
 	if err == nil {

@@ -15,7 +15,7 @@ import (
 // TestWriteResolveError pins the one error-to-HTTP mapping, every kind:
 // status, Retry-After and the exact body bytes.
 func TestWriteResolveError(t *testing.T) {
-	s := New(testGraph(t), 2).WithAdmission(1, 1500*time.Millisecond)
+	s := New(testGraph(t), 2).WithRequestTimeout(1500 * time.Millisecond)
 	crash := &shard.ShardCrashError{Shard: 1, Addr: "http://w1", Round: shard.RoundRoles, Err: errors.New("EOF")}
 	timeout := &shard.ShardTimeoutError{Shard: 2, Addr: "http://w2", Round: shard.RoundMembers, Timeout: time.Second}
 	rejected := &shard.ShardRejectedError{Shard: 0, Addr: "http://w0", Round: shard.RoundCluster, Status: 503, Kind: "draining", Msg: "going away"}
@@ -45,8 +45,6 @@ func TestWriteResolveError(t *testing.T) {
 			`{"error":"shard 0 (http://w0): cluster RPC rejected with 503 (draining): going away","kind":"shard_rejected","round":"cluster","shard":0}`},
 		{"worker_panic", partial("P1 prune-sim", panicked), 500, "",
 			`{"error":"worker 3 panicked during P1 prune-sim: boom","kind":"worker_panic","phase":"P1 prune-sim","worker":3}`},
-		{"saturated", errSaturated, 429, "1",
-			`{"error":"server saturated: all admission slots busy","retryAfterSeconds":1}`},
 		{"deadline", late, 503, "2",
 			fmt.Sprintf(`{"abortedDuring":"P2 check-core","error":%q,"retryAfterSeconds":2}`, late.Error())},
 		{"cancel", context.Canceled, 503, "",

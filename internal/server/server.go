@@ -25,14 +25,14 @@
 // Every clustering route resolves through one pipeline with a fixed stage
 // order (see resolve): parse and validate → response cache → the epoch's
 // GS*-Index (attached with WithIndex, else built by the epoch's first
-// miss under that miss's admission slot) → extraction from it in
-// O(answer) time → one cache insert. A server with a fleet attached
-// (WithShards) sends a /cluster, /vertex or /quality miss on an
-// index-less epoch to the fleet instead; its sweeps build the index like
-// any other server's. Every answer is the SCAN clustering of the
-// request's snapshot, whichever stage gave it. Responses for identical
-// parameters are kept in an LRU cache bounded by DefaultCacheSize (see
-// WithCacheSize). WithLogging enables structured per-request log lines.
+// miss while later misses wait for it) → extraction from it in O(answer)
+// time → one cache insert. A server with a fleet attached (WithShards)
+// sends a /cluster, /vertex or /quality miss on an index-less epoch to the
+// fleet instead; its sweeps build the index like any other server's.
+// Every answer is the SCAN clustering of the request's snapshot, whichever
+// stage gave it. Responses for identical parameters are kept in an LRU
+// cache bounded by DefaultCacheSize (see WithCacheSize). WithLogging
+// enables structured per-request log lines.
 package server
 
 import (
@@ -98,7 +98,7 @@ type Server struct {
 	// maxBatchBytes caps one POST /edges body (defaultMaxBatchBytes;
 	// lowered by tests). Instruments are cached at WithMutations.
 	//
-	// Lock order: mutMu → {Store.commitMu → Store.liveMu, lruCache.mu};
+	// Lock order: mutMu → {Store.commitMu, lruCache.mu};
 	// every other mutex is a leaf that calls nothing while held.
 	store         *graph.Store
 	mutMu         sync.Mutex
@@ -115,14 +115,13 @@ type Server struct {
 
 	// pool caches one workspace per in-flight extraction so steady-state
 	// serving reuses the O(n+m) scratch buffers instead of reallocating
-	// them per request. Sized to the admission bound (see WithAdmission).
+	// them per request; it retains at most GOMAXPROCS idle ones.
 	pool *ppscan.WorkspacePool
 
-	// Admission control (see WithAdmission). sem is nil when in-flight
-	// computations are unbounded; reqTimeout is zero when requests have no
-	// deadline. draining flips when the process received SIGTERM and is
-	// refusing new work while in-flight requests finish.
-	sem        chan struct{}
+	// reqTimeout is zero when requests have no deadline (see
+	// WithRequestTimeout). draining flips when the process received
+	// SIGTERM and /healthz turns load balancers away while in-flight
+	// requests finish.
 	reqTimeout time.Duration
 	draining   atomic.Bool
 
@@ -179,16 +178,13 @@ func New(g *graph.Graph, workers int) *Server {
 	}
 	s.WithCacheSize(DefaultCacheSize)
 	s.state.Store(&epochState{g: g})
-	// Pre-register the admission counters so /metrics shows zeros before
-	// the first rejection instead of omitting the keys.
+	// Pre-register the failure counters so /metrics shows zeros before
+	// the first timeout instead of omitting the keys.
 	for _, name := range []string{
-		obsv.MetricAdmissionRejected, obsv.MetricAdmissionTimeouts,
-		obsv.MetricAdmissionCanceled, obsv.MetricAdmissionDegradedCache,
-		obsv.MetricAdmissionDegradedIndex, obsv.MetricServerPanics,
+		obsv.MetricAdmissionTimeouts, obsv.MetricAdmissionCanceled, obsv.MetricServerPanics,
 	} {
 		s.reg.Counter(name)
 	}
-	s.reg.Gauge(obsv.MetricAdmissionInFlight)
 	// Sweep and miss instruments, pre-registered for the same reason.
 	s.sweepMaxSteps = DefaultSweepMaxSteps
 	s.sweepSteps = s.reg.Counter(obsv.MetricServerSweepSteps)
@@ -226,23 +222,13 @@ func (s *Server) WithLogging(l *log.Logger) *Server {
 	return s
 }
 
-// WithAdmission bounds the serving stack: at most maxInflight cache misses
-// — an index build and extraction, or a fleet query — run concurrently
-// (0 = unlimited), and each request is cancelled after requestTimeout (0 =
-// no deadline). A request that cannot get an admission slot degrades to
-// the response cache or the epoch's GS*-Index; with neither available it
-// is rejected with 429 and a Retry-After header. A build or extraction
-// that exceeds its deadline aborts at its next task batch and answers 503,
-// so requestTimeout must exceed one index build.
-func (s *Server) WithAdmission(maxInflight int, requestTimeout time.Duration) *Server {
-	if maxInflight > 0 {
-		s.sem = make(chan struct{}, maxInflight)
-		// With at most maxInflight computations running, retaining more
-		// idle workspaces than that only pins memory.
-		s.pool = ppscan.NewWorkspacePool(maxInflight)
-	} else {
-		s.sem = nil
-	}
+// WithRequestTimeout cancels each request after requestTimeout (0 = no
+// deadline). A build, extraction or fleet query that exceeds its deadline
+// aborts at its next task batch and answers 503 + Retry-After, so
+// requestTimeout must exceed one index build. No request is ever refused
+// for load: a miss that arrives during its epoch's index build waits for
+// that build, bounded by this same deadline.
+func (s *Server) WithRequestTimeout(requestTimeout time.Duration) *Server {
 	if requestTimeout < 0 {
 		requestTimeout = 0
 	}
@@ -435,13 +421,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out[obsv.MetricGraphVertices] = st.g.NumVertices()
 	out[obsv.MetricGraphEdges] = st.g.NumEdges()
 	out[obsv.MetricGraphEpoch] = st.epoch()
-	if s.store != nil {
-		out[obsv.MetricGraphSnapshotsLive] = s.store.LiveSnapshots()
-	}
 	out[obsv.MetricServerIndexed] = st.ix != nil
 	out[obsv.MetricServerUptimeNs] = time.Since(s.start).Nanoseconds()
-	out[obsv.MetricServerDraining] = s.draining.Load()
-	out[obsv.MetricAdmissionMaxInflight] = cap(s.sem) // 0 = unlimited
 	out[obsv.MetricAdmissionRequestTimeoutNs] = s.reqTimeout.Nanoseconds()
 	ps := s.pool.Stats()
 	out[obsv.MetricWorkspaceHits] = ps.Hits
@@ -450,7 +431,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out[obsv.MetricWorkspaceResets] = ps.Resets
 	out[obsv.MetricWorkspaceRetained] = ps.Retained
 	out[obsv.MetricWorkspaceRetainedBytes] = ps.RetainedBytes
-	out[obsv.MetricWorkspaceCapacity] = ps.Capacity
 	fs := fault.Snapshot()
 	out[obsv.MetricFaultPanics] = fs.Panics
 	out[obsv.MetricFaultDelays] = fs.Delays
@@ -486,8 +466,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // params is the parse stage every clustering route shares: the ε list (one
 // value, or the /cluster/sweep grid when sweep is set) and µ. Each ε is
 // validated against µ here, so an unanswerable request gets its 400 before
-// any cache lookup, build or admission slot. Other parameters (algo=
-// among them) are ignored.
+// any cache lookup or build. Other parameters (algo= among them) are
+// ignored.
 func (s *Server) params(q url.Values, sweep bool) (eps []string, mu int, err error) {
 	if sweep {
 		eps, err = parseSweepEps(q.Get("eps"), s.sweepMaxSteps)
@@ -514,28 +494,6 @@ func (s *Server) params(q url.Values, sweep bool) (eps []string, mu int, err err
 	return eps, mu, nil
 }
 
-// errSaturated reports that every admission slot is busy and no
-// degradation path (cache entry, epoch index) could answer the request.
-var errSaturated = errors.New("server saturated: all admission slots busy")
-
-// acquire takes an admission slot if one is free and fails fast with
-// errSaturated otherwise: no request ever queues for a slot. release must
-// be called exactly once when err is nil.
-func (s *Server) acquire() (release func(), err error) {
-	if s.sem == nil {
-		return func() {}, nil
-	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		return nil, errSaturated
-	}
-	g := s.reg.Gauge(obsv.MetricAdmissionInFlight)
-	g.Add(1)
-	//lint:chanwait release receive never blocks: the holder's own token is in the buffered semaphore
-	return func() { g.Add(-1); <-s.sem }, nil
-}
-
 // keyFor is the one cache-key rule: the exact ε, µ and st's epoch.
 func keyFor(st *epochState, eps string, mu int) cacheKey {
 	exact, _ := simdef.ParseEpsilon(eps) // params validated every ε
@@ -551,38 +509,23 @@ func keyFor(st *epochState, eps string, mu int) cacheKey {
 func (s *Server) resolve(ctx context.Context, st *epochState, eps string, mu int) (*ppscan.Result, error) {
 	key := keyFor(st, eps, mu)
 	if res, ok := s.cache.get(key); ok {
-		s.noteCacheHit()
 		return res, nil
 	}
 	return s.answer(ctx, st, key, eps)
 }
 
-// noteCacheHit attributes a cache hit served while every slot is busy to
-// degraded serving. It reads a racy snapshot of slot occupancy, so it
-// never decides admission.
-func (s *Server) noteCacheHit() {
-	if s.sem != nil && len(s.sem) == cap(s.sem) {
-		s.reg.Counter(obsv.MetricAdmissionDegradedCache).Inc()
-	}
-}
-
 // answer resolves one cache miss — extracted from the epoch's index (built
 // first if the epoch has none), or computed by the fleet on a -shards
 // server's index-less epoch — and makes the pipeline's one cache insert.
-// Every miss that got past admission is timed into server.compute_ns and
-// offered to the exemplar ring, failed ones included: the tail is where
-// the failures live.
+// Every miss is timed into server.compute_ns and offered to the exemplar
+// ring, failed ones included: the tail is where the failures live.
 func (s *Server) answer(ctx context.Context, st *epochState, key cacheKey, eps string) (*ppscan.Result, error) {
 	t0 := time.Now()
-	ix, build, release, err := s.similarity(ctx, st)
-	if errors.Is(err, errSaturated) {
-		return nil, err
-	}
+	ix, build, err := s.similarity(ctx, st)
 	var res *ppscan.Result
 	if err == nil {
-		defer release()
 		if ix != nil {
-			res, err = s.extract(ctx, st, ix, eps, key.mu)
+			res, err = s.extract(ctx, ix, eps, key.mu)
 		} else {
 			// Freshly allocated by the coordinator: nothing to detach.
 			res, err = s.coord.Run(ctx, eps, int32(key.mu))
@@ -599,36 +542,19 @@ func (s *Server) answer(ctx context.Context, st *epochState, key cacheKey, eps s
 }
 
 // similarity obtains the (ε, µ)-independent artifact any number of
-// parameter pairs over st can be extracted from — the epoch's index — plus
-// the admission state covering the caller's extraction. An existing index
-// answers under a slot if one is free; saturated, the bounded O(answer)
-// extraction goes slotless rather than reject. Without one the next step
-// is the expensive one, so it takes a fail-fast slot and builds the index
-// under it (epochIndex; build is the time this call spent building, 0 when
-// another request's build was found). The one exception is a -shards
-// server, whose fleet computes the miss instead: ix is then nil under the
-// slot. release must be called exactly once when err is nil; it is nil
-// otherwise.
-func (s *Server) similarity(ctx context.Context, st *epochState) (ix *ppscan.Index, build time.Duration, release func(), err error) {
+// parameter pairs over st can be extracted from: the epoch's index, built
+// first if the epoch has none (epochIndex; build is the time this call
+// spent waiting for or doing the build, 0 when the index was there). The
+// one exception is a -shards server's index-less epoch, whose fleet
+// computes the miss instead: ix is then nil.
+func (s *Server) similarity(ctx context.Context, st *epochState) (ix *ppscan.Index, build time.Duration, err error) {
 	if st.ix != nil {
-		if release, err = s.acquire(); err != nil {
-			s.reg.Counter(obsv.MetricAdmissionDegradedIndex).Inc()
-			release = func() {}
-		}
-		return st.ix, 0, release, nil
-	}
-	if release, err = s.acquire(); err != nil {
-		s.reg.Counter(obsv.MetricAdmissionRejected).Inc()
-		return nil, 0, nil, err
+		return st.ix, 0, nil
 	}
 	if s.coord != nil {
-		return nil, 0, release, nil
+		return nil, 0, nil
 	}
-	if ix, build, err = s.epochIndex(ctx, st); err != nil {
-		release()
-		return nil, build, nil, err
-	}
-	return ix, build, release, nil
+	return s.epochIndex(ctx, st)
 }
 
 // epochIndex returns the GS*-Index of st's snapshot, built at most once
@@ -677,8 +603,8 @@ func (s *Server) epochIndex(ctx context.Context, st *epochState) (ix *ppscan.Ind
 // with no similarity work. The extraction aliases workspace buffers the
 // next request will reuse, so a detached clone is what callers and the
 // cache get.
-func (s *Server) extract(ctx context.Context, st *epochState, ix *ppscan.Index, eps string, mu int) (*ppscan.Result, error) {
-	ws := s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
+func (s *Server) extract(ctx context.Context, ix *ppscan.Index, eps string, mu int) (*ppscan.Result, error) {
+	ws := s.pool.Acquire()
 	defer s.pool.Release(ws)
 	res, err := ppscan.QueryIndexWorkspace(ctx, ix, eps, mu, ws)
 	if err != nil {
@@ -696,9 +622,8 @@ func (s *Server) computeCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), s.reqTimeout)
 }
 
-// retryAfterSecs suggests a client back-off: one second for saturation
-// (slots turn over at computation granularity), the configured deadline
-// rounded up for timeouts.
+// retryAfterSecs suggests a client back-off after a timeout: the
+// configured deadline rounded up to whole seconds.
 func (s *Server) retryAfterSecs() int {
 	secs := int(s.reqTimeout / time.Second)
 	if s.reqTimeout%time.Second != 0 || secs < 1 {
@@ -712,10 +637,9 @@ func (s *Server) retryAfterSecs() int {
 // shard (graceful degradation — the query is answerable again once the
 // worker is back); a bare shard leaf fault (a path that did not exhaust the
 // budget) a structured 500 naming shard and round; a contained worker
-// panic (in a build, an extraction or a fleet round) a structured 500;
-// saturation 429 + Retry-After; a deadline expiry 503 + Retry-After (the
-// body names the aborted phase when a PartialError carries one); a client
-// disconnect 503; anything else 400.
+// panic (in a build, an extraction or a fleet round) a structured 500; a
+// deadline expiry 503 + Retry-After (the body names the aborted phase when
+// a PartialError carries one); a client disconnect 503; anything else 400.
 func (s *Server) writeResolveError(w http.ResponseWriter, err error) {
 	var pe *ppscan.PartialError
 	phase := ""
@@ -766,8 +690,6 @@ func (s *Server) writeResolveError(w http.ResponseWriter, err error) {
 			"phase":  wpe.Phase,
 			"worker": wpe.Worker,
 		})
-	case errors.Is(err, errSaturated):
-		writeRetryError(w, http.StatusTooManyRequests, 1, err, phase)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.reg.Counter(obsv.MetricAdmissionTimeouts).Inc()
 		writeRetryError(w, http.StatusServiceUnavailable, s.retryAfterSecs(), err, phase)

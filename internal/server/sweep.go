@@ -5,11 +5,10 @@
 // (ε, µ) exploration, and the expensive similarity computation does not
 // depend on either parameter. A sweep therefore looks every gridpoint up
 // in the response cache first, and only when some are missing extracts
-// them from its epoch's GS*-Index (Server.similarity), building that index
-// once per epoch if the epoch has none yet and leaving it for every later
-// request, exactly as a /cluster miss does. The missing gridpoints are
-// extracted on one pooled
-// workspace as one incremental sweep from the largest ε down, each step
+// them from its epoch's GS*-Index, building that index once per epoch if
+// the epoch has none yet (Server.epochIndex) and leaving it for every
+// later request, as a /cluster miss does. The missing gridpoints are
+// extracted on one pooled workspace as one incremental sweep from the largest ε down, each step
 // extending the previous one's union-find (gsindex.SweepWorkspace). The
 // NDJSON lines follow in the request's order, so the first line waits for
 // the last step.
@@ -35,8 +34,8 @@ import (
 
 // DefaultSweepMaxSteps bounds the ε grid a single sweep request may
 // answer unless overridden with WithSweepMaxSteps: a runaway grid
-// ("0.0001:1:0.0001") would otherwise hold its workspace and admission
-// slot for 10⁴ extractions.
+// ("0.0001:1:0.0001") would otherwise hold its workspace for 10⁴
+// extractions.
 const DefaultSweepMaxSteps = 256
 
 // parseSweepEps expands the eps specification into exact decimal epsilon
@@ -162,11 +161,12 @@ func formatDec(v int64, scale int) string {
 // handleSweep answers one clusterSummary NDJSON line per ε gridpoint,
 // in the request's order. It is the resolve pipeline with the similarity
 // artifact hoisted out of the loop: parse, the response cache per distinct
-// exact ε, then — only if some gridpoint missed — one similarity (building
-// the epoch's index if it has none) and one incremental index sweep over
-// the missing gridpoints from the largest ε down, each step cloned into
-// the cache. A sweep whose every gridpoint is cached takes no slot and
-// builds nothing, as a /cluster hit does. Every step is computed
+// exact ε, then — only if some gridpoint missed — the epoch's index
+// (built if the epoch has none, on a -shards server too: its fleet never
+// answers a grid) and one incremental index sweep over the missing
+// gridpoints from the largest ε down, each step cloned into the cache. A
+// sweep whose every gridpoint is cached builds nothing, as a /cluster hit
+// does. Every step is computed
 // before the first byte is written, so any failure — a client disconnect
 // or deadline expiry included — is a status via writeResolveError, and
 // the single deferred workspace Release is the only return path.
@@ -210,20 +210,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var build time.Duration
-	if len(missing) == 0 {
-		s.noteCacheHit()
-	} else {
-		var ix *ppscan.Index
-		var release func()
-		if ix, build, release, err = s.similarity(ctx, st); err != nil {
-			s.writeResolveError(w, err)
-			return
-		}
-		defer release()
+	if len(missing) > 0 {
+		ix := st.ix
 		if ix == nil {
-			// A -shards server's fleet answers /cluster misses, never a
-			// grid: the sweep builds the epoch's index under its slot all
-			// the same.
 			if ix, build, err = s.epochIndex(ctx, st); err != nil {
 				s.writeResolveError(w, err)
 				return
@@ -235,7 +224,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			epsDesc[i] = k.eps
 		}
 		// One pooled workspace carries the sweep state across the steps.
-		ws := s.pool.Acquire(int(st.g.NumVertices()), int(st.g.NumEdges()))
+		ws := s.pool.Acquire()
 		defer s.pool.Release(ws)
 		ts := time.Now()
 		err = ix.SweepWorkspace(ctx, epsDesc, int32(mu), ws, func(i int, res *ppscan.Result) {

@@ -560,7 +560,7 @@ func TestSweepDeadlineIsAStatus(t *testing.T) {
 	defer ts.Close()
 	get(t, ts, "/cluster?eps=0.3&mu=3", http.StatusOK)
 
-	srv.WithAdmission(0, time.Nanosecond)
+	srv.WithRequestTimeout(time.Nanosecond)
 	resp, err := http.Get(ts.URL + "/cluster/sweep?eps=0.3:0.6:0.1&mu=3")
 	if err != nil {
 		t.Fatal(err)

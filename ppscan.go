@@ -226,8 +226,8 @@ func NewWorkspace() *Workspace {
 	return engine.NewWorkspace()
 }
 
-// WorkspacePool re-exports engine.Pool: a size-classed, concurrency-safe
-// cache of workspaces for serving (one workspace per in-flight request).
+// WorkspacePool re-exports engine.Pool: a concurrency-safe LIFO free list
+// of workspaces for serving (one workspace per in-flight request).
 type WorkspacePool = engine.Pool
 
 // WorkspacePoolStats re-exports the pool's counter snapshot.
