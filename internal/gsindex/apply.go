@@ -16,8 +16,9 @@
 //     its count from the same walk. Two guards keep the deltas exact:
 //     pairs that are themselves inserted are skipped (their walk already
 //     sees every w), and when both (a, w) and (v, w) are mutated the
-//     shared w is counted from the smaller endpoint only. Every other
-//     count is copied.
+//     shared w is counted from the smaller endpoint only. The walks
+//     collect (owner, neighbor, value) entries; every other count is
+//     copied with its run.
 //  2. order factorization. The neighbor order of u compares entries by
 //     cn²/((d(u)+1)(d(v)+1)), and the (d(u)+1) factor is common to both
 //     sides of every within-run comparison — the run's relative order
@@ -26,12 +27,14 @@
 //     landed on one of its counts, or a neighbor's degree changed
 //     (affected). Every other run is copied.
 //
-// Touched and affected runs go through sortRun, the routine Build sorts
-// every run with: a touched run is presorted afresh by a float key, and
-// an untouched affected run keeps its copied order; either is finished by
-// one exact insertion pass. The run comparator is a strict total order
-// (similarity ties break on vertex id), so the sorted permutation is
-// unique: the repaired arrays are bit-identical to what a from-scratch
+// Runs hold vertex ids and a commit never renumbers them, so an untouched
+// run is copied verbatim. Touched and affected runs, their entries added,
+// go through sortRun, the routine Build sorts every run with: a touched
+// run is loaded position-major and presorted afresh by a float key, and
+// an untouched affected run starts from its old order; either is
+// finished by one exact insertion pass. The run comparator is a
+// strict total order (similarity ties break on vertex id), so the sorted
+// run is unique: the repaired arrays are bit-identical to what a from-scratch
 // Build over the new snapshot would produce — the invariant the
 // equivalence tests pin down.
 package gsindex
@@ -51,11 +54,14 @@ import (
 )
 
 // applyWorker is one worker's grow-only run-sorting scratch, used by
-// Build and ApplyBatch alike. cnr and nbrs borrow the counts and the
-// adjacency of the run being sorted; dv1 caches each entry's d(v)+1, and
-// keys holds a fresh run's presort words.
+// Build and ApplyBatch alike. The run being sorted is the entries
+// (cnr[i], nbrs[i]): position-major (nbrs the adjacency, cnr in buf) as
+// Build and a touched run load it, an untouched run's old order
+// otherwise. dv1 caches each entry's d(v)+1, ord is the permutation being
+// sorted, and keys holds a fresh run's presort words.
 type applyWorker struct {
 	cnr, nbrs []int32
+	buf, ord  []int32
 	dv1       []uint64
 	keys      []uint64
 }
@@ -81,46 +87,60 @@ func (w *applyWorker) compare(a, b int32) int {
 	return cmp.Compare(w.nbrs[a], w.nbrs[b])
 }
 
-// bind points w's comparator at u's run and returns the run's order.
-func (w *applyWorker) bind(ix *Index, u int32) []int32 {
-	g := ix.g
-	off, nbrs := g.Off[u], g.Neighbors(u)
-	w.cnr, w.nbrs = ix.cn[off:off+int64(len(nbrs))], nbrs
+// bind points w's comparator at the entries (cnr[i], nbrs[i]) of g.
+func (w *applyWorker) bind(g *graph.Graph, cnr, nbrs []int32) {
+	w.cnr, w.nbrs = cnr, nbrs
 	w.dv1 = grow(w.dv1, len(nbrs))
 	for i, v := range nbrs {
 		w.dv1[i] = uint64(g.Degree(v)) + 1
 	}
-	return ix.order[off : off+int64(len(nbrs))]
 }
 
-// misordered returns the first position k > 0 at which u's run is not
-// strictly increasing under compare, or 0 when the whole run is. The run
-// must be a permutation of its positions.
-func (w *applyWorker) misordered(ix *Index, u int32) int {
-	ord := w.bind(ix, u)
-	for k := 1; k < len(ord); k++ {
-		if w.compare(ord[k-1], ord[k]) >= 0 {
-			return k
+// load binds w to u's position-major run in g and returns its counts, for
+// the caller to fill; ord is sized to the run.
+func (w *applyWorker) load(g *graph.Graph, u int32) []int32 {
+	nbrs := g.Neighbors(u)
+	w.buf, w.ord = grow(w.buf, len(nbrs)), grow(w.ord, len(nbrs))
+	w.bind(g, w.buf, nbrs)
+	return w.buf
+}
+
+// misordered returns the first position k > 0 at which the bound
+// entries are not strictly increasing under compare, or 0 when they all
+// are.
+func (w *applyWorker) misordered() int {
+	for k := int32(1); k < int32(len(w.nbrs)); k++ {
+		if w.compare(k-1, k) >= 0 {
+			return int(k)
 		}
 	}
 	return 0
 }
 
-// sortRun sorts u's neighbor-order run under compare; it is the one
-// routine that orders runs, for Build and ApplyBatch alike. A fresh run is
+// misorderedRun is misordered on u's order-major run of ix.
+func (w *applyWorker) misorderedRun(ix *Index, u int32) int {
+	lo, hi := ix.g.Off[u], ix.g.Off[u+1]
+	w.bind(ix.g, ix.cn[lo:hi], ix.nbr[lo:hi])
+	return w.misordered()
+}
+
+// sortRun sorts the run w is loaded with under compare and writes it out
+// as u's order-major run of ix; it is the one routine that orders runs,
+// for Build and ApplyBatch alike. A fresh run is
 // first presorted by a float key: each entry's word is
 // ^float32bits(cn²/(d(v)+1))<<32 | run index, so an ascending slices.Sort
 // puts higher similarity first and breaks key ties on the index, which is
 // neighbor order. While cn < 2²⁶ the key is a composition of correctly
 // rounded operations, so it never puts a larger similarity after a smaller
 // one; it can only merge distinct similarities into one key. A run that is
-// not fresh keeps the permutation it holds. Either way one exact insertion
-// pass under compare finishes the sort, at the cost of a pass over the run
-// plus a slot per displaced entry — so compare decides every order.
+// not fresh starts from the permutation the caller put in w.ord. Either
+// way one exact insertion pass under compare finishes the sort, at the
+// cost of a pass over the run plus a slot per displaced entry — so
+// compare decides every order.
 //
 //lint:snapfreeze pre-publication: receiver is always the still-private index under construction or repair
 func (ix *Index) sortRun(u int32, w *applyWorker, fresh bool) {
-	ord := w.bind(ix, u)
+	ord := w.ord
 	if fresh {
 		w.keys = grow(w.keys, len(ord))
 		for i, c := range w.cnr {
@@ -140,10 +160,15 @@ func (ix *Index) sortRun(u int32, w *applyWorker, fresh bool) {
 		}
 		ord[j] = x
 	}
+	off := ix.g.Off[u]
+	nbr, cn := ix.nbr[off:off+int64(len(ord))], ix.cn[off:off+int64(len(ord))]
+	for k, i := range ord {
+		nbr[k], cn[k] = w.nbrs[i], w.cnr[i]
+	}
 }
 
 // applyScratch is the grow-only scratch ApplyBatch parks in the
-// workspace: shared pair lists plus per-worker sort buffers.
+// workspace: shared pair and entry lists plus per-worker sort buffers.
 type applyScratch struct {
 	// addList/remList hold both directed orientations of the batch's
 	// inserted/removed edges, packed u<<32|v and sorted — the per-vertex
@@ -152,14 +177,38 @@ type applyScratch struct {
 	// O(1) lookup instead of a binary search per walk.
 	addList, remList []uint64
 	addOff, remOff   []int32
+	// entries holds pass 2's count changes, sorted by (owner, neighbor):
+	// ±1 deltas and inserted pairs' whole counts; entOff is their segment
+	// starts per owner, like addOff.
+	entries []countEntry
+	entOff  []int32
 	// touchedB/affectedB: per-vertex bitsets (adjacency changed / order
 	// needs repair), cleared wholesale each apply — n/8 bytes.
 	touchedB, affectedB []uint64
 	w                   []*applyWorker
 }
 
+// countEntry adds val to the count of neighbor int32(key) in the run of
+// owner key>>32.
+type countEntry struct {
+	key uint64
+	val int32
+}
+
 // applyScratchKey identifies the repair scratch in Workspace.Scratch.
 const applyScratchKey = "gsindex.apply"
+
+// segOffsets fills off (len n+1) with the segment starts of a list of
+// count words sorted by their owner, key(k)>>32.
+func segOffsets(off []int32, count int, key func(k int) uint64) {
+	k := 0
+	for u := range off {
+		for k < count && key(k)>>32 < uint64(u) {
+			k++
+		}
+		off[u] = int32(k)
+	}
+}
 
 // grow returns s resized to n, reallocating only when capacity is short.
 func grow[T any](s []T, n int) []T {
@@ -208,8 +257,8 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	n := newG.NumVertices()
 	nix := &Index{
 		g:       newG,
+		nbr:     make([]int32, newG.NumDirectedEdges()),
 		cn:      make([]int32, newG.NumDirectedEdges()),
-		order:   make([]int32, newG.NumDirectedEdges()),
 		workers: ix.workers,
 	}
 
@@ -217,9 +266,9 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	for len(sc.w) < opt.workers() {
 		sc.w = append(sc.w, new(applyWorker))
 	}
-	// The workers' comparator state borrows runs of the new snapshot's cn
-	// and adjacency arrays; drop it on every exit path, or an idle pooled
-	// workspace pins a whole superseded epoch until its next apply.
+	// The workers' comparator state borrows runs of the new snapshot's
+	// adjacency and of the old index; drop it on every exit path, or an
+	// idle pooled workspace pins whole epochs until its next apply.
 	defer func() {
 		for _, w := range sc.w {
 			w.cnr, w.nbrs = nil, nil
@@ -257,17 +306,8 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	slices.Sort(remList)
 	sc.addOff = grow(sc.addOff, int(n)+1)
 	sc.remOff = grow(sc.remOff, int(n)+1)
-	segOffsets := func(off []int32, list []uint64) {
-		k := 0
-		for u := int32(0); u <= n; u++ {
-			for k < len(list) && int32(list[k]>>32) < u {
-				k++
-			}
-			off[u] = int32(k)
-		}
-	}
-	segOffsets(sc.addOff, addList)
-	segOffsets(sc.remOff, remList)
+	segOffsets(sc.addOff, len(addList), func(k int) uint64 { return addList[k] })
+	segOffsets(sc.remOff, len(remList), func(k int) uint64 { return remList[k] })
 	addSeg := func(u int32) []uint64 { return addList[sc.addOff[u]:sc.addOff[u+1]] }
 	remSeg := func(u int32) []uint64 { return remList[sc.remOff[u]:sc.remOff[u+1]] }
 	sc.addList, sc.remList = addList, remList
@@ -275,12 +315,10 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		return nil, err
 	}
 
-	// Pass 1: copy every surviving intersection count and the order runs
-	// of untouched vertices. Untouched spans between consecutive touched
-	// vertices are identical in both snapshots (only at shifted offsets);
-	// touched runs align their surviving neighbors by one merge walk.
-	// Order entries are run-relative, so they survive the offset shift
-	// unchanged.
+	// Pass 1: copy the runs of untouched vertices. Untouched spans between
+	// consecutive touched vertices are identical in both snapshots (only
+	// at shifted offsets), and runs hold vertex ids, so they survive the
+	// shift unchanged. Touched runs are written by pass 3.
 	var next int
 	for u := int32(0); u < n; {
 		if err := ctx.Err(); err != nil {
@@ -296,25 +334,8 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 			stop = d.Touched[next]
 		}
 		copy(nix.cn[newG.Off[u]:newG.Off[stop]], ix.cn[oldG.Off[u]:oldG.Off[stop]])
-		copy(nix.order[newG.Off[u]:newG.Off[stop]], ix.order[oldG.Off[u]:oldG.Off[stop]])
+		copy(nix.nbr[newG.Off[u]:newG.Off[stop]], ix.nbr[oldG.Off[u]:oldG.Off[stop]])
 		u = stop
-	}
-	for _, u := range d.Touched {
-		oldNbrs, newNbrs := oldG.Neighbors(u), newG.Neighbors(u)
-		oo, no := oldG.Off[u], newG.Off[u]
-		i, j := 0, 0
-		for i < len(oldNbrs) && j < len(newNbrs) {
-			switch {
-			case oldNbrs[i] == newNbrs[j]:
-				nix.cn[no+int64(j)] = ix.cn[oo+int64(i)]
-				i++
-				j++
-			case oldNbrs[i] < newNbrs[j]:
-				i++ // removed: slot dropped
-			default:
-				j++ // inserted: counted in pass 2
-			}
-		}
 	}
 
 	// Pass 2: maintain the counts. Every changed count of a surviving
@@ -323,23 +344,25 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	// deleting (a, b) walks v ∈ Γnew(a) ∩ Γold(b) (b left them), each
 	// orientation of each mutation once. Pairs that are themselves
 	// inserted are skipped — their count falls out of the same walk: the
-	// merge contribAdd(a, b) traverses IS |Γnew(a) ∩ Γnew(b)|, so the
+	// merge an insert's walk traverses IS |Γnew(a) ∩ Γnew(b)|, so the
 	// inserted pair's count is the walk's common-neighbor tally and no
 	// intersection is ever recomputed. A w whose edges to both endpoints
-	// were mutated is counted from the smaller endpoint only. Deltas land
-	// on both directed slots, and both owners are marked affected.
-	applyDelta := func(a, v int32, slotU int64, delta int32) {
-		nix.cn[slotU] += delta
-		// A search per changed count, not per arc: reverse positions built
-		// per epoch would add O(m) to every commit.
-		nix.cn[newG.EdgeOffset(v, a)] += delta
+	// were mutated is counted from the smaller endpoint only. Each change
+	// is an entry for both directed arcs, and both owners are marked
+	// affected; pass 3 applies the entries as it re-sorts the runs.
+	entries := sc.entries[:0]
+	entry := func(a, v, val int32) {
+		entries = append(entries,
+			countEntry{uint64(uint32(a))<<32 | uint64(uint32(v)), val},
+			countEntry{uint64(uint32(v))<<32 | uint64(uint32(a)), val})
 		affected[a>>6] |= 1 << (uint(a) & 63)
 		affected[v>>6] |= 1 << (uint(v) & 63)
 	}
-	contribAdd := func(a, b int32) int32 {
-		an, bn := newG.Neighbors(a), newG.Neighbors(b)
-		adA, adB := addSeg(a), addSeg(b)
-		base := newG.Off[a]
+	// contrib walks v ∈ Γnew(a) ∩ bn, where bn is b's new (insert) or old
+	// (delete) adjacency and bMut its segment of the same mutation kind,
+	// and returns the walk's common-neighbor tally.
+	contrib := func(a int32, bn []int32, bMut []uint64, delta int32) int32 {
+		an, adA := newG.Neighbors(a), addSeg(a)
 		common := int32(0)
 		i, j, pa, pb := 0, 0, 0, 0
 		for i < len(an) && j < len(bn) {
@@ -352,7 +375,7 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 				j++
 				continue
 			}
-			v, idx := va, i
+			v := va
 			i++
 			j++
 			common++
@@ -362,69 +385,37 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 			if pa < len(adA) && int32(uint32(adA[pa])) == v {
 				continue // (a, v) itself inserted: recomputed in full
 			}
-			for pb < len(adB) && int32(uint32(adB[pb])) < v {
+			for pb < len(bMut) && int32(uint32(bMut[pb])) < v {
 				pb++
 			}
-			if pb < len(adB) && int32(uint32(adB[pb])) == v && a > v {
-				continue // (v, b) also inserted: (v, b)'s walk counts this w
+			if pb < len(bMut) && int32(uint32(bMut[pb])) == v && a > v {
+				continue // (v, b) mutated alike: (v, b)'s walk counts this w
 			}
-			applyDelta(a, v, base+int64(idx), 1)
+			entry(a, v, delta)
 		}
 		return common
 	}
-	contribDel := func(a, b int32) {
-		an, bo := newG.Neighbors(a), oldG.Neighbors(b)
-		adA, rmB := addSeg(a), remSeg(b)
-		base := newG.Off[a]
-		i, j, pa, pb := 0, 0, 0, 0
-		for i < len(an) && j < len(bo) {
-			va, vb := an[i], bo[j]
-			if va < vb {
-				i++
-				continue
-			}
-			if va > vb {
-				j++
-				continue
-			}
-			v, idx := va, i
-			i++
-			j++
-			for pa < len(adA) && int32(uint32(adA[pa])) < v {
-				pa++
-			}
-			if pa < len(adA) && int32(uint32(adA[pa])) == v {
-				continue // (a, v) itself inserted: recomputed in full
-			}
-			for pb < len(rmB) && int32(uint32(rmB[pb])) < v {
-				pb++
-			}
-			if pb < len(rmB) && int32(uint32(rmB[pb])) == v && a > v {
-				continue // (v, b) also removed: (v, b)'s walk counts this w
-			}
-			applyDelta(a, v, base+int64(idx), -1)
-		}
-	}
 	for _, e := range d.Added {
-		c := contribAdd(e.U, e.V) + 2
-		contribAdd(e.V, e.U)
-		// Two searches per inserted edge, not per arc (see applyDelta).
-		nix.cn[newG.EdgeOffset(e.U, e.V)] = c
-		nix.cn[newG.EdgeOffset(e.V, e.U)] = c
+		entry(e.U, e.V, contrib(e.U, newG.Neighbors(e.V), addSeg(e.V), 1)+2)
+		contrib(e.V, newG.Neighbors(e.U), addSeg(e.U), 1)
 	}
 	for _, e := range d.Removed {
-		contribDel(e.U, e.V)
-		contribDel(e.V, e.U)
+		contrib(e.U, oldG.Neighbors(e.V), remSeg(e.V), -1)
+		contrib(e.V, oldG.Neighbors(e.U), remSeg(e.U), -1)
 	}
+	slices.SortFunc(entries, func(x, y countEntry) int { return cmp.Compare(x.key, y.key) })
+	sc.entries = entries
+	sc.entOff = grow(sc.entOff, int(n)+1)
+	segOffsets(sc.entOff, len(entries), func(k int) uint64 { return entries[k].key })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Pass 3: sort the runs that can have changed order — touched runs
-	// (afresh), runs that own a changed count (marked by pass 2), and
-	// runs with a neighbor whose degree changed (marked here). Every other
-	// run keeps its copied order, because the d(u) factor cancels within
-	// a run.
+	// Pass 3: rewrite the runs that can have changed — touched runs,
+	// runs that own a changed count (marked by pass 2), and runs with a
+	// neighbor whose degree changed (marked here) — each with its entries
+	// added. Every other run keeps its copied order, because the d(u)
+	// factor cancels within a run.
 	for _, u := range d.Touched {
 		affected[u>>6] |= 1 << (uint(u) & 63)
 		if oldG.Degree(u) == newG.Degree(u) {
@@ -439,7 +430,49 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		func(u int32) bool { return affected[u>>6]>>(uint(u)&63)&1 != 0 },
 		newG.Degree,
 		func(u int32, worker int) {
-			nix.sortRun(u, sc.w[worker], touched[u>>6]>>(uint(u)&63)&1 != 0)
+			w, ents := sc.w[worker], entries[sc.entOff[u]:sc.entOff[u+1]]
+			lo, hi := oldG.Off[u], oldG.Off[u+1]
+			oldNbr, cnr := ix.nbr[lo:hi], ix.cn[lo:hi]
+			if touched[u>>6]>>(uint(u)&63)&1 != 0 {
+				// The adjacency changed: load the run position-major, one
+				// search per entry, and sort it afresh. An inserted
+				// neighbor's entry holds its whole count.
+				pos := w.load(newG, u)
+				clear(pos)
+				for k, v := range oldNbr {
+					if i, ok := slices.BinarySearch(w.nbrs, v); ok { // not a removed neighbor
+						pos[i] = cnr[k]
+					}
+				}
+				for _, e := range ents {
+					i, _ := slices.BinarySearch(w.nbrs, int32(uint32(e.key)))
+					pos[i] += e.val
+				}
+				nix.sortRun(u, w, true)
+				return
+			}
+			// The same neighbors: sort the old run from its old order, its
+			// ±1 entries found by one search each among the run's entries.
+			if len(ents) > 0 {
+				w.buf = grow(w.buf, len(cnr))
+				cnr = w.buf[:copy(w.buf, cnr)]
+				for k, v := range oldNbr {
+					j, _ := slices.BinarySearchFunc(ents, v, func(e countEntry, v int32) int { return cmp.Compare(int32(uint32(e.key)), v) })
+					for ; j < len(ents) && int32(uint32(ents[j].key)) == v; j++ {
+						cnr[k] += ents[j].val
+					}
+				}
+			}
+			w.bind(newG, cnr, oldNbr)
+			if w.misordered() == 0 { // still in order: pass 1 copied it
+				copy(nix.cn[newG.Off[u]:newG.Off[u+1]], cnr)
+				return
+			}
+			w.ord = grow(w.ord, len(cnr))
+			for k := range w.ord {
+				w.ord[k] = int32(k)
+			}
+			nix.sortRun(u, w, false)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("gsindex: apply aborted during repair pass after %v: %w", time.Since(start), err)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestApplyBatchLeavesNoSnapshotPinned: the workers' comparator state
-// borrows runs of the new index's cn array and the new graph's adjacency
+// borrows runs of the old index's arrays and the new graph's adjacency
 // while an apply runs. It must not outlive the apply: a server pools
 // workspaces, and an idle one that kept those slices would hold a whole
 // superseded epoch in memory until it happened to serve the next commit.

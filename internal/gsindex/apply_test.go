@@ -44,10 +44,10 @@ func requireBitIdentical(t *testing.T, got, want *Index) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(got.order, want.order) {
-		for i := range got.order {
-			if got.order[i] != want.order[i] {
-				t.Fatalf("order[%d] = %d, want %d", i, got.order[i], want.order[i])
+	if !reflect.DeepEqual(got.nbr, want.nbr) {
+		for i := range got.nbr {
+			if got.nbr[i] != want.nbr[i] {
+				t.Fatalf("nbr[%d] = %d, want %d", i, got.nbr[i], want.nbr[i])
 			}
 		}
 	}

@@ -5,13 +5,13 @@
 // parameter exploration.
 //
 // The index precomputes every edge's exact intersection count once and
-// stores, per vertex, its neighbors ordered by decreasing structural
-// similarity ("neighbor order"). The counts are exhaustive, which the
-// ppSCAN paper notes is prohibitively expensive on massive graphs; Build
-// pays it as triangle counting, the way Tseng et al.'s parallel GS*-Index
-// does: one degree-oriented pass finds each triangle once and credits its
-// three edges, instead of one merge per edge (see BuildContext). Afterwards any (ε, µ) query is answered in time proportional to
-// the similar edges it touches, with no set intersections at all:
+// keeps, per vertex, one contiguous run of its neighbors themselves in
+// decreasing structural similarity beside their counts ("neighbor order").
+// The counts are exhaustive, which the ppSCAN paper calls prohibitive on
+// massive graphs; Build pays them as Tseng et al.'s parallel GS*-Index
+// does, by triangle counting: one degree-oriented pass credits each
+// triangle to its three edges (see BuildContext). Then any (ε, µ) query
+// costs time in the similar edges it touches, with no set intersections:
 //
 //   - u is a core iff d[u] ≥ µ and the µ-th most similar neighbor of u has
 //     σ(u, v) ≥ ε (the "core order" property);
@@ -55,13 +55,13 @@ import (
 // Memory: two int32 arrays of length 2|E| beyond the graph itself.
 type Index struct {
 	g *graph.Graph
-	// cn[e] = |Γ(u) ∩ Γ(v)| for the directed edge e = (u, v), including
+	// nbr holds, per vertex, its neighbors sorted by non-increasing
+	// similarity (ties on smaller id): nbr[g.Off[u]+k] is u's k-th most
+	// similar neighbor. Order-major, so every walk reads one run.
+	nbr []int32
+	// cn[g.Off[u]+k] = |Γ(u) ∩ Γ(v)| for v = nbr[g.Off[u]+k], including
 	// the +2 for the endpoints.
 	cn []int32
-	// order holds, per vertex, the permutation of its neighbor positions
-	// sorted by non-increasing similarity: order[g.Off[u]+k] is the index
-	// i (relative to g.Off[u]) of u's k-th most similar neighbor.
-	order []int32
 	// buildTime records how long Build took (the index-construction cost
 	// that ppSCAN's online approach avoids).
 	buildTime time.Duration
@@ -120,8 +120,8 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 	n := g.NumVertices()
 	ix := &Index{
 		g:       g,
+		nbr:     make([]int32, g.NumDirectedEdges()),
 		cn:      make([]int32, g.NumDirectedEdges()),
-		order:   make([]int32, g.NumDirectedEdges()),
 		workers: opt.workers(),
 	}
 	crew := sched.NewCrew(ix.workers)
@@ -157,16 +157,16 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 	if err := pass("triangle", t.enumerate); err != nil {
 		return nil, err
 	}
-	// The neighbor orders. Each task fills u's own run of counts from the
-	// credits — final once the triangle pass's barrier has passed — and
-	// sorts it with sortRun (apply.go), the routine ApplyBatch repairs
-	// runs with: sharing it is what makes incremental maintenance
-	// bit-identical.
+	// The neighbor orders. Each task fills a position-major scratch run of
+	// u's counts from the credits — final once the triangle pass's barrier
+	// has passed — and sorts it with sortRun (apply.go), which writes it
+	// out order-major. ApplyBatch repairs runs with the same routine:
+	// sharing it is what makes incremental maintenance bit-identical.
 	workers := make([]applyWorker, ix.workers)
 	err := pass("neighbor-order", func(u int32, worker int) {
-		off := g.Off[u]
-		t.fill(u, ix.cn[off:off+int64(g.Degree(u))])
-		ix.sortRun(u, &workers[worker], true)
+		w := &workers[worker]
+		t.fill(u, w.load(g, u))
+		ix.sortRun(u, w, true)
 	})
 	if err != nil {
 		return nil, err
@@ -268,7 +268,7 @@ func (t *triangles) enumerate(u int32, worker int) {
 	}
 }
 
-// fill writes u's counts into run, u's CSR run of cn: an edge to a
+// fill writes u's counts into run, in u's CSR (id) order: an edge to a
 // higher-ranked v is u's next out-list slot, and an edge to a lower-ranked
 // v is v's slot for u, found by binary search in out(v).
 func (t *triangles) fill(u int32, run []int32) {
@@ -295,26 +295,27 @@ func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // MemoryBytes returns the index's payload size (excluding the graph).
 func (ix *Index) MemoryBytes() int64 {
-	return int64(len(ix.cn))*4 + int64(len(ix.order))*4
+	return int64(len(ix.cn))*4 + int64(len(ix.nbr))*4
 }
 
-// edgeSimGE reports whether σ(u, nbr-at-position) ≥ ε, using the stored
-// intersection count.
-func (ix *Index) edgeSimGE(eps simdef.Epsilon, u int32, pos int64, v int32) bool {
-	p := (uint64(ix.g.Degree(u)) + 1) * (uint64(ix.g.Degree(v)) + 1)
-	return eps.PredP(ix.cn[pos], p)
+// simGE reports whether σ ≥ ε for the neighbor in slot e of a run whose
+// owner has du1 = d(u)+1, from the stored count.
+func (ix *Index) simGE(eps simdef.Epsilon, du1 uint64, e int64) bool {
+	return eps.PredP(ix.cn[e], du1*(uint64(ix.g.Degree(ix.nbr[e]))+1))
 }
 
 // similarEnd returns the length of u's similar prefix under eps, given
 // that the first k entries of u's neighbour order are similar. The order
 // is non-increasing in σ, so "σ ≥ ε" holds on a prefix: it probes entries
 // k, k+2, k+6, … until one is not similar or past the run, then
-// binary-searches the last step. Every probe is one exact edgeSimGE, and
+// binary-searches the last step. Every probe is one exact simGE, and
 // there are O(log L) of them for an extension of length L.
 func (ix *Index) similarEnd(eps simdef.Epsilon, u, k int32) int32 {
-	lo, hi := k, ix.g.Degree(u) // entries < lo are similar; entry hi is not, or hi is the end
+	off, du := ix.g.Off[u], ix.g.Degree(u)
+	du1 := uint64(du) + 1
+	lo, hi := k, du // entries < lo are similar; entry hi is not, or hi is the end
 	for probe, step := k, int32(2); probe < hi; probe, step = probe+step, step*2 {
-		if !ix.orderSimGE(eps, u, probe) {
+		if !ix.simGE(eps, du1, off+int64(probe)) {
 			hi = probe
 			break
 		}
@@ -323,24 +324,18 @@ func (ix *Index) similarEnd(eps simdef.Epsilon, u, k int32) int32 {
 	// The end lies in [lo, lo+n]. Each probe halves n whatever it answers,
 	// so the update is a conditional add rather than a mispredicted branch.
 	for n := hi - lo; n > 0; n /= 2 {
-		if ix.orderSimGE(eps, u, lo+n/2) {
+		if ix.simGE(eps, du1, off+int64(lo+n/2)) {
 			lo += n - n/2
 		}
 	}
 	return lo
 }
 
-// orderSimGE reports whether σ ≥ ε for u's j-th most similar neighbour.
-func (ix *Index) orderSimGE(eps simdef.Epsilon, u, j int32) bool {
-	uOff := ix.g.Off[u]
-	pos := uOff + int64(ix.order[uOff+int64(j)])
-	return ix.edgeSimGE(eps, u, pos, ix.g.Dst[pos])
-}
-
 // IsCore answers the core predicate for one vertex under (eps, mu) in O(1)
 // via the neighbor order.
 func (ix *Index) IsCore(eps simdef.Epsilon, mu int32, u int32) bool {
-	return ix.g.Degree(u) >= mu && ix.orderSimGE(eps, u, mu-1)
+	du := ix.g.Degree(u)
+	return du >= mu && ix.simGE(eps, uint64(du)+1, ix.g.Off[u]+int64(mu-1))
 }
 
 // Query computes the exact clustering for (eps, mu) from the index,
@@ -351,21 +346,25 @@ func (ix *Index) Query(eps string, mu int32) (*result.Result, error) {
 	return ix.QueryWorkspace(context.Background(), eps, mu, nil)
 }
 
-// Validate cross-checks the index invariants: every stored count equals
-// arcCount's per-arc merge — the oracle the triangle pass is tested
-// against — and every neighbor order is strictly increasing under the
-// run comparator. Intended for tests; O(Σ d²).
+// Validate cross-checks the index invariants: every run lists neighbors
+// of its vertex, every stored count equals arcCount's per-arc merge — the
+// oracle the triangle pass is tested against — and every run is strictly
+// increasing under the run comparator, so it lists each neighbor once.
+// Intended for tests; O(Σ d²).
 func (ix *Index) Validate() error {
 	g := ix.g
 	var w applyWorker
 	for u := int32(0); u < g.NumVertices(); u++ {
 		uOff := g.Off[u]
-		for i, v := range g.Neighbors(u) {
-			if want, got := arcCount(g, u, v), ix.cn[uOff+int64(i)]; got != want {
+		for k, v := range ix.nbr[uOff:g.Off[u+1]] {
+			if !g.HasEdge(u, v) {
+				return fmt.Errorf("gsindex: run of %d lists %d, not a neighbor", u, v)
+			}
+			if want, got := arcCount(g, u, v), ix.cn[uOff+int64(k)]; got != want {
 				return fmt.Errorf("gsindex: cn[e(%d,%d)] = %d, want %d", u, v, got, want)
 			}
 		}
-		if k := w.misordered(ix, u); k > 0 {
+		if k := w.misorderedRun(ix, u); k > 0 {
 			return fmt.Errorf("gsindex: neighbor order of %d not strictly decreasing in similarity at %d", u, k)
 		}
 	}

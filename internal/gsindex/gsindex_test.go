@@ -1,6 +1,7 @@
 package gsindex
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -167,12 +168,30 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexQuery times one extraction as a server miss runs it: on
+// the benchmark's community graph (1000 planted communities of 50, seed 1)
+// with a two-worker index and one pooled workspace, round-robin over the
+// 24 serving keys ε ∈ {0.3, 0.4, 0.45, 0.5, 0.55, 0.6} × µ ∈ {2, 4, 6, 8}.
 func BenchmarkIndexQuery(b *testing.B) {
-	g := algotest.RandomGraph(87)
-	ix := Build(g, BuildOptions{})
+	g := gen.PlantedPartition(1000, 50, 0.5, 3/50000., 1)
+	ix := Build(g, BuildOptions{Workers: 2})
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	type key struct {
+		eps string
+		mu  int32
+	}
+	var keys []key
+	for _, eps := range []string{"0.3", "0.4", "0.45", "0.5", "0.55", "0.6"} {
+		for _, mu := range []int32{2, 4, 6, 8} {
+			keys = append(keys, key{eps, mu})
+		}
+	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Query("0.4", 3); err != nil {
+		k := keys[i%len(keys)]
+		if _, err := ix.QueryWorkspace(ctx, k.eps, k.mu, ws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,8 +221,8 @@ func TestSimilarEndMatchesScan(t *testing.T) {
 				off, du := tc.g.Off[u], tc.g.Degree(u)
 				want := int32(0)
 				for ; want < du; want++ {
-					pos := off + int64(ix.order[off+int64(want)])
-					if !eps.Pred(ix.cn[pos], du, tc.g.Degree(tc.g.Dst[pos])) {
+					e := off + int64(want)
+					if !eps.Pred(ix.cn[e], du, tc.g.Degree(ix.nbr[e])) {
 						break
 					}
 				}
@@ -227,8 +246,8 @@ func similarityGrid(ix *Index) (grid []simdef.Epsilon, exact int) {
 	}
 	var sims []sim
 	for u := int32(0); u < g.NumVertices(); u++ {
-		for i, v := range g.Neighbors(u) {
-			sims = append(sims, sim{ix.cn[g.Off[u]+int64(i)], (uint64(g.Degree(u)) + 1) * (uint64(g.Degree(v)) + 1)})
+		for e := g.Off[u]; e < g.Off[u+1]; e++ {
+			sims = append(sims, sim{ix.cn[e], (uint64(g.Degree(u)) + 1) * (uint64(g.Degree(ix.nbr[e])) + 1)})
 		}
 	}
 	slices.SortFunc(sims, func(a, b sim) int { return simdef.CompareSimValues(a.cn, a.p, b.cn, b.p) })

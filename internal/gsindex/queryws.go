@@ -14,14 +14,15 @@ import (
 	"ppscan/internal/unionfind"
 )
 
-// ctxStride is how many vertices the membership walk processes between
-// cancellation polls: large enough that the poll is free, small enough
-// that a sweep step aborts within microseconds of a client disconnect.
-const ctxStride = 4096
+// walkBlock is the width of a membership-walk block: the walk's crew
+// tasks are cut from whole blocks, and each block appends to its own
+// buffer, so the buffers in block order are the walk's output in vertex
+// order whatever the crew size.
+const walkBlock = 1024
 
 // sweepScratch is the engine-private extraction state SweepWorkspace
 // parks in the workspace: the grow-only per-vertex sweep state and
-// membership buffer, and the crew phases' closures, bound once so a warm
+// membership buffers, and the crew phases' closures, bound once so a warm
 // extraction allocates none. ix and ctx are dropped on return, so an idle
 // workspace pins no index or request.
 //
@@ -30,20 +31,22 @@ const ctxStride = 4096
 // it has already walked. carried is set once a step is done: only then
 // can old cores exist.
 type sweepScratch struct {
-	ix      *Index
-	ctx     context.Context
-	eps     simdef.Epsilon
-	mu      int32
-	carried bool
-	roles   []result.Role
-	cursor  []int32
-	uf      *unionfind.Concurrent
-	noncore []result.Membership
+	ix            *Index
+	ctx           context.Context
+	eps           simdef.Epsilon
+	mu            int32
+	carried       bool
+	roles         []result.Role
+	cursor        []int32
+	uf            *unionfind.Concurrent
+	coreClusterID []int32
+	noncore       []result.Membership
+	blocks        [][]result.Membership // blocks[b]: the walk's memberships of block b
 
-	fnRole, fnUnion     func(u int32, worker int)
-	fnIsCore, fnNotCore func(int32) bool
-	fnDegree            func(int32) int32
-	fnStop              func() bool
+	fnRole, fnUnion, fnWalk func(u int32, worker int)
+	fnIsCore, fnNotCore     func(int32) bool
+	fnDegree, fnBlockDegree func(int32) int32
+	fnStop                  func() bool
 }
 
 // sweepScratchKey identifies the extraction scratch in Workspace.Scratch.
@@ -51,9 +54,9 @@ const sweepScratchKey = "gsindex.sweep"
 
 // roleNewCore is the role the roles phase gives a vertex that becomes a
 // core at this step, so that the cores phase tells new cores from old ones
-// by the roles it reads anyway, with no copy of the previous step's. The
-// membership walk turns it into result.RoleCore before the step is
-// yielded; it is not a result.Role value and never leaves the sweep.
+// by the roles it reads anyway, with no copy of the previous step's.
+// SweepWorkspace turns it into result.RoleCore after the membership walk's
+// barrier; it is not a result.Role value and never leaves the sweep.
 const roleNewCore result.Role = -1
 
 // isCore reports whether r is a core's role at the current step.
@@ -61,10 +64,15 @@ func isCore(r result.Role) bool { return r == result.RoleCore || r == roleNewCor
 
 func newSweepScratch() any {
 	sc := &sweepScratch{}
-	sc.fnRole, sc.fnUnion = sc.role, sc.union
+	sc.fnRole, sc.fnUnion, sc.fnWalk = sc.role, sc.union, sc.walk
 	sc.fnIsCore = func(u int32) bool { return isCore(sc.roles[u]) }
 	sc.fnNotCore = func(u int32) bool { return sc.roles[u] != result.RoleCore }
 	sc.fnDegree = func(u int32) int32 { return sc.ix.g.Degree(u) }
+	sc.fnBlockDegree = func(b int32) int32 {
+		g := sc.ix.g
+		lo, hi := b*walkBlock, min((b+1)*walkBlock, g.NumVertices())
+		return int32(min(g.Off[hi]-g.Off[lo], 1<<30))
+	}
 	sc.fnStop = func() bool { return sc.ctx.Err() != nil }
 	return sc
 }
@@ -107,18 +115,19 @@ func (ix *Index) QueryWorkspace(ctx context.Context, eps string, mu int32, ws *e
 // while σ ≥ ε, unioning with every similar core v > u. Both run on the
 // workspace's crew with the index's build worker count (Stats.Workers).
 // The wait-free union-find's representative is its set's minimum, the
-// Definition 3.7 cluster id. Memberships come from one walk over the
-// non-cores in vertex order, each scanning its own similar prefix, so
-// NonCore is born sorted by (V, ClusterID) and deduplicated.
-// With one step the cores phase is the plain v > u rule.
+// Definition 3.7 cluster id. The third stage, the membership walk, is a
+// crew phase over fixed vertex blocks: it reads each core's cluster id
+// and scans each non-core's similar prefix into its block's buffer, and
+// the buffers in block order make NonCore born sorted by (V, ClusterID)
+// and deduplicated. With one step the cores phase is the plain v > u rule.
 //
 // r aliases workspace memory that the next step overwrites: it is valid
 // only until yield returns; call Result.Clone to retain it. A nil ws
 // allocates transient buffers via a throwaway workspace.
 //
-// ctx is polled once per crew task and every ctxStride vertices of the
-// walk, so a sweep aborts promptly with ctx.Err(). A worker panic returns
-// its *result.WorkerPanicError and poisons ws.
+// ctx is polled once per crew task of each phase, so a sweep aborts
+// promptly with ctx.Err(). A worker panic returns its
+// *result.WorkerPanicError and poisons ws.
 func (ix *Index) SweepWorkspace(ctx context.Context, epsDesc []simdef.Epsilon, mu int32, ws *engine.Workspace, yield func(i int, r *result.Result)) error {
 	if mu < 1 {
 		return fmt.Errorf("gsindex: mu = %d, want >= 1", mu)
@@ -136,11 +145,15 @@ func (ix *Index) SweepWorkspace(ctx context.Context, epsDesc []simdef.Epsilon, m
 		defer ws.Close()
 	}
 	n := ix.g.NumVertices()
+	blocks := (n + walkBlock - 1) / walkBlock
 	sc := ws.Scratch(sweepScratchKey, newSweepScratch).(*sweepScratch)
 	sc.ix, sc.ctx, sc.mu, sc.carried = ix, ctx, mu, false
 	defer func() { sc.ix, sc.ctx = nil, nil }()
 	sc.roles, sc.uf = ws.Roles(int(n)), ws.ConcurrentUF(n)
 	sc.cursor = slices.Grow(sc.cursor[:0], int(n))[:n]
+	if len(sc.blocks) < int(blocks) {
+		sc.blocks = append(sc.blocks, make([][]result.Membership, int(blocks)-len(sc.blocks))...)
+	}
 	for i, eps := range epsDesc {
 		start := time.Now()
 		sc.eps = eps
@@ -148,26 +161,25 @@ func (ix *Index) SweepWorkspace(ctx context.Context, epsDesc []simdef.Epsilon, m
 		if !sc.carried {
 			need = nil // the first step tests every vertex
 		}
-		if err := sc.phase(ws, "index roles", need, sc.fnRole); err != nil {
+		if err := sc.phase(ws, "index roles", n, need, sc.fnDegree, sc.fnRole); err != nil {
 			return err
 		}
-		if err := sc.phase(ws, "index cores", sc.fnIsCore, sc.fnUnion); err != nil {
+		if err := sc.phase(ws, "index cores", n, sc.fnIsCore, sc.fnDegree, sc.fnUnion); err != nil {
 			return err
 		}
-		coreClusterID := ws.CoreClusterIDs(int(n))
-		noncore := sc.noncore[:0]
-		for v := int32(0); v < n; v++ {
-			if v%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if isCore(sc.roles[v]) {
+		sc.coreClusterID = ws.CoreClusterIDs(int(n))
+		if err := sc.phase(ws, "index members", blocks, nil, sc.fnBlockDegree, sc.fnWalk); err != nil {
+			return err
+		}
+		// After the barrier: no worker reads roles any more.
+		for v, r := range sc.roles {
+			if r == roleNewCore {
 				sc.roles[v] = result.RoleCore
-				coreClusterID[v] = sc.uf.Find(v)
-			} else {
-				noncore = sc.appendMemberships(noncore, v)
 			}
+		}
+		noncore := sc.noncore[:0]
+		for _, buf := range sc.blocks[:blocks] {
+			noncore = append(noncore, buf...)
 		}
 		sc.noncore = noncore // keep the grown buffer for the next step
 		sc.carried = true
@@ -175,7 +187,7 @@ func (ix *Index) SweepWorkspace(ctx context.Context, epsDesc []simdef.Epsilon, m
 			Eps:           eps.String(),
 			Mu:            mu,
 			Roles:         sc.roles,
-			CoreClusterID: coreClusterID,
+			CoreClusterID: sc.coreClusterID,
 			NonCore:       noncore,
 			Stats:         result.Stats{Algorithm: "GS*-Index", Workers: ix.workers, Total: time.Since(start)},
 		})
@@ -183,12 +195,13 @@ func (ix *Index) SweepWorkspace(ctx context.Context, epsDesc []simdef.Epsilon, m
 	return nil
 }
 
-// phase runs one crew phase over the vertices passing need. A contained
-// worker panic poisons ws, as in a ppSCAN run; a stopped crew reports
-// nothing, so ctx's error is the phase's otherwise.
-func (sc *sweepScratch) phase(ws *engine.Workspace, name string, need func(int32) bool, process func(int32, int)) error {
+// phase runs one crew phase over the items [0, n) passing need, cut by
+// the workload estimate deg. A contained worker panic poisons ws, as in a
+// ppSCAN run; a stopped crew reports nothing, so ctx's error is the
+// phase's otherwise.
+func (sc *sweepScratch) phase(ws *engine.Workspace, name string, n int32, need func(int32) bool, deg func(int32) int32, process func(int32, int)) error {
 	err := ws.Crew(sc.ix.workers).ForEachVertex(sched.Options{Phase: name},
-		sc.ix.g.NumVertices(), need, sc.fnDegree, process, sc.fnStop)
+		n, need, deg, process, sc.fnStop)
 	if err != nil {
 		ws.Poison()
 		return err
@@ -214,52 +227,65 @@ func (sc *sweepScratch) role(u int32, _ int) {
 // A new core's prefix end is searched for from µ — IsCore tested entry
 // µ−1, so the first µ entries are similar — and the walk reads no σ. An
 // old core's slice is usually a few arcs, where the search's probes cost
-// more than the linear test they replace, so it tests arc by arc.
+// more than the linear test they replace, so it tests arc by arc. Before
+// any step is done there are no old cores, so a one-step extraction's
+// new-core walk has no old-core branch.
 func (sc *sweepScratch) union(u int32, _ int) {
-	g := sc.ix.g
-	uOff := g.Off[u]
+	ix := sc.ix
+	off, du := ix.g.Off[u], ix.g.Degree(u)
 	if sc.roles[u] == result.RoleCore {
-		k := sc.cursor[u]
-		for _, i := range sc.ix.order[uOff+int64(k) : uOff+int64(g.Degree(u))] {
-			pos := uOff + int64(i)
-			v := g.Dst[pos]
-			if !sc.ix.edgeSimGE(sc.eps, u, pos, v) {
-				break // neighbour order: everything after is < eps
-			}
-			k++
-			if v > u && isCore(sc.roles[v]) {
+		du1, k := uint64(du)+1, sc.cursor[u]
+		for ; k < du && ix.simGE(sc.eps, du1, off+int64(k)); k++ {
+			// neighbour order: the first dissimilar entry ends the prefix
+			if v := ix.nbr[off+int64(k)]; v > u && isCore(sc.roles[v]) {
 				sc.uf.Union(u, v)
 			}
 		}
 		sc.cursor[u] = k
 		return
 	}
-	end := sc.ix.similarEnd(sc.eps, u, sc.mu)
-	for _, i := range sc.ix.order[uOff : uOff+int64(end)] {
-		v := g.Dst[uOff+int64(i)]
-		if v > u {
-			if isCore(sc.roles[v]) {
+	end := ix.similarEnd(sc.eps, u, sc.mu)
+	sc.cursor[u] = end
+	run := ix.nbr[off : off+int64(end)]
+	if !sc.carried {
+		for _, v := range run {
+			if v > u && isCore(sc.roles[v]) {
 				sc.uf.Union(u, v)
 			}
-		} else if sc.carried && sc.roles[v] == result.RoleCore {
-			sc.uf.Union(u, v) // an old core, whose walks skipped u
+		}
+		return
+	}
+	for _, v := range run {
+		if v > u && isCore(sc.roles[v]) || v < u && sc.roles[v] == result.RoleCore {
+			sc.uf.Union(u, v) // a core above u, or an old core, whose walks skipped u
 		}
 	}
-	sc.cursor[u] = end
+}
+
+// walk is the membership walk of block b: each core's cluster id, and
+// each non-core's memberships appended to the block's buffer. It writes
+// no role: roles is read by every worker until the phase's barrier.
+func (sc *sweepScratch) walk(b int32, _ int) {
+	lo, hi := b*walkBlock, min((b+1)*walkBlock, sc.ix.g.NumVertices())
+	dst := sc.blocks[b][:0]
+	for v := lo; v < hi; v++ {
+		if isCore(sc.roles[v]) {
+			sc.coreClusterID[v] = sc.uf.Find(v)
+		} else {
+			dst = sc.appendMemberships(dst, v)
+		}
+	}
+	sc.blocks[b] = dst
 }
 
 // appendMemberships appends one membership of non-core v per cluster of
 // its similar cores (fewer than µ of them), ascending by cluster id.
 func (sc *sweepScratch) appendMemberships(dst []result.Membership, v int32) []result.Membership {
-	g := sc.ix.g
-	first, vOff := len(dst), g.Off[v]
-	for _, i := range sc.ix.order[vOff : vOff+int64(g.Degree(v))] {
-		pos := vOff + int64(i)
-		u := g.Dst[pos]
-		if !sc.ix.edgeSimGE(sc.eps, v, pos, u) {
-			break
-		}
-		if isCore(sc.roles[u]) {
+	ix := sc.ix
+	first, lo, hi := len(dst), ix.g.Off[v], ix.g.Off[v+1]
+	dv1 := uint64(hi-lo) + 1
+	for e := lo; e < hi && ix.simGE(sc.eps, dv1, e); e++ {
+		if u := ix.nbr[e]; isCore(sc.roles[u]) {
 			dst = append(dst, result.Membership{V: v, ClusterID: sc.uf.Find(u)})
 		}
 	}

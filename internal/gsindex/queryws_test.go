@@ -3,6 +3,8 @@ package gsindex
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"ppscan/internal/pscan"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
+	"ppscan/internal/unionfind"
 )
 
 // TestQueryWorkspaceMatchesQuery proves the extraction exact across the
@@ -106,7 +109,7 @@ func requireExact(t *testing.T, g *graph.Graph, r *result.Result, th simdef.Thre
 	}
 }
 
-// TestQueryWorkspaceWorkerPanic: a worker panic in either crew phase is
+// TestQueryWorkspaceWorkerPanic: a worker panic in any crew phase is
 // contained — the extraction returns the *result.WorkerPanicError naming
 // the phase and poisons the workspace, as a ppSCAN run does — and the next
 // extraction on that workspace is exact.
@@ -118,7 +121,7 @@ func TestQueryWorkspaceWorkerPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := Build(g, BuildOptions{Workers: 2})
-	for hit, phase := range []string{"index roles", "index cores"} {
+	for hit, phase := range []string{"index roles", "index cores", "index members"} {
 		ws := engine.NewWorkspace()
 		fault.Enable(&fault.Plan{Rules: []fault.Rule{
 			{Point: fault.WorkerTask, Action: fault.ActPanic, Start: uint64(hit + 1), Count: 1},
@@ -194,6 +197,133 @@ func TestQueryWorkspaceDeadlineAtEveryPoll(t *testing.T) {
 		}
 		requireExact(t, g, res, th)
 	}
+}
+
+// TestQueryWorkspaceDeadlineInWalk lands the deadline on a crew poll of
+// the membership walk, the last phase, on a graph of four walk blocks:
+// the extraction's last poll is the check after that phase, so the one
+// before it and the one before that are the walk's own. The extraction
+// returns the context's error and yields nothing, and — as for a deadline
+// in the other phases — the workspace is not poisoned and serves exact
+// answers next.
+func TestQueryWorkspaceDeadlineInWalk(t *testing.T) {
+	g := gen.PlantedPartition(80, 50, 0.5, 3/4000., 4)
+	th, err := simdef.NewThreshold("0.5", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(g, BuildOptions{Workers: 2})
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	count := &flipCtx{Context: context.Background(), ok: math.MaxInt64}
+	if _, err := ix.QueryWorkspace(count, "0.5", 3, ws); err != nil {
+		t.Fatal(err)
+	}
+	polls := count.asked.Load()
+	for _, ok := range []int64{polls - 2, polls - 3} {
+		res, err := ix.QueryWorkspace(&flipCtx{Context: context.Background(), ok: ok}, "0.5", 3, ws)
+		if res != nil || err != context.DeadlineExceeded {
+			t.Fatalf("deadline after %d of %d polls: got (%v, %v), want context.DeadlineExceeded", ok, polls, res, err)
+		}
+		if ws.Poisoned() {
+			t.Fatalf("deadline after %d of %d polls poisoned the workspace", ok, polls)
+		}
+		res, err = ix.QueryWorkspace(context.Background(), "0.5", 3, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExact(t, g, res, th)
+	}
+}
+
+// TestSweepWalkDeterministic: on a graph of four walk blocks, every step
+// of a 7-step sweep on indexes built at 1, 2 and 7 workers has the
+// CoreClusterID and NonCore slices of a serial reference walk, and of a
+// fresh one-step QueryWorkspace: the crew size moves no byte of the
+// answer.
+func TestSweepWalkDeterministic(t *testing.T) {
+	g := gen.PlantedPartition(80, 50, 0.5, 3/4000., 4)
+	var grid []simdef.Epsilon
+	for _, e := range []string{"0.6", "0.55", "0.5", "0.45", "0.4", "0.35", "0.3"} {
+		grid = append(grid, simdef.MustEpsilon(e))
+	}
+	const mu = 3
+	ctx := context.Background()
+	sweepWS, queryWS := engine.NewWorkspace(), engine.NewWorkspace()
+	defer sweepWS.Close()
+	defer queryWS.Close()
+	for _, workers := range []int{1, 2, 7} {
+		ix := Build(g, BuildOptions{Workers: workers})
+		steps := 0
+		err := ix.SweepWorkspace(ctx, grid, mu, sweepWS, func(i int, got *result.Result) {
+			steps++
+			ids, noncore := serialWalk(ix, grid[i], got.Roles)
+			if !slices.Equal(got.CoreClusterID, ids) || !slices.Equal(got.NonCore, noncore) {
+				t.Fatalf("workers=%d eps=%s: the walk differs from the serial reference", workers, grid[i])
+			}
+			want, err := ix.QueryWorkspace(ctx, grid[i].String(), mu, queryWS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.CoreClusterID, want.CoreClusterID) || !slices.Equal(got.NonCore, want.NonCore) {
+				t.Fatalf("workers=%d eps=%s: the sweep step differs from a one-step extraction", workers, grid[i])
+			}
+		})
+		if err != nil || steps != len(grid) {
+			t.Fatalf("workers=%d: %d of %d steps, err %v", workers, steps, len(grid), err)
+		}
+	}
+}
+
+// serialWalk is the membership walk done by hand in vertex order: a
+// sequential union-find over the similar core-core arcs of roles, each
+// set named by its least vertex, then each non-core's similar prefix.
+func serialWalk(ix *Index, eps simdef.Epsilon, roles []result.Role) (ids []int32, noncore []result.Membership) {
+	g := ix.g
+	n := g.NumVertices()
+	uf := unionfind.NewSequential(n)
+	similar := func(u int32) []int32 { // u's similar prefix
+		off, du1 := g.Off[u], uint64(g.Degree(u))+1
+		k := off
+		for k < g.Off[u+1] && ix.simGE(eps, du1, k) {
+			k++
+		}
+		return ix.nbr[off:k]
+	}
+	for u := int32(0); u < n; u++ {
+		if roles[u] == result.RoleCore {
+			for _, v := range similar(u) {
+				if roles[v] == result.RoleCore {
+					uf.Union(u, v)
+				}
+			}
+		}
+	}
+	least := make(map[int32]int32)
+	for u := n - 1; u >= 0; u-- {
+		if roles[u] == result.RoleCore {
+			least[uf.Find(u)] = u
+		}
+	}
+	ids = make([]int32, n)
+	for v := int32(0); v < n; v++ {
+		ids[v] = -1
+		if roles[v] == result.RoleCore {
+			ids[v] = least[uf.Find(v)]
+			continue
+		}
+		var cs []int32
+		for _, u := range similar(v) {
+			if roles[u] == result.RoleCore {
+				cs = append(cs, least[uf.Find(u)])
+			}
+		}
+		slices.Sort(cs)
+		for _, c := range slices.Compact(cs) {
+			noncore = append(noncore, result.Membership{V: v, ClusterID: c})
+		}
+	}
+	return ids, noncore
 }
 
 // TestQueryWorkspaceNilWorkspace covers the transient-scratch fallback.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"ppscan/graph"
 )
@@ -12,34 +13,35 @@ import (
 // indexMagic identifies the binary index format ("GSI1").
 const indexMagic = 0x47534931
 
-// Save serializes the index payload (intersection counts and neighbor
-// orders) in a compact little-endian binary format. The graph itself is
-// not stored; Load must be given the same graph.
+// Save serializes the index payload in a compact little-endian binary
+// format: the intersection counts position-major (each vertex's in its CSR
+// order), then every neighbor order as CSR positions relative to its
+// vertex, converted from the runs by one search per entry. The graph
+// itself is not stored; Load must be given the same graph.
 func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []any{
-		uint32(indexMagic),
-		int64(ix.g.NumVertices()),
-		int64(ix.g.NumDirectedEdges()),
-	}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("gsindex: writing header: %w", err)
+	g := ix.g
+	cn, order := make([]int32, len(ix.cn)), make([]int32, len(ix.nbr))
+	for u := int32(0); u < g.NumVertices(); u++ {
+		off, nbrs := g.Off[u], g.Neighbors(u)
+		for k, v := range ix.nbr[off : off+int64(len(nbrs))] {
+			i, _ := slices.BinarySearch(nbrs, v)
+			cn[off+int64(i)], order[off+int64(k)] = ix.cn[off+int64(k)], int32(i)
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.cn); err != nil {
-		return fmt.Errorf("gsindex: writing counts: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.order); err != nil {
-		return fmt.Errorf("gsindex: writing orders: %w", err)
+	bw := bufio.NewWriter(w)
+	for _, x := range []any{uint32(indexMagic), int64(g.NumVertices()), g.NumDirectedEdges(), cn, order} {
+		if err := binary.Write(bw, binary.LittleEndian, x); err != nil {
+			return fmt.Errorf("gsindex: writing the index: %w", err)
+		}
 	}
 	return bw.Flush()
 }
 
 // Load deserializes an index previously written by Save and attaches it to
 // g, verifying that the stored shape matches the graph and that the
-// payload passes fence, every invariant checkable in one pass over the arcs;
-// Validate adds the exact counts.
+// payload passes fence, every invariant checkable in one pass over the
+// arcs, which also turns the runs order-major in place; Validate adds the
+// exact counts.
 func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	br := bufio.NewReader(r)
 	var magic uint32
@@ -62,14 +64,14 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	}
 	ix := &Index{
 		g:       g,
+		nbr:     make([]int32, m),
 		cn:      make([]int32, m),
-		order:   make([]int32, m),
 		workers: BuildOptions{}.workers(),
 	}
 	if err := binary.Read(br, binary.LittleEndian, ix.cn); err != nil {
 		return nil, fmt.Errorf("gsindex: reading counts: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, ix.order); err != nil {
+	if err := binary.Read(br, binary.LittleEndian, ix.nbr); err != nil {
 		return nil, fmt.Errorf("gsindex: reading orders: %w", err)
 	}
 	if err := ix.fence(); err != nil {
@@ -78,10 +80,15 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	return ix, nil
 }
 
-// fence checks what Load can check without an intersection: every count
-// is symmetric and in 2 ≤ cn ≤ min(d(u), d(v))+1, and every run is a
-// permutation of its positions, strictly increasing under the run
-// comparator. Exact counts are Validate's, at O(Σ d²).
+// fence checks what Load can check without an intersection, on the file's
+// arrays as read into ix: counts position-major in cn and each run's order
+// as positions in nbr. Every count is symmetric and in
+// 2 ≤ cn ≤ min(d(u), d(v))+1, and every run is a permutation of its
+// positions; the run is then turned order-major in place and must be
+// strictly increasing under the run comparator. Exact counts are
+// Validate's, at O(Σ d²).
+//
+//lint:snapfreeze pre-publication: Load has not returned ix yet
 func (ix *Index) fence() error {
 	g := ix.g
 	n := g.NumVertices()
@@ -91,7 +98,7 @@ func (ix *Index) fence() error {
 	// holds the last vertex (plus one) whose run listed entry o, so one
 	// buffer serves every run without clearing.
 	rev := make([]int32, n)
-	seen := make([]int32, g.MaxDegree())
+	seen, cnr := make([]int32, g.MaxDegree()), make([]int32, g.MaxDegree())
 	var w applyWorker
 	for u := int32(0); u < n; u++ {
 		deg := g.Degree(u)
@@ -109,7 +116,7 @@ func (ix *Index) fence() error {
 			}
 		}
 		for k := int64(0); k < int64(deg); k++ {
-			o := ix.order[uOff+k]
+			o := ix.nbr[uOff+k]
 			if o < 0 || o >= deg {
 				return fmt.Errorf("gsindex: order entry %d out of range at vertex %d", o, u)
 			}
@@ -118,7 +125,14 @@ func (ix *Index) fence() error {
 			}
 			seen[o] = u + 1
 		}
-		if k := w.misordered(ix, u); k > 0 {
+		// Only runs of v > u are still read position-major, by the
+		// symmetry check above.
+		copy(cnr, ix.cn[uOff:uOff+int64(deg)])
+		for k := uOff; k < uOff+int64(deg); k++ {
+			o := ix.nbr[k]
+			ix.nbr[k], ix.cn[k] = g.Dst[uOff+int64(o)], cnr[o]
+		}
+		if k := w.misorderedRun(ix, u); k > 0 {
 			return fmt.Errorf("gsindex: neighbor order of %d out of order at %d", u, k)
 		}
 	}

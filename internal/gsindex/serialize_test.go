@@ -3,6 +3,7 @@ package gsindex
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"strings"
 	"testing"
 
@@ -153,4 +154,30 @@ func TestLoadFence(t *testing.T) {
 			t.Errorf("%s: Load error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestPinnedFile: testdata/planted-8x10.gsi is the GSI1 file the index
+// wrote for this graph while it kept position-major counts and a position
+// permutation per run. Save must still write it byte for byte, and Load
+// must read it back to the index Build makes, so -indexfile files written
+// before the runs became order-major keep loading.
+func TestPinnedFile(t *testing.T) {
+	g := gen.PlantedPartition(8, 10, 0.5, 0.05, 1)
+	pinned, err := os.ReadFile("testdata/planted-8x10.gsi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(g, BuildOptions{Workers: 2})
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), pinned) {
+		t.Fatalf("Save wrote %d bytes that differ from the pinned file's %d", buf.Len(), len(pinned))
+	}
+	back, err := Load(bytes.NewReader(pinned), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, back, ix)
 }

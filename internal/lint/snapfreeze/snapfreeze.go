@@ -3,7 +3,7 @@
 // epoch's *graph.Graph and *gsindex.Index through an atomic pointer and
 // then walk the CSR arrays with NO synchronization — the paper's
 // index-as-serving-artifact framing (and PR 8's copy-on-write commits)
-// only hold if nothing ever writes Off/Dst or the index's cn/order arrays
+// only hold if nothing ever writes Off/Dst or the index's cn/nbr arrays
 // after publication. Tests can't see a stray write that races one request
 // in a million; this analyzer sees it at compile time.
 //
@@ -37,9 +37,9 @@ import (
 // real types so the fixture suite exercises the same code path.
 var frozenFields = map[[2]string]map[string]bool{
 	{"ppscan/graph", "Graph"}:            {"Off": true, "Dst": true, "epoch": true, "id": true},
-	{"ppscan/internal/gsindex", "Index"}: {"cn": true, "order": true},
+	{"ppscan/internal/gsindex", "Index"}: {"cn": true, "nbr": true},
 	{"snapfix", "Graph"}:                 {"Off": true, "Dst": true, "epoch": true},
-	{"snapfix", "Index"}:                 {"cn": true, "order": true},
+	{"snapfix", "Index"}:                 {"cn": true, "nbr": true},
 }
 
 // aliasMethods are methods of frozen types whose return value aliases a
@@ -50,7 +50,7 @@ var aliasMethods = map[string]bool{"Neighbors": true}
 var Analyzer = &framework.Analyzer{
 	Name:      "snapfreeze",
 	Directive: "snapfreeze",
-	Doc: "flags writes to published graph/index state — Graph.Off/Dst/epoch/id and Index.cn/order " +
+	Doc: "flags writes to published graph/index state — Graph.Off/Dst/epoch/id and Index.cn/nbr " +
 		"element or field stores, including through slices aliased from them (Neighbors, " +
 		"g.Dst[lo:hi]) — readers walk these arrays lock-free, so any post-publication write is " +
 		"a data race; pre-publication construction sites annotate //lint:snapfreeze <reason>",

@@ -15,8 +15,8 @@ type Graph struct {
 
 // Index mirrors ppscan/internal/gsindex.Index's frozen surface.
 type Index struct {
-	cn    []int32
-	order []int32
+	cn  []int32
+	nbr []int32
 }
 
 // Neighbors mirrors the aliasing accessor: the returned slice shares
@@ -48,8 +48,8 @@ func indexWrite(ix *Index) {
 	ix.cn[3] = 7 // want `write to Index.cn`
 }
 
-func orderWrite(ix *Index, i int) {
-	ix.order[i]-- // want `write to Index.order`
+func nbrWrite(ix *Index, i int) {
+	ix.nbr[i]-- // want `write to Index.nbr`
 }
 
 // aliasThroughNeighbors: the slice returned by Neighbors shares backing

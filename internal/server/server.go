@@ -17,8 +17,8 @@
 //	GET /metrics                    — expvar-style JSON: request counts and
 //	                                  latency quantiles per endpoint, cache
 //	                                  hits/misses/evictions, in-flight
-//	                                  queries, graph and runtime stats, and
-//	                                  the global algorithm metrics
+//	                                  requests, graph and runtime stats, and
+//	                                  the fleet coordinator's shard.* names
 //	GET /debug/slowest              — the slowest cache misses of a
 //	                                  sliding window (exemplars.go)
 //
