@@ -202,11 +202,16 @@ func applyBatch(old *Graph, batch []EdgeOp) (*Delta, error) {
 	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
 	d.Touched = touched
 
-	// New offsets from per-vertex degree deltas.
+	// New offsets: old.Off plus a running shift that changes only at a
+	// touched vertex, by its degree delta, so only those read the maps.
 	off := make([]int64, n+1)
-	for u := int32(0); u < n; u++ {
-		deg := int64(old.Degree(u)) + int64(len(addsOf[u])) - int64(len(delsOf[u]))
-		off[u+1] = off[u] + deg
+	var shift int64
+	for u, next := int32(0), 0; u < n; u++ {
+		if next < len(touched) && touched[next] == u {
+			shift += int64(len(addsOf[u]) - len(delsOf[u]))
+			next++
+		}
+		off[u+1] = old.Off[u+1] + shift
 	}
 	dst := make([]int32, off[n])
 	// Copy-on-write per adjacency run: untouched vertices form contiguous

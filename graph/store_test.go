@@ -271,6 +271,38 @@ func TestStoreRandomizedChurn(t *testing.T) {
 	}
 }
 
+// TestStoreCommitOffsetsAtEnds: the offset pass shifts old.Off only at
+// touched vertices, so batches that touch vertex 0, vertex n−1 and runs of
+// adjacent vertices must still lay out exactly what FromEdges does.
+func TestStoreCommitOffsetsAtEnds(t *testing.T) {
+	const n = 8
+	st := NewStore(mustGraph(t, n, []Edge{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}))
+	truth := edgeSet(st.Graph())
+	for i, batch := range [][]EdgeOp{
+		{{U: 0, V: n - 1}},                   // both ends, isolated before
+		{{U: 0, V: 1}, {U: n - 2, V: n - 1}}, // each end and its neighbor
+		{{U: 2, V: 3, Del: true}, {U: 3, V: 4, Del: true}, {U: 4, V: 5, Del: true}}, // adjacent, shrinking
+		{{U: 0, V: n - 1, Del: true}, {U: 0, V: 1, Del: true}},                      // vertex 0 isolated again
+		{{U: n - 1, V: n - 2, Del: true}, {U: 3, V: 5}, {U: 4, V: 6}},               // vertex n−1 isolated, adjacent growing
+	} {
+		d, err := st.Commit(batch)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		for _, e := range d.Removed {
+			delete(truth, e)
+		}
+		for _, e := range d.Added {
+			truth[e] = true
+		}
+		var want []Edge
+		for e := range truth {
+			want = append(want, e)
+		}
+		requireSameGraph(t, st.Graph(), mustGraph(t, n, want))
+	}
+}
+
 // TestStoreConcurrentReaders races lock-free readers against Commits;
 // run under -race this validates the publication protocol: every loaded
 // snapshot is a whole CSR, and the epoch a reader sees never goes back.

@@ -18,25 +18,29 @@
 //     sees every w), and when both (a, w) and (v, w) are mutated the
 //     shared w is counted from the smaller endpoint only. The walks
 //     collect (owner, neighbor, value) entries; every other count is
-//     copied with its run.
+//     kept with its run.
 //  2. order factorization. The neighbor order of u compares entries by
 //     cn²/((d(u)+1)(d(v)+1)), and the (d(u)+1) factor is common to both
 //     sides of every within-run comparison — the run's relative order
 //     depends only on each entry's (cn(u, v), d(v)) pair. A run can
 //     therefore change only if u's adjacency changed (touched), a delta
 //     landed on one of its counts, or a neighbor's degree changed
-//     (affected). Every other run is copied.
+//     (affected). Every other run is kept in place.
 //
-// Runs hold vertex ids and a commit never renumbers them, so an untouched
-// run is copied verbatim. Touched and affected runs, their entries added,
-// go through sortRun, the routine Build sorts every run with: a touched
-// run is loaded position-major and presorted afresh by a float key, and
-// an untouched affected run starts from its old order; either is
-// finished by one exact insertion pass. The run comparator is a
-// strict total order (similarity ties break on vertex id), so the sorted
-// run is unique: the repaired arrays are bit-identical to what a from-scratch
-// Build over the new snapshot would produce — the invariant the
-// equivalence tests pin down.
+// Runs hold vertex ids and a commit never renumbers them, so a run that
+// did not change is shared, not copied: the new index copies its base's
+// run starts (Index.at) and appends only the runs it rewrites to the
+// arena behind nbr and cn. Those go through sortRun, Build's routine: a
+// touched run is loaded position-major and presorted afresh by a float
+// key, an untouched affected run starts from its old order, and one exact
+// insertion pass finishes either. The run comparator is a strict total
+// order (similarity ties break on vertex id), so every repaired run is
+// bit-identical to a from-scratch Build's, and Save writes the same bytes.
+//
+// Only the index whose extent ends at the arena's used mark may append:
+// it claims its worst case (Σ new degree over the runs it may rewrite)
+// with one CAS, so no apply overwrites a run a live index reads. An apply
+// that cannot claim, or whose worst case does not fit, compacts (copyRuns).
 package gsindex
 
 import (
@@ -44,7 +48,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"ppscan/graph"
@@ -119,8 +125,8 @@ func (w *applyWorker) misordered() int {
 
 // misorderedRun is misordered on u's order-major run of ix.
 func (w *applyWorker) misorderedRun(ix *Index, u int32) int {
-	lo, hi := ix.g.Off[u], ix.g.Off[u+1]
-	w.bind(ix.g, ix.cn[lo:hi], ix.nbr[lo:hi])
+	nbr, cn := ix.run(u)
+	w.bind(ix.g, cn, nbr)
 	return w.misordered()
 }
 
@@ -160,12 +166,18 @@ func (ix *Index) sortRun(u int32, w *applyWorker, fresh bool) {
 		}
 		ord[j] = x
 	}
-	off := ix.g.Off[u]
+	off := ix.at[u]
 	nbr, cn := ix.nbr[off:off+int64(len(ord))], ix.cn[off:off+int64(len(ord))]
 	for k, i := range ord {
 		nbr[k], cn[k] = w.nbrs[i], w.cnr[i]
 	}
 }
+
+const headroom = 4 // a compacted arena spares m/headroom slots per array for m arcs
+
+// arena is the storage behind a chain of indexes' nbr and cn, their
+// capacity. No run a live index reads lies at or past used.
+type arena struct{ used atomic.Int64 }
 
 // applyScratch is the grow-only scratch ApplyBatch parks in the
 // workspace: shared pair and entry lists plus per-worker sort buffers.
@@ -210,6 +222,15 @@ func segOffsets(off []int32, count int, key func(k int) uint64) {
 	}
 }
 
+// packPairs appends both orientations of edges, packed u<<32|v, sorted.
+func packPairs(dst []uint64, edges []graph.Edge) []uint64 {
+	for _, e := range edges {
+		dst = append(dst, uint64(uint32(e.U))<<32|uint64(uint32(e.V)), uint64(uint32(e.V))<<32|uint64(uint32(e.U)))
+	}
+	slices.Sort(dst)
+	return dst
+}
+
 // grow returns s resized to n, reallocating only when capacity is short.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -226,18 +247,18 @@ func grow[T any](s []T, n int) []T {
 // no-op delta returns the receiver unchanged.
 //
 // Scratch (bitmaps, pair lists, per-worker sort buffers) is drawn from
-// ws; only the new index payload is allocated. A nil ws uses a throwaway
-// workspace. ctx cancels between passes and between scheduler task
-// batches, exactly like BuildContext; a cancelled apply returns
+// ws; only at and the rewritten runs are allocated. A nil ws uses a
+// throwaway workspace. ctx cancels between passes and between scheduler
+// task batches, exactly like BuildContext; a cancelled apply returns
 // (nil, ctx.Err()) with no partial index.
 //
-// Cost: O(|spans| + Σ_{(a,b) ∈ batch} (d(a)+d(b)) + |added|·d̄ +
+// Cost: O(n + Σ_{(a,b) ∈ batch} (d(a)+d(b)) + |added|·d̄ +
 // Σ_{u ∈ affected} d(u) log d(u)) against Build's O(Σ_u d(u)·d̄ +
-// Σ_u d(u) log d(u)) — surviving counts are maintained by ±1 deltas,
-// so only batch-inserted pairs pay an intersection, and only touched and
-// affected runs are sorted.
+// Σ_u d(u) log d(u)), the n an 8 B copy of at per vertex: only
+// batch-inserted pairs pay an intersection, and only affected runs are
+// sorted and written (every run, when the apply compacts).
 //
-//lint:snapfreeze pre-publication: every write lands in nix, which no reader can see until this returns
+//lint:snapfreeze pre-publication: every write lands in nix — a fresh arena, or past ix's extent in the tail the CAS claimed — which no reader can see until this returns
 func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOptions, ws *engine.Workspace) (*Index, error) {
 	if d == nil || d.Old != ix.g {
 		return nil, fmt.Errorf("gsindex: ApplyBatch delta does not extend this index's snapshot (epoch %d)", ix.g.Epoch())
@@ -255,12 +276,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	start := time.Now()
 	oldG, newG := d.Old, d.New
 	n := newG.NumVertices()
-	nix := &Index{
-		g:       newG,
-		nbr:     make([]int32, newG.NumDirectedEdges()),
-		cn:      make([]int32, newG.NumDirectedEdges()),
-		workers: ix.workers,
-	}
 
 	sc := ws.Scratch(applyScratchKey, func() any { return new(applyScratch) }).(*applyScratch)
 	for len(sc.w) < opt.workers() {
@@ -290,20 +305,8 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	// Pass 0: lay out the batch's directed mutation segments — both
 	// orientations of inserted and removed edges, sorted — which the
 	// delta walks of pass 2 consult per vertex.
-	addList := sc.addList[:0]
-	for _, e := range d.Added {
-		addList = append(addList,
-			uint64(uint32(e.U))<<32|uint64(uint32(e.V)),
-			uint64(uint32(e.V))<<32|uint64(uint32(e.U)))
-	}
-	slices.Sort(addList)
-	remList := sc.remList[:0]
-	for _, e := range d.Removed {
-		remList = append(remList,
-			uint64(uint32(e.U))<<32|uint64(uint32(e.V)),
-			uint64(uint32(e.V))<<32|uint64(uint32(e.U)))
-	}
-	slices.Sort(remList)
+	addList := packPairs(sc.addList[:0], d.Added)
+	remList := packPairs(sc.remList[:0], d.Removed)
 	sc.addOff = grow(sc.addOff, int(n)+1)
 	sc.remOff = grow(sc.remOff, int(n)+1)
 	segOffsets(sc.addOff, len(addList), func(k int) uint64 { return addList[k] })
@@ -313,29 +316,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	sc.addList, sc.remList = addList, remList
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-
-	// Pass 1: copy the runs of untouched vertices. Untouched spans between
-	// consecutive touched vertices are identical in both snapshots (only
-	// at shifted offsets), and runs hold vertex ids, so they survive the
-	// shift unchanged. Touched runs are written by pass 3.
-	var next int
-	for u := int32(0); u < n; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if next < len(d.Touched) && d.Touched[next] == u {
-			next++
-			u++
-			continue
-		}
-		stop := n
-		if next < len(d.Touched) {
-			stop = d.Touched[next]
-		}
-		copy(nix.cn[newG.Off[u]:newG.Off[stop]], ix.cn[oldG.Off[u]:oldG.Off[stop]])
-		copy(nix.nbr[newG.Off[u]:newG.Off[stop]], ix.nbr[oldG.Off[u]:oldG.Off[stop]])
-		u = stop
 	}
 
 	// Pass 2: maintain the counts. Every changed count of a surviving
@@ -411,11 +391,10 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		return nil, err
 	}
 
-	// Pass 3: rewrite the runs that can have changed — touched runs,
-	// runs that own a changed count (marked by pass 2), and runs with a
-	// neighbor whose degree changed (marked here) — each with its entries
-	// added. Every other run keeps its copied order, because the d(u)
-	// factor cancels within a run.
+	// Pass 3 rewrites the runs that can have changed — touched runs, runs
+	// owning a changed count (marked by pass 2), and runs with a neighbor
+	// whose degree changed (marked here) — with their entries, at most worst
+	// arcs. Other runs keep their order: the d(u) factor cancels in a run.
 	for _, u := range d.Touched {
 		affected[u>>6] |= 1 << (uint(u) & 63)
 		if oldG.Degree(u) == newG.Degree(u) {
@@ -425,14 +404,39 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 			affected[v>>6] |= 1 << (uint(v) & 63)
 		}
 	}
+	var worst int64
+	for i, word := range affected {
+		for ; word != 0; word &= word - 1 {
+			worst += int64(newG.Degree(int32(i<<6 + bits.TrailingZeros64(word))))
+		}
+	}
+	// Append past ix's extent if ix owns the arena's tail and worst fits;
+	// compact otherwise. end+tail is the append cursor.
+	end := int64(len(ix.nbr))
+	var nix *Index
+	var tail atomic.Int64
+	appending := end+worst <= int64(cap(ix.nbr)) && ix.arena.used.CompareAndSwap(end, end+worst)
+	if appending {
+		nix = &Index{g: newG, at: slices.Clone(ix.at), nbr: ix.nbr[:end+worst], cn: ix.cn[:end+worst], arena: ix.arena, workers: ix.workers}
+	} else {
+		nix = newIndex(newG, ix.workers, newG.NumDirectedEdges()/headroom)
+		nix.copyRuns(ix, touched)
+	}
+	// place returns where u's rewritten run goes (appending: the tail's next slots).
+	place := func(u int32) int64 {
+		if appending {
+			du := int64(newG.Degree(u))
+			nix.at[u] = end + tail.Add(du) - du
+		}
+		return nix.at[u]
+	}
 	schedOpt := sched.Options{Workers: opt.Workers, DegreeThreshold: opt.DegreeThreshold}
 	err := sched.ForEachVertexCtx(ctx, schedOpt, n,
 		func(u int32) bool { return affected[u>>6]>>(uint(u)&63)&1 != 0 },
 		newG.Degree,
 		func(u int32, worker int) {
 			w, ents := sc.w[worker], entries[sc.entOff[u]:sc.entOff[u+1]]
-			lo, hi := oldG.Off[u], oldG.Off[u+1]
-			oldNbr, cnr := ix.nbr[lo:hi], ix.cn[lo:hi]
+			oldNbr, cnr := ix.run(u)
 			if touched[u>>6]>>(uint(u)&63)&1 != 0 {
 				// The adjacency changed: load the run position-major, one
 				// search per entry, and sort it afresh. An inserted
@@ -448,6 +452,7 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 					i, _ := slices.BinarySearch(w.nbrs, int32(uint32(e.key)))
 					pos[i] += e.val
 				}
+				place(u)
 				nix.sortRun(u, w, true)
 				return
 			}
@@ -464,19 +469,46 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 				}
 			}
 			w.bind(newG, cnr, oldNbr)
-			if w.misordered() == 0 { // still in order: pass 1 copied it
-				copy(nix.cn[newG.Off[u]:newG.Off[u+1]], cnr)
-				return
+			if len(ents) == 0 && w.misordered() == 0 {
+				return // the same counts, still in order: kept in place
 			}
 			w.ord = grow(w.ord, len(cnr))
 			for k := range w.ord {
 				w.ord[k] = int32(k)
 			}
+			place(u)
 			nix.sortRun(u, w, false)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("gsindex: apply aborted during repair pass after %v: %w", time.Since(start), err)
 	}
+	if used := end + tail.Load(); appending { // end nix at its last run; hand back the rest of the claim
+		nix.nbr, nix.cn = nix.nbr[:used], nix.cn[:used]
+		ix.arena.used.CompareAndSwap(end+worst, used)
+	}
 	nix.buildTime = time.Since(start)
 	return nix, nil
+}
+
+// copyRuns is pass 1 of a compacting apply, whose nix is a fresh arena
+// laid out at its graph's offsets: it copies every untouched run of ix
+// there, one copy per stretch contiguous in ix. Pass 3 writes the rest.
+//
+//lint:snapfreeze pre-publication: nix is the still-private index ApplyBatch is repairing
+func (nix *Index) copyRuns(ix *Index, touched []uint64) {
+	isTouched := func(u int32) bool { return touched[u>>6]>>(uint(u)&63)&1 != 0 }
+	for u, n := int32(0), nix.g.NumVertices(); u < n; {
+		if isTouched(u) {
+			u++
+			continue
+		}
+		src, dst, v := ix.at[u], nix.at[u], u+1
+		for v < n && !isTouched(v) && ix.at[v]-src == nix.at[v]-dst {
+			v++
+		}
+		k := nix.at[v] - dst
+		copy(nix.nbr[dst:dst+k], ix.nbr[src:src+k])
+		copy(nix.cn[dst:dst+k], ix.cn[src:src+k])
+		u = v
+	}
 }

@@ -1,9 +1,12 @@
 package gsindex
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ppscan/graph"
@@ -31,24 +34,18 @@ func randomGraph(t *testing.T, n int32, p float64, seed int64) *graph.Graph {
 }
 
 // requireBitIdentical asserts the incremental index equals a from-scratch
-// rebuild payload-for-payload, not just semantically.
+// rebuild run for run, not just semantically: each vertex's neighbor order
+// and counts, wherever at places them.
 func requireBitIdentical(t *testing.T, got, want *Index) {
 	t.Helper()
 	if got.g != want.g && !reflect.DeepEqual(got.g.Off, want.g.Off) {
 		t.Fatalf("indexes over different graphs")
 	}
-	if !reflect.DeepEqual(got.cn, want.cn) {
-		for i := range got.cn {
-			if got.cn[i] != want.cn[i] {
-				t.Fatalf("cn[%d] = %d, want %d (first of %d slots)", i, got.cn[i], want.cn[i], len(got.cn))
-			}
-		}
-	}
-	if !reflect.DeepEqual(got.nbr, want.nbr) {
-		for i := range got.nbr {
-			if got.nbr[i] != want.nbr[i] {
-				t.Fatalf("nbr[%d] = %d, want %d", i, got.nbr[i], want.nbr[i])
-			}
+	for u := int32(0); u < got.g.NumVertices(); u++ {
+		gn, gc := got.run(u)
+		wn, wc := want.run(u)
+		if !slices.Equal(gn, wn) || !slices.Equal(gc, wc) {
+			t.Fatalf("run of %d = %v / %v, want %v / %v", u, gn, gc, wn, wc)
 		}
 	}
 }
@@ -264,5 +261,199 @@ func TestApplyBatchCancellation(t *testing.T) {
 	// The receiver is untouched and still valid after a cancelled apply.
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// forkBase returns an index one compacting apply away from a Build of g:
+// it owns its arena's tail and has headroom, so its next apply appends.
+func forkBase(t *testing.T, rng *rand.Rand, g *graph.Graph, opt BuildOptions) *Index {
+	t.Helper()
+	d, err := graph.NewStore(g).Commit(effectiveChurn(rng, g, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(g, opt).ApplyBatch(context.Background(), d, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// TestApplyBatchFork applies two batches to one base: the first appends
+// to the base's tail, the second finds the tail taken and compacts. The
+// base and both children each equal a fresh Build, run for run.
+func TestApplyBatchFork(t *testing.T) {
+	opt := BuildOptions{Workers: 2}
+	rng := rand.New(rand.NewSource(5))
+	base := forkBase(t, rng, randomGraph(t, 400, 0.012, 21), opt)
+	var kids [2]*Index
+	for i := range kids {
+		d, err := graph.NewStore(base.g).Commit(effectiveChurn(rng, base.g, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kids[i], err = base.ApplyBatch(context.Background(), d, opt, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kids[0].arena != base.arena || kids[1].arena == base.arena {
+		t.Fatalf("first child appended %v, second compacted %v; want both", kids[0].arena == base.arena, kids[1].arena != base.arena)
+	}
+	for _, ix := range []*Index{base, kids[0], kids[1]} {
+		requireBitIdentical(t, ix, Build(ix.g, opt))
+	}
+}
+
+// TestApplyBatchLongChain chains batches until the chain has compacted
+// three times, checking every step against a fresh Build.
+func TestApplyBatchLongChain(t *testing.T) {
+	opt := BuildOptions{Workers: 2}
+	g := randomGraph(t, 400, 0.012, 7)
+	st := graph.NewStore(g)
+	ix := Build(g, opt)
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	rng := rand.New(rand.NewSource(17))
+	compactions, appends := 0, 0
+	for step := 0; compactions < 4; step++ {
+		if step == 300 {
+			t.Fatalf("%d compactions in %d steps, want 4", compactions, step)
+		}
+		d, err := st.Commit(effectiveChurn(rng, ix.g, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nix, err := ix.ApplyBatch(context.Background(), d, opt, ws)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if nix.arena == ix.arena {
+			appends++
+		} else {
+			compactions++
+		}
+		requireBitIdentical(t, nix, Build(d.New, opt))
+		ix = nix
+	}
+	if appends == 0 {
+		t.Fatal("no apply appended")
+	}
+}
+
+// TestSaveAfterAppends: an index whose runs were appended saves the same
+// bytes as a Build of its graph.
+func TestSaveAfterAppends(t *testing.T) {
+	opt := BuildOptions{Workers: 2}
+	rng := rand.New(rand.NewSource(3))
+	ix := forkBase(t, rng, randomGraph(t, 400, 0.012, 9), opt)
+	st := graph.NewStore(ix.g)
+	for i := 0; i < 3; i++ {
+		d, err := st.Commit(effectiveChurn(rng, ix.g, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nix, err := ix.ApplyBatch(context.Background(), d, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nix.arena != ix.arena {
+			t.Fatalf("apply %d compacted, want it to append", i)
+		}
+		ix = nix
+	}
+	var got, want bytes.Buffer
+	if err := ix.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := Build(ix.g, opt).Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Save after appends differs from Save of a Build (%d vs %d bytes)", got.Len(), want.Len())
+	}
+}
+
+// TestApplyBatchConcurrentReaders extracts from a base while its child
+// appends to the arena they share; run under -race, any write to a run
+// the base reads is a reported race.
+func TestApplyBatchConcurrentReaders(t *testing.T) {
+	opt := BuildOptions{Workers: 2}
+	rng := rand.New(rand.NewSource(8))
+	base := forkBase(t, rng, randomGraph(t, 400, 0.012, 4), opt)
+	want, err := base.Query("0.5", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := graph.NewStore(base.g)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			got, err := base.Query("0.5", 3)
+			if err == nil && !reflect.DeepEqual([]any{got.Roles, got.CoreClusterID, got.NonCore}, []any{want.Roles, want.CoreClusterID, want.NonCore}) {
+				err = fmt.Errorf("extraction %d changed while the child appended", i)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	ix, appended := base, true
+	for i := 0; i < 4; i++ {
+		d, err := st.Commit(effectiveChurn(rng, ix.g, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix, err = ix.ApplyBatch(context.Background(), d, opt, nil); err != nil {
+			t.Fatal(err)
+		}
+		appended = appended && ix.arena == base.arena
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !appended {
+		t.Fatal("the chain compacted: not every child appended beside the readers")
+	}
+}
+
+// BenchmarkApplyBatch times one repair as serve-churn's commits run it:
+// chained 64-op batches on the benchmark's community graph (1000 planted
+// communities of 50, seed 1), each 32 seeded inserts plus the deletes of
+// the inserts two batches earlier, on 2 workers and one pooled workspace.
+// Appends and the compactions between them are both in the time per
+// batch; the commits are not.
+func BenchmarkApplyBatch(b *testing.B) {
+	g := gen.PlantedPartition(1000, 50, 0.5, 3/50000., 1)
+	opt := BuildOptions{Workers: 2}
+	ix, st := Build(g, opt), graph.NewStore(g)
+	ws := engine.NewWorkspace()
+	defer ws.Close()
+	rng := rand.New(rand.NewSource(1))
+	var inserted [2][]graph.EdgeOp // the inserts of the last two batches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var ins []graph.EdgeOp
+		for len(ins) < 32 {
+			u, v := rng.Int31n(g.NumVertices()), rng.Int31n(g.NumVertices())
+			if u != v && !ix.g.HasEdge(u, v) {
+				ins = append(ins, graph.EdgeOp{U: u, V: v})
+			}
+		}
+		batch := slices.Clone(ins)
+		for _, e := range inserted[0] {
+			batch = append(batch, graph.EdgeOp{U: e.U, V: e.V, Del: true})
+		}
+		inserted[0], inserted[1] = inserted[1], ins
+		d, err := st.Commit(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if ix, err = ix.ApplyBatch(context.Background(), d, opt, ws); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

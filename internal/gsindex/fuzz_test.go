@@ -50,11 +50,11 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		for u := int32(0); u < g.NumVertices(); u++ {
-			off, deg := g.Off[u], int64(g.Degree(u))
-			run := slices.Clone(ix.nbr[off : off+deg])
+			nbr, _ := ix.run(u)
+			run := slices.Clone(nbr)
 			slices.Sort(run)
 			if !slices.Equal(run, g.Neighbors(u)) {
-				t.Fatalf("accepted run of vertex %d is not a permutation of its neighbors: %v", u, ix.nbr[off:off+deg])
+				t.Fatalf("accepted run of vertex %d is not a permutation of its neighbors: %v", u, nbr)
 			}
 		}
 		if _, err := ix.Query("1/2", 2); err != nil {
@@ -175,11 +175,16 @@ func FuzzQueryWorkspace(f *testing.F) {
 
 // FuzzApplyBatch: for any small graph and batch, the base build and
 // ApplyBatch's repair both pass Validate, and the repair is bit-identical
-// to a rebuild of the new snapshot. The committed corpus
+// to a rebuild of the new snapshot. The repair, a compaction of the
+// exact-size build, then takes two more batches: the batch undone (every
+// op's Del flipped), which appends to its tail when it fits, and a fork
+// of the batch with every endpoint moved to the next vertex, which finds
+// that tail taken and compacts. Each result, and the repair itself
+// afterwards, is again a rebuild. The committed corpus
 // (testdata/fuzz/FuzzApplyBatch) covers a run wider than 64, a delete that
 // isolates a vertex, duplicate and cancelling ops, a batch that changes an
-// untouched run only through its neighbors' degrees, a star, K5 and a
-// 4-regular ring.
+// untouched run only through its neighbors' degrees, a star, K5, a
+// 4-regular ring, and a chord across an 80-ring, whose undo appends.
 func FuzzApplyBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, batch := decodeChurn(t, data)
@@ -195,21 +200,33 @@ func FuzzApplyBatch(f *testing.F) {
 		if err := ix.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		d, err := graph.NewStore(g).Commit(batch)
-		if err != nil {
-			t.Fatal(err)
+		n := g.NumVertices()
+		undo, fork := slices.Clone(batch), slices.Clone(batch)
+		for i := range batch {
+			undo[i].Del = !undo[i].Del
+			fork[i].U, fork[i].V = (fork[i].U+1)%n, (fork[i].V+1)%n
 		}
-		nix, err := ix.ApplyBatch(ctx, d, opt, nil)
-		if err != nil {
-			t.Fatal(err)
+		apply := func(ix *Index, batch []graph.EdgeOp) *Index {
+			d, err := graph.NewStore(ix.g).Commit(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nix, err := ix.ApplyBatch(ctx, d, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nix.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			return nix
 		}
-		if err := nix.Validate(); err != nil {
-			t.Fatal(err)
+		child := apply(ix, batch)
+		for _, nix := range []*Index{child, apply(child, undo), apply(child, fork), child} {
+			rebuilt, err := BuildContext(ctx, nix.g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, nix, rebuilt)
 		}
-		rebuilt, err := BuildContext(ctx, d.New, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitIdentical(t, nix, rebuilt)
 	})
 }

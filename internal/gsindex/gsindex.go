@@ -52,16 +52,21 @@ import (
 )
 
 // Index is an immutable structural clustering index over one graph.
-// Memory: two int32 arrays of length 2|E| beyond the graph itself.
+// Memory: two int32 arrays of length 2|E|, 1.25× that once an apply compacts.
 type Index struct {
 	g *graph.Graph
+	// at[u] is where u's run starts in nbr and cn. Build, Load and a
+	// compacting ApplyBatch alias g.Off; an appending one repoints a copy.
+	at []int64
 	// nbr holds, per vertex, its neighbors sorted by non-increasing
-	// similarity (ties on smaller id): nbr[g.Off[u]+k] is u's k-th most
+	// similarity (ties on smaller id): nbr[at[u]+k] is u's k-th most
 	// similar neighbor. Order-major, so every walk reads one run.
 	nbr []int32
-	// cn[g.Off[u]+k] = |Γ(u) ∩ Γ(v)| for v = nbr[g.Off[u]+k], including
-	// the +2 for the endpoints.
+	// cn[at[u]+k] = |Γ(u) ∩ Γ(v)| for v = nbr[at[u]+k], including the +2
+	// for the endpoints.
 	cn []int32
+	// nbr and cn are extents of arena, their capacity, which applies share.
+	arena *arena
 	// buildTime records how long Build took (the index-construction cost
 	// that ppSCAN's online approach avoids).
 	buildTime time.Duration
@@ -118,12 +123,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 	}
 	start := time.Now()
 	n := g.NumVertices()
-	ix := &Index{
-		g:       g,
-		nbr:     make([]int32, g.NumDirectedEdges()),
-		cn:      make([]int32, g.NumDirectedEdges()),
-		workers: opt.workers(),
-	}
+	ix := newIndex(g, opt.workers(), 0)
 	crew := sched.NewCrew(ix.workers)
 	defer crew.Close()
 	var stop func() bool
@@ -287,15 +287,29 @@ func (t *triangles) fill(u int32, run []int32) {
 	}
 }
 
+// newIndex returns an index over g laid out at g.Off, with spare slots past it.
+func newIndex(g *graph.Graph, workers int, spare int64) *Index {
+	m := g.NumDirectedEdges()
+	ix := &Index{g: g, at: g.Off, nbr: make([]int32, m, m+spare), cn: make([]int32, m, m+spare), arena: new(arena), workers: workers}
+	ix.arena.used.Store(m)
+	return ix
+}
+
+// run returns u's neighbor order and its counts.
+func (ix *Index) run(u int32) (nbr, cn []int32) {
+	lo, hi := ix.at[u], ix.at[u]+int64(ix.g.Degree(u))
+	return ix.nbr[lo:hi], ix.cn[lo:hi]
+}
+
 // Graph returns the indexed graph.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // BuildTime returns how long index construction took.
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
-// MemoryBytes returns the index's payload size (excluding the graph).
+// MemoryBytes returns the size of the arena the index holds, graph excluded.
 func (ix *Index) MemoryBytes() int64 {
-	return int64(len(ix.cn))*4 + int64(len(ix.nbr))*4
+	return int64(cap(ix.cn))*4 + int64(cap(ix.nbr))*4
 }
 
 // simGE reports whether σ ≥ ε for the neighbor in slot e of a run whose
@@ -311,7 +325,7 @@ func (ix *Index) simGE(eps simdef.Epsilon, du1 uint64, e int64) bool {
 // binary-searches the last step. Every probe is one exact simGE, and
 // there are O(log L) of them for an extension of length L.
 func (ix *Index) similarEnd(eps simdef.Epsilon, u, k int32) int32 {
-	off, du := ix.g.Off[u], ix.g.Degree(u)
+	off, du := ix.at[u], ix.g.Degree(u)
 	du1 := uint64(du) + 1
 	lo, hi := k, du // entries < lo are similar; entry hi is not, or hi is the end
 	for probe, step := k, int32(2); probe < hi; probe, step = probe+step, step*2 {
@@ -335,7 +349,7 @@ func (ix *Index) similarEnd(eps simdef.Epsilon, u, k int32) int32 {
 // via the neighbor order.
 func (ix *Index) IsCore(eps simdef.Epsilon, mu int32, u int32) bool {
 	du := ix.g.Degree(u)
-	return du >= mu && ix.simGE(eps, uint64(du)+1, ix.g.Off[u]+int64(mu-1))
+	return du >= mu && ix.simGE(eps, uint64(du)+1, ix.at[u]+int64(mu-1))
 }
 
 // Query computes the exact clustering for (eps, mu) from the index,
@@ -355,12 +369,12 @@ func (ix *Index) Validate() error {
 	g := ix.g
 	var w applyWorker
 	for u := int32(0); u < g.NumVertices(); u++ {
-		uOff := g.Off[u]
-		for k, v := range ix.nbr[uOff:g.Off[u+1]] {
+		nbr, cn := ix.run(u)
+		for k, v := range nbr {
 			if !g.HasEdge(u, v) {
 				return fmt.Errorf("gsindex: run of %d lists %d, not a neighbor", u, v)
 			}
-			if want, got := arcCount(g, u, v), ix.cn[uOff+int64(k)]; got != want {
+			if want, got := arcCount(g, u, v), cn[k]; got != want {
 				return fmt.Errorf("gsindex: cn[e(%d,%d)] = %d, want %d", u, v, got, want)
 			}
 		}

@@ -218,7 +218,7 @@ func TestSimilarEndMatchesScan(t *testing.T) {
 		}
 		for _, eps := range grid {
 			for u := int32(0); u < tc.g.NumVertices(); u++ {
-				off, du := tc.g.Off[u], tc.g.Degree(u)
+				off, du := ix.at[u], tc.g.Degree(u)
 				want := int32(0)
 				for ; want < du; want++ {
 					e := off + int64(want)
@@ -246,8 +246,9 @@ func similarityGrid(ix *Index) (grid []simdef.Epsilon, exact int) {
 	}
 	var sims []sim
 	for u := int32(0); u < g.NumVertices(); u++ {
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			sims = append(sims, sim{ix.cn[e], (uint64(g.Degree(u)) + 1) * (uint64(g.Degree(ix.nbr[e])) + 1)})
+		nbr, cn := ix.run(u)
+		for k, v := range nbr {
+			sims = append(sims, sim{cn[k], (uint64(g.Degree(u)) + 1) * (uint64(g.Degree(v)) + 1)})
 		}
 	}
 	slices.SortFunc(sims, func(a, b sim) int { return simdef.CompareSimValues(a.cn, a.p, b.cn, b.p) })

@@ -232,7 +232,7 @@ func (sc *sweepScratch) role(u int32, _ int) {
 // new-core walk has no old-core branch.
 func (sc *sweepScratch) union(u int32, _ int) {
 	ix := sc.ix
-	off, du := ix.g.Off[u], ix.g.Degree(u)
+	off, du := ix.at[u], ix.g.Degree(u)
 	if sc.roles[u] == result.RoleCore {
 		du1, k := uint64(du)+1, sc.cursor[u]
 		for ; k < du && ix.simGE(sc.eps, du1, off+int64(k)); k++ {
@@ -282,8 +282,8 @@ func (sc *sweepScratch) walk(b int32, _ int) {
 // its similar cores (fewer than µ of them), ascending by cluster id.
 func (sc *sweepScratch) appendMemberships(dst []result.Membership, v int32) []result.Membership {
 	ix := sc.ix
-	first, lo, hi := len(dst), ix.g.Off[v], ix.g.Off[v+1]
-	dv1 := uint64(hi-lo) + 1
+	lo := ix.at[v]
+	first, hi, dv1 := len(dst), lo+int64(ix.g.Degree(v)), uint64(ix.g.Degree(v))+1
 	for e := lo; e < hi && ix.simGE(sc.eps, dv1, e); e++ {
 		if u := ix.nbr[e]; isCore(sc.roles[u]) {
 			dst = append(dst, result.Membership{V: v, ClusterID: sc.uf.Find(u)})

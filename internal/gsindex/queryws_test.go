@@ -283,9 +283,9 @@ func serialWalk(ix *Index, eps simdef.Epsilon, roles []result.Role) (ids []int32
 	n := g.NumVertices()
 	uf := unionfind.NewSequential(n)
 	similar := func(u int32) []int32 { // u's similar prefix
-		off, du1 := g.Off[u], uint64(g.Degree(u))+1
+		off, du1 := ix.at[u], uint64(g.Degree(u))+1
 		k := off
-		for k < g.Off[u+1] && ix.simGE(eps, du1, k) {
+		for k < off+int64(g.Degree(u)) && ix.simGE(eps, du1, k) {
 			k++
 		}
 		return ix.nbr[off:k]

@@ -16,16 +16,18 @@ const indexMagic = 0x47534931
 // Save serializes the index payload in a compact little-endian binary
 // format: the intersection counts position-major (each vertex's in its CSR
 // order), then every neighbor order as CSR positions relative to its
-// vertex, converted from the runs by one search per entry. The graph
-// itself is not stored; Load must be given the same graph.
+// vertex, converted from the runs by one search per entry — the same bytes
+// wherever at puts the runs. The graph itself is not stored; Load must be
+// given the same graph.
 func (ix *Index) Save(w io.Writer) error {
 	g := ix.g
-	cn, order := make([]int32, len(ix.cn)), make([]int32, len(ix.nbr))
+	cn, order := make([]int32, g.NumDirectedEdges()), make([]int32, g.NumDirectedEdges())
 	for u := int32(0); u < g.NumVertices(); u++ {
 		off, nbrs := g.Off[u], g.Neighbors(u)
-		for k, v := range ix.nbr[off : off+int64(len(nbrs))] {
+		run, cnr := ix.run(u)
+		for k, v := range run {
 			i, _ := slices.BinarySearch(nbrs, v)
-			cn[off+int64(i)], order[off+int64(k)] = ix.cn[off+int64(k)], int32(i)
+			cn[off+int64(i)], order[off+int64(k)] = cnr[k], int32(i)
 		}
 	}
 	bw := bufio.NewWriter(w)
@@ -62,12 +64,7 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("gsindex: index shape (%d vertices, %d edges) does not match graph (%d, %d)",
 			n, m, g.NumVertices(), g.NumDirectedEdges())
 	}
-	ix := &Index{
-		g:       g,
-		nbr:     make([]int32, m),
-		cn:      make([]int32, m),
-		workers: BuildOptions{}.workers(),
-	}
+	ix := newIndex(g, BuildOptions{}.workers(), 0)
 	if err := binary.Read(br, binary.LittleEndian, ix.cn); err != nil {
 		return nil, fmt.Errorf("gsindex: reading counts: %w", err)
 	}
@@ -81,8 +78,8 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 }
 
 // fence checks what Load can check without an intersection, on the file's
-// arrays as read into ix: counts position-major in cn and each run's order
-// as positions in nbr. Every count is symmetric and in
+// arrays as read into ix at g.Off (Load's at): counts position-major in cn
+// and each run's order as positions in nbr. Every count is symmetric and in
 // 2 ≤ cn ≤ min(d(u), d(v))+1, and every run is a permutation of its
 // positions; the run is then turned order-major in place and must be
 // strictly increasing under the run comparator. Exact counts are

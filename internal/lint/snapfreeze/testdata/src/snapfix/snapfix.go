@@ -15,9 +15,14 @@ type Graph struct {
 
 // Index mirrors ppscan/internal/gsindex.Index's frozen surface.
 type Index struct {
-	cn  []int32
-	nbr []int32
+	cn    []int32
+	nbr   []int32
+	at    []int64
+	arena *arena
 }
+
+// arena mirrors the storage a chain of indexes shares.
+type arena struct{ used int64 }
 
 // Neighbors mirrors the aliasing accessor: the returned slice shares
 // backing with g.Dst. Slicing in read position is not a write, so the
@@ -50,6 +55,15 @@ func indexWrite(ix *Index) {
 
 func nbrWrite(ix *Index, i int) {
 	ix.nbr[i]-- // want `write to Index.nbr`
+}
+
+// runStartWrite: repointing a published index's run is a write too.
+func runStartWrite(ix *Index, u int) {
+	ix.at[u] = 4 // want `write to Index.at`
+}
+
+func arenaSwap(ix *Index) {
+	ix.arena = &arena{} // want `write to Index.arena`
 }
 
 // aliasThroughNeighbors: the slice returned by Neighbors shares backing
