@@ -4,11 +4,18 @@
 // The representation follows Definition 2.11 of the ppSCAN paper: a graph is
 // a pair of arrays (off, dst) where dst[off[u]:off[u+1]] holds the sorted
 // neighbor list of vertex u. Every undirected edge {u, v} is stored twice,
-// once as (u, v) and once as (v, u). The index of the directed edge (u, v)
-// inside dst is called the edge offset e(u, v); similarity values are stored
-// per edge offset. EdgeOffset recovers the reverse offset e(v, u) by binary
-// search in v's sorted neighbor list; ppSCAN (internal/core) does not
-// search: it builds the reverse positions once per graph, keyed by ID.
+// once as (u, v) and once as (v, u). The i-th arc of u, at off[u]+i, is
+// the directed edge (u, v) for v its i-th neighbor; that index is called
+// the edge offset e(u, v), and similarity values are stored per edge
+// offset. EdgeOffset recovers the reverse offset e(v, u) by binary search
+// in v's sorted neighbor list; ppSCAN (internal/core) does not search: it
+// builds the reverse positions once per graph, keyed by ID.
+//
+// A graph built by FromEdges, FromAdjacency or a reader is compact: its
+// runs lie in dst exactly at off. A Store commit may instead append the
+// runs it rewrites to the storage its predecessor's dst lives in, and
+// record where every run starts (see Graph.at); off keeps its meaning, so
+// edge offsets and everything indexed by them do not depend on the layout.
 //
 // Graphs are immutable once built. Build one with FromEdges, FromAdjacency,
 // or one of the readers in io.go.
@@ -23,18 +30,28 @@ import (
 // Graph is an immutable undirected graph in CSR form.
 //
 // Invariants (checked by Validate):
-//   - len(Off) == NumVertices()+1, Off[0] == 0, Off is non-decreasing.
-//   - len(Dst) == Off[len(Off)-1] and equals twice the number of undirected
-//     edges.
-//   - each neighbor list Dst[Off[u]:Off[u+1]] is strictly increasing (no
-//     duplicate edges), contains no self loop, and every entry is a valid
-//     vertex id.
+//   - len(Off) == NumVertices()+1, Off[0] == 0, Off is non-decreasing, and
+//     Off[len(Off)-1] is twice the number of undirected edges.
+//   - a compact graph (at nil) has len(Dst) == Off[len(Off)-1]; otherwise
+//     len(at) == NumVertices() and each run Dst[at[u]:at[u]+Degree(u)]
+//     lies within Dst.
+//   - each neighbor list Neighbors(u) is strictly increasing (no duplicate
+//     edges), contains no self loop, and every entry is a valid vertex id.
 //   - the graph is symmetric: v appears in u's list iff u appears in v's.
 type Graph struct {
-	// Off is the offset array; neighbors of u live in Dst[Off[u]:Off[u+1]].
+	// Off is the prefix sum of the degrees: u has Off[u+1]-Off[u]
+	// neighbors, and Off[u]+i is the edge offset of its i-th.
 	Off []int64
-	// Dst is the concatenated, per-vertex-sorted adjacency array.
+	// Dst holds the per-vertex-sorted neighbor runs: u's is
+	// Dst[Off[u]:Off[u+1]] in a compact graph, Dst[at[u]:] otherwise.
 	Dst []int32
+	// at[u] is where u's run starts in Dst when a commit appended runs to
+	// its predecessor's storage; nil for a compact graph, so a literal
+	// Graph{Off, Dst} is a compact graph.
+	at []int64
+	// arena is the used mark of the storage behind Dst, its capacity, which
+	// a chain of commits shares; nil for a graph no commit produced.
+	arena *arena
 	// epoch is the snapshot version when the graph was produced by a
 	// Store.Commit; graphs built any other way are epoch 0. The epoch does
 	// not participate in structural equality — it identifies which version
@@ -56,7 +73,7 @@ func newGraph(off []int64, dst []int32) *Graph {
 // ID identifies this graph value for caches of state derived from its
 // arrays, such as ppSCAN's arc words: two graphs with one nonzero ID are
 // one graph. The package's constructors (FromEdges and its callers, the
-// readers, Clone and Store.Commit) each draw a new ID. A Graph literal built
+// readers and Store.Commit) each draw a new ID. A Graph literal built
 // elsewhere has ID 0, which such a cache must treat as never seen before.
 func (g *Graph) ID() uint64 { return g.id }
 
@@ -70,15 +87,14 @@ func (g *Graph) NumVertices() int32 {
 	return int32(len(g.Off) - 1)
 }
 
-// NumEdges returns the number of undirected edges |E| (half the length of
-// the directed adjacency array).
+// NumEdges returns the number of undirected edges |E|.
 func (g *Graph) NumEdges() int64 {
-	return int64(len(g.Dst)) / 2
+	return g.NumDirectedEdges() / 2
 }
 
-// NumDirectedEdges returns len(Dst), i.e. 2|E|.
+// NumDirectedEdges returns the number of arcs, 2|E|: Off[|V|].
 func (g *Graph) NumDirectedEdges() int64 {
-	return int64(len(g.Dst))
+	return g.Off[len(g.Off)-1]
 }
 
 // Degree returns d[u], the number of neighbors of u.
@@ -89,7 +105,19 @@ func (g *Graph) Degree(u int32) int32 {
 // Neighbors returns the sorted neighbor slice of u. The slice aliases the
 // graph's internal storage and must not be modified.
 func (g *Graph) Neighbors(u int32) []int32 {
-	return g.Dst[g.Off[u]:g.Off[u+1]]
+	if g.at == nil {
+		return g.Dst[g.Off[u]:g.Off[u+1]]
+	}
+	s := g.at[u]
+	return g.Dst[s : s+g.Off[u+1]-g.Off[u]]
+}
+
+// start returns where u's run starts in Dst.
+func (g *Graph) start(u int32) int64 {
+	if g.at != nil {
+		return g.at[u]
+	}
+	return g.Off[u]
 }
 
 // HasEdge reports whether the undirected edge {u, v} is present.
@@ -97,34 +125,27 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	return g.EdgeOffset(u, v) >= 0
 }
 
-// EdgeOffset returns the directed edge offset e(u, v), i.e. the index i in
-// [Off[u], Off[u+1]) with Dst[i] == v, or -1 when the edge does not exist.
-// It runs a binary search over u's sorted neighbor list, exactly as the
+// EdgeOffset returns the directed edge offset e(u, v), i.e. Off[u]+i for v
+// the i-th neighbor of u, or -1 when the edge does not exist. It runs a
+// binary search over u's sorted neighbor list, exactly as the
 // reverse-edge-offset computation in pSCAN's similarity-value reuse.
 // ppSCAN's reuse no longer searches: its arc words carry the reverse
 // position (internal/core).
 func (g *Graph) EdgeOffset(u, v int32) int64 {
 	lo, hi := g.Off[u], g.Off[u+1]
+	base := g.start(u) - lo // Dst[base+e] is the neighbor of arc e
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		switch {
-		case g.Dst[mid] < v:
+		switch w := g.Dst[base+mid]; {
+		case w < v:
 			lo = mid + 1
-		case g.Dst[mid] > v:
+		case w > v:
 			hi = mid
 		default:
 			return mid
 		}
 	}
 	return -1
-}
-
-// EdgeEndpoint returns the source vertex of the directed edge stored at
-// offset e; that is, the u with Off[u] <= e < Off[u+1]. It is O(log |V|).
-func (g *Graph) EdgeEndpoint(e int64) int32 {
-	// sort.Search finds the first u+1 with Off[u+1] > e.
-	u := sort.Search(len(g.Off)-1, func(i int) bool { return g.Off[i+1] > e })
-	return int32(u)
 }
 
 // MaxDegree returns the maximum vertex degree, or 0 for an empty graph.
@@ -157,14 +178,24 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: Off[0] = %d, want 0", g.Off[0])
 	}
 	n := g.NumVertices()
+	if g.at != nil && len(g.at) != int(n) {
+		return fmt.Errorf("graph: %d run starts for %d vertices", len(g.at), n)
+	}
 	for u := int32(0); u < n; u++ {
 		if g.Off[u+1] < g.Off[u] {
 			return fmt.Errorf("graph: Off not monotone at %d: %d > %d", u, g.Off[u], g.Off[u+1])
 		}
+		if g.at != nil && (g.at[u] < 0 || g.at[u]+int64(g.Degree(u)) > int64(len(g.Dst))) {
+			return fmt.Errorf("graph: run of %d at %d overruns len(Dst) = %d", u, g.at[u], len(g.Dst))
+		}
 	}
-	if g.Off[n] != int64(len(g.Dst)) {
+	if g.at == nil && g.Off[n] != int64(len(g.Dst)) {
 		return fmt.Errorf("graph: Off[%d] = %d, want len(Dst) = %d", n, g.Off[n], len(g.Dst))
 	}
+	// Walking u upward, the vertices that list v arrive in increasing
+	// order, so in a symmetric graph the k-th of them is v's k-th neighbor:
+	// seen[v] counts the ones matched so far.
+	seen := make([]int32, n)
 	for u := int32(0); u < n; u++ {
 		nbrs := g.Neighbors(u)
 		for i, v := range nbrs {
@@ -178,9 +209,10 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: neighbors of %d not strictly increasing at index %d (%d >= %d)",
 					u, i, nbrs[i-1], v)
 			}
-			if g.EdgeOffset(v, u) < 0 {
-				return fmt.Errorf("graph: asymmetric edge (%d,%d): reverse missing", u, v)
+			if back := g.Neighbors(v); int(seen[v]) >= len(back) || back[seen[v]] != u {
+				return fmt.Errorf("graph: asymmetric adjacency: %d lists %d, whose run does not match the vertices that list it", u, v)
 			}
+			seen[v]++
 		}
 	}
 	return nil
@@ -290,47 +322,6 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return edges
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	off := make([]int64, len(g.Off))
-	copy(off, g.Off)
-	dst := make([]int32, len(g.Dst))
-	copy(dst, g.Dst)
-	return &Graph{Off: off, Dst: dst, epoch: g.epoch, id: lastID.Add(1)}
-}
-
-// InducedSubgraph returns the subgraph induced by the given vertex set,
-// relabeled to [0, len(vertices)), plus the mapping from new id to old id.
-// Duplicate ids in vertices are an error.
-func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32, error) {
-	newID := make(map[int32]int32, len(vertices))
-	order := make([]int32, len(vertices))
-	for i, v := range vertices {
-		if v < 0 || v >= g.NumVertices() {
-			return nil, nil, fmt.Errorf("graph: vertex %d out of range", v)
-		}
-		if _, dup := newID[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate vertex %d in subgraph set", v)
-		}
-		newID[v] = int32(i)
-		order[i] = v
-	}
-	var edges []Edge
-	for _, v := range vertices {
-		nv := newID[v]
-		for _, w := range g.Neighbors(v) {
-			if nw, ok := newID[w]; ok && nv < nw {
-				edges = append(edges, Edge{nv, nw})
-			}
-		}
-	}
-	sg, err := FromEdges(int32(len(vertices)), edges)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sg, order, nil
 }
 
 // ConnectedComponents labels each vertex with a component id in [0, #comps)

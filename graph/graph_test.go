@@ -125,9 +125,6 @@ func TestEdgeOffsetRoundTrip(t *testing.T) {
 			if g.Dst[e] != v {
 				t.Fatalf("Dst[e(%d,%d)] = %d, want %d", u, v, g.Dst[e], v)
 			}
-			if src := g.EdgeEndpoint(e); src != u {
-				t.Fatalf("EdgeEndpoint(%d) = %d, want %d", e, src, u)
-			}
 			// The reverse offset must exist and point back.
 			re := g.EdgeOffset(v, u)
 			if re < 0 || g.Dst[re] != u {
@@ -181,46 +178,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g.Off, g2.Off) || !reflect.DeepEqual(g.Dst, g2.Dst) {
 		t.Errorf("Edges/FromEdges round trip changed the graph")
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := triangle(t)
-	c := g.Clone()
-	c.Dst[0] = 99
-	if g.Dst[0] == 99 {
-		t.Errorf("Clone shares storage")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	// Path 0-1-2-3 plus edge 0-3.
-	g, err := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
-	if err != nil {
-		t.Fatalf("FromEdges: %v", err)
-	}
-	sg, order, err := g.InducedSubgraph([]int32{3, 1, 0})
-	if err != nil {
-		t.Fatalf("InducedSubgraph: %v", err)
-	}
-	if want := []int32{3, 1, 0}; !reflect.DeepEqual(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
-	// New labels: 3->0, 1->1, 0->2. Edges among {0,1,3}: (0,1),(0,3).
-	if sg.NumEdges() != 2 {
-		t.Fatalf("subgraph edges = %d, want 2", sg.NumEdges())
-	}
-	if !sg.HasEdge(1, 2) { // old (1,0)
-		t.Errorf("missing relabeled edge (1,2)")
-	}
-	if !sg.HasEdge(0, 2) { // old (3,0)
-		t.Errorf("missing relabeled edge (0,2)")
-	}
-	if _, _, err := g.InducedSubgraph([]int32{0, 0}); err == nil {
-		t.Errorf("expected duplicate-vertex error")
-	}
-	if _, _, err := g.InducedSubgraph([]int32{42}); err == nil {
-		t.Errorf("expected out-of-range error")
 	}
 }
 
@@ -305,7 +262,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := triangle(t).Clone()
+			g := triangle(t)
 			tc.mutate(g)
 			if err := g.Validate(); err == nil {
 				t.Errorf("Validate accepted corrupted graph (%s)", tc.name)
@@ -495,17 +452,12 @@ func TestIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relabeled, err := g.Relabel([]int32{2, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	d, err := NewStore(g).Commit([]EdgeOp{{U: 0, V: 1, Del: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint64]string{}
-	for name, h := range map[string]*Graph{"FromEdges": g, "ReadBinary": read, "Clone": g.Clone(),
-		"Relabel": relabeled, "Commit": d.New} {
+	for name, h := range map[string]*Graph{"FromEdges": g, "ReadBinary": read, "Commit": d.New} {
 		if h.ID() == 0 {
 			t.Errorf("%s: ID 0", name)
 		}

@@ -95,11 +95,12 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 const binaryMagic = 0x50534731
 
 // WriteBinary serializes the CSR arrays in a compact little-endian binary
-// format: magic, |V|, len(Dst), Off[1..|V|] (int64), Dst (int32). Off[0] is
-// implicit (always zero).
+// format: magic, |V|, 2|E|, Off[1..|V|] (int64), then every neighbor run
+// in vertex order (int32) — a compact graph's Dst, whatever g's layout.
+// Off[0] is implicit (always zero).
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	hdr := []any{uint32(binaryMagic), int64(g.NumVertices()), int64(len(g.Dst))}
+	hdr := []any{uint32(binaryMagic), int64(g.NumVertices()), g.NumDirectedEdges()}
 	for _, h := range hdr {
 		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
 			return fmt.Errorf("graph: writing binary header: %w", err)
@@ -108,8 +109,15 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, g.Off[1:]); err != nil {
 		return fmt.Errorf("graph: writing offsets: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Dst); err != nil {
-		return fmt.Errorf("graph: writing adjacency: %w", err)
+	var buf []byte
+	for u := int32(0); u < g.NumVertices(); u++ {
+		buf = buf[:0]
+		for _, v := range g.Neighbors(u) {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return fmt.Errorf("graph: writing adjacency: %w", err)
+		}
 	}
 	return bw.Flush()
 }

@@ -5,16 +5,25 @@
 // algorithm backends, the GS*-Index and the HTTP serving stack share one
 // CSR without locks. A Store layers mutability on top without giving that
 // up: mutations are batched into a Commit, each Commit produces a brand
-// new immutable *Graph snapshot (copy-on-write per affected adjacency
-// run; untouched runs are bulk-copied, touched runs are re-merged), and
-// an epoch counter versions the sequence. In-flight readers keep whatever
-// snapshot they loaded — a mutation can never tear a running query — and
-// the store holds only the current one, so a superseded snapshot lives
-// exactly as long as its last reader's pointer.
+// new immutable *Graph snapshot, and an epoch counter versions the
+// sequence. In-flight readers keep whatever snapshot they loaded — a
+// mutation can never tear a running query — and the store holds only the
+// current one, so a superseded snapshot lives exactly as long as its last
+// reader's pointer.
+//
+// A snapshot shares its untouched runs with its predecessor instead of
+// copying them: runs hold vertex ids and a commit never renumbers them. A
+// commit copies the run starts (Graph.at) beside the new offsets and
+// appends each re-merged touched run to the tail of the storage the chain
+// of snapshots shares. Only the graph whose extent ends at that storage's
+// used mark may append, claiming the tail with one CAS, so no commit
+// overwrites a run a live snapshot reads; any other commit, or one that
+// does not fit, compacts into fresh storage with 1/headroom spare.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,6 +133,9 @@ func (s *Store) CommitWith(batch []EdgeOp, prepare func(*Delta) error) (*Delta, 
 	d.New.epoch = old.Epoch() + 1
 	if prepare != nil {
 		if err := prepare(d); err != nil {
+			if d.New.arena == old.arena { // appended: hand the claimed tail back
+				old.arena.used.CompareAndSwap(int64(len(d.New.Dst)), int64(len(old.Dst)))
+			}
 			return nil, err
 		}
 	}
@@ -205,59 +217,89 @@ func applyBatch(old *Graph, batch []EdgeOp) (*Delta, error) {
 	// New offsets: old.Off plus a running shift that changes only at a
 	// touched vertex, by its degree delta, so only those read the maps.
 	off := make([]int64, n+1)
-	var shift int64
+	var shift, need int64
 	for u, next := int32(0), 0; u < n; u++ {
 		if next < len(touched) && touched[next] == u {
-			shift += int64(len(addsOf[u]) - len(delsOf[u]))
+			du := int64(len(addsOf[u]) - len(delsOf[u]))
+			shift += du
+			need += int64(old.Degree(u)) + du
 			next++
 		}
 		off[u+1] = old.Off[u+1] + shift
 	}
-	dst := make([]int32, off[n])
-	// Copy-on-write per adjacency run: untouched vertices form contiguous
-	// spans in both layouts, copied in bulk; each touched run is re-merged
-	// from its old run and sorted change lists.
-	var nextTouched int
-	for u := int32(0); u < n; {
-		if nextTouched < len(touched) && touched[nextTouched] == u {
-			merged := mergeRun(old.Neighbors(u), addsOf[u], delsOf[u])
-			copy(dst[off[u]:off[u+1]], merged)
-			nextTouched++
-			u++
-			continue
-		}
-		// Extend the untouched span as far as possible, then bulk-copy it.
-		stop := n
-		if nextTouched < len(touched) {
-			stop = touched[nextTouched]
-		}
-		copy(dst[off[u]:off[stop]], old.Dst[old.Off[u]:old.Off[stop]])
-		u = stop
+	d.New = newGraph(off, nil)
+	d.New.place(old, touched, need)
+	for _, u := range touched {
+		mergeRun(d.New.Neighbors(u), old.Neighbors(u), addsOf[u], delsOf[u])
 	}
-	d.New = newGraph(off, dst)
 	return d, nil
 }
 
-// mergeRun produces the new sorted neighbor run: old minus dels plus
-// adds. adds and dels are small and unsorted; they are sorted in place.
-func mergeRun(old, adds, dels []int32) []int32 {
+const headroom = 4 // a compacted graph spares m/headroom slots for m arcs
+
+// arena is the storage behind a chain of graphs' Dst, their capacity. No
+// run a live graph reads lies at or past used.
+type arena struct{ used atomic.Int64 }
+
+// place lays out g, whose offsets are set, beside old, which it differs
+// from only in the runs of touched, need arcs in all: if old's extent ends
+// at its arena's used mark and need fits, it claims need slots there and
+// points the touched runs at them, sharing every other run with old;
+// otherwise it compacts, copying old's untouched runs into a fresh arena
+// at g.Off, one copy per stretch contiguous in old. The touched runs are
+// left for the caller to write.
+//
+//lint:snapfreeze pre-publication: g is the commit's still-private snapshot, and its writes land in a fresh arena or the tail the CAS claimed
+func (g *Graph) place(old *Graph, touched []int32, need int64) {
+	end := int64(len(old.Dst))
+	if old.arena != nil && end+need <= int64(cap(old.Dst)) && old.arena.used.CompareAndSwap(end, end+need) {
+		g.Dst, g.arena = old.Dst[:end+need], old.arena
+		starts := old.at
+		if starts == nil {
+			starts = old.Off[:g.NumVertices()]
+		}
+		g.at = slices.Clone(starts)
+		for _, u := range touched {
+			g.at[u], end = end, end+int64(g.Degree(u))
+		}
+		return
+	}
+	m := g.NumDirectedEdges()
+	g.Dst, g.arena = make([]int32, m, m+m/headroom), new(arena)
+	g.arena.used.Store(m)
+	n, next := g.NumVertices(), 0
+	for u := int32(0); u < n; {
+		if next < len(touched) && touched[next] == u {
+			u, next = u+1, next+1
+			continue
+		}
+		src, v := old.start(u), u+1
+		for v < n && (next == len(touched) || v < touched[next]) && old.start(v)-src == g.Off[v]-g.Off[u] {
+			v++
+		}
+		copy(g.Dst[g.Off[u]:g.Off[v]], old.Dst[src:src+g.Off[v]-g.Off[u]])
+		u = v
+	}
+}
+
+// mergeRun writes the new sorted neighbor run, old minus dels plus adds,
+// into out, sized to it. adds and dels are small and unsorted; they are
+// sorted in place.
+func mergeRun(out, old, adds, dels []int32) {
 	sortInt32(adds)
 	sortInt32(dels)
-	out := make([]int32, 0, len(old)+len(adds))
-	ai, di := 0, 0
+	k, ai, di := 0, 0, 0
 	for _, v := range old {
 		for ai < len(adds) && adds[ai] < v {
-			out = append(out, adds[ai])
-			ai++
+			out[k], k, ai = adds[ai], k+1, ai+1
 		}
 		if di < len(dels) && dels[di] == v {
 			di++
 			continue
 		}
-		out = append(out, v)
+		out[k], k = v, k+1
 	}
-	out = append(out, adds[ai:]...)
-	return out
+	copy(out[k:], adds[ai:])
 }
 
 func sortEdges(edges []Edge) {

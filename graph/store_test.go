@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -27,7 +29,8 @@ func edgeSet(g *Graph) map[Edge]bool {
 }
 
 // requireSameGraph checks g matches the ground-truth rebuild from want's
-// edge set (identical Off/Dst arrays, not just the same edge set).
+// edge set: identical Off arrays and, vertex by vertex, identical runs,
+// wherever the commit placed them in Dst.
 func requireSameGraph(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
@@ -36,18 +39,12 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 	if got.NumVertices() != want.NumVertices() {
 		t.Fatalf("NumVertices = %d, want %d", got.NumVertices(), want.NumVertices())
 	}
-	if len(got.Off) != len(want.Off) || len(got.Dst) != len(want.Dst) {
-		t.Fatalf("layout size mismatch: off %d/%d dst %d/%d",
-			len(got.Off), len(want.Off), len(got.Dst), len(want.Dst))
+	if !slices.Equal(got.Off, want.Off) {
+		t.Fatalf("Off = %v, want %v", got.Off, want.Off)
 	}
-	for i := range got.Off {
-		if got.Off[i] != want.Off[i] {
-			t.Fatalf("Off[%d] = %d, want %d", i, got.Off[i], want.Off[i])
-		}
-	}
-	for i := range got.Dst {
-		if got.Dst[i] != want.Dst[i] {
-			t.Fatalf("Dst[%d] = %d, want %d", i, got.Dst[i], want.Dst[i])
+	for u := int32(0); u < got.NumVertices(); u++ {
+		if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", u, got.Neighbors(u), want.Neighbors(u))
 		}
 	}
 }
@@ -346,4 +343,181 @@ func TestStoreConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// ringWithChords is a 200-vertex ring plus every chord {u, u+7}: 800 arcs,
+// so a compacted snapshot has 200 spare slots, room for a few appends.
+func ringWithChords(t *testing.T) *Graph {
+	var edges []Edge
+	for u := int32(0); u < 200; u++ {
+		edges = append(edges, Edge{u, (u + 1) % 200}, Edge{u, (u + 7) % 200})
+	}
+	return mustGraph(t, 200, edges)
+}
+
+// TestStoreCommitChainSharesArena: the first commit compacts the built
+// graph into an arena with headroom; the next ones append their touched
+// runs to it, sharing every other run with their predecessor, until one
+// does not fit and compacts again. Every snapshot of the chain equals
+// FromEdges on its edge set, and still does after the last commit.
+func TestStoreCommitChainSharesArena(t *testing.T) {
+	st := NewStore(ringWithChords(t))
+	rng := rand.New(rand.NewSource(11))
+	type snap struct {
+		g    *Graph
+		want *Graph
+	}
+	var chain []snap
+	appends, compactions := 0, 0
+	for compactions < 2 {
+		old := st.Graph()
+		var batch []EdgeOp
+		truth := old.Edges()
+		for len(batch) < 4 {
+			u, v := int32(rng.Intn(200)), int32(rng.Intn(200))
+			if u != v && !old.HasEdge(u, v) {
+				batch = append(batch, EdgeOp{U: u, V: v})
+				truth = append(truth, Edge{u, v})
+			}
+		}
+		d, err := st.Commit(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := d.New
+		switch {
+		case g.arena == old.arena:
+			appends++
+			if g.at == nil || &g.Dst[0] != &old.Dst[0] || len(g.Dst) <= len(old.Dst) {
+				t.Fatalf("commit %d appended without sharing its predecessor's runs", len(chain))
+			}
+			for u := int32(0); u < g.NumVertices(); u++ {
+				if !slices.Contains(d.Touched, u) && g.start(u) != old.start(u) {
+					t.Fatalf("commit %d copied the untouched run of %d", len(chain), u)
+				}
+			}
+		default:
+			compactions++
+			if g.at != nil || len(g.Dst) != int(g.NumDirectedEdges()) || cap(g.Dst) != len(g.Dst)+len(g.Dst)/headroom {
+				t.Fatalf("commit %d compacted to len %d cap %d, at set %v", len(chain), len(g.Dst), cap(g.Dst), g.at != nil)
+			}
+		}
+		chain = append(chain, snap{g, mustGraph(t, 200, truth)})
+		requireSameGraph(t, g, chain[len(chain)-1].want)
+	}
+	if appends < 2 {
+		t.Fatalf("%d appends between %d compactions, want at least 2", appends, compactions)
+	}
+	for _, s := range chain {
+		requireSameGraph(t, s.g, s.want)
+	}
+}
+
+// TestStoreCommitFork: two stores commit different batches onto one base
+// snapshot. The first appends to the base's tail; the second finds it
+// taken and compacts, so neither overwrites a run the other reads.
+func TestStoreCommitFork(t *testing.T) {
+	st := NewStore(ringWithChords(t))
+	d, err := st.Commit([]EdgeOp{{U: 0, V: 100}}) // compacts into an arena
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, baseEdges := d.New, d.New.Edges()
+	var kids, want [2]*Graph
+	for i := range kids {
+		batch := []Edge{{int32(i), 150}, {10, 50 + int32(i)}}
+		d, err := NewStore(base).Commit([]EdgeOp{{U: batch[0].U, V: batch[0].V}, {U: batch[1].U, V: batch[1].V}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kids[i], want[i] = d.New, mustGraph(t, 200, append(slices.Clone(baseEdges), batch...))
+	}
+	if kids[0].arena != base.arena || kids[1].arena == base.arena {
+		t.Fatalf("fork: first appended %v, second appended %v; want only the first", kids[0].arena == base.arena, kids[1].arena == base.arena)
+	}
+	for i := range kids {
+		requireSameGraph(t, kids[i], want[i])
+	}
+	requireSameGraph(t, base, mustGraph(t, 200, baseEdges))
+}
+
+// TestStoreAbortedCommitHandsBackTail: a CommitWith whose prepare fails
+// hands its claim back, so the next commit appends where the aborted one
+// would have, while a reader walks the snapshot the abort started from.
+// Under -race, a commit writing a run that reader reads is a reported race.
+func TestStoreAbortedCommitHandsBackTail(t *testing.T) {
+	st := NewStore(ringWithChords(t))
+	if _, err := st.Commit([]EdgeOp{{U: 0, V: 100}}); err != nil { // compacts into an arena
+		t.Fatal(err)
+	}
+	g0 := st.Graph()
+	want := g0.Edges()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !slices.Equal(g0.Edges(), want) {
+				t.Error("the held snapshot changed under a commit")
+				return
+			}
+		}
+	}()
+	failed := fmt.Errorf("derived state refused")
+	if _, err := st.CommitWith([]EdgeOp{{U: 1, V: 101}}, func(*Delta) error { return failed }); err != failed {
+		t.Fatalf("CommitWith = %v, want the refusal", err)
+	}
+	if used := g0.arena.used.Load(); used != int64(len(g0.Dst)) {
+		t.Fatalf("arena used = %d after the abort, want %d", used, len(g0.Dst))
+	}
+	for i := int32(0); i < 3; i++ {
+		d, err := st.Commit([]EdgeOp{{U: 2 + i, V: 102 + i}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.New.arena != g0.arena {
+			t.Fatalf("commit %d after the abort compacted, want it to append", i)
+		}
+	}
+	if got := st.Graph().at[2]; got != int64(len(g0.Dst)) {
+		t.Fatalf("first commit after the abort placed its first run at %d, want the handed-back tail %d", got, len(g0.Dst))
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestWriteBinaryAppended: an appended snapshot writes the bytes of the
+// compact graph FromEdges builds from its edge set.
+func TestWriteBinaryAppended(t *testing.T) {
+	st := NewStore(ringWithChords(t))
+	for i := int32(0); i < 3; i++ {
+		if _, err := st.Commit([]EdgeOp{{U: i, V: 100 + i}, {U: 50 + i, V: 51 + i, Del: true}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := st.Graph()
+	if g.at == nil {
+		t.Fatal("the last commit compacted, want it appended")
+	}
+	var got, want bytes.Buffer
+	if err := WriteBinary(&got, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&want, mustGraph(t, g.NumVertices(), g.Edges())); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteBinary of the appended snapshot differs (%d vs %d bytes)", got.Len(), want.Len())
+	}
+	back, err := ReadBinary(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameGraph(t, back, g)
 }

@@ -228,11 +228,11 @@ func TestLargeWorkerCountSmallGraph(t *testing.T) {
 func TestArcWordsFollowTheGraph(t *testing.T) {
 	g1 := gen.PlantedPartition(8, 16, 0.5, 0.02, 11)
 	perm := rand.New(rand.NewSource(3)).Perm(int(g1.NumVertices()))
-	p32 := make([]int32, len(perm))
-	for i, p := range perm {
-		p32[i] = int32(p)
+	var edges []graph.Edge // g1's edges relabeled through perm
+	for _, e := range g1.Edges() {
+		edges = append(edges, graph.Edge{U: int32(perm[e.U]), V: int32(perm[e.V])})
 	}
-	g2, err := g1.Relabel(p32)
+	g2, err := graph.FromEdges(g1.NumVertices(), edges)
 	if err != nil {
 		t.Fatal(err)
 	}

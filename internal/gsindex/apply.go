@@ -123,6 +123,23 @@ func (w *applyWorker) misordered() int {
 	return 0
 }
 
+// stillInOrder reports whether the run (cn, nbr), in order before a commit
+// that changed none of its counts, is still in order in g. Only an entry
+// whose neighbor's degree changed — a neighbor in touched — can have
+// moved, so each such entry is compared with the entries beside it.
+func (w *applyWorker) stillInOrder(g *graph.Graph, cn, nbr []int32, touched []uint64) bool {
+	for k, v := range nbr {
+		if touched[v>>6]>>(uint(v)&63)&1 == 0 {
+			continue
+		}
+		lo, hi := max(k-1, 0), min(k+2, len(nbr))
+		if w.bind(g, cn[lo:hi], nbr[lo:hi]); w.misordered() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // misorderedRun is misordered on u's order-major run of ix.
 func (w *applyWorker) misorderedRun(ix *Index, u int32) int {
 	nbr, cn := ix.run(u)
@@ -468,10 +485,10 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 					}
 				}
 			}
-			w.bind(newG, cnr, oldNbr)
-			if len(ents) == 0 && w.misordered() == 0 {
+			if len(ents) == 0 && w.stillInOrder(newG, cnr, oldNbr, touched) {
 				return // the same counts, still in order: kept in place
 			}
+			w.bind(newG, cnr, oldNbr)
 			w.ord = grow(w.ord, len(cnr))
 			for k := range w.ord {
 				w.ord[k] = int32(k)

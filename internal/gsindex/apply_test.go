@@ -340,8 +340,9 @@ func TestApplyBatchLongChain(t *testing.T) {
 	}
 }
 
-// TestSaveAfterAppends: an index whose runs were appended saves the same
-// bytes as a Build of its graph.
+// TestSaveAfterAppends: an index whose runs were appended, over a graph
+// whose runs were appended too, saves the same bytes as a Build of its
+// graph and as a Build of that graph's compact rebuild.
 func TestSaveAfterAppends(t *testing.T) {
 	opt := BuildOptions{Workers: 2}
 	rng := rand.New(rand.NewSource(3))
@@ -359,17 +360,27 @@ func TestSaveAfterAppends(t *testing.T) {
 		if nix.arena != ix.arena {
 			t.Fatalf("apply %d compacted, want it to append", i)
 		}
+		if &d.New.Dst[0] != &d.Old.Dst[0] {
+			t.Fatalf("commit %d compacted, want it to append to the graph's storage", i)
+		}
 		ix = nix
 	}
-	var got, want bytes.Buffer
+	compact, err := graph.FromEdges(ix.g.NumVertices(), ix.g.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
 	if err := ix.Save(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := Build(ix.g, opt).Save(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("Save after appends differs from Save of a Build (%d vs %d bytes)", got.Len(), want.Len())
+	for name, g := range map[string]*graph.Graph{"the appended graph": ix.g, "its compact rebuild": compact} {
+		var want bytes.Buffer
+		if err := Build(g, opt).Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Save after appends differs from Save of a Build over %s (%d vs %d bytes)", name, got.Len(), want.Len())
+		}
 	}
 }
 

@@ -179,8 +179,10 @@ func FuzzQueryWorkspace(f *testing.F) {
 // exact-size build, then takes two more batches: the batch undone (every
 // op's Del flipped), which appends to its tail when it fits, and a fork
 // of the batch with every endpoint moved to the next vertex, which finds
-// that tail taken and compacts. Each result, and the repair itself
-// afterwards, is again a rebuild. The committed corpus
+// that tail taken and compacts. The graphs do the same: the undo's commit
+// appends its runs to the child graph's storage when they fit, and the
+// fork's compacts. Each result, and the repair itself afterwards, is
+// again a rebuild. The committed corpus
 // (testdata/fuzz/FuzzApplyBatch) covers a run wider than 64, a delete that
 // isolates a vertex, duplicate and cancelling ops, a batch that changes an
 // untouched run only through its neighbors' degrees, a star, K5, a

@@ -98,9 +98,9 @@ func (ix *Index) fence() error {
 	seen, cnr := make([]int32, g.MaxDegree()), make([]int32, g.MaxDegree())
 	var w applyWorker
 	for u := int32(0); u < n; u++ {
-		deg := g.Degree(u)
+		deg, nbrs := g.Degree(u), g.Neighbors(u)
 		uOff := g.Off[u]
-		for k, v := range g.Neighbors(u) {
+		for k, v := range nbrs {
 			c := ix.cn[uOff+int64(k)]
 			if c < 2 || c > min(deg, g.Degree(v))+1 {
 				return fmt.Errorf("gsindex: count %d out of range at arc (%d, %d)", c, u, v)
@@ -127,7 +127,7 @@ func (ix *Index) fence() error {
 		copy(cnr, ix.cn[uOff:uOff+int64(deg)])
 		for k := uOff; k < uOff+int64(deg); k++ {
 			o := ix.nbr[k]
-			ix.nbr[k], ix.cn[k] = g.Dst[uOff+int64(o)], cnr[o]
+			ix.nbr[k], ix.cn[k] = nbrs[o], cnr[o]
 		}
 		if k := w.misorderedRun(ix, u); k > 0 {
 			return fmt.Errorf("gsindex: neighbor order of %d out of order at %d", u, k)

@@ -3,13 +3,13 @@
 // epoch's *graph.Graph and *gsindex.Index through an atomic pointer and
 // then walk the CSR arrays with NO synchronization — the paper's
 // index-as-serving-artifact framing (and PR 8's copy-on-write commits)
-// only hold if nothing ever writes Off/Dst or a published index's runs
+// only hold if nothing ever writes Off/Dst/at or a published index's runs
 // (cn/nbr within its extent, at) after publication. Tests can't see a stray write that races one request
 // in a million; this analyzer sees it at compile time.
 //
 // Flagged, anywhere in the repo:
 //
-//   - stores into frozen fields: g.Dst[i] = v, g.Off = x, g.epoch++, g.id = x,
+//   - stores into frozen fields: g.Dst[i] = v, g.Off = x, g.at[u] = o, g.epoch++, g.id = x,
 //     ix.cn[e] = c, ix.at[u] = o, copy(g.Dst, …), sort.Slice(g.Dst[lo:hi], …)
 //   - stores through graph-aliased locals: a slice obtained from a frozen
 //     field (row := g.Dst[lo:hi]) or from Neighbors() aliases the CSR
@@ -19,8 +19,8 @@
 // a composite literal (&Graph{Off: off, Dst: dst}) are clean by
 // construction and need no annotation. The handful of legitimate
 // pre-publication mutators (graph builders normalizing adjacency,
-// Store.Commit stamping the epoch, gsindex.ApplyBatch writing runs into a
-// fresh arena or the tail it claimed) carry //lint:snapfreeze <reason> annotations — the
+// Store.Commit stamping the epoch and placing runs, gsindex.ApplyBatch
+// writing runs into a fresh arena or the tail it claimed) carry //lint:snapfreeze <reason> annotations — the
 // whitelist lives in the code as reviewable directives, not in the
 // analyzer, so deleting an exemption makes `make check` fail.
 package snapfreeze
@@ -36,9 +36,9 @@ import (
 // must never be written after publication. The snapfix entries mirror the
 // real types so the fixture suite exercises the same code path.
 var frozenFields = map[[2]string]map[string]bool{
-	{"ppscan/graph", "Graph"}:            {"Off": true, "Dst": true, "epoch": true, "id": true},
+	{"ppscan/graph", "Graph"}:            {"Off": true, "Dst": true, "at": true, "arena": true, "epoch": true, "id": true},
 	{"ppscan/internal/gsindex", "Index"}: {"cn": true, "nbr": true, "at": true, "arena": true},
-	{"snapfix", "Graph"}:                 {"Off": true, "Dst": true, "epoch": true},
+	{"snapfix", "Graph"}:                 {"Off": true, "Dst": true, "at": true, "epoch": true},
 	{"snapfix", "Index"}:                 {"cn": true, "nbr": true, "at": true, "arena": true},
 }
 
@@ -50,7 +50,7 @@ var aliasMethods = map[string]bool{"Neighbors": true}
 var Analyzer = &framework.Analyzer{
 	Name:      "snapfreeze",
 	Directive: "snapfreeze",
-	Doc: "flags writes to published graph/index state — Graph.Off/Dst/epoch/id and Index.cn/nbr/at/arena " +
+	Doc: "flags writes to published graph/index state — Graph.Off/Dst/at/arena/epoch/id and Index.cn/nbr/at/arena " +
 		"element or field stores, including through slices aliased from them (Neighbors, " +
 		"g.Dst[lo:hi]) — readers walk these arrays lock-free, so any post-publication write is " +
 		"a data race; pre-publication construction sites annotate //lint:snapfreeze <reason>",

@@ -10,6 +10,7 @@ import "sort"
 type Graph struct {
 	Off   []int64
 	Dst   []int32
+	at    []int64
 	epoch uint64
 }
 
@@ -43,6 +44,11 @@ func wholeFieldWrite(g *Graph, dst []int32) {
 
 func offsetWrite(g *Graph) {
 	g.Off[2] = 9 // want `write to Graph.Off`
+}
+
+// graphRunStartWrite: repointing a published graph's run is a write too.
+func graphRunStartWrite(g *Graph, u int) {
+	g.at[u] = 4 // want `write to Graph.at`
 }
 
 func epochStamp(g *Graph) {

@@ -221,7 +221,10 @@ func TestEdgesBodyCapped(t *testing.T) {
 // index on the mutated graph.
 func TestEdgesIndexedMutation(t *testing.T) {
 	g := gen.Roll(300, 6, 4)
-	mirror := g.Clone()
+	mirror, err := graph.FromEdges(g.NumVertices(), g.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ix, err := ppscan.BuildIndexContext(context.Background(), g, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +290,11 @@ func TestEdgesIndexedMutation(t *testing.T) {
 // once the storm settles.
 func TestServerChaosMutationStorm(t *testing.T) {
 	g := gen.Roll(200, 5, 3)
-	s := New(g.Clone(), 2).WithMutations()
+	served, err := graph.FromEdges(g.NumVertices(), g.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(served, 2).WithMutations()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -115,7 +115,11 @@ func TestRelabelInvariance(t *testing.T) {
 	for i, p := range rng.Perm(int(g.NumVertices())) {
 		perm[i] = int32(p)
 	}
-	h, err := g.Relabel(perm)
+	var edges []graph.Edge
+	for _, e := range g.Edges() {
+		edges = append(edges, graph.Edge{U: perm[e.U], V: perm[e.V]})
+	}
+	h, err := graph.FromEdges(g.NumVertices(), edges)
 	if err != nil {
 		t.Fatal(err)
 	}
