@@ -11,14 +11,14 @@
 // in v's sorted neighbor list; ppSCAN (internal/core) does not search: it
 // builds the reverse positions once per graph, keyed by ID.
 //
-// A graph built by FromEdges, FromAdjacency or a reader is compact: its
-// runs lie in dst exactly at off. A Store commit may instead append the
-// runs it rewrites to the storage its predecessor's dst lives in, and
-// record where every run starts (see Graph.at); off keeps its meaning, so
-// edge offsets and everything indexed by them do not depend on the layout.
+// A graph built by FromEdges or a reader is compact: its runs lie in dst
+// exactly at off. A Store commit may instead append the runs it rewrites
+// to the storage its predecessor's dst lives in, and record where every
+// run starts (see Graph.at); off keeps its meaning, so edge offsets and
+// everything indexed by them do not depend on the layout.
 //
-// Graphs are immutable once built. Build one with FromEdges, FromAdjacency,
-// or one of the readers in io.go.
+// Graphs are immutable once built. Build one with FromEdges or one of the
+// readers in io.go.
 package graph
 
 import (
@@ -284,20 +284,6 @@ func fromOrientedEdges(n int32, edges []Edge) *Graph {
 	g := newGraph(off, dst)
 	g.sortAdjacency()
 	return g
-}
-
-// FromAdjacency builds a Graph from an adjacency list representation. The
-// input lists may be unsorted and may contain duplicates or self loops; the
-// union of (u -> v) and (v -> u) entries determines the edge set.
-func FromAdjacency(adj [][]int32) (*Graph, error) {
-	n := int32(len(adj))
-	var edges []Edge
-	for u, nbrs := range adj {
-		for _, v := range nbrs {
-			edges = append(edges, Edge{int32(u), v})
-		}
-	}
-	return FromEdges(n, edges)
 }
 
 // sortAdjacency orders each neighbor run ascending; construction only.

@@ -152,23 +152,6 @@ func TestEdgeOffsetMissing(t *testing.T) {
 	_ = g
 }
 
-func TestFromAdjacency(t *testing.T) {
-	g, err := FromAdjacency([][]int32{
-		{1, 2, 2}, // duplicate entry
-		{0},
-		{0, 0},
-	})
-	if err != nil {
-		t.Fatalf("FromAdjacency: %v", err)
-	}
-	if g.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(0, 2) {
-		t.Errorf("edges missing")
-	}
-}
-
 func TestEdgesRoundTrip(t *testing.T) {
 	g := randomGraph(t, 40, 150, 3)
 	edges := g.Edges()
@@ -279,7 +262,7 @@ func TestReadEdgeListText(t *testing.T) {
 2 0
 
 `
-	g, err := ReadEdgeList(strings.NewReader(text), false)
+	g, err := ReadEdgeList(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("ReadEdgeList: %v", err)
 	}
@@ -290,7 +273,7 @@ func TestReadEdgeListText(t *testing.T) {
 
 func TestReadEdgeListCompact(t *testing.T) {
 	const text = "100 200\n200 300\n"
-	g, err := ReadEdgeList(strings.NewReader(text), true)
+	g, err := ReadEdgeList(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("ReadEdgeList: %v", err)
 	}
@@ -304,7 +287,7 @@ func TestReadEdgeListCompact(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	for _, bad := range []string{"0\n", "x y\n", "0 y\n", "-1 2\n"} {
-		if _, err := ReadEdgeList(strings.NewReader(bad), false); err == nil {
+		if _, err := ReadEdgeList(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadEdgeList(%q) should fail", bad)
 		}
 	}
@@ -316,7 +299,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatalf("WriteEdgeList: %v", err)
 	}
-	g2, err := ReadEdgeList(&buf, false)
+	g2, err := ReadEdgeList(&buf)
 	if err != nil {
 		t.Fatalf("ReadEdgeList: %v", err)
 	}

@@ -15,22 +15,15 @@ import (
 
 // ReadEdgeList parses a whitespace-separated edge-list stream in the SNAP
 // style: one "u v" pair per line, '#' or '%' lines are comments. Vertex ids
-// are arbitrary non-negative integers; they are compacted to [0, n) in order
-// of first appearance when compact is true, otherwise the vertex count is
-// max(id)+1.
-func ReadEdgeList(r io.Reader, compact bool) (*Graph, error) {
+// are arbitrary non-negative int32 values; they are compacted to [0, n) in
+// order of first appearance, so n is the number of distinct ids the stream
+// names, never the largest id plus one.
+func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
-	var maxID int32 = -1
 	remap := make(map[int32]int32)
 	mapID := func(raw int32) int32 {
-		if !compact {
-			if raw > maxID {
-				maxID = raw
-			}
-			return raw
-		}
 		if id, ok := remap[raw]; ok {
 			return id
 		}
@@ -65,11 +58,7 @@ func ReadEdgeList(r io.Reader, compact bool) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scanning edge list: %w", err)
 	}
-	n := maxID + 1
-	if compact {
-		n = int32(len(remap))
-	}
-	return FromEdges(n, edges)
+	return FromEdges(int32(len(remap)), edges)
 }
 
 // WriteEdgeList writes the graph as "u v" lines with u < v, one undirected
@@ -258,7 +247,7 @@ func LoadFile(path string) (*Graph, error) {
 		}
 		return g, nil
 	}
-	g, err := ReadEdgeList(r, true)
+	g, err := ReadEdgeList(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %s (text edge-list format): %w", path, err)
 	}

@@ -135,14 +135,14 @@ func ratio(num, den time.Duration) float64 {
 // Tables 1 and 2
 // ---------------------------------------------------------------------------
 
-// TableStats computes the statistics rows for the given dataset specs.
-func TableStats(cfg Config, title string, specs []dataset.Spec) Table {
+// TableStats computes the statistics rows for the named datasets.
+func TableStats(cfg Config, title string, names []string) Table {
 	cfg = cfg.norm()
 	t := Table{Title: title, Columns: []Column{
 		{"name", String}, {"vertices", Int}, {"directed_edges", Int}, {"avg_degree", Ratio}, {"max_degree", Int},
 	}}
-	for _, s := range specs {
-		st := graph.ComputeStats(s.Name, dataset.MustLoad(s.Name, cfg.Scale))
+	for _, ds := range names {
+		st := graph.ComputeStats(ds, dataset.MustLoad(ds, cfg.Scale))
 		t.add(st.Name, int64(st.NumVertices), st.NumEdges, st.AvgDegree, int64(st.MaxDegree))
 	}
 	return t
@@ -171,8 +171,8 @@ func Fig1(cfg Config) Table {
 		{"dataset", String}, {"algorithm", String}, {"eps", String},
 		{"similarity", Duration}, {"reduction", Duration}, {"other", Duration}, {"total", Duration},
 	}}
-	for _, spec := range dataset.Breakdown() {
-		g := dataset.MustLoad(spec.Name, cfg.Scale)
+	for _, ds := range dataset.Breakdown() {
+		g := dataset.MustLoad(ds, cfg.Scale)
 		for _, algo := range []string{"SCAN", "pSCAN"} {
 			for _, eps := range cfg.epsGrid() {
 				th := mustTh(eps, DefaultMu)
@@ -183,7 +183,7 @@ func Fig1(cfg Config) Table {
 					return pscan.Run(g, th, engine.Options{Kernel: intersect.MergeEarly}, pscan.Options{Breakdown: true}, nil)
 				}).Stats
 				other := max(st.Total-st.SimilarityTime-st.ReductionTime, 0)
-				t.add(spec.Name, st.Algorithm, eps, st.SimilarityTime, st.ReductionTime, other, st.Total)
+				t.add(ds, st.Algorithm, eps, st.SimilarityTime, st.ReductionTime, other, st.Total)
 			}
 		}
 	}
@@ -250,8 +250,8 @@ func OverallComparison(cfg Config, profile Profile) Table {
 	}
 	defer restore()
 	engines := []string{"scan", "pscan", "anyscan", "scan-xp", "ppscan"}
-	for _, spec := range dataset.RealWorld() {
-		g := dataset.MustLoad(spec.Name, cfg.Scale)
+	for _, ds := range dataset.RealWorld() {
+		g := dataset.MustLoad(ds, cfg.Scale)
 		for _, eps := range cfg.epsGrid() {
 			th := mustTh(eps, DefaultMu)
 			stats := make([]result.Stats, len(engines))
@@ -263,7 +263,7 @@ func OverallComparison(cfg Config, profile Profile) Table {
 				}
 			}
 			for _, st := range stats {
-				t.add(spec.Name, st.Algorithm, eps, st.Total, ratio(pscanTotal, st.Total))
+				t.add(ds, st.Algorithm, eps, st.Total, ratio(pscanTotal, st.Total))
 			}
 		}
 	}
@@ -290,14 +290,14 @@ func Fig4(cfg Config) Table {
 		{"dataset", String}, {"eps", String}, {"edges", Int}, {"pscan_calls", Int}, {"ppscan_calls", Int},
 		{"pscan_norm", Ratio}, {"ppscan_norm", Ratio}, {"cores", Int}, {"clusters", Int},
 	}}
-	for _, spec := range dataset.RealWorld() {
-		g := dataset.MustLoad(spec.Name, cfg.Scale)
+	for _, ds := range dataset.RealWorld() {
+		g := dataset.MustLoad(ds, cfg.Scale)
 		edges := g.NumEdges()
 		for _, eps := range cfg.epsGrid() {
 			th := mustTh(eps, DefaultMu)
 			ps := run("pscan", "", g, th, engine.Options{}).Stats.CompSimCalls
 			pp := run("ppscan", "", g, th, engine.Options{Workers: cfg.Workers})
-			t.add(spec.Name, eps, edges, ps, pp.Stats.CompSimCalls,
+			t.add(ds, eps, edges, ps, pp.Stats.CompSimCalls,
 				float64(ps)/float64(edges), float64(pp.Stats.CompSimCalls)/float64(edges),
 				int64(pp.NumCores()), int64(pp.NumClusters()))
 		}
@@ -321,15 +321,15 @@ func Fig5(cfg Config) Table {
 		{"scalar", Duration}, {"vectorized", Duration}, {"speedup", Ratio},
 	}}
 	opt := engine.Options{Workers: cfg.Workers}
-	for _, spec := range dataset.RealWorld() {
-		g := dataset.MustLoad(spec.Name, cfg.Scale)
+	for _, ds := range dataset.RealWorld() {
+		g := dataset.MustLoad(ds, cfg.Scale)
 		for _, eps := range cfg.epsGrid() {
 			th := mustTh(eps, DefaultMu)
 			checkCore := func(name, kernel string) time.Duration {
 				return cfg.best(name, kernel, g, th, opt).Stats.PhaseTimes[result.PhaseCheckCore]
 			}
 			no := checkCore("ppscan-no", "")
-			row := func(kernel string, vec time.Duration) { t.add(spec.Name, eps, kernel, no, vec, ratio(no, vec)) }
+			row := func(kernel string, vec time.Duration) { t.add(ds, eps, kernel, no, vec, ratio(no, vec)) }
 			row(intersect.PivotBlock16.String(), checkCore("ppscan", intersect.PivotBlock16.String()))
 			for _, p := range hostProfiles() {
 				restore, _ := p.force()
@@ -366,15 +366,15 @@ func Fig6(cfg Config) Table {
 		{"total", Duration}, {"self_speedup", Ratio},
 	}}
 	th := mustTh("0.2", DefaultMu)
-	for _, spec := range dataset.RealWorld() {
-		g := dataset.MustLoad(spec.Name, cfg.Scale)
+	for _, ds := range dataset.RealWorld() {
+		g := dataset.MustLoad(ds, cfg.Scale)
 		var base time.Duration
 		for _, w := range cfg.WorkerGrid() {
 			st := cfg.best("ppscan", "", g, th, engine.Options{Workers: w}).Stats
 			if w == 1 {
 				base = st.Total
 			}
-			t.add(spec.Name, int64(w),
+			t.add(ds, int64(w),
 				st.PhaseTimes[result.PhasePruning], st.PhaseTimes[result.PhaseCheckCore],
 				st.PhaseTimes[result.PhaseClusterCore], st.PhaseTimes[result.PhaseClusterNonCore],
 				st.Total, ratio(base, st.Total))
@@ -397,12 +397,12 @@ func Fig7(cfg Config) Table {
 	if cfg.Quick {
 		mus = []int32{2, 5}
 	}
-	for _, spec := range dataset.RealWorld() {
-		g := dataset.MustLoad(spec.Name, cfg.Scale)
+	for _, ds := range dataset.RealWorld() {
+		g := dataset.MustLoad(ds, cfg.Scale)
 		for _, mu := range mus {
 			for _, eps := range cfg.epsGrid() {
 				r := cfg.best("ppscan", "", g, mustTh(eps, mu), engine.Options{Workers: cfg.Workers})
-				t.add(spec.Name, eps, int64(mu), r.Stats.Total, int64(r.NumCores()), int64(r.NumClusters()))
+				t.add(ds, eps, int64(mu), r.Stats.Total, int64(r.NumCores()), int64(r.NumClusters()))
 			}
 		}
 	}
@@ -428,13 +428,13 @@ func Fig8(cfg Config) Table {
 	}
 	for _, profile := range profiles {
 		restore, _ := profile.force()
-		for _, spec := range dataset.RollFamily() {
-			g := dataset.MustLoad(spec.Name, cfg.Scale)
+		for _, ds := range dataset.RollFamily() {
+			g := dataset.MustLoad(ds, cfg.Scale)
 			for _, eps := range cfg.epsGrid() {
 				th := mustTh(eps, DefaultMu)
 				one := cfg.best("ppscan", "", g, th, engine.Options{Workers: 1})
 				par := cfg.best("ppscan", "", g, th, engine.Options{Workers: cfg.Workers})
-				t.add(spec.Name, eps, profile.String(), par.Stats.Total, ratio(one.Stats.Total, par.Stats.Total),
+				t.add(ds, eps, profile.String(), par.Stats.Total, ratio(one.Stats.Total, par.Stats.Total),
 					int64(par.NumCores()), int64(par.NumClusters()))
 			}
 		}
