@@ -35,9 +35,9 @@ race:
 # worker wakes first and whether a cancel lands mid-task all change with the
 # core count, and tier-1 has to be green on any of them (ROADMAP). scan-xp and anyscan drive
 # the shared arc labeller (internal/result/tail.go) from concurrent workers;
-# the server builds an epoch's index on a sweep, racing other sweeps and
-# commits for the one publish; and graph.Store's lock-free readers race its
-# commits on one atomic pointer.
+# the first miss of an epoch on any route builds its index, racing other
+# misses and commits for the one publish; and graph.Store's lock-free
+# readers race its commits on one atomic pointer.
 cores:
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/gsindex/ ./internal/shard/ \
 		./internal/scanxp/ ./internal/anyscan/ ./internal/server/ ./graph/
@@ -80,7 +80,7 @@ alloc-gate:
 	$(GO) test -run TestServingAllocBudget -count 1 -v ./internal/engine/
 
 # The fault-containment suite under the race detector: seeded chaos runs
-# across every engine, the server panic/stall acceptance scenarios and the
+# across every engine, the server's panic acceptance scenarios and the
 # shard-tier drills — seeded fault schedules
 # against a worker fleet plus real scanshard processes killed and
 # restarted mid-superstep (see OPERATIONS.md "Failure modes" and §14).

@@ -6,6 +6,7 @@
 package ppscan_test
 
 import (
+	"context"
 	"testing"
 
 	"ppscan"
@@ -52,7 +53,7 @@ func BenchmarkIndexBuildVsQuery(b *testing.B) {
 	ix := ppscan.BuildIndex(g, 0)
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.Query("0.2", 5); err != nil {
+			if _, err := ppscan.QueryIndexWorkspace(context.Background(), ix, "0.2", 5, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,147 +1,37 @@
-// Command graphgen generates synthetic graphs and writes them as edge-list
-// (.txt) or binary CSR (.bin) files.
+// Command graphgen writes a ROLL graph — the paper's synthetic family of
+// Table 2: n vertices, a given average degree, heavy-tailed degrees — as
+// an edge-list (.txt) or binary CSR (.bin) file, and prints its |V|, |E|,
+// average and maximum degree.
 //
 // Usage:
 //
-//	graphgen -kind roll -n 100000 -deg 40 -seed 7 -o roll.bin
-//	graphgen -kind er -n 10000 -m 50000 -o er.txt
-//	graphgen -dataset twitter-sim -scale 0.5 -o twitter.bin
-//	graphgen -kind roll -n 10000 -deg 16 -o roll.bin -mutations 500 -mutations-out churn.ndjson
-//
-// With -mutations N, graphgen additionally emits N deterministic edge-churn
-// operations as NDJSON — the wire format POST /edges accepts (scanserver
-// -mutations) — derived from the generated graph with -mutation-seed:
-// deletions pick existing edges, insertions pick currently-absent pairs,
-// so a fresh server loaded with the graph accepts the whole stream as
-// effective churn.
+//	graphgen -n 100000 -deg 40 -o roll.bin
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
 	"os"
 
 	"ppscan/graph"
-	"ppscan/internal/dataset"
 	"ppscan/internal/gen"
 )
 
 func main() {
 	var (
-		kind   = flag.String("kind", "", "generator: er, roll, rmat, pp, ws, clique-chain")
-		ds     = flag.String("dataset", "", "named surrogate dataset (alternative to -kind); one of "+fmt.Sprint(dataset.Names()))
-		scale  = flag.Float64("scale", 1.0, "dataset scale factor (with -dataset)")
-		n      = flag.Int("n", 10000, "number of vertices (er, roll, ws) / per-community size context (pp)")
-		m      = flag.Int64("m", 50000, "number of edges (er, rmat)")
-		deg    = flag.Int("deg", 16, "average degree (roll) / ring degree (ws)")
-		lgN    = flag.Int("scale2", 14, "log2 vertex count (rmat)")
-		comm   = flag.Int("comm", 50, "communities (pp) / cliques (clique-chain)")
-		csize  = flag.Int("csize", 100, "community size (pp) / clique size (clique-chain)")
-		pin    = flag.Float64("pin", 0.1, "intra-community probability (pp)")
-		pout   = flag.Float64("pout", 0.001, "inter-community probability (pp)")
-		beta   = flag.Float64("beta", 0.1, "rewiring probability (ws)")
-		seed   = flag.Int64("seed", 1, "random seed")
-		out    = flag.String("o", "", "output path (.txt or .bin); required")
-		statsF = flag.Bool("stats", true, "print the generated graph's statistics")
-
-		mutations  = flag.Int("mutations", 0, "additionally emit this many deterministic edge-churn operations as NDJSON (the POST /edges wire format); 0 = none")
-		mutSeed    = flag.Int64("mutation-seed", 1, "random seed for the -mutations churn stream")
-		mutOut     = flag.String("mutations-out", "-", "churn output path for -mutations (\"-\" = stdout)")
-		mutDelFrac = flag.Float64("mutation-del-frac", 0.5, "fraction of -mutations operations that are deletions of existing edges (the rest insert absent pairs)")
+		n   = flag.Int("n", 10000, "number of vertices")
+		deg = flag.Int("deg", 16, "average degree")
+		out = flag.String("o", "", "output path (.txt or .bin); required")
 	)
 	flag.Parse()
 	if *out == "" {
 		fatal(fmt.Errorf("-o output path is required"))
 	}
-
-	var g *graph.Graph
-	var err error
-	switch {
-	case *ds != "":
-		g, err = dataset.Load(*ds, *scale)
-		if err != nil {
-			fatal(err)
-		}
-	case *kind == "er":
-		g = gen.ErdosRenyi(int32(*n), *m, *seed)
-	case *kind == "roll":
-		g = gen.Roll(int32(*n), int32(*deg), *seed)
-	case *kind == "rmat":
-		g = gen.RMAT(*lgN, *m, 0.57, 0.19, 0.19, *seed)
-	case *kind == "pp":
-		g = gen.PlantedPartition(int32(*comm), int32(*csize), *pin, *pout, *seed)
-	case *kind == "ws":
-		g = gen.WattsStrogatz(int32(*n), int32(*deg), *beta, *seed)
-	case *kind == "clique-chain":
-		g = gen.CliqueChain(int32(*comm), int32(*csize))
-	default:
-		fatal(fmt.Errorf("unknown -kind %q (want er, roll, rmat, pp, ws, clique-chain) and no -dataset given", *kind))
-	}
-
+	g := gen.Roll(int32(*n), int32(*deg), 1)
 	if err := graph.SaveFile(*out, g); err != nil {
 		fatal(err)
 	}
-	if *statsF {
-		fmt.Println(graph.ComputeStats(*out, g))
-	}
-	if *mutations > 0 {
-		w := io.Writer(os.Stdout)
-		if *mutOut != "-" {
-			f, err := os.Create(*mutOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := emitChurn(w, g, *mutations, *mutSeed, *mutDelFrac); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// emitChurn writes n NDJSON edge operations derived deterministically from
-// g and seed. Deletions sample existing edges (random vertex, random
-// neighbor); insertions sample absent pairs by rejection. The stream is
-// generated against the STATIC graph g, so ops can collide (a deleted edge
-// re-deleted later); the server's batch normalization makes those no-ops,
-// which is itself realistic churn.
-func emitChurn(w io.Writer, g *graph.Graph, n int, seed int64, delFrac float64) error {
-	nv := g.NumVertices()
-	if nv < 2 {
-		return fmt.Errorf("-mutations needs a graph with at least 2 vertices")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	bw := bufio.NewWriter(w)
-	for i := 0; i < n; i++ {
-		if g.NumEdges() > 0 && rng.Float64() < delFrac {
-			// Delete: random non-isolated vertex, random neighbor.
-			for {
-				u := int32(rng.Intn(int(nv)))
-				nbrs := g.Neighbors(u)
-				if len(nbrs) == 0 {
-					continue
-				}
-				v := nbrs[rng.Intn(len(nbrs))]
-				fmt.Fprintf(bw, "{\"u\":%d,\"v\":%d,\"op\":\"del\"}\n", u, v)
-				break
-			}
-			continue
-		}
-		// Insert: rejection-sample a currently-absent pair.
-		for {
-			u, v := int32(rng.Intn(int(nv))), int32(rng.Intn(int(nv)))
-			if u == v || g.HasEdge(u, v) {
-				continue
-			}
-			fmt.Fprintf(bw, "{\"u\":%d,\"v\":%d,\"op\":\"add\"}\n", u, v)
-			break
-		}
-	}
-	return bw.Flush()
+	fmt.Println(graph.ComputeStats(*out, g))
 }
 
 func fatal(err error) {

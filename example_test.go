@@ -1,6 +1,7 @@
 package ppscan_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -100,7 +101,7 @@ func ExampleBuildIndex() {
 	ix := ppscan.BuildIndex(g, 0)
 	// One build answers any (eps, mu) without further set intersections.
 	for _, eps := range []string{"0.5", "0.7"} {
-		res, err := ix.Query(eps, 2)
+		res, err := ppscan.QueryIndexWorkspace(context.Background(), ix, eps, 2, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,13 +32,3 @@ func ExampleGraph_EdgeOffset() {
 	// dst[e(1,2)] = 2
 	// missing edge: -1
 }
-
-func ExampleGraph_ConnectedComponents() {
-	g, _ := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	labels, n := g.ConnectedComponents()
-	fmt.Println("components:", n)
-	fmt.Println("same component:", labels[0] == labels[1], labels[0] == labels[2])
-	// Output:
-	// components: 3
-	// same component: true false
-}

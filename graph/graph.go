@@ -310,37 +310,6 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
-// ConnectedComponents labels each vertex with a component id in [0, #comps)
-// and returns the labels plus the number of components.
-func (g *Graph) ConnectedComponents() ([]int32, int32) {
-	n := g.NumVertices()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var next int32
-	queue := make([]int32, 0, 64)
-	for s := int32(0); s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = next
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, v := range g.Neighbors(u) {
-				if comp[v] < 0 {
-					comp[v] = next
-					queue = append(queue, v)
-				}
-			}
-		}
-		next++
-	}
-	return comp, next
-}
-
 // Stats summarizes a graph in the shape of Tables 1 and 2 of the paper.
 type Stats struct {
 	Name        string
@@ -365,25 +334,4 @@ func ComputeStats(name string, g *Graph) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("%-16s |V|=%-10d |E|=%-12d d=%-8.1f max d=%d",
 		s.Name, s.NumVertices, s.NumEdges, s.AvgDegree, s.MaxDegree)
-}
-
-// DegreeHistogram returns a map from degree to the number of vertices having
-// that degree.
-func (g *Graph) DegreeHistogram() map[int32]int64 {
-	h := make(map[int32]int64)
-	for u := int32(0); u < g.NumVertices(); u++ {
-		h[g.Degree(u)]++
-	}
-	return h
-}
-
-// SumDegreeSquares returns sum over v of d[v]^2, which bounds SCAN's total
-// similarity workload (Theorem 3.4 states the workload is 2*sum d^2).
-func (g *Graph) SumDegreeSquares() int64 {
-	var s int64
-	for u := int32(0); u < g.NumVertices(); u++ {
-		d := int64(g.Degree(u))
-		s += d * d
-	}
-	return s
 }

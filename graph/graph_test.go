@@ -164,26 +164,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g, err := FromEdges(7, []Edge{{0, 1}, {1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatalf("FromEdges: %v", err)
-	}
-	comp, k := g.ConnectedComponents()
-	if k != 4 { // {0,1,2}, {3,4}, {5}, {6}
-		t.Fatalf("components = %d, want 4", k)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Errorf("0,1,2 should share a component")
-	}
-	if comp[3] != comp[4] {
-		t.Errorf("3,4 should share a component")
-	}
-	if comp[5] == comp[6] || comp[5] == comp[0] || comp[6] == comp[3] {
-		t.Errorf("isolated vertices should be alone: %v", comp)
-	}
-}
-
 func TestStats(t *testing.T) {
 	g, err := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}})
 	if err != nil {
@@ -198,27 +178,6 @@ func TestStats(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "star") {
 		t.Errorf("String() should contain the name: %q", s.String())
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g, err := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}})
-	if err != nil {
-		t.Fatalf("FromEdges: %v", err)
-	}
-	h := g.DegreeHistogram()
-	if h[3] != 1 || h[1] != 3 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
-func TestSumDegreeSquares(t *testing.T) {
-	g, err := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}})
-	if err != nil {
-		t.Fatalf("FromEdges: %v", err)
-	}
-	if got := g.SumDegreeSquares(); got != 9+1+1+1 {
-		t.Errorf("SumDegreeSquares = %d, want 12", got)
 	}
 }
 

@@ -61,9 +61,6 @@ type Delta struct {
 	Ignored int
 }
 
-// Epoch returns the epoch of the post-commit snapshot.
-func (d *Delta) Epoch() uint64 { return d.New.Epoch() }
-
 // Empty reports whether the commit changed nothing.
 func (d *Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 

@@ -62,8 +62,8 @@ func TestStoreCommitBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	if d.Epoch() != 1 || st.Epoch() != 1 {
-		t.Fatalf("epoch after commit = %d/%d, want 1", d.Epoch(), st.Epoch())
+	if d.New.Epoch() != 1 || st.Epoch() != 1 {
+		t.Fatalf("epoch after commit = %d/%d, want 1", d.New.Epoch(), st.Epoch())
 	}
 	if len(d.Added) != 1 || d.Added[0] != (Edge{3, 4}) {
 		t.Fatalf("Added = %v, want [{3 4}]", d.Added)
@@ -262,8 +262,8 @@ func TestStoreRandomizedChurn(t *testing.T) {
 			wantEdges = append(wantEdges, e)
 		}
 		requireSameGraph(t, st.Graph(), mustGraph(t, n, wantEdges))
-		if !d.Empty() && d.Epoch() != st.Epoch() {
-			t.Fatalf("round %d: delta epoch %d != store epoch %d", round, d.Epoch(), st.Epoch())
+		if !d.Empty() && d.New.Epoch() != st.Epoch() {
+			t.Fatalf("round %d: delta epoch %d != store epoch %d", round, d.New.Epoch(), st.Epoch())
 		}
 	}
 }

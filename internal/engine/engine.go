@@ -109,16 +109,6 @@ func All() []Engine {
 	return all
 }
 
-// Names returns every registered engine name, sorted.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, e := range all {
-		names[i] = e.Name
-	}
-	return names
-}
-
 // Run is the dispatcher: it runs the engine registered under name on g
 // with the kernel named by kernel (empty selects the engine's default).
 // The kernel name is parsed here and nowhere else, and before the engine

@@ -22,7 +22,6 @@ type Pool struct {
 	mu       sync.Mutex
 	capacity int
 	free     []*Workspace
-	closed   bool
 
 	hits, misses, discards, resets uint64
 }
@@ -36,7 +35,7 @@ type PoolStats struct {
 	// Misses counts Acquire calls that created a fresh workspace.
 	Misses uint64
 	// Discards counts Release calls that closed the workspace because the
-	// pool was full (or closed).
+	// pool was full.
 	Discards uint64
 	// Resets counts poisoned workspaces rebuilt at Release after a
 	// contained worker panic.
@@ -75,11 +74,11 @@ func (p *Pool) Acquire() *Workspace {
 }
 
 // Release returns ws to the pool for reuse. When the pool is at capacity
-// (or closed) the workspace is closed instead — its scheduler goroutines
-// stop and its memory goes back to the GC. ws must be idle (its run
-// finished) and must not be used by the caller after Release. A poisoned
-// workspace (see Workspace.Poison) is Reset before it is retained, so
-// whatever a pooled workspace is next acquired for starts pristine.
+// the workspace is closed instead — its scheduler goroutines stop and its
+// memory goes back to the GC. ws must be idle (its run finished) and must
+// not be used by the caller after Release. A poisoned workspace (see
+// Workspace.Poison) is Reset before it is retained, so whatever a pooled
+// workspace is next acquired for starts pristine.
 // Releasing a workspace twice without an Acquire in between panics, as
 // unlocking an unlocked sync.Mutex does: the second Release would put the
 // workspace on the free list twice and hand it to two requests.
@@ -99,7 +98,7 @@ func (p *Pool) Release(ws *Workspace) {
 	if reset {
 		p.resets++
 	}
-	if p.closed || len(p.free) >= p.capacity {
+	if len(p.free) >= p.capacity {
 		p.discards++
 		p.mu.Unlock()
 		ws.Close()
@@ -124,18 +123,4 @@ func (p *Pool) Stats() PoolStats {
 		st.RetainedBytes += ws.MemoryBytes()
 	}
 	return st
-}
-
-// Close closes every retained workspace and makes future Releases close
-// their workspaces immediately. Acquire remains usable (it will simply
-// always miss).
-func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	all := p.free
-	p.free = nil
-	p.mu.Unlock()
-	for _, ws := range all {
-		ws.Close()
-	}
 }

@@ -156,7 +156,7 @@ func TestWorkspaceScratch(t *testing.T) {
 // workspace, whose buffers are warmest, goes out first.
 func TestPoolReuse(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
+	defer drain(p)
 
 	a, b := p.Acquire(), p.Acquire()
 	a.Roles(1000) // materialize something
@@ -187,7 +187,7 @@ func TestPoolReuse(t *testing.T) {
 // workspace instead of growing the pool.
 func TestPoolCapacityBound(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
+	defer drain(p)
 	a, b, c := p.Acquire(), p.Acquire(), p.Acquire()
 	p.Release(a)
 	p.Release(b)
@@ -227,31 +227,18 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 	}
 	p.Release(ws)
 
-	p.Close()
-	discarded := p.Acquire()
-	p.Release(discarded) // closed pool: discarded, not retained
+	x, y, discarded := p.Acquire(), p.Acquire(), p.Acquire()
+	p.Release(x)
+	p.Release(y)
+	p.Release(discarded) // full pool: discarded, not retained
 	mustPanic(p, discarded)
+	drain(p)
 }
 
-// TestPoolClose: close discards retained workspaces and makes later
-// releases discard immediately, while Acquire keeps working.
-func TestPoolClose(t *testing.T) {
-	p := NewPool(2)
-	a := p.Acquire()
-	b := p.Acquire()
-	p.Release(a)
-	p.Close()
-	if st := p.Stats(); st.Retained != 0 {
-		t.Errorf("retained after Close = %d, want 0", st.Retained)
-	}
-	p.Release(b)
-	if st := p.Stats(); st.Discards < 1 {
-		t.Errorf("discards after post-Close release = %d, want >= 1", st.Discards)
-	}
-	if ws := p.Acquire(); ws == nil {
-		t.Error("Acquire after Close returned nil")
-	} else {
-		ws.Close()
+// drain closes the workspaces p retains, stopping their crews.
+func drain(p *Pool) {
+	for p.Stats().Retained > 0 {
+		p.Acquire().Close()
 	}
 }
 
@@ -259,7 +246,7 @@ func TestPoolClose(t *testing.T) {
 // with -race to verify the locking discipline.
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
+	defer drain(p)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

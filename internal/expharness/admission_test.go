@@ -1,6 +1,7 @@
 package expharness
 
 import (
+	"context"
 	"testing"
 
 	"ppscan/internal/dataset"
@@ -25,7 +26,7 @@ func TestDatasetsCluster(t *testing.T) {
 		g := dataset.MustLoad(name, 1)
 		ix := gsindex.Build(g, gsindex.BuildOptions{})
 		for _, eps := range EpsGrid {
-			r, err := ix.Query(eps, DefaultMu)
+			r, err := ix.QueryWorkspace(context.Background(), eps, DefaultMu, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,7 @@ const (
 	ActPanic Action = iota
 	// ActDelay sleeps for the rule's Delay (a straggler).
 	ActDelay
-	// ActError returns an *Error (transient; errors.Is ErrInjected).
+	// ActError returns an *Error (errors.Is ErrInjected).
 	ActError
 	numActions
 )
@@ -259,14 +259,11 @@ func Disable() {
 	active.Store(nil)
 }
 
-// Enabled reports whether a plan is armed.
-func Enabled() bool { return armed.Load() }
-
 // ErrInjected is the sentinel wrapped by every injected error, so
 // errors.Is(err, fault.ErrInjected) identifies synthetic failures.
 var ErrInjected = errors.New("injected fault")
 
-// Error is a transient injected error carrying its provenance.
+// Error is an injected error carrying its provenance.
 type Error struct {
 	Point Point
 	Hit   uint64
@@ -281,9 +278,6 @@ func (e *Error) Error() string {
 // Unwrap makes errors.Is(e, ErrInjected) true.
 func (e *Error) Unwrap() error { return ErrInjected }
 
-// Transient marks the error retryable (see IsTransient).
-func (e *Error) Transient() bool { return true }
-
 // InjectedPanic is the value an ActPanic rule panics with; recovery code
 // can recognize synthetic panics by type-asserting the recovered value.
 type InjectedPanic struct {
@@ -295,19 +289,6 @@ type InjectedPanic struct {
 // String labels the panic value in logs and error messages.
 func (ip *InjectedPanic) String() string {
 	return fmt.Sprintf("injected panic at %s hit %d (seed %d)", ip.Point, ip.Hit, ip.Seed)
-}
-
-// IsTransient reports whether err is safe to retry: either an injected
-// fault or anything advertising Transient() == true.
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrInjected) {
-		return true
-	}
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }
 
 // NoteRetry counts one retry of a transient fault (recorded by the shard

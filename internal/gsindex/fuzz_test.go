@@ -57,7 +57,7 @@ func FuzzLoad(f *testing.F) {
 				t.Fatalf("accepted run of vertex %d is not a permutation of its neighbors: %v", u, nbr)
 			}
 		}
-		if _, err := ix.Query("1/2", 2); err != nil {
+		if _, err := ix.QueryWorkspace(context.Background(), "1/2", 2, nil); err != nil {
 			t.Fatalf("query on an accepted index: %v", err)
 		}
 		var buf bytes.Buffer

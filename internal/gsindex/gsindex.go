@@ -46,7 +46,6 @@ import (
 
 	"ppscan/graph"
 	"ppscan/internal/intersect"
-	"ppscan/internal/result"
 	"ppscan/internal/sched"
 	"ppscan/internal/simdef"
 )
@@ -67,9 +66,6 @@ type Index struct {
 	cn []int32
 	// nbr and cn are extents of arena, their capacity, which applies share.
 	arena *arena
-	// buildTime records how long Build took (the index-construction cost
-	// that ppSCAN's online approach avoids).
-	buildTime time.Duration
 	// workers is the crew size QueryWorkspace extracts with: the build's
 	// resolved worker count, kept by ApplyBatch, GOMAXPROCS after Load.
 	workers int
@@ -171,7 +167,6 @@ func BuildContext(ctx context.Context, g *graph.Graph, opt BuildOptions) (*Index
 	if err != nil {
 		return nil, err
 	}
-	ix.buildTime = time.Since(start)
 	return ix, nil
 }
 
@@ -304,9 +299,6 @@ func (ix *Index) run(u int32) (nbr, cn []int32) {
 // Graph returns the indexed graph.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
-// BuildTime returns how long index construction took.
-func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
-
 // MemoryBytes returns the size of the arena the index holds, graph excluded.
 func (ix *Index) MemoryBytes() int64 {
 	return int64(cap(ix.cn))*4 + int64(cap(ix.nbr))*4
@@ -350,14 +342,6 @@ func (ix *Index) similarEnd(eps simdef.Epsilon, u, k int32) int32 {
 func (ix *Index) IsCore(eps simdef.Epsilon, mu int32, u int32) bool {
 	du := ix.g.Degree(u)
 	return du >= mu && ix.simGE(eps, uint64(du)+1, ix.at[u]+int64(mu-1))
-}
-
-// Query computes the exact clustering for (eps, mu) from the index,
-// without any set intersections. The result is identical to running any of
-// the direct algorithms. It is QueryWorkspace on a throwaway workspace:
-// the result owns its buffers.
-func (ix *Index) Query(eps string, mu int32) (*result.Result, error) {
-	return ix.QueryWorkspace(context.Background(), eps, mu, nil)
 }
 
 // Validate cross-checks the index invariants: every run lists neighbors

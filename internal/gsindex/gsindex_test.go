@@ -37,7 +37,7 @@ func TestQueryMatchesSCANCorpus(t *testing.T) {
 			ix := Build(tc.G, BuildOptions{Workers: 2})
 			for _, th := range algotest.Params() {
 				want := scan.Run(tc.G, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
-				got, err := ix.Query(th.Eps.String(), th.Mu)
+				got, err := ix.QueryWorkspace(context.Background(), th.Eps.String(), th.Mu, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +55,7 @@ func TestQueryMatchesQuick(t *testing.T) {
 		th := algotest.RandomThreshold(seed)
 		ix := Build(g, BuildOptions{Workers: 2})
 		want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
-		got, err := ix.Query(th.Eps.String(), th.Mu)
+		got, err := ix.QueryWorkspace(context.Background(), th.Eps.String(), th.Mu, nil)
 		if err != nil {
 			return false
 		}
@@ -70,9 +70,6 @@ func TestOneBuildManyQueries(t *testing.T) {
 	// The index's purpose: amortize one build over a parameter sweep.
 	g := algotest.RandomGraph(77)
 	ix := Build(g, BuildOptions{})
-	if ix.BuildTime() <= 0 {
-		t.Errorf("build time not recorded")
-	}
 	if ix.MemoryBytes() != g.NumDirectedEdges()*8 {
 		t.Errorf("memory = %d, want %d", ix.MemoryBytes(), g.NumDirectedEdges()*8)
 	}
@@ -83,7 +80,7 @@ func TestOneBuildManyQueries(t *testing.T) {
 		for _, mu := range []int32{1, 2, 4, 8} {
 			th, _ := simdef.NewThreshold(eps, mu)
 			want := scan.Run(g, th, engine.Options{Kernel: intersect.Merge}, scan.Options{}, nil)
-			got, err := ix.Query(eps, mu)
+			got, err := ix.QueryWorkspace(context.Background(), eps, mu, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,10 +109,10 @@ func TestIsCoreAgainstDefinition(t *testing.T) {
 func TestQueryRejectsBadParams(t *testing.T) {
 	g := algotest.RandomGraph(83)
 	ix := Build(g, BuildOptions{})
-	if _, err := ix.Query("2", 5); err == nil {
+	if _, err := ix.QueryWorkspace(context.Background(), "2", 5, nil); err == nil {
 		t.Errorf("eps=2 should fail")
 	}
-	if _, err := ix.Query("0.5", 0); err == nil {
+	if _, err := ix.QueryWorkspace(context.Background(), "0.5", 0, nil); err == nil {
 		t.Errorf("mu=0 should fail")
 	}
 }

@@ -331,7 +331,7 @@ func TestQueryWorkspaceNilWorkspace(t *testing.T) {
 	g := algotest.RandomGraph(7)
 	th := algotest.RandomThreshold(7)
 	ix := Build(g, BuildOptions{Workers: 2})
-	want, err := ix.Query(th.Eps.String(), th.Mu)
+	want, err := ix.QueryWorkspace(context.Background(), th.Eps.String(), th.Mu, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestQueryWorkspaceCancelled(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	// The workspace must still serve a fresh extraction after the abort.
-	want, err := ix.Query("0.5", 3)
+	want, err := ix.QueryWorkspace(context.Background(), "0.5", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

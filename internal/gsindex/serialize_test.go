@@ -2,6 +2,7 @@ package gsindex
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"strings"
@@ -28,11 +29,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Queries from the loaded index match the original.
 	for _, eps := range []string{"0.3", "0.6"} {
-		a, err := ix.Query(eps, 3)
+		a, err := ix.QueryWorkspace(context.Background(), eps, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.Query(eps, 3)
+		b, err := back.QueryWorkspace(context.Background(), eps, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,10 +7,10 @@ package intersect
 // the hot path at ordinary register arithmetic — the design constraint is
 // that instrumentation must cost less than the work it measures.
 //
-// Derived quantities, so kernels only record what they cannot infer:
+// Kernels record only what cannot be inferred; two counts are derived:
 //
-//	CnReached (Sim via cn ≥ c)  = Sim - PrunedSim
-//	Exhausted (NSim by merge end) = NSim - PrunedNSim - EarlyDu - EarlyDv
+//	Sim decided by cn ≥ c mid-scan   = Sim - PrunedSim
+//	NSim decided by running out      = NSim - PrunedNSim - EarlyDu - EarlyDv
 type Stats struct {
 	// Calls counts CompSim evaluations (the paper's Figure 4 quantity).
 	Calls int64 `json:"calls"`
@@ -49,15 +49,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.VectorBlocks += o.VectorBlocks
 	s.ScalarSteps += o.ScalarSteps
 	s.Scanned += o.Scanned
-}
-
-// CnReached returns the Sim calls decided by the cn ≥ c bound mid-scan.
-func (s *Stats) CnReached() int64 { return s.Sim - s.PrunedSim }
-
-// Exhausted returns the NSim calls decided only by running out of
-// elements (no bound fired).
-func (s *Stats) Exhausted() int64 {
-	return s.NSim - s.PrunedNSim - s.EarlyDu - s.EarlyDv
 }
 
 // The note* helpers below are nil-safe so kernels can call them

@@ -35,9 +35,9 @@ func statsInvariants(t *testing.T) {
 		if st.Sim+st.NSim != st.Calls {
 			t.Errorf("%v: Sim %d + NSim %d != Calls %d", kind, st.Sim, st.NSim, st.Calls)
 		}
-		if st.CnReached() < 0 || st.Exhausted() < 0 {
-			t.Errorf("%v: negative derived stats: cn=%d exhausted=%d",
-				kind, st.CnReached(), st.Exhausted())
+		cnReached, exhausted := st.Sim-st.PrunedSim, st.NSim-st.PrunedNSim-st.EarlyDu-st.EarlyDv
+		if cnReached < 0 || exhausted < 0 {
+			t.Errorf("%v: negative derived stats: cn=%d exhausted=%d", kind, cnReached, exhausted)
 		}
 		if st.PrunedSim+st.PrunedNSim > st.Calls {
 			t.Errorf("%v: pruned %d+%d exceeds calls %d",

@@ -23,7 +23,6 @@ package obsv
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -57,14 +56,6 @@ func (c *Counter) Value() int64 {
 // size). A nil *Gauge is a no-op.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set stores v as the current value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
 }
 
 // Add adjusts the gauge by delta (negative to decrement).
@@ -310,25 +301,4 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// Names returns the sorted metric names currently registered.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -26,8 +26,7 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(7)
-	g.Add(3)
+	g.Add(10)
 	g.Add(-5)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
@@ -102,7 +101,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Fatal("same name should return the same counter")
 	}
 	c1.Add(3)
-	r.Gauge("g").Set(9)
+	r.Gauge("g").Add(9)
 	r.Histogram("h").Observe(100)
 
 	snap := r.Snapshot()
@@ -116,15 +115,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if hs.Count != 1 || hs.Sum != 100 {
 		t.Errorf("snapshot h = %+v", hs)
 	}
-	want := []string{"a", "g", "h"}
-	names := r.Names()
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
+	if len(snap) != 3 {
+		t.Errorf("snapshot has %d names, want 3: %v", len(snap), snap)
 	}
 }
 
@@ -160,7 +152,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil counter value")
 	}
 	var g *Gauge
-	g.Set(1)
 	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
@@ -175,9 +166,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("x").Set(1)
+	r.Gauge("x").Add(1)
 	r.Histogram("x").Observe(1)
-	if len(r.Snapshot()) != 0 || r.Names() != nil {
+	if len(r.Snapshot()) != 0 {
 		t.Fatal("nil registry should be inert")
 	}
 }

@@ -16,11 +16,10 @@
 // Tracers are reusable: Reset truncates the recorded events while keeping
 // their capacity and the track names, so a pooled tracer serves an
 // unbounded number of runs without growing the heap — the property the
-// server's tail-latency exemplar capture relies on to stay inside the
-// serving allocation budget. Track and process names are stored as fields
-// (not as recorded events) and synthesized into "M" metadata events at
-// export time; setting a name to its current value is a no-op after the
-// first call.
+// traced serving allocation gate (engine's TestServingAllocBudgetTraced)
+// holds. Track and process names are stored as fields (not as recorded
+// events) and synthesized into "M" metadata events at export time;
+// setting a name to its current value is a no-op after the first call.
 package obsv
 
 import (
@@ -33,19 +32,16 @@ import (
 )
 
 // TraceEvent is one Chrome trace_event record. Ph "X" is a complete event
-// (span), "i" an instant, "M" metadata (thread/process names). Timestamps
-// and durations are microseconds, as the format requires.
+// (span), "M" metadata (thread/process names). Timestamps and durations
+// are microseconds, as the format requires.
 type TraceEvent struct {
 	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
 	TS   float64        `json:"ts"`
 	Dur  float64        `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
-	// Scope is required for instant events ("g" = global).
-	Scope string `json:"s,omitempty"`
 }
 
 // TraceFile is the top-level JSON object Perfetto and chrome://tracing
@@ -113,7 +109,6 @@ func (t *Tracer) Reset() {
 type Span struct {
 	t     *Tracer
 	name  string
-	cat   string
 	tid   int
 	start time.Time
 }
@@ -128,13 +123,6 @@ func (t *Tracer) Begin(name string, tid int) Span {
 	return Span{t: t, name: name, tid: tid, start: time.Now()}
 }
 
-// BeginCat is Begin with a category label (Perfetto groups by category).
-func (t *Tracer) BeginCat(name, cat string, tid int) Span {
-	s := t.Begin(name, tid)
-	s.cat = cat
-	return s
-}
-
 // End records the span with no arguments.
 func (s Span) End() { s.EndArgs(nil) }
 
@@ -146,7 +134,6 @@ func (s Span) EndArgs(args map[string]any) {
 	end := time.Now()
 	s.t.append(rec{ev: TraceEvent{
 		Name: s.name,
-		Cat:  s.cat,
 		Ph:   "X",
 		TS:   micros(s.start.Sub(s.t.start)),
 		Dur:  micros(end.Sub(s.start)),
@@ -168,7 +155,6 @@ func (s Span) EndTask(beg, end int32, deg int64) {
 	s.t.append(rec{
 		ev: TraceEvent{
 			Name: s.name,
-			Cat:  s.cat,
 			Ph:   "X",
 			TS:   micros(s.start.Sub(s.t.start)),
 			Dur:  micros(now.Sub(s.start)),
@@ -180,22 +166,6 @@ func (s Span) EndTask(beg, end int32, deg int64) {
 		taskDeg:  deg,
 		taskArgs: true,
 	})
-}
-
-// Instant records a zero-duration marker on track tid.
-func (t *Tracer) Instant(name string, tid int, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.append(rec{ev: TraceEvent{
-		Name:  name,
-		Ph:    "i",
-		TS:    micros(time.Since(t.start)),
-		PID:   1,
-		TID:   tid,
-		Args:  args,
-		Scope: "t",
-	}})
 }
 
 // SetThreadName labels track tid in the trace viewer (e.g. "coordinator",
@@ -254,8 +224,8 @@ func (t *Tracer) append(e rec) {
 }
 
 // Events returns a copy of the recorded events: synthesized "M" metadata
-// events for the process and track names first, then the spans and
-// instants in recording order. Task spans recorded by EndTask get their
+// events for the process and track names first, then the spans in
+// recording order. Task spans recorded by EndTask get their
 // args map materialized here — export is the cold path.
 func (t *Tracer) Events() []TraceEvent {
 	if t == nil {
@@ -303,17 +273,6 @@ func (t *Tracer) Events() []TraceEvent {
 		out = append(out, ev)
 	}
 	return out
-}
-
-// Len returns the number of recorded span/instant events (metadata names
-// are not events until export).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
 }
 
 // WriteJSON writes the trace as a Chrome trace_event JSON object.

@@ -16,10 +16,9 @@ func TestTracerSpansAndSchema(t *testing.T) {
 
 	sp := tr.Begin("similarity-pruning", 0)
 	time.Sleep(time.Millisecond)
-	inner := tr.BeginCat("task", "sched", 1)
+	inner := tr.Begin("task", 1)
 	inner.EndArgs(map[string]any{"beg": 0, "end": 10, "deg": 42})
 	sp.End()
-	tr.Instant("barrier", 0, nil)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -38,7 +37,7 @@ func TestTracerSpansAndSchema(t *testing.T) {
 	if f.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", f.DisplayTimeUnit)
 	}
-	var complete, meta, instant int
+	var complete, meta int
 	for _, e := range f.TraceEvents {
 		for _, field := range []string{"name", "ph", "pid", "tid"} {
 			if _, ok := e[field]; !ok {
@@ -60,15 +59,10 @@ func TestTracerSpansAndSchema(t *testing.T) {
 			if _, ok := args["name"]; !ok {
 				t.Errorf("metadata event missing args.name: %v", e)
 			}
-		case "i":
-			instant++
-			if e["s"] != "t" {
-				t.Errorf("instant event missing scope: %v", e)
-			}
 		}
 	}
-	if complete != 2 || meta != 3 || instant != 1 {
-		t.Fatalf("events: %d complete, %d meta, %d instant", complete, meta, instant)
+	if complete != 2 || meta != 3 {
+		t.Fatalf("events: %d complete, %d meta", complete, meta)
 	}
 
 	// The outer phase span must contain the inner task span in time.
@@ -111,7 +105,7 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Len(); got != goroutines*perG {
+	if got := len(tr.Events()); got != goroutines*perG {
 		t.Fatalf("events = %d, want %d", got, goroutines*perG)
 	}
 }
@@ -121,17 +115,16 @@ func TestNilTracer(t *testing.T) {
 	sp := tr.Begin("x", 0)
 	sp.End()
 	sp.EndArgs(map[string]any{"k": 1})
-	tr.Instant("x", 0, nil)
 	tr.SetThreadName(0, "x")
 	tr.SetProcessName("x")
-	if tr.Events() != nil || tr.Len() != 0 {
+	if tr.Events() != nil {
 		t.Fatal("nil tracer should record nothing")
 	}
 }
 
 func TestTracerEndTaskExportsArgs(t *testing.T) {
 	tr := NewTracer()
-	sp := tr.BeginCat("task", "sched", 3)
+	sp := tr.Begin("task", 3)
 	sp.EndTask(16, 128, 4096)
 	events := tr.Events()
 	var task *TraceEvent
@@ -146,8 +139,8 @@ func TestTracerEndTaskExportsArgs(t *testing.T) {
 	if task.Args["beg"].(int32) != 16 || task.Args["end"].(int32) != 128 || task.Args["deg"].(int64) != 4096 {
 		t.Errorf("task args = %v", task.Args)
 	}
-	if task.Cat != "sched" || task.TID != 3 {
-		t.Errorf("task cat/tid = %q/%d", task.Cat, task.TID)
+	if task.TID != 3 {
+		t.Errorf("task tid = %d", task.TID)
 	}
 }
 
@@ -158,8 +151,10 @@ func TestTracerResetKeepsNamesAndCapacity(t *testing.T) {
 	tr.NameWorkers(4)
 	tr.Begin("warm", 0).End()
 	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", tr.Len())
+	for _, e := range tr.Events() {
+		if e.Ph != "M" {
+			t.Fatalf("span %q survived Reset", e.Name)
+		}
 	}
 
 	// Names survive Reset and renaming to the same value is idempotent.

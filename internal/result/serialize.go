@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Write serializes a result in a stable, line-oriented, diffable text
@@ -37,95 +35,4 @@ func Write(w io.Writer, r *Result) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Read parses the format produced by Write.
-func Read(rd io.Reader) (*Result, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("result: empty input")
-	}
-	header := sc.Text()
-	if !strings.HasPrefix(header, "# ppscan-result ") {
-		return nil, fmt.Errorf("result: bad header %q", header)
-	}
-	res := &Result{}
-	var n int
-	for _, field := range strings.Fields(header)[2:] {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return nil, fmt.Errorf("result: bad header field %q", field)
-		}
-		switch key {
-		case "eps":
-			res.Eps = val
-		case "mu":
-			mu, err := strconv.ParseInt(val, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("result: bad mu %q", val)
-			}
-			res.Mu = int32(mu)
-		case "vertices":
-			v, err := strconv.Atoi(val)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("result: bad vertex count %q", val)
-			}
-			n = v
-		default:
-			return nil, fmt.Errorf("result: unknown header field %q", key)
-		}
-	}
-	res.Roles = make([]Role, n)
-	res.CoreClusterID = make([]int32, n)
-	seen := make([]bool, n)
-	vertexRecords := 0
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch {
-		case fields[0] == "v" && len(fields) == 4:
-			v, err1 := strconv.ParseInt(fields[1], 10, 32)
-			id, err2 := strconv.ParseInt(fields[3], 10, 32)
-			if err1 != nil || err2 != nil || v < 0 || v >= int64(n) {
-				return nil, fmt.Errorf("result: line %d: bad vertex record %q", lineNo, line)
-			}
-			switch fields[2] {
-			case "C":
-				res.Roles[v] = RoleCore
-			case "N":
-				res.Roles[v] = RoleNonCore
-			default:
-				return nil, fmt.Errorf("result: line %d: bad role %q", lineNo, fields[2])
-			}
-			res.CoreClusterID[v] = int32(id)
-			if seen[v] {
-				return nil, fmt.Errorf("result: line %d: duplicate vertex record for %d", lineNo, v)
-			}
-			seen[v] = true
-			vertexRecords++
-		case fields[0] == "m" && len(fields) == 3:
-			v, err1 := strconv.ParseInt(fields[1], 10, 32)
-			id, err2 := strconv.ParseInt(fields[2], 10, 32)
-			if err1 != nil || err2 != nil || v < 0 || v >= int64(n) {
-				return nil, fmt.Errorf("result: line %d: bad membership record %q", lineNo, line)
-			}
-			res.NonCore = append(res.NonCore, Membership{V: int32(v), ClusterID: int32(id)})
-		default:
-			return nil, fmt.Errorf("result: line %d: unrecognized record %q", lineNo, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if vertexRecords != n {
-		return nil, fmt.Errorf("result: %d vertex records for %d declared vertices", vertexRecords, n)
-	}
-	res.Normalize()
-	return res, nil
 }

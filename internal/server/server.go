@@ -270,9 +270,6 @@ func (s *Server) WithSweepMaxSteps(n int) *Server {
 // http.Server.Shutdown.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports whether SetDraining(true) was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // route is one entry of the endpoint table: the path Handler registers,
 // the short name instruments are keyed on, and the handler itself.
 type route struct {

@@ -522,16 +522,13 @@ func TestSweepDisconnectReleasesWorkspaceOnce(t *testing.T) {
 	// The handler observes the disconnect asynchronously; wait for the
 	// workspace to come home.
 	deadline := time.Now().Add(10 * time.Second)
-	var st ppscan.WorkspacePoolStats
-	for {
-		st = srv.pool.Stats()
-		if st.Hits+st.Misses >= 2 && st.Retained == 1 {
-			break
-		}
+	st := srv.pool.Stats()
+	for st.Hits+st.Misses < 2 || st.Retained != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("workspace never returned to the pool: %+v", st)
 		}
 		time.Sleep(10 * time.Millisecond)
+		st = srv.pool.Stats()
 	}
 	if st.Hits+st.Misses != 2 {
 		t.Errorf("pool acquires = %d (hits %d + misses %d), want 2", st.Hits+st.Misses, st.Hits, st.Misses)

@@ -35,9 +35,6 @@ func (e *ShardTimeoutError) Error() string {
 	return fmt.Sprintf("shard %d (%s): %s RPC exceeded %v deadline", e.Shard, e.Addr, e.Round, e.Timeout)
 }
 
-// Transient marks timeouts retryable (fault.IsTransient).
-func (e *ShardTimeoutError) Transient() bool { return true }
-
 // ShardCrashError reports a shard RPC that failed at the transport layer —
 // connection refused, reset, or severed mid-response — meaning the worker
 // process died or never existed at that address. Crashes are retryable:
@@ -57,9 +54,6 @@ func (e *ShardCrashError) Error() string {
 
 // Unwrap exposes the transport error.
 func (e *ShardCrashError) Unwrap() error { return e.Err }
-
-// Transient marks crashes retryable (fault.IsTransient).
-func (e *ShardCrashError) Transient() bool { return true }
 
 // ShardRejectedError reports a worker that answered but refused the RPC:
 // serving a different epoch (409, which triggers a snapshot sync before
@@ -82,10 +76,6 @@ type ShardRejectedError struct {
 func (e *ShardRejectedError) Error() string {
 	return fmt.Sprintf("shard %d (%s): %s RPC rejected with %d (%s): %s", e.Shard, e.Addr, e.Round, e.Status, e.Kind, e.Msg)
 }
-
-// Transient marks rejections retryable: an epoch mismatch resolves on its
-// own (snapshot sync), and the attempt budget bounds the hopeless cases.
-func (e *ShardRejectedError) Transient() bool { return true }
 
 // ShardUnavailableError reports that one shard could not serve a superstep
 // round at all: every attempt failed. It is the

@@ -355,9 +355,6 @@ func TestUnavailableWhenNoReplicaLeft(t *testing.T) {
 	if !errors.As(err, &crash) {
 		t.Errorf("unavailable error should wrap the leaf ShardCrashError, got %v", ua.Err)
 	}
-	if !fault.IsTransient(err) {
-		t.Error("shard unavailability should be transient (retryable later)")
-	}
 	if c.unavailable.Value() == 0 {
 		t.Error("unavailable counter not bumped")
 	}
@@ -729,9 +726,6 @@ func TestErrorStringsNameBlastRadius(t *testing.T) {
 	for _, e := range []error{e1, e2, e3, e4} {
 		if e.Error() == "" {
 			t.Fatalf("%T empty error string", e)
-		}
-		if !fault.IsTransient(e) {
-			t.Errorf("%T should be transient", e)
 		}
 	}
 	if !errors.Is(e4, e2) {

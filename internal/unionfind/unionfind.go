@@ -177,13 +177,3 @@ func (u *Concurrent) Same(x, y int32) bool {
 func (u *Concurrent) Len() int32 {
 	return int32(len(u.parent))
 }
-
-// Snapshot returns each element's current representative as a slice. Only
-// meaningful once all concurrent mutators have quiesced.
-func (u *Concurrent) Snapshot() []int32 {
-	out := make([]int32, len(u.parent))
-	for i := range out {
-		out[i] = u.Find(int32(i))
-	}
-	return out
-}

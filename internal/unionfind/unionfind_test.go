@@ -161,19 +161,6 @@ func TestConcurrentUnionAllParallel(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	c := NewConcurrent(6)
-	c.Union(0, 1)
-	c.Union(2, 3)
-	snap := c.Snapshot()
-	if snap[0] != snap[1] || snap[2] != snap[3] {
-		t.Errorf("snapshot wrong: %v", snap)
-	}
-	if snap[4] != 4 || snap[5] != 5 {
-		t.Errorf("singletons wrong: %v", snap)
-	}
-}
-
 // Property: union is commutative, associative and idempotent — the final
 // partition depends only on the *set* of union operations, not their order.
 func TestUnionOrderIndependenceQuick(t *testing.T) {

@@ -230,9 +230,6 @@ func NewWorkspace() *Workspace {
 // of workspaces for serving (one workspace per in-flight request).
 type WorkspacePool = engine.Pool
 
-// WorkspacePoolStats re-exports the pool's counter snapshot.
-type WorkspacePoolStats = engine.PoolStats
-
 // NewWorkspacePool creates a pool retaining at most capacity idle
 // workspaces; capacity < 1 defaults to GOMAXPROCS.
 func NewWorkspacePool(capacity int) *WorkspacePool {
@@ -242,7 +239,8 @@ func NewWorkspacePool(capacity int) *WorkspacePool {
 // Index is a GS*-Index-style precomputed structure answering any (ε, µ)
 // clustering query without set intersections — the index-based alternative
 // for interactive parameter exploration discussed in the paper's related
-// work (§3.3). Build once with BuildIndex, then call Query repeatedly.
+// work (§3.3). Build once with BuildIndex, then call QueryIndexWorkspace
+// repeatedly.
 type Index = gsindex.Index
 
 // BuildIndex precomputes the structural clustering index for g. The build
